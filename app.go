@@ -169,9 +169,9 @@ func (a *App) GoShard(k int, name string, body func(*Thread)) *Thread {
 
 // GoCoroShard is GoShard for run-to-completion bodies: the thread's
 // program is the resumable frame f, executed by the domain's dispatcher
-// with zero goroutine switches per blocking operation (see Sim.GoCoro).
-// This is the shape for very large client populations — a coroutine
-// client costs a small struct, not a goroutine stack and channel.
+// with no coroutine switch per blocking operation (see Sim.GoCoro).
+// This is the shape for very large client populations — a frame-based
+// client costs a small struct, not a coroutine and its stack.
 func (a *App) GoCoroShard(k int, name string, f Frame) *Thread {
 	return a.ShardSim(k).GoCoro(name, f)
 }

@@ -42,7 +42,9 @@ type benchSnapshot struct {
 
 // benchSwitchSnap is the switchcost experiment's headline, carried in
 // the snapshot so the scheduler's hand-off cost is tracked across
-// changes alongside wall-clock times.
+// changes alongside wall-clock times. The "goroutine" row keeps its
+// JSON name from when those threads were goroutines; since PR 12 it
+// measures coroutine-backed (iter.Pull) threads.
 type benchSwitchSnap struct {
 	CoroNsPerSwitch      float64 `json:"coro_ns_per_switch"`
 	GoroutineNsPerSwitch float64 `json:"goroutine_ns_per_switch"`

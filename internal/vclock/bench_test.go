@@ -6,8 +6,9 @@ import "testing"
 // hand-off — a queue Get parking the thread plus the Put-driven resume —
 // under each coroutine engine. The program is the same two-coroutine
 // ping-pong either way; only the control transfer differs: the coro
-// engine invokes continuations inline on the dispatching goroutine,
-// the goroutine engine pays the channel hand-off of the baton protocol.
+// engine invokes continuations inline on the dispatching stack, the
+// goroutine engine pays a coroutine yield to the RunUntil loop and a
+// next into the woken thread.
 // The "ns/switch" metric counts each wake as one switch (two per round
 // trip).
 func BenchmarkThreadSwitch(b *testing.B) {

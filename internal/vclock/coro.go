@@ -1,14 +1,13 @@
 package vclock
 
 // This file is the run-to-completion scheduler: simulated threads whose
-// bodies are resumable state machines instead of goroutines. A Frame is
+// bodies are resumable state machines instead of coroutines with stacks. A Frame is
 // one straight-line segment of such a body; it runs non-blocking code
 // and ends by taking exactly one step — continue into another frame,
 // block on a scheduling primitive naming the frame to resume in, or
 // finish. The dispatcher pops the event heap and invokes continuations
 // directly, so a blocking operation costs a method call instead of a
-// goroutine hand-off: no channel operations, no scheduler round trip,
-// no parked stack.
+// coroutine switch, and a blocked thread keeps no stack.
 //
 // Bit-identity with the goroutine engine is by construction: every Coro
 // operation performs the same bookkeeping — the same heap pushes, the
@@ -62,9 +61,8 @@ const (
 // Coro is the execution state of one run-to-completion thread: the
 // pending continuation, a return stack for Call/Return composition, and
 // the bookkeeping its blocking operations leave for Resume. All fields
-// are owned by the dispatcher (whoever holds the baton), so no locking
-// is needed — the same single-active-goroutine discipline as the rest
-// of the simulator.
+// are owned by whoever is dispatching, so no locking is needed — the
+// same one-coroutine-at-a-time discipline as the rest of the simulator.
 type Coro struct {
 	t     *Thread
 	next  Frame
@@ -332,8 +330,8 @@ func (c *Coro) Resume(v any) (BlockOn, any) {
 }
 
 // driveGoroutine adapts a coroutine program to the goroutine engine: a
-// dedicated goroutine alternates Resume with the ordinary baton-passing
-// park, so the program performs exactly the scheduling operations the
+// free-form thread alternates Resume with the ordinary park, so the
+// program performs exactly the scheduling operations the
 // run-to-completion engine would — the engines are interchangeable per
 // thread. Kill and Shutdown unwind through park's poison panic; the
 // deferred cleanup run mirrors stepCoro's.

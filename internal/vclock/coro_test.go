@@ -571,49 +571,53 @@ func TestShutdownNeverStartedThread(t *testing.T) {
 	})
 }
 
-// TestCoroSwitchZeroAllocs pins the headline property of the
-// run-to-completion engine: a blocking operation plus its resume
-// allocates nothing. Two coroutines ping-pong a zero-size token through
-// a queue pair; after warm-up (heap and waiter slices at steady
-// capacity) whole batches of round trips must run allocation-free.
+// TestCoroSwitchZeroAllocs pins the headline property of both engines:
+// a blocking operation plus the switch that continues the thread
+// allocates nothing — inline frames under EngineCoro, a coroutine
+// yield/next pair under EngineGoroutine. Two coroutines ping-pong a
+// zero-size token through a queue pair; after warm-up (heap and waiter
+// slices at steady capacity) whole batches of round trips must run
+// allocation-free.
 func TestCoroSwitchZeroAllocs(t *testing.T) {
 	if raceEnabled {
-		t.Skip("race instrumentation allocates; the coro engine is exercised without -race")
+		t.Skip("race instrumentation allocates")
 	}
-	s := New()
-	s.SetEngine(EngineCoro)
-	qa, qb := s.NewQueue("a"), s.NewQueue("b")
-	var token any = struct{}{}
-	rounds := 0
-	var echoF, countF Frame
-	echoF = func(c *Coro, v any) Step {
-		qa.Put(v)
-		return c.Get(qb, echoF)
-	}
-	countF = func(c *Coro, v any) Step {
-		rounds++
-		qb.Put(v)
-		return c.Get(qa, countF)
-	}
-	s.GoCoro("echo", func(c *Coro, _ any) Step { return c.Get(qb, echoF) })
-	s.GoCoro("count", func(c *Coro, _ any) Step {
-		qb.Put(token)
-		return c.Get(qa, countF)
-	})
-	target := 0
-	stop := func() bool { return rounds >= target }
-	// Warm up: let slices reach steady capacity.
-	target = 5000
-	s.RunUntil(stop)
-	const batch = 2000
-	avg := testing.AllocsPerRun(20, func() {
-		target = rounds + batch
+	forEachEngine(t, func(t *testing.T, k EngineKind) {
+		s := New()
+		s.SetEngine(k)
+		qa, qb := s.NewQueue("a"), s.NewQueue("b")
+		var token any = struct{}{}
+		rounds := 0
+		var echoF, countF Frame
+		echoF = func(c *Coro, v any) Step {
+			qa.Put(v)
+			return c.Get(qb, echoF)
+		}
+		countF = func(c *Coro, v any) Step {
+			rounds++
+			qb.Put(v)
+			return c.Get(qa, countF)
+		}
+		s.GoCoro("echo", func(c *Coro, _ any) Step { return c.Get(qb, echoF) })
+		s.GoCoro("count", func(c *Coro, _ any) Step {
+			qb.Put(token)
+			return c.Get(qa, countF)
+		})
+		target := 0
+		stop := func() bool { return rounds >= target }
+		// Warm up: let slices reach steady capacity.
+		target = 5000
 		s.RunUntil(stop)
+		const batch = 2000
+		avg := testing.AllocsPerRun(20, func() {
+			target = rounds + batch
+			s.RunUntil(stop)
+		})
+		if avg != 0 {
+			t.Fatalf("%.2f allocs per %d-round-trip batch, want 0 (each round trip is 2 block+switch pairs)", avg, batch)
+		}
+		s.Shutdown()
 	})
-	if avg != 0 {
-		t.Fatalf("%.2f allocs per %d-round-trip batch, want 0 (each round trip is 2 block+resume pairs)", avg, batch)
-	}
-	s.Shutdown()
 }
 
 // --- randomized cross-engine property test ---------------------------

@@ -1,8 +1,9 @@
 package vclock
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"whodunit/internal/par"
 )
@@ -268,14 +269,8 @@ func (g *Group) exchange() {
 		l.outbox = l.outbox[:0]
 	}
 	p := g.pending
-	sort.Slice(p, func(i, j int) bool {
-		if p[i].at != p[j].at {
-			return p[i].at < p[j].at
-		}
-		if p[i].id != p[j].id {
-			return p[i].id < p[j].id
-		}
-		return p[i].seq < p[j].seq
+	slices.SortFunc(p, func(a, b delivery) int {
+		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.id, b.id), cmp.Compare(a.seq, b.seq))
 	})
 	for i := range p {
 		p[i].dst.deliver(p[i].at, p[i].q, p[i].v)

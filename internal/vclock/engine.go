@@ -1,28 +1,26 @@
 package vclock
 
-import "os"
-
 // EngineKind selects how coroutine threads (Sim.GoCoro) execute their
-// resumable programs. Legacy free-form bodies (Sim.Go) always run on
-// dedicated goroutines — only structured, Frame-based programs have a
-// choice of engine, because only they can be suspended and resumed
-// without a goroutine stack to park.
+// resumable programs. Free-form bodies (Sim.Go) always run as runtime
+// coroutines with a stack of their own — only structured, Frame-based
+// programs have a choice of engine, because only they can be suspended
+// and continued without a stack to switch to.
 type EngineKind uint8
 
 const (
 	// EngineCoro runs each coroutine program to completion on the
-	// dispatching goroutine: the event loop pops a wake and invokes the
-	// thread's continuation directly — zero channel operations and zero
-	// goroutine switches per blocking operation. This is the default
-	// engine (except under -race; see EngineGoroutine).
+	// dispatching stack: the event loop pops a wake and invokes the
+	// thread's continuation directly — no coroutine switch and no stack
+	// per thread. This is the default engine, with or without -race.
 	EngineCoro EngineKind = iota
-	// EngineGoroutine drives each coroutine program from a dedicated
-	// goroutine through the same baton-passing park/resume protocol as
-	// legacy bodies. The event order is identical by construction — the
-	// frames perform exactly the same scheduling operations, only the
-	// control transfer differs — so this engine exists for two reasons:
-	// bit-identity cross-checks against EngineCoro, and -race builds,
-	// where real goroutines give the race detector schedules to examine.
+	// EngineGoroutine drives each coroutine program from a free-form
+	// thread (the name predates runtime coroutines: such a thread is an
+	// iter.Pull coroutine, not a scheduled goroutine) through the same
+	// park protocol as Sim.Go bodies. The event order is identical by
+	// construction — the frames perform exactly the same scheduling
+	// operations, only the control transfer differs — so this engine
+	// exists for bit-identity cross-checks against EngineCoro and to
+	// measure what a thread switch costs free-form bodies.
 	EngineGoroutine
 )
 
@@ -35,20 +33,8 @@ func (k EngineKind) String() string {
 
 // DefaultEngine is the engine every Sim is born with (snapshotted by
 // New, so mutating it never affects simulations already built — the
-// same override pattern as whodunit.DefaultShards). It resolves to
-// EngineCoro unless the build has the race detector enabled (which
-// forces EngineGoroutine, so -race sweeps keep real goroutines to
-// detect races against) or the WHODUNIT_ENGINE environment variable
-// says "goroutine".
-var DefaultEngine = func() EngineKind {
-	if raceEnabled {
-		return EngineGoroutine
-	}
-	if os.Getenv("WHODUNIT_ENGINE") == "goroutine" {
-		return EngineGoroutine
-	}
-	return EngineCoro
-}()
+// same override pattern as whodunit.DefaultShards).
+var DefaultEngine = EngineCoro
 
 // Engine reports the engine this simulation runs coroutine threads on.
 func (s *Sim) Engine() EngineKind { return s.engine }

@@ -2,8 +2,9 @@ package vclock
 
 import (
 	"fmt"
+	"iter"
 	"runtime/debug"
-	"sort"
+	"slices"
 )
 
 // Sim is a deterministic discrete-event simulator. It owns the virtual
@@ -14,33 +15,36 @@ import (
 // interaction must happen either from the goroutine that calls Run or from
 // inside simulated threads.
 //
-// Scheduling is baton-passing: exactly one goroutine — the RunUntil
-// caller or one simulated thread — is active at a time, and whoever
-// blocks dispatches the next event itself, waking its successor
-// directly. The classic alternative (park into a central scheduler
-// goroutine which then dispatches) costs two goroutine hand-offs per
-// context switch; the baton costs one. Event order is identical either
-// way: both run the same pop-min dispatch loop over the same heap.
+// Every free-form thread (Sim.Go) is a runtime coroutine (iter.Pull), so
+// exactly one of {the RunUntil caller, one simulated thread} executes at
+// a time and control moves by coroutine switch, never through the Go
+// scheduler. A thread that blocks runs the dispatch loop itself, on its
+// own stack: callbacks, queue deliveries, run-to-completion frames and
+// its own wake-up cost no switch at all. Only when the loop reaches
+// another free-form thread's wake does the blocker yield to the RunUntil
+// loop, which switches to that thread: two coroutine switches per thread
+// switch, none per event. Event order is a function of the heap alone:
+// whoever dispatches runs the same pop-min loop over the same heap.
 type Sim struct {
 	now     Time
 	events  eventHeap
 	seq     uint64
-	parked  chan struct{} // hand-back to the RunUntil caller
-	live    int           // threads started and not yet exited
+	live    int // threads started and not yet exited
 	nextID  int
 	threads map[int]*Thread
 
-	running  bool        // inside RunUntil
-	stop     func() bool // RunUntil's stop predicate, nil when absent
-	selfWake any         // payload of a baton-self wake (see dispatchFrom)
-	engine   EngineKind  // how GoCoro threads execute (snapshot of DefaultEngine)
+	running bool        // inside RunUntil
+	stop    func() bool // RunUntil's stop predicate, nil when absent
+	engine  EngineKind  // how GoCoro threads execute (snapshot of DefaultEngine)
 
-	crash   *Crash        // first captured panic; halts dispatch
-	killAck chan struct{} // killed thread -> killer handshake
+	cur     *Thread // free-form thread whose body is executing (set by run and park); nil in dispatcher context
+	handoff *Thread // thread whose wake the dispatcher reached; RunUntil switches to it
+
+	crash *Crash // first captured panic; halts dispatch
 }
 
-// poison is sent to a parked thread by Shutdown (and by Kill) to unwind
-// it: the panic is recovered inside the thread wrapper, so the thread's
+// poison is the panic that unwinds a thread stopped by Kill or Shutdown:
+// it is recovered in the thread's coroutine function, so the thread's
 // deferred functions run.
 type poison struct{}
 
@@ -143,12 +147,7 @@ func (s *Sim) schedule(at Time, t *Thread) { s.push(event{when: at, t: t}) }
 
 // New returns an empty simulation with the clock at zero.
 func New() *Sim {
-	return &Sim{
-		parked:  make(chan struct{}),
-		killAck: make(chan struct{}),
-		threads: make(map[int]*Thread),
-		engine:  DefaultEngine,
-	}
+	return &Sim{threads: make(map[int]*Thread), engine: DefaultEngine}
 }
 
 // Now reports the current virtual time.
@@ -191,26 +190,37 @@ func (s *Sim) Every(d Duration, fn func()) {
 
 // Thread is a simulated thread of execution. A Thread may only call its
 // blocking methods (Sleep, Compute, Get, Lock, ...) from inside its own
-// body function.
+// body function; a call from anywhere else panics.
 type Thread struct {
 	ID   int
 	Name string
 
 	sim     *Sim
-	resume  chan any // scheduler -> thread; payload for queue gets (nil for rtc threads)
 	body    func(*Thread)
 	coro    *Coro // the thread's resumable program (GoCoro threads, both engines)
-	rtc     bool  // run-to-completion: stepped inline by the dispatcher, no goroutine
+	rtc     bool  // run-to-completion: stepped inline by the dispatcher, no coroutine
 	started bool
 	exited  bool
 	dead    bool   // marked by Kill; pending events for it are skipped
-	killed  bool   // unwinding via Kill (run() acks instead of dispatching)
 	waitGen uint64 // bumped per queue wait; guards stale timeout wakes
+
+	co *pull // the thread's coroutine, made at its start event; nil for rtc threads
 
 	// Data is an arbitrary per-thread payload. The profiler attaches its
 	// per-thread probe here so that libraries handed only a *Thread can
 	// reach the probe without a package cycle.
 	Data any
+}
+
+// pull is a free-form thread's coroutine (iter.Pull) and the slot its
+// wakes are delivered through. It is its own allocation so that
+// run-to-completion threads, which exist by the hundred thousand, do not
+// carry the fields.
+type pull struct {
+	next  func() (struct{}, bool) // RunUntil: run the body until it blocks or finishes
+	stop  func()                  // Kill, Shutdown: unwind the blocked body
+	yield func(struct{}) bool     // park: block; false means unwind
+	wake  any                     // payload of the wake that ends the current park
 }
 
 // Sim returns the simulation the thread belongs to.
@@ -228,7 +238,12 @@ func (s *Sim) Go(name string, body func(*Thread)) *Thread {
 
 // GoAt is like Go but delays the thread's start until virtual time `at`.
 func (s *Sim) GoAt(at Time, name string, body func(*Thread)) *Thread {
-	t := &Thread{ID: s.nextID, Name: name, sim: s, resume: make(chan any), body: body}
+	return s.spawn(at, &Thread{Name: name, body: body})
+}
+
+// spawn registers t and schedules its start event.
+func (s *Sim) spawn(at Time, t *Thread) *Thread {
+	t.ID, t.sim = s.nextID, s
 	s.nextID++
 	s.live++
 	s.threads[t.ID] = t
@@ -239,15 +254,22 @@ func (s *Sim) GoAt(at Time, name string, body func(*Thread)) *Thread {
 	return t
 }
 
+// exit forgets a thread whose body has finished or been unwound (or
+// that never started).
+func (s *Sim) exit(t *Thread) {
+	t.exited = true
+	s.live--
+	delete(s.threads, t.ID)
+}
+
 // GoCoro creates a run-to-completion simulated thread named name whose
 // body is the resumable program starting at frame f, scheduled to start
 // at the current virtual time. Under the default EngineCoro the thread
-// has no goroutine at all: the dispatcher invokes its continuations
+// has no stack of its own: the dispatcher invokes its continuations
 // inline, so every blocking operation costs a method call instead of a
-// channel hand-off. Under EngineGoroutine (forced by -race builds) the
-// identical program is driven from a dedicated goroutine through the
-// ordinary park/resume protocol — the event order is the same either
-// way.
+// coroutine switch. Under EngineGoroutine the identical program is
+// driven from a free-form thread through the ordinary park protocol —
+// the event order is the same either way.
 func (s *Sim) GoCoro(name string, f Frame) *Thread {
 	return s.GoCoroAt(s.now, name, f)
 }
@@ -261,21 +283,14 @@ func (s *Sim) GoCoroAt(at Time, name string, f Frame) *Thread {
 		t.body = c.driveGoroutine
 		return t
 	}
-	t := &Thread{ID: s.nextID, Name: name, sim: s, rtc: true}
+	t := &Thread{Name: name, rtc: true}
 	newCoro(t, f)
-	s.nextID++
-	s.live++
-	s.threads[t.ID] = t
-	if at < s.now {
-		at = s.now
-	}
-	s.push(event{when: at, t: t, start: true})
-	return t
+	return s.spawn(at, t)
 }
 
-// stepCoro resumes a run-to-completion thread with a wake payload and,
+// stepCoro continues a run-to-completion thread with a wake payload and,
 // when the program finishes or panics, performs the same cleanup-then-
-// exit sequence the goroutine wrapper runs: deferred cleanups first
+// exit sequence a free-form thread goes through: deferred cleanups first
 // (they are deeper in the conceptual stack), then the crash record,
 // then the exit bookkeeping. The caller is the dispatcher; it keeps the
 // baton throughout.
@@ -298,9 +313,7 @@ func (s *Sim) stepCoro(t *Thread, v any) {
 		c.runCleanups()
 	}
 	if done || crashed {
-		t.exited = true
-		s.live--
-		delete(s.threads, t.ID)
+		s.exit(t)
 	}
 }
 
@@ -381,30 +394,25 @@ func (s *Sim) deliverNow(q *Queue, v any) {
 	q.Put(v)
 }
 
-// waitParked blocks the RunUntil caller until the dispatch chain hands
-// the baton back (no more events, or the stop predicate fired).
-func (s *Sim) waitParked() { <-s.parked }
-
 // baton is dispatchFrom's verdict on where execution continues.
 type baton uint8
 
 const (
-	// batonDone: no dispatchable event remains (or stop fired); the
-	// caller must hand back to the RunUntil goroutine.
+	// batonDone: no dispatchable event remains (or stop fired, or the
+	// run crashed); RunUntil returns.
 	batonDone baton = iota
-	// batonPassed: another thread has been resumed; the caller blocks
-	// (or exits).
+	// batonPassed: the dispatcher reached another free-form thread's
+	// wake and left it in s.handoff; RunUntil switches to it.
 	batonPassed
 	// batonSelf: the caller's own wake-up was the next event; it keeps
-	// running with the payload left in s.selfWake.
+	// running, no switch needed.
 	batonSelf
 )
 
-// dispatchFrom runs the dispatch loop on the calling goroutine until the
+// dispatchFrom runs the dispatch loop on the calling coroutine until the
 // baton moves: the caller is a simulated thread about to block (self
-// non-nil), a thread about to exit, or the RunUntil goroutine (self
-// nil). Exactly one goroutine executes dispatchFrom at a time — the
-// baton discipline — so no locking is needed anywhere in the simulator.
+// non-nil) or the RunUntil loop (self nil). Exactly one coroutine
+// executes at a time, so no locking is needed anywhere in the simulator.
 func (s *Sim) dispatchFrom(self *Thread) baton {
 	if !s.running {
 		// Outside RunUntil (Shutdown's unwind): never dispatch.
@@ -425,118 +433,100 @@ func (s *Sim) dispatchFrom(self *Thread) baton {
 		switch {
 		case e.kill:
 			t := e.t
-			if t.exited {
-				continue
-			}
-			if !t.started {
-				// The goroutine was never created; just forget the thread
-				// (its start event is skipped by the dead check below).
-				t.exited = true
-				s.live--
-				delete(s.threads, t.ID)
-				continue
-			}
-			if t.rtc {
-				// No goroutine to hand the poison to: unwind the
-				// coroutine in place — cleanups, then the same exit
-				// bookkeeping the goroutine wrapper performs — and keep
-				// dispatching. No killAck handshake is needed because
-				// the victim never held a baton to give up.
+			switch {
+			case t.exited:
+			case !t.started:
+				// No coroutine was ever made; just forget the thread (its
+				// start event is skipped by the dead check below).
+				s.exit(t)
+			case t.rtc:
+				// Nothing to unwind but the Defer stack.
 				t.coro.runCleanups()
-				t.exited = true
-				s.live--
-				delete(s.threads, t.ID)
-				continue
-			}
-			if t == self {
-				// Self-kill: unwind in place. run() recovers the poison,
-				// does the exit bookkeeping and continues dispatch, so
-				// the baton is preserved.
+				s.exit(t)
+			case t == self:
+				// Self-kill: unwind in place. run recovers the poison and
+				// RunUntil, seeing the coroutine finish, does the exit
+				// bookkeeping and dispatches on.
 				panic(poison{})
+			default:
+				// Every other started thread is blocked in yield. stop
+				// makes that yield report false, the victim unwinds on its
+				// own stack and control comes back here, nested inside
+				// whichever coroutine is dispatching.
+				t.co.stop()
+				s.exit(t)
 			}
-			// Every live non-dispatching thread is blocked in <-resume
-			// (the baton discipline), so the hand-off cannot block. The
-			// ack keeps the baton here: the dying thread must not
-			// dispatch, the killer continues the loop.
-			t.killed = true
-			t.resumeWith(poison{})
-			<-s.killAck
-			continue
 		case e.fn != nil:
 			s.runCallback(e.fn)
 		case e.q != nil:
 			s.deliverNow(e.q, e.v)
 		case e.start:
-			if e.t.started || e.t.dead {
+			t := e.t
+			if t.started || t.dead {
 				continue
 			}
-			e.t.started = true
-			if e.t.rtc {
+			t.started = true
+			if t.rtc {
 				// Run-to-completion start: invoke the program inline
-				// until it blocks, then keep dispatching. The baton
-				// never moves.
-				s.stepCoro(e.t, nil)
+				// until it blocks, then keep dispatching.
+				s.stepCoro(t, nil)
 				continue
 			}
-			go e.t.run()
-			e.t.resumeWith(nil)
+			t.co = new(pull)
+			t.co.next, t.co.stop = iter.Pull(t.run)
+			s.handoff = t
 			return batonPassed
-		case e.t == self:
-			// Own wake-up: no hand-off, keep running.
-			s.selfWake = e.v
-			return batonSelf
-		case e.t != nil:
-			if e.t.dead || e.t.exited {
-				// Stale wake for a killed thread (its sleep or queue
-				// hand-off was already scheduled); drop it.
-				continue
+		case e.t.dead || e.t.exited:
+			// Stale wake for a killed thread (its sleep or queue hand-off
+			// was already scheduled); drop it, whoever is dispatching —
+			// the victim itself included, whose kill event comes next.
+		case e.t.rtc:
+			// The wake's payload goes straight into the continuation, on
+			// this stack.
+			s.stepCoro(e.t, e.v)
+		default:
+			e.t.co.wake = e.v
+			if e.t == self {
+				return batonSelf
 			}
-			if e.t.rtc {
-				// Zero-handoff resume: the wake's payload goes straight
-				// into the continuation, on this goroutine.
-				s.stepCoro(e.t, e.v)
-				continue
-			}
-			e.t.resumeWith(e.v)
+			s.handoff = e.t
 			return batonPassed
 		}
 	}
 	return batonDone
 }
 
-func (t *Thread) run() {
-	v := <-t.resume // wait for first dispatch
-	if _, dead := v.(poison); !dead {
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					if _, ok := r.(poison); ok {
-						return
-					}
-					// An application panic: record it as the run's crash
-					// and let the thread exit cleanly. Dispatch halts at
-					// the crash; RunUntil returns with Crashed() set.
-					t.sim.recordCrash(t.Name, r)
-				}
-			}()
-			t.body(t)
-		}()
-	}
-	// Exit bookkeeping runs on the exiting thread itself (it holds the
-	// baton), then the baton moves on.
-	s := t.sim
-	t.exited = true
-	s.live--
-	delete(s.threads, t.ID)
-	if t.killed {
-		// The killer holds the baton and is waiting for the ack; do not
-		// dispatch from here.
-		s.killAck <- struct{}{}
+// run is the thread's coroutine function. A poison unwind (Kill,
+// Shutdown) ends here silently; an application panic is recorded as the
+// run's crash and the thread exits cleanly, so dispatch halts at the
+// crash and RunUntil returns with Crashed() set. Exit bookkeeping is the
+// caller's: whoever sees the coroutine finish calls Sim.exit.
+func (t *Thread) run(yield func(struct{}) bool) {
+	t.co.yield = yield
+	t.sim.cur = t
+	defer func() {
+		t.sim.cur = nil
+		if r := recover(); r != nil {
+			if _, ok := r.(poison); !ok {
+				t.sim.recordCrash(t.Name, r)
+			}
+		}
+	}()
+	t.body(t)
+}
+
+// mustRun panics unless t's own body is what is executing: a blocking
+// call made for t from a scheduler callback, a stop predicate, another
+// thread's body or a deferred function of an unwinding thread would
+// otherwise switch coroutines from the wrong stack.
+func (t *Thread) mustRun() {
+	if t.sim.cur == t {
 		return
 	}
-	if s.dispatchFrom(nil) == batonDone {
-		s.parked <- struct{}{}
+	if t.rtc {
+		panic("vclock: run-to-completion thread " + t.Name + " used the goroutine blocking API (use the Coro methods)")
 	}
+	panic("vclock: blocking call on thread " + t.Name + " from outside its running body (a callback, a stop predicate, another thread, or a deferred function during Kill/Shutdown)")
 }
 
 // park blocks the calling simulated thread until another event wakes it.
@@ -545,52 +535,42 @@ func (t *Thread) run() {
 // onward: if the very next event is its own wake-up it returns without
 // blocking at all.
 func (t *Thread) park() any {
-	if t.rtc {
-		panic("vclock: run-to-completion thread " + t.Name + " used the goroutine blocking API (use the Coro methods)")
-	}
+	t.mustRun()
 	s := t.sim
-	switch s.dispatchFrom(t) {
-	case batonSelf:
-		v := s.selfWake
-		s.selfWake = nil
-		return v
-	case batonDone:
-		s.parked <- struct{}{}
+	s.cur = nil // dispatcher context: callbacks run inline on this stack
+	co := t.co
+	if s.dispatchFrom(t) != batonSelf && !co.yield(struct{}{}) {
+		panic(poison{})
 	}
-	v := <-t.resume
-	if p, dead := v.(poison); dead {
-		panic(p)
-	}
+	s.cur = t
+	v := co.wake
+	co.wake = nil
 	return v
 }
 
-// wakeAt schedules t to resume at virtual time `at` with payload v. The
+// wakeAt schedules t to wake at virtual time `at` with payload v. The
 // payload rides in the event itself — a closure here would put one heap
 // allocation on every queue hand-off.
 func (s *Sim) wakeAt(at Time, t *Thread, v any) {
 	s.push(event{when: at, t: t, v: v})
 }
 
-func (t *Thread) resumeWith(v any) { t.resume <- v }
-
 // SleepUntil parks the calling thread until virtual time `at`.
 //
 // When the sleeper's wake-up would be the strictly earliest pending
 // event, parking is a formality: the scheduler would check the stop
-// predicate once, pop the wake and resume this same thread with the
+// predicate once, pop the wake and continue this same thread with the
 // clock advanced. SleepUntil performs exactly that transition inline —
 // same stop-predicate evaluation, same clock, no other event can run in
 // between because none is scheduled before the wake (ties lose to
 // already-pushed events, which hold smaller sequence numbers, so
-// equality takes the slow path). This removes two goroutine hand-offs
-// and a heap push/pop from every uncontended Compute/Sleep, without
+// equality takes the slow path). This removes a dispatch round and
+// a heap push/pop from every uncontended Compute/Sleep, without
 // changing the event order observed by any thread.
 func (t *Thread) SleepUntil(at Time) {
-	if t.rtc {
-		// Fail even on the would-be fast path: an API misuse that only
-		// panics under contention would be maddening to reproduce.
-		panic("vclock: run-to-completion thread " + t.Name + " used the goroutine blocking API (use the Coro methods)")
-	}
+	// Fail even on the would-be fast path: an API misuse that only
+	// panics under contention would be maddening to reproduce.
+	t.mustRun()
 	s := t.sim
 	if at < s.now {
 		at = s.now
@@ -646,12 +626,15 @@ func (s *Sim) RunUntil(stop func() bool) {
 	}
 	s.running, s.stop = true, stop
 	defer func() { s.running, s.stop = false, nil }()
-	for {
-		switch s.dispatchFrom(nil) {
-		case batonDone:
-			return
-		case batonPassed:
-			s.waitParked()
+	for s.dispatchFrom(nil) == batonPassed {
+		// Each thread switched to dispatches onward when it blocks, so
+		// this inner loop is the whole run between two root dispatches.
+		for s.handoff != nil {
+			t := s.handoff
+			s.handoff = nil
+			if _, blocked := t.co.next(); !blocked {
+				s.exit(t)
+			}
 		}
 	}
 }
@@ -663,11 +646,11 @@ func (s *Sim) RunUntil(stop func() bool) {
 func (s *Sim) Live() int { return s.live }
 
 // Shutdown unwinds every simulated thread that is still blocked,
-// releasing their goroutines (run-to-completion threads have none; only
+// releasing their coroutines (run-to-completion threads have none; only
 // their cleanups run). It must be called only after Run/RunUntil has
 // returned (i.e. from the host goroutine, with no events pending that
-// the caller still cares about). Goroutine threads are unwound via a
-// panic recovered inside the thread wrapper, so their deferred
+// the caller still cares about). Free-form threads are unwound via a
+// panic recovered in the thread's coroutine function, so their deferred
 // functions run; coroutine threads run their Defer stacks.
 //
 // Threads unwind in ID (creation) order — not map order — so any side
@@ -683,30 +666,17 @@ func (s *Sim) Shutdown() {
 	for id := range s.threads {
 		ids = append(ids, id)
 	}
-	sort.Ints(ids)
+	slices.Sort(ids)
 	for _, id := range ids {
-		t, ok := s.threads[id]
-		if !ok || t.exited {
-			continue
-		}
-		if !t.started {
-			// The thread never ran (no defers registered, no goroutine
-			// created); just forget it.
-			t.exited = true
-			s.live--
-			delete(s.threads, t.ID)
-			continue
-		}
-		if t.rtc {
-			// No goroutine to poison: run the coroutine's cleanups and
-			// forget it.
+		t := s.threads[id]
+		switch {
+		case !t.started:
+			// The thread never ran: no defers registered, no coroutine.
+		case t.rtc:
 			t.coro.runCleanups()
-			t.exited = true
-			s.live--
-			delete(s.threads, t.ID)
-			continue
+		default:
+			t.co.stop()
 		}
-		t.resume <- poison{}
-		s.waitParked()
+		s.exit(t)
 	}
 }

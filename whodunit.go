@@ -124,8 +124,8 @@ func NewSim() *Sim { return vclock.New() }
 
 // Run-to-completion scheduling (Sim.GoCoro, App.GoCoroShard,
 // Stage.GoCoro): thread bodies written as resumable state machines are
-// executed by the dispatcher with zero goroutine switches per blocking
-// operation.
+// executed by the dispatcher with no coroutine switch per blocking
+// operation and no stack per thread.
 type (
 	// Coro is the execution state of a run-to-completion thread.
 	Coro = vclock.Coro
@@ -138,12 +138,12 @@ type (
 	EngineKind = vclock.EngineKind
 )
 
-// Coroutine engines. EngineCoro (the default) steps continuations
-// inline on the dispatcher; EngineGoroutine drives the identical
-// programs from dedicated goroutines — bit-identical event order, used
-// by -race builds and cross-engine determinism checks. Override the
-// process default via vclock.DefaultEngine (snapshotted per Sim at
-// creation) or the WHODUNIT_ENGINE environment variable.
+// Coroutine engines. EngineCoro (the default, with or without -race)
+// steps continuations inline on the dispatcher; EngineGoroutine drives
+// the identical programs from free-form threads — runtime coroutines
+// since PR 12, whatever the name says — with bit-identical event order,
+// for cross-engine determinism checks. Override the process default via
+// vclock.DefaultEngine (snapshotted per Sim at creation).
 const (
 	EngineCoro      = vclock.EngineCoro
 	EngineGoroutine = vclock.EngineGoroutine
