@@ -142,6 +142,13 @@ func (a *App) Sim() *Sim { return a.sim }
 // app transparently places everything on domain 0.
 func (a *App) Shards() int { return a.shards }
 
+// EpochStats reports what the epoch loop of a sharded run did: epochs,
+// domains active in them, epochs handed to pool workers and messages
+// merged at barriers. All zero for a run without latency-bearing pipes,
+// which needs no epochs. It is telemetry about the run, never part of
+// the Report.
+func (a *App) EpochStats() EpochStats { return a.group.Stats() }
+
 // ShardSim returns the simulator of time domain k%Shards(). The modulo
 // makes placement written against a sharded layout valid verbatim on a
 // collapsed app: every index maps to domain 0.

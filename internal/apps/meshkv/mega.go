@@ -74,6 +74,7 @@ type MegaResult struct {
 	Sets          OpStats
 	ReplicaLoad   []int64 // requests completed per pod
 	ThroughputRPS float64
+	Epochs        whodunit.EpochStats // what the epoch loop did; differs between layouts, unlike all of the above
 }
 
 // HitRate is the cache hit fraction across all gets.
@@ -221,6 +222,7 @@ func MegaRun(cfg MegaConfig) *MegaResult {
 		Elapsed:     rep.Elapsed,
 		Injected:    injected,
 		ReplicaLoad: make([]int64, cfg.Replicas),
+		Epochs:      app.EpochStats(),
 	}
 	for r, pod := range pods {
 		res.ReplicaLoad[r] = pod.completed

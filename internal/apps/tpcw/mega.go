@@ -68,6 +68,7 @@ type MegaResult struct {
 	Completed        int64
 	PerType          map[string]*TypeStats
 	ThroughputPerMin float64
+	Epochs           whodunit.EpochStats // what the epoch loop did; differs between layouts, unlike all of the above
 }
 
 // megaRequest is the envelope for the replicated deployment: one per
@@ -279,6 +280,7 @@ func MegaRun(cfg MegaConfig) *MegaResult {
 		Report:  rep,
 		Elapsed: rep.Elapsed,
 		PerType: make(map[string]*TypeStats),
+		Epochs:  app.EpochStats(),
 	}
 	for _, name := range workload.Interactions {
 		res.PerType[name] = &TypeStats{}

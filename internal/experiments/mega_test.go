@@ -11,5 +11,8 @@ func TestMegaScaleQuickSmoke(t *testing.T) {
 		if row.Completed == 0 {
 			t.Errorf("%s: nothing completed", row.App)
 		}
+		if row.Epochs == 0 || row.MeanActive < 1 || row.MeanActive > float64(row.Replicas+1) {
+			t.Errorf("%s: epoch columns %d epochs, %.2f active do not describe a sharded run", row.App, row.Epochs, row.MeanActive)
+		}
 	}
 }

@@ -1,6 +1,9 @@
 package vclock
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // BenchmarkThreadSwitch measures the cost of one blocking-operation
 // hand-off — a queue Get parking the thread plus the Put-driven resume —
@@ -45,6 +48,49 @@ func BenchmarkThreadSwitch(b *testing.B) {
 			b.StopTimer()
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*2), "ns/switch")
 			s.Shutdown()
+		})
+	}
+}
+
+// BenchmarkGroupEpoch measures one epoch of the ring in ringLoad — four
+// domains, one token per domain per epoch across the barrier — at three
+// densities either side of fanOutEvents. One op is one epoch; the
+// extra columns say how heavy it was and whether it left the calling
+// goroutine. The numbers behind fanOutEvents come from running this
+// with the constant forced to 0 (always fan out) and to the maximum
+// (never).
+func BenchmarkGroupEpoch(b *testing.B) {
+	for _, d := range []struct {
+		tickers int
+		period  Duration
+	}{
+		{2, Millisecond},         // ≈2 events per epoch per domain
+		{16, 100 * Microsecond},  // ≈160
+		{128, 100 * Microsecond}, // ≈1280
+	} {
+		perDomain := d.tickers * int(Millisecond/d.period)
+		b.Run(fmt.Sprintf("events=%d", perDomain), func(b *testing.B) {
+			g, _ := ringLoad(4, d.tickers, d.period, false)
+			barriers, target := 0, 20 // warm-up: start threads, settle capacities
+			stop := func() bool { barriers++; return barriers > target }
+			g.RunUntil(stop)
+			scheduled := func() (n uint64) {
+				for i := 0; i < g.Domains(); i++ {
+					n += g.Domain(i).seq
+				}
+				return n
+			}
+			before, seq := g.Stats(), scheduled()
+			b.ReportAllocs()
+			b.ResetTimer()
+			barriers, target = 0, b.N
+			g.RunUntil(stop)
+			b.StopTimer()
+			st := g.Stats()
+			epochs := float64(st.Epochs - before.Epochs)
+			b.ReportMetric(float64(scheduled()-seq)/epochs, "events/epoch")
+			b.ReportMetric(float64(st.FanOuts-before.FanOuts)/epochs, "fanouts/epoch")
+			g.Shutdown()
 		})
 	}
 }

@@ -3,6 +3,7 @@ package vclock
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"whodunit/internal/par"
@@ -10,10 +11,13 @@ import (
 
 // Group runs one application across several Sims ("time domains") with
 // conservative parallel discrete-event simulation. Each domain advances
-// independently through an epoch window [t, t+Δ) on its own pool worker
-// (internal/par), and cross-domain messages travel over Links, which
-// buffer sends during an epoch and exchange them at the epoch barrier
-// through a deterministic merge. Δ is the lookahead: the minimum
+// independently through an epoch window [t, t+Δ), and cross-domain
+// messages travel over Links, which buffer sends during an epoch and
+// exchange them at the epoch barrier through a deterministic merge. An
+// epoch costs what its work costs: only the domains with an event
+// inside the window run, on the calling goroutine while the epoch is
+// light and on pool workers (internal/par) once it is heavy enough to
+// repay the hand-off (see fanOutEvents). Δ is the lookahead: the minimum
 // positive Link latency. Because every cross-domain message is delayed
 // by at least Δ, nothing sent during an epoch can be due inside it —
 // each domain can burn through its own heap for a whole window without
@@ -38,8 +42,52 @@ type Group struct {
 	links   []*Link
 	delta   Duration   // lookahead; computed when a run starts
 	pending []delivery // barrier merge scratch, reused across epochs
+	horizon Time       // end of the current epoch window
+	last    bool       // the current epoch has no representable horizon
+	active  []*Sim     // domains with an event inside the current window, reused
+	load    uint64     // events the previous epoch's active domains scheduled
+	stats   GroupStats
 	running bool
 }
+
+// GroupStats counts what the epoch loop did. The counters are bumped on
+// the coordinating goroutine only, at barriers, so they cost no atomics
+// and are a function of the program, not of the host: the same run
+// reports the same numbers whatever GOMAXPROCS is.
+type GroupStats struct {
+	Epochs   uint64 // epoch windows run
+	Active   uint64 // domains that had an event inside their window, summed over epochs
+	FanOuts  uint64 // epochs whose domains were handed to pool workers
+	Messages uint64 // cross-domain sends merged at barriers
+}
+
+// fanOutEvents is the epoch weight from which an epoch with two or more
+// active domains is handed to pool workers instead of running inline on
+// the calling goroutine. The weight is what the barrier already holds:
+// the events the previous epoch's active domains scheduled (the sum of
+// their Sim.seq deltas), a one-epoch-old estimate of how much the next
+// one will dispatch.
+//
+// It is a measured crossover, not a tunable. par.Do costs a goroutine
+// spawn, a WaitGroup and ≈7 allocations per call, and the spawned
+// worker starts on a cold cache. BenchmarkGroupEpoch's ring (4 domains,
+// 2 CPUs, go1.24, ns per epoch, inline vs fanned out, each forced by
+// building with this constant at the maximum and at 0):
+//
+//	events/epoch     inline   fan-out
+//	          20      1 100     3 000   (2.7x slower fanned out)
+//	         650     48 000    60 000   (1.25x slower)
+//	       1 300    110 000   131 000   (1.19x slower)
+//	       2 600    280 000   240 000   (1.16x faster)
+//	       5 100    660 000   505 000   (1.30x faster)
+//	      20 500  3 200 000 2 130 000   (1.50x faster)
+//
+// The lines cross between 1 300 and 2 600 events. Every epoch of the
+// mega-scale models sits far below that (the repo benchmark's
+// mega-sharded: 262 k epochs for 150 k requests, 1.35 active domains
+// on average, a handful of events each), which is why running them
+// inline is what made sharding stop costing.
+const fanOutEvents = 2048
 
 // Link is a unidirectional cross-domain channel created by
 // Group.Connect: Send(v) from the source domain delivers v onto the
@@ -170,6 +218,10 @@ func (g *Group) Lookahead() Duration {
 	return d
 }
 
+// Stats reports the epoch loop's counters so far. Call it between runs,
+// not from inside one.
+func (g *Group) Stats() GroupStats { return g.stats }
+
 // Run drives every domain until no events remain anywhere and all
 // outboxes have drained.
 func (g *Group) Run() { g.RunUntil(nil) }
@@ -207,17 +259,24 @@ func (g *Group) RunUntil(stop func() bool) {
 }
 
 // epochRun is the conservative PDES loop: find the globally earliest
-// pending event time m, advance every domain to the horizon — the next
-// Δ-grid point strictly after m — in parallel, then exchange buffered
-// cross-domain messages in deterministic order. Aligning horizons to
-// the Δ grid (rather than to m+Δ) keeps barrier instants a function of
-// the event set alone, so they are identical for every domain layout.
+// pending event time m, advance every domain with an event before the
+// horizon — the next Δ-grid point strictly after m — then exchange
+// buffered cross-domain messages in deterministic order. Aligning
+// horizons to the Δ grid (rather than to m+Δ) keeps barrier instants a
+// function of the event set alone, so they are identical for every
+// domain layout.
 //
 // Conservatism: any message sent during the epoch leaves at some t >= m
 // and is delivered at t+L >= m+Δ >= h, so no domain ever runs past a
 // message it has not yet received. Skipping empty grid slots (h derived
 // from m, not incremented) costs nothing in fidelity: barriers with no
 // work on either side deliver nothing.
+//
+// Which goroutine runs which domain is free to vary from epoch to
+// epoch: a domain's events depend on its own heap alone, and what the
+// domains hand each other goes through exchange's (at, id, seq) merge.
+// A domain whose earliest event is at or past h is skipped — its
+// RunBefore would return before popping anything.
 func (g *Group) epochRun(stop func() bool) {
 	d := int64(g.delta)
 	for {
@@ -231,9 +290,45 @@ func (g *Group) epochRun(stop func() bool) {
 		if !ok {
 			return
 		}
-		h := Time((int64(m)/d + 1) * d)
-		par.Do(len(g.domains), func(i int) { g.domains[i].RunBefore(h) })
+		// When the next grid point is past the end of representable time
+		// this is the last epoch there can be: nothing sent in it could be
+		// due before it ends, so its domains run without a horizon.
+		g.last = int64(m)/d >= math.MaxInt64/d
+		if !g.last {
+			g.horizon = Time((int64(m)/d + 1) * d)
+		}
+		g.active = g.active[:0]
+		var before, after uint64
+		for _, s := range g.domains {
+			if len(s.events) > 0 && (g.last || s.events[0].when < g.horizon) {
+				g.active = append(g.active, s)
+				before += s.seq
+			}
+		}
+		g.stats.Epochs++
+		g.stats.Active += uint64(len(g.active))
+		if len(g.active) > 1 && g.load >= fanOutEvents {
+			g.stats.FanOuts++
+			par.Do(len(g.active), func(i int) { g.advance(g.active[i]) })
+		} else {
+			for _, s := range g.active {
+				g.advance(s)
+			}
+		}
+		for _, s := range g.active {
+			after += s.seq
+		}
+		g.load = after - before
 		g.exchange()
+	}
+}
+
+// advance runs one domain through the current epoch.
+func (g *Group) advance(s *Sim) {
+	if g.last {
+		s.Run()
+	} else {
+		s.RunBefore(g.horizon)
 	}
 }
 
@@ -269,6 +364,10 @@ func (g *Group) exchange() {
 		l.outbox = l.outbox[:0]
 	}
 	p := g.pending
+	if len(p) == 0 {
+		return
+	}
+	g.stats.Messages += uint64(len(p))
 	slices.SortFunc(p, func(a, b delivery) int {
 		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.id, b.id), cmp.Compare(a.seq, b.seq))
 	})

@@ -2,7 +2,9 @@ package vclock
 
 import (
 	"fmt"
+	"math"
 	"testing"
+	"time"
 )
 
 // traceEntry is one observed delivery: which consumer saw what, when.
@@ -186,6 +188,155 @@ func TestGroupRunUntilStopAtBarrier(t *testing.T) {
 	g.RunUntil(func() bool { return count >= 10 })
 	if count < 10 || count >= 100 {
 		t.Fatalf("count = %d, want stopped in [10,100)", count)
+	}
+	g.Shutdown()
+}
+
+// ringParty is one of the four parties of ringLoad; everything in it is
+// touched from the party's own domain only.
+type ringParty struct {
+	ticks int
+	log   []traceEntry
+}
+
+// ringLoad builds four parties joined in a ring by 1 ms links on a
+// group of n domains (party i on domain i%n). Each party runs `tickers`
+// run-to-completion threads that wake every `period`, all in phase, so
+// every wake is a heap push, and one that sends a token to the next
+// party every millisecond. With keepLog the receiving party records
+// when each token arrived and how many of its own ticks had run by
+// then, which is sensitive to every same-instant tie-break between a
+// barrier delivery and local events.
+func ringLoad(n, tickers int, period Duration, keepLog bool) (*Group, []*ringParty) {
+	const parties = 4
+	g := NewGroup(n)
+	ps := make([]*ringParty, parties)
+	in := make([]*Queue, parties)
+	for i := range ps {
+		ps[i] = &ringParty{}
+		in[i] = g.Domain(i % n).NewQueue(fmt.Sprint("in", i))
+	}
+	var token any = struct{}{}
+	for i, p := range ps {
+		s := g.Domain(i % n)
+		next := g.Connect(s, in[(i+1)%parties], Millisecond)
+		var tick, send, recv Frame
+		tick = func(c *Coro, _ any) Step {
+			p.ticks++
+			return c.Sleep(period, tick)
+		}
+		send = func(c *Coro, _ any) Step {
+			next.Send(token)
+			return c.Sleep(Millisecond, send)
+		}
+		who, q := fmt.Sprint("party", i), in[i]
+		recv = func(c *Coro, v any) Step {
+			if keepLog && v != nil {
+				p.log = append(p.log, traceEntry{who, c.Now(), p.ticks})
+			}
+			return c.Get(q, recv)
+		}
+		for k := 0; k < tickers; k++ {
+			s.GoCoro("tick", tick)
+		}
+		s.GoCoro("send", send)
+		s.GoCoro("recv", recv)
+	}
+	return g, ps
+}
+
+// ringTrace runs ringLoad for `epochs` milliseconds and returns the
+// parties' logs and the group's counters.
+func ringTrace(n, tickers int, period Duration, epochs int) (string, GroupStats) {
+	g, ps := ringLoad(n, tickers, period, true)
+	g.RunUntil(func() bool { return g.Now() >= Time(epochs)*Time(Millisecond) })
+	g.Shutdown()
+	var logs [][]traceEntry
+	for _, p := range ps {
+		logs = append(logs, p.log)
+	}
+	return fmt.Sprint(logs), g.Stats()
+}
+
+// TestGroupDenseEpochsFanOut: epochs that schedule more than
+// fanOutEvents are handed to pool workers, and the run still matches
+// the one-domain layout byte for byte. Under -race this is the test
+// that moves domains between goroutines every epoch.
+func TestGroupDenseEpochsFanOut(t *testing.T) {
+	const epochs = 20
+	tickers := fanOutEvents/(4*10) + 1 // 10 wakes per ticker per epoch, 4 domains
+	serial, _ := ringTrace(1, tickers, 100*Microsecond, epochs)
+	sharded, st := ringTrace(4, tickers, 100*Microsecond, epochs)
+	if serial != sharded {
+		t.Fatalf("four-domain run differs from the one-domain run:\n%s\n%s", serial, sharded)
+	}
+	if len(serial) < 1000 {
+		t.Fatalf("trace too short to mean anything: %s", serial)
+	}
+	if st.FanOuts < epochs/2 || st.Active != 4*st.Epochs {
+		t.Fatalf("dense epochs did not fan out: %+v", st)
+	}
+	if want := uint64(4 * epochs); st.Messages < want-4 || st.Messages > want+4 {
+		t.Fatalf("Messages = %d, want about %d", st.Messages, want)
+	}
+}
+
+// TestGroupLightEpochsStayInline: the same ring with a handful of
+// events per epoch never leaves the calling goroutine.
+func TestGroupLightEpochsStayInline(t *testing.T) {
+	const epochs = 20
+	serial, _ := ringTrace(1, 2, 300*Microsecond, epochs)
+	sharded, st := ringTrace(4, 2, 300*Microsecond, epochs)
+	if serial != sharded {
+		t.Fatalf("four-domain run differs from the one-domain run:\n%s\n%s", serial, sharded)
+	}
+	if st.Epochs < epochs || st.FanOuts != 0 {
+		t.Fatalf("light epochs fanned out: %+v", st)
+	}
+}
+
+// TestGroupEpochZeroAllocs: a steady-state inline epoch — every domain
+// active, one token from each across the barrier — allocates nothing:
+// no closure per RunBefore, no par.Do, no merge or sort scratch.
+func TestGroupEpochZeroAllocs(t *testing.T) {
+	g, _ := ringLoad(4, 2, 250*Microsecond, false)
+	barriers := 0
+	oneEpoch := func() bool { barriers++; return barriers%2 == 0 }
+	g.RunUntil(func() bool { return g.Now() >= Time(5*Millisecond) }) // start threads, settle capacities
+	before := g.Stats()
+	if avg := testing.AllocsPerRun(200, func() { g.RunUntil(oneEpoch) }); avg != 0 {
+		t.Fatalf("%.2f allocs per epoch, want 0", avg)
+	}
+	st := g.Stats()
+	if st.Epochs-before.Epochs != 201 || st.Active-before.Active != 4*201 || st.Messages-before.Messages != 4*201 || st.FanOuts != 0 {
+		t.Fatalf("the measured runs were not one inline four-domain epoch each: %+v after %+v", st, before)
+	}
+	g.Shutdown()
+}
+
+// TestGroupHorizonOverflow: an event so late that the next Δ-grid point
+// is not representable used to wrap the horizon negative, and Run spun
+// forever on epochs that dispatched nothing. A bare Sim just runs it.
+func TestGroupHorizonOverflow(t *testing.T) {
+	g := NewGroup(2)
+	g.Connect(g.Domain(0), g.Domain(1).NewQueue("in"), Millisecond)
+	var woke Time
+	g.Domain(1).Go("sleeper", func(th *Thread) {
+		th.SleepUntil(Time(math.MaxInt64))
+		woke = th.Now()
+	})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		g.Run()
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Group.Run did not return: the epoch horizon overflowed")
+	}
+	if woke != Time(math.MaxInt64) || g.Domain(1).Live() != 0 {
+		t.Fatalf("sleeper woke at %v with %d threads live, want the end of time and 0", woke, g.Domain(1).Live())
 	}
 	g.Shutdown()
 }

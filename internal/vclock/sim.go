@@ -41,6 +41,9 @@ type Sim struct {
 	handoff *Thread // thread whose wake the dispatcher reached; RunUntil switches to it
 
 	crash *Crash // first captured panic; halts dispatch
+
+	horizon Time        // RunBefore's bound, read by reachedHorizon
+	atBound func() bool // s.reachedHorizon, bound once: RunBefore allocates nothing
 }
 
 // poison is the panic that unwinds a thread stopped by Kill or Shutdown:
@@ -609,7 +612,15 @@ func (s *Sim) RunFor(end Time) {
 // path: a sleeper targeting a time at or past the horizon always takes
 // the slow path and parks.
 func (s *Sim) RunBefore(horizon Time) {
-	s.RunUntil(func() bool { return len(s.events) == 0 || s.events[0].when >= horizon })
+	s.horizon = horizon
+	if s.atBound == nil {
+		s.atBound = s.reachedHorizon
+	}
+	s.RunUntil(s.atBound)
+}
+
+func (s *Sim) reachedHorizon() bool {
+	return len(s.events) == 0 || s.events[0].when >= s.horizon
 }
 
 // RunUntil drives the simulation until stop returns true (checked between

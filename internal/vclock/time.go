@@ -3,11 +3,13 @@
 // FIFO queues and reader/writer locks.
 //
 // Every experiment in this repository runs on virtual time so that results
-// are reproducible bit-for-bit. Simulated threads are ordinary goroutines,
-// but the scheduler runs exactly one of them at a time and picks the next
-// runnable thread deterministically (earliest wake time, ties broken by
-// sequence number), so no data race or nondeterminism is possible as long
-// as threads only communicate through vclock primitives.
+// are reproducible bit-for-bit. Simulated threads are runtime coroutines
+// (iter.Pull) or run-to-completion frame programs stepped inline by the
+// dispatcher — never goroutines the Go scheduler picks between — and a
+// Sim runs exactly one of them at a time, choosing the next runnable
+// thread deterministically (earliest wake time, ties broken by sequence
+// number), so no data race or nondeterminism is possible as long as
+// threads only communicate through vclock primitives.
 package vclock
 
 import "fmt"

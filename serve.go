@@ -607,10 +607,12 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	flusher.Flush()
+	// Subscribe before the headers go out: a client that has seen them
+	// may start the run, and must not miss its first windows.
 	ch, cancel := s.ring.Subscribe(16)
 	defer cancel()
+	w.WriteHeader(http.StatusOK)
+	flusher.Flush()
 	for {
 		select {
 		case kv, open := <-ch:

@@ -102,6 +102,9 @@ type (
 	Time = vclock.Time
 	// Duration is a span of virtual time (nanoseconds).
 	Duration = vclock.Duration
+	// EpochStats counts what a sharded run's epoch loop did (see
+	// App.EpochStats).
+	EpochStats = vclock.GroupStats
 )
 
 // Re-exported duration units.
