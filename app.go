@@ -306,6 +306,16 @@ func (a *App) Machine() *Machine { return a.machine }
 // plumbing; read detected flows through Flows or Report.Flows.
 func (a *App) FlowTracker() *FlowTracker { return a.tracker }
 
+// FlowStats returns the flow tracker's counters — critical sections and
+// instructions traced, flushes, consumes and flows, and how large its
+// dictionary is — or the zero value when the app has no tracker.
+func (a *App) FlowStats() FlowStats {
+	if a.tracker == nil {
+		return FlowStats{}
+	}
+	return a.tracker.Stats()
+}
+
 // Run drives the simulation until no events remain, unwinds surviving
 // threads, and returns the unified report — per-stage profiles stitched
 // into the global transaction graph, plus crosstalk and flow data.

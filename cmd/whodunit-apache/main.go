@@ -36,6 +36,11 @@ func main() {
 
 	fmt.Printf("served %d connections, %d requests, %.2f MB at %.2f Mb/s; emulation cycles: %d\n\n",
 		res.Conns, res.Requests, float64(res.BytesSent)/1e6, res.ThroughputMbps, res.EmulationCycles)
+	if fs := res.FlowStats; fs.CSEntries > 0 {
+		fmt.Printf("flow tracker: %d critical sections, %d instructions traced, %d lock flushes, %d consumes, %d flows; dictionary %d entries on %d pages, register files %d live + %d pooled\n\n",
+			fs.CSEntries, fs.Accesses, fs.LockFlushes, fs.Consumes, fs.Flows,
+			fs.DictEntries, fs.ShadowPages, fs.RegFilesLive, fs.RegFilesPooled)
+	}
 	report.Text(os.Stdout)
 	fmt.Println("\ntransactional profile (merged):")
 	m := res.Profiler.Merged()

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"whodunit/internal/faults"
+	"whodunit/internal/profiler"
 	"whodunit/internal/shmflow"
 	"whodunit/internal/vclock"
 	"whodunit/internal/vm"
@@ -25,10 +26,16 @@ const emulatedStepLimit = 100_000
 // up by the tracker on the consumer side can be re-established on the
 // consuming probe with no per-application wiring.
 type flowState struct {
-	vmCtxt   map[int]shmflow.Token     // vm thread id -> producer token
-	tokens   map[shmflow.Token]TxnCtxt // token -> transaction context
-	keys     map[string]shmflow.Token  // context key -> token (interning)
-	nextTok  shmflow.Token
+	// Contexts are interned on the identity the profiler keys its CCT
+	// dictionary by — no key string is rendered per critical section.
+	tokens []TxnCtxt                           // token -> transaction context; token 0 is "none"
+	byID   map[profiler.CtxtID][]shmflow.Token // identity -> tokens (hash bucket)
+
+	// Every runEmulated runs its vm thread to completion before another
+	// can start, so one slot holds what the tracker's ThreadCtxt reads.
+	running    int           // vm thread executing on the machine
+	runningTok shmflow.Token // its producer token
+
 	consumed shmflow.Token // token delivered by OnFlow during the current run
 	consumer int           // vm thread the tracker assigned that token to
 
@@ -38,24 +45,24 @@ type flowState struct {
 
 func newFlowState() *flowState {
 	return &flowState{
-		vmCtxt:   make(map[int]shmflow.Token),
-		tokens:   make(map[shmflow.Token]TxnCtxt),
-		keys:     make(map[string]shmflow.Token),
-		nextTok:  1,
+		tokens:   make([]TxnCtxt, 1),
+		byID:     make(map[profiler.CtxtID][]shmflow.Token),
+		running:  -1,
 		nextLock: 1,
 		nextBase: 0x1000,
 	}
 }
 
 func (f *flowState) tokenFor(tc TxnCtxt) shmflow.Token {
-	k := tc.Key()
-	if tok, ok := f.keys[k]; ok {
-		return tok
+	id := tc.ID()
+	for _, tok := range f.byID[id] {
+		if f.tokens[tok].Prefix.Equal(tc.Prefix) {
+			return tok
+		}
 	}
-	tok := f.nextTok
-	f.nextTok++
-	f.keys[k] = tok
-	f.tokens[tok] = tc
+	tok := shmflow.Token(len(f.tokens))
+	f.tokens = append(f.tokens, tc)
+	f.byID[id] = append(f.byID[id], tok)
 	return tok
 }
 
@@ -73,7 +80,12 @@ func (a *App) initFlow() {
 	}
 	a.machine.Mode = vm.ModeEmulateCS
 	a.tracker = shmflow.NewTracker()
-	a.tracker.ThreadCtxt = func(tid int) shmflow.Token { return a.flow.vmCtxt[tid] }
+	a.tracker.ThreadCtxt = func(tid int) shmflow.Token {
+		if tid != a.flow.running {
+			return 0
+		}
+		return a.flow.runningTok
+	}
 	a.tracker.OnFlow = func(ev FlowEvent) { a.flow.consumed, a.flow.consumer = ev.Token, ev.Consumer }
 	a.tracker.OnNonFlow = func(lock int) { a.machine.SetNonFlow(lock) }
 	a.machine.Tracer = a.tracker
@@ -120,11 +132,11 @@ func (a *App) runEmulated(pr *Probe, prog *vm.Program, entry string, regs *[vm.N
 	}
 	th.Regs = *regs
 	// Token plumbing only matters when the tracker is live (ModeWhodunit);
-	// in the other modes the program still executes (at direct cost) but
-	// interning contexts would be pure per-op string churn.
+	// in the other modes the program still executes (at direct cost) and
+	// nothing would ever read the token.
 	if a.tracker != nil {
 		a.flow.consumed, a.flow.consumer = 0, -1
-		a.flow.vmCtxt[th.ID] = a.flow.tokenFor(pr.Txn())
+		a.flow.running, a.flow.runningTok = th.ID, a.flow.tokenFor(pr.Txn())
 	}
 	before := th.Cycles
 	if err := a.machine.Run(emulatedStepLimit); err != nil {
@@ -138,12 +150,12 @@ func (a *App) runEmulated(pr *Probe, prog *vm.Program, entry string, regs *[vm.N
 	pr.Compute(a.cyclesToTime(th.Cycles - before))
 	a.machine.Reap()
 	if a.tracker != nil {
-		delete(a.flow.vmCtxt, th.ID)
+		// The thread has halted and its id is never reused: nothing can
+		// name its registers again, so their shadow goes back to the pool.
+		a.tracker.Release(th.ID)
 		// §3.5: the consumer adopts the producer's context.
 		if tok != 0 && consumer == th.ID {
-			if tc, ok := a.flow.tokens[tok]; ok {
-				pr.SetTxn(tc)
-			}
+			pr.SetTxn(a.flow.tokens[tok])
 		}
 	}
 	return th

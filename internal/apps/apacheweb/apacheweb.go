@@ -55,6 +55,7 @@ type Result struct {
 	Report          *whodunit.Report
 	Profiler        *whodunit.Profiler
 	Flows           []whodunit.FlowEvent
+	FlowStats       whodunit.FlowStats
 	Elapsed         whodunit.Duration
 	BytesSent       int64
 	Requests        int64
@@ -134,6 +135,7 @@ func Run(cfg Config) *Result {
 	res.Report = rep
 	res.Elapsed = rep.Elapsed
 	res.Flows = rep.Flows
+	res.FlowStats = app.FlowStats()
 	res.EmulationCycles = app.Machine().TotalCycles
 	if res.Elapsed > 0 {
 		res.ThroughputMbps = float64(res.BytesSent) * 8 / 1e6 / res.Elapsed.Seconds()

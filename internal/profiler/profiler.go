@@ -94,7 +94,7 @@ type TxnCtxt struct {
 // Key returns the CCT dictionary key for the context. It is a rendered,
 // serializable form used in stage dumps and stitching metadata; the
 // profiler's own dictionary is keyed by the interned numeric identity
-// (see ctxtID), so Key is only built at send points and presentation
+// (see CtxtID), so Key is only built at send points and presentation
 // time, never per sample.
 func (tc TxnCtxt) Key() string {
 	if len(tc.Prefix) == 0 {
@@ -119,18 +119,21 @@ func localSynopsis(c *tranctx.Ctxt) tranctx.Synopsis {
 	return c.Synopsis()
 }
 
-// ctxtID is the interned numeric identity of a TxnCtxt: the local
+// CtxtID is the interned numeric identity of a TxnCtxt: the local
 // context's synopsis plus a hash of the prefix chain. Two contexts with
-// equal ctxtID and equal prefix chains have equal Keys, so the CCT
-// dictionary can be keyed by this comparable struct (with chain-equality
-// confirmation against hash collisions) instead of a built string.
-type ctxtID struct {
+// equal CtxtID and equal prefix chains have equal Keys, so a dictionary
+// of contexts — the CCT dictionary here, the flow-token table of the
+// root package — can be keyed by this comparable struct (with
+// chain-equality confirmation against hash collisions) instead of a
+// built string.
+type CtxtID struct {
 	chain uint64 // tranctx.Chain.Hash of Prefix
 	local tranctx.Synopsis
 }
 
-func (tc TxnCtxt) id() ctxtID {
-	return ctxtID{chain: tc.Prefix.Hash(), local: localSynopsis(tc.Local)}
+// ID returns the context's interned identity; see CtxtID.
+func (tc TxnCtxt) ID() CtxtID {
+	return CtxtID{chain: tc.Prefix.Hash(), local: localSynopsis(tc.Local)}
 }
 
 // sameCtxt reports whether a and b name the same CCT dictionary entry
@@ -166,7 +169,7 @@ type Profiler struct {
 
 	frames       *cct.FrameTable
 	slots        []treeSlot       // creation order, deterministic
-	index        map[ctxtID][]int // ctxtID -> slot indexes (hash bucket)
+	index        map[CtxtID][]int // CtxtID -> slot indexes (hash bucket)
 	byLabel      map[string]int   // rendered label -> first slot index
 	probes       []*Probe         // every probe issued; Retire invalidates their caches
 	samples      int64
@@ -191,7 +194,7 @@ func New(stage string, mode Mode) *Profiler {
 		Interval: DefaultInterval,
 		Overhead: DefaultOverhead,
 		frames:   cct.NewFrameTable(),
-		index:    make(map[ctxtID][]int),
+		index:    make(map[CtxtID][]int),
 		byLabel:  make(map[string]int),
 	}
 }
@@ -207,7 +210,7 @@ func (p *Profiler) Frames() *cct.FrameTable { return p.frames }
 // chain-equality confirmation — no strings are built; the label and key
 // strings exist only from creation (once per distinct context) onward.
 func (p *Profiler) tree(tc TxnCtxt) *cct.Tree {
-	id := tc.id()
+	id := tc.ID()
 	for _, i := range p.index[id] {
 		if p.slots[i].ctxt.Prefix.Equal(tc.Prefix) {
 			return p.slots[i].tree
@@ -363,7 +366,7 @@ func (p *Profiler) Retire() *Snapshot {
 		overheadAcc:  p.overheadAcc,
 	}
 	p.slots = nil
-	p.index = make(map[ctxtID][]int)
+	p.index = make(map[CtxtID][]int)
 	p.byLabel = make(map[string]int)
 	p.samples, p.calls, p.ctxtSwitches, p.overheadAcc = 0, 0, 0, 0
 	// Every probe's cached tree pointer now names a retired tree; the

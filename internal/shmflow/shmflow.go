@@ -25,10 +25,28 @@
 //   - the first time a lock's producer and consumer sets intersect, the
 //     lock is declared non-flow (the memory-allocator pattern) and its
 //     critical sections may fall back to native execution.
+//
+// The dictionary is shadow state shaped like the machine it shadows, not
+// a hash table. Memory words live in a paged slice of entries with the
+// geometry of vm.Memory (a map only for addresses past the directory,
+// ≥ 2^25), and each vm thread that has touched a register owns a register
+// file — NumRegs entries behind a presence mask — so every lookup on the
+// traced-instruction path is an index and the critical-section-entry
+// flush is one store. A register file belongs to its thread until the
+// thread's owner calls Release, which returns it to a free list: the
+// dictionary is bounded by live threads and touched words, and a host
+// that runs one-shot threads forever allocates nothing per execution.
+// Releasing a dead thread's registers cannot change a result because
+// §3.2's register names are reg_t — annotated with the owning thread —
+// and only instructions executed by thread t ever name reg_t: once t has
+// halted no access can read, flush or overwrite those entries, and thread
+// ids are never reused. (Memory entries a dead thread produced stay; they
+// are the flows still in flight.)
 package shmflow
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"whodunit/internal/vm"
@@ -54,12 +72,36 @@ func (e FlowEvent) String() string {
 }
 
 // entry is a dictionary entry: the context associated with a location.
-// valid=false is the paper's invlctxt.
+// For memory words state also says whether the word has an entry at all;
+// a register's presence is its file's mask bit.
 type entry struct {
-	tok      Token
-	valid    bool
 	lock     int
 	producer int
+	tok      Token
+	state    uint8
+}
+
+const (
+	absent  uint8 = iota
+	invalid       // the paper's invlctxt
+	valid
+)
+
+// Shadow memory geometry, the same as vm.Memory's so a program's words
+// and their entries page alike.
+const (
+	pageShift = 9              // 512-word pages
+	pageWords = 1 << pageShift //
+	pageMask  = pageWords - 1  //
+	dirLimit  = 1 << 16        // max directory entries: covers 2^25 words
+)
+
+// regFile is the shadow of one vm thread's registers. Only registers
+// whose mask bit is set have an entry, so flushing the file is one store.
+type regFile struct {
+	thread int
+	mask   uint16
+	e      [vm.NumRegs]entry
 }
 
 // lockInfo tracks the producer/consumer thread sets per lock object.
@@ -67,6 +109,20 @@ type lockInfo struct {
 	producers map[int]bool
 	consumers map[int]bool
 	nonFlow   bool
+}
+
+// Stats are the tracker's counters. They are plain fields bumped on the
+// machine's single dispatcher path; read them between runs.
+type Stats struct {
+	CSEntries      int64 // outermost critical-section entries traced
+	Accesses       int64 // traced instruction executions
+	LockFlushes    int64 // entries dropped by the mismatched-lock rule
+	Consumes       int64 // context-carrying uses inside a window
+	Flows          int64 // consumes that emitted a FlowEvent
+	DictEntries    int   // live associations, memory words plus registers
+	ShadowPages    int   // shadow memory pages allocated
+	RegFilesLive   int   // register files owned by unreleased threads
+	RegFilesPooled int   // register files on the free list
 }
 
 // Tracker implements vm.Tracer and runs the §3 algorithm.
@@ -84,9 +140,14 @@ type Tracker struct {
 	// execution (§7.2).
 	OnNonFlow func(lock int)
 
-	dict  map[vm.Loc]entry
+	pages []*[pageWords]entry // shadow memory directory
+	spill map[uint32]entry    // words past the directory
+	files map[int]*regFile    // register files of unreleased threads, by thread id
+	last  *regFile            // the file used last; see regs
+	free  []*regFile          // released files
 	locks map[int]*lockInfo
 	flows []FlowEvent
+	stats Stats
 }
 
 var _ vm.Tracer = (*Tracker)(nil)
@@ -95,7 +156,7 @@ var _ vm.Tracer = (*Tracker)(nil)
 // be assigned before use.
 func NewTracker() *Tracker {
 	return &Tracker{
-		dict:  make(map[vm.Loc]entry),
+		files: make(map[int]*regFile),
 		locks: make(map[int]*lockInfo),
 	}
 }
@@ -134,7 +195,158 @@ func (tr *Tracker) side(lock int, prod bool) []int {
 
 // DictSize reports the number of live dictionary entries (for tests and
 // capacity monitoring).
-func (tr *Tracker) DictSize() int { return len(tr.dict) }
+func (tr *Tracker) DictSize() int { return tr.stats.DictEntries }
+
+// Stats returns the tracker's counters.
+func (tr *Tracker) Stats() Stats {
+	s := tr.stats
+	s.Flows = int64(len(tr.flows))
+	s.RegFilesLive = len(tr.files)
+	s.RegFilesPooled = len(tr.free)
+	return s
+}
+
+// Release drops thread's register entries and returns their storage to
+// the free list. Whoever owns a vm thread calls it once the thread has
+// halted (beside Machine.Reap); see the package comment for why no result
+// can depend on it.
+func (tr *Tracker) Release(thread int) {
+	rf := tr.files[thread]
+	if rf == nil {
+		return
+	}
+	delete(tr.files, thread)
+	if tr.last == rf {
+		tr.last = nil
+	}
+	tr.stats.DictEntries -= bits.OnesCount16(rf.mask)
+	tr.free = append(tr.free, rf)
+}
+
+// regs returns thread's register file, or nil if it has none and create
+// is false. Machine.Run almost always has one runnable thread, so the
+// file used last answers before the map is consulted.
+func (tr *Tracker) regs(thread int, create bool) *regFile {
+	if rf := tr.last; rf != nil && rf.thread == thread {
+		return rf
+	}
+	rf := tr.files[thread]
+	if rf == nil {
+		if !create {
+			return nil
+		}
+		if n := len(tr.free); n > 0 {
+			rf = tr.free[n-1]
+			tr.free = tr.free[:n-1]
+		} else {
+			rf = new(regFile)
+		}
+		rf.thread, rf.mask = thread, 0
+		tr.files[thread] = rf
+	}
+	tr.last = rf
+	return rf
+}
+
+// page returns the shadow page covering a, allocating directory and page
+// as needed, or nil when a lies past the directory limit (spill path).
+func (tr *Tracker) page(a uint32) *[pageWords]entry {
+	pg := a >> pageShift
+	if pg < uint32(len(tr.pages)) {
+		if p := tr.pages[pg]; p != nil {
+			return p
+		}
+	} else {
+		if pg >= dirLimit {
+			return nil
+		}
+		n := uint32(64)
+		for n <= pg {
+			n <<= 1
+		}
+		dir := make([]*[pageWords]entry, n)
+		copy(dir, tr.pages)
+		tr.pages = dir
+	}
+	p := new([pageWords]entry)
+	tr.pages[pg] = p
+	tr.stats.ShadowPages++
+	return p
+}
+
+// get returns loc's entry and whether it has one.
+func (tr *Tracker) get(loc vm.Loc) (entry, bool) {
+	if loc.Kind == vm.LocReg {
+		r := loc.Addr % vm.NumRegs
+		if rf := tr.regs(loc.Thread, false); rf != nil && rf.mask&(1<<r) != 0 {
+			return rf.e[r], true
+		}
+		return entry{}, false
+	}
+	a := loc.Addr
+	if pg := a >> pageShift; pg < uint32(len(tr.pages)) {
+		if p := tr.pages[pg]; p != nil {
+			e := p[a&pageMask]
+			return e, e.state != absent
+		}
+		return entry{}, false
+	}
+	e, ok := tr.spill[a]
+	return e, ok
+}
+
+// set associates e, whose state is invalid or valid, with loc.
+func (tr *Tracker) set(loc vm.Loc, e entry) {
+	if loc.Kind == vm.LocReg {
+		r := loc.Addr % vm.NumRegs
+		rf := tr.regs(loc.Thread, true)
+		if rf.mask&(1<<r) == 0 {
+			rf.mask |= 1 << r
+			tr.stats.DictEntries++
+		}
+		rf.e[r] = e
+		return
+	}
+	a := loc.Addr
+	if p := tr.page(a); p != nil {
+		if p[a&pageMask].state == absent {
+			tr.stats.DictEntries++
+		}
+		p[a&pageMask] = e
+		return
+	}
+	if tr.spill == nil {
+		tr.spill = make(map[uint32]entry)
+	}
+	if _, ok := tr.spill[a]; !ok {
+		tr.stats.DictEntries++
+	}
+	tr.spill[a] = e
+}
+
+// del drops loc's entry, if it has one.
+func (tr *Tracker) del(loc vm.Loc) {
+	if loc.Kind == vm.LocReg {
+		r := loc.Addr % vm.NumRegs
+		if rf := tr.regs(loc.Thread, false); rf != nil && rf.mask&(1<<r) != 0 {
+			rf.mask &^= 1 << r
+			tr.stats.DictEntries--
+		}
+		return
+	}
+	a := loc.Addr
+	if pg := a >> pageShift; pg < uint32(len(tr.pages)) {
+		if p := tr.pages[pg]; p != nil && p[a&pageMask].state != absent {
+			p[a&pageMask].state = absent
+			tr.stats.DictEntries--
+		}
+		return
+	}
+	if _, ok := tr.spill[a]; ok {
+		delete(tr.spill, a)
+		tr.stats.DictEntries--
+	}
+}
 
 func (tr *Tracker) lockInfoFor(lock int) *lockInfo {
 	li, ok := tr.locks[lock]
@@ -151,8 +363,10 @@ func (tr *Tracker) lockInfoFor(lock int) *lockInfo {
 // This realises the §3.2 premise that a producer's source locations have
 // no associated context on critical-section entry.
 func (tr *Tracker) OnLock(thread, lock int) {
-	for r := byte(0); r < vm.NumRegs; r++ {
-		delete(tr.dict, vm.RegLoc(thread, r))
+	tr.stats.CSEntries++
+	if rf := tr.regs(thread, false); rf != nil {
+		tr.stats.DictEntries -= bits.OnesCount16(rf.mask)
+		rf.mask = 0
 	}
 }
 
@@ -162,33 +376,35 @@ func (tr *Tracker) OnUnlock(thread, lock int) {}
 
 // OnAccess implements vm.Tracer: the per-instruction algorithm.
 func (tr *Tracker) OnAccess(ac vm.Access) {
+	tr.stats.Accesses++
 	if ac.InCS {
-		tr.inCS(ac)
+		tr.inCS(&ac)
 		return
 	}
 	if ac.InWindow {
-		tr.inWindow(ac)
+		tr.inWindow(&ac)
 	}
 }
 
 // flushMismatched drops loc's entry if it was last set under a different
 // lock (§3.2: a location may serve different purposes at different times).
 func (tr *Tracker) flushMismatched(loc vm.Loc, lock int) {
-	if e, ok := tr.dict[loc]; ok && e.lock != lock {
-		delete(tr.dict, loc)
+	if e, ok := tr.get(loc); ok && e.lock != lock {
+		tr.del(loc)
+		tr.stats.LockFlushes++
 	}
 }
 
-func (tr *Tracker) inCS(ac vm.Access) {
+func (tr *Tracker) inCS(ac *vm.Access) {
 	switch ac.Kind {
 	case vm.AccMove:
 		tr.flushMismatched(ac.Src, ac.Lock)
 		tr.flushMismatched(ac.Dst, ac.Lock)
-		if e, ok := tr.dict[ac.Src]; ok {
+		if e, ok := tr.get(ac.Src); ok {
 			// Propagate, valid or invalid (§3.3.2: the NULL/invalid
 			// context is transferred just like a valid one).
 			e.lock = ac.Lock
-			tr.dict[ac.Dst] = e
+			tr.set(ac.Dst, e)
 			return
 		}
 		// Source has no associated context: associate the executing
@@ -198,31 +414,32 @@ func (tr *Tracker) inCS(ac vm.Access) {
 		if tr.ThreadCtxt != nil {
 			tok = tr.ThreadCtxt(ac.Thread)
 		}
-		tr.dict[ac.Dst] = entry{tok: tok, valid: true, lock: ac.Lock, producer: ac.Thread}
+		tr.set(ac.Dst, entry{tok: tok, state: valid, lock: ac.Lock, producer: ac.Thread})
 		if ac.Dst.Kind == vm.LocMem {
 			tr.addProducer(ac.Lock, ac.Thread)
 		}
 	case vm.AccWrite:
 		tr.flushMismatched(ac.Dst, ac.Lock)
 		// Non-MOV modification: invalid context (§3.2).
-		tr.dict[ac.Dst] = entry{valid: false, lock: ac.Lock}
+		tr.set(ac.Dst, entry{state: invalid, lock: ac.Lock})
 	case vm.AccRead:
 		// Reads inside the critical section carry no inference; consumes
 		// are detected after exit (§3.2's consumer definition).
 	}
 }
 
-func (tr *Tracker) inWindow(ac vm.Access) {
+func (tr *Tracker) inWindow(ac *vm.Access) {
 	// Uses of context-carrying locations after critical-section exit are
 	// consumes (§3.2, §7.2).
 	for _, loc := range ac.Reads {
-		e, ok := tr.dict[loc]
-		if !ok || !e.valid {
+		e, ok := tr.get(loc)
+		if !ok || e.state != valid {
 			continue
 		}
 		// The value has been consumed; drop the association so repeated
 		// uses in the same window do not re-fire.
-		delete(tr.dict, loc)
+		tr.del(loc)
+		tr.stats.Consumes++
 		li := tr.addConsumer(e.lock, ac.Thread)
 		if li.nonFlow {
 			continue
@@ -243,7 +460,7 @@ func (tr *Tracker) inWindow(ac vm.Access) {
 	// whatever the instruction stores there is not a traced value, so any
 	// stale association must be dropped.
 	if ac.Kind == vm.AccMove || ac.Kind == vm.AccWrite {
-		delete(tr.dict, ac.Dst)
+		tr.del(ac.Dst)
 	}
 }
 

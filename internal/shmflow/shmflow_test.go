@@ -6,19 +6,63 @@ import (
 	"whodunit/internal/vm"
 )
 
-// rig wires a machine in emulate mode to a tracker whose thread contexts
-// are supplied by the ctxts map (thread id -> token).
-type rig struct {
-	m     *vm.Machine
-	tr    *Tracker
-	ctxts map[int]Token
+// tracker is what the scenarios need of a §3 implementation; the
+// production Tracker and the map-keyed oracle (ref_test.go) both have it.
+type tracker interface {
+	vm.Tracer
+	Flows() []FlowEvent
+	NonFlow(lock int) bool
+	Producers(lock int) []int
+	Consumers(lock int) []int
 }
 
-func newRig() *rig {
-	r := &rig{m: vm.NewMachine(), tr: NewTracker(), ctxts: make(map[int]Token)}
+// rig wires a machine in emulate mode to a tracker whose thread contexts
+// are supplied by the ctxts map (thread id -> token). onFlow and
+// onNonFlow, when set, receive the tracker's callbacks.
+type rig struct {
+	m         *vm.Machine
+	tr        tracker
+	ctxts     map[int]Token
+	onFlow    func(FlowEvent)
+	onNonFlow func(lock int)
+}
+
+// eachTracker runs a scenario once per implementation, as subtests, so
+// every behaviour pinned here is pinned for both.
+func eachTracker(t *testing.T, scenario func(t *testing.T, newRig func() *rig)) {
+	t.Run("shadow", func(t *testing.T) { scenario(t, func() *rig { return newRig(false) }) })
+	t.Run("ref", func(t *testing.T) { scenario(t, func() *rig { return newRig(true) }) })
+}
+
+// newTracker returns the production Tracker, or the oracle when ref is
+// set, with its three hooks assigned.
+func newTracker(ref bool, ctxt func(int) Token, onFlow func(FlowEvent), onNonFlow func(int)) tracker {
+	if ref {
+		tr := newRefTracker()
+		tr.ThreadCtxt, tr.OnFlow, tr.OnNonFlow = ctxt, onFlow, onNonFlow
+		return tr
+	}
+	tr := NewTracker()
+	tr.ThreadCtxt, tr.OnFlow, tr.OnNonFlow = ctxt, onFlow, onNonFlow
+	return tr
+}
+
+func newRig(ref bool) *rig {
+	r := &rig{m: vm.NewMachine(), ctxts: make(map[int]Token)}
 	r.m.Mode = vm.ModeEmulateCS
+	r.tr = newTracker(ref,
+		func(tid int) Token { return r.ctxts[tid] },
+		func(ev FlowEvent) {
+			if r.onFlow != nil {
+				r.onFlow(ev)
+			}
+		},
+		func(lock int) {
+			if r.onNonFlow != nil {
+				r.onNonFlow(lock)
+			}
+		})
 	r.m.Tracer = r.tr
-	r.tr.ThreadCtxt = func(tid int) Token { return r.ctxts[tid] }
 	return r
 }
 
@@ -42,7 +86,9 @@ func (r *rig) run(t *testing.T) {
 	}
 }
 
-func TestApacheQueueFlowDetected(t *testing.T) {
+func TestApacheQueueFlowDetected(t *testing.T) { eachTracker(t, testApacheQueueFlowDetected) }
+
+func testApacheQueueFlowDetected(t *testing.T, newRig func() *rig) {
 	// Figure 1 / §3.3.1: the listener's push and a worker's pop must yield
 	// a flow from producer to consumer carrying the producer's context.
 	r := newRig()
@@ -68,7 +114,9 @@ func TestApacheQueueFlowDetected(t *testing.T) {
 	}
 }
 
-func TestApacheQueueMultipleWorkers(t *testing.T) {
+func TestApacheQueueMultipleWorkers(t *testing.T) { eachTracker(t, testApacheQueueMultipleWorkers) }
+
+func testApacheQueueMultipleWorkers(t *testing.T, newRig func() *rig) {
 	// One listener pushes two connections; two workers each pop one.
 	// Both workers must consume the listener's context.
 	r := newRig()
@@ -100,7 +148,9 @@ func TestApacheQueueMultipleWorkers(t *testing.T) {
 	}
 }
 
-func TestSharedCounterNoFlow(t *testing.T) {
+func TestSharedCounterNoFlow(t *testing.T) { eachTracker(t, testSharedCounterNoFlow) }
+
+func testSharedCounterNoFlow(t *testing.T, newRig func() *rig) {
 	// Figure 2 / §3.4: a shared counter must produce no flow and no
 	// producers — MySQL's shared counter validation (§8.1).
 	r := newRig()
@@ -120,12 +170,16 @@ func TestSharedCounterNoFlow(t *testing.T) {
 }
 
 func TestAllocatorPatternClassifiedNonFlow(t *testing.T) {
+	eachTracker(t, testAllocatorPatternClassifiedNonFlow)
+}
+
+func testAllocatorPatternClassifiedNonFlow(t *testing.T, newRig func() *rig) {
 	// Figure 3 / §3.4: threads that both free (produce) and allocate
 	// (consume) from the same free list mark the lock non-flow the first
 	// time a thread appears in both sets.
 	r := newRig()
 	var demoted []int
-	r.tr.OnNonFlow = func(lock int) { demoted = append(demoted, lock) }
+	r.onNonFlow = func(lock int) { demoted = append(demoted, lock) }
 
 	r.spawn(t, AllocWork, "main", 5, map[byte]int64{2: FreeHead, 4: 0x3100, 9: 0x8000})
 	r.spawn(t, AllocWork, "main", 6, map[byte]int64{2: FreeHead, 4: 0x3200, 9: 0x8100})
@@ -141,6 +195,10 @@ func TestAllocatorPatternClassifiedNonFlow(t *testing.T) {
 }
 
 func TestAllocatorSameThreadRoundTripIsNotFlow(t *testing.T) {
+	eachTracker(t, testAllocatorSameThreadRoundTripIsNotFlow)
+}
+
+func testAllocatorSameThreadRoundTripIsNotFlow(t *testing.T, newRig func() *rig) {
 	// A single thread freeing and then allocating the same block must not
 	// emit a flow event (producer == consumer).
 	r := newRig()
@@ -190,7 +248,9 @@ func TestAllocatorSameThreadRoundTripIsNotFlow(t *testing.T) {
 	}
 }
 
-func TestLinkedListFlow(t *testing.T) {
+func TestLinkedListFlow(t *testing.T) { eachTracker(t, testLinkedListFlow) }
+
+func testLinkedListFlow(t *testing.T, newRig func() *rig) {
 	// §3.3.2: sys/queue.h-style list. Producer pushes an element; consumer
 	// pops it and uses the payload.
 	r := newRig()
@@ -213,7 +273,9 @@ func TestLinkedListFlow(t *testing.T) {
 	}
 }
 
-func TestEmptyListNullIsNotFlow(t *testing.T) {
+func TestEmptyListNullIsNotFlow(t *testing.T) { eachTracker(t, testEmptyListNullIsNotFlow) }
+
+func testEmptyListNullIsNotFlow(t *testing.T, newRig func() *rig) {
 	// §3.3.2: producer initialises next=NULL (immediate). First consumer
 	// pops the element (real flow); second consumer finds head==NULL and
 	// must NOT be inferred as consuming from the first consumer.
@@ -242,6 +304,10 @@ func TestEmptyListNullIsNotFlow(t *testing.T) {
 }
 
 func TestQueueElementMovePreservesContext(t *testing.T) {
+	eachTracker(t, testQueueElementMovePreservesContext)
+}
+
+func testQueueElementMovePreservesContext(t *testing.T, newRig func() *rig) {
 	// §3.2: moving a produced element to a new location inside a critical
 	// section must carry the original producer's context to the new
 	// location; the eventual consumer sees the original context.
@@ -281,7 +347,9 @@ func TestQueueElementMovePreservesContext(t *testing.T) {
 	}
 }
 
-func TestLockMismatchFlushes(t *testing.T) {
+func TestLockMismatchFlushes(t *testing.T) { eachTracker(t, testLockMismatchFlushes) }
+
+func testLockMismatchFlushes(t *testing.T, newRig func() *rig) {
 	// §3.2: an address last tagged under lock 1 accessed from a critical
 	// section under lock 5 is flushed; no flow may be inferred.
 	r := newRig()
@@ -296,7 +364,9 @@ func TestLockMismatchFlushes(t *testing.T) {
 	}
 }
 
-func TestConsumeWindowBounds(t *testing.T) {
+func TestConsumeWindowBounds(t *testing.T) { eachTracker(t, testConsumeWindowBounds) }
+
+func testConsumeWindowBounds(t *testing.T, newRig func() *rig) {
 	// §7.2: the consume must happen within MAX instructions of the exit.
 	// A consumer that waits past the window is not detected.
 	mkSrc := func(pad int) string {
@@ -337,10 +407,12 @@ func TestConsumeWindowBounds(t *testing.T) {
 	}
 }
 
-func TestOnFlowCallbackFires(t *testing.T) {
+func TestOnFlowCallbackFires(t *testing.T) { eachTracker(t, testOnFlowCallbackFires) }
+
+func testOnFlowCallbackFires(t *testing.T, newRig func() *rig) {
 	r := newRig()
 	var events []FlowEvent
-	r.tr.OnFlow = func(ev FlowEvent) { events = append(events, ev) }
+	r.onFlow = func(ev FlowEvent) { events = append(events, ev) }
 	r.spawn(t, ApachePush, "push", 3, map[byte]int64{1: QueueBase, 4: 1, 5: 2})
 	r.spawn(t, ApachePop, "pop", 0, map[byte]int64{1: QueueBase, 9: 0x8000})
 	r.run(t)
@@ -353,10 +425,14 @@ func TestOnFlowCallbackFires(t *testing.T) {
 }
 
 func TestNonFlowDemotionStopsEmulation(t *testing.T) {
+	eachTracker(t, testNonFlowDemotionStopsEmulation)
+}
+
+func testNonFlowDemotionStopsEmulation(t *testing.T, newRig func() *rig) {
 	// Wire OnNonFlow to Machine.SetNonFlow as the implementation does
 	// (§7.2) and verify subsequent critical sections run native (cheap).
 	r := newRig()
-	r.tr.OnNonFlow = func(lock int) { r.m.SetNonFlow(lock) }
+	r.onNonFlow = func(lock int) { r.m.SetNonFlow(lock) }
 
 	r.spawn(t, AllocWork, "main", 1, map[byte]int64{2: FreeHead, 4: 0x3100, 9: 0x8000})
 	r.run(t)

@@ -63,7 +63,9 @@ var TailqRemoveHead = vm.MustAssemble("tailq_remove_head", `
 		halt
 `)
 
-func TestTailqFlowDetected(t *testing.T) {
+func TestTailqFlowDetected(t *testing.T) { eachTracker(t, testTailqFlowDetected) }
+
+func testTailqFlowDetected(t *testing.T, newRig func() *rig) {
 	r := newRig()
 	r.spawn(t, TailqInsertTail, "insert", 61, map[byte]int64{1: tqHead, 4: 111, 8: 0x5100})
 	r.run(t)
@@ -90,7 +92,9 @@ func TestTailqFlowDetected(t *testing.T) {
 	}
 }
 
-func TestTailqEmptyRemoveNoFlow(t *testing.T) {
+func TestTailqEmptyRemoveNoFlow(t *testing.T) { eachTracker(t, testTailqEmptyRemoveNoFlow) }
+
+func testTailqEmptyRemoveNoFlow(t *testing.T, newRig func() *rig) {
 	r := newRig()
 	r.spawn(t, TailqInsertTail, "insert", 61, map[byte]int64{1: tqHead, 4: 111, 8: 0x5100})
 	r.run(t)
@@ -110,6 +114,10 @@ func TestTailqEmptyRemoveNoFlow(t *testing.T) {
 }
 
 func TestTailqInterleavedProducersDistinctTokens(t *testing.T) {
+	eachTracker(t, testTailqInterleavedProducersDistinctTokens)
+}
+
+func testTailqInterleavedProducersDistinctTokens(t *testing.T, newRig func() *rig) {
 	// Two different producers, two consumers: each consumer must pick up
 	// the context of the producer whose element it dequeued, even though
 	// the elements share head/tail pointer words.

@@ -568,13 +568,16 @@ func (m *Machine) execPlain(t *Thread, in *dinstr) {
 // execTraced executes one generic instruction under emulation, emitting
 // its Access to the tracer through the machine's reusable buffer.
 func (m *Machine) execTraced(t *Thread, in *dinstr, pc int) {
+	// Every field of the reused buffer is stored in place — assigning a
+	// composite literal would build it in a temporary and copy it over —
+	// so the one copy an emission costs is the by-value OnAccess argument.
 	ac := &m.ac
-	*ac = Access{Thread: t.ID, PC: pc, Instr: t.Prog.Code[pc]}
+	ac.Thread, ac.PC, ac.Instr = t.ID, pc, t.Prog.Code[pc]
+	ac.Src, ac.Dst = Loc{}, Loc{}
 	if len(t.heldLocks) > 0 {
-		ac.InCS = true
-		ac.Lock = t.heldLocks[0]
+		ac.InCS, ac.Lock, ac.InWindow = true, t.heldLocks[0], false
 	} else {
-		ac.InWindow = t.window > 0
+		ac.InCS, ac.Lock, ac.InWindow = false, 0, t.window > 0
 	}
 	reads := m.readsBuf[:0]
 	emit := true

@@ -250,6 +250,8 @@ type (
 	FlowTracker = shmflow.Tracker
 	// FlowEvent is one detected producer→consumer transaction flow.
 	FlowEvent = shmflow.FlowEvent
+	// FlowStats are the flow tracker's counters (see App.FlowStats).
+	FlowStats = shmflow.Stats
 	// FlowToken identifies a transaction context opaquely to the flow
 	// tracker.
 	FlowToken = shmflow.Token

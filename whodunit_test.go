@@ -135,6 +135,56 @@ func TestPublicAPIFlowDetection(t *testing.T) {
 	}
 }
 
+func TestTrackerDictBounded(t *testing.T) {
+	// Every Push and Pop runs on a fresh one-shot vm thread. The tracker
+	// must forget a thread's registers when the app reaps it, or its
+	// dictionary grows with the number of connections served (it used to:
+	// 605 entries after 100 pairs, 60 005 after 10 000).
+	const workers = 4
+	run := func(pairs int) whodunit.FlowStats {
+		app := whodunit.NewApp("bounded", whodunit.WithFlowDetection(), whodunit.WithCores(2))
+		st := app.Stage("bounded")
+		fdq := app.NewQueue("fdqueue")
+		popped := 0
+		for w := 0; w < workers; w++ {
+			st.Go("worker", func(th *whodunit.Thread, pr *whodunit.Probe) {
+				for {
+					fdq.Pop(pr)
+					popped++
+				}
+			})
+		}
+		st.Go("listener", func(th *whodunit.Thread, pr *whodunit.Probe) {
+			for i := 0; i < pairs; i++ {
+				st.BeginTxn(pr, "listener_thread", "accept")
+				fdq.Push(pr, i)
+			}
+		})
+		rep := app.RunUntil(func() bool { return popped >= pairs })
+		if len(rep.Flows) != 2*pairs {
+			t.Fatalf("%d pairs: %d flow events, want %d", pairs, len(rep.Flows), 2*pairs)
+		}
+		fs := app.FlowStats()
+		if fs.DictEntries != app.FlowTracker().DictSize() || fs.CSEntries != int64(2*pairs) {
+			t.Fatalf("%d pairs: inconsistent stats %+v", pairs, fs)
+		}
+		return fs
+	}
+	small, large := run(100), run(10_000)
+	t.Logf("after 100 pairs %+v; after 10 000 pairs %+v", small, large)
+	if small.DictEntries != large.DictEntries || small.ShadowPages != large.ShadowPages {
+		t.Fatalf("dictionary grew with history: %+v after 100 pairs, %+v after 10 000", small, large)
+	}
+	// A register file is held from a thread's first traced register write
+	// to its reap, so there can never be more of them than simulated
+	// threads inside a Push or Pop at once.
+	for _, fs := range []whodunit.FlowStats{small, large} {
+		if fs.RegFilesLive != 0 || fs.RegFilesPooled < 1 || fs.RegFilesPooled > workers+1 {
+			t.Fatalf("register files: %d live, %d pooled, want 0 live and 1..%d pooled", fs.RegFilesLive, fs.RegFilesPooled, workers+1)
+		}
+	}
+}
+
 func TestQueueRawPutThenPop(t *testing.T) {
 	// Elements injected through the raw Put face (e.g. external stimulus
 	// from a scheduler callback) must come back out of Pop as-is — no
