@@ -6,11 +6,11 @@
 // and gives the bench suite a heavy-traffic workload with realistic
 // Zipfian skew.
 //
-// Standard topology (Config.Deep false):
+// Standard pipeline (Config.Deep false):
 //
 //	frontend → rpc-proxy(streaming) → kv-0..N (consistent-hash ring) → db
 //
-// Deep topology (Config.Deep true) interposes buffering proxy hops:
+// Deep pipeline (Config.Deep true) interposes buffering proxy hops:
 //
 //	frontend → edge-proxy(full-buffering) → rpc-proxy(streaming)
 //	         → cache-proxy(streaming+buffering) → kv-0..N
@@ -19,8 +19,23 @@
 // The kv tier is a write-through cache: a get probes the shard's cache
 // and on a miss invokes the db ("fill") and installs the value; a set
 // stores locally and writes through ("store"). Every request completes
-// back at the frontend, whose OnComplete hook recycles the envelope —
-// the steady-state request path allocates nothing.
+// back at its frontend.
+//
+// One model, two layouts, selected by Config.Replicas. At 0 there is
+// one pipeline on the app's shared Cores-wide CPU, fed directly by the
+// trace replay. At R ≥ 1 there are R self-contained pods — each the
+// whole pipeline, with private per-stage CPUs — and the replay routes
+// each request to its key's home pod (so the caches stay pod-coherent)
+// over a mesh.Ingress hop of HopLatency; with Sharded, pod r runs on
+// time domain r+1, without it the same program runs on one domain and
+// reports the same bytes. The tier handlers exist once. What differs is
+// exactly what Config.layout returns: stage names (bare, or suffixed
+// with the pod index) and their CPU and time-domain placement, because
+// both layouts' reports are pinned byte for byte; and direct injection
+// or the ingress hop, because time domains may only talk through a
+// latency-bearing pipe. Only directly injected requests complete on the
+// injector's own domain, so only their envelopes are recycled and only
+// that request path allocates nothing in the steady state.
 package meshkv
 
 import (
@@ -33,15 +48,26 @@ import (
 
 // Config parameterises a mesh-KV run.
 type Config struct {
-	Name  string // app name in the report
-	Mode  whodunit.Mode
-	Seed  uint64
-	Cores int
+	Name string // app name in the report
+	Mode whodunit.Mode
+	Seed uint64
 
-	Shards int // kv/cache shards on the consistent-hash ring
+	// Replicas selects the layout: 0 is the single pipeline, R ≥ 1 is R
+	// pods fed through ingress hops (see the package comment). Sharded
+	// puts pod r on time domain r+1; HopLatency is the client → pod
+	// network latency and so the epoch width, 0 = 1ms. Neither means
+	// anything at Replicas 0, and Cores only there: it sizes the shared
+	// CPU, where pods have private per-stage CPUs.
+	Replicas   int
+	Sharded    bool
+	HopLatency whodunit.Duration
+	Cores      int
+
+	Shards int // kv/cache shards on each pipeline's consistent-hash ring
 	VNodes int // ring virtual nodes per shard
 	Deep   bool
 
+	// Worker counts, per pipeline (ShardWorkers per kv shard).
 	FrontendWorkers int
 	ProxyWorkers    int
 	ShardWorkers    int
@@ -68,6 +94,70 @@ func DefaultConfig(tr *trace.Trace) Config {
 	}
 }
 
+// validate is the one place a Config is checked, so a bad one fails at
+// build with a message instead of deep inside the run.
+func (cfg Config) validate() error {
+	for _, c := range []struct {
+		name string
+		n    int
+	}{
+		{"Shards", cfg.Shards}, {"FrontendWorkers", cfg.FrontendWorkers}, {"ProxyWorkers", cfg.ProxyWorkers},
+		{"ShardWorkers", cfg.ShardWorkers}, {"DBWorkers", cfg.DBWorkers},
+	} {
+		if c.n < 1 {
+			return fmt.Errorf("meshkv: %s must be >= 1 (got %d)", c.name, c.n)
+		}
+	}
+	if cfg.Replicas < 0 {
+		return fmt.Errorf("meshkv: Replicas must be >= 0 (got %d)", cfg.Replicas)
+	}
+	return nil
+}
+
+// layout is everything the two deployments do differently (the package
+// comment says why), resolved from Config here and nowhere else.
+type layout struct {
+	pods int
+	app  []whodunit.Option // CPU or time-domain options of the App
+	// stage names pod r's tier and places it: the bare name on the
+	// shared CPU, or name-r on a private CPU on the pod's time domain.
+	stage func(r int, tier string, cores int) (string, []whodunit.StageOption)
+	// hop is the ingress latency into a pod. 0 means the replay puts
+	// requests straight into the frontend; they then complete on the
+	// injector's own time domain, so the envelope goes back onto its
+	// free list.
+	hop whodunit.Duration
+}
+
+func (cfg Config) layout() layout {
+	if cfg.Replicas == 0 {
+		return layout{
+			pods: 1,
+			app:  []whodunit.Option{whodunit.WithCores(cfg.Cores)},
+			stage: func(_ int, tier string, _ int) (string, []whodunit.StageOption) {
+				return tier, nil
+			},
+		}
+	}
+	domains := 1
+	if cfg.Sharded {
+		domains = cfg.Replicas + 1
+	}
+	hop := cfg.HopLatency
+	if hop == 0 {
+		hop = whodunit.Millisecond
+	}
+	return layout{
+		pods: cfg.Replicas,
+		app:  []whodunit.Option{whodunit.WithShards(domains)},
+		stage: func(r int, tier string, cores int) (string, []whodunit.StageOption) {
+			return fmt.Sprintf("%s-%d", tier, r),
+				[]whodunit.StageOption{whodunit.StageCPU(cores), whodunit.StageShard(r + 1)}
+		},
+		hop: hop,
+	}
+}
+
 // OpStats aggregates one op family's completions.
 type OpStats struct {
 	Count        int64
@@ -82,19 +172,27 @@ func (o OpStats) MeanLatency() whodunit.Duration {
 	return o.TotalLatency / whodunit.Duration(o.Count)
 }
 
-// Result is the outcome of a finite replay run.
+func (o *OpStats) add(p OpStats) {
+	o.Count += p.Count
+	o.TotalLatency += p.TotalLatency
+}
+
+// Result is the outcome of a finite replay run, the per-pod counters
+// merged in pod order.
 type Result struct {
-	Config    Config
-	Report    *whodunit.Report
-	Elapsed   whodunit.Duration
-	Injected  int64
-	Completed int64
-	Hits      int64
-	Misses    int64
-	Gets      OpStats
-	Sets      OpStats
-	ShardLoad []int64 // requests served per kv shard
+	Config        Config
+	Report        *whodunit.Report
+	Elapsed       whodunit.Duration
+	Injected      int64
+	Completed     int64
+	Hits          int64
+	Misses        int64
+	Gets          OpStats
+	Sets          OpStats
+	ShardLoad     []int64 // requests served per kv shard, pod by pod
+	ReplicaLoad   []int64 // requests completed per pod
 	ThroughputRPS float64
+	Epochs        whodunit.EpochStats // what the epoch loop did; differs between Sharded and not, unlike all of the above
 }
 
 // HitRate is the cache hit fraction across all gets.
@@ -132,37 +230,61 @@ func vsize(key string) int64 {
 	return 256 + int64(mesh.KeyHash(key)%3840)
 }
 
-// system is one wired mesh plus its counters.
-type system struct {
-	cfg    Config
-	app    *whodunit.App
-	topo   *mesh.Topology
-	front  *mesh.Service
-	shards []*mesh.Service
+// pod is one pipeline and its counters. All of a pod's tiers run on the
+// pod's time domain, so the counters are domain-private during the run
+// and the handlers update them unlocked.
+type pod struct {
+	kvs    []*mesh.Service
+	inject func(*mesh.Request)
 
-	injected  int64
 	completed int64
 	hits      int64
 	misses    int64
 	gets      OpStats
 	sets      OpStats
-	free      []*mesh.Request
 }
 
-// build wires the topology. The counters live on sys; the simulator
-// runs one thread at a time, so shard handlers update them unlocked.
-func build(cfg Config) *system {
-	if cfg.Shards < 1 {
-		panic(fmt.Sprintf("meshkv: Shards must be >= 1 (got %d)", cfg.Shards))
-	}
-	app := whodunit.NewApp(cfg.Name,
-		whodunit.WithMode(cfg.Mode),
-		whodunit.WithCores(cfg.Cores),
-		whodunit.WithSeed(cfg.Seed))
-	topo := mesh.New(app)
-	sys := &system{cfg: cfg, app: app, topo: topo}
+// system is the wired mesh plus the injector's state.
+type system struct {
+	cfg  Config
+	app  *whodunit.App
+	pods []*pod
 
-	db := topo.Service("db", cfg.DBWorkers, func(c *mesh.Call) {
+	injected int64
+	free     []*mesh.Request
+}
+
+// build validates cfg and wires its layout's pods.
+func build(cfg Config) *system {
+	if err := cfg.validate(); err != nil {
+		panic(err)
+	}
+	lay := cfg.layout()
+	app := whodunit.NewApp(cfg.Name, append([]whodunit.Option{
+		whodunit.WithMode(cfg.Mode), whodunit.WithSeed(cfg.Seed)}, lay.app...)...)
+	sys := &system{cfg: cfg, app: app, pods: make([]*pod, lay.pods)}
+	topo := mesh.New(app)
+	for r := range sys.pods {
+		sys.pods[r] = sys.buildPod(topo, lay, r)
+	}
+	return sys
+}
+
+// buildPod wires pipeline r: db, kv ring, proxies and frontend, in that
+// declaration order.
+func (sys *system) buildPod(topo *mesh.Topology, lay layout, r int) *pod {
+	cfg := sys.cfg
+	p := &pod{kvs: make([]*mesh.Service, cfg.Shards)}
+	service := func(tier string, cores, workers int, h mesh.Handler) *mesh.Service {
+		name, place := lay.stage(r, tier, cores)
+		return topo.Service(name, workers, h, place...)
+	}
+	proxy := func(tier string, mode mesh.Mode, route mesh.Router) *mesh.Service {
+		name, place := lay.stage(r, tier, 1)
+		return topo.Proxy(name, mode, cfg.ProxyWorkers, route, place...)
+	}
+
+	db := service("db", 2, cfg.DBWorkers, func(c *mesh.Call) {
 		req := c.Req()
 		switch req.Op {
 		case "fill": // read the canonical value for a cache miss
@@ -173,34 +295,33 @@ func build(cfg Config) *system {
 			req.RespSize = 64
 		}
 	})
-	dbNext := db
 	if cfg.Deep {
-		dbNext = topo.Proxy("db-proxy", mesh.Streaming, cfg.ProxyWorkers, mesh.To(db))
+		db = proxy("db-proxy", mesh.Streaming, mesh.To(db))
 	}
 
-	sys.shards = make([]*mesh.Service, cfg.Shards)
-	for i := range sys.shards {
+	kvName, kvPlace := lay.stage(r, "kv", 1)
+	for i := range p.kvs {
 		cache := map[string]int64{}
-		sys.shards[i] = topo.Service(fmt.Sprintf("kv-%d", i), cfg.ShardWorkers, func(c *mesh.Call) {
+		p.kvs[i] = topo.Service(fmt.Sprintf("%s-%d", kvName, i), cfg.ShardWorkers, func(c *mesh.Call) {
 			req := c.Req()
 			pr := c.Probe()
 			switch req.Op {
 			case "get":
 				c.Compute(probeCost)
 				if sz, ok := cache[req.Key]; ok {
-					sys.hits++
+					p.hits++
 					func() {
 						defer pr.Exit(pr.Enter("cache_hit"))
 						c.Compute(hitReadCost + kb(sz))
 					}()
 					req.RespSize = sz
 				} else {
-					sys.misses++
+					p.misses++
 					func() {
 						defer pr.Exit(pr.Enter("cache_miss"))
 						op, size := req.Op, req.Size
 						req.Op, req.Size = "fill", 96
-						c.Invoke(dbNext)
+						c.Invoke(db)
 						req.Op, req.Size = op, size
 						cache[req.Key] = req.RespSize
 						c.Compute(installCost + kb(req.RespSize))
@@ -214,46 +335,50 @@ func build(cfg Config) *system {
 				cache[req.Key] = req.Size
 				op := req.Op
 				req.Op = "store"
-				c.Invoke(dbNext) // write-through
+				c.Invoke(db) // write-through
 				req.Op = op
 				req.RespSize = 64
 			}
-		})
+		}, kvPlace...)
 	}
 
-	ring := mesh.NewRing(cfg.VNodes, sys.shards...)
-	var next *mesh.Service
+	var ring mesh.Router = mesh.NewRing(cfg.VNodes, p.kvs...)
 	if cfg.Deep {
-		cachep := topo.Proxy("cache-proxy", mesh.StreamingWithBuffering, cfg.ProxyWorkers, ring)
-		rpc := topo.Proxy("rpc-proxy", mesh.Streaming, cfg.ProxyWorkers, mesh.To(cachep))
-		next = topo.Proxy("edge-proxy", mesh.FullBuffering, cfg.ProxyWorkers, mesh.To(rpc))
-	} else {
-		next = topo.Proxy("rpc-proxy", mesh.Streaming, cfg.ProxyWorkers, ring)
+		ring = mesh.To(proxy("cache-proxy", mesh.StreamingWithBuffering, ring))
+	}
+	next := proxy("rpc-proxy", mesh.Streaming, ring)
+	if cfg.Deep {
+		next = proxy("edge-proxy", mesh.FullBuffering, mesh.To(next))
 	}
 
-	sys.front = topo.Service("frontend", cfg.FrontendWorkers, func(c *mesh.Call) {
+	front := service("frontend", 2, cfg.FrontendWorkers, func(c *mesh.Call) {
 		req := c.Req()
 		c.Compute(parseCost + kb(req.Size))
 		c.Invoke(next)
 		c.Compute(respondCost + kb(req.RespSize))
 	})
-	sys.front.OnComplete = sys.complete
-	return sys
-}
-
-func (sys *system) complete(req *mesh.Request, now whodunit.Time) {
-	sys.completed++
-	st := &sys.gets
-	if req.Op == "set" {
-		st = &sys.sets
+	front.OnComplete = func(req *mesh.Request, now whodunit.Time) {
+		p.completed++
+		st := &p.gets
+		if req.Op == "set" {
+			st = &p.sets
+		}
+		st.Count++
+		st.TotalLatency += now.Sub(req.Start)
+		if lay.hop == 0 {
+			sys.free = append(sys.free, req)
+		}
 	}
-	st.Count++
-	st.TotalLatency += now.Sub(req.Start)
-	sys.free = append(sys.free, req)
+	p.inject = front.Inject
+	if lay.hop > 0 {
+		p.inject = front.Ingress(lay.hop).Inject
+	}
+	return p
 }
 
-// inject turns a trace event into a mesh request, recycling completed
-// envelopes (runs in scheduler context via trace.Replay/OpenLoop).
+// inject turns a trace event into a mesh request for its key's home
+// pod, reusing a recycled envelope when the layout returns them (runs
+// in domain-0 scheduler context via trace.Replay/OpenLoop).
 func (sys *system) inject(ev trace.Event) {
 	var req *mesh.Request
 	if n := len(sys.free); n > 0 {
@@ -265,17 +390,19 @@ func (sys *system) inject(ev trace.Event) {
 	req.Op, req.Key, req.Size, req.Stream = ev.Op, ev.Key, ev.Size, ev.Stream
 	req.RespSize = 0
 	sys.injected++
-	sys.front.Inject(req)
+	sys.pods[mesh.KeyHash(ev.Key)%uint64(len(sys.pods))].inject(req)
 }
 
-// Run replays cfg.Trace through a fresh mesh until every event's
-// request has completed and returns the result, report included.
+// Run replays cfg.Trace through a fresh mesh and returns the result,
+// report included. The replay is finite and every worker parks once the
+// last response drains, so the run terminates on its own.
 func Run(cfg Config) *Result {
+	if cfg.Trace == nil {
+		panic("meshkv: Run needs a Trace (only Serve generates its own arrivals)")
+	}
 	sys := build(cfg)
-	total := int64(len(cfg.Trace.Events))
 	trace.Replay(sys.app, cfg.Trace, sys.inject)
-	rep := sys.app.RunUntil(func() bool { return sys.completed >= total })
-	return sys.finish(rep)
+	return sys.finish(sys.app.Run())
 }
 
 // Serve builds the open-loop serving variant: the same mesh, driven by
@@ -289,22 +416,46 @@ func Serve(cfg Config, gen trace.GenConfig) *whodunit.App {
 
 func (sys *system) finish(rep *whodunit.Report) *Result {
 	res := &Result{
-		Config:    sys.cfg,
-		Report:    rep,
-		Elapsed:   rep.Elapsed,
-		Injected:  sys.injected,
-		Completed: sys.completed,
-		Hits:      sys.hits,
-		Misses:    sys.misses,
-		Gets:      sys.gets,
-		Sets:      sys.sets,
-		ShardLoad: make([]int64, len(sys.shards)),
+		Config:   sys.cfg,
+		Report:   rep,
+		Elapsed:  rep.Elapsed,
+		Injected: sys.injected,
+		Epochs:   sys.app.EpochStats(),
 	}
-	for i, sh := range sys.shards {
-		res.ShardLoad[i] = sh.Handled()
+	for _, p := range sys.pods {
+		res.ReplicaLoad = append(res.ReplicaLoad, p.completed)
+		res.Completed += p.completed
+		res.Hits += p.hits
+		res.Misses += p.misses
+		res.Gets.add(p.gets)
+		res.Sets.add(p.sets)
+		for _, kv := range p.kvs {
+			res.ShardLoad = append(res.ShardLoad, kv.Handled())
+		}
 	}
 	if s := res.Elapsed.Seconds(); s > 0 {
 		res.ThroughputRPS = float64(res.Completed) / s
 	}
 	return res
 }
+
+// MegaConfig, MegaResult, DefaultMegaConfig and MegaRun are what is left
+// of the replicated layout's former twin model: bench/workloads.go
+// compiles against these four names and bench/ is frozen while a PR
+// carries other changes. Nothing else may use them; they go in the next
+// benchmark-only PR.
+type (
+	MegaConfig = Config // bench/ only
+	MegaResult = Result // bench/ only
+)
+
+// DefaultMegaConfig (bench/ only) is four pods of two kv shards, sharded.
+func DefaultMegaConfig(tr *trace.Trace) Config {
+	cfg := DefaultConfig(tr)
+	cfg.Name = "meshkv-mega"
+	cfg.Replicas, cfg.Sharded, cfg.Shards = 4, true, 2
+	return cfg
+}
+
+// MegaRun (bench/ only) is Run.
+func MegaRun(cfg Config) *Result { return Run(cfg) }

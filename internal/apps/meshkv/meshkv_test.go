@@ -2,6 +2,8 @@ package meshkv
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 
 	"whodunit"
@@ -171,13 +173,33 @@ func TestServeRunsOpenLoop(t *testing.T) {
 	}
 }
 
+// TestBuildPanicsOnBadConfig: every out-of-range Config field is
+// rejected where the run is built (and a missing trace where it is
+// replayed), with a message naming the package and the field.
 func TestBuildPanicsOnBadConfig(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Shards=0 did not panic")
-		}
-	}()
-	cfg := DefaultConfig(nil)
-	cfg.Shards = 0
-	build(cfg)
+	for _, tc := range []struct {
+		field  string
+		mutate func(*Config)
+	}{
+		{"Shards", func(c *Config) { c.Shards = 0 }},
+		{"FrontendWorkers", func(c *Config) { c.FrontendWorkers = 0 }},
+		{"ProxyWorkers", func(c *Config) { c.ProxyWorkers = -1 }},
+		{"ShardWorkers", func(c *Config) { c.ShardWorkers = 0 }},
+		{"DBWorkers", func(c *Config) { c.DBWorkers = 0 }},
+		{"Replicas", func(c *Config) { c.Replicas = -1 }},
+		{"Trace", func(c *Config) { c.Trace = nil }},
+	} {
+		cfg := DefaultConfig(smallTrace(t))
+		tc.mutate(&cfg)
+		func() {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if !strings.HasPrefix(msg, "meshkv: ") || !strings.Contains(msg, tc.field) {
+					t.Errorf("bad %s: Run panicked with %q, want a meshkv: message naming it", tc.field, msg)
+				}
+			}()
+			Run(cfg)
+			t.Errorf("bad %s: Run did not panic", tc.field)
+		}()
+	}
 }

@@ -5,10 +5,11 @@ import (
 	"testing"
 
 	"whodunit"
+	"whodunit/internal/minidb"
 )
 
-func megaTestConfig(clients, replicas int, sharded bool) MegaConfig {
-	cfg := DefaultMegaConfig(clients)
+func replicatedTestConfig(clients, replicas int, sharded bool) Config {
+	cfg := DefaultConfig(clients)
 	cfg.Replicas = replicas
 	cfg.Sharded = sharded
 	cfg.Duration = 4 * whodunit.Second
@@ -22,28 +23,52 @@ func megaTestConfig(clients, replicas int, sharded bool) MegaConfig {
 // TestMegaSerialShardedIdentity pins the acceptance invariant on the
 // real app model: the replicated TPC-W deployment produces bit-identical
 // reports and client metrics whether it runs on one time domain or on
-// one domain per pod.
+// one domain per pod — also with the servlet caches on and with the
+// item table on InnoDB row locks.
 func TestMegaSerialShardedIdentity(t *testing.T) {
-	for _, replicas := range []int{1, 3} {
-		serial := MegaRun(megaTestConfig(24, replicas, false))
-		sharded := MegaRun(megaTestConfig(24, replicas, true))
+	for _, tc := range []struct {
+		name     string
+		replicas int
+		tweak    func(*Config)
+	}{
+		{"replicas=1", 1, func(*Config) {}},
+		{"replicas=3", 3, func(*Config) {}},
+		{"replicas=3 caching", 3, func(c *Config) { c.ServletCaching = true }},
+		{"replicas=3 innodb", 3, func(c *Config) { c.ItemEngine = minidb.EngineInnoDB }},
+	} {
+		run := func(sharded bool) *Result {
+			cfg := replicatedTestConfig(24, tc.replicas, sharded)
+			tc.tweak(&cfg)
+			return Run(cfg)
+		}
+		serial, sharded := run(false), run(true)
 		if serial.Completed == 0 {
-			t.Fatalf("replicas=%d: no completed interactions", replicas)
+			t.Fatalf("%s: no completed interactions", tc.name)
 		}
 		if serial.Completed != sharded.Completed {
-			t.Errorf("replicas=%d: Completed %d vs %d", replicas, serial.Completed, sharded.Completed)
+			t.Errorf("%s: Completed %d vs %d", tc.name, serial.Completed, sharded.Completed)
 		}
 		if serial.Elapsed != sharded.Elapsed {
-			t.Errorf("replicas=%d: Elapsed %v vs %v", replicas, serial.Elapsed, sharded.Elapsed)
+			t.Errorf("%s: Elapsed %v vs %v", tc.name, serial.Elapsed, sharded.Elapsed)
 		}
 		for name, st := range serial.PerType {
 			o := sharded.PerType[name]
 			if st.Count != o.Count || st.TotalResp != o.TotalResp {
-				t.Errorf("replicas=%d: PerType[%s] %+v vs %+v", replicas, name, st, o)
+				t.Errorf("%s: PerType[%s] %+v vs %+v", tc.name, name, st, o)
 			}
 		}
+		// §9.1 in the replicated layout: the pods' and the database's
+		// private byte counters merge to the same small ratio the single
+		// deployment shows (TestContextBytesTiny), on either schedule.
+		if serial.AppBytes != sharded.AppBytes || serial.CtxtBytes != sharded.CtxtBytes {
+			t.Errorf("%s: wire bytes %d/%d vs %d/%d", tc.name,
+				serial.CtxtBytes, serial.AppBytes, sharded.CtxtBytes, sharded.AppBytes)
+		}
+		if ratio := float64(sharded.CtxtBytes) / float64(sharded.AppBytes); !(ratio > 0 && ratio <= 0.05) {
+			t.Errorf("%s: ctxt/app bytes = %.4f, want in (0, 0.05]", tc.name, ratio)
+		}
 		if d := whodunit.Diff(serial.Report, sharded.Report); !d.Empty() {
-			t.Errorf("replicas=%d: report diff not empty (max delta %d)", replicas, d.MaxDelta())
+			t.Errorf("%s: report diff not empty (max delta %d)", tc.name, d.MaxDelta())
 		}
 		var a, b bytes.Buffer
 		if err := serial.Report.JSON(&a); err != nil {
@@ -53,7 +78,7 @@ func TestMegaSerialShardedIdentity(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(a.Bytes(), b.Bytes()) {
-			t.Errorf("replicas=%d: report JSON differs between serial and sharded", replicas)
+			t.Errorf("%s: report JSON differs between serial and sharded", tc.name)
 		}
 	}
 }

@@ -1,13 +1,11 @@
 // Package tpcw models the TPC-W online bookstore of §8.4: fourteen
 // interactions implemented as servlets in a Tomcat-like container, fronted
 // by a Squid-like pass-through tier and backed by a MySQL-like database
-// (minidb). The model is an App with three Stages — each with its own
-// private CPU — exchanging requests over queues with ipc's synopsis
-// piggy-backing (the stages' endpoints), so each interaction establishes
-// its own transaction context at the database: the separation that lets
-// Table 1 attribute MySQL CPU and crosstalk per interaction. Crosstalk
-// monitoring comes from WithCrosstalk; minidb's locks report to the
-// app's monitor.
+// (minidb). The model is an App whose Stages — each with its own private
+// CPU — exchange requests over queues with ipc's synopsis piggy-backing
+// (the stages' endpoints), so each interaction establishes its own
+// transaction context at the database: the separation that lets Table 1
+// attribute MySQL CPU and crosstalk per interaction.
 //
 // Two optimisations from the paper are switchable:
 //
@@ -17,6 +15,23 @@
 //   - ServletCaching: caching BestSellers and SearchResult results in the
 //     servlets per TPC-W clause 6.3.3.1 (Figure 11/12's second
 //     optimisation).
+//
+// One model, two layouts, selected by Config.Replicas. At 0 it is the
+// paper's deployment: one squid, one tomcat, one mysql, crosstalk
+// monitored (minidb's locks report to the app's monitor). At R ≥ 1, R web
+// pods (squid-r and tomcat-r, each with its own servlet caches and a
+// round-robin share of the clients) front the one mysql; with Sharded,
+// pod r runs on time domain r+1 and the database on domain 0, without it
+// the same program runs on one domain and reports the same bytes. Every
+// tier body exists once. What differs is exactly what Config.layout
+// returns: the app and stage names, and mysql declared after or before
+// the web tiers, because both layouts' reports are pinned byte for byte;
+// a direct Put or an App.Pipe of HopLatency between pod and database,
+// because time domains may only talk through a latency-bearing pipe; the
+// crosstalk monitor, because its classifier reads every pod's chain
+// registry from the database's scheduler, which collapses sharding; and
+// stopping at Duration or draining the in-flight replies, because a stop
+// predicate is evaluated at epoch barriers, which differ with Sharded.
 package tpcw
 
 import (
@@ -53,14 +68,24 @@ func chainKeyOf(ch tranctx.Chain) chainKey {
 
 // Config parameterises one TPC-W run.
 type Config struct {
-	Clients        int
+	Clients        int               // total, partitioned round-robin across pods
 	Duration       whodunit.Duration // virtual run length
 	Mode           whodunit.Mode
 	ItemEngine     minidb.Engine
-	ServletCaching bool
+	ServletCaching bool // per-pod result caches (clause 6.3.3.1)
 	Seed           uint64
 
-	TomcatWorkers int
+	// Replicas selects the layout: 0 is the paper's single deployment,
+	// R ≥ 1 is R web pods before one database (see the package comment).
+	// Sharded puts pod r on time domain r+1; HopLatency is the
+	// app-server <-> database network latency and so the epoch width,
+	// 0 = 1ms. Neither means anything at Replicas 0.
+	Replicas   int
+	Sharded    bool
+	HopLatency whodunit.Duration
+
+	TomcatWorkers int // per pod
+	SquidWorkers  int // per pod
 	DBWorkers     int
 	ThinkMean     whodunit.Duration // 0 = TPC-W default (7s)
 	// Mix selects the interaction mix; nil means workload.BrowsingMix.
@@ -78,28 +103,87 @@ func DefaultConfig(clients int) Config {
 		ServletCaching: false,
 		Seed:           1,
 		TomcatWorkers:  12,
+		SquidWorkers:   4,
 		DBWorkers:      6,
 	}
 }
 
-// Result carries everything the §8.4/§9.1 experiments report.
+// validate is the one place a Config is checked, so a bad one fails at
+// build with a message instead of running to a silent zero.
+func (cfg Config) validate() error {
+	for _, c := range []struct {
+		name string
+		n    int
+	}{
+		{"Clients", cfg.Clients}, {"TomcatWorkers", cfg.TomcatWorkers},
+		{"SquidWorkers", cfg.SquidWorkers}, {"DBWorkers", cfg.DBWorkers},
+	} {
+		if c.n < 1 {
+			return fmt.Errorf("tpcw: %s must be >= 1 (got %d)", c.name, c.n)
+		}
+	}
+	if cfg.Replicas < 0 {
+		return fmt.Errorf("tpcw: Replicas must be >= 0 (got %d)", cfg.Replicas)
+	}
+	return nil
+}
+
+// layout is everything the two deployments do differently (the package
+// comment says why), resolved from Config here and nowhere else.
+type layout struct {
+	appName string
+	app     []whodunit.Option // crosstalk or time-domain options of the App
+	pods    int
+	// name names pod r's stage or queue: bare, or suffixed -r.
+	name func(tier string, r int) string
+	// dbLast declares the mysql stage after the web tiers, not before.
+	dbLast bool
+	// hop is the pod <-> database pipe latency; 0 means a direct Put.
+	hop whodunit.Duration
+	// drain runs until the in-flight replies drain instead of stopping
+	// the moment Duration is reached.
+	drain bool
+}
+
+func (cfg Config) layout(classify func(whodunit.TxnCtxt) string) layout {
+	if cfg.Replicas == 0 {
+		return layout{
+			appName: "tpcw",
+			app:     []whodunit.Option{whodunit.WithCrosstalk(classify)},
+			pods:    1,
+			name:    func(tier string, _ int) string { return tier },
+			dbLast:  true,
+		}
+	}
+	domains := 1
+	if cfg.Sharded {
+		domains = cfg.Replicas + 1
+	}
+	hop := cfg.HopLatency
+	if hop == 0 {
+		hop = whodunit.Millisecond
+	}
+	return layout{
+		appName: "tpcw-mega",
+		app:     []whodunit.Option{whodunit.WithShards(domains)},
+		pods:    cfg.Replicas,
+		name:    func(tier string, r int) string { return fmt.Sprintf("%s-%d", tier, r) },
+		hop:     hop,
+		drain:   true,
+	}
+}
+
+// Result carries everything the §8.4/§9.1 experiments report, the
+// per-pod counters merged in pod order.
 type Result struct {
 	Config Config
 
-	// Report is the unified three-tier report App.Run assembled:
-	// per-stage profiles, the crosstalk matrix and the stitched graph.
+	// Report is the unified report App.Run assembled: per-stage
+	// profiles, the crosstalk matrix and the stitched graph.
 	Report *whodunit.Report
-
-	SquidProf  *whodunit.Profiler
-	TomcatProf *whodunit.Profiler
-	MySQLProf  *whodunit.Profiler
-	Crosstalk  *whodunit.CrosstalkMonitor
-
-	// Per-tier message endpoints, exposed so callers can stitch the
-	// three tiers into the global transaction graph.
-	SquidEP  *whodunit.Endpoint
-	TomcatEP *whodunit.Endpoint
-	MySQLEP  *whodunit.Endpoint
+	// Crosstalk is the app's lock-wait monitor, nil in the replicated
+	// layout.
+	Crosstalk *whodunit.CrosstalkMonitor
 
 	Elapsed          whodunit.Duration
 	Completed        int64
@@ -108,13 +192,16 @@ type Result struct {
 
 	// DBShare maps interaction -> fraction of MySQL CPU samples (Table 1
 	// column 1). MeanCrosstalk maps interaction -> mean lock wait per
-	// instance of that interaction (Table 1 column 2).
+	// instance of that interaction (Table 1 column 2; empty without a
+	// crosstalk monitor).
 	DBShare       map[string]float64
 	MeanCrosstalk map[string]whodunit.Duration
 
 	// Bytes of application data vs context synopses shipped between tiers
 	// (the §9.1 communication-overhead measurement).
 	AppBytes, CtxtBytes int64
+
+	Epochs whodunit.EpochStats // what the epoch loop did; differs between Sharded and not, unlike all of the above
 }
 
 // TypeStats aggregates per-interaction client-side metrics.
@@ -139,27 +226,31 @@ func (t *TypeStats) Mean() whodunit.Duration {
 // envelope exclusively between its Get and its Put, the reuse is
 // race-free by construction, and the steady-state request path allocates
 // no envelopes at all (PR 4's remaining per-request allocation). The
-// payloads are typed fields rather than an `any` slot for the same
-// reason: interface boxing of webReq/dbQuery allocated per hop.
+// payload is a typed field rather than an `any` slot for the same
+// reason: interface boxing of it allocated per hop.
 type request struct {
-	msg    whodunit.Msg
-	web    webReq  // client -> tomcat payload
-	q      dbQuery // tomcat -> mysql payload
-	replyQ *whodunit.Queue
+	msg     whodunit.Msg
+	q       query           // set by the client, read by tomcat and again by mysql
+	replyQ  *whodunit.Queue // reply hop inside the pod (squid -> client, tomcat -> squid)
+	dbReply func(any)       // mysql -> the issuing tomcat worker's reply queue (see system.connect)
 }
 
-// dbQuery is the Tomcat->MySQL payload.
-type dbQuery struct {
+// query is the payload: the interaction a client asks for, and what its
+// servlet asks the database on its behalf.
+type query struct {
 	interaction string
 	subject     int64
 	itemID      int64
 }
 
-// webReq is the client->Squid->Tomcat payload.
-type webReq struct {
-	interaction string
-	subject     int64
-	itemID      int64
+// wireBytes counts application data vs context synopses put on the wire
+// (§9.1). Each pod and the database tier has its own, so the counters
+// stay private to one time domain during the run.
+type wireBytes struct{ app, ctxt int64 }
+
+func (b *wireBytes) count(m whodunit.Msg, appBytes int64) {
+	b.ctxt += int64(m.Chain.WireSize())
+	b.app += appBytes
 }
 
 // Run executes the configured TPC-W system and collects the results.
@@ -168,84 +259,114 @@ func Run(cfg Config) *Result {
 }
 
 // system is the built-but-not-yet-run TPC-W model: every stage thread
-// declared, tables loaded, clients installed. Run = build + finish; the
-// allocation regression test drives the simulator in chunks between the
-// two to measure the steady-state request path.
+// declared, tables loaded, clients installed. Run = build + finish.
 type system struct {
-	app       *whodunit.App
-	res       *Result
-	end       whodunit.Time
-	chainName map[chainKey]string
+	cfg     Config
+	lay     layout
+	app     *whodunit.App
+	mysqlSt *whodunit.Stage
+	dbBytes wireBytes
+	pods    []*pod
 }
 
-func build(cfg Config) *system {
-	if cfg.Clients <= 0 {
-		panic("tpcw: need at least one client")
-	}
-	think := cfg.ThinkMean
-	if think == 0 {
-		think = 7 * whodunit.Second
-	}
-	mixWeights := cfg.Mix
-	if mixWeights == nil {
-		mixWeights = workload.BrowsingMix
-	}
+// pod is one web pod — a squid and a tomcat stage, their input queues,
+// the servlet caches — and everything its threads count. All of it lives
+// on the pod's time domain, so the hot-path state is domain-private; the
+// pods are merged in pod order after the run.
+type pod struct {
+	squidSt, tomcatSt *whodunit.Stage
+	squidQ, tomcatQ   *whodunit.Queue
 
-	// chain -> interaction registry: filled when Tomcat sends a DB
-	// request; this is how the experiment code (and the crosstalk
-	// classifier) translate a MySQL-side context back to an interaction.
-	chainName := make(map[chainKey]string)
-	classify := func(tc whodunit.TxnCtxt) string {
-		if n, ok := chainName[chainKeyOf(tc.Prefix)]; ok {
-			return n
+	// chains is the chain -> interaction registry, filled when Tomcat
+	// sends a DB request: how the experiment code and the crosstalk
+	// classifier translate a MySQL-side context back to an interaction.
+	chains map[chainKey]string
+
+	bytes     wireBytes
+	completed int64
+	perType   map[string]*TypeStats
+}
+
+// podDomain is the time domain pod r is placed on; the database is on
+// domain 0. The app folds the index onto the domains it has, so on one
+// domain — Sharded off, or the single deployment — this is domain 0 too.
+func podDomain(r int) int { return r + 1 }
+
+// classify is the crosstalk classifier: the interaction whose servlet
+// sent the chain a lock waiter or holder runs under.
+func (sys *system) classify(tc whodunit.TxnCtxt) string {
+	if n, ok := sys.interaction(tc); ok {
+		return n
+	}
+	return "(other)"
+}
+
+func (sys *system) interaction(tc whodunit.TxnCtxt) (string, bool) {
+	k := chainKeyOf(tc.Prefix)
+	for _, p := range sys.pods {
+		if n, ok := p.chains[k]; ok {
+			return n, true
 		}
-		return "(other)"
+	}
+	return "", false
+}
+
+// connect returns the send half of a pod <-> database hop onto dst from
+// time domain `from`: a direct Put, or a pipe of the layout's latency.
+func (sys *system) connect(from int, dst *whodunit.Queue) func(any) {
+	if sys.lay.hop == 0 {
+		return dst.Put
+	}
+	return sys.app.Pipe(from, dst, sys.lay.hop).Send
+}
+
+// build validates cfg and wires its layout: the database tier, then each
+// pod's tomcat workers, squid workers and clients.
+func build(cfg Config) *system {
+	if err := cfg.validate(); err != nil {
+		panic(err)
+	}
+	sys := &system{cfg: cfg}
+	sys.lay = cfg.layout(sys.classify)
+	lay := sys.lay
+	app := whodunit.NewApp(lay.appName, append([]whodunit.Option{whodunit.WithMode(cfg.Mode)}, lay.app...)...)
+	sys.app = app
+
+	declareDB := func() { sys.mysqlSt = app.Stage("mysql", whodunit.StageCPU(1)) }
+	if !lay.dbLast {
+		declareDB()
+	}
+	sys.pods = make([]*pod, lay.pods)
+	for r := range sys.pods {
+		d := podDomain(r)
+		p := &pod{
+			squidSt:  app.Stage(lay.name("squid", r), whodunit.StageCPU(1), whodunit.StageShard(d)),
+			tomcatSt: app.Stage(lay.name("tomcat", r), whodunit.StageCPU(2), whodunit.StageShard(d)),
+			squidQ:   app.NewQueueOn(d, lay.name("squid-in", r)),
+			tomcatQ:  app.NewQueueOn(d, lay.name("tomcat-in", r)),
+			chains:   make(map[chainKey]string),
+			perType:  make(map[string]*TypeStats),
+		}
+		for _, name := range workload.Interactions {
+			p.perType[name] = &TypeStats{}
+		}
+		sys.pods[r] = p
+	}
+	if lay.dbLast {
+		declareDB()
 	}
 
-	app := whodunit.NewApp("tpcw",
-		whodunit.WithMode(cfg.Mode),
-		whodunit.WithCrosstalk(classify))
-	squidSt := app.Stage("squid", whodunit.StageCPU(1))
-	tomcatSt := app.Stage("tomcat", whodunit.StageCPU(2))
-	mysqlSt := app.Stage("mysql", whodunit.StageCPU(1))
-	s := app.Sim()
-
-	res := &Result{
-		Config:        cfg,
-		Crosstalk:     app.Crosstalk(),
-		SquidProf:     squidSt.Profiler(),
-		TomcatProf:    tomcatSt.Profiler(),
-		MySQLProf:     mysqlSt.Profiler(),
-		PerType:       make(map[string]*TypeStats),
-		DBShare:       make(map[string]float64),
-		MeanCrosstalk: make(map[string]whodunit.Duration),
+	// MySQL tier, on domain 0: schema, data, and workers executing
+	// queries. The reply reuses the incoming envelope, whose dbReply
+	// names the issuing Tomcat worker.
+	mysqlSt := sys.mysqlSt
+	db := minidb.New(app.Sim(), "mysql", mysqlSt.CPU())
+	if mon := app.Crosstalk(); mon != nil {
+		db.SetLockObserver(mon)
 	}
-	for _, name := range workload.Interactions {
-		res.PerType[name] = &TypeStats{}
-	}
-
-	// Database schema and data.
-	db := minidb.New(s, "mysql", mysqlSt.CPU())
-	db.SetLockObserver(app.Crosstalk())
 	item, orderLine, customer, orders, author := loadTables(db, cfg.ItemEngine, cfg.Seed)
-
-	// Queues between tiers.
-	squidQ := app.NewQueue("squid-in")
-	tomcatQ := app.NewQueue("tomcat-in")
-	mysqlQ := app.NewQueue("mysql-in")
-
-	squidEP := squidSt.Endpoint()
-	tomcatEP := tomcatSt.Endpoint()
+	mysqlQ := app.NewQueueOn(0, "mysql-in")
 	mysqlEP := mysqlSt.Endpoint()
-	res.SquidEP, res.TomcatEP, res.MySQLEP = squidEP, tomcatEP, mysqlEP
-
-	countMsg := func(m whodunit.Msg, appBytes int64) {
-		res.CtxtBytes += int64(m.Chain.WireSize())
-		res.AppBytes += appBytes
-	}
-
-	// MySQL tier: workers execute queries. The reply reuses the incoming
-	// envelope: its replyQ already names the issuing Tomcat worker.
 	for w := 0; w < cfg.DBWorkers; w++ {
 		mysqlSt.Go(fmt.Sprintf("mysqld-%d", w), func(th *whodunit.Thread, pr *whodunit.Probe) {
 			for {
@@ -257,16 +378,11 @@ func build(cfg Config) *system {
 					execQuery(db, pr, q, item, orderLine, customer, orders, author)
 				}()
 				req.msg = mysqlEP.Send(pr, nil)
-				countMsg(req.msg, 256)
-				req.replyQ.Put(req)
+				sys.dbBytes.count(req.msg, 256)
+				req.dbReply(req)
 			}
 		})
 	}
-
-	// Servlet-side result caches (clause 6.3.3.1).
-	type cacheEntry struct{ until whodunit.Time }
-	bestSellersCache := make(map[int64]cacheEntry)
-	searchCache := make(map[int64]cacheEntry)
 
 	// Servlet frame names, precomputed: "servlet_" + interaction concat
 	// on the request path was a per-request allocation.
@@ -274,133 +390,194 @@ func build(cfg Config) *system {
 	for _, name := range workload.Interactions {
 		servletFrame[name] = "servlet_" + name
 	}
+	for r, p := range sys.pods {
+		sys.startPod(r, p, mysqlQ, servletFrame)
+	}
+	return sys
+}
+
+// startPod starts pod r's threads: tomcat workers, squid workers, then
+// the pod's share of the clients.
+func (sys *system) startPod(r int, p *pod, mysqlQ *whodunit.Queue, servletFrame map[string]string) {
+	cfg, app := sys.cfg, sys.app
+	d := podDomain(r)
+	tomcatEP := p.tomcatSt.Endpoint()
+
+	// The pod's one request link into the shared database.
+	toDB := sys.connect(d, mysqlQ)
+
+	// Servlet-side result caches (clause 6.3.3.1), each app server's its
+	// own: cached interaction -> subject -> expiry.
+	caches := map[string]map[int64]whodunit.Time{}
+	if cfg.ServletCaching {
+		caches[workload.BestSellers] = map[int64]whodunit.Time{}
+		caches[workload.SearchResult] = map[int64]whodunit.Time{}
+	}
 
 	// Tomcat tier: servlets.
 	for w := 0; w < cfg.TomcatWorkers; w++ {
-		tomcatSt.Go(fmt.Sprintf("tomcat-%d", w), func(th *whodunit.Thread, pr *whodunit.Probe) {
-			replyQ := app.NewQueue(th.Name + "-reply")
+		// The worker's reply queue and its return link from the database,
+		// declared before the run starts (cross-domain links must exist
+		// before the epoch loop arms).
+		replyQ := app.NewQueueOn(d, fmt.Sprintf("%s-%d-reply", sys.lay.name("tomcat", r), w))
+		fromDB := sys.connect(0, replyQ)
+		p.tomcatSt.Go(fmt.Sprintf("tomcat-%d", w), func(th *whodunit.Thread, pr *whodunit.Probe) {
 			for {
-				req := tomcatQ.Get(th).(*request)
+				req := p.tomcatQ.Get(th).(*request)
 				tomcatEP.Recv(pr, req.msg)
-				wr := req.web
+				wr := req.q
 				upstream := req.replyQ
 				func() {
 					defer pr.Exit(pr.Enter(servletFrame[wr.interaction]))
 					pr.ComputeN(2*whodunit.Millisecond, 400) // servlet + page generation
 
-					needDB := true
-					if cfg.ServletCaching {
-						switch wr.interaction {
-						case workload.BestSellers:
-							if e, ok := bestSellersCache[wr.subject]; ok && th.Now() < e.until {
-								needDB = false
-							}
-						case workload.SearchResult:
-							if e, ok := searchCache[wr.subject]; ok && th.Now() < e.until {
-								needDB = false
-							}
-						}
-					}
-					if needDB {
+					cache := caches[wr.interaction] // nil: not a cached interaction
+					if until, ok := cache[wr.subject]; !ok || th.Now() >= until {
 						func() {
 							defer pr.Exit(pr.Enter("db_rpc"))
 							req.msg = tomcatEP.Send(pr, nil)
-							chainName[chainKeyOf(req.msg.Chain)] = wr.interaction
-							countMsg(req.msg, 512)
-							req.q = dbQuery{interaction: wr.interaction, subject: wr.subject, itemID: wr.itemID}
-							req.replyQ = replyQ
-							mysqlQ.Put(req)
+							p.chains[chainKeyOf(req.msg.Chain)] = wr.interaction
+							p.bytes.count(req.msg, 512)
+							req.dbReply = fromDB
+							toDB(req)
 							resp := replyQ.Get(th).(*request)
 							tomcatEP.Recv(pr, resp.msg)
 						}()
-						if cfg.ServletCaching {
-							switch wr.interaction {
-							case workload.BestSellers:
-								bestSellersCache[wr.subject] = cacheEntry{until: th.Now().Add(30 * whodunit.Second)}
-							case workload.SearchResult:
-								searchCache[wr.subject] = cacheEntry{until: th.Now().Add(30 * whodunit.Second)}
-							}
+						if cache != nil {
+							cache[wr.subject] = th.Now().Add(30 * whodunit.Second)
 						}
 					}
 					pr.ComputeN(whodunit.Millisecond, 200) // response rendering
 				}()
 				req.msg = tomcatEP.Send(pr, nil)
-				countMsg(req.msg, 8192)
+				p.bytes.count(req.msg, 8192)
 				req.replyQ = nil
 				upstream.Put(req)
 			}
 		})
 	}
 
-	// Squid front tier: pass-through for dynamic content.
-	for w := 0; w < 4; w++ {
-		squidSt.Go(fmt.Sprintf("squid-%d", w), func(th *whodunit.Thread, pr *whodunit.Probe) {
-			replyQ := app.NewQueue(th.Name + "-reply")
-			for {
-				req := squidQ.Get(th).(*request)
-				squidEP.Recv(pr, req.msg)
-				upstream := req.replyQ
-				func() {
-					defer pr.Exit(pr.Enter("forward_dynamic"))
-					pr.Compute(300 * whodunit.Microsecond)
-					req.msg = squidEP.Send(pr, nil)
-					countMsg(req.msg, 512)
-					req.replyQ = replyQ
-					tomcatQ.Put(req)
-					resp := replyQ.Get(th).(*request)
-					squidEP.Recv(pr, resp.msg)
-					pr.Compute(200 * whodunit.Microsecond)
-				}()
-				req.msg = squidEP.Send(pr, nil)
-				countMsg(req.msg, 8192)
-				req.replyQ = nil
-				upstream.Put(req)
-			}
-		})
+	// Squid front tier: pass-through for dynamic content. The workers are
+	// run-to-completion coroutines (the Stage.GoCoro showcase): the hot
+	// path — dequeue, forward to Tomcat, await the response, reply
+	// upstream — runs as direct continuation calls on the domain's
+	// dispatcher, with CPU demand charged through Probe.ComputeStep.
+	squidEP := p.squidSt.Endpoint()
+	for w := 0; w < cfg.SquidWorkers; w++ {
+		name := fmt.Sprintf("squid-%d", w)
+		sw := &squid{pod: p, ep: squidEP, replyQ: app.NewQueueOn(d, name+"-reply")}
+		sw.recvF, sw.fwdF, sw.respF, sw.doneF = sw.recv, sw.fwd, sw.resp, sw.done
+		p.squidSt.GoCoro(name, sw.begin)
 	}
 
-	// Clients: closed loop with think times. The clients are the load
-	// generator, not part of the profiled application, so they run as
-	// raw simulator threads outside any stage (and carry no probes) —
-	// and as run-to-completion coroutines, so a client costs a small
-	// struct rather than a goroutine stack, and each of its blocking
-	// operations costs a continuation call rather than a channel
-	// hand-off. The program performs exactly the operations of the old
-	// goroutine loop, in the same order, so the output is bit-identical.
-	end := whodunit.Time(cfg.Duration)
-	for c := 0; c < cfg.Clients; c++ {
+	// Clients: closed loop with think times; c % pods is the load
+	// balancer, and the global index c keeps the RNG streams
+	// layout-independent. The clients are the load generator, not part of
+	// the profiled application, so they run as raw simulator threads
+	// outside any stage (and carry no probes) — and as run-to-completion
+	// coroutines, which is what makes a 10^5-client closed loop
+	// affordable: a client costs one small struct rather than a goroutine
+	// stack, and each of its blocking operations a continuation call
+	// rather than a thread switch.
+	think := cfg.ThinkMean
+	if think == 0 {
+		think = 7 * whodunit.Second
+	}
+	mixWeights := cfg.Mix
+	if mixWeights == nil {
+		mixWeights = workload.BrowsingMix
+	}
+	for c := r; c < cfg.Clients; c += len(sys.pods) {
 		mix := workload.NewMixSampler(cfg.Seed+uint64(c)*7919, mixWeights)
 		mix.SetThinkMean(think)
-		crng := vclock.NewRNG(cfg.Seed + uint64(c)*104729)
+		name := fmt.Sprintf("client-%d", c)
+		// The client's one envelope, reused for every request (see
+		// request): it comes back on replyQ at the end of each round
+		// trip, so reusing it never races with a tier.
 		cl := &client{
-			app: app, squidQ: squidQ, mix: mix, crng: crng,
-			end: end, think: think, res: res,
+			pod: p, replyQ: app.NewQueueOn(d, name+"-reply"), env: &request{},
+			mix: mix, crng: vclock.NewRNG(cfg.Seed + uint64(c)*104729),
+			end: whodunit.Time(cfg.Duration), think: think,
 		}
 		// Continuations are bound once here, so the steady-state loop
 		// allocates nothing.
 		cl.issueF, cl.replyF = cl.issue, cl.reply
-		s.GoCoro(fmt.Sprintf("client-%d", c), cl.begin)
+		app.GoCoroShard(d, name, cl.begin)
 	}
+}
 
-	return &system{app: app, res: res, end: end, chainName: chainName}
+// squid is one Squid front-tier worker as a run-to-completion state
+// machine: recv (dequeue a request, open the forward_dynamic frame,
+// charge the forward cost) → fwd (send to Tomcat, await its reply) →
+// resp (charge the response cost) → done (close the frame, reply
+// upstream, go back to the input queue). The probe frame opened in recv
+// stays open across the Tomcat round trip, like a deferred Exit would.
+type squid struct {
+	pod    *pod
+	ep     *whodunit.Endpoint
+	pr     *whodunit.Probe
+	replyQ *whodunit.Queue
+
+	req      *request
+	upstream *whodunit.Queue
+	tok      int // forward_dynamic frame token
+
+	recvF, fwdF, respF, doneF whodunit.Frame
+}
+
+func (sw *squid) begin(_ *whodunit.Thread, pr *whodunit.Probe) whodunit.Frame {
+	sw.pr = pr
+	return sw.idle
+}
+
+func (sw *squid) idle(c *whodunit.Coro, _ any) whodunit.Step {
+	return c.Get(sw.pod.squidQ.Raw(), sw.recvF)
+}
+
+func (sw *squid) recv(c *whodunit.Coro, v any) whodunit.Step {
+	sw.req = sw.pod.squidQ.Check(v).(*request)
+	sw.ep.Recv(sw.pr, sw.req.msg)
+	sw.upstream = sw.req.replyQ
+	sw.tok = sw.pr.Enter("forward_dynamic")
+	return sw.pr.ComputeStep(c, 300*whodunit.Microsecond, sw.fwdF)
+}
+
+func (sw *squid) fwd(c *whodunit.Coro, _ any) whodunit.Step {
+	sw.req.msg = sw.ep.Send(sw.pr, nil)
+	sw.pod.bytes.count(sw.req.msg, 512)
+	sw.req.replyQ = sw.replyQ
+	sw.pod.tomcatQ.Put(sw.req)
+	return c.Get(sw.replyQ.Raw(), sw.respF)
+}
+
+func (sw *squid) resp(c *whodunit.Coro, v any) whodunit.Step {
+	resp := sw.replyQ.Check(v).(*request)
+	sw.ep.Recv(sw.pr, resp.msg)
+	return sw.pr.ComputeStep(c, 200*whodunit.Microsecond, sw.doneF)
+}
+
+func (sw *squid) done(c *whodunit.Coro, _ any) whodunit.Step {
+	sw.pr.Exit(sw.tok)
+	sw.req.msg = sw.ep.Send(sw.pr, nil)
+	sw.pod.bytes.count(sw.req.msg, 8192)
+	sw.req.replyQ = nil
+	sw.upstream.Put(sw.req)
+	return c.Get(sw.pod.squidQ.Raw(), sw.recvF)
 }
 
 // client is the run-to-completion state machine of one closed-loop
-// client: begin (create the reply queue and envelope, desynchronise) →
-// issue (draw an interaction, put the envelope to Squid, await the
-// reply) → reply (account the round trip, think) → issue → ... Every
-// mutable of the old goroutine body is a field; the frame continuations
+// client: begin (desynchronise) → issue (draw an interaction, put the
+// envelope to Squid, await the reply) → reply (account the round trip,
+// think) → issue → ... Every mutable is a field; the frame continuations
 // are bound once at construction.
 type client struct {
-	app    *whodunit.App
-	squidQ *whodunit.Queue
+	pod    *pod
 	replyQ *whodunit.Queue
 	env    *request
 	mix    *workload.MixSampler
 	crng   *whodunit.RNG
 	end    whodunit.Time
 	think  whodunit.Duration
-	res    *Result
 
 	name  string        // interaction in flight
 	start whodunit.Time // round-trip start
@@ -409,11 +586,6 @@ type client struct {
 }
 
 func (cl *client) begin(c *whodunit.Coro, _ any) whodunit.Step {
-	cl.replyQ = cl.app.NewQueue(c.Thread().Name + "-reply")
-	// The client's one envelope, reused for every request (see
-	// request). It comes back on replyQ at the end of each round trip,
-	// so reusing it here never races with a tier.
-	cl.env = &request{}
 	// Desynchronised start.
 	return c.Sleep(whodunit.Duration(cl.crng.Intn(int(cl.think))), cl.issueF)
 }
@@ -424,14 +596,14 @@ func (cl *client) issue(c *whodunit.Coro, _ any) whodunit.Step {
 	}
 	cl.name = cl.mix.Next()
 	cl.env.msg = whodunit.Msg{}
-	cl.env.web = webReq{
+	cl.env.q = query{
 		interaction: cl.name,
 		subject:     int64(cl.crng.Intn(24)),
 		itemID:      int64(cl.crng.Intn(10000)),
 	}
 	cl.env.replyQ = cl.replyQ
 	cl.start = c.Now()
-	cl.squidQ.Put(cl.env)
+	cl.pod.squidQ.Put(cl.env)
 	return c.Get(cl.replyQ.Raw(), cl.replyF)
 }
 
@@ -440,52 +612,77 @@ func (cl *client) reply(c *whodunit.Coro, v any) whodunit.Step {
 	if c.Now() >= cl.end {
 		return c.End()
 	}
-	st := cl.res.PerType[cl.name]
+	st := cl.pod.perType[cl.name]
 	st.Count++
 	st.TotalResp += c.Now().Sub(cl.start)
-	cl.res.Completed++
+	cl.pod.completed++
 	return c.Sleep(cl.mix.ThinkTime(), cl.issueF)
 }
 
-// finish drives the built system to its configured end, shuts it down
-// and computes the result metrics.
+// finish drives the built system to its layout's end — Duration, or the
+// last in-flight reply once the clients stop issuing at Duration and
+// the stage workers park on empty queues — shuts it down, merges the
+// pods and computes the result metrics.
 func (sys *system) finish() *Result {
-	res, chainName := sys.res, sys.chainName
-	s := sys.app.Sim()
-	rep := sys.app.RunUntil(func() bool { return s.Now() >= sys.end })
-	res.Report = rep
-	res.Elapsed = rep.Elapsed
+	var stop func() bool // nil: drain
+	if !sys.lay.drain {
+		s, end := sys.app.Sim(), whodunit.Time(sys.cfg.Duration)
+		stop = func() bool { return s.Now() >= end }
+	}
+	rep := sys.app.RunUntil(stop)
 
+	res := &Result{
+		Config:        sys.cfg,
+		Report:        rep,
+		Crosstalk:     sys.app.Crosstalk(),
+		Elapsed:       rep.Elapsed,
+		PerType:       make(map[string]*TypeStats),
+		DBShare:       make(map[string]float64),
+		MeanCrosstalk: make(map[string]whodunit.Duration),
+		AppBytes:      sys.dbBytes.app,
+		CtxtBytes:     sys.dbBytes.ctxt,
+		Epochs:        sys.app.EpochStats(),
+	}
+	for _, name := range workload.Interactions {
+		res.PerType[name] = &TypeStats{}
+	}
+	for _, p := range sys.pods {
+		res.Completed += p.completed
+		res.AppBytes += p.bytes.app
+		res.CtxtBytes += p.bytes.ctxt
+		for name, st := range p.perType {
+			res.PerType[name].Count += st.Count
+			res.PerType[name].TotalResp += st.TotalResp
+		}
+	}
 	if res.Elapsed > 0 {
 		res.ThroughputPerMin = float64(res.Completed) / res.Elapsed.Seconds() * 60
 	}
 
 	// Table 1 column 1: MySQL CPU share per interaction, from the
 	// database profiler's per-context trees resolved via the chain
-	// registry.
-	total := res.MySQLProf.TotalSamples()
-	if total > 0 {
-		for _, e := range res.MySQLProf.Entries() {
-			name, ok := chainName[chainKeyOf(e.Ctxt.Prefix)]
-			if !ok {
-				continue
+	// registries.
+	mysql := sys.mysqlSt.Profiler()
+	if total := mysql.TotalSamples(); total > 0 {
+		for _, e := range mysql.Entries() {
+			if name, ok := sys.interaction(e.Ctxt); ok {
+				res.DBShare[name] += float64(e.Tree.Total()) / float64(total)
 			}
-			res.DBShare[name] += float64(e.Tree.Total()) / float64(total)
 		}
 	}
 	// Table 1 column 2: mean crosstalk wait per interaction instance.
-	for _, name := range workload.Interactions {
-		totalWait, _ := res.Crosstalk.WaitTotal(name)
-		if n := res.PerType[name].Count; n > 0 {
-			res.MeanCrosstalk[name] = totalWait / whodunit.Duration(n)
+	if res.Crosstalk != nil {
+		for _, name := range workload.Interactions {
+			totalWait, _ := res.Crosstalk.WaitTotal(name)
+			if n := res.PerType[name].Count; n > 0 {
+				res.MeanCrosstalk[name] = totalWait / whodunit.Duration(n)
+			}
 		}
 	}
 	return res
 }
 
-// loadTables creates and populates the TPC-W schema on db, shared by the
-// single-pod model and the mega-scale replicated model so that both load
-// bit-identical data for a given seed.
+// loadTables creates and populates the TPC-W schema on db.
 func loadTables(db *minidb.DB, itemEngine minidb.Engine, seed uint64) (item, orderLine, customer, orders, author *minidb.Table) {
 	rng := vclock.NewRNG(seed ^ 0x5eed)
 	item = db.CreateTable("item", itemEngine)
@@ -516,7 +713,7 @@ func loadTables(db *minidb.DB, itemEngine minidb.Engine, seed uint64) (item, ord
 // execQuery performs the per-interaction database work. Row volumes are
 // calibrated so the browsing mix reproduces Table 1's CPU split (heavy
 // BestSellers/SearchResult, heavyweight-but-rare AdminConfirm).
-func execQuery(db *minidb.DB, pr *whodunit.Probe, q dbQuery,
+func execQuery(db *minidb.DB, pr *whodunit.Probe, q query,
 	item, orderLine, customer, orders, author *minidb.Table) {
 	switch q.interaction {
 	case workload.BestSellers:

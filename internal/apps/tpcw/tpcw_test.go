@@ -1,6 +1,8 @@
 package tpcw
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"whodunit/internal/minidb"
@@ -133,7 +135,36 @@ func TestGprofCostlierThanWhodunit(t *testing.T) {
 
 func TestDeterministic(t *testing.T) {
 	a, b := Run(shortConfig(30)), Run(shortConfig(30))
-	if a.Completed != b.Completed || a.MySQLProf.TotalSamples() != b.MySQLProf.TotalSamples() {
+	if a.Completed != b.Completed || a.Report.TotalSamples() != b.Report.TotalSamples() {
 		t.Fatalf("runs diverged: %d vs %d", a.Completed, b.Completed)
+	}
+}
+
+// TestBuildRejectsBadConfig: every out-of-range Config field is rejected
+// where the run is built, with a message naming the package and the
+// field — not by a run that "finishes" with nothing completed.
+func TestBuildRejectsBadConfig(t *testing.T) {
+	for _, tc := range []struct {
+		field  string
+		mutate func(*Config)
+	}{
+		{"Clients", func(c *Config) { c.Clients = 0 }},
+		{"TomcatWorkers", func(c *Config) { c.TomcatWorkers = 0 }},
+		{"SquidWorkers", func(c *Config) { c.SquidWorkers = 0 }},
+		{"DBWorkers", func(c *Config) { c.DBWorkers = -2 }},
+		{"Replicas", func(c *Config) { c.Replicas = -1 }},
+	} {
+		cfg := shortConfig(10)
+		tc.mutate(&cfg)
+		func() {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if !strings.HasPrefix(msg, "tpcw: ") || !strings.Contains(msg, tc.field) {
+					t.Errorf("bad %s: Run panicked with %q, want a tpcw: message naming it", tc.field, msg)
+				}
+			}()
+			Run(cfg)
+			t.Errorf("bad %s: Run did not panic", tc.field)
+		}()
 	}
 }

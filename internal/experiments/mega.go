@@ -59,7 +59,7 @@ type MegaRow struct {
 	Replicas    int
 	SerialSec   float64
 	ShardedSec  float64
-	Speedup     float64
+	Speedup     float64 // serial/sharded wall time; 0 when a side ran under minTimedSec
 	Identical   bool
 	Epochs      uint64  // epoch windows the sharded run went through
 	MeanActive  float64 // domains with an event inside a window, mean over epochs
@@ -90,10 +90,27 @@ func identicalReports(a, b *whodunit.Report) bool {
 	return bytes.Equal(ja.Bytes(), jb.Bytes())
 }
 
-// compare fills the speedup column and the sharded run's epoch columns.
-func (row *MegaRow) compare(serialSec, shardedSec float64, st whodunit.EpochStats) {
-	if shardedSec > 0 {
-		row.Speedup = serialSec / shardedSec
+// minTimedSec is the shortest wall time a speedup is computed from:
+// below it the two sides differ by scheduler and timer noise, not by
+// the work (the quick sweep's runs take 0.00–0.02 s).
+const minTimedSec = 0.05
+
+// measure runs one model serial, then sharded, timing each, and fills
+// the row's timing, identity and epoch columns. run builds and runs the
+// layout and returns its completed count, report and epoch counters.
+// Speedup stays 0 (rendered n/a) when either side ran too briefly to
+// time.
+func (row *MegaRow) measure(run func(sharded bool) (int64, *whodunit.Report, whodunit.EpochStats)) {
+	start := time.Now()
+	serialN, serialRep, _ := run(false)
+	row.SerialSec = time.Since(start).Seconds()
+	start = time.Now()
+	shardedN, shardedRep, st := run(true)
+	row.ShardedSec = time.Since(start).Seconds()
+
+	row.Identical = serialN == shardedN && identicalReports(serialRep, shardedRep)
+	if row.SerialSec >= minTimedSec && row.ShardedSec >= minTimedSec {
+		row.Speedup = row.SerialSec / row.ShardedSec
 	}
 	row.Epochs = st.Epochs
 	if st.Epochs > 0 {
@@ -103,35 +120,24 @@ func (row *MegaRow) compare(serialSec, shardedSec float64, st whodunit.EpochStat
 }
 
 func megaTPCWRow(sw MegaSweep, clients int) MegaRow {
-	cfg := tpcw.DefaultMegaConfig(clients)
-	cfg.Replicas = sw.Replicas
-	cfg.Duration = sw.Duration
-	cfg.ThinkMean = sw.Think
-	run := func(sharded bool) (*tpcw.MegaResult, float64) {
-		c := cfg
-		c.Sharded = sharded
-		start := time.Now()
-		r := tpcw.MegaRun(c)
-		return r, time.Since(start).Seconds()
-	}
-	serial, serialSec := run(false)
-	sharded, shardedSec := run(true)
-	row := MegaRow{
-		App:        "tpcw-mega",
-		Clients:    clients,
-		Replicas:   sw.Replicas,
-		SerialSec:  serialSec,
-		ShardedSec: shardedSec,
-		Identical:  serial.Completed == sharded.Completed && identicalReports(serial.Report, sharded.Report),
-		Completed:  sharded.Completed,
-		PerMin:     sharded.ThroughputPerMin,
-	}
-	row.compare(serialSec, shardedSec, sharded.Epochs)
+	row := MegaRow{App: "tpcw-mega", Clients: clients, Replicas: sw.Replicas}
+	var res *tpcw.Result // the last run's: the sharded one, once measured
+	row.measure(func(sharded bool) (int64, *whodunit.Report, whodunit.EpochStats) {
+		cfg := tpcw.DefaultConfig(clients)
+		cfg.Replicas = sw.Replicas
+		cfg.Sharded = sharded
+		cfg.Duration = sw.Duration
+		cfg.ThinkMean = sw.Think
+		res = tpcw.Run(cfg)
+		return res.Completed, res.Report, res.Epochs
+	})
+	row.Completed = res.Completed
+	row.PerMin = res.ThroughputPerMin
 	var count int64
 	var resp vclock.Duration
 	for _, name := range workload.Interactions {
-		count += sharded.PerType[name].Count
-		resp += sharded.PerType[name].TotalResp
+		count += res.PerType[name].Count
+		resp += res.PerType[name].TotalResp
 	}
 	if count > 0 {
 		row.MeanRespMs = (resp / vclock.Duration(count)).Millis()
@@ -143,29 +149,21 @@ func megaMeshRow(sw MegaSweep, events int) MegaRow {
 	g := trace.CacheTrace()
 	g.Events = events
 	tr := trace.Gen(g)
-	run := func(sharded bool) (*meshkv.MegaResult, float64) {
-		cfg := meshkv.DefaultMegaConfig(tr)
+	row := MegaRow{App: "mesh-mega", Clients: events, Replicas: sw.Replicas}
+	var res *meshkv.Result // the last run's: the sharded one, once measured
+	row.measure(func(sharded bool) (int64, *whodunit.Report, whodunit.EpochStats) {
+		cfg := meshkv.DefaultConfig(tr)
+		cfg.Name = "meshkv-mega"
 		cfg.Replicas = sw.Replicas
 		cfg.Sharded = sharded
-		start := time.Now()
-		r := meshkv.MegaRun(cfg)
-		return r, time.Since(start).Seconds()
-	}
-	serial, serialSec := run(false)
-	sharded, shardedSec := run(true)
-	row := MegaRow{
-		App:        "mesh-mega",
-		Clients:    events,
-		Replicas:   sw.Replicas,
-		SerialSec:  serialSec,
-		ShardedSec: shardedSec,
-		Identical:  serial.Completed == sharded.Completed && identicalReports(serial.Report, sharded.Report),
-		Completed:  sharded.Completed,
-		PerMin:     sharded.ThroughputRPS * 60,
-	}
-	row.compare(serialSec, shardedSec, sharded.Epochs)
-	if n := sharded.Gets.Count + sharded.Sets.Count; n > 0 {
-		row.MeanRespMs = ((sharded.Gets.TotalLatency + sharded.Sets.TotalLatency) / vclock.Duration(n)).Millis()
+		cfg.Shards = 2
+		res = meshkv.Run(cfg)
+		return res.Completed, res.Report, res.Epochs
+	})
+	row.Completed = res.Completed
+	row.PerMin = res.ThroughputRPS * 60
+	if n := res.Gets.Count + res.Sets.Count; n > 0 {
+		row.MeanRespMs = ((res.Gets.TotalLatency + res.Sets.TotalLatency) / vclock.Duration(n)).Millis()
 	}
 	return row
 }
@@ -191,9 +189,13 @@ func (r MegaScaleResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "%-10s %9s %9s %10s %11s %8s %10s %12s %9s %9s %7s %8s\n",
 		"app", "clients", "replicas", "serial(s)", "sharded(s)", "speedup", "identical", "tx/min", "resp(ms)", "epochs", "active", "fan-out")
 	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%-10s %9d %9d %10.2f %11.2f %7.2fx %10v %12.0f %9.1f %9d %7.2f %7.1f%%\n",
+		speedup := "n/a" // runs too short to time, see minTimedSec
+		if row.Speedup > 0 {
+			speedup = fmt.Sprintf("%.2fx", row.Speedup)
+		}
+		fmt.Fprintf(w, "%-10s %9d %9d %10.2f %11.2f %8s %10v %12.0f %9.1f %9d %7.2f %7.1f%%\n",
 			row.App, row.Clients, row.Replicas, row.SerialSec, row.ShardedSec,
-			row.Speedup, row.Identical, row.PerMin, row.MeanRespMs,
+			speedup, row.Identical, row.PerMin, row.MeanRespMs,
 			row.Epochs, row.MeanActive, 100*row.FanOutShare)
 	}
 	fmt.Fprintln(w, "(active: mean domains with an event inside an epoch window; fan-out: share of epochs heavy enough to leave the calling")

@@ -7,8 +7,8 @@ import (
 	"whodunit/internal/trace"
 )
 
-// Mega scenarios: the replicated mega-scale deployments (tpcw.MegaRun,
-// meshkv.MegaRun) at corpus scale, each registered twice — sharded (one
+// Mega scenarios: the replicated layouts of the tpcw and meshkv models
+// (Config.Replicas > 0) at corpus scale, each registered twice — sharded (one
 // time domain per pod) and serial (identical topology on one domain).
 // The two members of a pair are built from the same config except the
 // Sharded flag, and their goldens are byte-identical files: the corpus
@@ -17,8 +17,8 @@ import (
 
 // tpcwMegaConfig is the corpus-scale replicated TPC-W: 24 clients over
 // three pods with fast think times so the run stays test-suite sized.
-func tpcwMegaConfig(p Params, sharded bool) tpcw.MegaConfig {
-	cfg := tpcw.DefaultMegaConfig(24)
+func tpcwMegaConfig(p Params, sharded bool) tpcw.Config {
+	cfg := tpcw.DefaultConfig(24)
 	cfg.Replicas = 3
 	cfg.Sharded = sharded
 	cfg.Duration = 4 * whodunit.Second
@@ -36,7 +36,7 @@ func tpcwMegaScenario(name, about string, sharded bool) Scenario {
 		Name: name, About: about,
 		Defaults: Params{Seed: 1, Mode: whodunit.ModeWhodunit},
 		Make: func(p Params) *whodunit.Report {
-			return tpcw.MegaRun(tpcwMegaConfig(p, sharded)).Report
+			return tpcw.Run(tpcwMegaConfig(p, sharded)).Report
 		},
 	}
 }
@@ -44,12 +44,14 @@ func tpcwMegaScenario(name, about string, sharded bool) Scenario {
 // meshMegaConfig is the corpus-scale replicated mesh: a 600-event cache
 // trace fanned across four pods by key hash. The app name is fixed so
 // the sharded and serial reports stay byte-identical.
-func meshMegaConfig(p Params, sharded bool) meshkv.MegaConfig {
+func meshMegaConfig(p Params, sharded bool) meshkv.Config {
 	g := trace.CacheTrace()
 	g.Events = 600
 	g.Seed = p.Seed
-	cfg := meshkv.DefaultMegaConfig(trace.Gen(g))
+	cfg := meshkv.DefaultConfig(trace.Gen(g))
 	cfg.Name = "mesh-mega"
+	cfg.Replicas = 4
+	cfg.Shards = 2
 	cfg.Mode = p.Mode
 	cfg.Seed = p.Seed
 	cfg.Sharded = sharded
@@ -61,7 +63,7 @@ func meshMegaScenario(name, about string, sharded bool) Scenario {
 		Name: name, About: about,
 		Defaults: Params{Seed: 5, Mode: whodunit.ModeWhodunit},
 		Make: func(p Params) *whodunit.Report {
-			return meshkv.MegaRun(meshMegaConfig(p, sharded)).Report
+			return meshkv.Run(meshMegaConfig(p, sharded)).Report
 		},
 	}
 }

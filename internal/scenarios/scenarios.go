@@ -139,14 +139,7 @@ func tpcwScenario(name, about string, defaults Params, clients int, duration who
 			cfg.Duration = duration
 			cfg.Mode = p.Mode
 			cfg.Seed = p.Seed
-			res := tpcw.Run(cfg)
-			rep := whodunit.NewReport("tpcw",
-				whodunit.NewStageReport(res.SquidProf, res.SquidEP),
-				whodunit.NewStageReport(res.TomcatProf, res.TomcatEP),
-				whodunit.NewStageReport(res.MySQLProf, res.MySQLEP))
-			rep.Elapsed = res.Elapsed
-			rep.Crosstalk = res.Crosstalk.Pairs()
-			return rep
+			return tpcw.Run(cfg).Report
 		},
 	}
 }
