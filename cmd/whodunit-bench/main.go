@@ -12,7 +12,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -20,44 +19,13 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"time"
 
 	"whodunit/internal/cmdutil"
 	"whodunit/internal/experiments"
 )
 
-// benchSnapshot is the -benchjson output: the run's wall-clock headline
-// per experiment, for tracking the harness's performance trajectory
-// across changes (BENCH_*.json files in the repo root).
-type benchSnapshot struct {
-	Schema       string           `json:"schema"`
-	Quick        bool             `json:"quick"`
-	Workers      int              `json:"workers"` // 0 = GOMAXPROCS
-	GOMAXPROCS   int              `json:"gomaxprocs"`
-	HostCPUs     int              `json:"host_cpus"`
-	Experiments  []benchExpSnap   `json:"experiments"`
-	Switch       *benchSwitchSnap `json:"switch,omitempty"`
-	TotalSeconds float64          `json:"total_seconds"`
-}
-
-// benchSwitchSnap is the switchcost experiment's headline, carried in
-// the snapshot so the scheduler's hand-off cost is tracked across
-// changes alongside wall-clock times. The "goroutine" row keeps its
-// JSON name from when those threads were goroutines; since PR 12 it
-// measures coroutine-backed (iter.Pull) threads.
-type benchSwitchSnap struct {
-	CoroNsPerSwitch      float64 `json:"coro_ns_per_switch"`
-	GoroutineNsPerSwitch float64 `json:"goroutine_ns_per_switch"`
-	Ratio                float64 `json:"ratio"`
-}
-
-type benchExpSnap struct {
-	Name    string  `json:"name"`
-	Seconds float64 `json:"seconds"`
-}
-
 var experimentNames = []string{
-	"validate", "fig8", "fig9", "fig10", "table1", "fig11", "fig12", "table2", "table3", "overheads", "mesh", "megascale", "switchcost",
+	"validate", "fig8", "fig9", "fig10", "table1", "fig11", "fig12", "table2", "table3", "overheads", "mesh", "megascale",
 }
 
 func main() { os.Exit(run()) }
@@ -66,7 +34,6 @@ func run() int {
 	quick := flag.Bool("quick", false, "reduced-scale run")
 	only := flag.String("only", "", "run a single experiment: "+strings.Join(experimentNames, "|"))
 	workers := flag.Int("workers", 0, "max concurrent experiment runs (0 = GOMAXPROCS, 1 = serial)")
-	benchjson := flag.String("benchjson", "", "write per-experiment wall-clock metrics to this JSON file")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile (captured after the run) to this file")
 	mode := cmdutil.ModeFlag()
@@ -129,18 +96,12 @@ func run() int {
 	sc := experiments.FullScale
 	tp := experiments.FullTPCW
 	mg := experiments.FullMega
-	switchRounds := 2_000_000
 	if *quick {
 		sc = experiments.QuickScale
 		tp = experiments.QuickTPCW
 		mg = experiments.QuickMega
-		switchRounds = 300_000
 	}
 	experiments.SetWorkers(*workers)
-
-	// Written by the switchcost job's worker, read only after RunAll's
-	// pool has joined (same discipline as the seconds slice).
-	var switchResult *experiments.SwitchCostResult
 
 	all := []experiments.Job{
 		{Name: "validate", Run: func(w io.Writer) { experiments.FlowValidation().Render(w) }},
@@ -155,11 +116,6 @@ func run() int {
 		{Name: "overheads", Run: func(w io.Writer) { experiments.ServerOverheads(sc).Render(w) }},
 		{Name: "mesh", Run: func(w io.Writer) { experiments.MeshTraffic(sc).Render(w) }},
 		{Name: "megascale", Run: func(w io.Writer) { experiments.MegaScale(mg).Render(w) }},
-		{Name: "switchcost", Run: func(w io.Writer) {
-			r := experiments.SwitchCost(switchRounds)
-			switchResult = &r
-			r.Render(w)
-		}},
 	}
 	jobs := all[:0:0]
 	for _, j := range all {
@@ -167,50 +123,9 @@ func run() int {
 			jobs = append(jobs, j)
 		}
 	}
-	// Wrap each job with wall-clock capture; each element is written by
-	// exactly one worker and read only after RunAll's pool has joined.
-	seconds := make([]float64, len(jobs))
-	for i := range jobs {
-		inner := jobs[i].Run
-		i := i
-		jobs[i].Run = func(w io.Writer) {
-			start := time.Now()
-			inner(w)
-			seconds[i] = time.Since(start).Seconds()
-		}
-	}
-	start := time.Now()
 	if err := experiments.RunAll(os.Stdout, jobs); err != nil {
 		fmt.Fprintf(os.Stderr, "whodunit-bench: %v\n", err)
 		return 1
-	}
-	if *benchjson != "" {
-		snap := benchSnapshot{
-			Schema:       "whodunit-bench/v1",
-			Quick:        *quick,
-			Workers:      *workers,
-			GOMAXPROCS:   runtime.GOMAXPROCS(0),
-			HostCPUs:     runtime.NumCPU(),
-			TotalSeconds: time.Since(start).Seconds(),
-		}
-		for i, j := range jobs {
-			snap.Experiments = append(snap.Experiments, benchExpSnap{Name: j.Name, Seconds: seconds[i]})
-		}
-		if switchResult != nil {
-			snap.Switch = &benchSwitchSnap{
-				CoroNsPerSwitch:      switchResult.Rows[0].NsPerSwitch,
-				GoroutineNsPerSwitch: switchResult.Rows[1].NsPerSwitch,
-				Ratio:                switchResult.Ratio,
-			}
-		}
-		buf, err := json.MarshalIndent(snap, "", "  ")
-		if err == nil {
-			err = os.WriteFile(*benchjson, append(buf, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "whodunit-bench: benchjson: %v\n", err)
-			return 1
-		}
 	}
 	if *memprofile != "" {
 		f, err := os.Create(*memprofile)

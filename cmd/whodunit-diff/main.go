@@ -1,8 +1,8 @@
 // Command whodunit-diff compares two Whodunit reports — the §9
 // regression-hunting workflow ("run A vs run B, explain the delta") as
 // a tool. The two sides are either report JSON files (written with
-// -json by any whodunit command) or fresh runs of corpus scenarios
-// named with -run specs:
+// -json by whodunit-run, whodunit-mesh or whodunit-stitch) or fresh runs
+// of corpus scenarios named with -run specs:
 //
 //	whodunit-diff before.json after.json
 //	whodunit-diff -run apache -run apache:seed=7
@@ -72,17 +72,7 @@ func run(args []string, stdout, stderr io.Writer) (status int) {
 	}
 
 	if *list {
-		// The unified registry: batch scenarios run here via -run; the
-		// serving corpus is listed so one -list shows everything, with a
-		// pointer to the tool that runs it.
-		for _, in := range scenarios.Index() {
-			switch in.Kind {
-			case scenarios.KindBatch:
-				fmt.Fprintf(stdout, "%-24s %s\n", in.Name, in.About)
-			case scenarios.KindServing:
-				fmt.Fprintf(stdout, "%-24s [whodunit-serve] %s\n", in.Name, in.About)
-			}
-		}
+		scenarios.List(stdout, scenarios.KindBatch)
 		return 0
 	}
 

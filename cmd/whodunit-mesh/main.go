@@ -105,29 +105,25 @@ func main() {
 	cfg.Mode = *mode
 
 	res := meshkv.Run(cfg)
-	switch {
-	case *jsonOut:
-		cmdutil.EmitJSON("whodunit-mesh", res.Report)
-		return
-	case *dot:
-		res.Report.DOT(os.Stdout)
-		return
+	if !*jsonOut && !*dot {
+		topology := "standard (frontend → rpc-proxy → kv → db)"
+		if *deep {
+			topology = "deep (frontend → edge-proxy → rpc-proxy → cache-proxy → kv → db-proxy → db)"
+		}
+		fmt.Printf("topology %s, %d shards\n", topology, cfg.Shards)
+		fmt.Printf("replayed %d events in %v virtual: %.0f req/s, %.1f%% cache hits\n",
+			res.Completed, res.Elapsed.Seconds(), res.ThroughputRPS, 100*res.HitRate())
+		fmt.Printf("gets %d (mean %.2f ms), sets %d (mean %.2f ms)\n",
+			res.Gets.Count, res.Gets.MeanLatency().Seconds()*1e3,
+			res.Sets.Count, res.Sets.MeanLatency().Seconds()*1e3)
+		fmt.Printf("shard load:")
+		for i, n := range res.ShardLoad {
+			fmt.Printf(" kv-%d=%d", i, n)
+		}
+		fmt.Printf("\n\n")
 	}
-
-	topology := "standard (frontend → rpc-proxy → kv → db)"
-	if *deep {
-		topology = "deep (frontend → edge-proxy → rpc-proxy → cache-proxy → kv → db-proxy → db)"
+	if err := cmdutil.EmitReport(os.Stdout, res.Report, *jsonOut, *dot, false); err != nil {
+		fmt.Fprintf(os.Stderr, "whodunit-mesh: %v\n", err)
+		os.Exit(1)
 	}
-	fmt.Printf("topology %s, %d shards\n", topology, cfg.Shards)
-	fmt.Printf("replayed %d events in %v virtual: %.0f req/s, %.1f%% cache hits\n",
-		res.Completed, res.Elapsed.Seconds(), res.ThroughputRPS, 100*res.HitRate())
-	fmt.Printf("gets %d (mean %.2f ms), sets %d (mean %.2f ms)\n",
-		res.Gets.Count, res.Gets.MeanLatency().Seconds()*1e3,
-		res.Sets.Count, res.Sets.MeanLatency().Seconds()*1e3)
-	fmt.Printf("shard load:")
-	for i, n := range res.ShardLoad {
-		fmt.Printf(" kv-%d=%d", i, n)
-	}
-	fmt.Printf("\n\n")
-	res.Report.Text(os.Stdout)
 }

@@ -1,0 +1,101 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"whodunit/internal/scenarios"
+)
+
+// runOK runs the tool and returns its stdout, failing on a non-zero
+// status.
+func runOK(t *testing.T, args ...string) []byte {
+	t.Helper()
+	var stdout, stderr bytes.Buffer
+	if got := run(args, &stdout, &stderr); got != 0 {
+		t.Fatalf("run(%v) = %d\nstderr: %s", args, got, stderr.String())
+	}
+	return stdout.Bytes()
+}
+
+// TestOutputMatchesCorpusGoldens: the runner prints exactly what the
+// scenario corpus pins — the text and JSON goldens double as the tool's
+// expected output.
+func TestOutputMatchesCorpusGoldens(t *testing.T) {
+	for _, name := range []string{"apache", "tpcw", "quickstart", "mesh-deep"} {
+		for kind, args := range map[string][]string{"json": {"-json", name}, "text": {name}} {
+			t.Run(name+"/"+kind, func(t *testing.T) {
+				t.Parallel()
+				want, err := os.ReadFile(filepath.Join("..", "..", "internal", "scenarios", "testdata", name+"."+kind+".golden"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := runOK(t, args...); !bytes.Equal(got, want) {
+					t.Fatalf("whodunit-run %v differs from the %s golden (%d bytes vs %d)", args, kind, len(got), len(want))
+				}
+			})
+		}
+	}
+}
+
+func TestGraphAndFoldedForms(t *testing.T) {
+	for _, flag := range []string{"-dot", "-folded"} {
+		a, b := runOK(t, flag, "quickstart"), runOK(t, flag, "quickstart")
+		if len(a) == 0 {
+			t.Errorf("%s quickstart printed nothing", flag)
+		}
+		if !bytes.Equal(a, b) {
+			t.Errorf("%s quickstart differs between two runs", flag)
+		}
+	}
+}
+
+func TestSpecOverridesReachTheScenario(t *testing.T) {
+	if bytes.Equal(runOK(t, "apache"), runOK(t, "apache:seed=7")) {
+		t.Fatal("apache:seed=7 printed the same report as apache")
+	}
+}
+
+// TestUsageErrors pins exit status 2 and a one-line diagnosis for every
+// way of asking for something the tool cannot run.
+func TestUsageErrors(t *testing.T) {
+	cases := []struct {
+		name   string
+		args   []string
+		errHas string
+	}{
+		{"no spec", nil, "usage:"},
+		{"two specs", []string{"apache", "squid"}, "usage:"},
+		{"two output flags", []string{"-json", "-dot", "quickstart"}, "at most one output form"},
+		{"unknown name", []string{"nope"}, "unknown scenario"},
+		{"bad override key", []string{"quickstart:cores=4"}, "unknown override key"},
+		{"serving name", []string{"serve-web"}, "whodunit-serve"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			if got := run(tc.args, &stdout, &stderr); got != 2 {
+				t.Fatalf("run(%v) = %d, want 2\nstderr: %s", tc.args, got, stderr.String())
+			}
+			msg := stderr.String()
+			if !strings.Contains(msg, tc.errHas) || strings.Count(msg, "\n") != 1 {
+				t.Fatalf("stderr %q: want one line mentioning %q", msg, tc.errHas)
+			}
+			if stdout.Len() != 0 {
+				t.Fatalf("stdout %q on a usage error", stdout.String())
+			}
+		})
+	}
+}
+
+func TestListPrintsWholeRegistry(t *testing.T) {
+	out := string(runOK(t, "-list"))
+	for _, in := range scenarios.Index() {
+		if !strings.Contains(out, in.Name+" ") {
+			t.Errorf("-list omits %s", in.Name)
+		}
+	}
+}

@@ -61,21 +61,7 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		// Registry-sourced listing: serving scenarios with their serving
-		// recommendations first, then the batch corpus with a pointer to
-		// the tool that runs it.
-		index := scenarios.Index()
-		for _, in := range index {
-			if in.Kind == scenarios.KindServing {
-				fmt.Printf("%-14s window %s, threshold %d — %s\n",
-					in.Name, time.Duration(in.Window), in.Threshold, in.About)
-			}
-		}
-		for _, in := range index {
-			if in.Kind == scenarios.KindBatch {
-				fmt.Printf("%-14s [whodunit-diff -run] %s\n", in.Name, in.About)
-			}
-		}
+		scenarios.List(os.Stdout, scenarios.KindServing)
 		return
 	}
 	if flag.NArg() > 0 {
@@ -84,7 +70,7 @@ func main() {
 	s, ok := scenarios.ServeByName(*scenario)
 	if !ok {
 		if in, found := scenarios.Lookup(*scenario); found && in.Kind == scenarios.KindBatch {
-			fail("%q is a batch scenario (run it with whodunit-diff -run %s)", *scenario, *scenario)
+			fail("%q is a batch scenario (run it with whodunit-run %s)", *scenario, *scenario)
 		}
 		fail("unknown scenario %q (known: %s)", *scenario, strings.Join(scenarios.ServeNames(), ", "))
 	}

@@ -115,14 +115,8 @@ func main() {
 	}
 
 	report := whodunit.ReportFromDumps(*name, readDumps(flag.Args())...)
-	switch {
-	case *jsonOut:
-		cmdutil.EmitJSON("whodunit-stitch", report)
-	case *dot:
-		report.DOT(os.Stdout)
-	case *folded:
-		report.Folded(os.Stdout)
-	default:
-		report.Text(os.Stdout)
+	if err := cmdutil.EmitReport(os.Stdout, report, *jsonOut, *dot, *folded); err != nil {
+		fmt.Fprintf(os.Stderr, "whodunit-stitch: %v\n", err)
+		os.Exit(1)
 	}
 }

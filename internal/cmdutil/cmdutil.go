@@ -5,8 +5,7 @@ package cmdutil
 
 import (
 	"flag"
-	"fmt"
-	"os"
+	"io"
 
 	"whodunit"
 	"whodunit/internal/profiler"
@@ -25,11 +24,21 @@ func JSONFlag() *bool {
 	return flag.Bool("json", false, "emit the report as JSON instead of text")
 }
 
-// EmitJSON writes the report as JSON to stdout, exiting the tool with
-// status 1 on error.
-func EmitJSON(tool string, r *whodunit.Report) {
-	if err := r.JSON(os.Stdout); err != nil {
-		fmt.Fprintf(os.Stderr, "%s: %v\n", tool, err)
-		os.Exit(1)
+// EmitReport writes r to w in the form a tool's output flags select:
+// report JSON (whodunit-diff input), the stitched graph as Graphviz
+// dot, folded stacks (flamegraph.pl input), or text when none is set.
+// The first set flag wins; a tool that rejects combinations does so
+// before running anything.
+func EmitReport(w io.Writer, r *whodunit.Report, jsonOut, dot, folded bool) error {
+	switch {
+	case jsonOut:
+		return r.JSON(w)
+	case dot:
+		r.DOT(w)
+	case folded:
+		r.Folded(w)
+	default:
+		r.Text(w)
 	}
+	return nil
 }

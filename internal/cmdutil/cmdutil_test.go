@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"flag"
 	"io"
-	"os"
 	"testing"
 
 	"whodunit"
@@ -64,27 +63,44 @@ func TestJSONFlag(t *testing.T) {
 	}
 }
 
-func TestEmitJSONRoundTrips(t *testing.T) {
+// TestEmitReportFormats checks each selector against the Report method
+// it stands for, and that the JSON form decodes back to the report.
+func TestEmitReportFormats(t *testing.T) {
 	rep := whodunit.NewReport("cmdutil-test")
 	rep.Elapsed = 3 * whodunit.Millisecond
 
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
+	direct := func(render func(io.Writer)) string {
+		var buf bytes.Buffer
+		render(&buf)
+		return buf.String()
 	}
-	old := os.Stdout
-	os.Stdout = w
-	cmdutil.EmitJSON("cmdutil-test", rep)
-	w.Close()
-	os.Stdout = old
+	cases := []struct {
+		name              string
+		json, dot, folded bool
+		want              string
+	}{
+		{"text", false, false, false, direct(rep.Text)},
+		{"dot", false, true, false, direct(rep.DOT)},
+		{"folded", false, false, true, direct(rep.Folded)},
+		{"json", true, false, false, direct(func(w io.Writer) { _ = rep.JSON(w) })},
+	}
+	for _, tc := range cases {
+		var got bytes.Buffer
+		if err := cmdutil.EmitReport(&got, rep, tc.json, tc.dot, tc.folded); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got.String() != tc.want {
+			t.Errorf("%s: EmitReport wrote\n%s\nwant\n%s", tc.name, got.String(), tc.want)
+		}
+	}
 
-	raw, err := io.ReadAll(r)
-	if err != nil {
+	var raw bytes.Buffer
+	if err := cmdutil.EmitReport(&raw, rep, true, false, false); err != nil {
 		t.Fatal(err)
 	}
-	decoded, err := whodunit.ReadReport(bytes.NewReader(raw))
+	decoded, err := whodunit.ReadReport(&raw)
 	if err != nil {
-		t.Fatalf("EmitJSON output does not decode: %v\n%s", err, raw)
+		t.Fatalf("EmitReport JSON does not decode: %v", err)
 	}
 	if decoded.App != "cmdutil-test" || decoded.Elapsed != rep.Elapsed {
 		t.Fatalf("decoded = %+v", decoded)

@@ -72,6 +72,11 @@ type Monitor struct {
 	pairs   map[pairKey]*stat
 	waiters map[string]*stat // per waiting transaction type, all waits
 	holds   map[string]*stat // per holding transaction type, hold times
+
+	// waiting maps a thread queued on a lock (a thread waits on at most
+	// one) to the transaction types its blockers were executing when it
+	// queued.
+	waiting map[*vclock.Thread][]string
 }
 
 // NewMonitor returns a monitor classifying transactions with classify.
@@ -86,10 +91,14 @@ func NewMonitor(classify Classifier, resolve TxnOf) *Monitor {
 		pairs:    make(map[pairKey]*stat),
 		waiters:  make(map[string]*stat),
 		holds:    make(map[string]*stat),
+		waiting:  make(map[*vclock.Thread][]string),
 	}
 }
 
-var _ vclock.LockObserver = (*Monitor)(nil)
+var (
+	_ vclock.LockObserver     = (*Monitor)(nil)
+	_ vclock.LockWaitObserver = (*Monitor)(nil)
+)
 
 func (m *Monitor) typeOf(t *vclock.Thread) string {
 	tc, ok := m.Resolve(t)
@@ -99,10 +108,24 @@ func (m *Monitor) typeOf(t *vclock.Thread) string {
 	return m.Classify(tc)
 }
 
+// LockWaitStarted implements vclock.LockWaitObserver: the holders'
+// transaction types are resolved now, while they hold the lock. Once the
+// waiter runs again an ex-holder may be executing its next transaction,
+// which never held anything the waiter wanted.
+func (m *Monitor) LockWaitStarted(l *vclock.Lock, t *vclock.Thread, blockers []*vclock.Thread) {
+	holders := make([]string, len(blockers))
+	for i, b := range blockers {
+		holders[i] = m.typeOf(b)
+	}
+	m.waiting[t] = holders
+}
+
 // LockAcquired implements vclock.LockObserver. A contended acquisition
 // charges the full wait to each (waiter, holder) pair for the
 // transactions holding the lock when the wait began; with exclusive locks
-// there is exactly one holder.
+// there is exactly one holder. Called without a preceding
+// LockWaitStarted for t, it resolves the holders from blockers as they
+// are now.
 func (m *Monitor) LockAcquired(l *vclock.Lock, t *vclock.Thread, mode vclock.LockMode, wait vclock.Duration, blockers []*vclock.Thread) {
 	if wait <= 0 {
 		return
@@ -115,17 +138,27 @@ func (m *Monitor) LockAcquired(l *vclock.Lock, t *vclock.Thread, mode vclock.Loc
 	}
 	ws.count++
 	ws.total += wait
-	for _, b := range blockers {
-		ht := m.typeOf(b)
-		k := pairKey{wt, ht}
-		ps, ok := m.pairs[k]
-		if !ok {
-			ps = &stat{}
-			m.pairs[k] = ps
+	if holders, ok := m.waiting[t]; ok {
+		delete(m.waiting, t)
+		for _, ht := range holders {
+			m.charge(wt, ht, wait)
 		}
-		ps.count++
-		ps.total += wait
+		return
 	}
+	for _, b := range blockers {
+		m.charge(wt, m.typeOf(b), wait)
+	}
+}
+
+func (m *Monitor) charge(waiter, holder string, wait vclock.Duration) {
+	k := pairKey{waiter, holder}
+	ps, ok := m.pairs[k]
+	if !ok {
+		ps = &stat{}
+		m.pairs[k] = ps
+	}
+	ps.count++
+	ps.total += wait
 }
 
 // LockReleased implements vclock.LockObserver, accumulating hold times per

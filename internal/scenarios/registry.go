@@ -2,23 +2,24 @@ package scenarios
 
 import (
 	"fmt"
+	"io"
+	"time"
 
 	"whodunit"
 )
 
 // The unified registry: one lookup surface over both scenario corpora,
 // so every tool lists and resolves scenarios from the same place. A
-// scenario added to all or serveAll appears in cmd/whodunit-diff -list
-// and cmd/whodunit-serve -list automatically, and each tool can explain
-// a name that belongs to the other kind instead of claiming it is
-// unknown.
+// scenario added to all or serveAll appears in every tool's -list
+// (List) automatically, and each tool can explain a name that belongs
+// to the other kind instead of claiming it is unknown.
 
 // Kind says which corpus a scenario lives in.
 type Kind string
 
 const (
 	// KindBatch scenarios terminate on their own and produce one Report
-	// (cmd/whodunit-diff -run).
+	// (cmd/whodunit-run, cmd/whodunit-diff -run).
 	KindBatch Kind = "batch"
 	// KindServing scenarios run open-loop under the continuous profiling
 	// service (cmd/whodunit-serve).
@@ -62,6 +63,36 @@ func Lookup(name string) (Info, bool) {
 		}
 	}
 	return Info{}, false
+}
+
+// List prints the registry for a tool's -list: the scenarios of the
+// kind the tool runs first (serving ones with their recommended window
+// and threshold), then the other kind, each marked with the tool that
+// runs it.
+func List(w io.Writer, own Kind) {
+	index := Index()
+	line := func(in Info) {
+		about := in.About
+		switch {
+		case in.Kind != own && in.Kind == KindServing:
+			about = "[whodunit-serve] " + about
+		case in.Kind != own:
+			about = "[whodunit-run] " + about
+		case in.Kind == KindServing:
+			about = fmt.Sprintf("window %s, threshold %d — %s", time.Duration(in.Window), in.Threshold, about)
+		}
+		fmt.Fprintf(w, "%-24s %s\n", in.Name, about)
+	}
+	for _, in := range index {
+		if in.Kind == own {
+			line(in)
+		}
+	}
+	for _, in := range index {
+		if in.Kind != own {
+			line(in)
+		}
+	}
 }
 
 // The two corpora share one namespace: a batch and a serving scenario

@@ -10,8 +10,9 @@
 // behavioral regression surfaces both as a byte drift and as a
 // structural CCT delta a human can read.
 //
-// cmd/whodunit-diff runs scenarios by name (with seed and mode
-// overrides) to compare two runs without writing any harness code.
+// cmd/whodunit-run prints a scenario's report and cmd/whodunit-diff
+// compares two, both by name (with seed and mode overrides), without
+// writing any harness code.
 package scenarios
 
 import (
@@ -31,8 +32,8 @@ import (
 )
 
 // Params are the knobs every scenario exposes: the RNG seed feeding its
-// workload and the profiling mode. cmd/whodunit-diff overrides them per
-// run spec ("apache:seed=7,mode=csprof").
+// workload and the profiling mode. A run spec overrides them
+// ("apache:seed=7,mode=csprof").
 type Params struct {
 	Seed uint64
 	Mode whodunit.Mode
@@ -91,11 +92,7 @@ func apacheScenario(name, about string, defaults Params, cores int, trace func(u
 			cfg := apacheweb.DefaultConfig(trace(p.Seed))
 			cfg.Mode = p.Mode
 			cfg.Cores = cores
-			res := apacheweb.Run(cfg)
-			rep := whodunit.NewReport("apache", whodunit.NewStageReport(res.Profiler))
-			rep.Elapsed = res.Elapsed
-			rep.Flows = res.Flows
-			return rep
+			return apacheweb.Run(cfg).Report
 		},
 	}
 }
@@ -106,10 +103,7 @@ func squidScenario(name, about string, defaults Params, trace func(uint64) *work
 		Make: func(p Params) *whodunit.Report {
 			cfg := squidproxy.DefaultConfig(trace(p.Seed))
 			cfg.Mode = p.Mode
-			res := squidproxy.Run(cfg)
-			rep := whodunit.NewReport("squid", whodunit.NewStageReport(res.Profiler))
-			rep.Elapsed = res.Elapsed
-			return rep
+			return squidproxy.Run(cfg).Report
 		},
 	}
 }
@@ -123,10 +117,7 @@ func haboobScenario(name, about string, defaults Params, threadsPerStage int, tr
 			if threadsPerStage > 0 {
 				cfg.ThreadsPerStage = threadsPerStage
 			}
-			res := haboob.Run(cfg)
-			rep := whodunit.NewReport("haboob", whodunit.NewStageReport(res.Profiler))
-			rep.Elapsed = res.Elapsed
-			return rep
+			return haboob.Run(cfg).Report
 		},
 	}
 }
@@ -472,7 +463,8 @@ func ByName(name string) (Scenario, bool) {
 //
 // where keys are "seed" (uint) and "mode" (off|csprof|whodunit|gprof),
 // returning the scenario with its defaults overridden. This is the
-// grammar of cmd/whodunit-diff's -run flag.
+// grammar of cmd/whodunit-run's argument and cmd/whodunit-diff's -run
+// flag.
 func ParseSpec(spec string) (Scenario, error) {
 	name, overrides, _ := strings.Cut(spec, ":")
 	s, ok := ByName(name)

@@ -48,11 +48,20 @@ type ServeScenario struct {
 // them against a db stage, forever. searchShift, when positive, is the
 // virtual time at which the workload mix shifts from mostly-home to
 // mostly-search — the injected regression of the serve-shift scenario.
-func serveWebApp(name string, p Params, searchShift whodunit.Duration) *whodunit.App {
-	app := whodunit.NewApp(name,
+// plan, when non-nil, is the fault plan the app runs under, and a retry
+// policy with Attempts > 0 makes the web workers issue each db request
+// under it (a timeout per try, later tries in "retry" frames) — together
+// the degraded operation of the serve-crashy scenario.
+func serveWebApp(name string, p Params, searchShift whodunit.Duration, plan *whodunit.FaultPlan, retry whodunit.RetryPolicy) *whodunit.App {
+	opts := []whodunit.Option{
 		whodunit.WithMode(p.Mode),
 		whodunit.WithCores(2),
-		whodunit.WithSeed(p.Seed))
+		whodunit.WithSeed(p.Seed),
+	}
+	if plan != nil {
+		opts = append(opts, whodunit.WithFaults(plan))
+	}
+	app := whodunit.NewApp(name, opts...)
 	web, db := app.Stage("web"), app.Stage("db")
 	reqQ, dbQ := app.NewQueue("requests"), app.NewQueue("db-requests")
 
@@ -108,8 +117,22 @@ func serveWebApp(name string, p Params, searchShift whodunit.Duration) *whodunit
 				func() {
 					defer pr.Exit(pr.Enter(serveFrame[pg]))
 					pr.Compute(whodunit.Millisecond)
-					dbQ.Put(web.Endpoint().Send(pr, dbReq{page: pg, respQ: respQ}))
-					web.Endpoint().Recv(pr, respQ.Get(th).(whodunit.Msg))
+					if retry.Attempts == 0 {
+						dbQ.Put(web.Endpoint().Send(pr, dbReq{page: pg, respQ: respQ}))
+						web.Endpoint().Recv(pr, respQ.Get(th).(whodunit.Msg))
+						return
+					}
+					web.Retry(pr, retry, func(int) bool {
+						// Marshalling cost per attempt: retried attempts
+						// sample under the "retry" frame.
+						pr.Compute(200 * whodunit.Microsecond)
+						dbQ.Put(web.Endpoint().Send(pr, dbReq{page: pg, respQ: respQ}))
+						resp, ok := respQ.GetTimeout(th, retry.Timeout)
+						if ok {
+							web.Endpoint().Recv(pr, resp.(whodunit.Msg))
+						}
+						return ok
+					})
 				}()
 			}
 		})
@@ -133,82 +156,15 @@ func serveCrashyApp(name string, p Params, run int) *whodunit.App {
 			Msg: "injected tier panic (run 0)",
 		}}
 	}
-	app := whodunit.NewApp(name,
-		whodunit.WithMode(p.Mode),
-		whodunit.WithCores(2),
-		whodunit.WithSeed(p.Seed),
-		whodunit.WithFaults(plan))
-	web, db := app.Stage("web"), app.Stage("db")
-	reqQ, dbQ := app.NewQueue("requests"), app.NewQueue("db-requests")
-
-	pageRNG := vclock.NewRNG(p.Seed ^ 0x9e3779b97f4a7c15)
-	page := func() string {
-		if pageRNG.Float64() < 0.2 {
-			return "search"
-		}
-		return "home"
-	}
-	app.Arrivals("requests", 15*whodunit.Millisecond, func(i int64) {
-		reqQ.Put(page())
-	})
-
-	type dbReq struct {
-		page  string
-		respQ *whodunit.Queue
-	}
-	serveFrame := map[string]string{"home": "serve_home", "search": "serve_search"}
-
-	db.Go("db", func(th *whodunit.Thread, pr *whodunit.Probe) {
-		for {
-			msg := dbQ.Get(th).(whodunit.Msg)
-			db.Endpoint().Recv(pr, msg)
-			req := msg.Data.(dbReq)
-			func() {
-				defer pr.Exit(pr.Enter("exec_query"))
-				if req.page == "search" {
-					defer pr.Exit(pr.Enter("sort_rows"))
-					pr.Compute(30 * whodunit.Millisecond)
-				} else {
-					pr.Compute(3 * whodunit.Millisecond)
-				}
-				req.respQ.Put(db.Endpoint().Send(pr, nil))
-			}()
-		}
-	})
 	// The retry timeout sits far above the worst-case db backlog (4
 	// blocked workers x 30ms searches), so a timeout always means the
 	// request was dropped — never a late response that would desync the
 	// per-worker response queue.
-	pol := whodunit.RetryPolicy{
+	return serveWebApp(name, p, 0, plan, whodunit.RetryPolicy{
 		Attempts: 3,
 		Timeout:  200 * whodunit.Millisecond,
 		Backoff:  5 * whodunit.Millisecond,
-	}
-	const webWorkers = 4
-	for w := 0; w < webWorkers; w++ {
-		respQ := app.NewQueue(fmt.Sprintf("responses-%d", w))
-		web.Go(fmt.Sprintf("web-%d", w), func(th *whodunit.Thread, pr *whodunit.Probe) {
-			for {
-				pg := reqQ.Get(th).(string)
-				func() {
-					defer pr.Exit(pr.Enter(serveFrame[pg]))
-					pr.Compute(whodunit.Millisecond)
-					web.Retry(pr, pol, func(int) bool {
-						// Marshalling cost per attempt: retried attempts
-						// sample under the "retry" frame.
-						pr.Compute(200 * whodunit.Microsecond)
-						dbQ.Put(web.Endpoint().Send(pr, dbReq{page: pg, respQ: respQ}))
-						resp, ok := respQ.GetTimeout(th, pol.Timeout)
-						if ok {
-							web.Endpoint().Recv(pr, resp.(whodunit.Msg))
-						}
-						return ok
-					})
-				}()
-			}
-		})
-	}
-	return app
+	})
 }
 
 // serveAll is the serving corpus, in golden-regeneration order.
@@ -220,7 +176,7 @@ var serveAll = []ServeScenario{
 		Window:    2 * whodunit.Second,
 		Threshold: 400,
 		MakeApp: func(p Params) *whodunit.App {
-			return serveWebApp("serve-web", p, 0)
+			return serveWebApp("serve-web", p, 0, nil, whodunit.RetryPolicy{})
 		},
 	},
 	{
@@ -230,7 +186,7 @@ var serveAll = []ServeScenario{
 		Window:    2 * whodunit.Second,
 		Threshold: 400,
 		MakeApp: func(p Params) *whodunit.App {
-			return serveWebApp("serve-shift", p, 6*whodunit.Second)
+			return serveWebApp("serve-shift", p, 6*whodunit.Second, nil, whodunit.RetryPolicy{})
 		},
 	},
 	{

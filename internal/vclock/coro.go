@@ -200,15 +200,7 @@ func (c *Coro) GetTimeout(q *Queue, d Duration, k Frame) Step {
 		c.next, c.passv = k, nil
 		return c.op()
 	}
-	s := t.sim
-	t.waitGen++
-	gen := t.waitGen
-	q.enqueueWaiter(t)
-	s.At(s.now.Add(d), func() {
-		if t.waitGen == gen && !t.dead && q.removeWaiter(t) {
-			s.wakeAt(s.now, t, timeoutWake{})
-		}
-	})
+	q.awaitTimeout(t, d)
 	c.next = k
 	c.blocked = blockGetTimeout
 	return c.op()
@@ -219,24 +211,14 @@ func (c *Coro) GetTimeout(q *Queue, d Duration, k Frame) Step {
 // continuation frame passed to GetTimeout, until the next GetTimeout.
 func (c *Coro) TimedOut() bool { return c.timedOut }
 
-// SleepUntil parks the coroutine until virtual time `at`, then runs k.
-// The inline fast path is byte-for-byte the one in Thread.SleepUntil:
-// when the wake would be the strictly earliest pending event, the clock
-// advances in place and k continues without touching the heap.
+// SleepUntil parks the coroutine until virtual time `at`, then runs k —
+// without touching the heap when Sim.sleepUntil can advance the clock in
+// place, as for Thread.SleepUntil.
 func (c *Coro) SleepUntil(at Time, k Frame) Step {
-	t := c.t
-	s := t.sim
-	if at < s.now {
-		at = s.now
-	}
-	if s.running && s.crash == nil && (len(s.events) == 0 || at < s.events[0].when) && (s.stop == nil || !s.stop()) {
-		s.now = at
-		c.next = k
-		return c.op()
-	}
-	s.schedule(at, t)
 	c.next = k
-	c.blocked = blockWake
+	if !c.t.sim.sleepUntil(c.t, at) {
+		c.blocked = blockWake
+	}
 	return c.op()
 }
 
@@ -258,29 +240,15 @@ func (c *Coro) Compute(cpu *CPU, d Duration, k Frame) Step {
 }
 
 // Lock acquires l in the given mode, then runs k — Thread.Lock for
-// coroutines, with the identical grant/queue bookkeeping; the post-wake
-// wait accounting and observer notification run in Resume just before
-// k, exactly where the blocking Lock performs them after park.
+// coroutines, through the same Lock.request; a queued request's
+// Lock.granted runs in Resume just before k, where the blocking Lock
+// runs it after park.
 func (c *Coro) Lock(l *Lock, mode LockMode, k Frame) Step {
-	t := c.t
-	if l.HeldBy(t) {
-		panic("vclock: recursive lock acquisition by " + t.Name + " on " + l.Name)
-	}
-	l.acquired++
-	if len(l.waiters) == 0 && l.grantable(mode) {
-		l.holders = append(l.holders, lockHolder{t, mode, l.sim.now})
-		if l.Observer != nil {
-			l.Observer.LockAcquired(l, t, mode, 0, nil)
-		}
-		c.next = k
-		return c.op()
-	}
-	l.contended++
-	w := lockWaiter{t: t, mode: mode, since: l.sim.now, blockers: l.Holders()}
-	l.waiters = append(l.waiters, w)
-	c.lock, c.lockMode, c.lockSince, c.lockBlockers = l, mode, w.since, w.blockers
 	c.next = k
-	c.blocked = blockLock
+	if w, queued := l.request(c.t, mode); queued {
+		c.lock, c.lockMode, c.lockSince, c.lockBlockers = l, mode, w.since, w.blockers
+		c.blocked = blockLock
+	}
 	return c.op()
 }
 
@@ -297,12 +265,7 @@ func (c *Coro) Resume(v any) (BlockOn, any) {
 	t := c.t
 	switch c.blocked {
 	case blockLock:
-		l := c.lock
-		wait := l.sim.now.Sub(c.lockSince)
-		l.waitTotal += wait
-		if l.Observer != nil {
-			l.Observer.LockAcquired(l, t, c.lockMode, wait, c.lockBlockers)
-		}
+		c.lock.granted(t, c.lockMode, c.lockSince, c.lockBlockers)
 		c.lock, c.lockBlockers = nil, nil
 	case blockGetTimeout:
 		if _, ok := v.(timeoutWake); ok {

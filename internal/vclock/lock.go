@@ -27,6 +27,15 @@ type LockObserver interface {
 	LockReleased(l *Lock, t *Thread, mode LockMode, held Duration)
 }
 
+// LockWaitObserver is implemented by a LockObserver that also wants to
+// know when a request queues. blockers hold the lock at that moment, so
+// whatever the observer needs to know about what they are doing (§6: the
+// transaction each is executing) must be read here — by the time
+// LockAcquired reports the wait they have released and moved on.
+type LockWaitObserver interface {
+	LockWaitStarted(l *Lock, t *Thread, blockers []*Thread)
+}
+
 type lockWaiter struct {
 	t        *Thread
 	mode     LockMode
@@ -103,10 +112,13 @@ func (l *Lock) grantable(mode LockMode) bool {
 	return true
 }
 
-// Lock acquires l in the given mode, blocking the calling thread until the
-// acquisition is granted. Recursive acquisition is not supported and
+// request is the bookkeeping of one acquisition attempt by t, shared by
+// Thread.Lock and Coro.Lock: the lock is either granted on the spot
+// (queued false) or t's request joins the waiter list, and the caller
+// must block t and call granted with the returned record once the
+// releaser's wake arrives. Recursive acquisition is not supported and
 // panics, as it would self-deadlock.
-func (t *Thread) Lock(l *Lock, mode LockMode) {
+func (l *Lock) request(t *Thread, mode LockMode) (w lockWaiter, queued bool) {
 	if l.HeldBy(t) {
 		panic("vclock: recursive lock acquisition by " + t.Name + " on " + l.Name)
 	}
@@ -118,17 +130,33 @@ func (t *Thread) Lock(l *Lock, mode LockMode) {
 		if l.Observer != nil {
 			l.Observer.LockAcquired(l, t, mode, 0, nil)
 		}
-		return
+		return w, false
 	}
 	l.contended++
-	w := lockWaiter{t: t, mode: mode, since: l.sim.now, blockers: l.Holders()}
+	w = lockWaiter{t: t, mode: mode, since: l.sim.now, blockers: l.Holders()}
 	l.waiters = append(l.waiters, w)
-	t.park()
-	// The releaser has installed us as a holder and scheduled this wake.
-	wait := l.sim.now.Sub(w.since)
+	if o, ok := l.Observer.(LockWaitObserver); ok {
+		o.LockWaitStarted(l, t, w.blockers)
+	}
+	return w, true
+}
+
+// granted accounts a queued request's wait once its thread runs again:
+// the releaser has already installed it as a holder.
+func (l *Lock) granted(t *Thread, mode LockMode, since Time, blockers []*Thread) {
+	wait := l.sim.now.Sub(since)
 	l.waitTotal += wait
 	if l.Observer != nil {
-		l.Observer.LockAcquired(l, t, mode, wait, w.blockers)
+		l.Observer.LockAcquired(l, t, mode, wait, blockers)
+	}
+}
+
+// Lock acquires l in the given mode, blocking the calling thread until the
+// acquisition is granted.
+func (t *Thread) Lock(l *Lock, mode LockMode) {
+	if w, queued := l.request(t, mode); queued {
+		t.park()
+		l.granted(t, mode, w.since, w.blockers)
 	}
 }
 

@@ -105,6 +105,18 @@ func (t *Thread) GetTimeout(q *Queue, d Duration) (any, bool) {
 	if d <= 0 {
 		return nil, false
 	}
+	q.awaitTimeout(t, d)
+	v := t.park()
+	if _, timedOut := v.(timeoutWake); timedOut {
+		return nil, false
+	}
+	return v, true
+}
+
+// awaitTimeout queues t as a waiter whose wait ends, d from now, with a
+// timeoutWake payload unless a Put hands it an item first — the wait
+// shared by Thread.GetTimeout and Coro.GetTimeout.
+func (q *Queue) awaitTimeout(t *Thread, d Duration) {
 	s := t.sim
 	// The generation stamp ties the timer to THIS wait: if a Put wins and
 	// the thread is already waiting again (on any queue) when the timer
@@ -119,11 +131,6 @@ func (t *Thread) GetTimeout(q *Queue, d Duration) (any, bool) {
 			s.wakeAt(s.now, t, timeoutWake{})
 		}
 	})
-	v := t.park()
-	if _, timedOut := v.(timeoutWake); timedOut {
-		return nil, false
-	}
-	return v, true
 }
 
 // enqueueWaiter appends t to the waiter list, compacting consumed slots

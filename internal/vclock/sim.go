@@ -558,32 +558,40 @@ func (s *Sim) wakeAt(at Time, t *Thread, v any) {
 	s.push(event{when: at, t: t, v: v})
 }
 
-// SleepUntil parks the calling thread until virtual time `at`.
+// sleepUntil is the sleep shared by Thread.SleepUntil and
+// Coro.SleepUntil. It reports true when t need not block at all.
 //
 // When the sleeper's wake-up would be the strictly earliest pending
 // event, parking is a formality: the scheduler would check the stop
 // predicate once, pop the wake and continue this same thread with the
-// clock advanced. SleepUntil performs exactly that transition inline —
+// clock advanced. sleepUntil performs exactly that transition inline —
 // same stop-predicate evaluation, same clock, no other event can run in
 // between because none is scheduled before the wake (ties lose to
 // already-pushed events, which hold smaller sequence numbers, so
 // equality takes the slow path). This removes a dispatch round and
 // a heap push/pop from every uncontended Compute/Sleep, without
-// changing the event order observed by any thread.
-func (t *Thread) SleepUntil(at Time) {
-	// Fail even on the would-be fast path: an API misuse that only
-	// panics under contention would be maddening to reproduce.
-	t.mustRun()
-	s := t.sim
+// changing the event order observed by any thread. Otherwise the wake
+// is scheduled and the caller must block t.
+func (s *Sim) sleepUntil(t *Thread, at Time) (inline bool) {
 	if at < s.now {
 		at = s.now
 	}
 	if s.running && s.crash == nil && (len(s.events) == 0 || at < s.events[0].when) && (s.stop == nil || !s.stop()) {
 		s.now = at
-		return
+		return true
 	}
 	s.schedule(at, t)
-	t.park()
+	return false
+}
+
+// SleepUntil parks the calling thread until virtual time `at`.
+func (t *Thread) SleepUntil(at Time) {
+	// Fail even on the would-be fast path: an API misuse that only
+	// panics under contention would be maddening to reproduce.
+	t.mustRun()
+	if !t.sim.sleepUntil(t, at) {
+		t.park()
+	}
 }
 
 // Sleep parks the calling thread for duration d of virtual time.

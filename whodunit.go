@@ -136,20 +136,6 @@ type (
 	Frame = vclock.Frame
 	// Step is the receipt a Frame returns from its one scheduling step.
 	Step = vclock.Step
-	// EngineKind selects how coroutine threads execute (see the
-	// Engine* constants).
-	EngineKind = vclock.EngineKind
-)
-
-// Coroutine engines. EngineCoro (the default, with or without -race)
-// steps continuations inline on the dispatcher; EngineGoroutine drives
-// the identical programs from free-form threads — runtime coroutines
-// since PR 12, whatever the name says — with bit-identical event order,
-// for cross-engine determinism checks. Override the process default via
-// vclock.DefaultEngine (snapshotted per Sim at creation).
-const (
-	EngineCoro      = vclock.EngineCoro
-	EngineGoroutine = vclock.EngineGoroutine
 )
 
 // Profiler core.

@@ -337,6 +337,61 @@ func TestStageCriticalSectionCrosstalk(t *testing.T) {
 	}
 }
 
+// TestCrosstalkBlamesHolderAtWaitStart pins §6's attribution: a wait is
+// charged to the transaction that held the lock when the wait began,
+// not to whatever the ex-holder has moved on to by the time the waiter
+// runs again.
+func TestCrosstalkBlamesHolderAtWaitStart(t *testing.T) {
+	const ms = whodunit.Millisecond
+	waiters := map[string]func(st *whodunit.Stage, l *whodunit.Lock){
+		"Thread.Lock": func(st *whodunit.Stage, l *whodunit.Lock) {
+			st.Go("b", func(th *whodunit.Thread, pr *whodunit.Probe) {
+				st.BeginTxn(pr, "Y")
+				th.Sleep(ms)
+				th.Lock(l, whodunit.Exclusive)
+				th.Unlock(l)
+			})
+		},
+		"Coro.Lock": func(st *whodunit.Stage, l *whodunit.Lock) {
+			st.GoCoro("b", func(th *whodunit.Thread, pr *whodunit.Probe) whodunit.Frame {
+				st.BeginTxn(pr, "Y")
+				return func(c *whodunit.Coro, _ any) whodunit.Step {
+					return c.Sleep(ms, func(c *whodunit.Coro, _ any) whodunit.Step {
+						return c.Lock(l, whodunit.Exclusive, func(c *whodunit.Coro, _ any) whodunit.Step {
+							c.Unlock(l)
+							return c.End()
+						})
+					})
+				}
+			})
+		},
+	}
+	for name, spawnWaiter := range waiters {
+		t.Run(name, func(t *testing.T) {
+			app := whodunit.NewApp("s",
+				whodunit.WithCrosstalk(func(tc whodunit.TxnCtxt) string { return tc.Label() }))
+			st := app.Stage("s")
+			l := app.NewLock("l")
+			st.Go("a", func(th *whodunit.Thread, pr *whodunit.Probe) {
+				st.BeginTxn(pr, "X")
+				th.Lock(l, whodunit.Exclusive)
+				pr.Compute(10 * ms)
+				th.Unlock(l)
+				st.BeginTxn(pr, "Z")
+				pr.Compute(5 * ms)
+			})
+			spawnWaiter(st, l)
+			rep := app.Run()
+			if len(rep.Crosstalk) != 1 {
+				t.Fatalf("crosstalk = %+v, want one pair", rep.Crosstalk)
+			}
+			if p := rep.Crosstalk[0]; p.Waiter != "s:Y" || p.Holder != "s:X" {
+				t.Fatalf("crosstalk pair = %+v, want s:Y waiting for s:X", p)
+			}
+		})
+	}
+}
+
 func TestStageWithTxnRestoresContext(t *testing.T) {
 	app := whodunit.NewApp("wt")
 	st := app.Stage("wt")
