@@ -284,6 +284,9 @@ func (sys *system) buildPod(topo *mesh.Topology, lay layout, r int) *pod {
 		return topo.Proxy(name, mode, cfg.ProxyWorkers, route, place...)
 	}
 
+	// Handlers are chains of segments bound once here (see mesh.Handler):
+	// a segment's one blocking call takes effect when it returns, and
+	// Then names where the request continues.
 	db := service("db", 2, cfg.DBWorkers, func(c *mesh.Call) {
 		req := c.Req()
 		switch req.Op {
@@ -301,45 +304,8 @@ func (sys *system) buildPod(topo *mesh.Topology, lay layout, r int) *pod {
 
 	kvName, kvPlace := lay.stage(r, "kv", 1)
 	for i := range p.kvs {
-		cache := map[string]int64{}
-		p.kvs[i] = topo.Service(fmt.Sprintf("%s-%d", kvName, i), cfg.ShardWorkers, func(c *mesh.Call) {
-			req := c.Req()
-			pr := c.Probe()
-			switch req.Op {
-			case "get":
-				c.Compute(probeCost)
-				if sz, ok := cache[req.Key]; ok {
-					p.hits++
-					func() {
-						defer pr.Exit(pr.Enter("cache_hit"))
-						c.Compute(hitReadCost + kb(sz))
-					}()
-					req.RespSize = sz
-				} else {
-					p.misses++
-					func() {
-						defer pr.Exit(pr.Enter("cache_miss"))
-						op, size := req.Op, req.Size
-						req.Op, req.Size = "fill", 96
-						c.Invoke(db)
-						req.Op, req.Size = op, size
-						cache[req.Key] = req.RespSize
-						c.Compute(installCost + kb(req.RespSize))
-					}()
-				}
-			case "set":
-				func() {
-					defer pr.Exit(pr.Enter("cache_store"))
-					c.Compute(storeCost + kb(req.Size))
-				}()
-				cache[req.Key] = req.Size
-				op := req.Op
-				req.Op = "store"
-				c.Invoke(db) // write-through
-				req.Op = op
-				req.RespSize = 64
-			}
-		}, kvPlace...)
+		p.kvs[i] = topo.Service(fmt.Sprintf("%s-%d", kvName, i), cfg.ShardWorkers,
+			p.kvHandler(db, cfg.ShardWorkers), kvPlace...)
 	}
 
 	var ring mesh.Router = mesh.NewRing(cfg.VNodes, p.kvs...)
@@ -351,11 +317,14 @@ func (sys *system) buildPod(topo *mesh.Topology, lay layout, r int) *pod {
 		next = proxy("edge-proxy", mesh.FullBuffering, mesh.To(next))
 	}
 
-	front := service("frontend", 2, cfg.FrontendWorkers, func(c *mesh.Call) {
-		req := c.Req()
-		c.Compute(parseCost + kb(req.Size))
+	respond := func(c *mesh.Call) { c.Compute(respondCost + kb(c.Req().RespSize)) }
+	call := func(c *mesh.Call) {
 		c.Invoke(next)
-		c.Compute(respondCost + kb(req.RespSize))
+		c.Then(respond)
+	}
+	front := service("frontend", 2, cfg.FrontendWorkers, func(c *mesh.Call) {
+		c.Compute(parseCost + kb(c.Req().Size))
+		c.Then(call)
 	})
 	front.OnComplete = func(req *mesh.Request, now whodunit.Time) {
 		p.completed++
@@ -374,6 +343,73 @@ func (sys *system) buildPod(topo *mesh.Topology, lay layout, r int) *pod {
 		p.inject = front.Ingress(lay.hop).Inject
 	}
 	return p
+}
+
+// kvHandler builds one kv shard's handler over a fresh cache: a get
+// probes it and on a miss fills from the db and installs the value; a
+// set stores locally and writes through. What a worker must remember
+// across a step — its open probe frame, the envelope fields it rewrote
+// for the db sub-request — is in held, one slot per worker.
+func (p *pod) kvHandler(db *mesh.Service, workers int) mesh.Handler {
+	cache := map[string]int64{}
+	held := make([]struct {
+		tok  int
+		op   string
+		size int64
+	}, workers)
+	leave := func(c *mesh.Call) { c.Probe().Exit(held[c.Worker()].tok) }
+
+	install := func(c *mesh.Call) {
+		w, req := &held[c.Worker()], c.Req()
+		req.Op, req.Size = w.op, w.size
+		cache[req.Key] = req.RespSize
+		c.Compute(installCost + kb(req.RespSize))
+		c.Then(leave)
+	}
+	lookup := func(c *mesh.Call) {
+		w, req := &held[c.Worker()], c.Req()
+		if sz, ok := cache[req.Key]; ok {
+			p.hits++
+			w.tok = c.Probe().Enter("cache_hit")
+			c.Compute(hitReadCost + kb(sz))
+			req.RespSize = sz
+			c.Then(leave)
+			return
+		}
+		p.misses++
+		w.tok = c.Probe().Enter("cache_miss")
+		w.op, w.size = req.Op, req.Size
+		req.Op, req.Size = "fill", 96
+		c.Invoke(db)
+		c.Then(install)
+	}
+
+	stored := func(c *mesh.Call) {
+		req := c.Req()
+		req.Op = held[c.Worker()].op
+		req.RespSize = 64
+	}
+	writeThrough := func(c *mesh.Call) {
+		w, req := &held[c.Worker()], c.Req()
+		c.Probe().Exit(w.tok)
+		cache[req.Key] = req.Size
+		w.op = req.Op
+		req.Op = "store"
+		c.Invoke(db)
+		c.Then(stored)
+	}
+
+	return func(c *mesh.Call) {
+		switch req := c.Req(); req.Op {
+		case "get":
+			c.Compute(probeCost)
+			c.Then(lookup)
+		case "set":
+			held[c.Worker()].tok = c.Probe().Enter("cache_store")
+			c.Compute(storeCost + kb(req.Size))
+			c.Then(writeThrough)
+		}
+	}
 }
 
 // inject turns a trace event into a mesh request for its key's home
