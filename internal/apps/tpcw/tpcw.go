@@ -23,9 +23,15 @@
 // round-robin share of the clients) front the one mysql; with Sharded,
 // pod r runs on time domain r+1 and the database on domain 0, without it
 // the same program runs on one domain and reports the same bytes. Every
-// tier body exists once. What differs is exactly what Config.layout
-// returns: the app and stage names, and mysql declared after or before
-// the web tiers, because both layouts' reports are pinned byte for byte;
+// tier body exists once, as a run-to-completion frame program
+// (Stage.GoCoro): client, squid, tomcat and mysqld are four small state
+// machines whose blocking operations are continuation calls on the
+// dispatcher's stack, so a whole interaction — the database's statements
+// included, which minidb's Exec steps without a stack — costs no thread
+// switch (Sim.Switches reads 0 after a run). What differs between the
+// layouts is exactly what Config.layout returns: the app and stage
+// names, and mysql declared after or before the web tiers, because both
+// layouts' reports are pinned byte for byte;
 // a direct Put or an App.Pipe of HopLatency between pod and database,
 // because time domains may only talk through a latency-bearing pipe; the
 // crosstalk monitor, because its classifier reads every pod's chain
@@ -265,8 +271,15 @@ type system struct {
 	lay     layout
 	app     *whodunit.App
 	mysqlSt *whodunit.Stage
+	mysqlQ  *whodunit.Queue
+	db      *minidb.DB
+	tables  tables
 	dbBytes wireBytes
 	pods    []*pod
+
+	// servletFrame is "servlet_" + interaction, precomputed: the concat on
+	// the request path was a per-request allocation.
+	servletFrame map[string]string
 }
 
 // pod is one web pod — a squid and a tomcat stage, their input queues,
@@ -281,6 +294,11 @@ type pod struct {
 	// sends a DB request: how the experiment code and the crosstalk
 	// classifier translate a MySQL-side context back to an interaction.
 	chains map[chainKey]string
+
+	// caches is the servlet-side result cache (clause 6.3.3.1), each app
+	// server's its own: cached interaction -> subject -> expiry. Empty
+	// without ServletCaching.
+	caches map[string]map[int64]whodunit.Time
 
 	bytes     wireBytes
 	completed int64
@@ -323,6 +341,14 @@ func (sys *system) connect(from int, dst *whodunit.Queue) func(any) {
 // build validates cfg and wires its layout: the database tier, then each
 // pod's tomcat workers, squid workers and clients.
 func build(cfg Config) *system {
+	return buildWith(cfg, (*mysqld).spawn, (*tomcat).spawn)
+}
+
+// buildWith is build with the way a wired mysqld or tomcat worker becomes
+// a stage thread passed in. It exists for the differential oracle of
+// ref_test.go, which starts the same wired workers as the blocking
+// bodies they were before they became frame programs.
+func buildWith(cfg Config, spawnDB func(*mysqld, string), spawnTomcat func(*tomcat, string)) *system {
 	if err := cfg.validate(); err != nil {
 		panic(err)
 	}
@@ -345,7 +371,12 @@ func build(cfg Config) *system {
 			squidQ:   app.NewQueueOn(d, lay.name("squid-in", r)),
 			tomcatQ:  app.NewQueueOn(d, lay.name("tomcat-in", r)),
 			chains:   make(map[chainKey]string),
+			caches:   make(map[string]map[int64]whodunit.Time),
 			perType:  make(map[string]*TypeStats),
+		}
+		if cfg.ServletCaching {
+			p.caches[workload.BestSellers] = map[int64]whodunit.Time{}
+			p.caches[workload.SearchResult] = map[int64]whodunit.Time{}
 		}
 		for _, name := range workload.Interactions {
 			p.perType[name] = &TypeStats{}
@@ -357,62 +388,35 @@ func build(cfg Config) *system {
 	}
 
 	// MySQL tier, on domain 0: schema, data, and workers executing
-	// queries. The reply reuses the incoming envelope, whose dbReply
-	// names the issuing Tomcat worker.
-	mysqlSt := sys.mysqlSt
-	db := minidb.New(app.Sim(), "mysql", mysqlSt.CPU())
+	// queries.
+	sys.db = minidb.New(app.Sim(), "mysql", sys.mysqlSt.CPU())
 	if mon := app.Crosstalk(); mon != nil {
-		db.SetLockObserver(mon)
+		sys.db.SetLockObserver(mon)
 	}
-	item, orderLine, customer, orders, author := loadTables(db, cfg.ItemEngine, cfg.Seed)
-	mysqlQ := app.NewQueueOn(0, "mysql-in")
-	mysqlEP := mysqlSt.Endpoint()
+	sys.tables = loadTables(sys.db, cfg.ItemEngine, cfg.Seed)
+	sys.mysqlQ = app.NewQueueOn(0, "mysql-in")
 	for w := 0; w < cfg.DBWorkers; w++ {
-		mysqlSt.Go(fmt.Sprintf("mysqld-%d", w), func(th *whodunit.Thread, pr *whodunit.Probe) {
-			for {
-				req := mysqlQ.Get(th).(*request)
-				mysqlEP.Recv(pr, req.msg)
-				q := req.q
-				func() {
-					defer pr.Exit(pr.Enter("dispatch_query"))
-					execQuery(db, pr, q, item, orderLine, customer, orders, author)
-				}()
-				req.msg = mysqlEP.Send(pr, nil)
-				sys.dbBytes.count(req.msg, 256)
-				req.dbReply(req)
-			}
-		})
+		spawnDB(&mysqld{sys: sys, ep: sys.mysqlSt.Endpoint()}, fmt.Sprintf("mysqld-%d", w))
 	}
 
-	// Servlet frame names, precomputed: "servlet_" + interaction concat
-	// on the request path was a per-request allocation.
-	servletFrame := make(map[string]string, len(workload.Interactions))
+	sys.servletFrame = make(map[string]string, len(workload.Interactions))
 	for _, name := range workload.Interactions {
-		servletFrame[name] = "servlet_" + name
+		sys.servletFrame[name] = "servlet_" + name
 	}
 	for r, p := range sys.pods {
-		sys.startPod(r, p, mysqlQ, servletFrame)
+		sys.startPod(r, p, spawnTomcat)
 	}
 	return sys
 }
 
 // startPod starts pod r's threads: tomcat workers, squid workers, then
 // the pod's share of the clients.
-func (sys *system) startPod(r int, p *pod, mysqlQ *whodunit.Queue, servletFrame map[string]string) {
+func (sys *system) startPod(r int, p *pod, spawnTomcat func(*tomcat, string)) {
 	cfg, app := sys.cfg, sys.app
 	d := podDomain(r)
-	tomcatEP := p.tomcatSt.Endpoint()
 
 	// The pod's one request link into the shared database.
-	toDB := sys.connect(d, mysqlQ)
-
-	// Servlet-side result caches (clause 6.3.3.1), each app server's its
-	// own: cached interaction -> subject -> expiry.
-	caches := map[string]map[int64]whodunit.Time{}
-	if cfg.ServletCaching {
-		caches[workload.BestSellers] = map[int64]whodunit.Time{}
-		caches[workload.SearchResult] = map[int64]whodunit.Time{}
-	}
+	toDB := sys.connect(d, sys.mysqlQ)
 
 	// Tomcat tier: servlets.
 	for w := 0; w < cfg.TomcatWorkers; w++ {
@@ -420,48 +424,17 @@ func (sys *system) startPod(r int, p *pod, mysqlQ *whodunit.Queue, servletFrame 
 		// declared before the run starts (cross-domain links must exist
 		// before the epoch loop arms).
 		replyQ := app.NewQueueOn(d, fmt.Sprintf("%s-%d-reply", sys.lay.name("tomcat", r), w))
-		fromDB := sys.connect(0, replyQ)
-		p.tomcatSt.Go(fmt.Sprintf("tomcat-%d", w), func(th *whodunit.Thread, pr *whodunit.Probe) {
-			for {
-				req := p.tomcatQ.Get(th).(*request)
-				tomcatEP.Recv(pr, req.msg)
-				wr := req.q
-				upstream := req.replyQ
-				func() {
-					defer pr.Exit(pr.Enter(servletFrame[wr.interaction]))
-					pr.ComputeN(2*whodunit.Millisecond, 400) // servlet + page generation
-
-					cache := caches[wr.interaction] // nil: not a cached interaction
-					if until, ok := cache[wr.subject]; !ok || th.Now() >= until {
-						func() {
-							defer pr.Exit(pr.Enter("db_rpc"))
-							req.msg = tomcatEP.Send(pr, nil)
-							p.chains[chainKeyOf(req.msg.Chain)] = wr.interaction
-							p.bytes.count(req.msg, 512)
-							req.dbReply = fromDB
-							toDB(req)
-							resp := replyQ.Get(th).(*request)
-							tomcatEP.Recv(pr, resp.msg)
-						}()
-						if cache != nil {
-							cache[wr.subject] = th.Now().Add(30 * whodunit.Second)
-						}
-					}
-					pr.ComputeN(whodunit.Millisecond, 200) // response rendering
-				}()
-				req.msg = tomcatEP.Send(pr, nil)
-				p.bytes.count(req.msg, 8192)
-				req.replyQ = nil
-				upstream.Put(req)
-			}
-		})
+		spawnTomcat(&tomcat{
+			sys: sys, pod: p, ep: p.tomcatSt.Endpoint(),
+			replyQ: replyQ, toDB: toDB, fromDB: sys.connect(0, replyQ),
+		}, fmt.Sprintf("tomcat-%d", w))
 	}
 
-	// Squid front tier: pass-through for dynamic content. The workers are
-	// run-to-completion coroutines (the Stage.GoCoro showcase): the hot
-	// path — dequeue, forward to Tomcat, await the response, reply
-	// upstream — runs as direct continuation calls on the domain's
-	// dispatcher, with CPU demand charged through Probe.ComputeStep.
+	// Squid front tier: pass-through for dynamic content. Like every
+	// worker here it is a run-to-completion program: the hot path —
+	// dequeue, forward to Tomcat, await the response, reply upstream —
+	// runs as direct continuation calls on the domain's dispatcher, with
+	// CPU demand charged through Probe.ComputeStep.
 	squidEP := p.squidSt.Endpoint()
 	for w := 0; w < cfg.SquidWorkers; w++ {
 		name := fmt.Sprintf("squid-%d", w)
@@ -563,6 +536,261 @@ func (sw *squid) done(c *whodunit.Coro, _ any) whodunit.Step {
 	sw.req.replyQ = nil
 	sw.upstream.Put(sw.req)
 	return c.Get(sw.pod.squidQ.Raw(), sw.recvF)
+}
+
+// tomcat is one servlet-container worker as a run-to-completion state
+// machine: recv (dequeue a request, open the servlet_<interaction> frame,
+// charge servlet and page generation) → servlet (on a cache miss: open
+// db_rpc, send the query to the database, await its reply) → reply
+// (close db_rpc, fill the cache) → render (charge response rendering) →
+// done (close the servlet frame, reply upstream, back to the input
+// queue). Both frames stay open across the steps between their Enter and
+// Exit, like deferred Exits would hold them. The wiring fields are set
+// by startPod; everything else belongs to the request in service.
+type tomcat struct {
+	sys          *system
+	pod          *pod
+	ep           *whodunit.Endpoint
+	replyQ       *whodunit.Queue // the worker's own: where the database answers
+	toDB, fromDB func(any)       // the pod's link to mysql-in, and mysql's back to replyQ
+
+	pr       *whodunit.Probe
+	req      *request
+	q        query // copied out of req: the envelope is the database's while the query is there
+	upstream *whodunit.Queue
+	cache    map[int64]whodunit.Time // the interaction's result cache; nil: not a cached one
+	tok, rpc int                     // servlet_<interaction> and db_rpc frame tokens
+
+	recvF, servletF, replyF, doneF whodunit.Frame
+}
+
+func (tc *tomcat) spawn(name string) {
+	tc.recvF, tc.servletF, tc.replyF, tc.doneF = tc.recv, tc.servlet, tc.reply, tc.done
+	tc.pod.tomcatSt.GoCoro(name, tc.begin)
+}
+
+// begin runs at thread start, and again on a fresh thread and probe when
+// the crashed stage restarts: the respawn inherits nothing from the
+// request its predecessor was killed in.
+func (tc *tomcat) begin(_ *whodunit.Thread, pr *whodunit.Probe) whodunit.Frame {
+	tc.pr = pr
+	tc.req, tc.upstream, tc.cache = nil, nil, nil
+	return tc.idle
+}
+
+func (tc *tomcat) idle(c *whodunit.Coro, _ any) whodunit.Step {
+	return c.Get(tc.pod.tomcatQ.Raw(), tc.recvF)
+}
+
+func (tc *tomcat) recv(c *whodunit.Coro, v any) whodunit.Step {
+	tc.req = tc.pod.tomcatQ.Check(v).(*request)
+	tc.ep.Recv(tc.pr, tc.req.msg)
+	tc.q, tc.upstream = tc.req.q, tc.req.replyQ
+	tc.tok = tc.pr.Enter(tc.sys.servletFrame[tc.q.interaction])
+	return tc.pr.ComputeNStep(c, 2*whodunit.Millisecond, 400, tc.servletF) // servlet + page generation
+}
+
+func (tc *tomcat) servlet(c *whodunit.Coro, _ any) whodunit.Step {
+	req, p := tc.req, tc.pod
+	tc.cache = p.caches[tc.q.interaction]
+	if until, ok := tc.cache[tc.q.subject]; ok && c.Now() < until {
+		return tc.render(c)
+	}
+	tc.rpc = tc.pr.Enter("db_rpc")
+	req.msg = tc.ep.Send(tc.pr, nil)
+	p.chains[chainKeyOf(req.msg.Chain)] = tc.q.interaction
+	p.bytes.count(req.msg, 512)
+	req.dbReply = tc.fromDB
+	tc.toDB(req)
+	return c.Get(tc.replyQ.Raw(), tc.replyF)
+}
+
+func (tc *tomcat) reply(c *whodunit.Coro, v any) whodunit.Step {
+	resp := tc.replyQ.Check(v).(*request)
+	tc.ep.Recv(tc.pr, resp.msg)
+	tc.pr.Exit(tc.rpc)
+	if tc.cache != nil {
+		tc.cache[tc.q.subject] = c.Now().Add(30 * whodunit.Second)
+	}
+	return tc.render(c)
+}
+
+func (tc *tomcat) render(c *whodunit.Coro) whodunit.Step {
+	return tc.pr.ComputeNStep(c, whodunit.Millisecond, 200, tc.doneF) // response rendering
+}
+
+func (tc *tomcat) done(c *whodunit.Coro, _ any) whodunit.Step {
+	tc.pr.Exit(tc.tok)
+	tc.req.msg = tc.ep.Send(tc.pr, nil)
+	tc.pod.bytes.count(tc.req.msg, 8192)
+	tc.req.replyQ = nil
+	tc.upstream.Put(tc.req)
+	return c.Get(tc.pod.tomcatQ.Raw(), tc.recvF)
+}
+
+// mysqld is one database worker as a run-to-completion state machine:
+// recv (dequeue a query, open dispatch_query) → next (issue the
+// interaction's statement i to the worker's minidb.Exec, which steps it
+// through its lock and CPU needs and continues at next again) → ... →
+// done (close the frame, reply to the issuing tomcat worker through the
+// envelope's dbReply, back to the input queue). No statement list is
+// stored: next is the interaction's program, indexed by i.
+type mysqld struct {
+	sys *system
+	ep  *whodunit.Endpoint
+
+	pr  *whodunit.Probe
+	x   *minidb.Exec // executes one statement at a time on pr
+	req *request
+	q   query // copied out of req, as in tomcat
+	tok int   // dispatch_query frame token
+	i   int   // next statement of q's interaction
+
+	recvF, nextF whodunit.Frame
+}
+
+func (m *mysqld) spawn(name string) {
+	m.recvF, m.nextF = m.recv, m.next
+	m.sys.mysqlSt.GoCoro(name, m.begin)
+}
+
+// begin runs at thread start and again, with a fresh thread and probe,
+// at every respawn: nothing of the request the predecessor died in
+// survives, its executor included.
+func (m *mysqld) begin(_ *whodunit.Thread, pr *whodunit.Probe) whodunit.Frame {
+	m.pr, m.x, m.req = pr, m.sys.db.NewExec(pr), nil
+	return m.start
+}
+
+// start registers the thread's one cleanup — a frame program has no
+// deferred unlock, so a worker killed inside a statement would otherwise
+// keep its table or row lock forever and wedge every later reader — and
+// waits for the first query.
+func (m *mysqld) start(c *whodunit.Coro, _ any) whodunit.Step {
+	c.Defer(m.x.Abort)
+	return c.Get(m.sys.mysqlQ.Raw(), m.recvF)
+}
+
+func (m *mysqld) recv(c *whodunit.Coro, v any) whodunit.Step {
+	m.req = m.sys.mysqlQ.Check(v).(*request)
+	m.ep.Recv(m.pr, m.req.msg)
+	m.q, m.i = m.req.q, 0
+	m.tok = m.pr.Enter("dispatch_query")
+	return m.next(c, nil)
+}
+
+// next performs the per-interaction database work, one statement per
+// visit. Row volumes are calibrated so the browsing mix reproduces Table
+// 1's CPU split (heavy BestSellers/SearchResult, heavyweight-but-rare
+// AdminConfirm).
+func (m *mysqld) next(c *whodunit.Coro, _ any) whodunit.Step {
+	q, x, t, k := &m.q, m.x, &m.sys.tables, m.nextF
+	i := int64(m.i)
+	m.i++
+	switch q.interaction {
+	case workload.BestSellers:
+		// Scan recent order lines, aggregate+sort into a temp table (held
+		// under the order_line read lock), then join the top items. The
+		// servlet only wants the query's cost and contention, so the
+		// result set is not materialised (CountOnly).
+		switch {
+		case i == 0:
+			return x.Select(c, t.orderLine, nil, minidb.SelectOpts{TempSortRows: 38000, CountOnly: true}, k)
+		case i <= 50:
+			return x.Lookup(c, t.item, (q.itemID+(i-1)*13)%10000, k)
+		}
+	case workload.SearchResult:
+		// Subject search over the item table with a sorted temp table,
+		// all under the item read lock (this is what AdminConfirm's
+		// exclusive table lock collides with on MyISAM).
+		if i == 0 {
+			return x.Select(c, t.item, nil, minidb.SelectOpts{WhereAttr: "subject", WhereEquals: q.subject,
+				SortBy: "sales", Limit: 50, TempSortRows: 28000, CountOnly: true}, k)
+		}
+	case workload.AdminConfirm:
+		// Heavy-weight: sort order lines into a temp table, then update
+		// one row of item — exclusive table lock under MyISAM.
+		switch i {
+		case 0:
+			return x.Select(c, t.orderLine, nil, minidb.SelectOpts{TempSortRows: 50000, CountOnly: true}, k)
+		case 1:
+			return x.Update(c, t.item, q.itemID, raiseCost, k)
+		}
+	case workload.NewProducts:
+		if i == 0 {
+			return x.Select(c, t.item, nil, minidb.SelectOpts{WhereAttr: "subject", WhereEquals: q.subject,
+				SortBy: "sales", Limit: 50, CountOnly: true}, k)
+		}
+	case workload.Home:
+		switch {
+		case i == 0:
+			return x.Lookup(c, t.customer, q.itemID%2880, k)
+		case i <= 5:
+			return x.Lookup(c, t.item, (q.itemID+i-1)%10000, k)
+		case i == 6:
+			return x.TempSort(c, 300, k)
+		}
+	case workload.ProductDetail, workload.SearchRequest, workload.AdminRequest:
+		switch i {
+		case 0:
+			return x.Lookup(c, t.item, q.itemID, k)
+		case 1:
+			return x.Lookup(c, t.author, q.itemID%2500, k)
+		}
+	case workload.ShoppingCart:
+		if i < 3 {
+			return x.Lookup(c, t.item, (q.itemID+i)%10000, k)
+		}
+	case workload.BuyRequest:
+		switch i {
+		case 0:
+			return x.Lookup(c, t.customer, q.itemID%2880, k)
+		case 1:
+			return x.Lookup(c, t.item, q.itemID, k)
+		}
+	case workload.BuyConfirm:
+		// Writes order rows: the order_line insert takes that table's
+		// exclusive lock and collides with BestSellers' long reads.
+		id := q.itemID*100000 + int64(m.pr.Thread().ID)
+		switch i {
+		case 0:
+			return x.Lookup(c, t.customer, q.itemID%2880, k)
+		case 1:
+			return x.Insert(c, t.orders, minidb.Row{ID: id}, k)
+		case 2:
+			return x.Insert(c, t.orderLine, minidb.Row{ID: id + 50000,
+				Attrs: []minidb.Attr{{Name: "item", Val: q.itemID}, {Name: "qty", Val: 1}}}, k)
+		}
+	case workload.OrderDisplay, workload.OrderInquiry:
+		switch i {
+		case 0:
+			return x.Lookup(c, t.customer, q.itemID%2880, k)
+		case 1:
+			return x.Lookup(c, t.orders, q.itemID, k)
+		}
+	case workload.CustomerRegistration:
+		if i == 0 {
+			return x.Lookup(c, t.customer, q.itemID%2880, k)
+		}
+	default:
+		if i == 0 {
+			return x.Lookup(c, t.item, q.itemID, k)
+		}
+	}
+	return m.done(c)
+}
+
+// raiseCost is AdminConfirm's update of its item row.
+func raiseCost(r *minidb.Row) { r.AddAttr("cost", 1) }
+
+// done replies on the incoming envelope, whose dbReply names the issuing
+// tomcat worker.
+func (m *mysqld) done(c *whodunit.Coro) whodunit.Step {
+	m.pr.Exit(m.tok)
+	m.req.msg = m.ep.Send(m.pr, nil)
+	m.sys.dbBytes.count(m.req.msg, 256)
+	m.req.dbReply(m.req)
+	return c.Get(m.sys.mysqlQ.Raw(), m.recvF)
 }
 
 // client is the run-to-completion state machine of one closed-loop
@@ -682,98 +910,35 @@ func (sys *system) finish() *Result {
 	return res
 }
 
+// tables is the TPC-W schema's tables the interactions touch.
+type tables struct {
+	item, orderLine, customer, orders, author *minidb.Table
+}
+
 // loadTables creates and populates the TPC-W schema on db.
-func loadTables(db *minidb.DB, itemEngine minidb.Engine, seed uint64) (item, orderLine, customer, orders, author *minidb.Table) {
+func loadTables(db *minidb.DB, itemEngine minidb.Engine, seed uint64) tables {
 	rng := vclock.NewRNG(seed ^ 0x5eed)
-	item = db.CreateTable("item", itemEngine)
+	item := db.CreateTable("item", itemEngine)
 	for i := 0; i < 10000; i++ {
 		item.LoadRow(minidb.Row{ID: int64(i), Attrs: []minidb.Attr{
 			{Name: "subject", Val: int64(i % 24)}, {Name: "cost", Val: int64(10 + i%90)},
 			{Name: "sales", Val: int64(rng.Intn(100000))},
 		}})
 	}
-	orderLine = db.CreateTable("order_line", minidb.EngineMyISAM)
+	orderLine := db.CreateTable("order_line", minidb.EngineMyISAM)
 	for i := 0; i < 7776; i++ {
 		orderLine.LoadRow(minidb.Row{ID: int64(i), Attrs: []minidb.Attr{
 			{Name: "item", Val: int64(rng.Intn(10000))}, {Name: "qty", Val: int64(1 + rng.Intn(5))},
 		}})
 	}
-	customer = db.CreateTable("customer", minidb.EngineMyISAM)
+	customer := db.CreateTable("customer", minidb.EngineMyISAM)
 	for i := 0; i < 2880; i++ {
 		customer.LoadRow(minidb.Row{ID: int64(i), Attrs: []minidb.Attr{{Name: "discount", Val: int64(i % 50)}}})
 	}
-	orders = db.CreateTable("orders", minidb.EngineInnoDB)
-	author = db.CreateTable("author", minidb.EngineMyISAM)
+	orders := db.CreateTable("orders", minidb.EngineInnoDB)
+	author := db.CreateTable("author", minidb.EngineMyISAM)
 	for i := 0; i < 2500; i++ {
 		author.LoadRow(minidb.Row{ID: int64(i)})
 	}
-	return item, orderLine, customer, orders, author
-}
-
-// execQuery performs the per-interaction database work. Row volumes are
-// calibrated so the browsing mix reproduces Table 1's CPU split (heavy
-// BestSellers/SearchResult, heavyweight-but-rare AdminConfirm).
-func execQuery(db *minidb.DB, pr *whodunit.Probe, q query,
-	item, orderLine, customer, orders, author *minidb.Table) {
-	switch q.interaction {
-	case workload.BestSellers:
-		// Scan recent order lines, aggregate+sort into a temp table (held
-		// under the order_line read lock), then join the top items. The
-		// servlet only wants the query's cost and contention, so the
-		// result set is not materialised (CountOnly).
-		db.Select(pr, orderLine, nil, minidb.SelectOpts{TempSortRows: 38000, CountOnly: true})
-		for i := int64(0); i < 50; i++ {
-			db.Lookup(pr, item, (q.itemID+i*13)%10000)
-		}
-	case workload.SearchResult:
-		// Subject search over the item table with a sorted temp table,
-		// all under the item read lock (this is what AdminConfirm's
-		// exclusive table lock collides with on MyISAM).
-		db.Select(pr, item, nil, minidb.SelectOpts{WhereAttr: "subject", WhereEquals: q.subject,
-			SortBy: "sales", Limit: 50, TempSortRows: 28000, CountOnly: true})
-	case workload.AdminConfirm:
-		// Heavy-weight: sort order lines into a temp table, then update
-		// one row of item — exclusive table lock under MyISAM.
-		db.Select(pr, orderLine, nil, minidb.SelectOpts{TempSortRows: 50000, CountOnly: true})
-		db.Update(pr, item, q.itemID, func(r *minidb.Row) { r.AddAttr("cost", 1) })
-	case workload.NewProducts:
-		db.Select(pr, item, nil, minidb.SelectOpts{WhereAttr: "subject", WhereEquals: q.subject,
-			SortBy: "sales", Limit: 50, CountOnly: true})
-	case workload.Home:
-		db.Lookup(pr, customer, q.itemID%2880)
-		for i := int64(0); i < 5; i++ {
-			db.Lookup(pr, item, (q.itemID+i)%10000)
-		}
-		db.TempSort(pr, 300)
-	case workload.ProductDetail:
-		db.Lookup(pr, item, q.itemID)
-		db.Lookup(pr, author, q.itemID%2500)
-	case workload.SearchRequest:
-		db.Lookup(pr, item, q.itemID)
-		db.Lookup(pr, author, q.itemID%2500)
-	case workload.ShoppingCart:
-		for i := int64(0); i < 3; i++ {
-			db.Lookup(pr, item, (q.itemID+i)%10000)
-		}
-	case workload.BuyRequest:
-		db.Lookup(pr, customer, q.itemID%2880)
-		db.Lookup(pr, item, q.itemID)
-	case workload.BuyConfirm:
-		// Writes order rows: the order_line insert takes that table's
-		// exclusive lock and collides with BestSellers' long reads.
-		db.Lookup(pr, customer, q.itemID%2880)
-		db.Insert(pr, orders, minidb.Row{ID: q.itemID*100000 + int64(pr.Thread().ID)})
-		db.Insert(pr, orderLine, minidb.Row{ID: q.itemID*100000 + int64(pr.Thread().ID) + 50000,
-			Attrs: []minidb.Attr{{Name: "item", Val: q.itemID}, {Name: "qty", Val: 1}}})
-	case workload.OrderDisplay, workload.OrderInquiry:
-		db.Lookup(pr, customer, q.itemID%2880)
-		db.Lookup(pr, orders, q.itemID)
-	case workload.CustomerRegistration:
-		db.Lookup(pr, customer, q.itemID%2880)
-	case workload.AdminRequest:
-		db.Lookup(pr, item, q.itemID)
-		db.Lookup(pr, author, q.itemID%2500)
-	default:
-		db.Lookup(pr, item, q.itemID)
-	}
+	return tables{item: item, orderLine: orderLine, customer: customer, orders: orders, author: author}
 }

@@ -71,7 +71,6 @@ type Monitor struct {
 
 	pairs   map[pairKey]*stat
 	waiters map[string]*stat // per waiting transaction type, all waits
-	holds   map[string]*stat // per holding transaction type, hold times
 
 	// waiting maps a thread queued on a lock (a thread waits on at most
 	// one) to the transaction types its blockers were executing when it
@@ -90,7 +89,6 @@ func NewMonitor(classify Classifier, resolve TxnOf) *Monitor {
 		Resolve:  resolve,
 		pairs:    make(map[pairKey]*stat),
 		waiters:  make(map[string]*stat),
-		holds:    make(map[string]*stat),
 		waiting:  make(map[*vclock.Thread][]string),
 	}
 }
@@ -161,17 +159,11 @@ func (m *Monitor) charge(waiter, holder string, wait vclock.Duration) {
 	ps.total += wait
 }
 
-// LockReleased implements vclock.LockObserver, accumulating hold times per
-// transaction type.
+// LockReleased implements vclock.LockObserver. Crosstalk is a matter of
+// waits, all of them accounted when the waiter acquires, so a release
+// records nothing: classifying the releasing thread's transaction here
+// would put a chain-registry lookup on every uncontended statement.
 func (m *Monitor) LockReleased(l *vclock.Lock, t *vclock.Thread, mode vclock.LockMode, held vclock.Duration) {
-	ht := m.typeOf(t)
-	hs, ok := m.holds[ht]
-	if !ok {
-		hs = &stat{}
-		m.holds[ht] = hs
-	}
-	hs.count++
-	hs.total += held
 }
 
 // Pairs returns the crosstalk matrix rows sorted by descending total wait,

@@ -12,12 +12,12 @@ import (
 
 // MeshRow is one topology's steady-state traffic summary.
 type MeshRow struct {
-	Topology   string
-	Events     int
-	Throughput float64 // requests per virtual second
-	HitRatePct float64
-	GetMeanMs  float64
-	SetMeanMs  float64
+	Topology    string
+	Events      int
+	Throughput  float64 // requests per virtual second
+	HitRatePct  float64
+	GetMeanMs   float64
+	SetMeanMs   float64
 	MaxShardPct float64 // busiest shard's share of shard traffic
 }
 

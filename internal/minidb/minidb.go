@@ -13,13 +13,19 @@
 // is instrumented through profiler probes, so the database's CPU profile
 // per transaction context (Table 1) and its lock crosstalk fall out of
 // the same machinery as every other stage.
+//
+// Each statement's logic exists once, as a stepper (Exec.step) that runs
+// until it needs a lock or CPU time and reports the need instead of
+// blocking, and is driven two ways: DB.Lookup/Select/Update/Insert/
+// TempSort block the calling free-form thread for each need, and
+// Exec.Lookup/Select/... turn each need into a Coro step, so a
+// run-to-completion database thread (TPC-W's mysqld) executes a query
+// without a stack. exec.go has the design and a worked example.
 package minidb
 
 import (
 	"fmt"
-	"slices"
 
-	"whodunit/internal/profiler"
 	"whodunit/internal/vclock"
 )
 
@@ -159,7 +165,11 @@ func (t *Table) bucket(attr string) map[int64][]int {
 // invalidateCols drops the equality-index cache after a write.
 func (t *Table) invalidateCols() { t.buckets = nil }
 
-// DB is one database instance bound to a simulation and a CPU.
+// DB is one database instance bound to a simulation and a CPU. Its
+// statement methods (exec.go) are the blocking driver of the statement
+// stepper: Lookup, say, is an Exec on the caller's stack stepped through
+// "table lock, shared" (Thread.Lock), "LookupCost of CPU" (Probe.ComputeN)
+// and done. A frame program gets the same statements from DB.NewExec.
 type DB struct {
 	Name string
 	CPU  *vclock.CPU
@@ -231,6 +241,14 @@ func (t *Table) LoadRow(r Row) {
 	t.invalidateCols()
 }
 
+// TableLock returns the table-wide lock MyISAM statements take (InnoDB
+// statements never touch it), so a test can ask who holds it.
+func (t *Table) TableLock() *vclock.Lock { return t.lock }
+
+// rowLock returns the InnoDB lock of row id, creating it on first use.
+// A row's lock lives only while some thread holds or awaits it (see
+// dropRowLock), so the map follows the writers in flight, not the row
+// ids ever written.
 func (t *Table) rowLock(id int64) *vclock.Lock {
 	l, ok := t.rowLocks[id]
 	if !ok {
@@ -241,40 +259,14 @@ func (t *Table) rowLock(id int64) *vclock.Lock {
 	return l
 }
 
-// lockRead/unlockRead bracket whatever locking the engine requires for
-// reading (a no-op for InnoDB's non-locking consistent reads). They are
-// paired methods rather than a returned unlock closure: Select and
-// Lookup run thousands of times per experiment and the closure was one
-// heap allocation per query.
-func (t *Table) lockRead(th *vclock.Thread) {
-	if t.Engine == EngineMyISAM {
-		th.Lock(t.lock, vclock.Shared)
+// dropRowLock forgets row id's lock l once a release has left it with
+// no holder and no waiter. No report reads a row lock's name or Stats,
+// so the next writer of the row starting from a fresh lock changes
+// nothing observable.
+func (t *Table) dropRowLock(id int64, l *vclock.Lock) {
+	if l.Idle() {
+		delete(t.rowLocks, id)
 	}
-}
-
-func (t *Table) unlockRead(th *vclock.Thread) {
-	if t.Engine == EngineMyISAM {
-		th.Unlock(t.lock)
-	}
-}
-
-// lockWrite/unlockWrite are the write-side pair: the whole table for
-// MyISAM, the row's lock for InnoDB (resolved again on unlock — a map
-// hit is cheaper than a captured closure).
-func (t *Table) lockWrite(th *vclock.Thread, id int64) {
-	if t.Engine == EngineMyISAM {
-		th.Lock(t.lock, vclock.Exclusive)
-		return
-	}
-	th.Lock(t.rowLock(id), vclock.Exclusive)
-}
-
-func (t *Table) unlockWrite(th *vclock.Thread, id int64) {
-	if t.Engine == EngineMyISAM {
-		th.Unlock(t.lock)
-		return
-	}
-	th.Unlock(t.rowLock(id))
 }
 
 // Pred filters rows; a nil Pred matches everything.
@@ -320,143 +312,4 @@ func log2(n int) int64 {
 		l++
 	}
 	return l
-}
-
-// Select scans the table under the engine's read locking, filters with
-// pred, optionally sorts and limits; all CPU demand is charged through
-// pr. The returned rows are copies of the row headers (attribute maps are
-// shared — the workload treats them as immutable).
-func (db *DB) Select(pr *profiler.Probe, t *Table, pred Pred, opts SelectOpts) []Row {
-	defer pr.Exit(pr.Enter(t.frameSelect))
-	t.lockRead(pr.Thread())
-	defer t.unlockRead(pr.Thread())
-
-	func() {
-		defer pr.Exit(pr.Enter("scan_rows"))
-		pr.ComputeN(vclock.Duration(len(t.rows))*db.Cost.ScanPerRow, len(t.rows))
-	}()
-	// Filter. The three shapes (everything, attribute equality, arbitrary
-	// predicate) agree on `matched`; only the non-CountOnly ones
-	// materialise rows.
-	var out []Row
-	matched := 0
-	switch {
-	case pred == nil && opts.WhereAttr != "":
-		idxs := t.bucket(opts.WhereAttr)[opts.WhereEquals]
-		matched = len(idxs)
-		if !opts.CountOnly && matched > 0 {
-			out = make([]Row, 0, matched)
-			for _, i := range idxs {
-				out = append(out, t.rows[i])
-			}
-		}
-	case pred == nil:
-		matched = len(t.rows)
-		if !opts.CountOnly {
-			out = slices.Clone(t.rows)
-		}
-	default:
-		for _, r := range t.rows {
-			if pred(r) {
-				matched++
-				if !opts.CountOnly {
-					out = append(out, r)
-				}
-			}
-		}
-	}
-	if opts.SortBy != "" && matched > 1 {
-		func() {
-			defer pr.Exit(pr.Enter("sort_rows"))
-			pr.ComputeN(vclock.Duration(int64(matched)*log2(matched))*db.Cost.SortPerCmp, matched)
-		}()
-		if !opts.CountOnly {
-			// Decorate-sort-undecorate: extract each row's sort key once
-			// and sort descending with a reflection-free generic stable
-			// sort — no map lookup per comparison, no reflect.Swapper per
-			// swap (sort.SliceStable cost the old Select most of its
-			// time).
-			key := opts.SortBy
-			type decorated struct {
-				key int64
-				row Row
-			}
-			dec := make([]decorated, len(out))
-			for i, r := range out {
-				dec[i] = decorated{key: r.Attr(key), row: r}
-			}
-			slices.SortStableFunc(dec, func(a, b decorated) int {
-				switch {
-				case a.key > b.key:
-					return -1
-				case a.key < b.key:
-					return 1
-				}
-				return 0
-			})
-			for i := range dec {
-				out[i] = dec[i].row
-			}
-		}
-	}
-	if opts.TempSortRows > 0 {
-		db.TempSort(pr, opts.TempSortRows)
-	}
-	if opts.Limit > 0 && matched > opts.Limit {
-		matched = opts.Limit
-		if !opts.CountOnly {
-			out = out[:opts.Limit]
-		}
-	}
-	pr.Compute(vclock.Duration(matched) * db.Cost.ReturnPerRow)
-	return out
-}
-
-// Lookup fetches a row by primary key under read locking.
-func (db *DB) Lookup(pr *profiler.Probe, t *Table, id int64) (Row, bool) {
-	defer pr.Exit(pr.Enter(t.frameLookup))
-	t.lockRead(pr.Thread())
-	defer t.unlockRead(pr.Thread())
-	pr.Compute(db.Cost.LookupCost)
-	idx, ok := t.byID[id]
-	if !ok {
-		return Row{}, false
-	}
-	return t.rows[idx], true
-}
-
-// Update applies fn to the row with the given id under the engine's write
-// locking. It reports whether the row existed.
-func (db *DB) Update(pr *profiler.Probe, t *Table, id int64, fn func(*Row)) bool {
-	defer pr.Exit(pr.Enter(t.frameUpdate))
-	t.lockWrite(pr.Thread(), id)
-	defer t.unlockWrite(pr.Thread(), id)
-	pr.Compute(db.Cost.UpdateCost)
-	idx, ok := t.byID[id]
-	if !ok {
-		return false
-	}
-	fn(&t.rows[idx])
-	t.invalidateCols()
-	return true
-}
-
-// Insert appends a row under write locking (the whole table for MyISAM,
-// the new row's lock for InnoDB).
-func (db *DB) Insert(pr *profiler.Probe, t *Table, r Row) {
-	defer pr.Exit(pr.Enter(t.frameInsert))
-	t.lockWrite(pr.Thread(), r.ID)
-	defer t.unlockWrite(pr.Thread(), r.ID)
-	pr.Compute(db.Cost.InsertCost)
-	t.LoadRow(r)
-}
-
-// TempSort models the heavy-weight "sort into a temporary table" query
-// shape (AdminConfirm, BestSellers): materialise n rows into a temp table
-// and sort them, charging temp+agg+sort costs. Only the cost (and the
-// profiler frames) matter; callers aggregate real data themselves.
-func (db *DB) TempSort(pr *profiler.Probe, n int) {
-	defer pr.Exit(pr.Enter("temp_table_sort"))
-	pr.ComputeN(vclock.Duration(n)*(db.Cost.TempPerRow+db.Cost.AggPerRow)+
-		vclock.Duration(int64(n)*log2(n))*db.Cost.SortPerCmp, n)
 }

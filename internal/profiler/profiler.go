@@ -631,11 +631,16 @@ func (pr *Probe) tree() *cct.Tree {
 // why gprof's overhead is proportional to call counts (§9.1) — while the
 // statistical modes are unaffected.
 func (pr *Probe) ComputeN(d vclock.Duration, calls int) {
+	pr.countCalls(calls)
+	pr.Compute(d)
+}
+
+// countCalls is the gprof call accounting of ComputeN and ComputeNStep.
+func (pr *Probe) countCalls(calls int) {
 	if pr.prof.Mode == ModeInstrumented && calls > 0 {
 		pr.prof.calls += int64(calls)
 		pr.pending += vclock.Duration(calls) * pr.prof.Overhead.PerCall
 	}
-	pr.Compute(d)
 }
 
 // Compute charges d of application CPU demand (plus any pending profiling
@@ -654,6 +659,13 @@ func (pr *Probe) Compute(d vclock.Duration) {
 // probe's CPU has served the demand.
 func (pr *Probe) ComputeStep(c *vclock.Coro, d vclock.Duration, k vclock.Frame) vclock.Step {
 	return c.Compute(pr.cpu, pr.account(d), k)
+}
+
+// ComputeNStep is ComputeN for run-to-completion threads: the same call
+// accounting, then ComputeStep.
+func (pr *Probe) ComputeNStep(c *vclock.Coro, d vclock.Duration, calls int, k vclock.Frame) vclock.Step {
+	pr.countCalls(calls)
+	return pr.ComputeStep(c, d, k)
 }
 
 // account performs the non-blocking half of Compute: sample-taking by

@@ -152,8 +152,8 @@ type GenConfig struct {
 	BurstLen    whodunit.Duration
 	BurstFactor float64
 
-	GetSize   int64   // request payload of a get
-	MinSize   int64   // set value sizes: Pareto(MinSize, MaxSize, SizeAlpha)
+	GetSize   int64 // request payload of a get
+	MinSize   int64 // set value sizes: Pareto(MinSize, MaxSize, SizeAlpha)
 	MaxSize   int64
 	SizeAlpha float64
 }
@@ -162,16 +162,16 @@ type GenConfig struct {
 // moderately skewed key space at a steady arrival rate.
 func CacheTrace() GenConfig {
 	return GenConfig{
-		Seed:     1,
-		Events:   2000,
-		Streams:  8,
-		Keys:     512,
-		ZipfS:    0.9,
-		ReadFrac: 0.95,
-		MeanGap:  3 * whodunit.Millisecond,
-		GetSize:  96,
-		MinSize:  512,
-		MaxSize:  64 << 10,
+		Seed:      1,
+		Events:    2000,
+		Streams:   8,
+		Keys:      512,
+		ZipfS:     0.9,
+		ReadFrac:  0.95,
+		MeanGap:   3 * whodunit.Millisecond,
+		GetSize:   96,
+		MinSize:   512,
+		MaxSize:   64 << 10,
 		SizeAlpha: 1.3,
 	}
 }

@@ -96,6 +96,10 @@ func (l *Lock) Holders() []*Thread {
 	return out
 }
 
+// Idle reports whether nothing holds the lock and nothing waits for it,
+// so its owner may discard it.
+func (l *Lock) Idle() bool { return len(l.holders) == 0 && len(l.waiters) == 0 }
+
 func (l *Lock) grantable(mode LockMode) bool {
 	if len(l.holders) == 0 {
 		return true

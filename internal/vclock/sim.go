@@ -37,8 +37,9 @@ type Sim struct {
 	stop    func() bool // RunUntil's stop predicate, nil when absent
 	engine  EngineKind  // how GoCoro threads execute (snapshot of DefaultEngine)
 
-	cur     *Thread // free-form thread whose body is executing (set by run and park); nil in dispatcher context
-	handoff *Thread // thread whose wake the dispatcher reached; RunUntil switches to it
+	cur      *Thread // free-form thread whose body is executing (set by run and park); nil in dispatcher context
+	handoff  *Thread // thread whose wake the dispatcher reached; RunUntil switches to it
+	switches int64   // hand-offs RunUntil has made (see Switches)
 
 	crash *Crash // first captured panic; halts dispatch
 
@@ -651,12 +652,21 @@ func (s *Sim) RunUntil(stop func() bool) {
 		for s.handoff != nil {
 			t := s.handoff
 			s.handoff = nil
+			s.switches++
 			if _, blocked := t.co.next(); !blocked {
 				s.exit(t)
 			}
 		}
 	}
 }
+
+// Switches reports how many times the run has switched to a free-form
+// thread's coroutine: once per start or resumption of a Go body that the
+// RunUntil loop handed the baton to. Run-to-completion threads, callbacks
+// and a blocker whose own wake is the next event cost none, so a program
+// written entirely as frames reads 0 — the kernel's count of "switches by
+// representation".
+func (s *Sim) Switches() int64 { return s.switches }
 
 // Live reports the number of simulated threads that have been created and
 // have not yet exited. A nonzero value after Run returns indicates threads

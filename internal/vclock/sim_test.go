@@ -481,3 +481,50 @@ func TestRunUntilReentrancyPanics(t *testing.T) {
 		t.Fatal("nested Run did not panic")
 	}
 }
+
+// TestSwitchesCountsFreeFormHandOffs: Switches counts the baton passing
+// to a free-form thread — two per round trip of a two-thread ping-pong —
+// and nothing else: the same ping-pong written as frames reads 0.
+func TestSwitchesCountsFreeFormHandOffs(t *testing.T) {
+	pingPong := func(rounds int, frames bool) int64 {
+		s := New()
+		ping, pong := s.NewQueue("ping"), s.NewQueue("pong")
+		if frames {
+			var serve, bounce, hit Frame
+			serve = func(c *Coro, _ any) Step { return c.Get(ping, bounce) }
+			bounce = func(c *Coro, v any) Step { pong.Put(v); return c.Get(ping, bounce) }
+			n := 0
+			hit = func(c *Coro, _ any) Step {
+				if n == rounds {
+					return c.End()
+				}
+				n++
+				ping.Put(n)
+				return c.Get(pong, hit)
+			}
+			s.GoCoro("server", serve)
+			s.GoCoro("client", hit)
+		} else {
+			s.Go("server", func(th *Thread) {
+				for {
+					pong.Put(th.Get(ping))
+				}
+			})
+			s.Go("client", func(th *Thread) {
+				for i := 0; i < rounds; i++ {
+					ping.Put(i)
+					th.Get(pong)
+				}
+			})
+		}
+		s.Run()
+		s.Shutdown()
+		return s.Switches()
+	}
+	if a, b := pingPong(100, false), pingPong(300, false); b-a != 2*200 {
+		t.Errorf("free-form ping-pong: %d switches for 100 round trips, %d for 300; want 2 per round trip", a, b)
+	}
+	if n := pingPong(300, true); n != 0 {
+		t.Errorf("frame ping-pong made %d switches, want 0", n)
+	}
+}
