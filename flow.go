@@ -2,6 +2,7 @@ package whodunit
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"whodunit/internal/faults"
@@ -30,9 +31,11 @@ type flowState struct {
 	// dictionary by — no key string is rendered per critical section.
 	tokens []TxnCtxt                           // token -> transaction context; token 0 is "none"
 	byID   map[profiler.CtxtID][]shmflow.Token // identity -> tokens (hash bucket)
+	last   shmflow.Token                       // the token handed out last; see tokenFor
 
-	// Every runEmulated runs its vm thread to completion before another
-	// can start, so one slot holds what the tracker's ThreadCtxt reads.
+	// Every emulated execution runs its vm thread to completion before
+	// another can start, so one slot holds what the tracker's ThreadCtxt
+	// reads.
 	running    int           // vm thread executing on the machine
 	runningTok shmflow.Token // its producer token
 
@@ -48,12 +51,26 @@ func newFlowState() *flowState {
 		tokens:   make([]TxnCtxt, 1),
 		byID:     make(map[profiler.CtxtID][]shmflow.Token),
 		running:  -1,
+		consumer: -1,
 		nextLock: 1,
 		nextBase: 0x1000,
 	}
 }
 
+// tokenFor interns tc. A thread's executions mostly run under the
+// context its last one ran under — and a server's threads under one
+// another's — so the token handed out last answers, by the identity of
+// the interned local context, before anything is hashed.
 func (f *flowState) tokenFor(tc TxnCtxt) shmflow.Token {
+	if l := &f.tokens[f.last]; f.last != 0 && l.Local == tc.Local && l.Prefix.Equal(tc.Prefix) {
+		return f.last
+	}
+	tok := f.intern(tc)
+	f.last = tok
+	return tok
+}
+
+func (f *flowState) intern(tc TxnCtxt) shmflow.Token {
 	id := tc.ID()
 	for _, tok := range f.byID[id] {
 		if f.tokens[tok].Prefix.Equal(tc.Prefix) {
@@ -114,22 +131,51 @@ func (a *App) ReserveCS() (lock int, base int64) {
 	return lock, base
 }
 
-// runEmulated executes one program on the app's shared machine as the
-// calling simulated thread: the probe's current transaction context is
-// registered as the executing vm thread's token, the cycles consumed
-// are charged to the probe's CPU, and — if the tracker detected that
-// this execution consumed another thread's context — the probe is
-// switched to the producer's transaction context (§3.5), with no caller
-// involvement. regs is the full initial register file (copied in), so
-// the per-execution fast paths build no map.
-func (a *App) runEmulated(pr *Probe, prog *vm.Program, entry string, regs *[vm.NumRegs]int64) *vm.Thread {
+// An emulated critical section executes in two non-blocking halves with
+// the CPU charge between them. beginEmulated runs the program on the
+// app's shared machine as pr's simulated thread — the probe's current
+// transaction context registered as the executing vm thread's token —
+// and returns the virtual time its cycles cost. The caller charges that
+// to pr's CPU however its thread waits: pr.Compute for a free-form
+// thread (runEmulated, Queue.Push/Pop), pr.ComputeStep for a frame
+// program (QueuePort). finishEmulated then retires the vm thread and, if
+// the tracker detected that the execution consumed another thread's
+// context, switches pr to the producer's transaction context (§3.5),
+// with no caller involvement.
+//
+// The machine has already run the program to completion when begin
+// returns; the charge only makes the simulated thread pay for it. Other
+// simulated threads run their own critical sections on the shared
+// machine during that wait and overwrite the tracker's single delivery
+// slot, which is why begin, not finish, reads what was delivered.
+
+// emulation is one execution between its halves.
+type emulation struct {
+	// th is the executing vm thread. A zero emulation spawns one; an
+	// emulation used again re-arms the thread it has — same program and
+	// entry, fresh id — so a QueuePort allocates none per execution.
+	th    *vm.Thread
+	adopt shmflow.Token // the flow delivered to th during the run, 0 if none
+	live  bool          // begun and not yet finished
+}
+
+// beginEmulated starts x: prog runs from entry to its halt with regs (the
+// full initial register file, copied in, so the per-execution fast paths
+// build no map), and the returned demand is what it cost.
+func (a *App) beginEmulated(pr *Probe, x *emulation, prog *vm.Program, entry string, regs *[vm.NumRegs]int64) Duration {
 	if a.machine == nil {
 		panic("whodunit: emulated critical sections need WithFlowDetection")
 	}
-	th, err := a.machine.Spawn(prog, entry)
-	if err != nil {
-		panic(fmt.Sprintf("whodunit: %s: %v", prog.Name, err))
+	if x.th == nil {
+		th, err := a.machine.Spawn(prog, entry)
+		if err != nil {
+			panic(fmt.Sprintf("whodunit: %s: %v", prog.Name, err))
+		}
+		x.th = th
+	} else {
+		a.machine.Rearm(x.th)
 	}
+	th := x.th
 	th.Regs = *regs
 	// Token plumbing only matters when the tracker is live (ModeWhodunit);
 	// in the other modes the program still executes (at direct cost) and
@@ -138,27 +184,43 @@ func (a *App) runEmulated(pr *Probe, prog *vm.Program, entry string, regs *[vm.N
 		a.flow.consumed, a.flow.consumer = 0, -1
 		a.flow.running, a.flow.runningTok = th.ID, a.flow.tokenFor(pr.Txn())
 	}
-	before := th.Cycles
 	if err := a.machine.Run(emulatedStepLimit); err != nil {
 		panic(fmt.Sprintf("whodunit: %s: %v", prog.Name, err))
 	}
-	// Capture the delivered flow before Compute blocks this simulated
-	// thread: other threads may run their own critical sections on the
-	// shared machine while this one waits for the CPU, overwriting the
-	// single delivery slot.
-	tok, consumer := a.flow.consumed, a.flow.consumer
-	pr.Compute(a.cyclesToTime(th.Cycles - before))
+	x.adopt = 0
+	if a.flow.consumer == th.ID {
+		x.adopt = a.flow.consumed
+	}
+	x.live = true
+	return a.cyclesToTime(th.Cycles)
+}
+
+// finishEmulated retires x once its cycles are charged — or while its
+// thread, killed before they were, unwinds: both drivers defer it for
+// that.
+func (a *App) finishEmulated(pr *Probe, x *emulation) {
+	x.live = false
 	a.machine.Reap()
 	if a.tracker != nil {
 		// The thread has halted and its id is never reused: nothing can
 		// name its registers again, so their shadow goes back to the pool.
-		a.tracker.Release(th.ID)
+		a.tracker.Release(x.th.ID)
 		// §3.5: the consumer adopts the producer's context.
-		if tok != 0 && consumer == th.ID {
-			pr.SetTxn(a.flow.tokens[tok])
+		if x.adopt != 0 {
+			pr.SetTxn(a.flow.tokens[x.adopt])
 		}
 	}
-	return th
+}
+
+// runEmulated is the blocking driver of one execution on a vm thread of
+// its own (Stage.EmulatedCS returns it to the caller, so it is never
+// re-armed).
+func (a *App) runEmulated(pr *Probe, prog *vm.Program, entry string, regs *[vm.NumRegs]int64) *vm.Thread {
+	var x emulation
+	d := a.beginEmulated(pr, &x, prog, entry, regs)
+	defer a.finishEmulated(pr, &x)
+	pr.Compute(d)
+	return x.th
 }
 
 // Queue is a shared-memory FIFO queue whose Push and Pop critical
@@ -183,6 +245,36 @@ func (a *App) runEmulated(pr *Probe, prog *vm.Program, entry string, regs *[vm.N
 // Figure 1's array semantics — data[nelts++] on push, data[--nelts] on
 // pop — so with more than one element buffered the most recently pushed
 // element pops first, exactly as the paper's critical sections behave.
+//
+// The critical-section operations have two faces over one
+// implementation. Queue.Push and Queue.Pop block the calling free-form
+// thread (Stage.Go). A run-to-completion thread (Stage.GoCoro) binds a
+// QueuePort once, where its program begins, and calls port.Push(c, v, k)
+// and port.Pop(c, k): one call at each site, the continuation k
+// receiving the element with the probe already switched to the pusher's
+// context. Either way an operation is the same two halves around the CPU
+// charge (see beginEmulated). Before it: the probe frame is entered, the
+// critical section runs to completion on the machine — the element is in
+// or out of the vm-side array — and the flow the tracker delivered is
+// captured, because every other thread that enters a critical section
+// during the charge overwrites the one delivery slot. After it: the vm
+// thread is reaped, its register shadow released, the producer's context
+// adopted, the frame exited and, for a push, the semaphore posted. The
+// faces mix freely on one queue.
+//
+// A thread killed (StageCrash) while it is being charged still runs the
+// second half, from the blocking face's defer or the port's Coro.Defer:
+// nothing of the execution stays behind in the machine or the tracker.
+// A push cut short this way has stored its element, so its semaphore is
+// posted and the element is delivered, under the context it was pushed
+// with, to whoever pops next. A pop cut short has removed its element
+// from the vm-side array: the element is dropped with the popper that
+// took it, as a connection dies with the worker that accepted it. The
+// scratch words of killed poppers are taken back when the queue runs
+// out of them. One loss is the scheduler's, not the queue's: a popper
+// killed after a Put handed it the semaphore and before it ran takes
+// that hand-off with it, like any item handed to a dying thread, and the
+// element stays buffered in the vm-side array below later pushes.
 type Queue struct {
 	Name string
 
@@ -191,17 +283,19 @@ type Queue struct {
 	// ap_queue_push / ap_queue_pop.
 	PushFrame, PopFrame string
 
-	app      *App
-	inner    *vclock.Queue
-	lockID   int
-	base     int64
-	push     *vm.Program
-	pop      *vm.Program
-	vals     []any
-	free     []int64 // popped vals slots available for reuse
-	vmLen    int     // elements currently in the vm-side queue (pushes - pops)
-	scratch  map[*vclock.Thread]int64
-	nscratch int
+	app    *App
+	inner  *vclock.Queue
+	lockID int
+	base   int64
+	push   *vm.Program
+	pop    *vm.Program
+	vals   []any
+	free   []int64 // popped vals slots available for reuse
+	vmLen  int     // elements currently in the vm-side queue (pushes - pops)
+
+	ports       map[*Probe]*QueuePort // per-thread state of the critical-section faces
+	nscratch    int                   // scratch slots handed out so far
+	freeScratch []int64               // slots taken back from killed threads
 }
 
 // pushedElem is what Push places on the inner simulator queue: a
@@ -216,7 +310,7 @@ type pushedElem struct{}
 // 2 words each from base+0x10 up to the scratch region at base+0x7000,
 // and scratch slots are 0x40 words each up to the next queue's region
 // at base+0x10000. Exceeding either would silently corrupt adjacent
-// memory, so Push and scratchFor fail loudly instead.
+// memory, so Push and newScratch fail loudly instead.
 const (
 	maxQueueDepth     = (0x7000 - 0x10) / 2
 	maxQueueConsumers = (0x10000 - 0x7000) / 0x40
@@ -411,13 +505,19 @@ func (q *Queue) ensure() {
 		return
 	}
 	q.lockID, q.base = q.app.ReserveCS()
-	q.scratch = make(map[*vclock.Thread]int64)
 	q.push = queueProg(q.lockID, q.base, false)
 	q.pop = queueProg(q.lockID, q.base, true)
 }
 
-func (q *Queue) scratchFor(th *Thread) int64 {
-	if s, ok := q.scratch[th]; ok {
+// newScratch hands out a popping thread's scratch words: a slot taken
+// back from a killed thread if there is one, else the next unused one.
+func (q *Queue) newScratch() int64 {
+	if len(q.freeScratch) == 0 && q.nscratch >= maxQueueConsumers {
+		q.sweep()
+	}
+	if n := len(q.freeScratch); n > 0 {
+		s := q.freeScratch[n-1]
+		q.freeScratch = q.freeScratch[:n-1]
 		return s
 	}
 	if q.nscratch >= maxQueueConsumers {
@@ -425,8 +525,25 @@ func (q *Queue) scratchFor(th *Thread) int64 {
 	}
 	s := q.base + 0x7000 + int64(q.nscratch)*0x40
 	q.nscratch++
-	q.scratch[th] = s
 	return s
+}
+
+// sweep forgets the ports of killed threads and takes their scratch
+// slots back. A free-form thread has no exit hook to do this from, so it
+// happens when slots run out: a stage that crashes and restarts for ever
+// never exhausts them. The vm-side scratch words are only touched while
+// an execution runs on the machine, never during its charge, so a slot
+// is reusable from the moment its thread is marked dead.
+func (q *Queue) sweep() {
+	for pr, p := range q.ports {
+		if pr.Thread().Dead() {
+			if p.scratch != 0 {
+				q.freeScratch = append(q.freeScratch, p.scratch)
+			}
+			delete(q.ports, pr)
+		}
+	}
+	slices.Sort(q.freeScratch) // map order must not pick who gets which slot
 }
 
 // Push appends v, executing the ap_queue_push critical section on the
@@ -437,30 +554,11 @@ func (q *Queue) Push(pr *Probe, v any) {
 		q.inner.Put(v)
 		return
 	}
-	q.ensure()
-	if q.vmLen >= maxQueueDepth {
-		panic(fmt.Sprintf("whodunit: queue %q exceeds its vm capacity of %d buffered elements", q.Name, maxQueueDepth))
-	}
-	// Count the element before the emulated run: runEmulated blocks in
-	// Compute, and a concurrent pusher must see the slot as taken or the
-	// capacity guard above could be bypassed.
-	q.vmLen++
-	func() {
-		defer pr.Exit(pr.Enter(q.PushFrame))
-		var sd int64
-		if n := len(q.free); n > 0 {
-			sd = q.free[n-1]
-			q.free = q.free[:n-1]
-			q.vals[sd] = v
-		} else {
-			sd = int64(len(q.vals))
-			q.vals = append(q.vals, v)
-		}
-		var regs [vm.NumRegs]int64
-		regs[1], regs[4], regs[5] = q.base, sd, sd+1_000_000
-		q.app.runEmulated(pr, q.push, "push", &regs)
-	}()
-	q.inner.Put(pushedElem{})
+	p := q.Port(pr)
+	d := p.beginPush(v)
+	defer p.settle() // a kill during the charge still finishes the section
+	pr.Compute(d)
+	p.finishPush()
 }
 
 // Pop blocks until an element is available, executes the ap_queue_pop
@@ -469,33 +567,179 @@ func (q *Queue) Push(pr *Probe, v any) {
 // transaction context the element was pushed under — the §3.5 context
 // propagation, with no user involvement.
 func (q *Queue) Pop(pr *Probe) any {
-	th := pr.Thread()
-	if q.app.machine == nil {
-		return th.Get(q.inner)
-	}
-	got := th.Get(q.inner) // semaphore: an element is available
+	got := pr.Thread().Get(q.inner) // semaphore: an element is available
 	if _, ok := got.(pushedElem); !ok {
-		// The dequeued element entered through the raw Put face and was
-		// never stored in the vm-side queue: hand it over directly, with
-		// no critical section and therefore no context inference.
+		// The dequeued element entered through the raw Put face (the only
+		// one there is without a machine) and was never stored in the
+		// vm-side queue: hand it over directly, with no critical section
+		// and therefore no context inference.
 		return got
 	}
-	// A pushedElem implies the Push that produced it already ran
-	// ensure(), so the vm resources exist; raw-only queues never
-	// reach this point and stay free of vm state.
+	p := q.Port(pr)
+	d := p.beginPop()
+	defer p.settle()
+	pr.Compute(d)
+	return p.finishPop()
+}
+
+// QueuePort is one thread's handle on a queue's critical-section
+// operations: it owns what an operation needs per thread — the popper's
+// scratch words in vm memory, one vm thread per direction that each
+// execution re-arms instead of allocating, the execution in flight — and,
+// for the frame face, the continuation state, so a steady-state Push or
+// Pop allocates no closure. A run-to-completion thread takes its port
+// once, in its Stage.GoCoro program function; the blocking Queue.Push and
+// Queue.Pop look the calling thread's port up themselves.
+type QueuePort struct {
+	q  *Queue
+	pr *Probe
+
+	scratch   int64     // the thread's consume words; 0 until its first pop
+	push, pop emulation // at most one is live
+	tok       int       // probe token of the live operation's frame
+
+	k                      Frame // where the frame-face operation in flight continues
+	armed                  bool  // settle is on the coroutine's Defer stack
+	gotF, pushedF, poppedF Frame // bound once
+}
+
+// Port returns the port of pr's thread on q, creating it on first use.
+func (q *Queue) Port(pr *Probe) *QueuePort {
+	p, ok := q.ports[pr]
+	if !ok {
+		if q.ports == nil {
+			q.ports = make(map[*Probe]*QueuePort)
+		}
+		p = &QueuePort{q: q, pr: pr}
+		p.gotF, p.pushedF, p.poppedF = p.got, p.pushed, p.popped
+		q.ports[pr] = p
+	}
+	return p
+}
+
+// beginPush is Push up to the charge: the element takes a vals slot and
+// ap_queue_push stores the slot's index in the vm-side array.
+func (p *QueuePort) beginPush(v any) Duration {
+	q := p.q
+	q.ensure()
+	if q.vmLen >= maxQueueDepth {
+		panic(fmt.Sprintf("whodunit: queue %q exceeds its vm capacity of %d buffered elements", q.Name, maxQueueDepth))
+	}
+	// Count the element before the charge: a concurrent pusher must see
+	// the slot as taken or the capacity guard above could be bypassed.
+	q.vmLen++
+	p.tok = p.pr.Enter(q.PushFrame)
+	var sd int64
+	if n := len(q.free); n > 0 {
+		sd = q.free[n-1]
+		q.free = q.free[:n-1]
+		q.vals[sd] = v
+	} else {
+		sd = int64(len(q.vals))
+		q.vals = append(q.vals, v)
+	}
+	var regs [vm.NumRegs]int64
+	regs[1], regs[4], regs[5] = q.base, sd, sd+1_000_000
+	return q.app.beginEmulated(p.pr, &p.push, q.push, "push", &regs)
+}
+
+// finishPush is Push after the charge; the semaphore is posted last, as
+// ap_queue_push signals not_empty after leaving its critical section.
+func (p *QueuePort) finishPush() {
+	p.q.app.finishEmulated(p.pr, &p.push)
+	p.pr.Exit(p.tok)
+	p.q.inner.Put(pushedElem{})
+}
+
+// beginPop is Pop from the semaphore to the charge: ap_queue_pop takes
+// the newest element's index out of the vm-side array. The pushedElem
+// that let the caller in implies its Push already ran ensure(), so the
+// vm resources exist; raw-only queues never get here and stay free of vm
+// state.
+func (p *QueuePort) beginPop() Duration {
+	q := p.q
 	q.vmLen--
-	var v any
-	func() {
-		defer pr.Exit(pr.Enter(q.PopFrame))
-		var regs [vm.NumRegs]int64
-		regs[1], regs[9] = q.base, q.scratchFor(th)
-		t := q.app.runEmulated(pr, q.pop, "pop", &regs)
-		// The value comes from the slot the critical section actually
-		// popped, so it stays consistent with the propagated context.
-		sd := t.Regs[4]
-		v = q.vals[sd]
-		q.vals[sd] = nil
-		q.free = append(q.free, sd) // slot reusable by the next Push
-	}()
+	p.tok = p.pr.Enter(q.PopFrame)
+	if p.scratch == 0 {
+		p.scratch = q.newScratch()
+	}
+	var regs [vm.NumRegs]int64
+	regs[1], regs[9] = q.base, p.scratch
+	return q.app.beginEmulated(p.pr, &p.pop, q.pop, "pop", &regs)
+}
+
+// finishPop is Pop after the charge. The value comes from the slot the
+// critical section actually popped, so it stays consistent with the
+// propagated context.
+func (p *QueuePort) finishPop() any {
+	q := p.q
+	q.app.finishEmulated(p.pr, &p.pop)
+	sd := p.pop.th.Regs[4]
+	v := q.vals[sd]
+	q.vals[sd] = nil
+	q.free = append(q.free, sd) // slot reusable by the next Push
+	p.pr.Exit(p.tok)
 	return v
+}
+
+// settle finishes the operation the port's thread was killed in, if it
+// was killed in one: see the Queue comment for what becomes of the
+// element.
+func (p *QueuePort) settle() {
+	switch {
+	case p.push.live:
+		p.finishPush()
+	case p.pop.live:
+		p.finishPop()
+	}
+}
+
+// Push is Queue.Push for the port's run-to-completion thread: k
+// continues (with nil) once the element is pushed.
+func (p *QueuePort) Push(c *Coro, v any, k Frame) Step {
+	if p.q.app.machine == nil {
+		p.q.inner.Put(v)
+		return k(c, nil)
+	}
+	p.arm(c, k)
+	return p.pr.ComputeStep(c, p.beginPush(v), p.pushedF)
+}
+
+func (p *QueuePort) pushed(c *Coro, _ any) Step {
+	p.finishPush()
+	return p.resume(c, nil)
+}
+
+// Pop is Queue.Pop for the port's run-to-completion thread: k receives
+// the element, the probe already switched to the context it was pushed
+// under (or untouched, for an element added with raw Put).
+func (p *QueuePort) Pop(c *Coro, k Frame) Step {
+	p.arm(c, k)
+	return c.Get(p.q.inner, p.gotF)
+}
+
+func (p *QueuePort) got(c *Coro, v any) Step {
+	if _, ok := v.(pushedElem); !ok {
+		return p.resume(c, v)
+	}
+	return p.pr.ComputeStep(c, p.beginPop(), p.poppedF)
+}
+
+func (p *QueuePort) popped(c *Coro, _ any) Step { return p.resume(c, p.finishPop()) }
+
+// arm notes where the operation continues and, the first time, puts
+// settle on the coroutine's Defer stack — a frame program has no deferred
+// call of its own to finish a section it is killed in.
+func (p *QueuePort) arm(c *Coro, k Frame) {
+	if !p.armed {
+		p.armed = true
+		c.Defer(p.settle)
+	}
+	p.k = k
+}
+
+func (p *QueuePort) resume(c *Coro, v any) Step {
+	k := p.k
+	p.k = nil
+	return k(c, v)
 }

@@ -31,6 +31,14 @@ type refEntry struct {
 	producer int
 }
 
+// refLockInfo is the oracle's own per-lock thread sets: plain maps, so it
+// shares nothing with the bit sets it is compared against.
+type refLockInfo struct {
+	producers map[int]bool
+	consumers map[int]bool
+	nonFlow   bool
+}
+
 // refTracker implements vm.Tracer and runs the §3 algorithm on one
 // map[vm.Loc] dictionary.
 type refTracker struct {
@@ -48,7 +56,7 @@ type refTracker struct {
 	OnNonFlow func(lock int)
 
 	dict  map[vm.Loc]refEntry
-	locks map[int]*lockInfo
+	locks map[int]*refLockInfo
 	flows []FlowEvent
 }
 
@@ -59,7 +67,7 @@ var _ vm.Tracer = (*refTracker)(nil)
 func newRefTracker() *refTracker {
 	return &refTracker{
 		dict:  make(map[vm.Loc]refEntry),
-		locks: make(map[int]*lockInfo),
+		locks: make(map[int]*refLockInfo),
 	}
 }
 
@@ -99,10 +107,10 @@ func (tr *refTracker) side(lock int, prod bool) []int {
 // capacity monitoring).
 func (tr *refTracker) DictSize() int { return len(tr.dict) }
 
-func (tr *refTracker) lockInfoFor(lock int) *lockInfo {
+func (tr *refTracker) lockInfoFor(lock int) *refLockInfo {
 	li, ok := tr.locks[lock]
 	if !ok {
-		li = &lockInfo{producers: make(map[int]bool), consumers: make(map[int]bool)}
+		li = &refLockInfo{producers: make(map[int]bool), consumers: make(map[int]bool)}
 		tr.locks[lock] = li
 	}
 	return li
@@ -228,7 +236,7 @@ func (tr *refTracker) addProducer(lock, thread int) {
 	}
 }
 
-func (tr *refTracker) addConsumer(lock, thread int) *lockInfo {
+func (tr *refTracker) addConsumer(lock, thread int) *refLockInfo {
 	li := tr.lockInfoFor(lock)
 	if !li.consumers[thread] {
 		li.consumers[thread] = true
@@ -239,7 +247,7 @@ func (tr *refTracker) addConsumer(lock, thread int) *lockInfo {
 	return li
 }
 
-func (tr *refTracker) markNonFlow(lock int, li *lockInfo) {
+func (tr *refTracker) markNonFlow(lock int, li *refLockInfo) {
 	li.nonFlow = true
 	if tr.OnNonFlow != nil {
 		tr.OnNonFlow(lock)

@@ -30,9 +30,12 @@
 // a hash table. Memory words live in a paged slice of entries with the
 // geometry of vm.Memory (a map only for addresses past the directory,
 // ≥ 2^25), and each vm thread that has touched a register owns a register
-// file — NumRegs entries behind a presence mask — so every lookup on the
-// traced-instruction path is an index and the critical-section-entry
-// flush is one store. A register file belongs to its thread until the
+// file — NumRegs entries behind a presence mask, found through the file
+// used last or a scan of the few unreleased threads' files — so every
+// lookup on the traced-instruction path is an index and the
+// critical-section-entry flush is one store; a lock's producer and
+// consumer sets are bit sets over the machine's dense thread ids. A
+// register file belongs to its thread until the
 // thread's owner calls Release, which returns it to a free list: the
 // dictionary is bounded by live threads and touched words, and a host
 // that runs one-shot threads forever allocates nothing per execution.
@@ -47,7 +50,6 @@ package shmflow
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 
 	"whodunit/internal/vm"
 )
@@ -106,9 +108,41 @@ type regFile struct {
 
 // lockInfo tracks the producer/consumer thread sets per lock object.
 type lockInfo struct {
-	producers map[int]bool
-	consumers map[int]bool
+	producers idSet
+	consumers idSet
 	nonFlow   bool
+}
+
+// idSet is a set of vm thread ids, one bit per id. A lock's sets gain an
+// id with every critical-section execution of a one-shot thread and are
+// probed on every produce and consume; the machine hands ids out densely,
+// counting up from 0, so a bit set grown by the word holds what a hash
+// map held in a fraction of the space and answers with a shift and a
+// mask.
+type idSet struct{ words []uint64 }
+
+func (s *idSet) has(id int) bool {
+	w := id >> 6
+	return w < len(s.words) && s.words[w]&(1<<(id&63)) != 0
+}
+
+func (s *idSet) add(id int) {
+	w := id >> 6
+	if w >= len(s.words) {
+		s.words = append(s.words, make([]uint64, w+1-len(s.words))...)
+	}
+	s.words[w] |= 1 << (id & 63)
+}
+
+// ids returns the members in increasing order, never nil.
+func (s *idSet) ids() []int {
+	out := []int{}
+	for w, word := range s.words {
+		for ; word != 0; word &= word - 1 {
+			out = append(out, w<<6+bits.TrailingZeros64(word))
+		}
+	}
+	return out
 }
 
 // Stats are the tracker's counters. They are plain fields bumped on the
@@ -140,14 +174,16 @@ type Tracker struct {
 	// execution (§7.2).
 	OnNonFlow func(lock int)
 
-	pages []*[pageWords]entry // shadow memory directory
-	spill map[uint32]entry    // words past the directory
-	files map[int]*regFile    // register files of unreleased threads, by thread id
-	last  *regFile            // the file used last; see regs
-	free  []*regFile          // released files
-	locks map[int]*lockInfo
-	flows []FlowEvent
-	stats Stats
+	pages      []*[pageWords]entry // shadow memory directory
+	spill      map[uint32]entry    // words past the directory
+	live       []*regFile          // register files of unreleased threads; see regs
+	last       *regFile            // the file used last
+	free       []*regFile          // released files
+	locks      map[int]*lockInfo
+	lastLock   *lockInfo // locks[lastLockID], the entry used last
+	lastLockID int
+	flows      []FlowEvent
+	stats      Stats
 }
 
 var _ vm.Tracer = (*Tracker)(nil)
@@ -155,10 +191,7 @@ var _ vm.Tracer = (*Tracker)(nil)
 // NewTracker returns a tracker with an empty dictionary. ThreadCtxt must
 // be assigned before use.
 func NewTracker() *Tracker {
-	return &Tracker{
-		files: make(map[int]*regFile),
-		locks: make(map[int]*lockInfo),
-	}
+	return &Tracker{locks: make(map[int]*lockInfo)}
 }
 
 // Flows returns every detected flow event in order.
@@ -181,16 +214,10 @@ func (tr *Tracker) side(lock int, prod bool) []int {
 	if li == nil {
 		return nil
 	}
-	set := li.consumers
 	if prod {
-		set = li.producers
+		return li.producers.ids()
 	}
-	out := make([]int, 0, len(set))
-	for id := range set {
-		out = append(out, id)
-	}
-	sort.Ints(out)
-	return out
+	return li.consumers.ids()
 }
 
 // DictSize reports the number of live dictionary entries (for tests and
@@ -201,7 +228,7 @@ func (tr *Tracker) DictSize() int { return tr.stats.DictEntries }
 func (tr *Tracker) Stats() Stats {
 	s := tr.stats
 	s.Flows = int64(len(tr.flows))
-	s.RegFilesLive = len(tr.files)
+	s.RegFilesLive = len(tr.live)
 	s.RegFilesPooled = len(tr.free)
 	return s
 }
@@ -211,39 +238,49 @@ func (tr *Tracker) Stats() Stats {
 // halted (beside Machine.Reap); see the package comment for why no result
 // can depend on it.
 func (tr *Tracker) Release(thread int) {
-	rf := tr.files[thread]
-	if rf == nil {
+	for i, rf := range tr.live {
+		if rf.thread != thread {
+			continue
+		}
+		n := len(tr.live) - 1
+		tr.live[i], tr.live[n] = tr.live[n], nil
+		tr.live = tr.live[:n]
+		if tr.last == rf {
+			tr.last = nil
+		}
+		tr.stats.DictEntries -= bits.OnesCount16(rf.mask)
+		tr.free = append(tr.free, rf)
 		return
 	}
-	delete(tr.files, thread)
-	if tr.last == rf {
-		tr.last = nil
-	}
-	tr.stats.DictEntries -= bits.OnesCount16(rf.mask)
-	tr.free = append(tr.free, rf)
 }
 
 // regs returns thread's register file, or nil if it has none and create
 // is false. Machine.Run almost always has one runnable thread, so the
-// file used last answers before the map is consulted.
+// file used last answers first; behind it the unreleased threads' files
+// are scanned, not hashed — a host that releases its halted threads has
+// as many as it has executions in flight, a handful.
 func (tr *Tracker) regs(thread int, create bool) *regFile {
 	if rf := tr.last; rf != nil && rf.thread == thread {
 		return rf
 	}
-	rf := tr.files[thread]
-	if rf == nil {
-		if !create {
-			return nil
+	for _, rf := range tr.live {
+		if rf.thread == thread {
+			tr.last = rf
+			return rf
 		}
-		if n := len(tr.free); n > 0 {
-			rf = tr.free[n-1]
-			tr.free = tr.free[:n-1]
-		} else {
-			rf = new(regFile)
-		}
-		rf.thread, rf.mask = thread, 0
-		tr.files[thread] = rf
 	}
+	if !create {
+		return nil
+	}
+	var rf *regFile
+	if n := len(tr.free); n > 0 {
+		rf = tr.free[n-1]
+		tr.free = tr.free[:n-1]
+	} else {
+		rf = new(regFile)
+	}
+	rf.thread, rf.mask = thread, 0
+	tr.live = append(tr.live, rf)
 	tr.last = rf
 	return rf
 }
@@ -348,12 +385,19 @@ func (tr *Tracker) del(loc vm.Loc) {
 	}
 }
 
+// lockInfoFor returns lock's thread sets; consecutive produces and
+// consumes are mostly under one lock, so the entry used last answers
+// before the map does.
 func (tr *Tracker) lockInfoFor(lock int) *lockInfo {
+	if tr.lastLock != nil && tr.lastLockID == lock {
+		return tr.lastLock
+	}
 	li, ok := tr.locks[lock]
 	if !ok {
-		li = &lockInfo{producers: make(map[int]bool), consumers: make(map[int]bool)}
+		li = new(lockInfo)
 		tr.locks[lock] = li
 	}
+	tr.lastLock, tr.lastLockID = li, lock
 	return li
 }
 
@@ -473,20 +517,20 @@ func (tr *Tracker) inWindow(ac *vm.Access) {
 // critical-section executions.
 func (tr *Tracker) addProducer(lock, thread int) {
 	li := tr.lockInfoFor(lock)
-	if li.producers[thread] {
+	if li.producers.has(thread) {
 		return
 	}
-	li.producers[thread] = true
-	if !li.nonFlow && li.consumers[thread] {
+	li.producers.add(thread)
+	if !li.nonFlow && li.consumers.has(thread) {
 		tr.markNonFlow(lock, li)
 	}
 }
 
 func (tr *Tracker) addConsumer(lock, thread int) *lockInfo {
 	li := tr.lockInfoFor(lock)
-	if !li.consumers[thread] {
-		li.consumers[thread] = true
-		if !li.nonFlow && li.producers[thread] {
+	if !li.consumers.has(thread) {
+		li.consumers.add(thread)
+		if !li.nonFlow && li.producers.has(thread) {
 			tr.markNonFlow(lock, li)
 		}
 	}

@@ -72,6 +72,7 @@ type Thread struct {
 
 	ps        *progState // machine-local predecoded program state
 	code      []dinstr   // ps.code, cached for one less indirection
+	entry     int        // the pc it was spawned at, for Rearm
 	halted    bool
 	blockedOn int // lock id the thread is waiting for, or -1
 	granted   bool
@@ -163,11 +164,29 @@ func (m *Machine) Spawn(prog *Program, label string) (*Thread, error) {
 		return nil, err
 	}
 	ps := m.progStateFor(prog)
-	t := &Thread{ID: m.nextID, Prog: prog, PC: pc, blockedOn: -1, ps: ps, code: ps.code}
+	t := &Thread{ID: m.nextID, Prog: prog, PC: pc, entry: pc, blockedOn: -1, ps: ps, code: ps.code}
 	m.nextID++
 	m.Threads = append(m.Threads, t)
 	m.ring = append(m.ring, t)
 	return t, nil
+}
+
+// Rearm starts a new thread at the program and entry point t was spawned
+// with, reusing t's storage: a host that runs one short execution after
+// another (a queue's push or pop per connection) allocates no Thread and
+// no held-lock slice per execution. The new thread is a new identity —
+// it takes the next thread id, exactly as Spawn would, because ids are
+// never reused — with zeroed registers and cycle count. t must have
+// halted and been reaped.
+func (m *Machine) Rearm(t *Thread) {
+	if !t.halted {
+		panic(fmt.Sprintf("vm: Rearm of thread %d, which has not halted", t.ID))
+	}
+	*t = Thread{ID: m.nextID, Prog: t.Prog, PC: t.entry, entry: t.entry, blockedOn: -1,
+		ps: t.ps, code: t.code, heldLocks: t.heldLocks[:0]}
+	m.nextID++
+	m.Threads = append(m.Threads, t)
+	m.ring = append(m.ring, t)
 }
 
 // SetNonFlow marks a lock's critical sections for native execution —

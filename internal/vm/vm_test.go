@@ -358,3 +358,59 @@ func TestNestedLocksTracedUnderOutermost(t *testing.T) {
 		}
 	}
 }
+
+func TestRearmIsAFreshThreadInOldStorage(t *testing.T) {
+	p := MustAssemble("t", `
+	skip:
+		halt
+	main:
+		lock 1
+		incm [r1]
+		unlock 1
+		add r2, r2, r1
+		halt
+	`)
+	m := NewMachine()
+	other, _ := m.Spawn(p, "skip") // takes id 0, so ids and spawn order differ
+	th, err := m.Spawn(p, "main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	th.Regs[1] = 0x100
+	if err := m.Run(1000); err != nil {
+		t.Fatal(err)
+	}
+	first := *th
+	m.Reap()
+	for i := 2; i < 5; i++ {
+		m.Rearm(th)
+		if th.ID != i || th.Halted() || th.Cycles != 0 || th.Regs != ([NumRegs]int64{}) {
+			t.Fatalf("re-armed thread: id %d halted %v cycles %d regs %v, want id %d, runnable, zeroed", th.ID, th.Halted(), th.Cycles, th.Regs[:3], i)
+		}
+		if len(m.Threads) != 1 || m.Threads[0] != th {
+			t.Fatalf("machine holds %d threads after Rearm, want the re-armed one", len(m.Threads))
+		}
+		th.Regs[1] = 0x100
+		if err := m.Run(1000); err != nil {
+			t.Fatal(err)
+		}
+		if !th.Halted() || th.Cycles != first.Cycles || th.PC != first.PC || th.Regs[2] != 0x100 {
+			t.Fatalf("re-armed run: halted %v, %d cycles, pc %d, r2 %#x; the first run took %d cycles to pc %d", th.Halted(), th.Cycles, th.PC, th.Regs[2], first.Cycles, first.PC)
+		}
+		m.Reap()
+	}
+	if got := m.Mem.Load(0x100); got != 4 {
+		t.Fatalf("four executions incremented the word to %d", got)
+	}
+	if next, _ := m.Spawn(p, "skip"); next.ID != 5 || other.ID != 0 {
+		t.Fatalf("ids after three re-arms: next spawn got %d, want 5", next.ID)
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Rearm of a running thread did not panic")
+		}
+	}()
+	live, _ := m.Spawn(p, "main")
+	m.Rearm(live)
+}
