@@ -149,6 +149,13 @@ func (a *App) Shards() int { return a.shards }
 // the Report.
 func (a *App) EpochStats() EpochStats { return a.group.Stats() }
 
+// KernelCounters reports what the simulator did, summed over the app's
+// time domains: events scheduled and dispatched by kind, what the event
+// queue paid, sleeps served in place, frame steps and thread switches.
+// Like EpochStats it is telemetry about the run, never part of the
+// Report, and repeats exactly at a fixed seed and layout.
+func (a *App) KernelCounters() KernelCounters { return a.group.Counters() }
+
 // ShardSim returns the simulator of time domain k%Shards(). The modulo
 // makes placement written against a sharded layout valid verbatim on a
 // collapsed app: every index maps to domain 0.

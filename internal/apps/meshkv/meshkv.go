@@ -192,7 +192,8 @@ type Result struct {
 	ShardLoad     []int64 // requests served per kv shard, pod by pod
 	ReplicaLoad   []int64 // requests completed per pod
 	ThroughputRPS float64
-	Epochs        whodunit.EpochStats // what the epoch loop did; differs between Sharded and not, unlike all of the above
+	Epochs        whodunit.EpochStats     // what the epoch loop did; differs between Sharded and not, unlike all of the above
+	Kernel        whodunit.KernelCounters // what the simulator did; its queue and inline-sleep counts differ with the layout too
 }
 
 // HitRate is the cache hit fraction across all gets.
@@ -457,6 +458,7 @@ func (sys *system) finish(rep *whodunit.Report) *Result {
 		Elapsed:  rep.Elapsed,
 		Injected: sys.injected,
 		Epochs:   sys.app.EpochStats(),
+		Kernel:   sys.app.KernelCounters(),
 	}
 	for _, p := range sys.pods {
 		res.ReplicaLoad = append(res.ReplicaLoad, p.completed)

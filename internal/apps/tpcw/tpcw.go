@@ -207,7 +207,8 @@ type Result struct {
 	// (the §9.1 communication-overhead measurement).
 	AppBytes, CtxtBytes int64
 
-	Epochs whodunit.EpochStats // what the epoch loop did; differs between Sharded and not, unlike all of the above
+	Epochs whodunit.EpochStats     // what the epoch loop did; differs between Sharded and not, unlike all of the above
+	Kernel whodunit.KernelCounters // what the simulator did; its queue and inline-sleep counts differ with the layout too
 }
 
 // TypeStats aggregates per-interaction client-side metrics.
@@ -870,6 +871,7 @@ func (sys *system) finish() *Result {
 		AppBytes:      sys.dbBytes.app,
 		CtxtBytes:     sys.dbBytes.ctxt,
 		Epochs:        sys.app.EpochStats(),
+		Kernel:        sys.app.KernelCounters(),
 	}
 	for _, name := range workload.Interactions {
 		res.PerType[name] = &TypeStats{}

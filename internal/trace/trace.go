@@ -204,6 +204,7 @@ type gen struct {
 	rng  *vclock.RNG
 	zipf *vclock.Zipf
 	t    whodunit.Duration
+	keys []string // key names by id, each formatted on first use
 }
 
 func newGen(cfg GenConfig) *gen {
@@ -216,7 +217,7 @@ func newGen(cfg GenConfig) *gen {
 	if cfg.MeanGap <= 0 {
 		panic(fmt.Sprintf("trace: GenConfig.MeanGap must be positive (got %v)", cfg.MeanGap))
 	}
-	g := &gen{cfg: cfg, rng: vclock.NewRNG(cfg.Seed)}
+	g := &gen{cfg: cfg, rng: vclock.NewRNG(cfg.Seed), keys: make([]string, max(cfg.Keys, cfg.HotKeys))}
 	if cfg.ZipfS > 0 {
 		g.zipf = vclock.NewZipfTable(cfg.Keys, cfg.ZipfS)
 	}
@@ -251,9 +252,18 @@ func (g *gen) next() Event {
 		T:      g.t,
 		Stream: g.rng.Intn(g.cfg.Streams),
 		Op:     op,
-		Key:    fmt.Sprintf("k%04d", id),
+		Key:    g.key(id),
 		Size:   size,
 	}
+}
+
+// key names key id. The key space is small and every event names one,
+// so a name is formatted once per generator, not once per event.
+func (g *gen) key(id int) string {
+	if g.keys[id] == "" {
+		g.keys[id] = fmt.Sprintf("k%04d", id)
+	}
+	return g.keys[id]
 }
 
 // Gen produces cfg.Events synthetic events — the same sequence OpenLoop

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -238,5 +239,27 @@ func TestGenConfigValidation(t *testing.T) {
 			mutate(&cfg)
 			Gen(cfg)
 		}()
+	}
+}
+
+// TestGenKeyTable: the per-generator key table yields exactly the names
+// the generator used to format per event — five-digit ids included — and
+// once every name in use has been formatted, drawing an event allocates
+// nothing.
+func TestGenKeyTable(t *testing.T) {
+	cfg := CacheTrace()
+	cfg.Keys, cfg.HotKeys, cfg.HotFrac = 12_000, 12_500, 0.1
+	g := newGen(cfg)
+	for id := range g.keys {
+		if got, want := g.key(id), fmt.Sprintf("k%04d", id); got != want {
+			t.Fatalf("key(%d) = %q, want %q", id, got, want)
+		}
+	}
+	if n := len(g.keys); n != 12_500 || g.key(n-1) != "k12499" || g.key(7) != "k0007" {
+		t.Fatalf("table of %d keys, last %q, eighth %q", n, g.key(n-1), g.key(7))
+	}
+	var sink Event
+	if avg := testing.AllocsPerRun(1000, func() { sink = g.next() }); avg != 0 {
+		t.Errorf("a warm generator allocates %.2f times per event, want 0 (last %+v)", avg, sink)
 	}
 }

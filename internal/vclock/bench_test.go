@@ -94,3 +94,63 @@ func BenchmarkGroupEpoch(b *testing.B) {
 		})
 	}
 }
+
+// holdModel is the classic hold model on the kernel's event queue,
+// shaped like a closed-loop client population: `sleepers` events a 7 s
+// mean think time away and six near ones a 100 µs mean away. One step
+// pops the earliest event and pushes its successor — a sleeper sleeps
+// again, a near event's successor is at the current instant 30 % of the
+// time.
+type holdModel struct {
+	s   *Sim
+	rng *RNG
+	far *Thread // marks a sleeper's event
+}
+
+func newHoldModel(sleepers int) *holdModel {
+	m := &holdModel{s: New(), rng: NewRNG(1), far: new(Thread)}
+	for i := 0; i < sleepers; i++ {
+		m.s.push(event{when: m.s.now.Add(m.rng.Exp(7 * Second)), t: m.far})
+	}
+	for i := 0; i < 6; i++ {
+		m.s.push(event{when: m.s.now.Add(m.rng.Exp(100 * Microsecond))})
+	}
+	return m
+}
+
+func (m *holdModel) step() {
+	s := m.s
+	e := s.pop()
+	s.now = e.when
+	switch {
+	case e.t == m.far:
+		e.when = s.now.Add(m.rng.Exp(7 * Second))
+	case m.rng.Intn(10) >= 3:
+		e.when = s.now.Add(m.rng.Exp(100 * Microsecond))
+	}
+	s.push(e)
+}
+
+// BenchmarkEventQueueHold times one holdModel step at four populations.
+// It is the package-level twin of the repository benchmark's
+// vclock.sleep_deep_ns; moves/op is what the radix queue pays in place of
+// comparisons — events a rebase re-files in a lower bucket, per event
+// dispatched.
+func BenchmarkEventQueueHold(b *testing.B) {
+	for _, sleepers := range []int{0, 200, 10_000, 1_000_000} {
+		b.Run(fmt.Sprintf("sleepers=%d", sleepers), func(b *testing.B) {
+			m := newHoldModel(sleepers)
+			for i := 0; i < 2*sleepers+1000; i++ {
+				m.step() // every sleeper has woken about once: the buckets are in steady state
+			}
+			moved := m.s.Counters().Moved
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.step()
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(m.s.Counters().Moved-moved)/float64(b.N), "moves/op")
+		})
+	}
+}

@@ -5,18 +5,18 @@ package vclock
 // one straight-line segment of such a body; it runs non-blocking code
 // and ends by taking exactly one step — continue into another frame,
 // block on a scheduling primitive naming the frame to resume in, or
-// finish. The dispatcher pops the event heap and invokes continuations
+// finish. The dispatcher pops the event queue and invokes continuations
 // directly, so a blocking operation costs a method call instead of a
 // coroutine switch, and a blocked thread keeps no stack.
 //
 // Bit-identity with the goroutine engine is by construction: every Coro
-// operation performs the same bookkeeping — the same heap pushes, the
+// operation performs the same bookkeeping — the same event pushes, the
 // same waiter-list mutations, the same inline-sleep fast path, in the
 // same order — as its blocking Thread counterpart. Only the control
-// transfer differs, and the event order is a function of the heap
-// contents alone, so a program expressed as frames produces the same
-// event order on either engine. The quick-check property tests and the
-// scenario corpus sweep pin this.
+// transfer differs, and the event order is a function of the event
+// queue's contents alone, so a program expressed as frames produces the
+// same event order on either engine. The quick-check property tests and
+// the scenario corpus sweep pin this.
 
 // Step is the opaque receipt a Frame returns. Frames cannot construct a
 // meaningful Step themselves — they obtain one by calling exactly one
@@ -212,11 +212,12 @@ func (c *Coro) GetTimeout(q *Queue, d Duration, k Frame) Step {
 func (c *Coro) TimedOut() bool { return c.timedOut }
 
 // SleepUntil parks the coroutine until virtual time `at`, then runs k —
-// without touching the heap when Sim.sleepUntil can advance the clock in
-// place, as for Thread.SleepUntil.
+// without touching the event queue when Sim.sleepInline can advance the
+// clock in place, as for Thread.SleepUntil.
 func (c *Coro) SleepUntil(at Time, k Frame) Step {
 	c.next = k
-	if !c.t.sim.sleepUntil(c.t, at) {
+	if s := c.t.sim; !s.wakeIsNext(at) || !s.sleepInline(at) {
+		s.sleepScheduled(c.t, at)
 		c.blocked = blockWake
 	}
 	return c.op()
@@ -263,6 +264,7 @@ func (c *Coro) Unlock(l *Lock) { c.t.Unlock(l) }
 // driver calls it between parks.
 func (c *Coro) Resume(v any) (BlockOn, any) {
 	t := c.t
+	t.sim.count.FrameSteps++
 	switch c.blocked {
 	case blockLock:
 		c.lock.granted(t, c.lockMode, c.lockSince, c.lockBlockers)

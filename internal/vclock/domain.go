@@ -20,15 +20,15 @@ import (
 // repay the hand-off (see fanOutEvents). Δ is the lookahead: the minimum
 // positive Link latency. Because every cross-domain message is delayed
 // by at least Δ, nothing sent during an epoch can be due inside it —
-// each domain can burn through its own heap for a whole window without
-// ever missing an input.
+// each domain can burn through its own event queue for a whole window
+// without ever missing an input.
 //
 // Determinism is the design center, not a side effect. Within a domain
-// the ordinary (when, seq) heap order applies unchanged. At a barrier
-// the gathered messages are delivered in (deliverAt, link id, per-link
-// seq) order — all three components are functions of the program, not
-// of the domain layout — so delivered messages acquire destination
-// sequence numbers in an order independent of how work was spread over
+// the ordinary (when, push sequence) order applies unchanged. At a
+// barrier the gathered messages are delivered in (deliverAt, link id,
+// per-link seq) order — all three components are functions of the
+// program, not of the domain layout — so delivered messages enter the
+// destination queue in an order independent of how work was spread over
 // domains. A Group with one domain runs the same exchange protocol, so
 // serial and sharded runs of the same program are bit-identical; the
 // scenario-corpus Diff gate pins exactly that.
@@ -36,7 +36,7 @@ import (
 // A Group whose links all have zero latency has no lookahead to exploit;
 // Connect restricts such "direct" links to a single domain (the safe
 // serial fallback), where Send delivers straight onto the destination
-// heap.
+// domain's event queue.
 type Group struct {
 	domains []*Sim
 	links   []*Link
@@ -72,7 +72,8 @@ type GroupStats struct {
 // spawn, a WaitGroup and ≈7 allocations per call, and the spawned
 // worker starts on a cold cache. BenchmarkGroupEpoch's ring (4 domains,
 // 2 CPUs, go1.24, ns per epoch, inline vs fanned out, each forced by
-// building with this constant at the maximum and at 0):
+// building with this constant at the maximum and at 0), on the 4-ary
+// heap the kernel had when the constant was set:
 //
 //	events/epoch     inline   fan-out
 //	          20      1 100     3 000   (2.7x slower fanned out)
@@ -82,11 +83,28 @@ type GroupStats struct {
 //	       5 100    660 000   505 000   (1.30x faster)
 //	      20 500  3 200 000 2 130 000   (1.50x faster)
 //
-// The lines cross between 1 300 and 2 600 events. Every epoch of the
-// mega-scale models sits far below that (the repo benchmark's
-// mega-sharded: 262 k epochs for 150 k requests, 1.35 active domains
-// on average, a handful of events each), which is why running them
-// inline is what made sharding stop costing.
+// and again on the radix queue, where a heavy epoch costs half of that
+// inline (the minimum of seven alternating runs a side):
+//
+//	events/epoch     inline   fan-out
+//	          20      1 200     3 200   (2.7x slower fanned out)
+//	         650     39 000    53 000   (1.36x slower)
+//	       1 300     74 000    87 000   (1.17x slower)
+//	       2 600    147 000   198 000   (1.34x slower)
+//	       5 100    330 000   296 000   (1.12x faster)
+//	      20 500  1 400 000 1 360 000   (1.03x faster)
+//
+// The first table's lines cross between 1 300 and 2 600 events, the
+// second's between 2 600 and 5 100 — but the second was taken on a day
+// this host ran its two vCPUs one at a time (two spinning goroutines
+// took 2.0x as long as one), so its fan-out column is a ceiling, not a
+// measurement of two cores. Cheaper events can only move the crossover
+// up; by how much needs two real cores, so the constant stays where the
+// last two-core measurement put it. Every epoch of the mega-scale
+// models sits far below either reading (the repo benchmark's
+// mega-sharded: 262 k epochs for 150 k requests, 1.35 active domains on
+// average, a handful of events each), which is why running them inline
+// is what made sharding stop costing.
 const fanOutEvents = 2048
 
 // Link is a unidirectional cross-domain channel created by
@@ -222,6 +240,32 @@ func (g *Group) Lookahead() Duration {
 // not from inside one.
 func (g *Group) Stats() GroupStats { return g.stats }
 
+// Counters reports the kernel counters of the whole group: every field
+// summed over the domains, except PendingMax, which is the largest any
+// one domain's queue grew. Like Stats, call it between runs.
+func (g *Group) Counters() Counters {
+	var c Counters
+	for _, s := range g.domains {
+		d := s.Counters()
+		c.Scheduled += d.Scheduled
+		c.SameInstant += d.SameInstant
+		c.Moved += d.Moved
+		c.Pending += d.Pending
+		c.PendingMax = max(c.PendingMax, d.PendingMax)
+		c.Wakes += d.Wakes
+		c.Starts += d.Starts
+		c.Kills += d.Kills
+		c.Callbacks += d.Callbacks
+		c.Deliveries += d.Deliveries
+		c.Skipped += d.Skipped
+		c.SleepsInline += d.SleepsInline
+		c.SleepsScheduled += d.SleepsScheduled
+		c.FrameSteps += d.FrameSteps
+		c.Switches += d.Switches
+	}
+	return c
+}
+
 // Run drives every domain until no events remain anywhere and all
 // outboxes have drained.
 func (g *Group) Run() { g.RunUntil(nil) }
@@ -273,8 +317,8 @@ func (g *Group) RunUntil(stop func() bool) {
 // work on either side deliver nothing.
 //
 // Which goroutine runs which domain is free to vary from epoch to
-// epoch: a domain's events depend on its own heap alone, and what the
-// domains hand each other goes through exchange's (at, id, seq) merge.
+// epoch: a domain's events depend on its own event queue alone, and what
+// the domains hand each other goes through exchange's (at, id, seq) merge.
 // A domain whose earliest event is at or past h is skipped — its
 // RunBefore would return before popping anything.
 func (g *Group) epochRun(stop func() bool) {
@@ -300,7 +344,7 @@ func (g *Group) epochRun(stop func() bool) {
 		g.active = g.active[:0]
 		var before, after uint64
 		for _, s := range g.domains {
-			if len(s.events) > 0 && (g.last || s.events[0].when < g.horizon) {
+			if s.q.n > 0 && (g.last || s.q.next < g.horizon) {
 				g.active = append(g.active, s)
 				before += s.seq
 			}
@@ -339,10 +383,10 @@ func (g *Group) nextEventTime() (Time, bool) {
 	var m Time
 	found := false
 	for _, s := range g.domains {
-		if len(s.events) == 0 {
+		if s.q.n == 0 {
 			continue
 		}
-		if t := s.events[0].when; !found || t < m {
+		if t := s.q.next; !found || t < m {
 			m, found = t, true
 		}
 	}
@@ -350,10 +394,10 @@ func (g *Group) nextEventTime() (Time, bool) {
 }
 
 // exchange gathers every link's outbox, sorts by (deliverAt, link id,
-// per-link seq) and pushes delivery events onto the destination heaps
-// in that order. Pushing in sorted order fixes the destination sequence
-// numbers — and therefore all same-instant tie-breaks — independently
-// of the domain layout.
+// per-link seq) and pushes delivery events onto the destination event
+// queues in that order. Same-instant events leave a queue in push order,
+// so pushing in sorted order fixes every tie-break independently of the
+// domain layout.
 func (g *Group) exchange() {
 	g.pending = g.pending[:0]
 	for _, l := range g.links {

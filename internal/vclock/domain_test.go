@@ -157,7 +157,7 @@ func TestRunBefore(t *testing.T) {
 	if fmt.Sprint(ran) != "[before]" {
 		t.Fatalf("ran %v, want [before] only", ran)
 	}
-	if len(s.events) != 1 || s.events[0].when != Time(2*Millisecond) {
+	if s.q.n != 1 || s.q.next != Time(2*Millisecond) {
 		t.Fatalf("event at the horizon should stay pending")
 	}
 	s.Run()

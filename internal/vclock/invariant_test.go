@@ -257,7 +257,7 @@ func TestCrashInvariants(t *testing.T) {
 			crashSite()
 		})
 		s.RunFor(Time(Second))
-		h.at, h.seq, h.pending = s.Now(), s.seq, len(s.events)
+		h.at, h.seq, h.pending = s.Now(), s.seq, s.q.n
 		c := s.Crashed()
 		s.Shutdown()
 		return h, c

@@ -94,7 +94,7 @@ type timeoutWake struct{}
 
 // GetTimeout is Get bounded to d of virtual time: it returns (item,
 // true) if one arrives in time, or (nil, false) once d elapses with the
-// thread still waiting. The timer is an ordinary heap event, so a
+// thread still waiting. The timer is an ordinary scheduled event, so a
 // timeout is as deterministic as any other wake-up. A non-positive d
 // degrades to TryGet. This is the client-side timeout primitive under
 // retry-with-backoff request handling.

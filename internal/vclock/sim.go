@@ -3,6 +3,8 @@ package vclock
 import (
 	"fmt"
 	"iter"
+	"math"
+	"math/bits"
 	"runtime/debug"
 	"slices"
 )
@@ -23,13 +25,14 @@ import (
 // its own wake-up cost no switch at all. Only when the loop reaches
 // another free-form thread's wake does the blocker yield to the RunUntil
 // loop, which switches to that thread: two coroutine switches per thread
-// switch, none per event. Event order is a function of the heap alone:
-// whoever dispatches runs the same pop-min loop over the same heap.
+// switch, none per event. Event order is a function of the event queue
+// alone: whoever dispatches runs the same pop-earliest loop over the same
+// queue.
 type Sim struct {
 	now     Time
-	events  eventHeap
-	seq     uint64
-	live    int // threads started and not yet exited
+	seq     uint64   // events scheduled so far (Group.load reads its deltas)
+	count   Counters // see Counters; Scheduled and Pending are filled on read
+	live    int      // threads started and not yet exited
 	nextID  int
 	threads map[int]*Thread
 
@@ -37,14 +40,15 @@ type Sim struct {
 	stop    func() bool // RunUntil's stop predicate, nil when absent
 	engine  EngineKind  // how GoCoro threads execute (snapshot of DefaultEngine)
 
-	cur      *Thread // free-form thread whose body is executing (set by run and park); nil in dispatcher context
-	handoff  *Thread // thread whose wake the dispatcher reached; RunUntil switches to it
-	switches int64   // hand-offs RunUntil has made (see Switches)
+	cur     *Thread // free-form thread whose body is executing (set by run and park); nil in dispatcher context
+	handoff *Thread // thread whose wake the dispatcher reached; RunUntil switches to it
 
 	crash *Crash // first captured panic; halts dispatch
 
 	horizon Time        // RunBefore's bound, read by reachedHorizon
 	atBound func() bool // s.reachedHorizon, bound once: RunBefore allocates nothing
+
+	q eventQueue // last: its 2 KB of bucket headers stay off the cache lines above
 }
 
 // poison is the panic that unwinds a thread stopped by Kill or Shutdown:
@@ -72,7 +76,6 @@ func (c *Crash) Error() string {
 
 type event struct {
 	when  Time
-	seq   uint64
 	t     *Thread // thread to wake (or start), or
 	fn    func()  // callback to run in dispatcher context, or
 	q     *Queue  // queue to deliver v to in dispatcher context
@@ -81,77 +84,160 @@ type event struct {
 	kill  bool    // t is to be unwound (Sim.Kill)
 }
 
-// eventHeap is a hand-rolled 4-ary min-heap ordered by (when, seq).
-// container/heap is deliberately not used: its interface methods box every
-// pushed and popped event into an `any`, which costs two heap allocations
-// per scheduled event — on the profiler hot path, where every
-// Probe.Compute schedules a wake-up, that is the difference between an
-// allocation-free steady state and ~2 allocs per sample. The 4-ary shape
-// halves the sift depth of the dispatcher's pop (the busiest heap
-// operation); because (when, seq) is a total order, the pop sequence is
-// identical whatever the heap's internal arity.
-type eventHeap []event
+// eventQueue is the pending-event set: a monotone radix queue (Ahuja,
+// Mehlhorn, Orlin, Tarjan 1990). A discrete-event kernel never schedules
+// before the time of its last pop, and that is all the order a priority
+// queue needs to stop comparing: an event waits in bucket
+// bits.Len64(when XOR last), where last — kept in min[0] — is the time
+// of the most recent pop. Bucket 0 therefore holds exactly the events at
+// last and hands them out in push order with no search. When it is empty
+// the lowest occupied bucket (one TrailingZeros64 of mask) holds the
+// earliest events, and pop rebases it: last becomes the bucket's cached
+// minimum, and its events are appended, in order, to the strictly lower
+// buckets their new distance to last selects. A far sleeper is touched
+// once per bit its distance loses, never once per near event that passes
+// under it.
+//
+// The pop order is the old heap's (when, push sequence) order by
+// construction, with no stored sequence number: two events with equal
+// when always share a bucket, every bucket is FIFO, and every move is a
+// stable append. (container/heap stays out for the reason it always did:
+// boxing an event costs two allocations on the Probe.Compute path.)
+//
+// Memory: an event occupies one slot of one array, and the 64 arrays are
+// never released, so steady state allocates nothing. They wander — a
+// same-instant bucket trades arrays with bucket 0 instead of being copied
+// — and each grows to at most twice the most events one bucket ever held
+// (four times in bucket 0, which reclaims its consumed prefix only once
+// that is half the array). A drained queue therefore retains a constant
+// multiple of its high-water mark: 64 x 4 in the worst case, under 4 for
+// a think-time population (TestEventQueueRetainedMemory).
+type eventQueue struct {
+	next   Time     // earliest pending event time; the end of time when empty
+	mask   uint64   // bit b set: bucket b is not empty
+	same   uint64   // bit b set: every event in bucket b is at min[b]
+	n      int      // pending events
+	head   int      // consumed prefix of bucket 0
+	min    [65]Time // earliest when in bucket b; min[0] is last, min[64] the end of time
+	bucket [64][]event
+}
 
-func (h eventHeap) less(i, j int) bool {
-	if h[i].when != h[j].when {
-		return h[i].when < h[j].when
+// endOfTime is what an empty queue reports as its earliest pending time:
+// a sleep to any instant short of it would be the next event, and no
+// horizon lies past it.
+const endOfTime = Time(math.MaxInt64)
+
+// earliest recomputes next after a pop: last while bucket 0 holds more,
+// else the lowest occupied bucket's minimum, else (mask 0) min[64].
+func (q *eventQueue) earliest() Time { return q.min[bits.TrailingZeros64(q.mask)] }
+
+// file returns the bucket an event at `when` belongs in — the one its
+// distance from last selects — having noted the event in the bucket's
+// mask bits and minimum; the caller appends it. (It takes the time, not
+// the event: copying 56 bytes into an inlined call is what a shallow
+// queue would notice.)
+func (q *eventQueue) file(when Time) int {
+	b := bits.Len64(uint64(when ^ q.min[0]))
+	if bit := uint64(1) << b; q.mask&bit == 0 {
+		q.mask |= bit
+		q.same |= bit
+		q.min[b] = when
+	} else if when != q.min[b] {
+		q.same &^= bit
+		q.min[b] = min(q.min[b], when)
 	}
-	return h[i].seq < h[j].seq
+	return b
 }
 
 func (s *Sim) push(e event) {
-	e.seq = s.seq
-	s.seq++
-	h := append(s.events, e)
-	// Sift up.
-	for i := len(h) - 1; i > 0; {
-		p := (i - 1) / 4
-		if !h.less(i, p) {
-			break
-		}
-		h[i], h[p] = h[p], h[i]
-		i = p
+	if e.when < s.now {
+		// Checked here, with the offending caller still on the stack: an
+		// event below last would be filed in the wrong bucket silently.
+		panic(fmt.Sprintf("vclock: event scheduled in the past: %v < %v", e.when, s.now))
 	}
-	s.events = h
+	q := &s.q
+	s.seq++
+	if e.when == s.now {
+		s.count.SameInstant++
+	}
+	if b := q.bucket[0]; e.when == q.min[0] && len(b) == cap(b) && q.head > 0 && 2*q.head >= len(b) {
+		// Bucket 0 is full and at least half consumed: reclaim the prefix
+		// instead of growing, so a long same-instant exchange stays in
+		// one array.
+		n := copy(b, b[q.head:])
+		clear(b[n:])
+		q.bucket[0], q.head = b[:n], 0
+	}
+	b := q.file(e.when)
+	q.bucket[b] = append(q.bucket[b], e)
+	q.next = min(q.next, e.when)
+	if q.n++; uint64(q.n) > s.count.PendingMax {
+		s.count.PendingMax = uint64(q.n)
+	}
 }
 
-func (s *Sim) pop() event {
-	h := s.events
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h[n] = event{} // release the fn closure (and payload) for GC
-	h = h[:n]
-	// Sift down.
-	for i := 0; ; {
-		c := 4*i + 1
-		if c >= n {
-			break
-		}
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		for k := c + 1; k < end; k++ {
-			if h.less(k, c) {
-				c = k
+func (s *Sim) pop() (e event) {
+	q := &s.q
+	q.n--
+	if q.mask&1 == 0 {
+		// Rebase the lowest occupied bucket onto its own minimum.
+		b := bits.TrailingZeros64(q.mask)
+		src := q.bucket[b]
+		q.mask &^= 1 << b
+		q.min[0] = q.min[b]
+		if q.same>>b&1 != 0 {
+			// Every event in it is at the new last — one event, a tick
+			// many threads share, a barrier's deliveries: it becomes
+			// bucket 0 as it stands, and the empty array takes its place.
+			q.bucket[0], q.bucket[b] = src, q.bucket[0]
+			q.mask |= 1
+		} else {
+			// The first event at the new last leaves now; the rest move
+			// down, in order.
+			first := -1
+			for i := range src {
+				if first < 0 && src[i].when == q.min[0] {
+					first = i
+					continue
+				}
+				to := q.file(src[i].when)
+				q.bucket[to] = append(q.bucket[to], src[i])
 			}
+			e = src[first]
+			clear(src)
+			q.bucket[b] = src[:0]
+			s.count.Moved += uint64(len(src) - 1)
+			q.next = q.earliest()
+			return e
 		}
-		if !h.less(c, i) {
-			break
-		}
-		h[i], h[c] = h[c], h[i]
-		i = c
 	}
-	s.events = h
-	return top
+	b0 := q.bucket[0]
+	e = b0[q.head]
+	b0[q.head] = event{} // release the fn closure (and payload) for GC
+	if q.head++; q.head == len(b0) {
+		q.bucket[0], q.head = b0[:0], 0
+		q.mask &^= 1
+	}
+	q.next = q.earliest()
+	return e
 }
 
 func (s *Sim) schedule(at Time, t *Thread) { s.push(event{when: at, t: t}) }
 
 // New returns an empty simulation with the clock at zero.
 func New() *Sim {
-	return &Sim{threads: make(map[int]*Thread), engine: DefaultEngine}
+	s := &Sim{threads: make(map[int]*Thread), engine: DefaultEngine}
+	s.q.next, s.q.min[64] = endOfTime, endOfTime
+	// Every bucket starts with room for sixteen events, all of it carved
+	// from one allocation: a run whose queue stays shallow then allocates
+	// for its events once, as it did for the heap's one slice, not a few
+	// times in each bucket it touches.
+	const room = 16
+	arr := make([]event, len(s.q.bucket)*room)
+	for b := range s.q.bucket {
+		s.q.bucket[b] = arr[b*room : b*room : (b+1)*room]
+	}
+	return s
 }
 
 // Now reports the current virtual time.
@@ -322,8 +408,8 @@ func (s *Sim) stepCoro(t *Thread, v any) {
 }
 
 // Kill schedules t's death at the current virtual time: a kill event
-// enters the heap like any other, so at a fixed seed the thread dies at
-// the same point of the event order every run. When the event
+// enters the event queue like any other, so at a fixed seed the thread
+// dies at the same point of the event order every run. When the event
 // dispatches, t is unwound via a recovered panic (its deferred functions
 // run — a killed thread inside Stage.CriticalSection releases its lock),
 // and every event still pending for t is skipped. Kill is the fault
@@ -422,7 +508,7 @@ func (s *Sim) dispatchFrom(self *Thread) baton {
 		// Outside RunUntil (Shutdown's unwind): never dispatch.
 		return batonDone
 	}
-	for len(s.events) > 0 {
+	for s.q.n > 0 {
 		if s.crash != nil {
 			return batonDone
 		}
@@ -430,12 +516,10 @@ func (s *Sim) dispatchFrom(self *Thread) baton {
 			return batonDone
 		}
 		e := s.pop()
-		if e.when < s.now {
-			panic(fmt.Sprintf("vclock: event scheduled in the past: %v < %v", e.when, s.now))
-		}
 		s.now = e.when
 		switch {
 		case e.kill:
+			s.count.Kills++
 			t := e.t
 			switch {
 			case t.exited:
@@ -461,14 +545,18 @@ func (s *Sim) dispatchFrom(self *Thread) baton {
 				s.exit(t)
 			}
 		case e.fn != nil:
+			s.count.Callbacks++
 			s.runCallback(e.fn)
 		case e.q != nil:
+			s.count.Deliveries++
 			s.deliverNow(e.q, e.v)
 		case e.start:
 			t := e.t
 			if t.started || t.dead {
+				s.count.Skipped++
 				continue
 			}
+			s.count.Starts++
 			t.started = true
 			if t.rtc {
 				// Run-to-completion start: invoke the program inline
@@ -484,11 +572,14 @@ func (s *Sim) dispatchFrom(self *Thread) baton {
 			// Stale wake for a killed thread (its sleep or queue hand-off
 			// was already scheduled); drop it, whoever is dispatching —
 			// the victim itself included, whose kill event comes next.
+			s.count.Skipped++
 		case e.t.rtc:
 			// The wake's payload goes straight into the continuation, on
 			// this stack.
+			s.count.Wakes++
 			s.stepCoro(e.t, e.v)
 		default:
+			s.count.Wakes++
 			e.t.co.wake = e.v
 			if e.t == self {
 				return batonSelf
@@ -559,30 +650,48 @@ func (s *Sim) wakeAt(at Time, t *Thread, v any) {
 	s.push(event{when: at, t: t, v: v})
 }
 
-// sleepUntil is the sleep shared by Thread.SleepUntil and
-// Coro.SleepUntil. It reports true when t need not block at all.
+// A sleep is shared by Thread.SleepUntil and Coro.SleepUntil as two
+// halves. When the sleeper's wake-up would be the strictly earliest
+// pending event, parking is a formality: the scheduler would check the
+// stop predicate once, pop the wake and continue this same thread with
+// the clock advanced. sleepInline performs exactly that transition in
+// place — same stop-predicate evaluation, same clock, no other event can
+// run in between because none is scheduled before the wake (ties lose to
+// already-pushed events, which leave their bucket first, so equality
+// takes the slow path). This removes a dispatch round and a queue
+// push/pop from every uncontended Compute/Sleep, without changing the
+// event order observed by any thread. Otherwise sleepScheduled pushes
+// the wake and the caller must block the thread.
 //
-// When the sleeper's wake-up would be the strictly earliest pending
-// event, parking is a formality: the scheduler would check the stop
-// predicate once, pop the wake and continue this same thread with the
-// clock advanced. sleepUntil performs exactly that transition inline —
-// same stop-predicate evaluation, same clock, no other event can run in
-// between because none is scheduled before the wake (ties lose to
-// already-pushed events, which hold smaller sequence numbers, so
-// equality takes the slow path). This removes a dispatch round and
-// a heap push/pop from every uncontended Compute/Sleep, without
-// changing the event order observed by any thread. Otherwise the wake
-// is scheduled and the caller must block t.
-func (s *Sim) sleepUntil(t *Thread, at Time) (inline bool) {
-	if at < s.now {
-		at = s.now
+// The earliest pending time is a field read, so the predicate half costs
+// no call: wakeIsNext and sleepInline are each within the inliner's
+// budget (one function holding both is not: the indirect stop call alone
+// is 66 of the 80), and the two SleepUntil bodies evaluate them in the
+// order the dispatch loop would — running, crash, earliest, stop.
+
+// wakeIsNext reports whether a wake at `at` would be the strictly
+// earliest pending event of a run that is still dispatching. A target
+// in the past is left to sleepScheduled, which clamps it (and so is a
+// sleep to the end of time itself, which nothing is strictly after).
+func (s *Sim) wakeIsNext(at Time) bool {
+	return s.running && s.crash == nil && s.now <= at && at < s.q.next
+}
+
+// sleepInline advances the clock to `at` unless the stop predicate
+// fires; it reports whether the sleep is over.
+func (s *Sim) sleepInline(at Time) bool {
+	if s.stop != nil && s.stop() {
+		return false
 	}
-	if s.running && s.crash == nil && (len(s.events) == 0 || at < s.events[0].when) && (s.stop == nil || !s.stop()) {
-		s.now = at
-		return true
-	}
-	s.schedule(at, t)
-	return false
+	s.now = at
+	s.count.SleepsInline++
+	return true
+}
+
+// sleepScheduled pushes t's wake at `at`, or now if that is later.
+func (s *Sim) sleepScheduled(t *Thread, at Time) {
+	s.count.SleepsScheduled++
+	s.schedule(max(at, s.now), t)
 }
 
 // SleepUntil parks the calling thread until virtual time `at`.
@@ -590,7 +699,8 @@ func (t *Thread) SleepUntil(at Time) {
 	// Fail even on the would-be fast path: an API misuse that only
 	// panics under contention would be maddening to reproduce.
 	t.mustRun()
-	if !t.sim.sleepUntil(t, at) {
+	if s := t.sim; !s.wakeIsNext(at) || !s.sleepInline(at) {
+		s.sleepScheduled(t, at)
 		t.park()
 	}
 }
@@ -616,7 +726,7 @@ func (s *Sim) RunFor(end Time) {
 // after `horizon` (or no events remain). This is the epoch-window
 // primitive of Group: unlike RunFor — whose stop predicate only trips
 // after an event at or past the bound has already run — RunBefore peeks
-// at the heap, so an event at exactly `horizon` stays pending for the
+// at the queue, so an event at exactly `horizon` stays pending for the
 // next epoch. The stop predicate composes with the SleepUntil fast
 // path: a sleeper targeting a time at or past the horizon always takes
 // the slow path and parks.
@@ -629,7 +739,7 @@ func (s *Sim) RunBefore(horizon Time) {
 }
 
 func (s *Sim) reachedHorizon() bool {
-	return len(s.events) == 0 || s.events[0].when >= s.horizon
+	return s.q.next >= s.horizon
 }
 
 // RunUntil drives the simulation until stop returns true (checked between
@@ -652,7 +762,7 @@ func (s *Sim) RunUntil(stop func() bool) {
 		for s.handoff != nil {
 			t := s.handoff
 			s.handoff = nil
-			s.switches++
+			s.count.Switches++
 			if _, blocked := t.co.next(); !blocked {
 				s.exit(t)
 			}
@@ -666,7 +776,43 @@ func (s *Sim) RunUntil(stop func() bool) {
 // and a blocker whose own wake is the next event cost none, so a program
 // written entirely as frames reads 0 — the kernel's count of "switches by
 // representation".
-func (s *Sim) Switches() int64 { return s.switches }
+func (s *Sim) Switches() int64 { return int64(s.count.Switches) }
+
+// Counters is the kernel's account of a run: what was scheduled, what
+// the dispatcher did with it and what the event queue paid. The fields
+// are plain integers bumped on the single dispatching coroutine — no
+// atomics, no allocation — and are a function of the program alone, so
+// two runs at one seed report identical counters. Every scheduled event
+// is dispatched, skipped or still pending:
+//
+//	Scheduled == Wakes + Starts + Kills + Callbacks + Deliveries + Skipped + Pending
+type Counters struct {
+	Scheduled   uint64 // events pushed
+	SameInstant uint64 // of which at the current instant
+	Moved       uint64 // events a rebase moved to a lower bucket (see eventQueue)
+	Pending     uint64 // events scheduled and not yet popped
+	PendingMax  uint64 // high-water mark of Pending
+
+	// Events dispatched, by kind.
+	Wakes      uint64 // thread resumed: sleep end, queue hand-off, lock grant, timeout
+	Starts     uint64 // thread started
+	Kills      uint64 // Sim.Kill events
+	Callbacks  uint64 // Sim.At / After / Every
+	Deliveries uint64 // Sim.deliver: cross-domain and direct-link queue puts
+	Skipped    uint64 // stale wakes and starts of killed threads, popped and dropped
+
+	SleepsInline    uint64 // SleepUntil / Compute served by advancing the clock in place
+	SleepsScheduled uint64 // ... by a wake event
+	FrameSteps      uint64 // Coro.Resume calls
+	Switches        uint64 // hand-offs to a free-form thread's coroutine (Sim.Switches)
+}
+
+// Counters reports the run's counters so far.
+func (s *Sim) Counters() Counters {
+	c := s.count
+	c.Scheduled, c.Pending = s.seq, uint64(s.q.n)
+	return c
+}
 
 // Live reports the number of simulated threads that have been created and
 // have not yet exited. A nonzero value after Run returns indicates threads

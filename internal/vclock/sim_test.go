@@ -528,3 +528,63 @@ func TestSwitchesCountsFreeFormHandOffs(t *testing.T) {
 		t.Errorf("frame ping-pong made %d switches, want 0", n)
 	}
 }
+
+// conserved reports whether every scheduled event is accounted for:
+// dispatched by kind, skipped, or still pending.
+func conserved(c Counters) bool {
+	return c.Scheduled == c.Wakes+c.Starts+c.Kills+c.Callbacks+c.Deliveries+c.Skipped+c.Pending
+}
+
+// TestCountersAccountForEveryEvent: a small program with one event of
+// every kind reads the counts one can work out by hand, and conservation
+// (Counters' doc comment) holds mid-run as well as at the end.
+func TestCountersAccountForEveryEvent(t *testing.T) {
+	g := NewGroup(2)
+	s, far := g.Domain(0), g.Domain(1)
+	q, in := s.NewQueue("q"), far.NewQueue("in")
+	link := g.Connect(s, in, Millisecond)
+	s.GoCoro("sleeper", func(c *Coro, _ any) Step { // start + one scheduled sleep: other events are due first
+		return c.Sleep(2*Millisecond, func(c *Coro, _ any) Step { return c.End() })
+	})
+	victim := s.GoCoro("victim", func(c *Coro, _ any) Step { // start; its 5 ms wake is popped after the kill and skipped
+		return c.Sleep(5*Millisecond, func(c *Coro, _ any) Step { panic("the victim woke up") })
+	})
+	s.Go("getter", func(th *Thread) { // start + one hand-off wake, two switches
+		th.Get(q)
+	})
+	s.At(Time(Millisecond), func() { // callback; schedules the kill, the hand-off wake and a cross-domain delivery
+		s.Kill(victim)
+		q.Put(1)
+		link.Send(2)
+	})
+	far.GoCoro("receiver", func(c *Coro, _ any) Step { // start + one wake by the delivery
+		return c.Get(in, func(c *Coro, _ any) Step {
+			// The sleep ends before the only other event of the domain and
+			// of the epoch, so the clock advances in place.
+			far.After(500*Microsecond, func() {})
+			return c.Sleep(100*Microsecond, func(c *Coro, _ any) Step { return c.End() })
+		})
+	})
+	g.RunUntil(func() bool { return g.Now() >= Time(2*Millisecond) })
+	if c := g.Counters(); !conserved(c) || c.Pending != 1 {
+		t.Errorf("after the 2 ms epoch: want conservation with the victim's wake pending, got %+v", c)
+	}
+	g.Run()
+	g.Shutdown()
+	want := Counters{
+		Scheduled: 12, SameInstant: 7, PendingMax: 4,
+		Wakes: 3, Starts: 4, Kills: 1, Callbacks: 2, Deliveries: 1, Skipped: 1,
+		SleepsInline: 1, SleepsScheduled: 2, FrameSteps: 5, Switches: 2,
+	}
+	got := g.Counters()
+	got.Moved = 0 // the queue's own cost, pinned by BenchmarkEventQueueHold and the oracle test
+	if got != want {
+		t.Errorf("counters\n got %+v\nwant %+v", got, want)
+	}
+	if !conserved(g.Counters()) {
+		t.Errorf("conservation broken at the end: %+v", g.Counters())
+	}
+	if s.Switches() != 2 {
+		t.Errorf("Switches() = %d, want the counter's 2", s.Switches())
+	}
+}

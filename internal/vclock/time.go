@@ -7,8 +7,8 @@
 // (iter.Pull) or run-to-completion frame programs stepped inline by the
 // dispatcher — never goroutines the Go scheduler picks between — and a
 // Sim runs exactly one of them at a time, choosing the next runnable
-// thread deterministically (earliest wake time, ties broken by sequence
-// number), so no data race or nondeterminism is possible as long as
+// thread deterministically (earliest wake time, ties in scheduling
+// order), so no data race or nondeterminism is possible as long as
 // threads only communicate through vclock primitives.
 package vclock
 

@@ -105,6 +105,9 @@ type (
 	// EpochStats counts what a sharded run's epoch loop did (see
 	// App.EpochStats).
 	EpochStats = vclock.GroupStats
+	// KernelCounters is the simulator's account of a run (see
+	// App.KernelCounters).
+	KernelCounters = vclock.Counters
 )
 
 // Re-exported duration units.
