@@ -42,7 +42,7 @@ func (m *mysqld) refSpawn(name string) {
 }
 
 func (tc *tomcat) refSpawn(name string) {
-	p, sys := tc.pod, tc.sys
+	p := tc.pod
 	p.tomcatSt.Go(name, func(th *whodunit.Thread, pr *whodunit.Probe) {
 		for {
 			req := p.tomcatQ.Get(th).(*request)
@@ -50,15 +50,15 @@ func (tc *tomcat) refSpawn(name string) {
 			wr := req.q
 			upstream := req.replyQ
 			func() {
-				defer pr.Exit(pr.Enter(sys.servletFrame[wr.interaction]))
+				defer pr.Exit(pr.Enter("servlet_" + wr.interaction()))
 				pr.ComputeN(2*whodunit.Millisecond, 400) // servlet + page generation
 
-				cache := p.caches[wr.interaction] // nil: not a cached interaction
+				cache := p.caches[wr.kind] // nil: not a cached interaction
 				if until, ok := cache[wr.subject]; !ok || th.Now() >= until {
 					func() {
 						defer pr.Exit(pr.Enter("db_rpc"))
 						req.msg = tc.ep.Send(pr, nil)
-						p.chains[chainKeyOf(req.msg.Chain)] = wr.interaction
+						p.chains[chainKeyOf(req.msg.Chain)] = wr.interaction()
 						p.bytes.count(req.msg, 512)
 						req.dbReply = tc.fromDB
 						tc.toDB(req)
@@ -82,7 +82,7 @@ func (tc *tomcat) refSpawn(name string) {
 // refExecQuery is the per-interaction database work as one blocking
 // function: what mysqld.next issues statement by statement.
 func refExecQuery(db *minidb.DB, pr *whodunit.Probe, q query, t tables) {
-	switch q.interaction {
+	switch q.interaction() {
 	case workload.BestSellers:
 		db.Select(pr, t.orderLine, nil, minidb.SelectOpts{TempSortRows: 38000, CountOnly: true})
 		for i := int64(0); i < 50; i++ {

@@ -243,12 +243,18 @@ type request struct {
 }
 
 // query is the payload: the interaction a client asks for, and what its
-// servlet asks the database on its behalf.
+// servlet asks the database on its behalf. The interaction travels as its
+// position in workload.Interactions, which is what every tier keeps its
+// per-interaction state under (frames, caches, counters): a slice index,
+// not a name to hash.
 type query struct {
-	interaction string
-	subject     int64
-	itemID      int64
+	kind    int
+	subject int64
+	itemID  int64
 }
+
+// interaction is the queried interaction's name.
+func (q query) interaction() string { return workload.Interactions[q.kind] }
 
 // wireBytes counts application data vs context synopses put on the wire
 // (§9.1). Each pod and the database tier has its own, so the counters
@@ -278,9 +284,7 @@ type system struct {
 	dbBytes wireBytes
 	pods    []*pod
 
-	// servletFrame is "servlet_" + interaction, precomputed: the concat on
-	// the request path was a per-request allocation.
-	servletFrame map[string]string
+	dispatchFrame whodunit.FrameID // mysql's dispatch_query
 }
 
 // pod is one web pod — a squid and a tomcat stage, their input queues,
@@ -292,18 +296,25 @@ type pod struct {
 	squidQ, tomcatQ   *whodunit.Queue
 
 	// chains is the chain -> interaction registry, filled when Tomcat
-	// sends a DB request: how the experiment code and the crosstalk
-	// classifier translate a MySQL-side context back to an interaction.
+	// sends a DB request down a chain for the first time: how the
+	// experiment code and the crosstalk classifier translate a MySQL-side
+	// context back to an interaction.
 	chains map[chainKey]string
 
+	// Frames of the pod's two stages, interned once: squid's
+	// forward_dynamic, tomcat's db_rpc and servlet_<interaction>. The
+	// per-interaction slices here are indexed by query.kind.
+	forwardFrame, rpcFrame whodunit.FrameID
+	servletFrames          []whodunit.FrameID
+
 	// caches is the servlet-side result cache (clause 6.3.3.1), each app
-	// server's its own: cached interaction -> subject -> expiry. Empty
+	// server's its own: cached interaction -> subject -> expiry. All nil
 	// without ServletCaching.
-	caches map[string]map[int64]whodunit.Time
+	caches []map[int64]whodunit.Time
 
 	bytes     wireBytes
 	completed int64
-	perType   map[string]*TypeStats
+	perType   []TypeStats
 }
 
 // podDomain is the time domain pod r is placed on; the database is on
@@ -372,15 +383,17 @@ func buildWith(cfg Config, spawnDB func(*mysqld, string), spawnTomcat func(*tomc
 			squidQ:   app.NewQueueOn(d, lay.name("squid-in", r)),
 			tomcatQ:  app.NewQueueOn(d, lay.name("tomcat-in", r)),
 			chains:   make(map[chainKey]string),
-			caches:   make(map[string]map[int64]whodunit.Time),
-			perType:  make(map[string]*TypeStats),
+			caches:   make([]map[int64]whodunit.Time, len(workload.Interactions)),
+			perType:  make([]TypeStats, len(workload.Interactions)),
 		}
-		if cfg.ServletCaching {
-			p.caches[workload.BestSellers] = map[int64]whodunit.Time{}
-			p.caches[workload.SearchResult] = map[int64]whodunit.Time{}
-		}
-		for _, name := range workload.Interactions {
-			p.perType[name] = &TypeStats{}
+		p.forwardFrame = p.squidSt.Profiler().Frames().ID("forward_dynamic")
+		frames := p.tomcatSt.Profiler().Frames()
+		p.rpcFrame = frames.ID("db_rpc")
+		for kind, name := range workload.Interactions {
+			p.servletFrames = append(p.servletFrames, frames.ID("servlet_"+name))
+			if cfg.ServletCaching && (name == workload.BestSellers || name == workload.SearchResult) {
+				p.caches[kind] = map[int64]whodunit.Time{}
+			}
 		}
 		sys.pods[r] = p
 	}
@@ -396,14 +409,11 @@ func buildWith(cfg Config, spawnDB func(*mysqld, string), spawnTomcat func(*tomc
 	}
 	sys.tables = loadTables(sys.db, cfg.ItemEngine, cfg.Seed)
 	sys.mysqlQ = app.NewQueueOn(0, "mysql-in")
+	sys.dispatchFrame = sys.mysqlSt.Profiler().Frames().ID("dispatch_query")
 	for w := 0; w < cfg.DBWorkers; w++ {
 		spawnDB(&mysqld{sys: sys, ep: sys.mysqlSt.Endpoint()}, fmt.Sprintf("mysqld-%d", w))
 	}
 
-	sys.servletFrame = make(map[string]string, len(workload.Interactions))
-	for _, name := range workload.Interactions {
-		sys.servletFrame[name] = "servlet_" + name
-	}
 	for r, p := range sys.pods {
 		sys.startPod(r, p, spawnTomcat)
 	}
@@ -512,7 +522,7 @@ func (sw *squid) recv(c *whodunit.Coro, v any) whodunit.Step {
 	sw.req = sw.pod.squidQ.Check(v).(*request)
 	sw.ep.Recv(sw.pr, sw.req.msg)
 	sw.upstream = sw.req.replyQ
-	sw.tok = sw.pr.Enter("forward_dynamic")
+	sw.tok = sw.pr.EnterID(sw.pod.forwardFrame)
 	return sw.pr.ComputeStep(c, 300*whodunit.Microsecond, sw.fwdF)
 }
 
@@ -587,19 +597,23 @@ func (tc *tomcat) recv(c *whodunit.Coro, v any) whodunit.Step {
 	tc.req = tc.pod.tomcatQ.Check(v).(*request)
 	tc.ep.Recv(tc.pr, tc.req.msg)
 	tc.q, tc.upstream = tc.req.q, tc.req.replyQ
-	tc.tok = tc.pr.Enter(tc.sys.servletFrame[tc.q.interaction])
+	tc.tok = tc.pr.EnterID(tc.pod.servletFrames[tc.q.kind])
 	return tc.pr.ComputeNStep(c, 2*whodunit.Millisecond, 400, tc.servletF) // servlet + page generation
 }
 
 func (tc *tomcat) servlet(c *whodunit.Coro, _ any) whodunit.Step {
 	req, p := tc.req, tc.pod
-	tc.cache = p.caches[tc.q.interaction]
-	if until, ok := tc.cache[tc.q.subject]; ok && c.Now() < until {
-		return tc.render(c)
+	if tc.cache = p.caches[tc.q.kind]; tc.cache != nil {
+		if until, ok := tc.cache[tc.q.subject]; ok && c.Now() < until {
+			return tc.render(c)
+		}
 	}
-	tc.rpc = tc.pr.Enter("db_rpc")
+	tc.rpc = tc.pr.EnterID(p.rpcFrame)
+	known := tc.ep.Distinct()
 	req.msg = tc.ep.Send(tc.pr, nil)
-	p.chains[chainKeyOf(req.msg.Chain)] = tc.q.interaction
+	if tc.ep.Distinct() != known { // a chain not sent before: one interaction's, for good
+		p.chains[chainKeyOf(req.msg.Chain)] = tc.q.interaction()
+	}
 	p.bytes.count(req.msg, 512)
 	req.dbReply = tc.fromDB
 	tc.toDB(req)
@@ -676,7 +690,7 @@ func (m *mysqld) recv(c *whodunit.Coro, v any) whodunit.Step {
 	m.req = m.sys.mysqlQ.Check(v).(*request)
 	m.ep.Recv(m.pr, m.req.msg)
 	m.q, m.i = m.req.q, 0
-	m.tok = m.pr.Enter("dispatch_query")
+	m.tok = m.pr.EnterID(m.sys.dispatchFrame)
 	return m.next(c, nil)
 }
 
@@ -688,7 +702,7 @@ func (m *mysqld) next(c *whodunit.Coro, _ any) whodunit.Step {
 	q, x, t, k := &m.q, m.x, &m.sys.tables, m.nextF
 	i := int64(m.i)
 	m.i++
-	switch q.interaction {
+	switch q.interaction() {
 	case workload.BestSellers:
 		// Scan recent order lines, aggregate+sort into a temp table (held
 		// under the order_line read lock), then join the top items. The
@@ -808,7 +822,7 @@ type client struct {
 	end    whodunit.Time
 	think  whodunit.Duration
 
-	name  string        // interaction in flight
+	kind  int           // interaction in flight
 	start whodunit.Time // round-trip start
 
 	issueF, replyF whodunit.Frame
@@ -823,12 +837,12 @@ func (cl *client) issue(c *whodunit.Coro, _ any) whodunit.Step {
 	if c.Now() >= cl.end {
 		return c.End()
 	}
-	cl.name = cl.mix.Next()
+	cl.kind = cl.mix.NextIndex()
 	cl.env.msg = whodunit.Msg{}
 	cl.env.q = query{
-		interaction: cl.name,
-		subject:     int64(cl.crng.Intn(24)),
-		itemID:      int64(cl.crng.Intn(10000)),
+		kind:    cl.kind,
+		subject: int64(cl.crng.Intn(24)),
+		itemID:  int64(cl.crng.Intn(10000)),
 	}
 	cl.env.replyQ = cl.replyQ
 	cl.start = c.Now()
@@ -841,7 +855,7 @@ func (cl *client) reply(c *whodunit.Coro, v any) whodunit.Step {
 	if c.Now() >= cl.end {
 		return c.End()
 	}
-	st := cl.pod.perType[cl.name]
+	st := &cl.pod.perType[cl.kind]
 	st.Count++
 	st.TotalResp += c.Now().Sub(cl.start)
 	cl.pod.completed++
@@ -880,9 +894,10 @@ func (sys *system) finish() *Result {
 		res.Completed += p.completed
 		res.AppBytes += p.bytes.app
 		res.CtxtBytes += p.bytes.ctxt
-		for name, st := range p.perType {
-			res.PerType[name].Count += st.Count
-			res.PerType[name].TotalResp += st.TotalResp
+		for kind, st := range p.perType {
+			total := res.PerType[workload.Interactions[kind]]
+			total.Count += st.Count
+			total.TotalResp += st.TotalResp
 		}
 	}
 	if res.Elapsed > 0 {

@@ -1,18 +1,44 @@
 package ipc
 
-// White-box tests of the endpoint's chain dictionary: the hash-keyed,
-// equality-checked buckets behind Send's intern table and Recv's
-// longest-proper-prefix response matching. These inject entries into
-// the bucket map directly to drive the collision paths that real
-// workloads essentially never hit.
+// White-box tests of the endpoint's chain dictionary: the sorted,
+// equality-checked buckets, one per last synopsis, behind Send's intern
+// table and Recv's longest-proper-prefix response matching. These plant
+// entries in the table directly to drive the shared-slot paths: a chain
+// of another stage filed where one of ours would be.
 
 import (
+	"slices"
 	"testing"
 
 	"whodunit/internal/profiler"
 	"whodunit/internal/tranctx"
 	"whodunit/internal/vclock"
 )
+
+// plant files entries in the slot of last synopsis s — in the slot's
+// sorted order, whatever their own last synopsis — growing the table to
+// reach it as Send would.
+func plant(e *Endpoint, s tranctx.Synopsis, entries ...sentEntry) {
+	for len(e.sent) <= int(s) {
+		e.sent = append(e.sent, nil)
+	}
+	for _, en := range entries {
+		n := len(en.chain) - 1
+		i, _ := find(e.sent[s], en.chain[:n], en.chain[n])
+		e.sent[s] = slices.Insert(e.sent[s], i, en)
+	}
+}
+
+// planted returns the slot's entry for an exact chain.
+func planted(t *testing.T, e *Endpoint, s tranctx.Synopsis, ch tranctx.Chain) *sentEntry {
+	t.Helper()
+	n := len(ch) - 1
+	i, ok := find(e.sent[s], ch[:n], ch[n])
+	if !ok {
+		t.Fatalf("chain %v is not in slot %d", ch, s)
+	}
+	return &e.sent[s][i]
+}
 
 // withProbe runs body on a live simulator thread with a fresh probe.
 func withProbe(t *testing.T, body func(pr *profiler.Probe, prof *profiler.Profiler)) {
@@ -34,11 +60,9 @@ func TestLookupSentChecksEquality(t *testing.T) {
 	e := NewEndpoint("dict")
 	want := tranctx.Chain{1, 2}
 	collider := tranctx.Chain{3, 4} // different chain, planted in want's bucket
-	h := want.Hash()
-	e.sent[h] = []sentEntry{
-		{chain: collider, ctxt: profiler.TxnCtxt{Prefix: collider}},
-		{chain: want, ctxt: profiler.TxnCtxt{Prefix: want}},
-	}
+	plant(e, 2,
+		sentEntry{chain: collider, ctxt: profiler.TxnCtxt{Prefix: collider}},
+		sentEntry{chain: want, ctxt: profiler.TxnCtxt{Prefix: want}})
 	got, ok := e.lookupSent(want)
 	if !ok {
 		t.Fatal("lookupSent missed a chain present in its bucket")
@@ -46,9 +70,9 @@ func TestLookupSentChecksEquality(t *testing.T) {
 	if !got.Prefix.Equal(want) {
 		t.Fatalf("lookupSent returned the colliding entry's context %v", got.Prefix)
 	}
-	// The collider sits in the wrong bucket for its own hash: looking it
-	// up goes through its real bucket and misses — equality never spans
-	// buckets.
+	// The collider sits in the wrong bucket for its own last synopsis:
+	// looking it up goes through its real bucket — here beyond the table
+	// — and misses: equality never spans buckets.
 	if _, ok := e.lookupSent(collider); ok {
 		t.Fatal("lookupSent found a chain filed under a foreign bucket")
 	}
@@ -73,10 +97,10 @@ func TestSendInternsAndLatestWins(t *testing.T) {
 		stored := append(append(tranctx.Chain{}, at.Prefix...), at.Local.Synopsis())
 		collider := tranctx.Chain{0xdead, 0xbeef}
 		sentinel := profiler.TxnCtxt{Prefix: tranctx.Chain{0x5e117}}
-		e.sent[stored.Hash()] = []sentEntry{
-			{chain: collider, ctxt: profiler.TxnCtxt{Prefix: collider}},
-			{chain: stored, ctxt: sentinel},
-		}
+		slot := stored[len(stored)-1]
+		plant(e, slot,
+			sentEntry{chain: collider, ctxt: profiler.TxnCtxt{Prefix: collider}},
+			sentEntry{chain: stored, ctxt: sentinel})
 
 		msg := e.Send(pr, nil)
 		if &msg.Chain[0] != &stored[0] {
@@ -85,7 +109,7 @@ func TestSendInternsAndLatestWins(t *testing.T) {
 		if len(e.sends) != 0 {
 			t.Errorf("Send recorded %d SendRecords for an already-known chain", len(e.sends))
 		}
-		entry := &e.sent[stored.Hash()][1]
+		entry := planted(t, e, slot, stored)
 		if entry.ctxt.Prefix.Equal(sentinel.Prefix) {
 			t.Error("Send did not overwrite the stored context (latest send must win)")
 		}
@@ -93,7 +117,7 @@ func TestSendInternsAndLatestWins(t *testing.T) {
 			t.Errorf("stored context %q, want the probe's %q", entry.ctxt.Key(), pr.Txn().Key())
 		}
 		// The colliding neighbour is untouched.
-		if got := e.sent[stored.Hash()][0]; !got.ctxt.Prefix.Equal(collider) {
+		if got := planted(t, e, slot, collider); !got.ctxt.Prefix.Equal(collider) {
 			t.Error("Send disturbed the colliding bucket neighbour")
 		}
 
@@ -119,8 +143,8 @@ func TestRecvLongestProperPrefix(t *testing.T) {
 		long := tranctx.Chain{10, 20}
 		ctxtShort := profiler.TxnCtxt{Prefix: tranctx.Chain{111}, Local: root}
 		ctxtLong := profiler.TxnCtxt{Prefix: tranctx.Chain{222}, Local: root}
-		e.sent[short.Hash()] = append(e.sent[short.Hash()], sentEntry{chain: short, ctxt: ctxtShort})
-		e.sent[long.Hash()] = append(e.sent[long.Hash()], sentEntry{chain: long, ctxt: ctxtLong})
+		plant(e, 10, sentEntry{chain: short, ctxt: ctxtShort})
+		plant(e, 20, sentEntry{chain: long, ctxt: ctxtLong})
 
 		if kind := e.Recv(pr, Msg{Chain: tranctx.Chain{10, 20, 30}}); kind != Response {
 			t.Fatalf("chain extending a sent chain classified %v, want response", kind)

@@ -20,6 +20,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 
 	"whodunit/internal/profiler"
 	"whodunit/internal/tranctx"
@@ -67,28 +68,57 @@ type sentEntry struct {
 
 // Endpoint is a stage's message-context bookkeeping: the dictionary of
 // sent synopsis chains and the contexts to restore when their responses
-// arrive. The dictionary is keyed by the chain's numeric hash with
-// equality-checked buckets, so the steady-state send/receive path
-// renders no strings; the human-readable SendRecord strings are built
-// once per distinct chain.
+// arrive. The dictionary is indexed by the chain's last synopsis — on
+// Send always one the sending stage's own table issued, so a small dense
+// integer (§7.4's synopsis used as what it is) — and each slot holds the
+// chains ending there, one per upstream prefix, sorted and found by
+// binary search (a prefix is other stages' synopses: a sparse key, but a
+// slot holds few). A received chain only ever reads the table: a synopsis
+// some other stage issued either indexes nothing or lands in a slot
+// where no chain compares equal. The steady-state send/receive path
+// hashes nothing and renders no strings; the human-readable SendRecord
+// strings are built once per distinct chain.
 type Endpoint struct {
 	Stage string
 
-	sent  map[uint64][]sentEntry // Chain.Hash -> candidate entries
+	sent  [][]sentEntry // last synopsis -> the sent chains ending in it
 	sends []SendRecord
 }
 
 // NewEndpoint returns an endpoint for the named stage.
 func NewEndpoint(stage string) *Endpoint {
-	return &Endpoint{Stage: stage, sent: make(map[uint64][]sentEntry)}
+	return &Endpoint{Stage: stage}
 }
 
-// lookupSent finds the context recorded for an exact chain.
+// find returns where prefix followed by last sits in a slot's bucket, and
+// whether it is there. A bucket is kept sorted (Chain.CompareWith): the
+// tier that answers many callers from one context of its own — a database
+// replying from its root — has one chain per caller context in one slot.
+// The search is written out: through slices.BinarySearchFunc's function
+// value BenchmarkSendRecv reads twice as long.
+func find(bucket []sentEntry, prefix tranctx.Chain, last tranctx.Synopsis) (int, bool) {
+	lo, hi := 0, len(bucket)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		switch c := bucket[mid].chain.CompareWith(prefix, last); {
+		case c < 0:
+			lo = mid + 1
+		case c > 0:
+			hi = mid
+		default:
+			return mid, true
+		}
+	}
+	return lo, false
+}
+
+// lookupSent finds the context recorded for an exact, non-empty chain.
+// It never grows the table: ch may come off the wire.
 func (e *Endpoint) lookupSent(ch tranctx.Chain) (profiler.TxnCtxt, bool) {
-	bucket := e.sent[ch.Hash()]
-	for i := range bucket {
-		if bucket[i].chain.Equal(ch) {
-			return bucket[i].ctxt, true
+	n := len(ch) - 1
+	if last := ch[n]; uint64(last) < uint64(len(e.sent)) {
+		if i, ok := find(e.sent[last], ch[:n], last); ok {
+			return e.sent[last][i].ctxt, true
 		}
 	}
 	return profiler.TxnCtxt{}, false
@@ -107,18 +137,19 @@ func (e *Endpoint) lookupSent(ch tranctx.Chain) (profiler.TxnCtxt, bool) {
 func (e *Endpoint) Send(pr *profiler.Probe, data any) Msg {
 	at := pr.CallCtxt()
 	last := at.Local.Synopsis()
-	h := at.Prefix.HashWith(last)
-	bucket := e.sent[h]
-	for i := range bucket {
-		if bucket[i].chain.EqualWith(at.Prefix, last) {
-			bucket[i].ctxt = pr.Txn() // latest send of a chain wins
-			return Msg{Chain: bucket[i].chain, Data: data}
-		}
+	if int(last) >= len(e.sent) {
+		e.sent = append(e.sent, make([][]sentEntry, int(last)+1-len(e.sent))...)
+	}
+	bucket := e.sent[last]
+	i, ok := find(bucket, at.Prefix, last)
+	if ok {
+		bucket[i].ctxt = pr.Txn() // latest send of a chain wins
+		return Msg{Chain: bucket[i].chain, Data: data}
 	}
 	chain := make(tranctx.Chain, 0, len(at.Prefix)+1)
 	chain = append(chain, at.Prefix...)
 	chain = append(chain, last)
-	e.sent[h] = append(bucket, sentEntry{chain: chain, ctxt: pr.Txn()})
+	e.sent[last] = slices.Insert(bucket, i, sentEntry{chain: chain, ctxt: pr.Txn()})
 	e.sends = append(e.sends, SendRecord{Chain: chain.String(), FromKey: pr.Txn().Key(), FromName: pr.Txn().Label()})
 	return Msg{Chain: chain, Data: data}
 }
@@ -140,6 +171,15 @@ func (e *Endpoint) Recv(pr *profiler.Probe, msg Msg) Kind {
 	pr.SetTxn(profiler.TxnCtxt{Prefix: msg.Chain, Local: pr.Profiler().Table.Root()})
 	return Request
 }
+
+// Distinct reports how many distinct chains the endpoint has sent: it
+// grows exactly when a Send materialises a new chain.
+func (e *Endpoint) Distinct() int { return len(e.sends) }
+
+// Slots reports the length of the sent dictionary: one slot per synopsis
+// up to the largest sent from, so never more than the size of the
+// sending stage's context table.
+func (e *Endpoint) Slots() int { return len(e.sent) }
 
 // Sends returns the distinct chains this endpoint sent, with the contexts
 // they originated from, for post-mortem stitching.

@@ -227,6 +227,46 @@ func TestWireErrors(t *testing.T) {
 	}
 }
 
+// TestRecvHostileChains: a chain off the wire is another program's
+// bytes. Synopses far beyond anything this endpoint's stage issued, and
+// no synopses at all, classify as requests — adopted as the opaque prefix
+// they are — and leave the sent dictionary exactly as large as it was:
+// only Send grows it.
+func TestRecvHostileChains(t *testing.T) {
+	prof := profiler.New("server", profiler.ModeWhodunit)
+	pr := prof.NewProbe(nil, nil) // a thread and a CPU are for Compute only
+	var wire bytes.Buffer
+	c := &Conn{E: NewEndpoint("server"), RW: &wire}
+	defer pr.Exit(pr.Enter("serve"))
+	if err := c.Send(pr, nil); err != nil { // one real slot to miss
+		t.Fatal(err)
+	}
+	wire.Reset()
+	slots := c.E.Slots()
+	for _, chain := range []tranctx.Chain{
+		{0xffffffff, 0xffffffff},
+		{0xffffffff, 0, 0xffffffff},
+		{},
+	} {
+		if err := WriteMsg(&wire, Msg{Chain: chain, Payload: []byte("x")}); err != nil {
+			t.Fatal(err)
+		}
+		payload, kind, err := c.Recv(pr)
+		if err != nil || string(payload) != "x" {
+			t.Fatalf("chain %v: payload %q, error %v", chain, payload, err)
+		}
+		if kind != Request {
+			t.Errorf("chain %v classified %v, want request", chain, kind)
+		}
+		if got := pr.Txn(); !got.Prefix.Equal(chain) || got.Local != prof.Table.Root() {
+			t.Errorf("chain %v: adopted context %s", chain, got.Label())
+		}
+		if c.E.Slots() != slots {
+			t.Fatalf("chain %v grew the sent dictionary from %d to %d slots", chain, slots, c.E.Slots())
+		}
+	}
+}
+
 func TestConnOverNetPipe(t *testing.T) {
 	// The real-transport path: two endpoints over a net.Pipe, each side
 	// with its own profiler, no simulator involved.

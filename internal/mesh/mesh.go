@@ -147,11 +147,19 @@ type Service struct {
 	handled int64
 
 	// Per-op frame/path caches: built once per distinct op so the
-	// steady-state request path concatenates no strings. The simulator
-	// runs one thread at a time with baton hand-off, so the maps need
-	// no locks.
-	handleFrames map[string]string
+	// steady-state request path concatenates no strings. A service sees
+	// a handful of ops, so handle_<op> resolves to its interned frame
+	// through a short slice scanned by name — no hash per hop. The
+	// simulator runs one thread at a time with baton hand-off, so
+	// neither cache needs a lock.
+	handleFrames []opFrame
 	entryPaths   map[string][]string
+}
+
+// opFrame is one op's handle_<op> frame in the service's stage.
+type opFrame struct {
+	op string
+	id whodunit.FrameID
 }
 
 // Service declares a tier with the given worker count and handler.
@@ -184,12 +192,11 @@ func (t *Topology) declare(name string, workers int, opts ...whodunit.StageOptio
 	}
 	st := t.app.Stage(name, opts...)
 	s := &Service{
-		Name:         name,
-		topo:         t,
-		st:           st,
-		in:           t.app.NewQueueOn(st.Shard(), name+"-in"),
-		handleFrames: map[string]string{},
-		entryPaths:   map[string][]string{},
+		Name:       name,
+		topo:       t,
+		st:         st,
+		in:         t.app.NewQueueOn(st.Shard(), name+"-in"),
+		entryPaths: map[string][]string{},
 	}
 	t.services = append(t.services, s)
 	t.byName[name] = s
@@ -244,13 +251,15 @@ func (in *Ingress) Inject(req *Request) {
 	in.pipe.Send(req)
 }
 
-func (s *Service) handleFrame(op string) string {
-	f, ok := s.handleFrames[op]
-	if !ok {
-		f = "handle_" + op
-		s.handleFrames[op] = f
+func (s *Service) handleFrame(op string) whodunit.FrameID {
+	for i := range s.handleFrames {
+		if s.handleFrames[i].op == op {
+			return s.handleFrames[i].id
+		}
 	}
-	return f
+	id := s.st.Profiler().Frames().ID("handle_" + op)
+	s.handleFrames = append(s.handleFrames, opFrame{op: op, id: id})
+	return id
 }
 
 func (s *Service) entryPath(op string) []string {
@@ -335,7 +344,7 @@ func (c *Call) recv(co *whodunit.Coro, v any) whodunit.Step {
 		s.st.Endpoint().Recv(c.pr, req.msg)
 	}
 	c.upstream = req.replyQ
-	c.tok = c.pr.Enter(s.handleFrame(req.Op))
+	c.tok = c.pr.EnterID(s.handleFrame(req.Op))
 	return c.run(co, s.handler)
 }
 

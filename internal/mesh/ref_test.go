@@ -59,7 +59,7 @@ func (c *refCall) serve(h refHandler, req *Request) {
 	}
 	upstream := req.replyQ
 	func() {
-		defer pr.Exit(pr.Enter(s.handleFrame(req.Op)))
+		defer pr.Exit(pr.EnterID(s.handleFrame(req.Op)))
 		h(c)
 	}()
 	if c.pending {

@@ -3,6 +3,7 @@ package minidb
 import (
 	"slices"
 
+	"whodunit/internal/cct"
 	"whodunit/internal/profiler"
 	"whodunit/internal/vclock"
 )
@@ -50,10 +51,6 @@ const (
 	needCPU
 )
 
-// frameTempSort is the probe frame of a temp-table sort, standalone or
-// inside a Select.
-const frameTempSort = "temp_table_sort"
-
 func cpu(d vclock.Duration, calls int) need { return need{kind: needCPU, d: d, calls: calls} }
 
 type stmtKind uint8
@@ -93,7 +90,7 @@ type Exec struct {
 
 	// The statement.
 	kind  stmtKind
-	frame string // its probe frame
+	frame cct.FrameID // its probe frame, as pr's stage interned it
 	t     *Table
 	id    int64 // Lookup and Update key, Insert's row id
 	pred  Pred
@@ -125,7 +122,7 @@ func (db *DB) NewExec(pr *profiler.Probe) *Exec {
 	return x
 }
 
-func (x *Exec) begin(kind stmtKind, frame string, t *Table, id int64) {
+func (x *Exec) begin(kind stmtKind, frame cct.FrameID, t *Table, id int64) {
 	x.kind, x.frame, x.t, x.id = kind, frame, t, id
 	x.pc, x.matched, x.row, x.ok, x.rows = pcBegin, 0, Row{}, false, nil
 }
@@ -154,7 +151,7 @@ func (x *Exec) step() need {
 	for {
 		switch x.pc {
 		case pcBegin:
-			x.tok = pr.Enter(x.frame)
+			x.tok = pr.EnterID(x.frame)
 			x.pc = pcLocked
 			if l, mode := x.lockFor(); l != nil {
 				x.held = l
@@ -178,14 +175,13 @@ func (x *Exec) step() need {
 			switch x.kind {
 			case stmtLookup:
 				var idx int
-				if idx, x.ok = t.byID[x.id]; x.ok {
+				if idx, x.ok = t.index(x.id); x.ok {
 					x.row = t.rows[idx]
 				}
 			case stmtUpdate:
 				var idx int
-				if idx, x.ok = t.byID[x.id]; x.ok {
-					x.fn(&t.rows[idx])
-					t.invalidateCols()
+				if idx, x.ok = t.index(x.id); x.ok {
+					t.update(idx, x.fn)
 				}
 			case stmtInsert:
 				t.LoadRow(x.ins)
@@ -193,7 +189,7 @@ func (x *Exec) step() need {
 			x.pc = pcEnd
 
 		case selScan:
-			x.inner = pr.Enter("scan_rows")
+			x.inner = pr.EnterID(x.op(frameScan))
 			x.pc = selFilter
 			return cpu(vclock.Duration(len(t.rows))*db.Cost.ScanPerRow, len(t.rows))
 		case selFilter:
@@ -201,7 +197,7 @@ func (x *Exec) step() need {
 			x.filter()
 			x.pc = selTemp
 			if x.opts.SortBy != "" && x.matched > 1 {
-				x.inner = pr.Enter("sort_rows")
+				x.inner = pr.EnterID(x.op(frameSort))
 				x.pc = selSort
 				return cpu(vclock.Duration(int64(x.matched)*log2(x.matched))*db.Cost.SortPerCmp, x.matched)
 			}
@@ -214,7 +210,7 @@ func (x *Exec) step() need {
 		case selTemp:
 			x.pc = selReturn
 			if n := x.opts.TempSortRows; n > 0 {
-				x.inner = pr.Enter(frameTempSort)
+				x.inner = pr.EnterID(x.op(frameTempSort))
 				x.pc = selTempDone
 				return cpu(db.tempSortCost(n), n)
 			}
@@ -238,6 +234,16 @@ func (x *Exec) step() need {
 	}
 }
 
+// stmt and op return a statement frame of t and an operator frame of the
+// database, as pr's stage interned them.
+func (x *Exec) stmt(t *Table, frame int) cct.FrameID {
+	return t.frames.in(x.pr.Profiler().Frames())[frame]
+}
+
+func (x *Exec) op(frame int) cct.FrameID {
+	return x.db.frames.in(x.pr.Profiler().Frames())[frame]
+}
+
 // filter is Select's row work after the scan. The three shapes
 // (everything, attribute equality, arbitrary predicate) agree on
 // matched; only the non-CountOnly ones materialise rows.
@@ -245,7 +251,7 @@ func (x *Exec) filter() {
 	t, opts := x.t, &x.opts
 	switch {
 	case x.pred == nil && opts.WhereAttr != "":
-		idxs := t.bucket(opts.WhereAttr)[opts.WhereEquals]
+		idxs := t.bucket(opts.WhereAttr, opts.WhereEquals)
 		x.matched = len(idxs)
 		if !opts.CountOnly && x.matched > 0 {
 			x.rows = make([]Row, 0, x.matched)
@@ -368,25 +374,25 @@ func (x *Exec) advance(c *vclock.Coro, _ any) vclock.Step {
 // The statements. Each setter below names a statement's frame, table and
 // arguments once, for both drivers.
 
-func (x *Exec) lookup(t *Table, id int64) { x.begin(stmtLookup, t.frameLookup, t, id) }
+func (x *Exec) lookup(t *Table, id int64) { x.begin(stmtLookup, x.stmt(t, frameLookup), t, id) }
 
 func (x *Exec) sel(t *Table, pred Pred, opts SelectOpts) {
-	x.begin(stmtSelect, t.frameSelect, t, 0)
+	x.begin(stmtSelect, x.stmt(t, frameSelect), t, 0)
 	x.pred, x.opts = pred, opts
 }
 
 func (x *Exec) update(t *Table, id int64, fn func(*Row)) {
-	x.begin(stmtUpdate, t.frameUpdate, t, id)
+	x.begin(stmtUpdate, x.stmt(t, frameUpdate), t, id)
 	x.fn = fn
 }
 
 func (x *Exec) insert(t *Table, r Row) {
-	x.begin(stmtInsert, t.frameInsert, t, r.ID)
+	x.begin(stmtInsert, x.stmt(t, frameInsert), t, r.ID)
 	x.ins = r
 }
 
 func (x *Exec) tempSort(n int) {
-	x.begin(stmtTempSort, frameTempSort, nil, 0)
+	x.begin(stmtTempSort, x.op(frameTempSort), nil, 0)
 	x.n = n
 }
 

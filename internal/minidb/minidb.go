@@ -25,7 +25,9 @@ package minidb
 
 import (
 	"fmt"
+	"slices"
 
+	"whodunit/internal/cct"
 	"whodunit/internal/vclock"
 )
 
@@ -122,48 +124,135 @@ var DefaultCost = CostModel{
 }
 
 // Table is a named collection of rows under one engine.
+//
+// The primary key is positional where it can be: a row loaded at the
+// position equal to its id (a bulk load of ids 0..n-1 in order) is found
+// by indexing rows, with no index entry at all. byID holds only the ids
+// for which that fails — rows placed elsewhere, and a later duplicate of
+// a positionally placed id, which shadows it ("the latest LoadRow wins").
+// Which case a row is in is read off the data, so a dense table never
+// touches a hash and a sparse one (TPC-W's orders, keyed by
+// item*100000+thread) pays for one exactly as before. rowLocks stays a
+// map: its keys are the writers in flight, not the rows.
 type Table struct {
 	Name   string
 	Engine Engine
 
 	db       *DB
 	rows     []Row
-	byID     map[int64]int
+	byID     map[int64]int // id -> position, only where rows[id].ID == id does not answer; read through index alone
 	lock     *vclock.Lock
 	rowLocks map[int64]*vclock.Lock
 
-	// Profiler frame names for this table's operators, concatenated once
-	// at creation instead of on every query (Select/Lookup run thousands
-	// of times per experiment).
-	frameSelect, frameLookup, frameUpdate, frameInsert string
+	// Profiler frames of this table's statements: the names are
+	// concatenated once at creation, and interned once per frame table
+	// rather than hashed on every statement.
+	frames frameSet
 
-	// buckets caches, per attribute, the row indexes grouped by value —
-	// the equality index behind WhereAttr scans. Built lazily, dropped
-	// whole on any write. Index slices hold row positions in row order,
-	// so bucketed results match what a row-order scan would produce.
-	buckets map[string]map[int64][]int
+	// eq caches, per attribute, the row positions grouped by value — the
+	// equality index behind WhereAttr scans. Built lazily; a write drops
+	// or extends only the indexes it touches (see Update and LoadRow).
+	// Positions are kept in row order, so bucketed results match what a
+	// row-order scan would produce. A handful of attributes at most, so a
+	// slice scanned by name.
+	eq []eqIndex
 }
 
-// bucket returns the cached value→row-indexes index for attr, building
-// it on first use after a write.
-func (t *Table) bucket(attr string) map[int64][]int {
-	if b, ok := t.buckets[attr]; ok {
-		return b
+// eqIndex is the equality index of one attribute: value -> row positions.
+type eqIndex struct {
+	attr  string
+	byVal map[int64][]int
+	was   int64 // update's scratch: the attribute's value in the row before fn
+}
+
+// The statement frames of a Table, by position in its frameSet.
+const (
+	frameSelect = iota
+	frameLookup
+	frameUpdate
+	frameInsert
+)
+
+// The operator frames of a DB, by position in its frameSet.
+const (
+	frameScan = iota
+	frameSort
+	frameTempSort
+)
+
+// frameSet is a fixed list of frame names with their FrameIDs in the
+// frame table that last asked. FrameIDs mean something only relative to
+// the table that issued them, so the ids are cached beside that table's
+// pointer and re-interned when a probe of another stage comes by.
+type frameSet struct {
+	names []string
+	ft    *cct.FrameTable
+	ids   []cct.FrameID
+}
+
+func newFrameSet(names ...string) frameSet {
+	return frameSet{names: names, ids: make([]cct.FrameID, len(names))}
+}
+
+// in returns the set's FrameIDs as issued by ft.
+func (f *frameSet) in(ft *cct.FrameTable) []cct.FrameID {
+	if f.ft != ft {
+		f.ft = ft
+		for i, name := range f.names {
+			f.ids[i] = ft.ID(name)
+		}
 	}
-	if t.buckets == nil {
-		t.buckets = make(map[string]map[int64][]int)
+	return f.ids
+}
+
+// index returns the position of the row with the given primary key.
+func (t *Table) index(id int64) (int, bool) {
+	if len(t.byID) > 0 {
+		if i, ok := t.byID[id]; ok {
+			return i, true
+		}
+	}
+	if uint64(id) < uint64(len(t.rows)) && t.rows[id].ID == id {
+		return int(id), true
+	}
+	return 0, false
+}
+
+// bucket returns the row positions whose attr equals v, in row order,
+// building attr's index on first use.
+func (t *Table) bucket(attr string, v int64) []int {
+	for i := range t.eq {
+		if t.eq[i].attr == attr {
+			return t.eq[i].byVal[v]
+		}
 	}
 	b := make(map[int64][]int)
 	for i := range t.rows {
-		v := t.rows[i].Attr(attr)
-		b[v] = append(b[v], i)
+		w := t.rows[i].Attr(attr)
+		b[w] = append(b[w], i)
 	}
-	t.buckets[attr] = b
-	return b
+	t.eq = append(t.eq, eqIndex{attr: attr, byVal: b})
+	return b[v]
 }
 
-// invalidateCols drops the equality-index cache after a write.
-func (t *Table) invalidateCols() { t.buckets = nil }
+// update applies fn to the row at position i and drops the equality
+// index of each attribute whose value fn changed there — and of no other:
+// AdminConfirm raising one item's cost must not cost the next
+// SearchResult a rebuild of the subject index over the whole table. fn
+// may not change the primary key; the positional index and byID would
+// both keep answering the old id.
+func (t *Table) update(i int, fn func(*Row)) {
+	r := &t.rows[i]
+	id := r.ID
+	for k := range t.eq {
+		t.eq[k].was = r.Attr(t.eq[k].attr)
+	}
+	fn(r)
+	if r.ID != id {
+		panic(fmt.Sprintf("minidb: update of %s.%s changed the primary key of row %d to %d", t.db.Name, t.Name, id, r.ID))
+	}
+	t.eq = slices.DeleteFunc(t.eq, func(ix eqIndex) bool { return r.Attr(ix.attr) != ix.was })
+}
 
 // DB is one database instance bound to a simulation and a CPU. Its
 // statement methods (exec.go) are the blocking driver of the statement
@@ -178,11 +267,13 @@ type DB struct {
 	sim      *vclock.Sim
 	tables   map[string]*Table
 	observer vclock.LockObserver
+	frames   frameSet // scan_rows, sort_rows, temp_table_sort
 }
 
 // New creates a database computing on cpu.
 func New(sim *vclock.Sim, name string, cpu *vclock.CPU) *DB {
-	return &DB{Name: name, CPU: cpu, Cost: DefaultCost, sim: sim, tables: make(map[string]*Table)}
+	return &DB{Name: name, CPU: cpu, Cost: DefaultCost, sim: sim, tables: make(map[string]*Table),
+		frames: newFrameSet("scan_rows", "sort_rows", "temp_table_sort")}
 }
 
 // SetLockObserver attaches obs (e.g. a crosstalk monitor) to every
@@ -200,16 +291,12 @@ func (db *DB) SetLockObserver(obs vclock.LockObserver) {
 // CreateTable adds an empty table with the given engine.
 func (db *DB) CreateTable(name string, engine Engine) *Table {
 	t := &Table{
-		Name:        name,
-		Engine:      engine,
-		db:          db,
-		byID:        make(map[int64]int),
-		lock:        db.sim.NewLock(db.Name + "." + name),
-		rowLocks:    make(map[int64]*vclock.Lock),
-		frameSelect: "select_" + name,
-		frameLookup: "lookup_" + name,
-		frameUpdate: "update_" + name,
-		frameInsert: "insert_" + name,
+		Name:     name,
+		Engine:   engine,
+		db:       db,
+		lock:     db.sim.NewLock(db.Name + "." + name),
+		rowLocks: make(map[int64]*vclock.Lock),
+		frames:   newFrameSet("select_"+name, "lookup_"+name, "update_"+name, "insert_"+name),
 	}
 	t.lock.Observer = db.observer
 	db.tables[name] = t
@@ -234,11 +321,29 @@ func (t *Table) AlterEngine(e Engine) { t.Engine = e }
 func (t *Table) Len() int { return len(t.rows) }
 
 // LoadRow appends a row without consuming simulated time (bulk loading
-// during setup).
+// during setup). A row whose id equals its position needs no index entry
+// (and retires the entry of an earlier row with that id); any other gets
+// one, which also shadows an earlier positional row of the same id. The
+// new position is the largest, so appending it to each cached equality
+// index keeps the index in row order — cheaper than dropping what the
+// next WhereAttr select would rebuild over the whole table.
 func (t *Table) LoadRow(r Row) {
-	t.byID[r.ID] = len(t.rows)
+	pos := len(t.rows)
+	switch {
+	case r.ID != int64(pos):
+		if t.byID == nil {
+			t.byID = make(map[int64]int)
+		}
+		t.byID[r.ID] = pos
+	case len(t.byID) > 0:
+		delete(t.byID, r.ID)
+	}
 	t.rows = append(t.rows, r)
-	t.invalidateCols()
+	for k := range t.eq {
+		b := t.eq[k].byVal
+		v := r.Attr(t.eq[k].attr)
+		b[v] = append(b[v], pos)
+	}
 }
 
 // TableLock returns the table-wide lock MyISAM statements take (InnoDB
@@ -283,8 +388,9 @@ type Pred func(Row) bool
 // skipping work the caller does not want:
 //
 //   - WhereAttr/WhereEquals (with a nil Pred) filter by attribute
-//     equality through a per-table equality index (value → row indexes,
-//     rebuilt lazily after writes) — no per-row work at all;
+//     equality through a per-table equality index (value → row
+//     positions, built lazily, dropped only by an update that changes
+//     the attribute) — no per-row work at all;
 //   - CountOnly charges exactly the CPU demand, takes exactly the locks
 //     and emits exactly the profiler frames the full query would, but
 //     materialises no result rows (callers that only want the query's

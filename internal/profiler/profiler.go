@@ -14,7 +14,6 @@ package profiler
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"whodunit/internal/cct"
@@ -172,6 +171,7 @@ type Profiler struct {
 	index        map[CtxtID][]int // CtxtID -> slot indexes (hash bucket)
 	byLabel      map[string]int   // rendered label -> first slot index
 	probes       []*Probe         // every probe issued; Retire invalidates their caches
+	ccTab        []ccNode         // CallCtxt memo, indexed by the base context's synopsis
 	samples      int64
 	calls        int64
 	ctxtSwitches int64
@@ -202,8 +202,15 @@ func New(stage string, mode Mode) *Profiler {
 // RootTxn returns the empty transaction context for this stage.
 func (p *Profiler) RootTxn() TxnCtxt { return TxnCtxt{Local: p.Table.Root()} }
 
-// Frames returns the stage-wide frame table shared by every tree.
+// Frames returns the stage-wide frame table shared by every tree. A call
+// site that owns a constant frame name interns it once here —
+// Frames().ID(name) — and enters it with Probe.EnterID.
 func (p *Profiler) Frames() *cct.FrameTable { return p.frames }
+
+// CallCtxtSlots reports the length of the CallCtxt memo table: one slot
+// per base-context synopsis up to the largest a send point has extended,
+// so never more than Table.Size().
+func (p *Profiler) CallCtxtSlots() int { return len(p.ccTab) }
 
 // tree returns (creating if needed) the CCT for the given context. The
 // lookup is a single map access on the interned numeric identity plus a
@@ -487,23 +494,25 @@ type Probe struct {
 	cur     *cct.Tree       // cached tree for the current context, nil = recompute
 	phase   vclock.Duration // CPU consumed since the last sample boundary
 	pending vclock.Duration // overhead to charge on the next Compute
-
-	// CallCtxt cache: sends from an already-seen (context, call stack)
-	// pair — the steady state of every server loop, even one that
-	// round-robins across handler frames — reuse the interned extension
-	// instead of re-joining the call path. Extend interns, so a cached
-	// Ctxt is pointer-identical to what a recomputation would return.
-	// Contexts outlive window retirement (the tranctx Table is
-	// stage-lifetime), so the cache never needs invalidating.
-	ccTab map[uint64][]ccEntry
 }
 
-// ccEntry is one memoized CallCtxt extension: base context + interned
-// call stack -> extended context.
-type ccEntry struct {
-	base  *tranctx.Ctxt
-	stack []cct.FrameID
-	ext   *tranctx.Ctxt
+// ccNode is a node of the CallCtxt memo: base context + interned call
+// stack -> extended context. Sends from an already-seen (context, call
+// stack) pair — the steady state of every server loop, even one that
+// round-robins across handler frames — reuse the interned extension
+// instead of re-joining the call path. The memo is the profiler's ccTab,
+// one for the stage: a root node per base context, indexed by its
+// synopsis (which the stage's own Table issued, densely from 0), and
+// under it a trie over the call stack, each node's children indexed by
+// FrameID (dense too, and the stage's own). Both indexes are exact, so
+// there is nothing to confirm on a hit; a node's kids are as long as the
+// largest FrameID entered beneath it. Extend interns, so whichever probe
+// filled a node, every probe reads the pointer a recomputation would
+// return. Contexts outlive window retirement (the tranctx Table is
+// stage-lifetime), so the memo never needs invalidating.
+type ccNode struct {
+	ext  *tranctx.Ctxt // the base extended by the path to here; nil until a send point asked
+	kids []ccNode
 }
 
 // NewProbe creates a probe for thread th charging CPU demand to cpu. The
@@ -521,17 +530,27 @@ func (pr *Probe) Thread() *vclock.Thread { return pr.th }
 func (pr *Probe) Profiler() *Profiler { return pr.prof }
 
 // Enter pushes fn onto the call stack and returns a token for Exit.
-// Use as: defer pr.Exit(pr.Enter("func")). The frame name is interned in
-// the stage-wide frame table; for frames already seen this is a single
-// map lookup and an append into retained capacity.
-func (pr *Probe) Enter(fn string) int {
-	pr.stack = append(pr.stack, pr.prof.frames.ID(fn))
+// Use as: defer pr.Exit(pr.Enter("func")). It is EnterID after interning
+// the name in the stage-wide frame table — a string hash per call, which
+// a call site with a constant name avoids by interning once.
+func (pr *Probe) Enter(fn string) int { return pr.EnterID(pr.prof.frames.ID(fn)) }
+
+// EnterID is Enter for a frame the stage's table (Profiler.Frames)
+// already interned: an append into retained capacity. It is kept small
+// enough to inline — into Enter too, which so stays one call deep.
+func (pr *Probe) EnterID(id cct.FrameID) int {
+	pr.stack = append(pr.stack, id)
 	if pr.prof.Mode == ModeInstrumented {
-		pr.prof.calls++
-		pr.tree().AddCallIDs(pr.stack)
-		pr.pending += pr.prof.Overhead.PerCall
+		pr.countEntry()
 	}
 	return len(pr.stack) - 1
+}
+
+// countEntry is gprof's inserted counting code on a procedure entry.
+func (pr *Probe) countEntry() {
+	pr.prof.calls++
+	pr.tree().AddCallIDs(pr.stack)
+	pr.pending += pr.prof.Overhead.PerCall
 }
 
 // Exit pops the stack back to the depth returned by the matching Enter.
@@ -584,29 +603,32 @@ func (pr *Probe) SetLocal(c *tranctx.Ctxt) {
 func (pr *Probe) CallCtxt() TxnCtxt {
 	local := pr.txn.Local
 	if len(pr.stack) > 0 {
-		h := uint64(local.Synopsis())
-		for _, id := range pr.stack {
-			h = (h ^ uint64(id)) * 1099511628211 // FNV-1a step
-		}
-		bucket := pr.ccTab[h]
-		hit := false
-		for i := range bucket {
-			if bucket[i].base == local && slices.Equal(bucket[i].stack, pr.stack) {
-				local = bucket[i].ext
-				hit = true
-				break
-			}
-		}
-		if !hit {
-			ext := local.Extend(tranctx.CallHop(pr.prof.Stage, pr.Stack()...))
-			if pr.ccTab == nil {
-				pr.ccTab = make(map[uint64][]ccEntry)
-			}
-			pr.ccTab[h] = append(bucket, ccEntry{base: local, stack: slices.Clone(pr.stack), ext: ext})
-			local = ext
-		}
+		local = pr.prof.extend(local, pr)
 	}
 	return TxnCtxt{Prefix: pr.txn.Prefix, Local: local}
+}
+
+// extend returns base extended by pr's call path, memoized (see ccNode).
+func (p *Profiler) extend(base *tranctx.Ctxt, pr *Probe) *tranctx.Ctxt {
+	if base.Table() != p.Table {
+		// Another stage's context: its synopsis indexes nothing here.
+		return base.Extend(tranctx.CallHop(p.Stage, pr.Stack()...))
+	}
+	slot := int(base.Synopsis())
+	if slot >= len(p.ccTab) {
+		p.ccTab = append(p.ccTab, make([]ccNode, slot+1-len(p.ccTab))...)
+	}
+	n := &p.ccTab[slot]
+	for _, id := range pr.stack {
+		if int(id) >= len(n.kids) {
+			n.kids = append(n.kids, make([]ccNode, int(id)+1-len(n.kids))...)
+		}
+		n = &n.kids[id]
+	}
+	if n.ext == nil {
+		n.ext = base.Extend(tranctx.CallHop(p.Stage, pr.Stack()...))
+	}
+	return n.ext
 }
 
 // tree returns the CCT samples should currently land in: the per-context

@@ -144,3 +144,48 @@ func BenchmarkTxnCtxtKey(b *testing.B) {
 		b.Fatal(fmt.Errorf("empty key"))
 	}
 }
+
+// BenchmarkEnterName and BenchmarkEnterID are one Enter/Exit pair by
+// frame name — interned on every call, a string hash — and by a FrameID
+// interned once, which is how the models enter the frames they own.
+func BenchmarkEnterName(b *testing.B) {
+	b.ReportAllocs()
+	pr := New("stage", ModeWhodunit).NewProbe(nil, nil)
+	defer pr.Exit(pr.Enter("serve"))
+	for i := 0; i < b.N; i++ {
+		pr.Exit(pr.Enter("handler"))
+	}
+}
+
+func BenchmarkEnterID(b *testing.B) {
+	b.ReportAllocs()
+	p := New("stage", ModeWhodunit)
+	pr := p.NewProbe(nil, nil)
+	defer pr.Exit(pr.Enter("serve"))
+	id := p.Frames().ID("handler")
+	for i := 0; i < b.N; i++ {
+		pr.Exit(pr.EnterID(id))
+	}
+}
+
+// BenchmarkCallCtxt is the send-point context of fourteen server threads
+// of one stage, each parked two frames deep in its own handler under the
+// root context — tomcat's workers inside servlet_<interaction> > db_rpc —
+// asked round-robin. All fourteen extensions share the root's memo slot.
+func BenchmarkCallCtxt(b *testing.B) {
+	b.ReportAllocs()
+	p := New("stage", ModeWhodunit)
+	var probes [14]*Probe
+	for i := range probes {
+		probes[i] = p.NewProbe(nil, nil)
+		probes[i].Enter(fmt.Sprint("servlet_", i))
+		probes[i].Enter("db_rpc")
+	}
+	var sink TxnCtxt
+	for i := 0; i < b.N; i++ {
+		sink = probes[i%len(probes)].CallCtxt()
+	}
+	if sink.Local == nil {
+		b.Fatal("no context")
+	}
+}

@@ -1,6 +1,7 @@
 package tranctx
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 )
@@ -37,9 +38,10 @@ func (ch Chain) String() string {
 }
 
 // Hash returns a 64-bit FNV-1a hash of the chain's synopses. The profiler
-// keys its CCT dictionary by (chain hash, local synopsis) so steady-state
-// context lookups build no strings; callers must confirm candidate hits
-// with Equal since distinct chains may collide.
+// keys its CCT dictionary by (chain hash, local synopsis) — a prefix chain
+// is made of other stages' synopses, so there the key really is sparse —
+// and steady-state context lookups build no strings; callers must confirm
+// candidate hits with Equal since distinct chains may collide.
 func (ch Chain) Hash() uint64 {
 	h := uint64(14695981039346656037)
 	for _, s := range ch {
@@ -51,9 +53,10 @@ func (ch Chain) Hash() uint64 {
 
 // HashWith returns the hash of the chain that would result from appending
 // last to ch, without materialising it. FNV-1a folds left to right, so the
-// extended hash is one more fold over Hash's result. This is the send-path
-// trick that lets an endpoint probe its chain dictionary before deciding
-// whether a chain allocation is needed at all.
+// extended hash is one more fold over Hash's result. No send or receive
+// path hashes a chain any more (ipc.Endpoint indexes by the last synopsis
+// and searches the slot with CompareWith); the hash-keyed endpoint kept as
+// a test oracle is what still calls this, and EqualWith.
 func (ch Chain) HashWith(last Synopsis) uint64 {
 	h := ch.Hash()
 	h ^= uint64(last)
@@ -73,6 +76,21 @@ func (ch Chain) EqualWith(prefix Chain, last Synopsis) bool {
 		}
 	}
 	return ch[len(prefix)] == last
+}
+
+// CompareWith orders ch against prefix followed by last — by length, then
+// element by element — again without materialising the appended chain. It
+// is the order an endpoint keeps the chains of one dictionary slot in.
+func (ch Chain) CompareWith(prefix Chain, last Synopsis) int {
+	if c := cmp.Compare(len(ch), len(prefix)+1); c != 0 {
+		return c
+	}
+	for i := range prefix {
+		if c := cmp.Compare(ch[i], prefix[i]); c != 0 {
+			return c
+		}
+	}
+	return cmp.Compare(ch[len(prefix)], last)
 }
 
 // chainMax bounds decoded chains; real chains have 1 or 2 entries

@@ -1,7 +1,9 @@
 package tranctx
 
 import (
+	"cmp"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -258,5 +260,36 @@ func TestQuickInterningIsCanonical(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestChainCompareWith: the order an endpoint sorts a slot's chains by is
+// a total order (length, then elements) that agrees with EqualWith on
+// equality, whatever the two lengths.
+func TestChainCompareWith(t *testing.T) {
+	var chains []Chain
+	for _, n := range []int{1, 2, 3} {
+		for v := 0; v < 1<<(2*n); v++ { // every chain of n synopses from {0..3}
+			ch := make(Chain, n)
+			for i := range ch {
+				ch[i] = Synopsis(v >> (2 * i) & 3)
+			}
+			chains = append(chains, ch)
+		}
+	}
+	for _, a := range chains {
+		for _, b := range chains {
+			prefix, last := b[:len(b)-1], b[len(b)-1]
+			want := cmp.Compare(len(a), len(b))
+			if want == 0 {
+				want = slices.Compare(a, b)
+			}
+			if got := a.CompareWith(prefix, last); got != want {
+				t.Fatalf("%v.CompareWith(%v, %d) = %d, want %d", a, prefix, last, got, want)
+			}
+			if (want == 0) != a.EqualWith(prefix, last) {
+				t.Fatalf("%v vs %v+%d: CompareWith and EqualWith disagree", a, prefix, last)
+			}
+		}
 	}
 }

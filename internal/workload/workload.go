@@ -233,7 +233,7 @@ var OrderingMix = map[string]float64{
 // MixSampler draws interactions from a weighted mix.
 type MixSampler struct {
 	rng       *vclock.RNG
-	names     []string
+	kinds     []int // positions in Interactions of the weighted ones
 	weights   []float64
 	thinkMean vclock.Duration
 }
@@ -242,9 +242,9 @@ type MixSampler struct {
 // stream.
 func NewMixSampler(seed uint64, mix map[string]float64) *MixSampler {
 	s := &MixSampler{rng: vclock.NewRNG(seed), thinkMean: 7 * vclock.Second}
-	for _, name := range Interactions {
+	for i, name := range Interactions {
 		if w, ok := mix[name]; ok && w > 0 {
-			s.names = append(s.names, name)
+			s.kinds = append(s.kinds, i)
 			s.weights = append(s.weights, w)
 		}
 	}
@@ -252,7 +252,11 @@ func NewMixSampler(seed uint64, mix map[string]float64) *MixSampler {
 }
 
 // Next draws the next interaction name.
-func (s *MixSampler) Next() string { return s.names[s.rng.Pick(s.weights)] }
+func (s *MixSampler) Next() string { return Interactions[s.NextIndex()] }
+
+// NextIndex draws the next interaction as its position in Interactions —
+// the dense id a model keeps per-interaction state under.
+func (s *MixSampler) NextIndex() int { return s.kinds[s.rng.Pick(s.weights)] }
 
 // SetThinkMean overrides the TPC-W default 7s think-time mean (the
 // 10x cap scales with it). The default draws are unchanged, so seeded

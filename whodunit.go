@@ -159,6 +159,10 @@ type (
 	Synopsis = tranctx.Synopsis
 	// Tree is a calling context tree of profile samples.
 	Tree = cct.Tree
+	// FrameID is a frame name interned by one stage:
+	// st.Profiler().Frames().ID(name), entered with Probe.EnterID. It
+	// means nothing to another stage's probes.
+	FrameID = cct.FrameID
 )
 
 // Profiling modes.
