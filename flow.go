@@ -280,7 +280,8 @@ type Queue struct {
 
 	// PushFrame and PopFrame are the probe frames entered around the
 	// emulated critical sections; they default to Figure 1's
-	// ap_queue_push / ap_queue_pop.
+	// ap_queue_push / ap_queue_pop. A thread's port interns them when it
+	// is made (its first Push, Pop or Port): set them before that.
 	PushFrame, PopFrame string
 
 	app    *App
@@ -598,6 +599,8 @@ type QueuePort struct {
 	push, pop emulation // at most one is live
 	tok       int       // probe token of the live operation's frame
 
+	pushFrame, popFrame FrameID // q.PushFrame and q.PopFrame in the table of pr's stage
+
 	k                      Frame // where the frame-face operation in flight continues
 	armed                  bool  // settle is on the coroutine's Defer stack
 	gotF, pushedF, poppedF Frame // bound once
@@ -610,7 +613,8 @@ func (q *Queue) Port(pr *Probe) *QueuePort {
 		if q.ports == nil {
 			q.ports = make(map[*Probe]*QueuePort)
 		}
-		p = &QueuePort{q: q, pr: pr}
+		frames := pr.Profiler().Frames()
+		p = &QueuePort{q: q, pr: pr, pushFrame: frames.ID(q.PushFrame), popFrame: frames.ID(q.PopFrame)}
 		p.gotF, p.pushedF, p.poppedF = p.got, p.pushed, p.popped
 		q.ports[pr] = p
 	}
@@ -628,7 +632,7 @@ func (p *QueuePort) beginPush(v any) Duration {
 	// Count the element before the charge: a concurrent pusher must see
 	// the slot as taken or the capacity guard above could be bypassed.
 	q.vmLen++
-	p.tok = p.pr.Enter(q.PushFrame)
+	p.tok = p.pr.EnterID(p.pushFrame)
 	var sd int64
 	if n := len(q.free); n > 0 {
 		sd = q.free[n-1]
@@ -659,7 +663,7 @@ func (p *QueuePort) finishPush() {
 func (p *QueuePort) beginPop() Duration {
 	q := p.q
 	q.vmLen--
-	p.tok = p.pr.Enter(q.PopFrame)
+	p.tok = p.pr.EnterID(p.popFrame)
 	if p.scratch == 0 {
 		p.scratch = q.newScratch()
 	}

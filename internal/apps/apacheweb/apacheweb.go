@@ -92,6 +92,9 @@ type system struct {
 	fdq  *whodunit.Queue
 	res  *Result
 	done int // connections served
+
+	// The frames the threads enter, interned once in the stage's table.
+	listenerFrame, acceptFrame, workerFrame, connFrame, sendFrame whodunit.FrameID
 }
 
 func build(cfg Config) *system {
@@ -113,6 +116,9 @@ func buildWith(cfg Config, spawnListener func(*listener, string), spawnWorker fu
 	st := app.Stage("apache")
 	sys := &system{cfg: cfg, app: app, st: st, fdq: app.NewQueue("fdqueue-sem"),
 		res: &Result{Profiler: st.Profiler()}}
+	frames := st.Profiler().Frames()
+	sys.listenerFrame, sys.acceptFrame = frames.ID("listener_thread"), frames.ID("apr_socket_accept")
+	sys.workerFrame, sys.connFrame, sys.sendFrame = frames.ID("worker_thread"), frames.ID("ap_process_connection"), frames.ID("sendfile")
 	spawnListener(&listener{sys: sys}, "listener")
 	for w := 0; w < cfg.Workers; w++ {
 		spawnWorker(&worker{sys: sys}, fmt.Sprintf("worker-%d", w))
@@ -157,7 +163,7 @@ func (l *listener) accept(c *whodunit.Coro, _ any) whodunit.Step {
 	if l.next >= len(l.sys.cfg.Trace.Conns) {
 		return c.End()
 	}
-	l.tok = l.pr.Enter("listener_thread")
+	l.tok = l.pr.EnterID(l.sys.listenerFrame)
 	// Each accepted connection is a fresh transaction whose context is
 	// the listener's call path at the push point: the same interned
 	// context every time, so it is built once and re-entered after.
@@ -166,7 +172,7 @@ func (l *listener) accept(c *whodunit.Coro, _ any) whodunit.Step {
 	} else {
 		l.pr.SetTxn(l.txn)
 	}
-	l.accTok = l.pr.Enter("apr_socket_accept")
+	l.accTok = l.pr.EnterID(l.sys.acceptFrame)
 	return l.pr.ComputeStep(c, 30*whodunit.Microsecond, l.acceptedF)
 }
 
@@ -217,13 +223,13 @@ func (w *worker) begin(_ *whodunit.Thread, pr *whodunit.Probe) whodunit.Frame {
 }
 
 func (w *worker) idle(c *whodunit.Coro, _ any) whodunit.Step {
-	w.tok = w.pr.Enter("worker_thread")
+	w.tok = w.pr.EnterID(w.sys.workerFrame)
 	return w.port.Pop(c, w.poppedF)
 }
 
 func (w *worker) popped(c *whodunit.Coro, v any) whodunit.Step {
 	w.conn, w.req = v.(*workload.Connection), 0
-	w.connTok = w.pr.Enter("ap_process_connection")
+	w.connTok = w.pr.EnterID(w.sys.connFrame)
 	return w.serve(c)
 }
 
@@ -239,7 +245,7 @@ func (w *worker) serve(c *whodunit.Coro) whodunit.Step {
 }
 
 func (w *worker) parsed(c *whodunit.Coro, _ any) whodunit.Step {
-	w.sendTok = w.pr.Enter("sendfile")
+	w.sendTok = w.pr.EnterID(w.sys.sendFrame)
 	return w.pr.ComputeStep(c, whodunit.Duration(w.conn.Reqs[w.req].Size)*w.sys.cfg.SendPerByte, w.sentF)
 }
 

@@ -17,7 +17,7 @@ import (
 
 // plant files entries in the slot of last synopsis s — in the slot's
 // sorted order, whatever their own last synopsis — growing the table to
-// reach it as Send would.
+// reach it and noting the chain's length as Send would.
 func plant(e *Endpoint, s tranctx.Synopsis, entries ...sentEntry) {
 	for len(e.sent) <= int(s) {
 		e.sent = append(e.sent, nil)
@@ -26,6 +26,7 @@ func plant(e *Endpoint, s tranctx.Synopsis, entries ...sentEntry) {
 		n := len(en.chain) - 1
 		i, _ := find(e.sent[s], en.chain[:n], en.chain[n])
 		e.sent[s] = slices.Insert(e.sent[s], i, en)
+		e.lens |= lenBit(len(en.chain))
 	}
 }
 
@@ -176,6 +177,44 @@ func TestRecvLongestProperPrefix(t *testing.T) {
 		}
 		if !pr.Txn().Prefix.Equal(foreign) {
 			t.Fatalf("request adopted prefix %v, want %v", pr.Txn().Prefix, foreign)
+		}
+	})
+}
+
+// TestRecvAcrossBit63: the length mask's last bit stands for every
+// length from 63 up, so a long incoming chain is tried length by length
+// down to 63 and then by the bits below — a sent chain of 62 synopses is
+// found under a chain of 70 whether or not anything longer was ever
+// sent, and a sent chain of 66 wins over it when both are prefixes.
+func TestRecvAcrossBit63(t *testing.T) {
+	withProbe(t, func(pr *profiler.Probe, prof *profiler.Profiler) {
+		e := NewEndpoint("dict")
+		root := prof.Table.Root()
+		incoming := make(tranctx.Chain, 70)
+		for i := range incoming {
+			incoming[i] = tranctx.Synopsis(i + 1)
+		}
+		ctxt62 := profiler.TxnCtxt{Prefix: tranctx.Chain{62}, Local: root}
+		ctxt66 := profiler.TxnCtxt{Prefix: tranctx.Chain{66}, Local: root}
+		recv := func(ch tranctx.Chain, want profiler.TxnCtxt) {
+			t.Helper()
+			if kind := e.Recv(pr, Msg{Chain: ch}); kind != Response {
+				t.Fatalf("chain of %d classified %v, want response", len(ch), kind)
+			}
+			if !pr.Txn().Prefix.Equal(want.Prefix) {
+				t.Fatalf("chain of %d restored %v, want %v", len(ch), pr.Txn().Prefix, want.Prefix)
+			}
+		}
+
+		plant(e, incoming[61], sentEntry{chain: incoming[:62], ctxt: ctxt62})
+		recv(incoming, ctxt62) // nothing of 63 or longer sent: bits below 63 only
+		recv(incoming[:63], ctxt62)
+
+		plant(e, incoming[65], sentEntry{chain: incoming[:66], ctxt: ctxt66})
+		recv(incoming, ctxt66)      // 69 … 66 tried in turn
+		recv(incoming[:66], ctxt62) // 66 itself is not a proper prefix; 65 … 63 miss, then bit 62
+		if kind := e.Recv(pr, Msg{Chain: incoming[:62]}); kind != Request {
+			t.Fatal("the exact sent chain of 62 classified as a response")
 		}
 	})
 }

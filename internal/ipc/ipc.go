@@ -20,6 +20,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
 	"slices"
 
 	"whodunit/internal/profiler"
@@ -78,17 +79,30 @@ type sentEntry struct {
 // where no chain compares equal. The steady-state send/receive path
 // hashes nothing and renders no strings; the human-readable SendRecord
 // strings are built once per distinct chain.
+//
+// A response's chain extends a sent chain, so only a prefix as long as
+// some sent chain can match: lens keeps the lengths ever sent, and Recv
+// searches for those prefixes alone. A stage sends from one or two depths
+// of the call graph, and a request reaches it with a chain shorter than
+// any it sends: at the seventh tier of a chain that is no search at all
+// where every proper prefix cost a failed one.
 type Endpoint struct {
 	Stage string
 
-	sent  [][]sentEntry // last synopsis -> the sent chains ending in it
-	sends []SendRecord
+	sent    [][]sentEntry // last synopsis -> the sent chains ending in it
+	lens    uint64        // bit min(n, 63) set: a chain of n synopses was sent
+	lookups uint64        // prefix searches Recv made (Lookups)
+	sends   []SendRecord
 }
 
 // NewEndpoint returns an endpoint for the named stage.
 func NewEndpoint(stage string) *Endpoint {
 	return &Endpoint{Stage: stage}
 }
+
+// lenBit is the bit of Endpoint.lens that stands for chains of n
+// synopses: bit n, and bit 63 for every length from 63 up.
+func lenBit(n int) uint64 { return 1 << min(n, 63) }
 
 // find returns where prefix followed by last sits in a slot's bucket, and
 // whether it is there. A bucket is kept sorted (Chain.CompareWith): the
@@ -150,6 +164,7 @@ func (e *Endpoint) Send(pr *profiler.Probe, data any) Msg {
 	chain = append(chain, at.Prefix...)
 	chain = append(chain, last)
 	e.sent[last] = slices.Insert(bucket, i, sentEntry{chain: chain, ctxt: pr.Txn()})
+	e.lens |= lenBit(len(chain))
 	e.sends = append(e.sends, SendRecord{Chain: chain.String(), FromKey: pr.Txn().Key(), FromName: pr.Txn().Label()})
 	return Msg{Chain: chain, Data: data}
 }
@@ -160,7 +175,8 @@ func (e *Endpoint) Send(pr *profiler.Probe, data any) Msg {
 // sent from. The receive wrapper of §7.4.
 func (e *Endpoint) Recv(pr *profiler.Probe, msg Msg) Kind {
 	// Longest proper prefix of the incoming chain that we sent.
-	for k := len(msg.Chain) - 1; k >= 1; k-- {
+	for k := e.sentBelow(len(msg.Chain)); k > 0; k = e.sentBelow(k) {
+		e.lookups++
 		if saved, ok := e.lookupSent(msg.Chain[:k]); ok {
 			pr.SetTxn(saved)
 			return Response
@@ -171,6 +187,25 @@ func (e *Endpoint) Recv(pr *profiler.Probe, msg Msg) Kind {
 	pr.SetTxn(profiler.TxnCtxt{Prefix: msg.Chain, Local: pr.Profiler().Table.Root()})
 	return Request
 }
+
+// sentBelow returns the largest length under n that a sent chain may
+// have, or a value below 1 when there is none: the highest bit of lens
+// under n, and above 63 — every such length shares bit 63 — each length
+// in turn.
+func (e *Endpoint) sentBelow(n int) int {
+	if n > 63 {
+		if e.lens>>63 != 0 {
+			return n - 1
+		}
+		n = 63
+	}
+	return bits.Len64(e.lens&(1<<n-1)) - 1
+}
+
+// Lookups reports how many prefix searches Recv has made: at most one
+// per distinct chain length ever sent and shorter than the received
+// chain, whatever the depth of the tier.
+func (e *Endpoint) Lookups() uint64 { return e.lookups }
 
 // Distinct reports how many distinct chains the endpoint has sent: it
 // grows exactly when a Send materialises a new chain.

@@ -90,13 +90,24 @@ func (st *refStage) each(f func(pr *profiler.Probe)) { f(st.prD); f(st.prR) }
 // is anywhere from 1 to n-1 synopses, the exact sent chain coming back
 // (a request: the prefix must be proper), foreign chains that end in one
 // of the receiver's own synopses, and synopses far beyond the table.
+// Chains run from 1 to 70 synopses, a quarter of the adopted prefixes 58
+// to 67 long, so the length mask Recv walks is exercised on both sides of
+// its last bit: responses whose sent prefix is 63 synopses or longer
+// (every such length shares bit 63), and responses that extend two sent
+// chains at once, below the bit and under it — the longer must win.
 //
 // Mutants this test fails (applied by hand, see CHANGES.md): lookupSent
 // answering with the nearest entry of its slot without the equality
 // result, lookupSent without its bound check, Send doing the same, Send
 // not overwriting the stored context on a re-send, Send appending a new
-// chain instead of inserting it in order, and CompareWith ignoring
-// length.
+// chain instead of inserting it in order, CompareWith ignoring
+// length; and of the length mask: Send noting len(prefix) where the
+// chain's own length belongs, lenBit wrapping round instead of saturating
+// at 63, and sentBelow skipping a length above 63, ignoring bit 63,
+// answering with the shortest length first, or admitting the whole chain
+// as its own prefix. (sentBelow dropping bit 62 once the walk down from a
+// long chain reaches it needs an endpoint that never sent 63 or more:
+// TestRecvAcrossBit63.)
 func TestQuickEndpointMatchesRef(t *testing.T) {
 	ops := 40_000
 	if testing.Short() {
@@ -114,9 +125,14 @@ func TestQuickEndpointMatchesRef(t *testing.T) {
 			}
 			var responses [chainLenMax]int
 			var sharedSlot, resends, exact, foreignHit, beyond int
+			var deep, nested, nestedDeep int // responses to a chain of 63+, extending two sent chains, both of them 63+
 
 			randomChain := func() tranctx.Chain {
-				ch := make(tranctx.Chain, 1+rng.Intn(3))
+				n := 1 + rng.Intn(3)
+				if rng.Intn(4) == 0 {
+					n = 58 + rng.Intn(10)
+				}
+				ch := make(tranctx.Chain, n)
 				for i := range ch {
 					ch[i] = tranctx.Synopsis(rng.Intn(12))
 				}
@@ -201,10 +217,22 @@ func TestQuickEndpointMatchesRef(t *testing.T) {
 						t.Fatalf("op %d: receiving %v grew the table from %d to %d slots", op, ch, slots, st.dense.Slots())
 					}
 					if kd == Response {
+						matched := 0
 						for k := len(ch) - 1; k >= 1; k-- {
-							if _, ok := st.ref.lookupSent(ch[:k]); ok {
+							if _, ok := st.ref.lookupSent(ch[:k]); !ok {
+								continue
+							}
+							switch matched++; {
+							case matched == 1:
 								responses[k]++
-								break
+								if k >= 63 {
+									deep++
+								}
+							case matched == 2:
+								nested++
+								if k >= 63 {
+									nestedDeep++
+								}
 							}
 						}
 					} else {
@@ -226,16 +254,17 @@ func TestQuickEndpointMatchesRef(t *testing.T) {
 					t.Fatalf("%s: send records differ from the reference's", st.prof.Stage)
 				}
 			}
-			if responses[1] == 0 || responses[2] == 0 || responses[3] == 0 || sharedSlot == 0 || resends == 0 || exact == 0 || foreignHit == 0 || beyond == 0 {
-				t.Errorf("the generator missed a case it is here for: responses by prefix length %v, %d chains into an occupied slot, %d re-sends, %d exact chains back, %d foreign chains into an occupied slot, %d beyond the table",
-					responses, sharedSlot, resends, exact, foreignHit, beyond)
+			if responses[1] == 0 || responses[2] == 0 || responses[3] == 0 || responses[62] == 0 || deep == 0 || nested == 0 || nestedDeep == 0 ||
+				sharedSlot == 0 || resends == 0 || exact == 0 || foreignHit == 0 || beyond == 0 {
+				t.Errorf("the generator missed a case it is here for: responses by prefix length %v (%d to 63 or longer, %d with a shorter sent prefix too, %d of those 63 or longer), %d chains into an occupied slot, %d re-sends, %d exact chains back, %d foreign chains into an occupied slot, %d beyond the table",
+					responses, deep, nested, nestedDeep, sharedSlot, resends, exact, foreignHit, beyond)
 			}
-			t.Logf("responses by prefix length %v, %d chains into an occupied slot, %d re-sends, %d exact chains back, %d foreign chains into an occupied slot, %d beyond the table",
-				responses, sharedSlot, resends, exact, foreignHit, beyond)
+			t.Logf("responses by prefix length %v (%d to 63 or longer, %d with a shorter sent prefix too, %d of those 63 or longer), %d chains into an occupied slot, %d re-sends, %d exact chains back, %d foreign chains into an occupied slot, %d beyond the table",
+				responses, deep, nested, nestedDeep, sharedSlot, resends, exact, foreignHit, beyond)
 		})
 	}
 }
 
-// chainLenMax bounds the generated chains: ping-pong would otherwise grow
-// them by one synopsis per hop.
-const chainLenMax = 6
+// chainLenMax bounds the generated chains (70 synopses): ping-pong would
+// otherwise grow them by one synopsis per hop.
+const chainLenMax = 71

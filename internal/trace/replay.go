@@ -2,6 +2,33 @@ package trace
 
 import "whodunit"
 
+// arrivals is what the two injection processes below share: where events
+// are scheduled, the instant their times are offsets from, and where they
+// go. step is the process's fire method, bound once: each callback
+// re-schedules that one value for the next event, so an arrival costs a
+// queue slot and no allocation (a closure per event was every allocation
+// a mesh run made).
+type arrivals struct {
+	sim    *whodunit.Sim
+	base   whodunit.Time
+	inject func(ev Event)
+	step   func()
+}
+
+// replay is Replay's cursor: the events and the index of the one due.
+type replay struct {
+	arrivals
+	evs []Event
+	i   int
+}
+
+func (r *replay) fire() {
+	r.inject(r.evs[r.i])
+	if r.i++; r.i < len(r.evs) {
+		r.sim.At(r.base.Add(r.evs[r.i].T), r.step)
+	}
+}
+
 // Replay schedules every event of tr onto the app's virtual clock,
 // offset from the clock's current position: inject(ev) runs in
 // scheduler context at now+ev.T. Events chain — each callback schedules
@@ -11,20 +38,26 @@ import "whodunit"
 // predicate (e.g. all events completed) since mesh worker loops never
 // terminate on their own.
 func Replay(app *whodunit.App, tr *Trace, inject func(ev Event)) {
-	evs := tr.Events
-	if len(evs) == 0 {
+	if len(tr.Events) == 0 {
 		return
 	}
 	sim := app.Sim()
-	base := sim.Now()
-	var step func(i int)
-	step = func(i int) {
-		inject(evs[i])
-		if i+1 < len(evs) {
-			sim.At(base.Add(evs[i+1].T), func() { step(i + 1) })
-		}
-	}
-	sim.At(base.Add(evs[0].T), func() { step(0) })
+	r := &replay{arrivals: arrivals{sim: sim, base: sim.Now(), inject: inject}, evs: tr.Events}
+	r.step = r.fire
+	sim.At(r.base.Add(r.evs[0].T), r.step)
+}
+
+// openLoop is OpenLoop's cursor: the generator and the event due.
+type openLoop struct {
+	arrivals
+	g   *gen
+	due Event
+}
+
+func (o *openLoop) fire() {
+	o.inject(o.due)
+	o.due = o.g.next()
+	o.sim.At(o.base.Add(o.due.T), o.step)
 }
 
 // OpenLoop installs an endless arrival process drawing events from
@@ -33,15 +66,9 @@ func Replay(app *whodunit.App, tr *Trace, inject func(ev Event)) {
 // (cfg.Events is ignored), so a bounded open-loop run and a finite
 // replay of the same shape see identical workloads.
 func OpenLoop(app *whodunit.App, cfg GenConfig, inject func(ev Event)) {
-	g := newGen(cfg)
 	sim := app.Sim()
-	base := sim.Now()
-	var step func(ev Event)
-	step = func(ev Event) {
-		inject(ev)
-		next := g.next()
-		sim.At(base.Add(next.T), func() { step(next) })
-	}
-	first := g.next()
-	sim.At(base.Add(first.T), func() { step(first) })
+	o := &openLoop{arrivals: arrivals{sim: sim, base: sim.Now(), inject: inject}, g: newGen(cfg)}
+	o.step = o.fire
+	o.due = o.g.next()
+	sim.At(o.base.Add(o.due.T), o.step)
 }

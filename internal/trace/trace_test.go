@@ -222,6 +222,39 @@ func TestOpenLoopMatchesGen(t *testing.T) {
 	}
 }
 
+// TestArrivalsAllocateNothing: Replay and OpenLoop re-schedule one bound
+// method value per process, so once the event queue and the generator's
+// key table are warm an arrival allocates nothing — and each event is
+// still injected at exactly its own instant. (A closure per event was
+// one allocation per operation of every mesh workload.)
+func TestArrivalsAllocateNothing(t *testing.T) {
+	cfg := CacheTrace()
+	cfg.Events, cfg.Keys, cfg.HotKeys = 4000, 8, 0
+	tr := Gen(cfg)
+	for name, install := range map[string]func(*whodunit.App, func(Event)){
+		"Replay":   func(app *whodunit.App, inject func(Event)) { Replay(app, tr, inject) },
+		"OpenLoop": func(app *whodunit.App, inject func(Event)) { OpenLoop(app, cfg, inject) },
+	} {
+		app := whodunit.NewApp(name, whodunit.WithSeed(1))
+		sim := app.Sim()
+		n := 0
+		install(app, func(ev Event) {
+			if want := tr.Events[n]; ev != want || sim.Now() != whodunit.Time(want.T) {
+				t.Fatalf("%s: event %d is %+v at %v, want %+v at its own instant", name, n, ev, sim.Now(), want)
+			}
+			n++
+		})
+		sim.RunUntil(func() bool { return n >= cfg.Events/2 })
+		avg := testing.AllocsPerRun(1, func() {
+			stop := n + cfg.Events/5
+			sim.RunUntil(func() bool { return n >= stop })
+		})
+		if avg > 2 { // the stop predicate and the bound it captures; 800 arrivals
+			t.Errorf("%s: %.0f allocations over %d arrivals, want none per arrival", name, avg, cfg.Events/5)
+		}
+	}
+}
+
 func TestGenConfigValidation(t *testing.T) {
 	bad := []func(*GenConfig){
 		func(c *GenConfig) { c.Keys = 0 },

@@ -38,21 +38,34 @@ func (c *CPU) Utilization() float64 {
 }
 
 // reserve books d of CPU starting no earlier than now and returns the time
-// the computation finishes.
+// the computation finishes. It takes the first core that is free by now
+// and only searches for the earliest-free core when none is. Cores are
+// interchangeable and the clock is monotone, so a nextFree at or before
+// now means "idle" whatever its value, now and at every later instant:
+// the multiset of max(nextFree[i], now), which is all Preempt and any
+// later reserve read, and every end time returned are those of a search
+// for the minimum on every call. (That search compares stale, unordered
+// values and mispredicts about once a core.)
 func (c *CPU) reserve(d Duration) Time {
+	s := c.sim
+	s.count.Reserves++
+	c.busy += d
+	for i, free := range c.nextFree {
+		if free <= s.now {
+			end := s.now.Add(d)
+			c.nextFree[i] = end
+			return end
+		}
+	}
+	s.count.ReservesQueued++
 	best := 0
 	for i := 1; i < len(c.nextFree); i++ {
 		if c.nextFree[i] < c.nextFree[best] {
 			best = i
 		}
 	}
-	start := c.nextFree[best]
-	if start < c.sim.now {
-		start = c.sim.now
-	}
-	end := start.Add(d)
+	end := c.nextFree[best].Add(d)
 	c.nextFree[best] = end
-	c.busy += d
 	return end
 }
 

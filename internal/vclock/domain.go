@@ -262,6 +262,8 @@ func (g *Group) Counters() Counters {
 		c.SleepsScheduled += d.SleepsScheduled
 		c.FrameSteps += d.FrameSteps
 		c.Switches += d.Switches
+		c.Reserves += d.Reserves
+		c.ReservesQueued += d.ReservesQueued
 	}
 	return c
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // refHeap is the event queue this package used until the radix queue
@@ -243,6 +244,37 @@ func TestEventQueueSteadyStateZeroAllocs(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(20, round); avg != 0 {
 		t.Errorf("steady-state push/pop allocates %.2f times per 1000 events, want 0", avg)
+	}
+}
+
+// TestEventIs40BytesAndKindsBoxFree pins the event's size — every push,
+// pop and rebase copies one — and that what used to be fields of their
+// own costs nothing in the payload: a callback is pointer-shaped and the
+// start and kill markers are zero-size, so scheduling and dispatching
+// one of each allocates nothing.
+func TestEventIs40BytesAndKindsBoxFree(t *testing.T) {
+	if got := unsafe.Sizeof(event{}); got != 40 {
+		t.Errorf("event is %d bytes, want 40 (when, t, q, v)", got)
+	}
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	s := New()
+	calls := 0
+	fn := func() { calls++ }
+	th := &Thread{Name: "t", sim: s, started: true, exited: true} // start skipped, kill a no-op: only the events are exercised
+	round := func() {
+		s.At(s.now, fn)
+		s.push(event{when: s.now, t: th, v: startMark{}})
+		s.push(event{when: s.now, t: th, v: killMark{}})
+		s.Run()
+	}
+	round()
+	if avg := testing.AllocsPerRun(100, round); avg != 0 {
+		t.Errorf("a callback, a start and a kill allocate %.2f times, want 0", avg)
+	}
+	if c := s.Counters(); calls != 102 || c.Callbacks != 102 || c.Skipped != 102 || c.Kills != 102 {
+		t.Errorf("%d calls; counters %+v; want 102 callbacks, skipped starts and kills", calls, c)
 	}
 }
 

@@ -40,8 +40,9 @@ type Sim struct {
 	stop    func() bool // RunUntil's stop predicate, nil when absent
 	engine  EngineKind  // how GoCoro threads execute (snapshot of DefaultEngine)
 
-	cur     *Thread // free-form thread whose body is executing (set by run and park); nil in dispatcher context
-	handoff *Thread // thread whose wake the dispatcher reached; RunUntil switches to it
+	cur      *Thread // free-form thread whose body is executing (set by run and park); nil in dispatcher context
+	handoff  *Thread // thread whose wake the dispatcher reached; RunUntil switches to it
+	stepping *Thread // run-to-completion thread whose frames are executing (set by stepCoro); nil otherwise
 
 	crash *Crash // first captured panic; halts dispatch
 
@@ -74,15 +75,25 @@ func (c *Crash) Error() string {
 	return fmt.Sprintf("vclock: %s crashed at %v: %v", c.Thread, c.At, c.Value)
 }
 
+// event is one entry of the pending-event set. Its kind is read off the
+// fields that are set: q non-nil delivers v to q; t nil runs the callback
+// (a func()) riding in v; t non-nil wakes t with payload v, unless v is
+// one of the two markers below. It is 40 bytes, and every push, pop and
+// rebase copies it, so a kind gets no field of its own.
 type event struct {
-	when  Time
-	t     *Thread // thread to wake (or start), or
-	fn    func()  // callback to run in dispatcher context, or
-	q     *Queue  // queue to deliver v to in dispatcher context
-	v     any     // payload delivered to t (queue item), nil for plain wakes
-	start bool    // t is to be started, not resumed
-	kill  bool    // t is to be unwound (Sim.Kill)
+	when Time
+	t    *Thread // thread to wake, start or kill
+	q    *Queue  // queue to deliver v to in dispatcher context
+	v    any     // wake payload (nil for plain wakes), queue item, callback, or marker
 }
+
+// startMark and killMark are the payloads that make a thread's event its
+// start or its death instead of a wake. Zero-size values box without
+// allocating, and no queue item can be one: the types are unexported.
+type (
+	startMark struct{}
+	killMark  struct{}
+)
 
 // eventQueue is the pending-event set: a monotone radix queue (Ahuja,
 // Mehlhorn, Orlin, Tarjan 1990). A discrete-event kernel never schedules
@@ -134,7 +145,7 @@ func (q *eventQueue) earliest() Time { return q.min[bits.TrailingZeros64(q.mask)
 // file returns the bucket an event at `when` belongs in — the one its
 // distance from last selects — having noted the event in the bucket's
 // mask bits and minimum; the caller appends it. (It takes the time, not
-// the event: copying 56 bytes into an inlined call is what a shallow
+// the event: copying 40 bytes into an inlined call is what a shallow
 // queue would notice.)
 func (q *eventQueue) file(when Time) int {
 	b := bits.Len64(uint64(when ^ q.min[0]))
@@ -213,7 +224,7 @@ func (s *Sim) pop() (e event) {
 	}
 	b0 := q.bucket[0]
 	e = b0[q.head]
-	b0[q.head] = event{} // release the fn closure (and payload) for GC
+	b0[q.head] = event{} // release the payload (or callback) for GC
 	if q.head++; q.head == len(b0) {
 		q.bucket[0], q.head = b0[:0], 0
 		q.mask &^= 1
@@ -250,7 +261,7 @@ func (s *Sim) At(at Time, fn func()) {
 	if at < s.now {
 		at = s.now
 	}
-	s.push(event{when: at, fn: fn})
+	s.push(event{when: at, v: fn})
 }
 
 // After schedules fn to run d after the current virtual time.
@@ -340,7 +351,7 @@ func (s *Sim) spawn(at Time, t *Thread) *Thread {
 	if at < s.now {
 		at = s.now
 	}
-	s.push(event{when: at, t: t, start: true})
+	s.push(event{when: at, t: t, v: startMark{}})
 	return t
 }
 
@@ -379,32 +390,41 @@ func (s *Sim) GoCoroAt(at Time, name string, f Frame) *Thread {
 }
 
 // stepCoro continues a run-to-completion thread with a wake payload and,
-// when the program finishes or panics, performs the same cleanup-then-
-// exit sequence a free-form thread goes through: deferred cleanups first
-// (they are deeper in the conceptual stack), then the crash record,
-// then the exit bookkeeping. The caller is the dispatcher; it keeps the
-// baton throughout.
+// when the program finishes, runs its deferred cleanups and does the exit
+// bookkeeping, as for a free-form thread whose body returns. The caller
+// is dispatchFrom, which keeps the baton throughout and whose deferred
+// frameCrashed handles a frame that panics: s.stepping names the thread
+// for it, so the step itself sets up no recover.
 func (s *Sim) stepCoro(t *Thread, v any) {
-	c := t.coro
-	done := false
-	crashed := false
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				crashed = true
-				c.runCleanups()
-				s.recordCrash(t.Name, r)
-			}
-		}()
-		op, _ := c.Resume(v)
-		done = op == CoroDone
-	}()
-	if done {
-		c.runCleanups()
-	}
-	if done || crashed {
+	s.stepping = t
+	op, _ := t.coro.Resume(v)
+	s.stepping = nil
+	if op == CoroDone {
+		t.coro.runCleanups()
 		s.exit(t)
 	}
+}
+
+// frameCrashed is dispatchFrom's deferred function. It acts only on a
+// panic out of a run-to-completion frame (s.stepping is set): the same
+// sequence a crashing free-form thread goes through — deferred cleanups
+// first (they are deeper in the conceptual stack), then the crash
+// record, taken here while the panicking frames are still on the stack,
+// then the exit bookkeeping — and dispatchFrom returns batonDone, which
+// is where the loop's crash check would have taken it. Any other panic
+// crossing dispatchFrom — the poison of a dispatching thread's own kill
+// — is not looked at and keeps unwinding.
+func (s *Sim) frameCrashed(b *baton) {
+	t := s.stepping
+	if t == nil {
+		return
+	}
+	s.stepping = nil
+	r := recover()
+	t.coro.runCleanups()
+	s.recordCrash(t.Name, r)
+	s.exit(t)
+	*b = batonDone
 }
 
 // Kill schedules t's death at the current virtual time: a kill event
@@ -422,7 +442,7 @@ func (s *Sim) Kill(t *Thread) {
 		return
 	}
 	t.dead = true
-	s.push(event{when: s.now, t: t, kill: true})
+	s.push(event{when: s.now, t: t, v: killMark{}})
 }
 
 // Dead reports whether t was killed (or marked for death) by Sim.Kill.
@@ -503,11 +523,14 @@ const (
 // baton moves: the caller is a simulated thread about to block (self
 // non-nil) or the RunUntil loop (self nil). Exactly one coroutine
 // executes at a time, so no locking is needed anywhere in the simulator.
-func (s *Sim) dispatchFrom(self *Thread) baton {
+// A panic out of a frame the loop is stepping ends it through the
+// deferred frameCrashed, the one recover on the frame path.
+func (s *Sim) dispatchFrom(self *Thread) (b baton) {
 	if !s.running {
 		// Outside RunUntil (Shutdown's unwind): never dispatch.
 		return batonDone
 	}
+	defer s.frameCrashed(&b)
 	for s.q.n > 0 {
 		if s.crash != nil {
 			return batonDone
@@ -517,10 +540,20 @@ func (s *Sim) dispatchFrom(self *Thread) baton {
 		}
 		e := s.pop()
 		s.now = e.when
-		switch {
-		case e.kill:
+		t := e.t
+		if t == nil {
+			if e.q != nil {
+				s.count.Deliveries++
+				s.deliverNow(e.q, e.v)
+			} else {
+				s.count.Callbacks++
+				s.runCallback(e.v.(func()))
+			}
+			continue
+		}
+		switch e.v.(type) {
+		case killMark:
 			s.count.Kills++
-			t := e.t
 			switch {
 			case t.exited:
 			case !t.started:
@@ -544,14 +577,8 @@ func (s *Sim) dispatchFrom(self *Thread) baton {
 				t.co.stop()
 				s.exit(t)
 			}
-		case e.fn != nil:
-			s.count.Callbacks++
-			s.runCallback(e.fn)
-		case e.q != nil:
-			s.count.Deliveries++
-			s.deliverNow(e.q, e.v)
-		case e.start:
-			t := e.t
+			continue
+		case startMark:
 			if t.started || t.dead {
 				s.count.Skipped++
 				continue
@@ -568,23 +595,26 @@ func (s *Sim) dispatchFrom(self *Thread) baton {
 			t.co.next, t.co.stop = iter.Pull(t.run)
 			s.handoff = t
 			return batonPassed
-		case e.t.dead || e.t.exited:
+		}
+		// A wake, with e.v its payload.
+		switch {
+		case t.dead || t.exited:
 			// Stale wake for a killed thread (its sleep or queue hand-off
 			// was already scheduled); drop it, whoever is dispatching —
 			// the victim itself included, whose kill event comes next.
 			s.count.Skipped++
-		case e.t.rtc:
+		case t.rtc:
 			// The wake's payload goes straight into the continuation, on
 			// this stack.
 			s.count.Wakes++
-			s.stepCoro(e.t, e.v)
+			s.stepCoro(t, e.v)
 		default:
 			s.count.Wakes++
-			e.t.co.wake = e.v
-			if e.t == self {
+			t.co.wake = e.v
+			if t == self {
 				return batonSelf
 			}
-			s.handoff = e.t
+			s.handoff = t
 			return batonPassed
 		}
 	}
@@ -805,6 +835,9 @@ type Counters struct {
 	SleepsScheduled uint64 // ... by a wake event
 	FrameSteps      uint64 // Coro.Resume calls
 	Switches        uint64 // hand-offs to a free-form thread's coroutine (Sim.Switches)
+
+	Reserves       uint64 // positive-duration Compute requests booked on a CPU
+	ReservesQueued uint64 // of which found every core busy: the request waited for one
 }
 
 // Counters reports the run's counters so far.
