@@ -39,14 +39,13 @@ type App struct {
 	seed     uint64
 	rng      *RNG
 
-	// Sharded simulated time (WithShards): shards is the effective time-
-	// domain count after the serial-collapse rules, pipes the declared
-	// cross-domain channels (resolved into vclock links when the run
-	// starts), placedOffZero whether any stage, thread or queue has been
-	// placed on a domain other than 0.
+	// Sharded simulated time (WithShards): shards is the time-domain
+	// count, the WithShards request (1 by default) after the
+	// serial-collapse rules, pipes the declared cross-domain channels
+	// (resolved into vclock links when the run starts), placedOffZero
+	// whether any stage, thread or queue has been placed on a domain
+	// other than 0.
 	shards        int
-	shardsWanted  int
-	shardsSet     bool
 	pipes         []*Pipe
 	placedOffZero bool
 
@@ -75,22 +74,16 @@ type App struct {
 	ran bool
 }
 
-// DefaultShards, when nonzero, applies WithShards(DefaultShards) to
-// every app built without an explicit WithShards — the hook the
-// corpus-wide sharded determinism sweep uses to rerun every existing
-// scenario under sharding without touching the scenario builders (the
-// same pattern as par.MaxWorkers for the sweep pool). Like every shard
-// request it is subject to the serial-collapse rules; see WithShards.
-var DefaultShards int
-
 // NewApp returns an app with a fresh simulator, configured by opts. The
 // defaults are ModeWhodunit profiling, a 2-core shared CPU, the standard
-// sampling interval, and no crosstalk or flow machinery.
+// sampling interval, one time domain, and no crosstalk or flow
+// machinery.
 func NewApp(name string, opts ...Option) *App {
 	a := &App{
 		Name:         name,
 		cores:        2,
 		mode:         ModeWhodunit,
+		shards:       1,
 		byName:       make(map[string]*Stage),
 		cyclesPerSec: DefaultCyclesPerSecond,
 	}
@@ -101,23 +94,11 @@ func NewApp(name string, opts ...Option) *App {
 	// Crosstalk monitoring, flow detection, windowed aggregation and
 	// fault plans all read or mutate state across the whole app from one
 	// scheduler's context, so any of them collapses the run to a single
-	// domain — the documented serial fallback, not an error, so a
-	// scenario can be rerun under DefaultShards unchanged.
-	n := 1
-	switch {
-	case a.shardsSet:
-		n = a.shardsWanted
-		if n == 0 {
-			n = par.Limit()
-		}
-	case DefaultShards > 0:
-		n = DefaultShards
-	}
+	// domain — the documented serial fallback, not an error.
 	if a.monitor != nil || a.flowWanted || a.window > 0 || a.faultPlan != nil {
-		n = 1
+		a.shards = 1
 	}
-	a.shards = n
-	a.group = vclock.NewGroup(n)
+	a.group = vclock.NewGroup(a.shards)
 	a.sim = a.group.Domain(0)
 	a.rng = vclock.NewRNG(a.seed)
 	// Options are pure configuration; the cross-cutting machinery is
@@ -143,10 +124,9 @@ func (a *App) Sim() *Sim { return a.sim }
 func (a *App) Shards() int { return a.shards }
 
 // EpochStats reports what the epoch loop of a sharded run did: epochs,
-// domains active in them, epochs handed to pool workers and messages
-// merged at barriers. All zero for a run without latency-bearing pipes,
-// which needs no epochs. It is telemetry about the run, never part of
-// the Report.
+// domains active in them and messages merged at barriers. All zero for
+// a run without latency-bearing pipes, which needs no epochs. It is
+// telemetry about the run, never part of the Report.
 func (a *App) EpochStats() EpochStats { return a.group.Stats() }
 
 // KernelCounters reports what the simulator did, summed over the app's
@@ -165,8 +145,7 @@ func (a *App) ShardSim(k int) *Sim {
 	}
 	s := a.group.Domain(k % a.shards)
 	// The flag gates pre-run configuration (zero-latency pipe fallback,
-	// SetFaults); don't touch it from inside the run, where threads of
-	// several domains may resolve their own sims concurrently.
+	// SetFaults), so placement during the run leaves it alone.
 	if s != a.sim && !a.ran {
 		a.placedOffZero = true
 	}
@@ -332,9 +311,11 @@ func (a *App) Run() *Report { return a.run(nil) }
 // events (e.g. "all requests served").
 func (a *App) RunUntil(stop func() bool) *Report { return a.run(stop) }
 
-// RunFor is Run bounded to d of virtual time. On a sharded app the
-// bound is checked against the group clock at epoch barriers, so the
-// run stops at the first barrier past the bound.
+// RunFor is Run bounded to d of virtual time. On a sharded app with
+// pipes the bound is checked against the group clock at epoch barriers,
+// so the run stops at the first barrier past the bound; without pipes it
+// bounds domain 0, and the other domains then run to completion (see
+// WithShards).
 func (a *App) RunFor(d Duration) *Report {
 	end := a.group.Now().Add(d)
 	return a.run(func() bool { return a.group.Now() >= end })
@@ -416,8 +397,7 @@ func (a *App) retireWindow(end vclock.Time) {
 	meta := &WindowMeta{Seq: a.winSeq, Start: Duration(a.winStart), End: Duration(end)}
 	srs := make([]StageReport, 0, len(a.stages))
 	for _, st := range a.stages {
-		snap := st.prof.Retire()
-		srs = append(srs, NewStageReportFrom(snap, st.endpoints...))
+		srs = append(srs, NewStageReport(st.prof.Retire(), st.endpoints...))
 	}
 	rep := NewReport(a.Name, srs...)
 	rep.Elapsed = Duration(end.Sub(a.winStart))
@@ -440,7 +420,7 @@ func (a *App) LiveWindowReport() *Report {
 	now := a.sim.Now()
 	srs := make([]StageReport, 0, len(a.stages))
 	for _, st := range a.stages {
-		srs = append(srs, NewStageReportFrom(st.prof.Snapshot(), st.endpoints...))
+		srs = append(srs, NewStageReport(st.prof.Snapshot(), st.endpoints...))
 	}
 	rep := NewReport(a.Name, srs...)
 	rep.Elapsed = Duration(now.Sub(a.winStart))
@@ -500,7 +480,7 @@ func RunApps(apps ...*App) []*Report {
 func (a *App) Report() *Report {
 	srs := make([]StageReport, 0, len(a.stages))
 	for _, st := range a.stages {
-		srs = append(srs, NewStageReport(st.prof, st.endpoints...))
+		srs = append(srs, NewStageReport(st.prof.View(), st.endpoints...))
 	}
 	rep := NewReport(a.Name, srs...)
 	rep.Elapsed = Duration(a.group.Now())

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"runtime"
 	"time"
 
 	"whodunit"
@@ -15,7 +14,7 @@ import (
 	"whodunit/internal/workload"
 )
 
-// --- Mega-scale: epoch-sharded parallel simulation --------------------
+// --- Mega-scale: epoch-sharded simulation -----------------------------
 
 // MegaSweep sets the scale of the sharded-simulation experiment.
 type MegaSweep struct {
@@ -49,34 +48,28 @@ var QuickMega = MegaSweep{
 // were bit-identical (they must be). PerMin and MeanRespMs are the
 // model-level throughput/response-time columns — the Figure 11/12
 // measurements at a scale the serial simulator alone would make
-// painful to sweep. Epochs, MeanActive and FanOutShare are the sharded
-// run's epoch-loop counters: they say why Speedup reads what it reads —
-// a run whose epochs mostly have one active domain has nothing to run
-// side by side.
+// painful to sweep. Epochs and MeanActive are the sharded run's
+// epoch-loop counters: they say why Speedup reads what it reads. Every
+// domain runs on one goroutine, so Speedup measures only what splitting
+// one event queue into several saves or costs.
 type MegaRow struct {
-	App         string
-	Clients     int
-	Replicas    int
-	SerialSec   float64
-	ShardedSec  float64
-	Speedup     float64 // serial/sharded wall time; 0 when a side ran under minTimedSec
-	Identical   bool
-	Epochs      uint64  // epoch windows the sharded run went through
-	MeanActive  float64 // domains with an event inside a window, mean over epochs
-	FanOutShare float64 // share of epochs heavy enough to run on pool workers
-	Completed   int64
-	PerMin      float64 // completed interactions (or requests) per virtual minute
-	MeanRespMs  float64
+	App        string
+	Clients    int
+	Replicas   int
+	SerialSec  float64
+	ShardedSec float64
+	Speedup    float64 // serial/sharded wall time; 0 when a side ran under minTimedSec
+	Identical  bool
+	Epochs     uint64  // epoch windows the sharded run went through
+	MeanActive float64 // domains with an event inside a window, mean over epochs
+	Completed  int64
+	PerMin     float64 // completed interactions (or requests) per virtual minute
+	MeanRespMs float64
 }
 
-// MegaScaleResult carries the sweep plus the host parallelism it ran
-// at: the speedup column is only meaningful relative to HostCPUs and
-// GoMaxProcs (a 1-CPU host runs the sharded schedule with no
-// parallelism, so speedup ~1 is the honest expected value there).
+// MegaScaleResult carries the sweep's rows.
 type MegaScaleResult struct {
-	HostCPUs   int
-	GoMaxProcs int
-	Rows       []MegaRow
+	Rows []MegaRow
 }
 
 func identicalReports(a, b *whodunit.Report) bool {
@@ -115,7 +108,6 @@ func (row *MegaRow) measure(run func(sharded bool) (int64, *whodunit.Report, who
 	row.Epochs = st.Epochs
 	if st.Epochs > 0 {
 		row.MeanActive = float64(st.Active) / float64(st.Epochs)
-		row.FanOutShare = float64(st.FanOuts) / float64(st.Epochs)
 	}
 }
 
@@ -171,10 +163,10 @@ func megaMeshRow(sw MegaSweep, events int) MegaRow {
 // MegaScale runs the replicated TPC-W and mesh deployments at each
 // sweep scale, serial then sharded, and reports wall-clock speedup and
 // bit-identity. The timed runs execute sequentially — not through the
-// experiment pool — so each sharded run has the whole host to itself
-// and the wall-clock comparison is fair.
+// experiment pool — so each run has the whole host to itself and the
+// wall-clock comparison is fair.
 func MegaScale(sw MegaSweep) MegaScaleResult {
-	out := MegaScaleResult{HostCPUs: runtime.NumCPU(), GoMaxProcs: runtime.GOMAXPROCS(0)}
+	var out MegaScaleResult
 	for _, clients := range sw.Clients {
 		out.Rows = append(out.Rows, megaTPCWRow(sw, clients))
 		out.Rows = append(out.Rows, megaMeshRow(sw, clients))
@@ -184,20 +176,19 @@ func MegaScale(sw MegaSweep) MegaScaleResult {
 
 // Render prints the mega-scale table.
 func (r MegaScaleResult) Render(w io.Writer) {
-	fmt.Fprintln(w, "== Mega-scale: one run parallelized across time domains (WithShards) ==")
-	fmt.Fprintf(w, "host: %d cpus, GOMAXPROCS %d\n", r.HostCPUs, r.GoMaxProcs)
-	fmt.Fprintf(w, "%-10s %9s %9s %10s %11s %8s %10s %12s %9s %9s %7s %8s\n",
-		"app", "clients", "replicas", "serial(s)", "sharded(s)", "speedup", "identical", "tx/min", "resp(ms)", "epochs", "active", "fan-out")
+	fmt.Fprintln(w, "== Mega-scale: one run split across time domains (WithShards) ==")
+	fmt.Fprintf(w, "%-10s %9s %9s %10s %11s %8s %10s %12s %9s %9s %7s\n",
+		"app", "clients", "replicas", "serial(s)", "sharded(s)", "speedup", "identical", "tx/min", "resp(ms)", "epochs", "active")
 	for _, row := range r.Rows {
 		speedup := "n/a" // runs too short to time, see minTimedSec
 		if row.Speedup > 0 {
 			speedup = fmt.Sprintf("%.2fx", row.Speedup)
 		}
-		fmt.Fprintf(w, "%-10s %9d %9d %10.2f %11.2f %8s %10v %12.0f %9.1f %9d %7.2f %7.1f%%\n",
+		fmt.Fprintf(w, "%-10s %9d %9d %10.2f %11.2f %8s %10v %12.0f %9.1f %9d %7.2f\n",
 			row.App, row.Clients, row.Replicas, row.SerialSec, row.ShardedSec,
 			speedup, row.Identical, row.PerMin, row.MeanRespMs,
-			row.Epochs, row.MeanActive, 100*row.FanOutShare)
+			row.Epochs, row.MeanActive)
 	}
-	fmt.Fprintln(w, "(active: mean domains with an event inside an epoch window; fan-out: share of epochs heavy enough to leave the calling")
-	fmt.Fprintln(w, " goroutine. The rest run inline, so speedup is ~1x until epochs are heavy; then it is bounded by min(GOMAXPROCS, active))")
+	fmt.Fprintln(w, "(active: mean domains with an event inside an epoch window. Every domain runs on one goroutine,")
+	fmt.Fprintln(w, " so speedup measures what splitting one event queue into several saves or costs)")
 }

@@ -34,12 +34,8 @@ var MaxWorkers int
 // already running).
 var extras atomic.Int64
 
-// Limit reports the effective concurrency cap (MaxWorkers, or GOMAXPROCS
-// when unset). WithShards(0) sizes an app's time-domain count from it,
-// so "one shard per worker" tracks the same knob the sweep pool honors.
-func Limit() int { return limit() }
-
-// limit reports the configured concurrency cap.
+// limit reports the effective concurrency cap: MaxWorkers, or
+// GOMAXPROCS when unset.
 func limit() int {
 	w := MaxWorkers
 	if w <= 0 {

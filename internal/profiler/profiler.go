@@ -14,6 +14,7 @@ package profiler
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 
 	"whodunit/internal/cct"
@@ -159,6 +160,8 @@ func (tc TxnCtxt) Label() string {
 // the CCT dictionary keyed by interned transaction-context identity
 // (§7.1). All of the stage's trees share one frame table, so a probe's
 // interned call stack is valid in whichever context tree a sample lands.
+// The dictionary and the sampling counters are the embedded profile,
+// whose presentation methods a Snapshot shares.
 type Profiler struct {
 	Stage    string
 	Table    *tranctx.Table
@@ -166,12 +169,21 @@ type Profiler struct {
 	Interval vclock.Duration
 	Overhead Overhead
 
-	frames       *cct.FrameTable
-	slots        []treeSlot       // creation order, deterministic
-	index        map[CtxtID][]int // CtxtID -> slot indexes (hash bucket)
-	byLabel      map[string]int   // rendered label -> first slot index
-	probes       []*Probe         // every probe issued; Retire invalidates their caches
-	ccTab        []ccNode         // CallCtxt memo, indexed by the base context's synopsis
+	profile
+	frames *cct.FrameTable
+	index  map[CtxtID][]int // CtxtID -> slot indexes (hash bucket)
+	probes []*Probe         // every probe issued; Retire invalidates their caches
+	ccTab  []ccNode         // CallCtxt memo, indexed by the base context's synopsis
+}
+
+// profile is the state the presentation methods read: the CCT
+// dictionary, its label index and the sampling counters. A Profiler
+// embeds the live one and a Snapshot a shared, retired or copied one, so
+// each presentation method (Entries, Trees, TreeByLabel, TotalSamples,
+// Stats, Merged, Shares) is written once.
+type profile struct {
+	slots        []treeSlot     // creation order, deterministic
+	byLabel      map[string]int // rendered label -> first slot index
 	samples      int64
 	calls        int64
 	ctxtSwitches int64
@@ -193,9 +205,9 @@ func New(stage string, mode Mode) *Profiler {
 		Mode:     mode,
 		Interval: DefaultInterval,
 		Overhead: DefaultOverhead,
+		profile:  profile{byLabel: make(map[string]int)},
 		frames:   cct.NewFrameTable(),
 		index:    make(map[CtxtID][]int),
-		byLabel:  make(map[string]int),
 	}
 }
 
@@ -243,18 +255,18 @@ type TreeEntry struct {
 
 // Entries returns every (context, CCT) pair in creation order. The
 // serializable Key strings are rendered here, at presentation time.
-func (p *Profiler) Entries() []TreeEntry {
-	out := make([]TreeEntry, 0, len(p.slots))
-	for _, s := range p.slots {
+func (d *profile) Entries() []TreeEntry {
+	out := make([]TreeEntry, 0, len(d.slots))
+	for _, s := range d.slots {
 		out = append(out, TreeEntry{Key: s.ctxt.Key(), Ctxt: s.ctxt, Tree: s.tree})
 	}
 	return out
 }
 
 // Trees returns every CCT in creation order.
-func (p *Profiler) Trees() []*cct.Tree {
-	out := make([]*cct.Tree, 0, len(p.slots))
-	for _, s := range p.slots {
+func (d *profile) Trees() []*cct.Tree {
+	out := make([]*cct.Tree, 0, len(d.slots))
+	for _, s := range d.slots {
 		out = append(out, s.tree)
 	}
 	return out
@@ -262,29 +274,29 @@ func (p *Profiler) Trees() []*cct.Tree {
 
 // TreeByLabel finds a CCT by its rendered context label, or nil. Labels
 // are indexed at tree creation, so this is a single map lookup; when two
-// contexts render to the same label the earliest-created tree wins, as
-// the previous linear scan did.
-func (p *Profiler) TreeByLabel(label string) *cct.Tree {
-	if i, ok := p.byLabel[label]; ok {
-		return p.slots[i].tree
+// contexts render to the same label the earliest-created tree wins.
+func (d *profile) TreeByLabel(label string) *cct.Tree {
+	if i, ok := d.byLabel[label]; ok {
+		return d.slots[i].tree
 	}
 	return nil
 }
 
 // TotalSamples reports all samples taken across every context.
-func (p *Profiler) TotalSamples() int64 { return p.samples }
+func (d *profile) TotalSamples() int64 { return d.samples }
 
 // Stats reports sample count, instrumented call count, context switches
 // and the total modelled profiling overhead.
-func (p *Profiler) Stats() (samples, calls, ctxtSwitches int64, overhead vclock.Duration) {
-	return p.samples, p.calls, p.ctxtSwitches, p.overheadAcc
+func (d *profile) Stats() (samples, calls, ctxtSwitches int64, overhead vclock.Duration) {
+	return d.samples, d.calls, d.ctxtSwitches, d.overheadAcc
 }
 
 // Merged returns a single CCT merging every context (what a conventional
-// profiler would report).
-func (p *Profiler) Merged() *cct.Tree {
+// profiler would report). The merge matches frames by name into a fresh
+// private tree.
+func (d *profile) Merged() *cct.Tree {
 	m := cct.New("(all contexts)")
-	for _, s := range p.slots {
+	for _, s := range d.slots {
 		m.Merge(s.tree)
 	}
 	return m
@@ -300,13 +312,13 @@ type ContextShare struct {
 }
 
 // Shares computes per-context sample shares.
-func (p *Profiler) Shares() []ContextShare {
-	out := make([]ContextShare, 0, len(p.slots))
-	for _, s := range p.slots {
+func (d *profile) Shares() []ContextShare {
+	out := make([]ContextShare, 0, len(d.slots))
+	for _, s := range d.slots {
 		t := s.tree
 		sh := 0.0
-		if p.samples > 0 {
-			sh = float64(t.Total()) / float64(p.samples)
+		if d.samples > 0 {
+			sh = float64(t.Total()) / float64(d.samples)
 		}
 		out = append(out, ContextShare{Label: t.Label, Samples: t.Total(), Share: sh})
 	}
@@ -320,10 +332,13 @@ func (p *Profiler) Shares() []ContextShare {
 }
 
 // Snapshot is a read-only view of a profiler's accumulated state: the
-// per-context CCT dictionary plus the sampling counters, detached from
-// the live sampling path. Snapshots come from two constructors with
-// different cost/safety trade-offs:
+// per-context CCT dictionary plus the sampling counters, with the
+// Profiler's presentation methods. Snapshots come from three
+// constructors with different cost/safety trade-offs:
 //
+//   - Profiler.View shares the live state without copying or resetting
+//     it: the way to present a profiler that keeps running, read before
+//     it samples again (the end-of-run report).
 //   - Profiler.Retire transfers ownership of the active tree set in O(1)
 //     (copy-on-retire): the snapshot's trees still share the profiler's
 //     frame table, so they must be read from the goroutine driving the
@@ -334,20 +349,18 @@ func (p *Profiler) Shares() []ContextShare {
 //     frame table: the result shares nothing mutable with the live
 //     profiler and can be read from any goroutine while the simulation
 //     advances (the snapshot-while-running path behind live /report).
-//
-// A Snapshot mirrors the Profiler's presentation API (Entries, Trees,
-// TreeByLabel, TotalSamples, Stats, Merged, Shares) so report builders
-// accept either.
 type Snapshot struct {
 	Stage string
 	Mode  Mode
+	profile
+}
 
-	slots        []treeSlot
-	byLabel      map[string]int
-	samples      int64
-	calls        int64
-	ctxtSwitches int64
-	overheadAcc  vclock.Duration
+// View returns the profiler's current state as a Snapshot that shares
+// the live trees and label index. Read it where the profiler is read —
+// synchronously with the simulation — and before the profiler takes
+// another sample.
+func (p *Profiler) View() *Snapshot {
+	return &Snapshot{Stage: p.Stage, Mode: p.Mode, profile: p.profile}
 }
 
 // Retire ends the current aggregation window: it returns a Snapshot
@@ -362,20 +375,9 @@ type Snapshot struct {
 //
 // See Snapshot for the concurrency contract of the returned view.
 func (p *Profiler) Retire() *Snapshot {
-	s := &Snapshot{
-		Stage:        p.Stage,
-		Mode:         p.Mode,
-		slots:        p.slots,
-		byLabel:      p.byLabel,
-		samples:      p.samples,
-		calls:        p.calls,
-		ctxtSwitches: p.ctxtSwitches,
-		overheadAcc:  p.overheadAcc,
-	}
-	p.slots = nil
+	s := p.View()
+	p.profile = profile{byLabel: make(map[string]int)}
 	p.index = make(map[CtxtID][]int)
-	p.byLabel = make(map[string]int)
-	p.samples, p.calls, p.ctxtSwitches, p.overheadAcc = 0, 0, 0, 0
 	// Every probe's cached tree pointer now names a retired tree; the
 	// next sample must re-resolve against the fresh dictionary.
 	for _, pr := range p.probes {
@@ -391,94 +393,14 @@ func (p *Profiler) Retire() *Snapshot {
 // simulation (from the run goroutine, a scheduler callback, or a stop
 // predicate); only the returned snapshot is free-threaded.
 func (p *Profiler) Snapshot() *Snapshot {
+	s := p.View()
 	ft := cct.NewFrameTable()
-	slots := make([]treeSlot, len(p.slots))
+	s.slots = make([]treeSlot, len(p.slots))
 	for i, sl := range p.slots {
-		slots[i] = treeSlot{ctxt: sl.ctxt, tree: sl.tree.CloneShared(ft)}
+		s.slots[i] = treeSlot{ctxt: sl.ctxt, tree: sl.tree.CloneShared(ft)}
 	}
-	byLabel := make(map[string]int, len(p.byLabel))
-	for k, v := range p.byLabel {
-		byLabel[k] = v
-	}
-	return &Snapshot{
-		Stage:        p.Stage,
-		Mode:         p.Mode,
-		slots:        slots,
-		byLabel:      byLabel,
-		samples:      p.samples,
-		calls:        p.calls,
-		ctxtSwitches: p.ctxtSwitches,
-		overheadAcc:  p.overheadAcc,
-	}
-}
-
-// Entries returns every (context, CCT) pair in creation order, rendering
-// the serializable Key strings at call time.
-func (s *Snapshot) Entries() []TreeEntry {
-	out := make([]TreeEntry, 0, len(s.slots))
-	for _, sl := range s.slots {
-		out = append(out, TreeEntry{Key: sl.ctxt.Key(), Ctxt: sl.ctxt, Tree: sl.tree})
-	}
-	return out
-}
-
-// Trees returns every CCT in creation order.
-func (s *Snapshot) Trees() []*cct.Tree {
-	out := make([]*cct.Tree, 0, len(s.slots))
-	for _, sl := range s.slots {
-		out = append(out, sl.tree)
-	}
-	return out
-}
-
-// TreeByLabel finds a CCT by its rendered context label, or nil, with
-// Profiler.TreeByLabel's first-created-wins semantics.
-func (s *Snapshot) TreeByLabel(label string) *cct.Tree {
-	if i, ok := s.byLabel[label]; ok {
-		return s.slots[i].tree
-	}
-	return nil
-}
-
-// TotalSamples reports all samples in the snapshot.
-func (s *Snapshot) TotalSamples() int64 { return s.samples }
-
-// Stats reports the snapshot's sample count, instrumented call count,
-// context switches and modelled profiling overhead.
-func (s *Snapshot) Stats() (samples, calls, ctxtSwitches int64, overhead vclock.Duration) {
-	return s.samples, s.calls, s.ctxtSwitches, s.overheadAcc
-}
-
-// Merged returns a single CCT merging every context. The merge matches
-// frames by name into a fresh private tree, so it is safe under the same
-// contract as the snapshot's other read paths.
-func (s *Snapshot) Merged() *cct.Tree {
-	m := cct.New("(all contexts)")
-	for _, sl := range s.slots {
-		m.Merge(sl.tree)
-	}
-	return m
-}
-
-// Shares computes per-context sample shares, sorted by descending share
-// then label.
-func (s *Snapshot) Shares() []ContextShare {
-	out := make([]ContextShare, 0, len(s.slots))
-	for _, sl := range s.slots {
-		t := sl.tree
-		sh := 0.0
-		if s.samples > 0 {
-			sh = float64(t.Total()) / float64(s.samples)
-		}
-		out = append(out, ContextShare{Label: t.Label, Samples: t.Total(), Share: sh})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Samples != out[j].Samples {
-			return out[i].Samples > out[j].Samples
-		}
-		return out[i].Label < out[j].Label
-	})
-	return out
+	s.byLabel = maps.Clone(p.byLabel)
+	return s
 }
 
 // Probe is a per-thread instrumentation handle: it owns the thread's call

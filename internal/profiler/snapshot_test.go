@@ -35,6 +35,7 @@ func TestSnapshotPresentationParity(t *testing.T) {
 		name string
 		take func(p *Profiler) *Snapshot
 	}{
+		{"View", func(p *Profiler) *Snapshot { return p.View() }},
 		{"Snapshot", func(p *Profiler) *Snapshot { return p.Snapshot() }},
 		{"Retire", func(p *Profiler) *Snapshot { return p.Retire() }},
 	} {

@@ -1,6 +1,6 @@
 // The engine-determinism sweep: the entire scenario corpus rerun under
-// both coroutine engines, asserted bit-identical — serial, under
-// DefaultShards=4, and under a seeded fault plan. Together with the
+// both coroutine engines, asserted bit-identical — plain and under a
+// seeded fault plan. Together with the
 // golden files (which predate the run-to-completion engine) this is the
 // acceptance bar for the zero-handoff scheduler: the engine may never
 // change a single output byte.
@@ -49,32 +49,9 @@ func TestCorpusEngineSweep(t *testing.T) {
 	}
 }
 
-// TestCorpusEngineSweepSharded: the coro engine composes with the epoch
-// scheduler — the corpus under EngineCoro and DefaultShards=4 matches
-// the serial goroutine-engine baseline byte for byte.
-func TestCorpusEngineSweepSharded(t *testing.T) {
-	list := scenarios.All()
-	var baseline, sharded []*whodunit.Report
-	withEngine(vclock.EngineGoroutine, func() { baseline = scenarios.RunAll(list) })
-	withEngine(vclock.EngineCoro, func() {
-		prev := whodunit.DefaultShards
-		whodunit.DefaultShards = 4
-		defer func() { whodunit.DefaultShards = prev }()
-		sharded = scenarios.RunAll(list)
-	})
-
-	for i, s := range list {
-		a, b := renderJSON(t, baseline[i]), renderJSON(t, sharded[i])
-		if !bytes.Equal(a, b) {
-			t.Errorf("%s: coro+sharded run differs from goroutine serial run (%d vs %d bytes)",
-				s.Name, len(a), len(b))
-		}
-	}
-}
-
 // TestCorpusEngineSweepUnderFaultPlan: killing and respawning
 // run-to-completion threads through a fault plan stays bit-identical
-// across engines — the same seeded plan as the sharded fault sweep.
+// across engines.
 func TestCorpusEngineSweepUnderFaultPlan(t *testing.T) {
 	plan := &whodunit.FaultPlan{
 		Seed:     3,

@@ -1,10 +1,7 @@
-// The sharded-determinism sweep: the entire scenario corpus rerun with
-// whodunit.DefaultShards forcing every app that doesn't pick a layout
-// itself onto four time domains, asserted bit-identical to the serial
-// baseline — including under a seeded fault plan. Together with the
-// byte-identical tpcw-mega / mesh-mega golden pairs this is the
-// acceptance bar for epoch-sharded simulated time: sharding may never
-// change a single output byte.
+// The sharded-determinism pin at corpus level: the byte-identical
+// tpcw-mega / mesh-mega golden pairs are the acceptance bar for
+// epoch-sharded simulated time — sharding may never change a single
+// output byte.
 package scenarios_test
 
 import (
@@ -22,75 +19,6 @@ func renderJSON(t *testing.T, rep *whodunit.Report) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
-}
-
-// TestCorpusShardedSweep: RunAll over the whole corpus with
-// DefaultShards=4 is bit-identical to the serial baseline. Apps with
-// cross-cutting machinery (crosstalk, flow detection, windows, fault
-// plans) collapse to one domain by design; everything else runs under
-// the epoch scheduler with its work on domain 0 — either way the output
-// may not drift.
-func TestCorpusShardedSweep(t *testing.T) {
-	list := scenarios.All()
-	baseline := scenarios.RunAll(list)
-
-	prev := whodunit.DefaultShards
-	whodunit.DefaultShards = 4
-	defer func() { whodunit.DefaultShards = prev }()
-	sharded := scenarios.RunAll(list)
-
-	for i, s := range list {
-		if d := whodunit.Diff(baseline[i], sharded[i]); !d.Empty() {
-			var buf bytes.Buffer
-			d.Text(&buf)
-			t.Errorf("%s: sharded run diverges from serial baseline:\n%s", s.Name, buf.String())
-			continue
-		}
-		a, b := renderJSON(t, baseline[i]), renderJSON(t, sharded[i])
-		if !bytes.Equal(a, b) {
-			t.Errorf("%s: sharded run diff-empty but not bit-identical (%d vs %d bytes)",
-				s.Name, len(a), len(b))
-		}
-	}
-}
-
-// TestCorpusShardedUnderFaultPlan: attaching a fault plan to an app
-// built under DefaultShards collapses it to one domain (fault plans run
-// serially), so the faulted sharded corpus must be bit-identical to the
-// faulted serial corpus.
-func TestCorpusShardedUnderFaultPlan(t *testing.T) {
-	plan := &whodunit.FaultPlan{
-		Seed:     3,
-		Messages: []whodunit.MessageFault{{DelayProb: 0.25, Delay: 2 * whodunit.Millisecond}},
-	}
-	var list []scenarios.Scenario
-	for _, s := range scenarios.All() {
-		if s.MakeApp != nil {
-			list = append(list, s)
-		}
-	}
-	run := func() [][]byte {
-		out := make([][]byte, len(list))
-		for i, s := range list {
-			app := s.MakeApp(s.Defaults)
-			app.SetFaults(plan)
-			out[i] = renderJSON(t, app.Run())
-		}
-		return out
-	}
-	baseline := run()
-
-	prev := whodunit.DefaultShards
-	whodunit.DefaultShards = 4
-	defer func() { whodunit.DefaultShards = prev }()
-	sharded := run()
-
-	for i, s := range list {
-		if !bytes.Equal(baseline[i], sharded[i]) {
-			t.Errorf("%s: faulted sharded run differs from faulted serial run (%d vs %d bytes)",
-				s.Name, len(baseline[i]), len(sharded[i]))
-		}
-	}
 }
 
 // TestMegaGoldenPairsIdentical: the sharded and serial members of each

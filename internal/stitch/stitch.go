@@ -40,24 +40,12 @@ type StageDump struct {
 	Lost int `json:"lost,omitempty"`
 }
 
-// Source is anything holding a per-context tree dictionary to dump: a
-// live *profiler.Profiler or a retired *profiler.Snapshot (the windowed
-// serving path dumps snapshots, not live profilers).
-type Source interface {
-	Entries() []profiler.TreeEntry
-}
-
-// Dump captures a stage's profiler (and optionally its endpoint) into a
-// serializable StageDump.
-func Dump(p *profiler.Profiler, eps ...*ipc.Endpoint) StageDump {
-	return DumpFrom(p.Stage, p, eps...)
-}
-
-// DumpFrom is Dump for any tree Source, with the stage name supplied by
-// the caller.
-func DumpFrom(stage string, src Source, eps ...*ipc.Endpoint) StageDump {
-	d := StageDump{Stage: stage}
-	for _, e := range src.Entries() {
+// Dump captures a stage's profile (and optionally its endpoints) into a
+// serializable StageDump: a running profiler's through Profiler.View, a
+// window's through Profiler.Retire or Profiler.Snapshot.
+func Dump(s *profiler.Snapshot, eps ...*ipc.Endpoint) StageDump {
+	d := StageDump{Stage: s.Stage}
+	for _, e := range s.Entries() {
 		d.Trees = append(d.Trees, TreeDump{
 			Key:     e.Key,
 			Prefix:  e.Ctxt.Prefix.String(),

@@ -47,7 +47,7 @@ func buildTwoTier(t *testing.T) []StageDump {
 	})
 	s.Run()
 	s.Shutdown()
-	return []StageDump{Dump(callerProf, callerEP), Dump(calleeProf, calleeEP)}
+	return []StageDump{Dump(callerProf.View(), callerEP), Dump(calleeProf.View(), calleeEP)}
 }
 
 func TestBuildConnectsTiers(t *testing.T) {

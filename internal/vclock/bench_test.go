@@ -54,11 +54,8 @@ func BenchmarkThreadSwitch(b *testing.B) {
 
 // BenchmarkGroupEpoch measures one epoch of the ring in ringLoad — four
 // domains, one token per domain per epoch across the barrier — at three
-// densities either side of fanOutEvents. One op is one epoch; the
-// extra columns say how heavy it was and whether it left the calling
-// goroutine. The numbers behind fanOutEvents come from running this
-// with the constant forced to 0 (always fan out) and to the maximum
-// (never).
+// densities. One op is one epoch; the extra column says how heavy it
+// was.
 func BenchmarkGroupEpoch(b *testing.B) {
 	for _, d := range []struct {
 		tickers int
@@ -80,16 +77,14 @@ func BenchmarkGroupEpoch(b *testing.B) {
 				}
 				return n
 			}
-			before, seq := g.Stats(), scheduled()
+			before, seq := g.Stats().Epochs, scheduled()
 			b.ReportAllocs()
 			b.ResetTimer()
 			barriers, target = 0, b.N
 			g.RunUntil(stop)
 			b.StopTimer()
-			st := g.Stats()
-			epochs := float64(st.Epochs - before.Epochs)
+			epochs := float64(g.Stats().Epochs - before)
 			b.ReportMetric(float64(scheduled()-seq)/epochs, "events/epoch")
-			b.ReportMetric(float64(st.FanOuts-before.FanOuts)/epochs, "fanouts/epoch")
 			g.Shutdown()
 		})
 	}

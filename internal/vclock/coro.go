@@ -20,7 +20,7 @@ package vclock
 
 // Step is the opaque receipt a Frame returns. Frames cannot construct a
 // meaningful Step themselves — they obtain one by calling exactly one
-// stepping operation (Get, Sleep, Lock, Call, Return, ...); the
+// stepping operation (Get, Sleep, Lock, Goto, End, ...); the
 // trampoline panics if a frame returns without stepping, which turns
 // "forgot to block or continue" bugs into immediate failures instead of
 // silently wedged threads.
@@ -33,20 +33,7 @@ type Step struct{ _ byte }
 // step.
 type Frame func(c *Coro, v any) Step
 
-// BlockOn is Resume's verdict: whether the coroutine parked on a
-// scheduling primitive or ran to completion.
-type BlockOn uint8
-
-const (
-	// CoroParked: the program blocked; the next wake event delivered to
-	// its thread resumes it.
-	CoroParked BlockOn = iota
-	// CoroDone: the program finished; Resume's second result is the
-	// value passed to the final Return.
-	CoroDone
-)
-
-// blockKind records which primitive the coroutine blocked on, so Resume
+// blockKind records which primitive the coroutine blocked on, so resume
 // can run the operation's post-wake bookkeeping before re-entering user
 // frames.
 type blockKind uint8
@@ -59,20 +46,18 @@ const (
 )
 
 // Coro is the execution state of one run-to-completion thread: the
-// pending continuation, a return stack for Call/Return composition, and
-// the bookkeeping its blocking operations leave for Resume. All fields
-// are owned by whoever is dispatching, so no locking is needed — the
-// same one-coroutine-at-a-time discipline as the rest of the simulator.
+// pending continuation and the bookkeeping its blocking operations leave
+// for resume. All fields are owned by whoever is dispatching, so no
+// locking is needed — the same one-coroutine-at-a-time discipline as the
+// rest of the simulator.
 type Coro struct {
 	t     *Thread
 	next  Frame
-	stack []Frame // return continuations pushed by Call
-	passv any     // value handed to the next frame when not blocking
+	passv any // value handed to the next frame when not blocking
 
 	blocked blockKind
 	stepped bool // set by the one permitted step per frame
 	done    bool
-	ret     any
 
 	timedOut bool
 
@@ -114,33 +99,11 @@ func (c *Coro) Goto(f Frame) Step {
 	return c.op()
 }
 
-// Call invokes f now and arranges for ret to receive the value f's
-// chain eventually passes to Return — subroutine composition for
-// frame-based programs.
-func (c *Coro) Call(f, ret Frame) Step {
-	c.stack = append(c.stack, ret)
-	c.next = f
-	return c.op()
-}
-
-// Return pops the innermost Call continuation and continues there with
-// v. On an empty stack the program is finished and v becomes the
-// coroutine's final value.
-func (c *Coro) Return(v any) Step {
-	if n := len(c.stack); n > 0 {
-		c.next = c.stack[n-1]
-		c.stack[n-1] = nil
-		c.stack = c.stack[:n-1]
-		c.passv = v
-		return c.op()
-	}
+// End finishes the program.
+func (c *Coro) End() Step {
 	c.done = true
-	c.ret = v
 	return c.op()
 }
-
-// End finishes the program (Return with a nil value).
-func (c *Coro) End() Step { return c.Return(nil) }
 
 // Defer registers fn to run — last registered first — when the program
 // finishes, is killed, or is unwound by Shutdown: the coroutine
@@ -242,7 +205,7 @@ func (c *Coro) Compute(cpu *CPU, d Duration, k Frame) Step {
 
 // Lock acquires l in the given mode, then runs k — Thread.Lock for
 // coroutines, through the same Lock.request; a queued request's
-// Lock.granted runs in Resume just before k, where the blocking Lock
+// Lock.granted runs in resume just before k, where the blocking Lock
 // runs it after park.
 func (c *Coro) Lock(l *Lock, mode LockMode, k Frame) Step {
 	c.next = k
@@ -256,13 +219,13 @@ func (c *Coro) Lock(l *Lock, mode LockMode, k Frame) Step {
 // Unlock releases the coroutine's hold on l (never blocks; not a step).
 func (c *Coro) Unlock(l *Lock) { c.t.Unlock(l) }
 
-// Resume is the trampoline: it runs the post-wake bookkeeping of the
+// resume is the trampoline: it runs the post-wake bookkeeping of the
 // operation the coroutine blocked on, then invokes frames — feeding each
 // one the value the previous step produced — until the program blocks
-// again (CoroParked) or finishes (CoroDone, with the final value). The
-// dispatcher calls it with each wake's payload; the goroutine engine's
-// driver calls it between parks.
-func (c *Coro) Resume(v any) (BlockOn, any) {
+// again or finishes, and reports which. The dispatcher calls it with
+// each wake's payload; the goroutine engine's driver calls it between
+// parks.
+func (c *Coro) resume(v any) (done bool) {
 	t := c.t
 	t.sim.count.FrameSteps++
 	switch c.blocked {
@@ -282,20 +245,20 @@ func (c *Coro) Resume(v any) (BlockOn, any) {
 		c.stepped = false
 		f(c, v)
 		if !c.stepped {
-			panic("vclock: coroutine frame in thread " + t.Name + " returned without taking a step (Get/Sleep/Lock/Goto/Return/...)")
+			panic("vclock: coroutine frame in thread " + t.Name + " returned without taking a step (Get/Sleep/Lock/Goto/End/...)")
 		}
 		if c.blocked != blockNone {
-			return CoroParked, nil
+			return false
 		}
 		if c.done {
-			return CoroDone, c.ret
+			return true
 		}
 		v, c.passv = c.passv, nil
 	}
 }
 
 // driveGoroutine adapts a coroutine program to the goroutine engine: a
-// free-form thread alternates Resume with the ordinary park, so the
+// free-form thread alternates resume with the ordinary park, so the
 // program performs exactly the scheduling operations the
 // run-to-completion engine would — the engines are interchangeable per
 // thread. Kill and Shutdown unwind through park's poison panic; the
@@ -303,11 +266,7 @@ func (c *Coro) Resume(v any) (BlockOn, any) {
 func (c *Coro) driveGoroutine(t *Thread) {
 	defer c.runCleanups()
 	var v any
-	for {
-		op, _ := c.Resume(v)
-		if op == CoroDone {
-			return
-		}
+	for !c.resume(v) {
 		v = t.park()
 	}
 }

@@ -120,32 +120,6 @@ func TestCoroPingPongEngineParity(t *testing.T) {
 	}
 }
 
-// TestCoroCallReturn: Call pushes a return continuation, Return pops it
-// and hands its value over; Return on an empty stack finishes the
-// program.
-func TestCoroCallReturn(t *testing.T) {
-	forEachEngine(t, func(t *testing.T, k EngineKind) {
-		s := New()
-		s.SetEngine(k)
-		var got []any
-		sub := func(c *Coro, v any) Step { return c.Return(v.(int) * 2) }
-		s.GoCoro("caller", func(c *Coro, _ any) Step {
-			return c.Call(func(c *Coro, _ any) Step {
-				c.passv = 21 // simulate an argument via Goto
-				return c.Goto(sub)
-			}, func(c *Coro, v any) Step {
-				got = append(got, v)
-				return c.Return("fin")
-			})
-		})
-		s.Run()
-		s.Shutdown()
-		if len(got) != 1 || got[0] != 42 {
-			t.Fatalf("got %v, want [42]", got)
-		}
-	})
-}
-
 // TestCoroDeferOrder: Defer cleanups run last-registered-first when the
 // program finishes, on both engines.
 func TestCoroDeferOrder(t *testing.T) {

@@ -5,23 +5,20 @@ import (
 	"fmt"
 	"math"
 	"slices"
-
-	"whodunit/internal/par"
 )
 
 // Group runs one application across several Sims ("time domains") with
-// conservative parallel discrete-event simulation. Each domain advances
+// conservative discrete-event simulation. Each domain advances
 // independently through an epoch window [t, t+Δ), and cross-domain
 // messages travel over Links, which buffer sends during an epoch and
 // exchange them at the epoch barrier through a deterministic merge. An
 // epoch costs what its work costs: only the domains with an event
-// inside the window run, on the calling goroutine while the epoch is
-// light and on pool workers (internal/par) once it is heavy enough to
-// repay the hand-off (see fanOutEvents). Δ is the lookahead: the minimum
-// positive Link latency. Because every cross-domain message is delayed
-// by at least Δ, nothing sent during an epoch can be due inside it —
-// each domain can burn through its own event queue for a whole window
-// without ever missing an input.
+// inside the window run, in domain order, on the goroutine that called
+// RunUntil — a Group never hands a domain to another goroutine. Δ is
+// the lookahead: the minimum positive Link latency. Because every
+// cross-domain message is delayed by at least Δ, nothing sent during an
+// epoch can be due inside it — each domain can burn through its own
+// event queue for a whole window without ever missing an input.
 //
 // Determinism is the design center, not a side effect. Within a domain
 // the ordinary (when, push sequence) order applies unchanged. At a
@@ -44,68 +41,17 @@ type Group struct {
 	pending []delivery // barrier merge scratch, reused across epochs
 	horizon Time       // end of the current epoch window
 	last    bool       // the current epoch has no representable horizon
-	active  []*Sim     // domains with an event inside the current window, reused
-	load    uint64     // events the previous epoch's active domains scheduled
 	stats   GroupStats
 	running bool
 }
 
-// GroupStats counts what the epoch loop did. The counters are bumped on
-// the coordinating goroutine only, at barriers, so they cost no atomics
-// and are a function of the program, not of the host: the same run
-// reports the same numbers whatever GOMAXPROCS is.
+// GroupStats counts what the epoch loop did. The counters are bumped at
+// barriers, so they are a function of the program, not of the host.
 type GroupStats struct {
 	Epochs   uint64 // epoch windows run
 	Active   uint64 // domains that had an event inside their window, summed over epochs
-	FanOuts  uint64 // epochs whose domains were handed to pool workers
 	Messages uint64 // cross-domain sends merged at barriers
 }
-
-// fanOutEvents is the epoch weight from which an epoch with two or more
-// active domains is handed to pool workers instead of running inline on
-// the calling goroutine. The weight is what the barrier already holds:
-// the events the previous epoch's active domains scheduled (the sum of
-// their Sim.seq deltas), a one-epoch-old estimate of how much the next
-// one will dispatch.
-//
-// It is a measured crossover, not a tunable. par.Do costs a goroutine
-// spawn, a WaitGroup and ≈7 allocations per call, and the spawned
-// worker starts on a cold cache. BenchmarkGroupEpoch's ring (4 domains,
-// 2 CPUs, go1.24, ns per epoch, inline vs fanned out, each forced by
-// building with this constant at the maximum and at 0), on the 4-ary
-// heap the kernel had when the constant was set:
-//
-//	events/epoch     inline   fan-out
-//	          20      1 100     3 000   (2.7x slower fanned out)
-//	         650     48 000    60 000   (1.25x slower)
-//	       1 300    110 000   131 000   (1.19x slower)
-//	       2 600    280 000   240 000   (1.16x faster)
-//	       5 100    660 000   505 000   (1.30x faster)
-//	      20 500  3 200 000 2 130 000   (1.50x faster)
-//
-// and again on the radix queue, where a heavy epoch costs half of that
-// inline (the minimum of seven alternating runs a side):
-//
-//	events/epoch     inline   fan-out
-//	          20      1 200     3 200   (2.7x slower fanned out)
-//	         650     39 000    53 000   (1.36x slower)
-//	       1 300     74 000    87 000   (1.17x slower)
-//	       2 600    147 000   198 000   (1.34x slower)
-//	       5 100    330 000   296 000   (1.12x faster)
-//	      20 500  1 400 000 1 360 000   (1.03x faster)
-//
-// The first table's lines cross between 1 300 and 2 600 events, the
-// second's between 2 600 and 5 100 — but the second was taken on a day
-// this host ran its two vCPUs one at a time (two spinning goroutines
-// took 2.0x as long as one), so its fan-out column is a ceiling, not a
-// measurement of two cores. Cheaper events can only move the crossover
-// up; by how much needs two real cores, so the constant stays where the
-// last two-core measurement put it. Every epoch of the mega-scale
-// models sits far below either reading (the repo benchmark's
-// mega-sharded: 262 k epochs for 150 k requests, 1.35 active domains on
-// average, a handful of events each), which is why running them inline
-// is what made sharding stop costing.
-const fanOutEvents = 2048
 
 // Link is a unidirectional cross-domain channel created by
 // Group.Connect: Send(v) from the source domain delivers v onto the
@@ -277,9 +223,9 @@ func (g *Group) Run() { g.RunUntil(nil) }
 // barriers only — every domain quiescent, exchanged messages delivered
 // — so it may read state owned by any domain; barrier granularity (at
 // most one lookahead of virtual time) is the price of that safety.
-// Without epoch links the domains are independent: the predicate then
-// applies to domain 0 alone and the remaining domains run to
-// completion, exactly as if each had been driven by its own RunUntil.
+// Without epoch links the domains are independent: domain 0 runs under
+// the predicate, then the remaining domains run to completion in domain
+// order, exactly as if each had been driven by its own RunUntil.
 func (g *Group) RunUntil(stop func() bool) {
 	if g.running {
 		panic("vclock: Group.RunUntil called re-entrantly")
@@ -288,17 +234,10 @@ func (g *Group) RunUntil(stop func() bool) {
 	defer func() { g.running = false }()
 	g.delta = g.Lookahead()
 	if g.delta == 0 {
-		if len(g.domains) == 1 {
-			g.domains[0].RunUntil(stop)
-			return
+		g.domains[0].RunUntil(stop)
+		for _, s := range g.domains[1:] {
+			s.Run()
 		}
-		par.Do(len(g.domains), func(i int) {
-			if i == 0 {
-				g.domains[0].RunUntil(stop)
-				return
-			}
-			g.domains[i].Run()
-		})
 		return
 	}
 	g.epochRun(stop)
@@ -318,11 +257,11 @@ func (g *Group) RunUntil(stop func() bool) {
 // from m, not incremented) costs nothing in fidelity: barriers with no
 // work on either side deliver nothing.
 //
-// Which goroutine runs which domain is free to vary from epoch to
-// epoch: a domain's events depend on its own event queue alone, and what
-// the domains hand each other goes through exchange's (at, id, seq) merge.
-// A domain whose earliest event is at or past h is skipped — its
-// RunBefore would return before popping anything.
+// The active domains run one after another, in domain order; any order
+// would do, since a domain's events depend on its own event queue alone
+// and what the domains hand each other goes through exchange's (at, id,
+// seq) merge. A domain whose earliest event is at or past h is skipped —
+// its RunBefore would return before popping anything.
 func (g *Group) epochRun(stop func() bool) {
 	d := int64(g.delta)
 	for {
@@ -343,38 +282,19 @@ func (g *Group) epochRun(stop func() bool) {
 		if !g.last {
 			g.horizon = Time((int64(m)/d + 1) * d)
 		}
-		g.active = g.active[:0]
-		var before, after uint64
-		for _, s := range g.domains {
-			if s.q.n > 0 && (g.last || s.q.next < g.horizon) {
-				g.active = append(g.active, s)
-				before += s.seq
-			}
-		}
 		g.stats.Epochs++
-		g.stats.Active += uint64(len(g.active))
-		if len(g.active) > 1 && g.load >= fanOutEvents {
-			g.stats.FanOuts++
-			par.Do(len(g.active), func(i int) { g.advance(g.active[i]) })
-		} else {
-			for _, s := range g.active {
-				g.advance(s)
+		for _, s := range g.domains {
+			switch {
+			case s.q.n == 0:
+			case g.last:
+				g.stats.Active++
+				s.Run()
+			case s.q.next < g.horizon:
+				g.stats.Active++
+				s.RunBefore(g.horizon)
 			}
 		}
-		for _, s := range g.active {
-			after += s.seq
-		}
-		g.load = after - before
 		g.exchange()
-	}
-}
-
-// advance runs one domain through the current epoch.
-func (g *Group) advance(s *Sim) {
-	if g.last {
-		s.Run()
-	} else {
-		s.RunBefore(g.horizon)
 	}
 }
 

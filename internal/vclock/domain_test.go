@@ -258,31 +258,9 @@ func ringTrace(n, tickers int, period Duration, epochs int) (string, GroupStats)
 	return fmt.Sprint(logs), g.Stats()
 }
 
-// TestGroupDenseEpochsFanOut: epochs that schedule more than
-// fanOutEvents are handed to pool workers, and the run still matches
-// the one-domain layout byte for byte. Under -race this is the test
-// that moves domains between goroutines every epoch.
-func TestGroupDenseEpochsFanOut(t *testing.T) {
-	const epochs = 20
-	tickers := fanOutEvents/(4*10) + 1 // 10 wakes per ticker per epoch, 4 domains
-	serial, _ := ringTrace(1, tickers, 100*Microsecond, epochs)
-	sharded, st := ringTrace(4, tickers, 100*Microsecond, epochs)
-	if serial != sharded {
-		t.Fatalf("four-domain run differs from the one-domain run:\n%s\n%s", serial, sharded)
-	}
-	if len(serial) < 1000 {
-		t.Fatalf("trace too short to mean anything: %s", serial)
-	}
-	if st.FanOuts < epochs/2 || st.Active != 4*st.Epochs {
-		t.Fatalf("dense epochs did not fan out: %+v", st)
-	}
-	if want := uint64(4 * epochs); st.Messages < want-4 || st.Messages > want+4 {
-		t.Fatalf("Messages = %d, want about %d", st.Messages, want)
-	}
-}
-
-// TestGroupLightEpochsStayInline: the same ring with a handful of
-// events per epoch never leaves the calling goroutine.
+// TestGroupLightEpochsStayInline: the ring with a handful of events per
+// epoch on four domains matches the one-domain layout byte for byte,
+// with every party's domain active in every epoch.
 func TestGroupLightEpochsStayInline(t *testing.T) {
 	const epochs = 20
 	serial, _ := ringTrace(1, 2, 300*Microsecond, epochs)
@@ -290,14 +268,74 @@ func TestGroupLightEpochsStayInline(t *testing.T) {
 	if serial != sharded {
 		t.Fatalf("four-domain run differs from the one-domain run:\n%s\n%s", serial, sharded)
 	}
-	if st.Epochs < epochs || st.FanOuts != 0 {
-		t.Fatalf("light epochs fanned out: %+v", st)
+	if st.Epochs < epochs || st.Active != 4*st.Epochs {
+		t.Fatalf("not one four-domain epoch per millisecond: %+v", st)
+	}
+	if want := uint64(4 * epochs); st.Messages < want-4 || st.Messages > want+4 {
+		t.Fatalf("Messages = %d, want about %d", st.Messages, want)
 	}
 }
 
-// TestGroupEpochZeroAllocs: a steady-state inline epoch — every domain
-// active, one token from each across the barrier — allocates nothing:
-// no closure per RunBefore, no par.Do, no merge or sort scratch.
+// homeProgram is a small program for one Sim: a producer putting with
+// uneven gaps and two consumers racing for the items with a timeout,
+// which gives up once the producer is done.
+func homeProgram(s *Sim, trace *[]traceEntry) {
+	q := s.NewQueue("work")
+	s.Go("producer", func(th *Thread) {
+		for i := 0; i < 40; i++ {
+			q.Put(i)
+			th.Sleep(Duration(i%3) * 300 * Microsecond)
+		}
+	})
+	for _, name := range []string{"c0", "c1"} {
+		s.Go(name, func(th *Thread) {
+			for {
+				v, ok := th.GetTimeout(q, 2*Millisecond)
+				if !ok {
+					return
+				}
+				*trace = append(*trace, traceEntry{name, th.Now(), v})
+				th.Sleep(500 * Microsecond)
+			}
+		})
+	}
+}
+
+// TestGroupEmptyDomainsInert: domains that hold no work change nothing.
+// A four-domain group whose domains 1–3 are empty traces the program on
+// domain 0 exactly as a bare Sim does — without a link, where the
+// domains run one after another, and with a 1 ms link between two of
+// the empty domains, which puts the run on the epoch loop.
+func TestGroupEmptyDomainsInert(t *testing.T) {
+	var want []traceEntry
+	s := New()
+	homeProgram(s, &want)
+	s.Run()
+	s.Shutdown()
+	if len(want) != 40 {
+		t.Fatalf("bare Sim traced %d items, want 40", len(want))
+	}
+	for _, linked := range []bool{false, true} {
+		g := NewGroup(4)
+		var got []traceEntry
+		homeProgram(g.Domain(0), &got)
+		if linked {
+			g.Connect(g.Domain(2), g.Domain(1).NewQueue("idle"), Millisecond)
+		}
+		g.Run()
+		g.Shutdown()
+		if fmt.Sprint(got) != fmt.Sprint(want) || g.Now() != s.Now() {
+			t.Fatalf("linked=%v: trace ends at %v, want %v:\n%v\n%v", linked, g.Now(), s.Now(), got, want)
+		}
+		if st := g.Stats(); (st.Epochs > 0) != linked || st.Active != st.Epochs {
+			t.Fatalf("linked=%v: %+v, want epochs only with the link and domain 0 alone active", linked, st)
+		}
+	}
+}
+
+// TestGroupEpochZeroAllocs: a steady-state epoch — every domain active,
+// one token from each across the barrier — allocates nothing: no
+// closure per RunBefore, no merge or sort scratch.
 func TestGroupEpochZeroAllocs(t *testing.T) {
 	g, _ := ringLoad(4, 2, 250*Microsecond, false)
 	barriers := 0
@@ -308,8 +346,8 @@ func TestGroupEpochZeroAllocs(t *testing.T) {
 		t.Fatalf("%.2f allocs per epoch, want 0", avg)
 	}
 	st := g.Stats()
-	if st.Epochs-before.Epochs != 201 || st.Active-before.Active != 4*201 || st.Messages-before.Messages != 4*201 || st.FanOuts != 0 {
-		t.Fatalf("the measured runs were not one inline four-domain epoch each: %+v after %+v", st, before)
+	if st.Epochs-before.Epochs != 201 || st.Active-before.Active != 4*201 || st.Messages-before.Messages != 4*201 {
+		t.Fatalf("the measured runs were not one four-domain epoch each: %+v after %+v", st, before)
 	}
 	g.Shutdown()
 }

@@ -32,8 +32,7 @@ func (k EngineKind) String() string {
 }
 
 // DefaultEngine is the engine every Sim is born with (snapshotted by
-// New, so mutating it never affects simulations already built — the
-// same override pattern as whodunit.DefaultShards).
+// New, so mutating it never affects simulations already built).
 var DefaultEngine = EngineCoro
 
 // Engine reports the engine this simulation runs coroutine threads on.

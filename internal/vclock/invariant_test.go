@@ -340,8 +340,8 @@ func goid() string {
 }
 
 // TestGroupSwitchesThreadsFromAnyWorker — invariant G: a thread's
-// coroutine belongs to no host goroutine. A two-domain Group drives each
-// domain from whichever par.Do worker picks it up, and here every slice
+// coroutine belongs to no host goroutine. A two-domain Group drives its
+// domains from whichever goroutine calls RunUntil, and here every slice
 // of the run is started from a goroutine of its own, so each slice
 // switches to the same threads from goroutines that did not exist
 // during the slice before. The run still matches the one-domain layout,

@@ -397,9 +397,9 @@ func (s *Sim) GoCoroAt(at Time, name string, f Frame) *Thread {
 // for it, so the step itself sets up no recover.
 func (s *Sim) stepCoro(t *Thread, v any) {
 	s.stepping = t
-	op, _ := t.coro.Resume(v)
+	done := t.coro.resume(v)
 	s.stepping = nil
-	if op == CoroDone {
+	if done {
 		t.coro.runCleanups()
 		s.exit(t)
 	}
@@ -833,7 +833,7 @@ type Counters struct {
 
 	SleepsInline    uint64 // SleepUntil / Compute served by advancing the clock in place
 	SleepsScheduled uint64 // ... by a wake event
-	FrameSteps      uint64 // Coro.Resume calls
+	FrameSteps      uint64 // Coro.resume calls
 	Switches        uint64 // hand-offs to a free-form thread's coroutine (Sim.Switches)
 
 	Reserves       uint64 // positive-duration Compute requests booked on a CPU

@@ -77,30 +77,29 @@ func WithClockRate(cyclesPerSecond int64) Option {
 	}
 }
 
-// WithShards splits the app's simulated time into n epoch-synchronized
-// time domains, so one big run parallelizes across pool workers
-// (internal/par) instead of only sweeps doing so. n = 0 means one shard
-// per pool worker (par.Limit, i.e. GOMAXPROCS unless capped). Work is
-// placed onto domains with StageShard, App.GoShard and App.NewQueueOn,
-// and domains communicate exclusively through positive-latency
-// App.Pipes; the minimum pipe latency is the lookahead that sets the
-// epoch width. Reports are bit-identical for every shard count — serial
-// and sharded runs of the same model diff empty.
+// WithShards splits the app's simulated time into n ≥ 1 time domains,
+// each with an event queue of its own. Work is placed onto domains with
+// StageShard, App.GoShard and App.NewQueueOn, and domains communicate
+// exclusively through positive-latency App.Pipes; the minimum pipe
+// latency is the lookahead that sets the epoch width. Without a pipe
+// the domains share no epoch and run one after another: domain 0 under
+// the app's stop condition (RunUntil, RunFor), then the others to
+// completion. Every domain runs on the goroutine that runs the app, so
+// reports are bit-identical for every shard count — serial and sharded
+// runs of the same model diff empty.
 //
-// WithShards is a transparent no-op (the app collapses to one domain,
-// and the shard-indexed placement APIs all map to domain 0) when the
-// app has no positive-latency pipes, or when it uses machinery that
-// reads cross-stage state from one scheduler's context: crosstalk
-// monitoring (WithCrosstalk), flow detection (WithFlowDetection),
-// windowed aggregation (WithWindow), or a fault plan
-// (WithFaults/SetFaults).
+// The app collapses to one domain (and the shard-indexed placement APIs
+// all map to domain 0) when it uses machinery that reads cross-stage
+// state from one scheduler's context — crosstalk monitoring
+// (WithCrosstalk), flow detection (WithFlowDetection), windowed
+// aggregation (WithWindow) or a fault plan (WithFaults/SetFaults) — and
+// when it declares a zero-latency pipe (see App.Pipe).
 func WithShards(n int) Option {
 	return func(a *App) {
-		if n < 0 {
-			panic("whodunit: WithShards needs a non-negative shard count")
+		if n < 1 {
+			panic("whodunit: WithShards needs at least one shard")
 		}
-		a.shardsWanted = n
-		a.shardsSet = true
+		a.shards = n
 	}
 }
 

@@ -31,26 +31,11 @@ type StageReport struct {
 	Dump         StageDump      `json:"dump"`
 }
 
-// NewStageReport captures a profiler (and the endpoints whose sends
-// should become request edges) into a StageReport.
-func NewStageReport(p *Profiler, eps ...*Endpoint) StageReport {
-	samples, calls, switches, overhead := p.Stats()
-	return StageReport{
-		Stage:        p.Stage,
-		Mode:         p.Mode,
-		Samples:      samples,
-		Calls:        calls,
-		CtxtSwitches: switches,
-		Overhead:     overhead,
-		Shares:       p.Shares(),
-		Dump:         DumpStage(p, eps...),
-	}
-}
-
-// NewStageReportFrom is NewStageReport for a retired or detached profiler
-// snapshot — the window-retirement path of the continuous profiling
-// service.
-func NewStageReportFrom(s *profiler.Snapshot, eps ...*Endpoint) StageReport {
+// NewStageReport captures a stage's profile (and the endpoints whose
+// sends should become request edges) into a StageReport: a running
+// profiler's through Profiler.View, a window's through Profiler.Retire
+// or Profiler.Snapshot.
+func NewStageReport(s *profiler.Snapshot, eps ...*Endpoint) StageReport {
 	samples, calls, switches, overhead := s.Stats()
 	return StageReport{
 		Stage:        s.Stage,
@@ -60,7 +45,7 @@ func NewStageReportFrom(s *profiler.Snapshot, eps ...*Endpoint) StageReport {
 		CtxtSwitches: switches,
 		Overhead:     overhead,
 		Shares:       s.Shares(),
-		Dump:         stitch.DumpFrom(s.Stage, s, eps...),
+		Dump:         stitch.Dump(s, eps...),
 	}
 }
 

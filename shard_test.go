@@ -119,6 +119,46 @@ func TestWithShardsCollapse(t *testing.T) {
 	}
 }
 
+// TestPipelessShardsDeterministic: a sharded app without a pipe has no
+// epoch, so RunFor bounds domain 0 and domain 1 runs to completion after
+// it, on the same goroutine. Domain 1's ticker outlives the bound; were
+// the domains run side by side, RunFor's clock (the largest domain
+// clock) would stop domain 0 wherever domain 1 happened to be.
+func TestPipelessShardsDeterministic(t *testing.T) {
+	const bound, away = 50 * whodunit.Millisecond, 100_000
+	run := func() []byte {
+		app := whodunit.NewApp("pipeless", whodunit.WithSeed(3), whodunit.WithShards(2))
+		home := app.Stage("home", whodunit.StageCPU(1))
+		far := app.Stage("far", whodunit.StageCPU(1), whodunit.StageShard(1))
+		home.Go("tick", func(th *whodunit.Thread, pr *whodunit.Probe) {
+			for {
+				pr.Compute(whodunit.Microsecond)
+			}
+		})
+		ticks := 0
+		far.Go("tick", func(th *whodunit.Thread, pr *whodunit.Probe) {
+			for ; ticks < away; ticks++ {
+				pr.Compute(whodunit.Microsecond)
+			}
+		})
+		rep := app.RunFor(bound)
+		if end := app.ShardSim(0).Now(); end < whodunit.Time(bound) || end > whodunit.Time(bound+whodunit.Millisecond) {
+			t.Errorf("domain 0 stopped at %v, want just past %v", end, whodunit.Time(bound))
+		}
+		if ticks != away {
+			t.Errorf("domain 1 ran %d ticks, want all %d", ticks, away)
+		}
+		var buf bytes.Buffer
+		if err := rep.JSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	if a, b := run(), run(); !bytes.Equal(a, b) {
+		t.Fatalf("two runs at one seed differ:\n%s\n%s", a, b)
+	}
+}
+
 // TestStageShardNeedsPrivateCPU: a stage off shard 0 cannot charge the
 // shared CPU (it lives on domain 0).
 func TestStageShardNeedsPrivateCPU(t *testing.T) {

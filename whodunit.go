@@ -270,7 +270,7 @@ type (
 
 // DumpStage captures a stage's profiler (plus endpoints) for post-mortem
 // stitching.
-func DumpStage(p *Profiler, eps ...*Endpoint) StageDump { return stitch.Dump(p, eps...) }
+func DumpStage(p *Profiler, eps ...*Endpoint) StageDump { return stitch.Dump(p.View(), eps...) }
 
 // Stitch assembles per-stage dumps into the global transaction graph.
 func Stitch(dumps []StageDump) *TransactionGraph { return stitch.Build(dumps) }
