@@ -30,14 +30,13 @@ type RNG = vclock.RNG
 type App struct {
 	Name string
 
-	sim      *Sim // time domain 0, the "home" domain
-	group    *vclock.Group
-	cpu      *CPU // shared CPU, created lazily
-	cores    int
-	mode     Mode
-	interval Duration
-	seed     uint64
-	rng      *RNG
+	sim   *Sim // time domain 0, the "home" domain
+	group *vclock.Group
+	cpu   *CPU // shared CPU, created lazily
+	cores int
+	mode  Mode
+	seed  uint64
+	rng   *RNG
 
 	// Sharded simulated time (WithShards): shards is the time-domain
 	// count, the WithShards request (1 by default) after the
@@ -55,9 +54,8 @@ type App struct {
 	machine *Machine
 	tracker *FlowTracker
 
-	flowWanted   bool
-	flow         *flowState
-	cyclesPerSec int64
+	flowWanted bool
+	flow       *flowState
 
 	// Fault injection (WithFaults / SetFaults): the plan as configured
 	// and the seeded injector that evaluates it during the run.
@@ -65,7 +63,8 @@ type App struct {
 	injector  *faults.Injector
 
 	// Windowed (continuous-profiling) runs: profiles are retired into
-	// per-window Reports every `window` of virtual time (WithWindow).
+	// per-window Reports every `window` of virtual time. Only NewServer
+	// sets the window, and its callback is the server's onWindow.
 	window   Duration
 	onWindow func(*Report)
 	winSeq   int64
@@ -80,30 +79,29 @@ type App struct {
 // machinery.
 func NewApp(name string, opts ...Option) *App {
 	a := &App{
-		Name:         name,
-		cores:        2,
-		mode:         ModeWhodunit,
-		shards:       1,
-		byName:       make(map[string]*Stage),
-		cyclesPerSec: DefaultCyclesPerSecond,
+		Name:   name,
+		cores:  2,
+		mode:   ModeWhodunit,
+		shards: 1,
+		byName: make(map[string]*Stage),
 	}
 	for _, opt := range opts {
 		opt(a)
 	}
 	// Resolve the time-domain count, now that every option is known.
-	// Crosstalk monitoring, flow detection, windowed aggregation and
-	// fault plans all read or mutate state across the whole app from one
-	// scheduler's context, so any of them collapses the run to a single
-	// domain — the documented serial fallback, not an error.
-	if a.monitor != nil || a.flowWanted || a.window > 0 || a.faultPlan != nil {
+	// Crosstalk monitoring, flow detection and fault plans all read or
+	// mutate state across the whole app from one scheduler's context, so
+	// any of them collapses the run to a single domain — the documented
+	// serial fallback, not an error.
+	if a.monitor != nil || a.flowWanted || a.faultPlan != nil {
 		a.shards = 1
 	}
 	a.group = vclock.NewGroup(a.shards)
 	a.sim = a.group.Domain(0)
 	a.rng = vclock.NewRNG(a.seed)
 	// Options are pure configuration; the cross-cutting machinery is
-	// built here, once the mode, clock rate and flow settings are all
-	// known — so option order never matters.
+	// built here, once the mode and flow settings are both known — so
+	// option order never matters.
 	if a.flowWanted {
 		a.initFlow()
 	}
@@ -346,7 +344,7 @@ func (a *App) runSupervised(stop func() bool) (*Report, error) {
 	a.armFaults()
 	if a.window > 0 {
 		if stop == nil {
-			panic(fmt.Sprintf("whodunit: app %q has WithWindow but no stop condition; use RunUntil, RunFor or a Server", a.Name))
+			panic(fmt.Sprintf("whodunit: app %q is served but run with no stop condition; run it through its Server", a.Name))
 		}
 		a.winStart = a.sim.Now()
 		a.sim.Every(a.window, func() { a.retireWindow(a.sim.Now()) })
@@ -365,24 +363,10 @@ func (a *App) runSupervised(stop func() bool) (*Report, error) {
 	return a.Report(), err
 }
 
-// Window returns the app's aggregation-window length (0 when the app is
-// not windowed).
-func (a *App) Window() Duration { return a.window }
-
-// OnWindow registers the window-retirement callback of a windowed app
-// (WithWindow): fn receives each per-window Report, in sequence order,
-// from the goroutine driving the simulation. Must be set before Run.
-func (a *App) OnWindow(fn func(*Report)) {
-	if a.ran {
-		panic("whodunit: OnWindow after run started")
-	}
-	a.onWindow = fn
-}
-
 // retireWindow closes the aggregation window ending at end: every
 // stage's profiler retires its tree set (an O(1) swap — see
 // profiler.Retire), the retired snapshots are assembled into a
-// per-window Report, and the OnWindow callback receives it. Runs in
+// per-window Report, and the window callback receives it. Runs in
 // scheduler context at window ticks and once more after RunUntil
 // returns, for the final partial window.
 //
@@ -403,9 +387,7 @@ func (a *App) retireWindow(end vclock.Time) {
 	rep.Elapsed = Duration(end.Sub(a.winStart))
 	rep.Window = meta
 	a.winSeq, a.winStart = a.winSeq+1, end
-	if a.onWindow != nil {
-		a.onWindow(rep)
-	}
+	a.onWindow(rep)
 }
 
 // LiveWindowReport builds a Report of the in-progress window without

@@ -2,11 +2,11 @@ package whodunit_test
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 
 	"whodunit"
-	"whodunit/internal/experiments"
 	"whodunit/internal/ipc"
 	"whodunit/internal/profiler"
 	"whodunit/internal/vclock"
@@ -217,7 +217,7 @@ func TestRunAppsMatchesSerialRuns(t *testing.T) {
 		serial[i] = asJSON(build(name, uint64(i)).Run())
 		apps[i] = build(name, uint64(i))
 	}
-	defer experiments.SetWorkers(experiments.SetWorkers(8))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	for i, rep := range whodunit.RunApps(apps...) {
 		if got := asJSON(rep); got != serial[i] {
 			t.Errorf("app %d report differs between serial Run and RunApps:\n%s\nvs\n%s", i, serial[i], got)

@@ -8,7 +8,8 @@
 //
 // Experiments (and the client-count sweeps inside them) run across
 // GOMAXPROCS workers; every simulation draws from explicitly seeded RNG
-// streams, so the output is identical to a serial run (-workers=1).
+// streams, so the output is identical to a serial run
+// (GOMAXPROCS=1 whodunit-bench).
 package main
 
 import (
@@ -33,7 +34,6 @@ func main() { os.Exit(run()) }
 func run() int {
 	quick := flag.Bool("quick", false, "reduced-scale run")
 	only := flag.String("only", "", "run a single experiment: "+strings.Join(experimentNames, "|"))
-	workers := flag.Int("workers", 0, "max concurrent experiment runs (0 = GOMAXPROCS, 1 = serial)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile (captured after the run) to this file")
 	mode := cmdutil.ModeFlag()
@@ -41,10 +41,6 @@ func run() int {
 
 	if flag.NArg() > 0 {
 		fmt.Fprintf(os.Stderr, "whodunit-bench: unexpected arguments %q (configuration is flag-only)\n", flag.Args())
-		return 2
-	}
-	if *workers < 0 {
-		fmt.Fprintf(os.Stderr, "whodunit-bench: -workers must be >= 0 (got %d)\n", *workers)
 		return 2
 	}
 	if *only != "" {
@@ -101,7 +97,6 @@ func run() int {
 		tp = experiments.QuickTPCW
 		mg = experiments.QuickMega
 	}
-	experiments.SetWorkers(*workers)
 
 	all := []experiments.Job{
 		{Name: "validate", Run: func(w io.Writer) { experiments.FlowValidation().Render(w) }},

@@ -9,13 +9,12 @@
 //	whodunit-stitch -json web.json app.json db.json > report.json
 //	whodunit-stitch -folded web.json app.json db.json | flamegraph.pl > flame.svg
 //
-// With -diff the dump list is split on a "--" separator into two runs'
-// dumps; each side is stitched into a Report and the structural diff
-// between them is printed (text, or diff JSON with -json, or
-// difffolded two-column stacks with -folded), with the same -threshold
-// exit gating as whodunit-diff:
+// To compare two runs' dumps, stitch each side to report JSON and diff
+// the reports with whodunit-diff:
 //
-//	whodunit-stitch -diff before-web.json before-db.json -- after-web.json after-db.json
+//	whodunit-stitch -json before-web.json before-db.json > before.json
+//	whodunit-stitch -json after-web.json after-db.json > after.json
+//	whodunit-diff before.json after.json
 package main
 
 import (
@@ -57,61 +56,12 @@ func readDumps(paths []string) []whodunit.StageDump {
 func main() {
 	dot := flag.Bool("dot", false, "emit Graphviz dot instead of text")
 	folded := flag.Bool("folded", false, "emit folded stacks (flamegraph.pl input) instead of text")
-	diff := flag.Bool("diff", false, "split dumps on -- into two runs, stitch each, and diff the reports")
-	threshold := flag.Int64("threshold", -1, "with -diff: exit 1 if the largest delta exceeds this (-1 disables)")
 	jsonOut := cmdutil.JSONFlag()
 	name := flag.String("name", "stitched", "application name for the report")
 	flag.Parse()
 	if flag.NArg() == 0 {
 		fmt.Fprintln(os.Stderr, "usage: whodunit-stitch [-dot|-json|-folded] [-name app] stage1.json stage2.json ...")
-		fmt.Fprintln(os.Stderr, "       whodunit-stitch -diff [-threshold N] [-json|-folded] a1.json a2.json ... -- b1.json b2.json ...")
 		os.Exit(2)
-	}
-
-	// Mode/flag combinations that would silently do the wrong thing are
-	// errors: a -threshold without -diff would never gate, and -dot has
-	// no diff rendering.
-	if !*diff && *threshold >= 0 {
-		fmt.Fprintln(os.Stderr, "whodunit-stitch: -threshold only gates with -diff")
-		os.Exit(2)
-	}
-	if *diff && *dot {
-		fmt.Fprintln(os.Stderr, "whodunit-stitch: -dot has no diff form (use text, -json or -folded with -diff)")
-		os.Exit(2)
-	}
-
-	if *diff {
-		args := flag.Args()
-		sep := -1
-		for i, a := range args {
-			if a == "--" {
-				sep = i
-				break
-			}
-		}
-		if sep <= 0 || sep == len(args)-1 {
-			fmt.Fprintln(os.Stderr, "whodunit-stitch: -diff needs two dump lists separated by -- (both non-empty)")
-			os.Exit(2)
-		}
-		a := whodunit.ReportFromDumps(*name, readDumps(args[:sep])...)
-		b := whodunit.ReportFromDumps(*name, readDumps(args[sep+1:])...)
-		d := whodunit.Diff(a, b)
-		switch {
-		case *folded:
-			whodunit.FoldedDiff(a, b, os.Stdout)
-		case *jsonOut:
-			if err := d.JSON(os.Stdout); err != nil {
-				fmt.Fprintf(os.Stderr, "whodunit-stitch: %v\n", err)
-				os.Exit(1)
-			}
-		default:
-			d.Text(os.Stdout)
-		}
-		if *threshold >= 0 && d.Exceeds(*threshold) {
-			fmt.Fprintf(os.Stderr, "whodunit-stitch: max delta %d exceeds threshold %d\n", d.MaxDelta(), *threshold)
-			os.Exit(1)
-		}
-		return
 	}
 
 	report := whodunit.ReportFromDumps(*name, readDumps(flag.Args())...)

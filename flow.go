@@ -13,7 +13,7 @@ import (
 )
 
 // DefaultCyclesPerSecond converts emulated machine cycles to virtual
-// time: the paper's 2.4 GHz Xeon. Override with WithClockRate.
+// time: the paper's 2.4 GHz Xeon.
 const DefaultCyclesPerSecond = 2_400_000_000
 
 // emulatedStepLimit bounds a single emulated critical-section execution;
@@ -108,8 +108,8 @@ func (a *App) initFlow() {
 	a.machine.Tracer = a.tracker
 }
 
-func (a *App) cyclesToTime(c int64) Duration {
-	return Duration(c * int64(Second) / a.cyclesPerSec)
+func cyclesToTime(c int64) Duration {
+	return Duration(c * int64(Second) / DefaultCyclesPerSecond)
 }
 
 // ReserveCS reserves a vm lock id and a private 0x10000-word memory
@@ -192,7 +192,7 @@ func (a *App) beginEmulated(pr *Probe, x *emulation, prog *vm.Program, entry str
 		x.adopt = a.flow.consumed
 	}
 	x.live = true
-	return a.cyclesToTime(th.Cycles)
+	return cyclesToTime(th.Cycles)
 }
 
 // finishEmulated retires x once its cycles are charged — or while its

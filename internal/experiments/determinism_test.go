@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"encoding/json"
+	"runtime"
 	"testing"
 )
 
@@ -25,8 +26,8 @@ func asJSON(t *testing.T, v any) string {
 func TestSweepsDeterministicSerialVsParallel(t *testing.T) {
 	sweep := TPCWScale{Duration: QuickTPCW.Duration, Sweep: []int{50, 150}}
 
-	run := func(workers int) (fig8, table1, fig12 string) {
-		defer SetWorkers(SetWorkers(workers))
+	run := func(procs int) (fig8, table1, fig12 string) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		return asJSON(t, Fig8Apache(QuickScale)),
 			asJSON(t, Table1TPCW(QuickTPCW)),
 			asJSON(t, Fig12Throughput(sweep))

@@ -13,6 +13,7 @@ import (
 	"whodunit/internal/apps/apacheweb"
 	"whodunit/internal/apps/haboob"
 	"whodunit/internal/apps/squidproxy"
+	"whodunit/internal/par"
 	"whodunit/internal/profiler"
 	"whodunit/internal/shmflow"
 	"whodunit/internal/vm"
@@ -285,7 +286,7 @@ func ServerOverheads(sc Scale) OverheadResult {
 		}},
 	}
 	mbps := make([]float64, 2*len(runs))
-	Parallel(2*len(runs), func(j int) {
+	par.Do(2*len(runs), func(j int) {
 		r := runs[j/2]
 		mode := profiler.ModeOff
 		if j%2 == 1 {

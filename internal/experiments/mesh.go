@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"whodunit/internal/apps/meshkv"
+	"whodunit/internal/par"
 	"whodunit/internal/trace"
 )
 
@@ -69,7 +70,7 @@ func MeshTraffic(sc Scale) MeshResult {
 // parallelInto fans the row builders out through the experiment pool.
 func parallelInto(dst *[]MeshRow, fns []func() MeshRow) {
 	rows := make([]MeshRow, len(fns))
-	Parallel(len(fns), func(i int) { rows[i] = fns[i]() })
+	par.Do(len(fns), func(i int) { rows[i] = fns[i]() })
 	*dst = rows
 }
 

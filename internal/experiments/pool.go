@@ -3,8 +3,10 @@
 // its simulator, profilers, context tables and RNG streams — so the
 // client-count sweeps of Figures 11/12, the four profiling modes of
 // Table 2 and the baseline/profiled pairs of §9.2/§9.3 all fan out
-// across GOMAXPROCS workers. Results land in index-addressed slots, so
-// a sweep's output is bit-identical to the serial run at the same seed.
+// across GOMAXPROCS workers through par.Do. fn must write its result
+// into caller-owned storage by index and must not touch shared mutable
+// state, so a sweep's output is bit-identical to the serial run
+// (GOMAXPROCS=1) at the same seed.
 package experiments
 
 import (
@@ -13,21 +15,6 @@ import (
 
 	"whodunit/internal/par"
 )
-
-// Parallel runs fn(i) for i in [0, n) across the worker pool (see
-// par.MaxWorkers; SetWorkers adjusts it). fn must write its result into
-// caller-owned storage by index and must not touch shared mutable state —
-// each index is one self-contained experiment run.
-func Parallel(n int, fn func(i int)) { par.Do(n, fn) }
-
-// SetWorkers caps sweep parallelism: 1 forces serial execution, 0
-// restores the GOMAXPROCS default. It returns the previous setting so
-// tests can defer-restore it.
-func SetWorkers(n int) (prev int) {
-	prev = par.MaxWorkers
-	par.MaxWorkers = n
-	return prev
-}
 
 // Job is one named experiment for RunAll: Run renders the experiment's
 // result into w.
@@ -57,7 +44,7 @@ func RunAll(w io.Writer, jobs []Job) error {
 	go func() {
 		defer close(finished)
 		defer func() { panicked = recover() }()
-		Parallel(n, func(i int) {
+		par.Do(n, func(i int) {
 			defer close(done[i])
 			jobs[i].Run(&bufs[i])
 		})

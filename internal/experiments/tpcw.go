@@ -6,6 +6,7 @@ import (
 
 	"whodunit/internal/apps/tpcw"
 	"whodunit/internal/minidb"
+	"whodunit/internal/par"
 	"whodunit/internal/profiler"
 	"whodunit/internal/vclock"
 	"whodunit/internal/workload"
@@ -96,7 +97,7 @@ func Fig11ResponseTimes(sc TPCWScale) Fig11Result {
 	n := len(sc.Sweep)
 	origs := make([]*tpcw.Result, n)
 	opts := make([]*tpcw.Result, n)
-	Parallel(2*n, func(j int) {
+	par.Do(2*n, func(j int) {
 		i, optimized := j/2, j%2 == 1
 		cfg := tpcw.DefaultConfig(sc.Sweep[i])
 		cfg.Duration = sc.Duration
@@ -155,7 +156,7 @@ type Fig12Result struct{ Rows []Fig12Row }
 func Fig12Throughput(sc TPCWScale) Fig12Result {
 	n := len(sc.Sweep)
 	perMin := make([]float64, 2*n)
-	Parallel(2*n, func(j int) {
+	par.Do(2*n, func(j int) {
 		cfg := tpcw.DefaultConfig(sc.Sweep[j/2])
 		cfg.Duration = sc.Duration
 		cfg.ServletCaching = j%2 == 1
@@ -206,7 +207,7 @@ func Table2Overhead(sc TPCWScale) Table2Result {
 		profiler.ModeOff, profiler.ModeSampling, profiler.ModeWhodunit, profiler.ModeInstrumented,
 	}
 	results := make([]*tpcw.Result, len(modes))
-	Parallel(len(modes), func(i int) {
+	par.Do(len(modes), func(i int) {
 		cfg := tpcw.DefaultConfig(300) // beyond the no-caching knee
 		cfg.Duration = sc.Duration
 		cfg.Mode = modes[i]

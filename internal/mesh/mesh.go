@@ -163,7 +163,7 @@ type opFrame struct {
 }
 
 // Service declares a tier with the given worker count and handler.
-// Stage options (StageCPU, StageMode) pass through to the stage.
+// Stage options (StageCPU, StageShard) pass through to the stage.
 func (t *Topology) Service(name string, workers int, h Handler, opts ...whodunit.StageOption) *Service {
 	if h == nil {
 		panic(fmt.Sprintf("mesh: service %q has no handler", name))

@@ -7,7 +7,7 @@
 //
 // The pool bounds concurrency globally, not per call: Do's calling
 // goroutine always works through items itself, and extra workers are
-// spawned only while the process-wide budget (MaxWorkers-1 extras) has
+// spawned only while the process-wide budget (GOMAXPROCS-1 extras) has
 // room. Nested fan-out — a sweep of simulations whose workload
 // generators shard internally — therefore cannot multiply into
 // workers² concurrent simulations, and a nested Do can never deadlock:
@@ -23,34 +23,17 @@ import (
 	"sync/atomic"
 )
 
-// MaxWorkers caps process-wide pool concurrency; 0 (the default) means
-// GOMAXPROCS. Set it to 1 to force serial execution — the determinism
-// regression tests run every sweep both ways and assert identical
-// results. It is read at each Do call.
-var MaxWorkers int
-
 // extras counts spawned pool workers currently alive across every Do in
 // the process (the callers' own goroutines are not counted — they were
 // already running).
 var extras atomic.Int64
 
-// limit reports the effective concurrency cap: MaxWorkers, or
-// GOMAXPROCS when unset.
-func limit() int {
-	w := MaxWorkers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// claimExtra reserves one extra-worker slot from the global budget,
-// reporting whether one was available.
+// claimExtra reserves one extra-worker slot from the global budget of
+// GOMAXPROCS-1, reporting whether one was available. GOMAXPROCS is read
+// at each call: setting it to 1 forces serial execution, which the
+// determinism regression tests use to run every sweep both ways.
 func claimExtra() bool {
-	budget := int64(limit() - 1)
+	budget := int64(runtime.GOMAXPROCS(0) - 1)
 	for {
 		cur := extras.Load()
 		if cur >= budget {
@@ -85,13 +68,13 @@ func (p *WorkerPanic) Error() string {
 // carrying the original stack — simulated-application models report
 // fatal misconfiguration by panicking, and those must neither vanish
 // into a worker nor burn the rest of a long sweep first. (When Do runs
-// fully serially — MaxWorkers=1 — panics propagate unwrapped with their
+// fully serially — GOMAXPROCS=1 — panics propagate unwrapped with their
 // natural stack.)
 func Do(n int, fn func(i int)) {
 	if n <= 0 {
 		return
 	}
-	if n == 1 || limit() == 1 {
+	if n == 1 || runtime.GOMAXPROCS(0) == 1 {
 		for i := 0; i < n; i++ {
 			fn(i)
 		}

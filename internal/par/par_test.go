@@ -1,6 +1,7 @@
 package par
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -17,9 +18,8 @@ func TestDoVisitsEveryIndexOnce(t *testing.T) {
 	}
 }
 
-func TestDoSerialWhenMaxWorkersOne(t *testing.T) {
-	defer func() { MaxWorkers = 0 }()
-	MaxWorkers = 1
+func TestDoSerialWhenGOMAXPROCSOne(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	order := make([]int, 0, 10)
 	Do(10, func(i int) { order = append(order, i) })
 	for i, v := range order {
@@ -34,10 +34,9 @@ func TestDoZeroItems(t *testing.T) {
 }
 
 func TestDoPropagatesPanic(t *testing.T) {
-	prev := MaxWorkers
-	MaxWorkers = 8 // force the pooled path even on a single-CPU runner
+	prev := runtime.GOMAXPROCS(8) // force the pooled path even on a single-CPU runner
 	defer func() {
-		MaxWorkers = prev
+		runtime.GOMAXPROCS(prev)
 		r := recover()
 		if r == nil {
 			t.Fatal("worker panic not propagated")
@@ -58,10 +57,9 @@ func TestDoPropagatesPanic(t *testing.T) {
 }
 
 func TestDoSerialPanicUnwrapped(t *testing.T) {
-	prev := MaxWorkers
-	MaxWorkers = 1
+	prev := runtime.GOMAXPROCS(1)
 	defer func() {
-		MaxWorkers = prev
+		runtime.GOMAXPROCS(prev)
 		if r := recover(); r != "boom" {
 			t.Fatalf("serial panic = %v, want raw \"boom\"", r)
 		}
@@ -76,12 +74,10 @@ func TestDoSerialPanicUnwrapped(t *testing.T) {
 // TestNestedDoBoundedConcurrency pins the global-budget property: nested
 // fan-out (a sweep whose items shard work internally) must not multiply
 // into workers² concurrent bodies — innermost executions stay bounded by
-// the configured cap, because extra workers come from one process-wide
-// budget and callers merely participate.
+// GOMAXPROCS, because extra workers come from one process-wide budget
+// and callers merely participate.
 func TestNestedDoBoundedConcurrency(t *testing.T) {
-	prev := MaxWorkers
-	MaxWorkers = 4
-	defer func() { MaxWorkers = prev }()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 
 	var active, peak atomic.Int64
 	Do(8, func(int) {
@@ -98,6 +94,6 @@ func TestNestedDoBoundedConcurrency(t *testing.T) {
 		})
 	})
 	if got := peak.Load(); got > 4 {
-		t.Fatalf("peak concurrent bodies = %d, want <= MaxWorkers (4)", got)
+		t.Fatalf("peak concurrent bodies = %d, want <= GOMAXPROCS (4)", got)
 	}
 }

@@ -14,10 +14,10 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"whodunit"
-	"whodunit/internal/par"
 	"whodunit/internal/scenarios"
 )
 
@@ -184,10 +184,9 @@ func TestRunAllDeterminism(t *testing.T) {
 	}
 	list := scenarios.All()
 
-	prev := par.MaxWorkers
-	par.MaxWorkers = 1
+	prev := runtime.GOMAXPROCS(1)
 	serial := scenarios.RunAll(list)
-	par.MaxWorkers = prev
+	runtime.GOMAXPROCS(prev)
 	parallel := scenarios.RunAll(list)
 
 	for i, s := range list {

@@ -30,7 +30,7 @@ import (
 // queue.
 type Sim struct {
 	now     Time
-	seq     uint64   // events scheduled so far (Group.load reads its deltas)
+	seq     uint64   // events scheduled so far (Counters.Scheduled)
 	count   Counters // see Counters; Scheduled and Pending are filled on read
 	live    int      // threads started and not yet exited
 	nextID  int

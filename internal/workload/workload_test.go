@@ -1,10 +1,10 @@
 package workload
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 
-	"whodunit/internal/par"
 	"whodunit/internal/vclock"
 )
 
@@ -196,10 +196,9 @@ func TestGenWebShardBoundaries(t *testing.T) {
 		cfg.NumConns = n
 		cfg.NumFiles = n
 
-		prev := par.MaxWorkers
-		par.MaxWorkers = 1
+		prev := runtime.GOMAXPROCS(1)
 		serial := GenWeb(cfg)
-		par.MaxWorkers = prev
+		runtime.GOMAXPROCS(prev)
 		parallel := GenWeb(cfg)
 
 		if len(serial.Conns) != n || len(parallel.Conns) != n {

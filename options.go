@@ -5,8 +5,7 @@ import "whodunit/internal/crosstalk"
 // Option configures an App at construction time.
 type Option func(*App)
 
-// WithMode sets the default profiling mode for every stage of the app
-// (individual stages can override it with StageMode).
+// WithMode sets the profiling mode of every stage of the app.
 func WithMode(m Mode) Option {
 	return func(a *App) { a.mode = m }
 }
@@ -26,17 +25,6 @@ func WithCores(n int) Option {
 // available through App.RNG for workload generation.
 func WithSeed(seed uint64) Option {
 	return func(a *App) { a.seed = seed }
-}
-
-// WithSamplingInterval overrides the profilers' sampling period (the
-// default is profiler.DefaultInterval, 666 samples per CPU-second).
-func WithSamplingInterval(d Duration) Option {
-	return func(a *App) {
-		if d <= 0 {
-			panic("whodunit: sampling interval must be positive")
-		}
-		a.interval = d
-	}
 }
 
 // WithCrosstalk attaches a crosstalk monitor to the app: every lock
@@ -65,18 +53,6 @@ func WithFlowDetection() Option {
 	return func(a *App) { a.flowWanted = true }
 }
 
-// WithClockRate sets the emulated machine's clock in cycles per second
-// of virtual time (default DefaultCyclesPerSecond, the paper's 2.4 GHz
-// Xeon); it converts critical-section cycle costs to CPU demand.
-func WithClockRate(cyclesPerSecond int64) Option {
-	return func(a *App) {
-		if cyclesPerSecond <= 0 {
-			panic("whodunit: WithClockRate needs a positive rate")
-		}
-		a.cyclesPerSec = cyclesPerSecond
-	}
-}
-
 // WithShards splits the app's simulated time into n ≥ 1 time domains,
 // each with an event queue of its own. Work is placed onto domains with
 // StageShard, App.GoShard and App.NewQueueOn, and domains communicate
@@ -91,9 +67,10 @@ func WithClockRate(cyclesPerSecond int64) Option {
 // The app collapses to one domain (and the shard-indexed placement APIs
 // all map to domain 0) when it uses machinery that reads cross-stage
 // state from one scheduler's context — crosstalk monitoring
-// (WithCrosstalk), flow detection (WithFlowDetection), windowed
-// aggregation (WithWindow) or a fault plan (WithFaults/SetFaults) — and
-// when it declares a zero-latency pipe (see App.Pipe).
+// (WithCrosstalk), flow detection (WithFlowDetection) or a fault plan
+// (WithFaults/SetFaults) — and when it declares a zero-latency pipe (see
+// App.Pipe). A served app (NewServer) retires its windows from domain
+// 0's clock, so it must not be sharded at all.
 func WithShards(n int) Option {
 	return func(a *App) {
 		if n < 1 {
@@ -120,26 +97,8 @@ func WithFaults(plan *FaultPlan) Option {
 	}
 }
 
-// WithWindow makes the app a windowed (continuous-profiling) run:
-// profiles are aggregated into fixed d-length virtual-time windows, each
-// retired as its own Report (see App.OnWindow). Windowed apps must be
-// run with a stop condition.
-func WithWindow(d Duration) Option {
-	return func(a *App) {
-		if d <= 0 {
-			panic("whodunit: WithWindow needs a positive window length")
-		}
-		a.window = d
-	}
-}
-
 // StageOption configures a single Stage at declaration time.
 type StageOption func(*Stage)
-
-// StageMode overrides the app-wide profiling mode for one stage.
-func StageMode(m Mode) StageOption {
-	return func(st *Stage) { st.mode = m }
-}
 
 // StageCPU gives the stage a private CPU with the given core count
 // instead of the app's shared one — a stage on its own machine.

@@ -35,9 +35,8 @@ import (
 
 // ServeConfig configures a Server.
 type ServeConfig struct {
-	// Window is the aggregation-window length in virtual time. Optional
-	// if the app was built with WithWindow; if both are set they must
-	// agree.
+	// Window is the aggregation-window length in virtual time
+	// (required): profiles are retired into one Report per window.
 	Window Duration
 	// Retain is how many retired windows stay queryable (default 16).
 	Retain int
@@ -130,12 +129,11 @@ type Server struct {
 	final *Report
 }
 
-// NewServer wraps app (built with WithWindow, or windowed here via
-// cfg.Window) into a continuous profiling service. The app must not have
-// been run, and its OnWindow callback slot is taken over by the server.
-// With cfg.MakeApp set, app may be nil (the factory supplies attempt 0)
-// and the server supervises: a run that dies is rebuilt and restarted
-// instead of panicking out of Run.
+// NewServer wraps app into a continuous profiling service, windowed by
+// cfg.Window. The app must not have been run and must have one time
+// domain (see adopt). With cfg.MakeApp set, app may be nil (the factory
+// supplies attempt 0) and the server supervises: a run that dies is
+// rebuilt and restarted instead of panicking out of Run.
 func NewServer(app *App, cfg ServeConfig) *Server {
 	if app == nil {
 		if cfg.MakeApp == nil {
@@ -143,14 +141,8 @@ func NewServer(app *App, cfg ServeConfig) *Server {
 		}
 		app = cfg.MakeApp(0)
 	}
-	if cfg.Window > 0 {
-		if app.window > 0 && app.window != cfg.Window {
-			panic("whodunit: ServeConfig.Window disagrees with the app's WithWindow")
-		}
-		app.window = cfg.Window
-	}
-	if app.window <= 0 {
-		panic("whodunit: NewServer needs a window length (WithWindow or ServeConfig.Window)")
+	if cfg.Window <= 0 {
+		panic("whodunit: NewServer needs a positive ServeConfig.Window")
 	}
 	if cfg.Retain == 0 {
 		cfg.Retain = 16
@@ -181,7 +173,6 @@ func NewServer(app *App, cfg ServeConfig) *Server {
 			cfg.RestartBackoff = 100 * time.Millisecond
 		}
 	}
-	cfg.Window = app.window
 	s := &Server{
 		cfg:      cfg,
 		ring:     window.NewRing[*WindowEvent](cfg.Retain),
@@ -194,15 +185,18 @@ func NewServer(app *App, cfg ServeConfig) *Server {
 }
 
 // adopt wires an app (initial or restart-built) into the server: the
-// window length must match the config, and the app's OnWindow slot is
-// taken over.
+// app takes the server's window and retires each one to onWindow.
+// Window retirement reads every stage's profiler on domain 0's clock,
+// so the app must run on one time domain.
 func (s *Server) adopt(app *App) {
-	if app.window <= 0 {
-		app.window = s.cfg.Window
-	} else if app.window != s.cfg.Window {
-		panic("whodunit: MakeApp built an app whose window disagrees with the server's")
+	if app.ran {
+		panic(fmt.Sprintf("whodunit: served app %q has already run", app.Name))
 	}
-	app.OnWindow(s.onWindow)
+	if app.Shards() > 1 {
+		panic(fmt.Sprintf("whodunit: served app %q has %d time domains (WithShards); a served app runs on one", app.Name, app.Shards()))
+	}
+	app.window = s.cfg.Window
+	app.onWindow = s.onWindow
 	s.app.Store(app)
 }
 
@@ -243,7 +237,7 @@ func (s *Server) Run() *Report {
 		}
 		n := s.restarts.Add(1)
 		s.degraded.Store(true)
-		if !s.backoffWait(s.cfg.RestartBackoff << (n - 1)) {
+		if s.wallWait(time.Now().Add(s.cfg.RestartBackoff << (n - 1))) {
 			break // stopped while backing off
 		}
 		s.adopt(s.cfg.MakeApp(run + 1))
@@ -303,16 +297,15 @@ func (s *Server) watchdog(stop chan struct{}) {
 	}
 }
 
-// backoffWait sleeps d of wall time before a restart, staying
-// responsive: epoch-pinned reads drain (against the dead app's final
-// state) and Stop cuts the wait short. Reports whether the server
-// should still restart.
-func (s *Server) backoffWait(d time.Duration) bool {
-	deadline := time.Now().Add(d)
+// wallWait sleeps until the wall-clock deadline — a restart backoff or
+// a paced window's due time — while staying responsive: epoch-pinned
+// reads drain (against the live app, or a dead app's final state) and
+// Stop cuts the wait short. Reports whether Stop did.
+func (s *Server) wallWait(deadline time.Time) (stopped bool) {
 	for {
 		remain := time.Until(deadline)
 		if remain <= 0 {
-			return true
+			return false
 		}
 		timer := time.NewTimer(remain)
 		select {
@@ -321,9 +314,9 @@ func (s *Server) backoffWait(d time.Duration) bool {
 			fn()
 		case <-s.stopCh:
 			timer.Stop()
-			return false
-		case <-timer.C:
 			return true
+		case <-timer.C:
+			return false
 		}
 	}
 }
@@ -376,7 +369,7 @@ func (s *Server) drainRequests() {
 	}
 }
 
-// onWindow is the App.OnWindow callback: it wraps each retired window
+// onWindow is the served app's window callback: it wraps each retired window
 // into a WindowEvent, auto-diffs consecutive full windows against the
 // threshold, publishes on the ring, and enforces MaxWindows and Pace.
 // Runs in scheduler context.
@@ -425,32 +418,11 @@ func (s *Server) onWindow(rep *Report) {
 	if s.cfg.MaxWindows > 0 && s.ring.Total() >= int64(s.cfg.MaxWindows) {
 		s.Stop()
 	}
+	// Pacing: wait until the window's end is due in wall time; reads keep
+	// flowing meanwhile, so a paced server answers /report promptly even
+	// between distant windows.
 	if s.cfg.Pace > 0 && !s.stopped.Load() {
-		s.paceWait(rep.Window.End)
-	}
-}
-
-// paceWait sleeps (in wall time) until virtual time virtualEnd is "due"
-// under the configured pace, while keeping epoch-pinned reads flowing —
-// a paced server answers /report promptly even between distant windows.
-func (s *Server) paceWait(virtualEnd Duration) {
-	deadline := s.startWall.Add(time.Duration(float64(virtualEnd) / s.cfg.Pace))
-	for {
-		d := time.Until(deadline)
-		if d <= 0 {
-			return
-		}
-		timer := time.NewTimer(d)
-		select {
-		case fn := <-s.reqCh:
-			timer.Stop()
-			fn()
-		case <-s.stopCh:
-			timer.Stop()
-			return
-		case <-timer.C:
-			return
-		}
+		s.wallWait(s.startWall.Add(time.Duration(float64(rep.Window.End) / s.cfg.Pace)))
 	}
 }
 

@@ -96,9 +96,6 @@ func TestShardedEchoIdentity(t *testing.T) {
 // across the whole app from one scheduler forces the documented serial
 // fallback.
 func TestWithShardsCollapse(t *testing.T) {
-	if got := whodunit.NewApp("w", whodunit.WithShards(4), whodunit.WithWindow(whodunit.Second)).Shards(); got != 1 {
-		t.Errorf("WithWindow: Shards() = %d, want 1", got)
-	}
 	if got := whodunit.NewApp("x", whodunit.WithShards(4), whodunit.WithCrosstalk(func(whodunit.TxnCtxt) string { return "t" })).Shards(); got != 1 {
 		t.Errorf("WithCrosstalk: Shards() = %d, want 1", got)
 	}

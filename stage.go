@@ -21,7 +21,6 @@ type Stage struct {
 	Name string
 
 	app          *App
-	mode         Mode
 	prof         *Profiler
 	cpu          *CPU // private CPU, nil means the app's shared one
 	privateCores int
@@ -47,7 +46,7 @@ type threadSpec struct {
 }
 
 func newStage(a *App, name string, opts ...StageOption) *Stage {
-	st := &Stage{Name: name, app: a, mode: a.mode}
+	st := &Stage{Name: name, app: a}
 	for _, opt := range opts {
 		opt(st)
 	}
@@ -55,10 +54,7 @@ func newStage(a *App, name string, opts ...StageOption) *Stage {
 	if st.shard != 0 && st.privateCores == 0 {
 		panic(fmt.Sprintf("whodunit: stage %q is pinned to shard %d but would share the app CPU, which lives on shard 0; give it StageCPU", name, st.shard))
 	}
-	st.prof = profiler.New(name, st.mode)
-	if a.interval > 0 {
-		st.prof.Interval = a.interval
-	}
+	st.prof = profiler.New(name, a.mode)
 	if st.privateCores > 0 {
 		st.cpu = st.sim().NewCPU(name+"-cpu", st.privateCores)
 	}
@@ -75,8 +71,8 @@ func (st *Stage) sim() *Sim { return st.app.ShardSim(st.shard) }
 // App returns the owning app.
 func (st *Stage) App() *App { return st.app }
 
-// Mode returns the stage's profiling mode.
-func (st *Stage) Mode() Mode { return st.mode }
+// Mode returns the stage's profiling mode, the app's (WithMode).
+func (st *Stage) Mode() Mode { return st.app.mode }
 
 // Profiler returns the stage's profiler.
 func (st *Stage) Profiler() *Profiler { return st.prof }

@@ -37,12 +37,13 @@
 // propagates the pusher's context to the popper automatically (§3.5),
 // Stage.CriticalSection for crosstalk-observed lock-protected regions,
 // and Stage.BeginTxn/WithTxn for transaction-context scoping without
-// touching the context tables. Functional options (WithMode, WithSeed,
-// WithCrosstalk, WithFlowDetection, WithClockRate,
-// WithSamplingInterval, StageMode, StageCPU) select the run
-// configuration — they are pure configuration; all machinery is built
-// and wired by NewApp. RunApps sweeps independent Apps across
-// GOMAXPROCS workers with reports bit-identical to serial runs.
+// touching the context tables. Functional options (WithMode, WithCores,
+// WithSeed, WithCrosstalk, WithFlowDetection, WithFaults, WithShards;
+// per stage StageCPU and StageShard) select the run configuration —
+// they are pure configuration; all machinery is built and wired by
+// NewApp. NewServer serves an app as a continuous profiler, windowed by
+// ServeConfig.Window. RunApps sweeps independent Apps across GOMAXPROCS
+// workers with reports bit-identical to serial runs.
 //
 // # Building blocks
 //
@@ -155,10 +156,6 @@ type (
 	TxnCtxt = profiler.TxnCtxt
 	// Ctxt is an interned local transaction context chain.
 	Ctxt = tranctx.Ctxt
-	// Synopsis is the 4-byte compact context representation.
-	Synopsis = tranctx.Synopsis
-	// Tree is a calling context tree of profile samples.
-	Tree = cct.Tree
 	// FrameID is a frame name interned by one stage:
 	// st.Profiler().Frames().ID(name), entered with Probe.EnterID. It
 	// means nothing to another stage's probes.
@@ -178,15 +175,8 @@ const (
 // command-line flag directly with flag.Var.
 var ParseMode = profiler.ParseMode
 
-// Overhead models the profiler's own CPU costs in virtual time.
-type Overhead = profiler.Overhead
-
-// Context hop constructors.
-var (
-	CallHop    = tranctx.CallHop
-	HandlerHop = tranctx.HandlerHop
-	StageHop   = tranctx.StageHop
-)
+// CallHop builds a call-path context hop.
+var CallHop = tranctx.CallHop
 
 // Event-driven and SEDA libraries.
 type (
@@ -213,8 +203,6 @@ type (
 	Msg = ipc.Msg
 	// Conn wraps an Endpoint around a byte stream.
 	Conn = ipc.Conn
-	// MsgKind classifies received messages as requests or responses.
-	MsgKind = ipc.Kind
 )
 
 // Message kinds.
