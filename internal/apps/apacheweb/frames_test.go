@@ -11,7 +11,7 @@ import (
 
 // TestApacheRequestPathTakesNoThreadSwitch is the mechanical form of
 // "the listener and the workers are frame programs": no free-form thread
-// exists, so the scheduler never hands the baton to a coroutine, in any
+// exists, so the scheduler never switches to a coroutine, in any
 // mode. (As blocking bodies the count was about three per request.)
 func TestApacheRequestPathTakesNoThreadSwitch(t *testing.T) {
 	for _, mode := range []whodunit.Mode{whodunit.ModeWhodunit, whodunit.ModeSampling, whodunit.ModeInstrumented, whodunit.ModeOff} {

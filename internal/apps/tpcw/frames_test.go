@@ -11,7 +11,7 @@ import (
 
 // TestTPCWRequestPathTakesNoThreadSwitch is the mechanical form of "every
 // tier is a frame program": no free-form thread exists, so no time domain
-// ever hands the baton to a coroutine, in any layout. (With tomcat and
+// ever switches to a coroutine, in any layout. (With tomcat and
 // mysqld as blocking bodies the count was about twelve per completed
 // interaction.)
 func TestTPCWRequestPathTakesNoThreadSwitch(t *testing.T) {

@@ -150,8 +150,8 @@ type Service struct {
 	// steady-state request path concatenates no strings. A service sees
 	// a handful of ops, so handle_<op> resolves to its interned frame
 	// through a short slice scanned by name — no hash per hop. The
-	// simulator runs one thread at a time with baton hand-off, so
-	// neither cache needs a lock.
+	// simulator runs one thread at a time, so neither cache needs a
+	// lock.
 	handleFrames []opFrame
 	entryPaths   map[string][]string
 }

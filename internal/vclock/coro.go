@@ -9,14 +9,15 @@ package vclock
 // directly, so a blocking operation costs a method call instead of a
 // coroutine switch, and a blocked thread keeps no stack.
 //
-// Bit-identity with the goroutine engine is by construction: every Coro
-// operation performs the same bookkeeping — the same event pushes, the
-// same waiter-list mutations, the same inline-sleep fast path, in the
-// same order — as its blocking Thread counterpart. Only the control
-// transfer differs, and the event order is a function of the event
-// queue's contents alone, so a program expressed as frames produces the
-// same event order on either engine. The quick-check property tests and
-// the scenario corpus sweep pin this.
+// Each blocking operation is written once, here. The blocking Thread
+// method is a thin driver over it: it takes the same Coro step on the
+// thread's own program with driveBody as the continuation, then parks
+// the body (Thread.park) unless the step completed on the spot, and the
+// post-wake bookkeeping runs in resume for both faces. So a program
+// expressed as frames and the same program as a free-form body perform
+// the same event pushes and waiter-list mutations in the same order, and
+// the event order is a function of the event queue's contents alone.
+// The quick-check property tests and the scenario corpus sweep pin this.
 
 // Step is the opaque receipt a Frame returns. Frames cannot construct a
 // meaningful Step themselves — they obtain one by calling exactly one
@@ -45,15 +46,15 @@ const (
 	blockGetTimeout           // timed get: the wake payload may be the timeout sentinel
 )
 
-// Coro is the execution state of one run-to-completion thread: the
-// pending continuation and the bookkeeping its blocking operations leave
-// for resume. All fields are owned by whoever is dispatching, so no
-// locking is needed — the same one-coroutine-at-a-time discipline as the
-// rest of the simulator.
+// Coro is the execution state of one thread's program — a frame chain,
+// or driveBody over a free-form body: the pending continuation and the
+// bookkeeping its blocking operations leave for resume. All fields are
+// owned by whoever is dispatching, so no locking is needed — the same
+// one-coroutine-at-a-time discipline as the rest of the simulator.
 type Coro struct {
 	t     *Thread
 	next  Frame
-	passv any // value handed to the next frame when not blocking
+	passv any // value handed to the next frame when not blocking, or to a body's park
 
 	blocked blockKind
 	stepped bool // set by the one permitted step per frame
@@ -61,20 +62,14 @@ type Coro struct {
 
 	timedOut bool
 
-	// Post-wake bookkeeping for a contended Lock (mirrors the tail of
-	// Thread.Lock, which runs after park returns).
+	// A contended Lock's queued request, for the wait accounting that
+	// resume runs once the grant's wake arrives (Lock.granted).
 	lock         *Lock
 	lockMode     LockMode
 	lockSince    Time
 	lockBlockers []*Thread
 
 	cleanups []func() // Defer stack, run on finish, kill and shutdown
-}
-
-func newCoro(t *Thread, f Frame) *Coro {
-	c := &Coro{t: t, next: f}
-	t.coro = c
-	return c
 }
 
 // Thread returns the simulated thread this coroutine runs as.
@@ -90,6 +85,14 @@ func (c *Coro) op() Step {
 	}
 	c.stepped = true
 	return Step{}
+}
+
+// block is the step of an operation that parked the thread: k continues
+// once a wake arrives, after resume has run the post-wake bookkeeping
+// that kind names.
+func (c *Coro) block(kind blockKind, k Frame) Step {
+	c.next, c.blocked = k, kind
+	return c.op()
 }
 
 // Goto continues immediately with f (which receives nil): a tail
@@ -132,8 +135,7 @@ func (c *Coro) runCleanups() {
 
 // Get is Queue.Get for coroutines: if an item is buffered, k continues
 // immediately with it; otherwise the thread joins the waiter list and k
-// runs when a Put hands an item over. Bookkeeping is identical to the
-// blocking Get — same TryGet, same waitGen bump, same waiter append.
+// runs when a Put hands the item over in the wake's payload.
 func (c *Coro) Get(q *Queue, k Frame) Step {
 	t := c.t
 	if v, ok := t.TryGet(q); ok {
@@ -142,15 +144,12 @@ func (c *Coro) Get(q *Queue, k Frame) Step {
 	}
 	t.waitGen++
 	q.enqueueWaiter(t)
-	c.next = k
-	c.blocked = blockWake
-	return c.op()
+	return c.block(blockWake, k)
 }
 
-// GetTimeout is Thread.GetTimeout for coroutines: k continues with the
+// GetTimeout is Get bounded to d of virtual time: k continues with the
 // item, or with nil once d elapses first — distinguish with TimedOut,
-// which is valid inside k. A non-positive d degrades to TryGet, exactly
-// like the blocking API.
+// which is valid inside k. A non-positive d degrades to TryGet.
 func (c *Coro) GetTimeout(q *Queue, d Duration, k Frame) Step {
 	t := c.t
 	c.timedOut = false
@@ -160,13 +159,25 @@ func (c *Coro) GetTimeout(q *Queue, d Duration, k Frame) Step {
 	}
 	if d <= 0 {
 		c.timedOut = true
-		c.next, c.passv = k, nil
-		return c.op()
+		return c.Goto(k)
 	}
-	q.awaitTimeout(t, d)
-	c.next = k
-	c.blocked = blockGetTimeout
-	return c.op()
+	// The thread waits on q as for Get; the wait ends, d from now, with a
+	// timeoutWake payload unless a Put hands it an item first. The
+	// generation stamp ties the timer to THIS wait: if a Put wins and the
+	// thread is already waiting again (on any queue) when the timer fires,
+	// the stamp has moved on and the timer does nothing. Together with
+	// removeWaiter this preserves the single-wake invariant — a parked
+	// thread is woken by exactly one of {hand-off, timeout}.
+	s := t.sim
+	t.waitGen++
+	gen := t.waitGen
+	q.enqueueWaiter(t)
+	s.At(s.now.Add(d), func() {
+		if t.waitGen == gen && !t.dead && q.removeWaiter(t) {
+			s.wakeAt(s.now, t, timeoutWake{})
+		}
+	})
+	return c.block(blockGetTimeout, k)
 }
 
 // TimedOut reports whether the GetTimeout that last resumed this
@@ -174,46 +185,58 @@ func (c *Coro) GetTimeout(q *Queue, d Duration, k Frame) Step {
 // continuation frame passed to GetTimeout, until the next GetTimeout.
 func (c *Coro) TimedOut() bool { return c.timedOut }
 
-// SleepUntil parks the coroutine until virtual time `at`, then runs k —
-// without touching the event queue when Sim.sleepInline can advance the
-// clock in place, as for Thread.SleepUntil.
+// SleepUntil parks the coroutine until virtual time `at`, then runs k.
+//
+// When the wake-up would be the strictly earliest pending event, parking
+// is a formality: the dispatch loop would check the stop predicate once,
+// pop the wake and continue this same thread with the clock advanced.
+// The fast path performs exactly that transition in place — same checks
+// in the loop's order (crash, earliest, stop), same clock, and no other
+// event can run in between because none is scheduled before the wake
+// (ties lose to already-pushed events, which leave their bucket first,
+// so equality takes the slow path, as does a target in the past, which
+// the slow path clamps). This removes a dispatch round and a queue
+// push/pop from every uncontended Compute/Sleep without changing the
+// event order observed by any thread. The earliest pending time is a
+// field read, so the predicate costs no call.
 func (c *Coro) SleepUntil(at Time, k Frame) Step {
-	c.next = k
-	if s := c.t.sim; !s.wakeIsNext(at) || !s.sleepInline(at) {
-		s.sleepScheduled(c.t, at)
-		c.blocked = blockWake
+	s := c.t.sim
+	if s.crash == nil && s.now <= at && at < s.q.next && (s.stop == nil || !s.stop()) {
+		s.now = at
+		s.count.SleepsInline++
+		return c.Goto(k)
 	}
-	return c.op()
+	s.count.SleepsScheduled++
+	s.schedule(max(at, s.now), c.t)
+	return c.block(blockWake, k)
 }
 
 // Sleep parks the coroutine for d of virtual time, then runs k.
 func (c *Coro) Sleep(d Duration, k Frame) Step { return c.SleepUntil(c.t.sim.now.Add(d), k) }
 
 // Yield lets every other runnable thread scheduled at the current
-// instant run before k continues — Thread.Yield for coroutines.
+// instant run before k continues.
 func (c *Coro) Yield(k Frame) Step { return c.SleepUntil(c.t.sim.now, k) }
 
-// Compute consumes d of CPU time on cpu, then runs k — Thread.Compute
-// for coroutines, with the identical reserve-then-sleep shape.
+// Compute consumes d of CPU time on cpu, then runs k: it books a core
+// (CPU.reserve) and sleeps until the computation ends. Zero and negative
+// durations continue at once.
 func (c *Coro) Compute(cpu *CPU, d Duration, k Frame) Step {
 	if d <= 0 {
-		c.next = k
-		return c.op()
+		return c.Goto(k)
 	}
 	return c.SleepUntil(cpu.reserve(d), k)
 }
 
-// Lock acquires l in the given mode, then runs k — Thread.Lock for
-// coroutines, through the same Lock.request; a queued request's
-// Lock.granted runs in resume just before k, where the blocking Lock
-// runs it after park.
+// Lock acquires l in the given mode, then runs k. A request that
+// Lock.request queues runs Lock.granted in resume, just before k.
 func (c *Coro) Lock(l *Lock, mode LockMode, k Frame) Step {
-	c.next = k
-	if w, queued := l.request(c.t, mode); queued {
-		c.lock, c.lockMode, c.lockSince, c.lockBlockers = l, mode, w.since, w.blockers
-		c.blocked = blockLock
+	w, queued := l.request(c.t, mode)
+	if !queued {
+		return c.Goto(k)
 	}
-	return c.op()
+	c.lock, c.lockMode, c.lockSince, c.lockBlockers = l, mode, w.since, w.blockers
+	return c.block(blockLock, k)
 }
 
 // Unlock releases the coroutine's hold on l (never blocks; not a step).
@@ -257,16 +280,19 @@ func (c *Coro) resume(v any) (done bool) {
 	}
 }
 
-// driveGoroutine adapts a coroutine program to the goroutine engine: a
-// free-form thread alternates resume with the ordinary park, so the
-// program performs exactly the scheduling operations the
-// run-to-completion engine would — the engines are interchangeable per
-// thread. Kill and Shutdown unwind through park's poison panic; the
+// driveGoroutine adapts a coroutine program to the goroutine engine: the
+// program's Coro (not t.coro, which is the body's driver) is resumed
+// inside a free-form body, which parks through its driver each time the
+// program blocks, so the program performs exactly the scheduling
+// operations the run-to-completion engine would — the engines are
+// interchangeable per thread. The driver's plain wake hands the payload
+// through untouched; the program's own resume runs the post-wake
+// bookkeeping. Kill and Shutdown unwind through park's poison panic; the
 // deferred cleanup run mirrors stepCoro's.
 func (c *Coro) driveGoroutine(t *Thread) {
 	defer c.runCleanups()
 	var v any
 	for !c.resume(v) {
-		v = t.park()
+		v = t.park(t.coro.block(blockWake, driveBody))
 	}
 }

@@ -96,9 +96,6 @@ func (c *CPU) Stolen() Duration { return c.stolen }
 // core has executed its request. Zero and negative durations return
 // immediately.
 func (t *Thread) Compute(c *CPU, d Duration) {
-	if d <= 0 {
-		return
-	}
-	end := c.reserve(d)
-	t.SleepUntil(end)
+	t.mustRun()
+	t.park(t.coro.Compute(c, d, driveBody))
 }

@@ -1,7 +1,9 @@
 package vclock
 
-// The crash and unwind paths through dispatchFrom's one deferred
-// function (frameCrashed), which replaced a recover per frame step.
+// The crash and unwind paths through dispatch's one deferred function
+// (frameCrashed), which replaced a recover per frame step. The loop runs
+// on the RunUntil caller's stack only: a blocked free-form body never
+// dispatches, so a frame's crash or a kill never unwinds through one.
 
 import (
 	"strings"
@@ -59,11 +61,11 @@ func checkFrameCrash(t *testing.T, s *Sim, bomb *Thread, order []string, after b
 }
 
 // TestFrameCrashUnderDispatchRecover: a frame that panics mid-run is the
-// run's crash, whoever was dispatching — the RunUntil loop, or a
-// free-form thread parked in its own dispatchFrom. The crash names the
-// thread and the instant and shows the panic site, the Defer stack ran
-// before the record, the thread is exited, nothing later is dispatched,
-// and no thread is left marked as stepping.
+// run's crash, dispatched from the RunUntil loop also while a free-form
+// body is blocked. The crash names the thread and the instant and shows
+// the panic site, the Defer stack ran before the record, the thread is
+// exited, nothing later is dispatched, no thread is left marked as
+// stepping, and a blocked body stays blocked until Shutdown unwinds it.
 //
 // Mutant this test fails (applied by hand, see CHANGES.md): frameCrashed
 // not clearing s.stepping.
@@ -83,12 +85,12 @@ func TestFrameCrashUnderDispatchRecover(t *testing.T) {
 			t.Fatalf("live = %d after Shutdown, want 0", s.Live())
 		}
 	})
-	t.Run("parked thread dispatching", func(t *testing.T) {
+	t.Run("body blocked", func(t *testing.T) {
 		s := New()
 		var order []string
 		var after, resumed, unwound bool
-		// The host starts first and blocks for 5 ms: it runs the dispatch
-		// loop on its own stack, so bomb's frames are stepped from there.
+		// The host starts first and blocks for 5 ms; bomb's frames are
+		// stepped by the RunUntil loop all the same.
 		s.Go("host", func(th *Thread) {
 			defer func() { unwound = true }()
 			th.Sleep(5 * Millisecond)
@@ -97,11 +99,11 @@ func TestFrameCrashUnderDispatchRecover(t *testing.T) {
 		bomb := crashingFrames(s, &order, &after)
 		s.Run()
 		cr := checkFrameCrash(t, s, bomb, order, after)
-		if !strings.Contains(string(cr.Stack), "vclock.(*Thread).park") {
-			t.Errorf("the host, parked, was to dispatch this crash:\n%s", cr.Stack)
+		if stack := string(cr.Stack); strings.Contains(stack, "vclock.(*Thread).park") || !strings.Contains(stack, "vclock.(*Sim).RunUntil") {
+			t.Errorf("the RunUntil loop, not the parked host, was to dispatch this crash:\n%s", stack)
 		}
 		if resumed || unwound {
-			t.Errorf("the dispatching thread did not stay blocked: resumed %v, unwound %v", resumed, unwound)
+			t.Errorf("the blocked host did not stay blocked: resumed %v, unwound %v", resumed, unwound)
 		}
 		s.Shutdown()
 		if !unwound || s.Live() != 0 {
@@ -138,12 +140,11 @@ func TestCallbackCrashStillThroughRunCallback(t *testing.T) {
 	s.Shutdown()
 }
 
-// TestKillOfDispatcherUnwindsPastFrames: the poison of a kill that
-// reaches the thread running the dispatch loop passes frameCrashed
-// untouched, also when that loop has been stepping frames: the victim's
-// deferred functions run, it never resumes, nothing is recorded as a
-// crash, and the frames go on being stepped by the next dispatcher.
-func TestKillOfDispatcherUnwindsPastFrames(t *testing.T) {
+// TestKillOfSleepingBodyBesideFrames: a free-form body killed in its
+// sleep while frames tick unwinds through its Defer stack, past
+// frameCrashed untouched: its deferred functions run, it never resumes,
+// nothing is recorded as a crash, and the frames go on being stepped.
+func TestKillOfSleepingBodyBesideFrames(t *testing.T) {
 	s := New()
 	ticks := 0
 	var tick Frame

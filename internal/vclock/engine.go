@@ -1,10 +1,10 @@
 package vclock
 
 // EngineKind selects how coroutine threads (Sim.GoCoro) execute their
-// resumable programs. Free-form bodies (Sim.Go) always run as runtime
-// coroutines with a stack of their own — only structured, Frame-based
-// programs have a choice of engine, because only they can be suspended
-// and continued without a stack to switch to.
+// resumable programs. The dispatcher steps every thread's program inline;
+// a free-form body (Sim.Go) is always the one frame driveBody over a
+// runtime coroutine with a stack of its own, so only structured,
+// Frame-based programs have a choice of engine.
 type EngineKind uint8
 
 const (
@@ -13,14 +13,14 @@ const (
 	// thread's continuation directly — no coroutine switch and no stack
 	// per thread. This is the default engine, with or without -race.
 	EngineCoro EngineKind = iota
-	// EngineGoroutine drives each coroutine program from a free-form
-	// thread (the name predates runtime coroutines: such a thread is an
-	// iter.Pull coroutine, not a scheduled goroutine) through the same
-	// park protocol as Sim.Go bodies. The event order is identical by
-	// construction — the frames perform exactly the same scheduling
-	// operations, only the control transfer differs — so this engine
-	// exists for bit-identity cross-checks against EngineCoro and to
-	// measure what a thread switch costs free-form bodies.
+	// EngineGoroutine runs each coroutine program inside a free-form
+	// body (the name predates runtime coroutines: such a thread is an
+	// iter.Pull coroutine, not a scheduled goroutine), which parks
+	// through the thread's driveBody each time the program blocks. The
+	// event order is identical by construction — the frames take exactly
+	// the same Coro steps, only the control transfer differs — so this
+	// engine exists for bit-identity cross-checks against EngineCoro and
+	// to measure what a thread switch costs free-form bodies.
 	EngineGoroutine
 )
 

@@ -138,8 +138,8 @@ func TestSelfKillFromCallback(t *testing.T) {
 	var after bool
 	var victim *Thread
 	victim = s.Go("self", func(th *Thread) {
-		// The kill callback runs while this thread dispatches inside its
-		// own park (Sleep), so the kill event targets the dispatcher.
+		// The kill callback runs while this thread is blocked in its
+		// Sleep, whose wake is still pending when the kill dispatches.
 		th.Sleep(10 * Millisecond)
 		after = true
 	})

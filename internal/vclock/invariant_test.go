@@ -47,8 +47,8 @@ func TestKillMatrix(t *testing.T) {
 		{name: "callback", arm: func(e *env, victim *Thread, _ *Queue) {
 			e.s.At(killAt, func() { e.s.Kill(victim) })
 		}},
-		// The killer's own Sleep dispatches the kill event, so the victim
-		// unwinds nested inside the killer's coroutine.
+		// The killer is blocked in its Sleep when the kill event
+		// dispatches, so two free-form bodies are parked at once.
 		{name: "thread", arm: func(e *env, victim *Thread, never *Queue) {
 			e.s.GoAt(killAt, "killer", func(k *Thread) {
 				e.s.Kill(victim)
@@ -137,10 +137,9 @@ func TestKillMatrix(t *testing.T) {
 }
 
 // TestKillSkipsSameInstantWake — invariant K4 at a tie: a victim killed
-// at the very instant its sleep ends does not run on, whether its stale
-// wake is popped by another thread or by the victim's own dispatch loop
-// (alone on the Sim, it runs the kill callback inline from its park and
-// finds its own wake next).
+// at the very instant its sleep ends does not run on, whether or not
+// another thread is scheduled around it (alone on the Sim, the kill
+// callback and the victim's own stale wake are the next two events).
 func TestKillSkipsSameInstantWake(t *testing.T) {
 	for _, neighbour := range []bool{false, true} {
 		t.Run(fmt.Sprint("neighbour=", neighbour), func(t *testing.T) {
@@ -280,8 +279,9 @@ func TestCrashInvariants(t *testing.T) {
 // TestBlockingCallOutsideOwnBody — invariant B: a blocking Thread method
 // may only be called by that thread's own running body. From a scheduler
 // callback, a stop predicate or another thread's body it panics with a
-// message that names the thread; it never switches coroutines from the
-// wrong stack and never hangs.
+// message that names the thread — also when the call would complete on
+// the spot (an item buffered, a free lock); it never switches coroutines
+// from the wrong stack and never hangs.
 func TestBlockingCallOutsideOwnBody(t *testing.T) {
 	const want = "vclock: blocking call on thread sleeper from outside its running body"
 	setup := func() (*Sim, *Thread) {
@@ -303,24 +303,47 @@ func TestBlockingCallOutsideOwnBody(t *testing.T) {
 		s.Run()
 		check(t, s, "(scheduler)")
 	})
+	t.Run("callback Get of a buffered item", func(t *testing.T) {
+		s, sleeper := setup()
+		full := s.NewQueue("full")
+		full.Put("item")
+		s.At(Time(Millisecond), func() { sleeper.Get(full) })
+		s.Run()
+		check(t, s, "(scheduler)")
+	})
+	t.Run("callback Lock of a free lock", func(t *testing.T) {
+		s, sleeper := setup()
+		free := s.NewLock("free")
+		s.At(Time(Millisecond), func() { sleeper.Lock(free, Exclusive) })
+		s.Run()
+		check(t, s, "(scheduler)")
+	})
 	t.Run("other thread", func(t *testing.T) {
 		s, sleeper := setup()
 		s.GoAt(Time(Millisecond), "meddler", func(*Thread) { sleeper.Get(s.NewQueue("empty")) })
 		s.Run()
 		check(t, s, "meddler")
 	})
-	// The sleeper, blocked, is the one dispatching when the predicate
-	// misbehaves, so the panic unwinds it and is recorded against it.
+	// The RunUntil loop evaluates the predicate, never a blocked thread,
+	// so the panic leaves RunUntil, as it does before Run.
 	t.Run("stop predicate", func(t *testing.T) {
 		s, sleeper := setup()
 		s.Every(Millisecond, func() {})
+		defer func() {
+			if r := recover(); !strings.HasPrefix(fmt.Sprint(r), want) {
+				t.Fatalf("panicked with %v, want %q", r, want)
+			}
+			if s.Crashed() != nil {
+				t.Errorf("the predicate's panic was also recorded as a crash: %+v", s.Crashed())
+			}
+			s.Shutdown()
+		}()
 		s.RunUntil(func() bool {
 			if s.Now() > 0 {
 				sleeper.Sleep(Millisecond)
 			}
 			return false
 		})
-		check(t, s, "sleeper")
 	})
 	t.Run("before Run", func(t *testing.T) {
 		_, sleeper := setup()

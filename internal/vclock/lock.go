@@ -116,12 +116,11 @@ func (l *Lock) grantable(mode LockMode) bool {
 	return true
 }
 
-// request is the bookkeeping of one acquisition attempt by t, shared by
-// Thread.Lock and Coro.Lock: the lock is either granted on the spot
-// (queued false) or t's request joins the waiter list, and the caller
-// must block t and call granted with the returned record once the
-// releaser's wake arrives. Recursive acquisition is not supported and
-// panics, as it would self-deadlock.
+// request is the bookkeeping of one acquisition attempt by t (Coro.Lock):
+// the lock is either granted on the spot (queued false) or t's request
+// joins the waiter list, and the caller must block t and call granted
+// with the returned record once the releaser's wake arrives. Recursive
+// acquisition is not supported and panics, as it would self-deadlock.
 func (l *Lock) request(t *Thread, mode LockMode) (w lockWaiter, queued bool) {
 	if l.HeldBy(t) {
 		panic("vclock: recursive lock acquisition by " + t.Name + " on " + l.Name)
@@ -145,8 +144,8 @@ func (l *Lock) request(t *Thread, mode LockMode) (w lockWaiter, queued bool) {
 	return w, true
 }
 
-// granted accounts a queued request's wait once its thread runs again:
-// the releaser has already installed it as a holder.
+// granted accounts a queued request's wait once its thread runs again
+// (Coro.resume): the releaser has already installed it as a holder.
 func (l *Lock) granted(t *Thread, mode LockMode, since Time, blockers []*Thread) {
 	wait := l.sim.now.Sub(since)
 	l.waitTotal += wait
@@ -158,10 +157,8 @@ func (l *Lock) granted(t *Thread, mode LockMode, since Time, blockers []*Thread)
 // Lock acquires l in the given mode, blocking the calling thread until the
 // acquisition is granted.
 func (t *Thread) Lock(l *Lock, mode LockMode) {
-	if w, queued := l.request(t, mode); queued {
-		t.park()
-		l.granted(t, mode, w.since, w.blockers)
-	}
+	t.mustRun()
+	t.park(t.coro.Lock(l, mode, driveBody))
 }
 
 // Unlock releases the calling thread's hold on l and grants the lock to

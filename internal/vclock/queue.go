@@ -80,12 +80,8 @@ func (q *Queue) Put(v any) {
 // Put hand-off (a parked thread waits for exactly one reason), so the
 // payload — even a legitimate nil — is the delivered item.
 func (t *Thread) Get(q *Queue) any {
-	if v, ok := t.TryGet(q); ok {
-		return v
-	}
-	t.waitGen++
-	q.enqueueWaiter(t)
-	return t.park()
+	t.mustRun()
+	return t.park(t.coro.Get(q, driveBody))
 }
 
 // timeoutWake is the payload a GetTimeout timer delivers; unexported, so
@@ -99,38 +95,9 @@ type timeoutWake struct{}
 // degrades to TryGet. This is the client-side timeout primitive under
 // retry-with-backoff request handling.
 func (t *Thread) GetTimeout(q *Queue, d Duration) (any, bool) {
-	if v, ok := t.TryGet(q); ok {
-		return v, true
-	}
-	if d <= 0 {
-		return nil, false
-	}
-	q.awaitTimeout(t, d)
-	v := t.park()
-	if _, timedOut := v.(timeoutWake); timedOut {
-		return nil, false
-	}
-	return v, true
-}
-
-// awaitTimeout queues t as a waiter whose wait ends, d from now, with a
-// timeoutWake payload unless a Put hands it an item first — the wait
-// shared by Thread.GetTimeout and Coro.GetTimeout.
-func (q *Queue) awaitTimeout(t *Thread, d Duration) {
-	s := t.sim
-	// The generation stamp ties the timer to THIS wait: if a Put wins and
-	// the thread is already waiting again (on any queue) when the timer
-	// fires, the stamp has moved on and the timer does nothing. Together
-	// with removeWaiter this preserves the single-wake invariant — a
-	// parked thread is woken by exactly one of {hand-off, timeout}.
-	t.waitGen++
-	gen := t.waitGen
-	q.enqueueWaiter(t)
-	s.At(s.now.Add(d), func() {
-		if t.waitGen == gen && !t.dead && q.removeWaiter(t) {
-			s.wakeAt(s.now, t, timeoutWake{})
-		}
-	})
+	t.mustRun()
+	v := t.park(t.coro.GetTimeout(q, d, driveBody))
+	return v, !t.coro.timedOut
 }
 
 // enqueueWaiter appends t to the waiter list, compacting consumed slots

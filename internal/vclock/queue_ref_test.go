@@ -109,7 +109,7 @@ func (p *queuePair) push(at Time) {
 }
 
 // pop checks the O(1) earliest-time read and then the popped event
-// against the heap's, and advances the clock the way dispatchFrom does.
+// against the heap's, and advances the clock the way dispatch does.
 func (p *queuePair) pop() {
 	want := p.ref.events[0].when
 	if got := p.s.q.next; got != want {
@@ -173,7 +173,7 @@ func TestQuickEventQueueMatchesHeap(t *testing.T) {
 				case k < 90:
 					p.push(s.now.Add(10*Second + rng.Exp(Second)))
 				case k < 97:
-					// The sleepInline transition: the clock moves to a point
+					// The inline-sleep transition (Coro.SleepUntil): the clock moves to a point
 					// strictly before the earliest pending event without a
 					// pop, so later pushes at "now" are not at last.
 					if s.q.n > 0 {

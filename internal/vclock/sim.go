@@ -17,17 +17,16 @@ import (
 // interaction must happen either from the goroutine that calls Run or from
 // inside simulated threads.
 //
-// Every free-form thread (Sim.Go) is a runtime coroutine (iter.Pull), so
-// exactly one of {the RunUntil caller, one simulated thread} executes at
-// a time and control moves by coroutine switch, never through the Go
-// scheduler. A thread that blocks runs the dispatch loop itself, on its
-// own stack: callbacks, queue deliveries, run-to-completion frames and
-// its own wake-up cost no switch at all. Only when the loop reaches
-// another free-form thread's wake does the blocker yield to the RunUntil
-// loop, which switches to that thread: two coroutine switches per thread
-// switch, none per event. Event order is a function of the event queue
-// alone: whoever dispatches runs the same pop-earliest loop over the same
-// queue.
+// Every simulated thread is a program the dispatch loop steps inline, on
+// the RunUntil caller's stack: a chain of frames (GoCoro), or, for a
+// free-form body (Sim.Go), the one frame driveBody, which resumes the
+// body's runtime coroutine (iter.Pull) with the wake's payload and
+// returns once the body blocks or returns. So exactly one of {the
+// RunUntil caller, one simulated thread} executes at a time, and control
+// moves by coroutine switch, never through the Go scheduler: two
+// switches per block of a free-form body, none for a frame program, a
+// callback or a queue delivery. Event order is a function of the event
+// queue alone.
 type Sim struct {
 	now     Time
 	seq     uint64   // events scheduled so far (Counters.Scheduled)
@@ -40,9 +39,8 @@ type Sim struct {
 	stop    func() bool // RunUntil's stop predicate, nil when absent
 	engine  EngineKind  // how GoCoro threads execute (snapshot of DefaultEngine)
 
-	cur      *Thread // free-form thread whose body is executing (set by run and park); nil in dispatcher context
-	handoff  *Thread // thread whose wake the dispatcher reached; RunUntil switches to it
-	stepping *Thread // run-to-completion thread whose frames are executing (set by stepCoro); nil otherwise
+	cur      *Thread // free-form thread whose body is executing (set by driveBody); nil in dispatcher context
+	stepping *Thread // thread whose program is executing (set by stepCoro); nil otherwise
 
 	crash *Crash // first captured panic; halts dispatch
 
@@ -52,9 +50,9 @@ type Sim struct {
 	q eventQueue // last: its 2 KB of bucket headers stay off the cache lines above
 }
 
-// poison is the panic that unwinds a thread stopped by Kill or Shutdown:
-// it is recovered in the thread's coroutine function, so the thread's
-// deferred functions run.
+// poison is the panic that unwinds a free-form body stopped by Kill or
+// Shutdown: it is recovered in the thread's coroutine function, so the
+// body's deferred functions run.
 type poison struct{}
 
 // Crash records the first panic that escaped a simulated thread's body
@@ -297,15 +295,14 @@ type Thread struct {
 	Name string
 
 	sim     *Sim
-	body    func(*Thread)
-	coro    *Coro // the thread's resumable program (GoCoro threads, both engines)
-	rtc     bool  // run-to-completion: stepped inline by the dispatcher, no coroutine
+	body    func(*Thread) // free-form body; nil for a frame program
+	coro    *Coro         // the program the dispatcher steps: GoCoro's frames, or driveBody
 	started bool
 	exited  bool
 	dead    bool   // marked by Kill; pending events for it are skipped
 	waitGen uint64 // bumped per queue wait; guards stale timeout wakes
 
-	co *pull // the thread's coroutine, made at its start event; nil for rtc threads
+	co *pull // a free-form body's coroutine, made by driveBody at the start event
 
 	// Data is an arbitrary per-thread payload. The profiler attaches its
 	// per-thread probe here so that libraries handed only a *Thread can
@@ -313,15 +310,13 @@ type Thread struct {
 	Data any
 }
 
-// pull is a free-form thread's coroutine (iter.Pull) and the slot its
-// wakes are delivered through. It is its own allocation so that
-// run-to-completion threads, which exist by the hundred thousand, do not
-// carry the fields.
+// pull is a free-form thread's coroutine (iter.Pull). It is its own
+// allocation so that run-to-completion threads, which exist by the
+// hundred thousand, do not carry the fields. Its stop is the thread's
+// first Defer.
 type pull struct {
-	next  func() (struct{}, bool) // RunUntil: run the body until it blocks or finishes
-	stop  func()                  // Kill, Shutdown: unwind the blocked body
+	next  func() (struct{}, bool) // driveBody: run the body until it blocks or finishes
 	yield func(struct{}) bool     // park: block; false means unwind
-	wake  any                     // payload of the wake that ends the current park
 }
 
 // Sim returns the simulation the thread belongs to.
@@ -339,12 +334,14 @@ func (s *Sim) Go(name string, body func(*Thread)) *Thread {
 
 // GoAt is like Go but delays the thread's start until virtual time `at`.
 func (s *Sim) GoAt(at Time, name string, body func(*Thread)) *Thread {
-	return s.spawn(at, &Thread{Name: name, body: body})
+	return s.spawn(at, &Thread{Name: name, body: body}, driveBody)
 }
 
-// spawn registers t and schedules its start event.
-func (s *Sim) spawn(at Time, t *Thread) *Thread {
+// spawn registers t with the program starting at frame f and schedules
+// its start event.
+func (s *Sim) spawn(at Time, t *Thread, f Frame) *Thread {
 	t.ID, t.sim = s.nextID, s
+	t.coro = &Coro{t: t, next: f}
 	s.nextID++
 	s.live++
 	s.threads[t.ID] = t
@@ -369,7 +366,7 @@ func (s *Sim) exit(t *Thread) {
 // has no stack of its own: the dispatcher invokes its continuations
 // inline, so every blocking operation costs a method call instead of a
 // coroutine switch. Under EngineGoroutine the identical program is
-// driven from a free-form thread through the ordinary park protocol —
+// driven from inside a free-form body, which parks between its steps —
 // the event order is the same either way.
 func (s *Sim) GoCoro(name string, f Frame) *Thread {
 	return s.GoCoroAt(s.now, name, f)
@@ -380,19 +377,15 @@ func (s *Sim) GoCoro(name string, f Frame) *Thread {
 func (s *Sim) GoCoroAt(at Time, name string, f Frame) *Thread {
 	if s.engine == EngineGoroutine {
 		t := s.GoAt(at, name, nil)
-		c := newCoro(t, f)
-		t.body = c.driveGoroutine
+		t.body = (&Coro{t: t, next: f}).driveGoroutine
 		return t
 	}
-	t := &Thread{Name: name, rtc: true}
-	newCoro(t, f)
-	return s.spawn(at, t)
+	return s.spawn(at, &Thread{Name: name}, f)
 }
 
-// stepCoro continues a run-to-completion thread with a wake payload and,
-// when the program finishes, runs its deferred cleanups and does the exit
-// bookkeeping, as for a free-form thread whose body returns. The caller
-// is dispatchFrom, which keeps the baton throughout and whose deferred
+// stepCoro continues a thread's program with a wake payload (nil at its
+// start) and, when the program finishes, runs its deferred cleanups and
+// does the exit bookkeeping. The caller is dispatch, whose deferred
 // frameCrashed handles a frame that panics: s.stepping names the thread
 // for it, so the step itself sets up no recover.
 func (s *Sim) stepCoro(t *Thread, v any) {
@@ -405,16 +398,16 @@ func (s *Sim) stepCoro(t *Thread, v any) {
 	}
 }
 
-// frameCrashed is dispatchFrom's deferred function. It acts only on a
-// panic out of a run-to-completion frame (s.stepping is set): the same
-// sequence a crashing free-form thread goes through — deferred cleanups
-// first (they are deeper in the conceptual stack), then the crash
-// record, taken here while the panicking frames are still on the stack,
-// then the exit bookkeeping — and dispatchFrom returns batonDone, which
-// is where the loop's crash check would have taken it. Any other panic
-// crossing dispatchFrom — the poison of a dispatching thread's own kill
-// — is not looked at and keeps unwinding.
-func (s *Sim) frameCrashed(b *baton) {
+// frameCrashed is dispatch's deferred function. It acts only on a panic
+// out of a frame (s.stepping is set): the same sequence a crashing
+// free-form body goes through — deferred cleanups first (they are deeper
+// in the conceptual stack), then the crash record, taken here while the
+// panicking frames are still on the stack, then the exit bookkeeping —
+// and dispatch returns, where the loop's crash check would have taken
+// it. A free-form body's own panic never gets here: its coroutine
+// function recovers it. Any other panic crossing dispatch (a stop
+// predicate's) is not looked at and leaves RunUntil.
+func (s *Sim) frameCrashed() {
 	t := s.stepping
 	if t == nil {
 		return
@@ -424,15 +417,15 @@ func (s *Sim) frameCrashed(b *baton) {
 	t.coro.runCleanups()
 	s.recordCrash(t.Name, r)
 	s.exit(t)
-	*b = batonDone
 }
 
 // Kill schedules t's death at the current virtual time: a kill event
 // enters the event queue like any other, so at a fixed seed the thread
 // dies at the same point of the event order every run. When the event
-// dispatches, t is unwound via a recovered panic (its deferred functions
-// run — a killed thread inside Stage.CriticalSection releases its lock),
-// and every event still pending for t is skipped. Kill is the fault
+// dispatches, t's Defer stack runs — for a free-form body, its first
+// entry unwinds the body via a recovered panic, so its deferred functions
+// run and a killed thread inside Stage.CriticalSection releases its lock
+// — and every event still pending for t is skipped. Kill is the fault
 // plane's stage-crash primitive; it may be called from scheduler
 // callbacks and from other simulated threads. Killing an exited or
 // already-killed thread is a no-op. Like Shutdown, Kill requires the
@@ -464,14 +457,10 @@ func (s *Sim) recordCrash(thread string, v any) {
 }
 
 // runCallback runs a scheduler callback, capturing an escaping panic as
-// a crash. poison is re-raised: a callback that kills the dispatching
-// thread itself unwinds through here.
+// a crash.
 func (s *Sim) runCallback(fn func()) {
 	defer func() {
 		if r := recover(); r != nil {
-			if _, ok := r.(poison); ok {
-				panic(r)
-			}
 			s.recordCrash("(scheduler)", r)
 		}
 	}()
@@ -495,48 +484,27 @@ func (s *Sim) deliver(at Time, q *Queue, v any) {
 func (s *Sim) deliverNow(q *Queue, v any) {
 	defer func() {
 		if r := recover(); r != nil {
-			if _, ok := r.(poison); ok {
-				panic(r)
-			}
 			s.recordCrash("(scheduler)", r)
 		}
 	}()
 	q.Put(v)
 }
 
-// baton is dispatchFrom's verdict on where execution continues.
-type baton uint8
-
-const (
-	// batonDone: no dispatchable event remains (or stop fired, or the
-	// run crashed); RunUntil returns.
-	batonDone baton = iota
-	// batonPassed: the dispatcher reached another free-form thread's
-	// wake and left it in s.handoff; RunUntil switches to it.
-	batonPassed
-	// batonSelf: the caller's own wake-up was the next event; it keeps
-	// running, no switch needed.
-	batonSelf
-)
-
-// dispatchFrom runs the dispatch loop on the calling coroutine until the
-// baton moves: the caller is a simulated thread about to block (self
-// non-nil) or the RunUntil loop (self nil). Exactly one coroutine
-// executes at a time, so no locking is needed anywhere in the simulator.
-// A panic out of a frame the loop is stepping ends it through the
-// deferred frameCrashed, the one recover on the frame path.
-func (s *Sim) dispatchFrom(self *Thread) (b baton) {
-	if !s.running {
-		// Outside RunUntil (Shutdown's unwind): never dispatch.
-		return batonDone
-	}
-	defer s.frameCrashed(&b)
+// dispatch runs the event loop on the RunUntil caller's stack until no
+// dispatchable event remains, stop fires or the run crashes. Every
+// thread's start and wake steps its program inline, a free-form body's
+// included (driveBody), so exactly one coroutine executes at a time and
+// no locking is needed anywhere in the simulator. A panic out of a frame
+// the loop is stepping ends it through the deferred frameCrashed, the
+// one recover on the frame path.
+func (s *Sim) dispatch() {
+	defer s.frameCrashed()
 	for s.q.n > 0 {
 		if s.crash != nil {
-			return batonDone
+			return
 		}
 		if s.stop != nil && s.stop() {
-			return batonDone
+			return
 		}
 		e := s.pop()
 		s.now = e.when
@@ -554,27 +522,13 @@ func (s *Sim) dispatchFrom(self *Thread) (b baton) {
 		switch e.v.(type) {
 		case killMark:
 			s.count.Kills++
-			switch {
-			case t.exited:
-			case !t.started:
-				// No coroutine was ever made; just forget the thread (its
-				// start event is skipped by the dead check below).
-				s.exit(t)
-			case t.rtc:
-				// Nothing to unwind but the Defer stack.
-				t.coro.runCleanups()
-				s.exit(t)
-			case t == self:
-				// Self-kill: unwind in place. run recovers the poison and
-				// RunUntil, seeing the coroutine finish, does the exit
-				// bookkeeping and dispatches on.
-				panic(poison{})
-			default:
-				// Every other started thread is blocked in yield. stop
-				// makes that yield report false, the victim unwinds on its
-				// own stack and control comes back here, nested inside
-				// whichever coroutine is dispatching.
-				t.co.stop()
+			if !t.exited {
+				// A thread that never started has nothing to unwind; any
+				// other is blocked, and its Defer stack unwinds it (a
+				// free-form body's first entry stops its coroutine).
+				if t.started {
+					t.coro.runCleanups()
+				}
 				s.exit(t)
 			}
 			continue
@@ -585,52 +539,56 @@ func (s *Sim) dispatchFrom(self *Thread) (b baton) {
 			}
 			s.count.Starts++
 			t.started = true
-			if t.rtc {
-				// Run-to-completion start: invoke the program inline
-				// until it blocks, then keep dispatching.
-				s.stepCoro(t, nil)
-				continue
-			}
-			t.co = new(pull)
-			t.co.next, t.co.stop = iter.Pull(t.run)
-			s.handoff = t
-			return batonPassed
+			s.stepCoro(t, nil)
+			continue
 		}
 		// A wake, with e.v its payload.
-		switch {
-		case t.dead || t.exited:
+		if t.dead || t.exited {
 			// Stale wake for a killed thread (its sleep or queue hand-off
-			// was already scheduled); drop it, whoever is dispatching —
-			// the victim itself included, whose kill event comes next.
+			// was already scheduled); drop it.
 			s.count.Skipped++
-		case t.rtc:
-			// The wake's payload goes straight into the continuation, on
-			// this stack.
-			s.count.Wakes++
-			s.stepCoro(t, e.v)
-		default:
-			s.count.Wakes++
-			t.co.wake = e.v
-			if t == self {
-				return batonSelf
-			}
-			s.handoff = t
-			return batonPassed
+			continue
 		}
+		s.count.Wakes++
+		s.stepCoro(t, e.v)
 	}
-	return batonDone
+}
+
+// driveBody is the program of every free-form thread: one frame that
+// resumes the body's coroutine with the wake's payload and returns once
+// the body blocks or returns; the payload rides in c.passv, which park
+// reads. At the start event it makes the coroutine and registers its
+// stop as the first Defer, so a kill or Shutdown unwinds a blocked body
+// through the same runCleanups a frame program uses. The body blocks by
+// taking a Coro step with driveBody as its continuation (Thread.park),
+// so when the coroutine yields the step has been taken.
+func driveBody(c *Coro, v any) Step {
+	t := c.t
+	s := t.sim
+	if t.co == nil {
+		var stop func()
+		t.co = new(pull)
+		t.co.next, stop = iter.Pull(t.run)
+		c.Defer(stop)
+	}
+	c.passv = v
+	s.count.Switches++
+	s.cur = t
+	_, blocked := t.co.next()
+	s.cur = nil
+	if !blocked {
+		return c.End()
+	}
+	return Step{}
 }
 
 // run is the thread's coroutine function. A poison unwind (Kill,
 // Shutdown) ends here silently; an application panic is recorded as the
 // run's crash and the thread exits cleanly, so dispatch halts at the
-// crash and RunUntil returns with Crashed() set. Exit bookkeeping is the
-// caller's: whoever sees the coroutine finish calls Sim.exit.
+// crash and RunUntil returns with Crashed() set.
 func (t *Thread) run(yield func(struct{}) bool) {
 	t.co.yield = yield
-	t.sim.cur = t
 	defer func() {
-		t.sim.cur = nil
 		if r := recover(); r != nil {
 			if _, ok := r.(poison); !ok {
 				t.sim.recordCrash(t.Name, r)
@@ -643,33 +601,32 @@ func (t *Thread) run(yield func(struct{}) bool) {
 // mustRun panics unless t's own body is what is executing: a blocking
 // call made for t from a scheduler callback, a stop predicate, another
 // thread's body or a deferred function of an unwinding thread would
-// otherwise switch coroutines from the wrong stack.
+// otherwise take t's program's step from the wrong stack. Every blocking
+// Thread method calls it first, before its Coro op touches t.coro, so an
+// op that would complete on the spot fails too.
 func (t *Thread) mustRun() {
 	if t.sim.cur == t {
 		return
 	}
-	if t.rtc {
+	if t.body == nil {
 		panic("vclock: run-to-completion thread " + t.Name + " used the goroutine blocking API (use the Coro methods)")
 	}
 	panic("vclock: blocking call on thread " + t.Name + " from outside its running body (a callback, a stop predicate, another thread, or a deferred function during Kill/Shutdown)")
 }
 
-// park blocks the calling simulated thread until another event wakes it.
-// It returns the value passed by the waker (used by queues to hand items
-// over), or nil for plain wakes. Before blocking, the thread dispatches
-// onward: if the very next event is its own wake-up it returns without
-// blocking at all.
-func (t *Thread) park() any {
-	t.mustRun()
-	s := t.sim
-	s.cur = nil // dispatcher context: callbacks run inline on this stack
-	co := t.co
-	if s.dispatchFrom(t) != batonSelf && !co.yield(struct{}{}) {
+// park finishes a blocking Thread method, whose Coro op on t.coro (with
+// driveBody as its continuation) is the Step argument. When the op
+// completed on the spot it returns the op's value at once; otherwise the
+// body yields to driveBody and park returns the payload of the wake that
+// resumes it, after Coro.resume has run the op's post-wake bookkeeping.
+// Either way the value is in c.passv.
+func (t *Thread) park(Step) any {
+	c := t.coro
+	if c.blocked != blockNone && !t.co.yield(struct{}{}) {
 		panic(poison{})
 	}
-	s.cur = t
-	v := co.wake
-	co.wake = nil
+	v := c.passv
+	c.passv, c.stepped = nil, false
 	return v
 }
 
@@ -680,59 +637,10 @@ func (s *Sim) wakeAt(at Time, t *Thread, v any) {
 	s.push(event{when: at, t: t, v: v})
 }
 
-// A sleep is shared by Thread.SleepUntil and Coro.SleepUntil as two
-// halves. When the sleeper's wake-up would be the strictly earliest
-// pending event, parking is a formality: the scheduler would check the
-// stop predicate once, pop the wake and continue this same thread with
-// the clock advanced. sleepInline performs exactly that transition in
-// place — same stop-predicate evaluation, same clock, no other event can
-// run in between because none is scheduled before the wake (ties lose to
-// already-pushed events, which leave their bucket first, so equality
-// takes the slow path). This removes a dispatch round and a queue
-// push/pop from every uncontended Compute/Sleep, without changing the
-// event order observed by any thread. Otherwise sleepScheduled pushes
-// the wake and the caller must block the thread.
-//
-// The earliest pending time is a field read, so the predicate half costs
-// no call: wakeIsNext and sleepInline are each within the inliner's
-// budget (one function holding both is not: the indirect stop call alone
-// is 66 of the 80), and the two SleepUntil bodies evaluate them in the
-// order the dispatch loop would — running, crash, earliest, stop.
-
-// wakeIsNext reports whether a wake at `at` would be the strictly
-// earliest pending event of a run that is still dispatching. A target
-// in the past is left to sleepScheduled, which clamps it (and so is a
-// sleep to the end of time itself, which nothing is strictly after).
-func (s *Sim) wakeIsNext(at Time) bool {
-	return s.running && s.crash == nil && s.now <= at && at < s.q.next
-}
-
-// sleepInline advances the clock to `at` unless the stop predicate
-// fires; it reports whether the sleep is over.
-func (s *Sim) sleepInline(at Time) bool {
-	if s.stop != nil && s.stop() {
-		return false
-	}
-	s.now = at
-	s.count.SleepsInline++
-	return true
-}
-
-// sleepScheduled pushes t's wake at `at`, or now if that is later.
-func (s *Sim) sleepScheduled(t *Thread, at Time) {
-	s.count.SleepsScheduled++
-	s.schedule(max(at, s.now), t)
-}
-
 // SleepUntil parks the calling thread until virtual time `at`.
 func (t *Thread) SleepUntil(at Time) {
-	// Fail even on the would-be fast path: an API misuse that only
-	// panics under contention would be maddening to reproduce.
 	t.mustRun()
-	if s := t.sim; !s.wakeIsNext(at) || !s.sleepInline(at) {
-		s.sleepScheduled(t, at)
-		t.park()
-	}
+	t.park(t.coro.SleepUntil(at, driveBody))
 }
 
 // Sleep parks the calling thread for duration d of virtual time.
@@ -786,26 +694,14 @@ func (s *Sim) RunUntil(stop func() bool) {
 	}
 	s.running, s.stop = true, stop
 	defer func() { s.running, s.stop = false, nil }()
-	for s.dispatchFrom(nil) == batonPassed {
-		// Each thread switched to dispatches onward when it blocks, so
-		// this inner loop is the whole run between two root dispatches.
-		for s.handoff != nil {
-			t := s.handoff
-			s.handoff = nil
-			s.count.Switches++
-			if _, blocked := t.co.next(); !blocked {
-				s.exit(t)
-			}
-		}
-	}
+	s.dispatch()
 }
 
 // Switches reports how many times the run has switched to a free-form
-// thread's coroutine: once per start or resumption of a Go body that the
-// RunUntil loop handed the baton to. Run-to-completion threads, callbacks
-// and a blocker whose own wake is the next event cost none, so a program
-// written entirely as frames reads 0 — the kernel's count of "switches by
-// representation".
+// thread's coroutine: once per start or resumption of a Go body.
+// Run-to-completion threads and callbacks cost none, so a program
+// written entirely as frames reads 0 — the kernel's count of "switches
+// by representation".
 func (s *Sim) Switches() int64 { return int64(s.count.Switches) }
 
 // Counters is the kernel's account of a run: what was scheduled, what
@@ -833,8 +729,8 @@ type Counters struct {
 
 	SleepsInline    uint64 // SleepUntil / Compute served by advancing the clock in place
 	SleepsScheduled uint64 // ... by a wake event
-	FrameSteps      uint64 // Coro.resume calls
-	Switches        uint64 // hand-offs to a free-form thread's coroutine (Sim.Switches)
+	FrameSteps      uint64 // Coro.resume calls: every start and wake, a free-form body's too
+	Switches        uint64 // starts and resumptions of a free-form body's coroutine (Sim.Switches)
 
 	Reserves       uint64 // positive-duration Compute requests booked on a CPU
 	ReservesQueued uint64 // of which found every core busy: the request waited for one
@@ -853,13 +749,12 @@ func (s *Sim) Counters() Counters {
 // common for server threads.
 func (s *Sim) Live() int { return s.live }
 
-// Shutdown unwinds every simulated thread that is still blocked,
-// releasing their coroutines (run-to-completion threads have none; only
-// their cleanups run). It must be called only after Run/RunUntil has
-// returned (i.e. from the host goroutine, with no events pending that
-// the caller still cares about). Free-form threads are unwound via a
-// panic recovered in the thread's coroutine function, so their deferred
-// functions run; coroutine threads run their Defer stacks.
+// Shutdown unwinds every simulated thread that is still blocked by
+// running its Defer stack, as a kill does: a free-form body's first entry
+// stops its coroutine via a panic recovered in the thread's coroutine
+// function, so its deferred functions run. It must be called only after
+// Run/RunUntil has returned (i.e. from the host goroutine, with no events
+// pending that the caller still cares about).
 //
 // Threads unwind in ID (creation) order — not map order — so any side
 // effects of their teardown (released locks, final counter updates) are
@@ -877,13 +772,8 @@ func (s *Sim) Shutdown() {
 	slices.Sort(ids)
 	for _, id := range ids {
 		t := s.threads[id]
-		switch {
-		case !t.started:
-			// The thread never ran: no defers registered, no coroutine.
-		case t.rtc:
+		if t.started {
 			t.coro.runCleanups()
-		default:
-			t.co.stop()
 		}
 		s.exit(t)
 	}

@@ -482,9 +482,9 @@ func TestRunUntilReentrancyPanics(t *testing.T) {
 	}
 }
 
-// TestSwitchesCountsFreeFormHandOffs: Switches counts the baton passing
-// to a free-form thread — two per round trip of a two-thread ping-pong —
-// and nothing else: the same ping-pong written as frames reads 0.
+// TestSwitchesCountsFreeFormHandOffs: Switches counts the resumptions of
+// a free-form body — two per round trip of a two-thread ping-pong — and
+// nothing else: the same ping-pong written as frames reads 0.
 func TestSwitchesCountsFreeFormHandOffs(t *testing.T) {
 	pingPong := func(rounds int, frames bool) int64 {
 		s := New()
@@ -549,7 +549,7 @@ func TestCountersAccountForEveryEvent(t *testing.T) {
 	victim := s.GoCoro("victim", func(c *Coro, _ any) Step { // start; its 5 ms wake is popped after the kill and skipped
 		return c.Sleep(5*Millisecond, func(c *Coro, _ any) Step { panic("the victim woke up") })
 	})
-	s.Go("getter", func(th *Thread) { // start + one hand-off wake, two switches
+	s.Go("getter", func(th *Thread) { // start + one hand-off wake: two switches, two frame steps
 		th.Get(q)
 	})
 	s.At(Time(Millisecond), func() { // callback; schedules the kill, the hand-off wake and a cross-domain delivery
@@ -574,7 +574,7 @@ func TestCountersAccountForEveryEvent(t *testing.T) {
 	want := Counters{
 		Scheduled: 12, SameInstant: 7, PendingMax: 4,
 		Wakes: 3, Starts: 4, Kills: 1, Callbacks: 2, Deliveries: 1, Skipped: 1,
-		SleepsInline: 1, SleepsScheduled: 2, FrameSteps: 5, Switches: 2,
+		SleepsInline: 1, SleepsScheduled: 2, FrameSteps: 7, Switches: 2,
 	}
 	got := g.Counters()
 	got.Moved = 0 // the queue's own cost, pinned by BenchmarkEventQueueHold and the oracle test
