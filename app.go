@@ -217,9 +217,6 @@ func (p *Pipe) Send(v any) {
 	p.link.Send(v)
 }
 
-// Latency reports the pipe's configured delivery delay.
-func (p *Pipe) Latency() Duration { return p.latency }
-
 // armPipes resolves pipe declarations into vclock links once the run
 // starts, after every zero-latency collapse has settled — so source
 // indexes fold with the same modulo as every other placement.

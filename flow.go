@@ -136,12 +136,11 @@ func (a *App) ReserveCS() (lock int, base int64) {
 // app's shared machine as pr's simulated thread — the probe's current
 // transaction context registered as the executing vm thread's token —
 // and returns the virtual time its cycles cost. The caller charges that
-// to pr's CPU however its thread waits: pr.Compute for a free-form
-// thread (runEmulated, Queue.Push/Pop), pr.ComputeStep for a frame
-// program (QueuePort). finishEmulated then retires the vm thread and, if
-// the tracker detected that the execution consumed another thread's
-// context, switches pr to the producer's transaction context (§3.5),
-// with no caller involvement.
+// to pr's CPU: pr.Compute in runEmulated, pr.ComputeStep in QueuePort's
+// frames, which Queue.Push/Pop await. finishEmulated then retires the vm
+// thread and, if the tracker detected that the execution consumed
+// another thread's context, switches pr to the producer's transaction
+// context (§3.5), with no caller involvement.
 //
 // The machine has already run the program to completion when begin
 // returns; the charge only makes the simulated thread pay for it. Other
@@ -196,8 +195,8 @@ func (a *App) beginEmulated(pr *Probe, x *emulation, prog *vm.Program, entry str
 }
 
 // finishEmulated retires x once its cycles are charged — or while its
-// thread, killed before they were, unwinds: both drivers defer it for
-// that.
+// thread, killed before they were, unwinds: runEmulated defers it, and
+// QueuePort.settle, on the thread's Defer stack, calls it for that.
 func (a *App) finishEmulated(pr *Probe, x *emulation) {
 	x.live = false
 	a.machine.Reap()
@@ -238,7 +237,8 @@ func (a *App) runEmulated(pr *Probe, prog *vm.Program, entry string, regs *[vm.N
 // raw transport face of the same queue for message-passing code that
 // propagates context explicitly through Endpoints (ipc synopses) or
 // carries it in SEDA elements and events. Put may be called from
-// scheduler callbacks; Pop and Get block the calling thread until an
+// scheduler callbacks; Push, Pop and Get only from their thread's own
+// body, with or without a machine, and Pop and Get block it until an
 // element is available. A Pop that dequeues an element added with raw
 // Put returns it as-is (no emulation, no context inference). Element
 // order across the two faces is not defined; within Push/Pop it follows
@@ -246,25 +246,26 @@ func (a *App) runEmulated(pr *Probe, prog *vm.Program, entry string, regs *[vm.N
 // pop — so with more than one element buffered the most recently pushed
 // element pops first, exactly as the paper's critical sections behave.
 //
-// The critical-section operations have two faces over one
-// implementation. Queue.Push and Queue.Pop block the calling free-form
-// thread (Stage.Go). A run-to-completion thread (Stage.GoCoro) binds a
-// QueuePort once, where its program begins, and calls port.Push(c, v, k)
-// and port.Pop(c, k): one call at each site, the continuation k
-// receiving the element with the probe already switched to the pusher's
-// context. Either way an operation is the same two halves around the CPU
+// The critical-section operations are written once, as QueuePort's
+// frames. A run-to-completion thread (Stage.GoCoro) binds a QueuePort
+// once, where its program begins, and calls port.Push(c, v, k) and
+// port.Pop(c, k): one call at each site, the continuation k receiving
+// the element with the probe already switched to the pusher's context.
+// Queue.Push and Queue.Pop await the same frames from the calling
+// free-form thread (Stage.Go). An operation is two halves around the CPU
 // charge (see beginEmulated). Before it: the probe frame is entered, the
 // critical section runs to completion on the machine — the element is in
 // or out of the vm-side array — and the flow the tracker delivered is
 // captured, because every other thread that enters a critical section
 // during the charge overwrites the one delivery slot. After it: the vm
 // thread is reaped, its register shadow released, the producer's context
-// adopted, the frame exited and, for a push, the semaphore posted. The
-// faces mix freely on one queue.
+// adopted, the frame exited and, for a push, the semaphore posted.
+// Blocking and frame threads mix freely on one queue.
 //
 // A thread killed (StageCrash) while it is being charged still runs the
-// second half, from the blocking face's defer or the port's Coro.Defer:
-// nothing of the execution stays behind in the machine or the tracker.
+// second half, from the port's Coro.Defer (a blocking thread's too: the
+// frames it awaits run on its program): nothing of the execution stays
+// behind in the machine or the tracker.
 // A push cut short this way has stored its element, so its semaphore is
 // posted and the element is delivered, under the context it was pushed
 // with, to whoever pops next. A pop cut short has removed its element
@@ -401,33 +402,9 @@ func (q *Queue) TryGet(th *Thread) (any, bool) {
 	return q.checkRaw(v), true
 }
 
-// GetStep is Get for run-to-completion threads (Stage.GoCoro): it
-// blocks the coroutine on the queue and tail-transfers the dequeued
-// element to k, applying the same Push/Pop pairing guard as Get. The
-// wrapper frame costs one small allocation per call; steady-state loops
-// that must not allocate can block with c.Get(q.Raw(), k) and apply
-// q.Check at the top of k instead.
-func (q *Queue) GetStep(c *Coro, k Frame) Step {
-	return c.Get(q.inner, func(c *Coro, v any) Step { return k(c, q.checkRaw(v)) })
-}
-
-// GetTimeoutStep is GetTimeout for run-to-completion threads: k receives
-// the dequeued element, or nil with c.TimedOut() reporting true once d
-// of virtual time elapses first. Like GetStep it allocates one wrapper
-// frame per call.
-func (q *Queue) GetTimeoutStep(c *Coro, d Duration, k Frame) Step {
-	return c.GetTimeout(q.inner, d, func(c *Coro, v any) Step {
-		if c.TimedOut() {
-			return k(c, nil)
-		}
-		return k(c, q.checkRaw(v))
-	})
-}
-
-// Check applies Get's Push/Pop pairing guard to v — for coroutine
-// continuations that dequeued v straight off the raw queue
-// (c.Get(q.Raw(), k)) to skip GetStep's wrapper allocation. It returns
-// v unchanged.
+// Check applies Get's Push/Pop pairing guard to v, for a frame program
+// that blocks with c.Get(q.Raw(), k) and calls Check at the top of k.
+// It returns v unchanged.
 func (q *Queue) Check(v any) any { return q.checkRaw(v) }
 
 func (q *Queue) checkRaw(v any) any {
@@ -549,48 +526,29 @@ func (q *Queue) sweep() {
 
 // Push appends v, executing the ap_queue_push critical section on the
 // app's machine under pr's transaction context. The emulation cycles
-// are charged to pr's CPU inside the PushFrame probe frame.
+// are charged to pr's CPU inside the PushFrame probe frame. It is the
+// port's Push, awaited by pr's thread.
 func (q *Queue) Push(pr *Probe, v any) {
-	if q.app.machine == nil {
-		q.inner.Put(v)
-		return
-	}
 	p := q.Port(pr)
-	d := p.beginPush(v)
-	defer p.settle() // a kill during the charge still finishes the section
-	pr.Compute(d)
-	p.finishPush()
+	pr.Thread().Await(func(c *Coro, k Frame) Step { return p.Push(c, v, k) })
 }
 
 // Pop blocks until an element is available, executes the ap_queue_pop
 // critical section on the app's machine, and returns the element. If
 // the flow tracker detected the handoff, pr comes back switched to the
 // transaction context the element was pushed under — the §3.5 context
-// propagation, with no user involvement.
-func (q *Queue) Pop(pr *Probe) any {
-	got := pr.Thread().Get(q.inner) // semaphore: an element is available
-	if _, ok := got.(pushedElem); !ok {
-		// The dequeued element entered through the raw Put face (the only
-		// one there is without a machine) and was never stored in the
-		// vm-side queue: hand it over directly, with no critical section
-		// and therefore no context inference.
-		return got
-	}
-	p := q.Port(pr)
-	d := p.beginPop()
-	defer p.settle()
-	pr.Compute(d)
-	return p.finishPop()
-}
+// propagation, with no user involvement. It is the port's Pop, awaited
+// by pr's thread.
+func (q *Queue) Pop(pr *Probe) any { return pr.Thread().Await(q.Port(pr).Pop) }
 
 // QueuePort is one thread's handle on a queue's critical-section
 // operations: it owns what an operation needs per thread — the popper's
 // scratch words in vm memory, one vm thread per direction that each
-// execution re-arms instead of allocating, the execution in flight — and,
-// for the frame face, the continuation state, so a steady-state Push or
-// Pop allocates no closure. A run-to-completion thread takes its port
-// once, in its Stage.GoCoro program function; the blocking Queue.Push and
-// Queue.Pop look the calling thread's port up themselves.
+// execution re-arms instead of allocating, the execution in flight, the
+// continuation state — so a steady-state Push or Pop allocates no
+// closure. A run-to-completion thread takes its port once, in its
+// Stage.GoCoro program function; the blocking Queue.Push and Queue.Pop
+// look the calling thread's port up and await its Push and Pop.
 type QueuePort struct {
 	q  *Queue
 	pr *Probe
@@ -601,7 +559,7 @@ type QueuePort struct {
 
 	pushFrame, popFrame FrameID // q.PushFrame and q.PopFrame in the table of pr's stage
 
-	k                      Frame // where the frame-face operation in flight continues
+	k                      Frame // where the operation in flight continues
 	armed                  bool  // settle is on the coroutine's Defer stack
 	gotF, pushedF, poppedF Frame // bound once
 }
@@ -698,8 +656,8 @@ func (p *QueuePort) settle() {
 	}
 }
 
-// Push is Queue.Push for the port's run-to-completion thread: k
-// continues (with nil) once the element is pushed.
+// Push is Queue.Push as a frame step for the port's thread: k continues
+// (with nil) once the element is pushed.
 func (p *QueuePort) Push(c *Coro, v any, k Frame) Step {
 	if p.q.app.machine == nil {
 		p.q.inner.Put(v)
@@ -714,7 +672,7 @@ func (p *QueuePort) pushed(c *Coro, _ any) Step {
 	return p.resume(c, nil)
 }
 
-// Pop is Queue.Pop for the port's run-to-completion thread: k receives
+// Pop is Queue.Pop as a frame step for the port's thread: k receives
 // the element, the probe already switched to the context it was pushed
 // under (or untouched, for an element added with raw Put).
 func (p *QueuePort) Pop(c *Coro, k Frame) Step {
@@ -732,8 +690,8 @@ func (p *QueuePort) got(c *Coro, v any) Step {
 func (p *QueuePort) popped(c *Coro, _ any) Step { return p.resume(c, p.finishPop()) }
 
 // arm notes where the operation continues and, the first time, puts
-// settle on the coroutine's Defer stack — a frame program has no deferred
-// call of its own to finish a section it is killed in.
+// settle on the coroutine's Defer stack, so a kill during the charge
+// still finishes the section.
 func (p *QueuePort) arm(c *Coro, k Frame) {
 	if !p.armed {
 		p.armed = true

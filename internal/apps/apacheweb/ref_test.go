@@ -128,9 +128,9 @@ func TestApacheFrameParity(t *testing.T) {
 							t.Fatalf("seed %d mode %v workers %d: served %d of %d connections", seed, mode, workers, got.Conns, len(tr.Conns))
 						}
 						if mode == whodunit.ModeWhodunit {
-							// Equal is not yet right: the two drivers share the
-							// halves of the emulated execution, so both would
-							// lose an adoption alike. A worker that was not
+							// Equal is not yet right: the oracle's Queue.Push/Pop
+							// await the same port frames the model runs, so
+							// both would lose an adoption alike. A worker that was not
 							// handed its connection's context serves it under
 							// the one it started with.
 							for _, e := range got.Profiler.Entries() {

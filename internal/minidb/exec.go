@@ -11,47 +11,23 @@ import (
 // Statement execution. What a statement does — the probe frames it
 // enters and exits, the engine's read or write lock, each CPU demand with
 // its counted calls, and the row work in between — is written once, in
-// Exec.step, as a state machine that runs until the statement needs
-// something only the scheduler can give and then reports that need: a
-// lock in a mode, a CPU demand, or nothing more. The continuation is the
-// Exec's pc, not a stack, so whoever drives the stepper decides how the
-// thread waits:
+// Exec.advance, as a frame that runs until the statement needs something
+// only the scheduler can give and then takes that Coro step, naming
+// itself as the continuation: Coro.Lock for the lock, Probe.ComputeNStep
+// for a CPU demand, or, when the statement is done, a Goto to the
+// caller's k. The continuation is the Exec's pc, not a stack, so a
+// run-to-completion database thread (Exec.Lookup/Select/...) executes a
+// statement without a stack to come back to, and the blocking
+// DB.Lookup/Select/Update/Insert/TempSort are the same frame awaited by
+// the calling free-form thread (vclock.Thread.Await).
 //
-//   - Exec.block, behind DB.Lookup/Select/Update/Insert/TempSort, answers
-//     a lock need with Thread.Lock and a CPU need with Probe.ComputeN: the
-//     calling free-form thread blocks where it stands;
-//   - Exec.advance, behind Exec.Lookup/Select/..., answers them with
-//     Coro.Lock and Probe.ComputeNStep naming itself as the continuation:
-//     a run-to-completion database thread executes a statement without a
-//     stack to come back to.
-//
-// Lookup on a MyISAM table, as the worked example. step enters
-// lookup_<table> and reports "the table lock, shared"; the driver
-// acquires it. step reports "LookupCost of CPU, no counted calls"; the
-// driver charges it. step finds the row, releases the lock, exits the
-// frame and reports done. Both drivers perform the same scheduler
-// bookkeeping for each need (Coro ops mirror their Thread twins), so a
-// statement finishes at the same virtual instant, with the same samples
-// and the same lock statistics, whichever one runs it.
-
-// need is what a statement requires before step can go on.
-type need struct {
-	kind  needKind
-	mode  vclock.LockMode // needLock
-	lock  *vclock.Lock    // needLock
-	d     vclock.Duration // needCPU
-	calls int             // needCPU: procedure calls the work executes (gprof accounting)
-}
-
-type needKind uint8
-
-const (
-	needDone needKind = iota
-	needLock
-	needCPU
-)
-
-func cpu(d vclock.Duration, calls int) need { return need{kind: needCPU, d: d, calls: calls} }
+// Lookup on a MyISAM table, as the worked example. advance enters
+// lookup_<table> and locks the table shared; when the lock is granted it
+// runs again and charges LookupCost of CPU with no counted calls; when
+// that is served it finds the row, releases the lock, exits the frame
+// and continues at k. A statement therefore finishes at the same virtual
+// instant, with the same samples and the same lock statistics, whichever
+// kind of thread runs it.
 
 type stmtKind uint8
 
@@ -110,12 +86,11 @@ type Exec struct {
 	ok   bool
 	rows []Row
 
-	// Frame driver: where to continue when done, and advance bound once.
+	// Where to continue when done, and advance bound once.
 	k, advanceF vclock.Frame
 }
 
-// NewExec returns an executor charging pr, for the frame program of
-// pr's thread.
+// NewExec returns an executor charging pr's thread.
 func (db *DB) NewExec(pr *profiler.Probe) *Exec {
 	x := &Exec{db: db, pr: pr}
 	x.advanceF = x.advance
@@ -145,8 +120,10 @@ func (x *Exec) lockFor() (*vclock.Lock, vclock.LockMode) {
 	return nil, vclock.Shared
 }
 
-// step runs the statement up to its next need.
-func (x *Exec) step() need {
+// advance is the statement as a frame: it runs the statement up to its
+// next lock or CPU demand and takes that step, resuming here, and
+// continues at x.k once the statement is done.
+func (x *Exec) advance(c *vclock.Coro, _ any) vclock.Step {
 	db, pr, t := x.db, x.pr, x.t
 	for {
 		switch x.pc {
@@ -155,7 +132,7 @@ func (x *Exec) step() need {
 			x.pc = pcLocked
 			if l, mode := x.lockFor(); l != nil {
 				x.held = l
-				return need{kind: needLock, lock: l, mode: mode}
+				return c.Lock(l, mode, x.advanceF)
 			}
 		case pcLocked:
 			x.pc = pcApply
@@ -163,13 +140,13 @@ func (x *Exec) step() need {
 			case stmtSelect:
 				x.pc = selScan
 			case stmtLookup:
-				return cpu(db.Cost.LookupCost, 0)
+				return x.compute(c, db.Cost.LookupCost, 0)
 			case stmtUpdate:
-				return cpu(db.Cost.UpdateCost, 0)
+				return x.compute(c, db.Cost.UpdateCost, 0)
 			case stmtInsert:
-				return cpu(db.Cost.InsertCost, 0)
+				return x.compute(c, db.Cost.InsertCost, 0)
 			case stmtTempSort:
-				return cpu(db.tempSortCost(x.n), x.n)
+				return x.compute(c, db.tempSortCost(x.n), x.n)
 			}
 		case pcApply:
 			switch x.kind {
@@ -191,7 +168,7 @@ func (x *Exec) step() need {
 		case selScan:
 			x.inner = pr.EnterID(x.op(frameScan))
 			x.pc = selFilter
-			return cpu(vclock.Duration(len(t.rows))*db.Cost.ScanPerRow, len(t.rows))
+			return x.compute(c, vclock.Duration(len(t.rows))*db.Cost.ScanPerRow, len(t.rows))
 		case selFilter:
 			pr.Exit(x.inner)
 			x.filter()
@@ -199,7 +176,7 @@ func (x *Exec) step() need {
 			if x.opts.SortBy != "" && x.matched > 1 {
 				x.inner = pr.EnterID(x.op(frameSort))
 				x.pc = selSort
-				return cpu(vclock.Duration(int64(x.matched)*log2(x.matched))*db.Cost.SortPerCmp, x.matched)
+				return x.compute(c, vclock.Duration(int64(x.matched)*log2(x.matched))*db.Cost.SortPerCmp, x.matched)
 			}
 		case selSort:
 			pr.Exit(x.inner)
@@ -212,7 +189,7 @@ func (x *Exec) step() need {
 			if n := x.opts.TempSortRows; n > 0 {
 				x.inner = pr.EnterID(x.op(frameTempSort))
 				x.pc = selTempDone
-				return cpu(db.tempSortCost(n), n)
+				return x.compute(c, db.tempSortCost(n), n)
 			}
 		case selTempDone:
 			pr.Exit(x.inner)
@@ -225,13 +202,19 @@ func (x *Exec) step() need {
 				}
 			}
 			x.pc = pcEnd
-			return cpu(vclock.Duration(x.matched)*db.Cost.ReturnPerRow, 0)
+			return x.compute(c, vclock.Duration(x.matched)*db.Cost.ReturnPerRow, 0)
 
 		default: // pcEnd
 			x.end()
-			return need{}
+			return c.Goto(x.k)
 		}
 	}
+}
+
+// compute charges d of CPU with calls counted procedure calls, resuming
+// the statement once it is served.
+func (x *Exec) compute(c *vclock.Coro, d vclock.Duration, calls int) vclock.Step {
+	return x.pr.ComputeNStep(c, d, calls, x.advanceF)
 }
 
 // stmt and op return a statement frame of t and an operator frame of the
@@ -329,7 +312,8 @@ func (x *Exec) end() {
 // unlock and Exit of a blocking statement body do when its thread is
 // killed or shut down mid-query. Without it a killed table-lock holder
 // would wedge every later statement on the table. It is the cleanup a
-// frame program registers with Coro.Defer, and what block defers.
+// frame program registers with Coro.Defer, and what the blocking DB
+// methods defer.
 func (x *Exec) Abort() {
 	if x.kind == stmtNone {
 		return
@@ -342,37 +326,8 @@ func (x *Exec) Abort() {
 	x.end()
 }
 
-// block is the blocking driver: the calling thread — x's probe's, a
-// free-form one — waits where it stands for each need.
-func (x *Exec) block() {
-	defer x.Abort() // a no-op unless Kill or Shutdown unwinds through a wait below
-	th := x.pr.Thread()
-	for {
-		switch n := x.step(); n.kind {
-		case needLock:
-			th.Lock(n.lock, n.mode)
-		case needCPU:
-			x.pr.ComputeN(n.d, n.calls)
-		default:
-			return
-		}
-	}
-}
-
-// advance is the frame driver: each need becomes the Coro step that
-// resumes here, and the finished statement continues at x.k.
-func (x *Exec) advance(c *vclock.Coro, _ any) vclock.Step {
-	switch n := x.step(); n.kind {
-	case needLock:
-		return c.Lock(n.lock, n.mode, x.advanceF)
-	case needCPU:
-		return x.pr.ComputeNStep(c, n.d, n.calls, x.advanceF)
-	}
-	return c.Goto(x.k)
-}
-
 // The statements. Each setter below names a statement's frame, table and
-// arguments once, for both drivers.
+// arguments once, for the frame methods and the blocking DB methods.
 
 func (x *Exec) lookup(t *Table, id int64) { x.begin(stmtLookup, x.stmt(t, frameLookup), t, id) }
 
@@ -396,7 +351,8 @@ func (x *Exec) tempSort(n int) {
 	x.n = n
 }
 
-// run starts the statement just set as a frame step continuing at k.
+// run starts the statement just set as a frame step continuing at k:
+// the op a blocking DB method awaits.
 func (x *Exec) run(c *vclock.Coro, k vclock.Frame) vclock.Step {
 	x.k = k
 	return x.advance(c, nil)
@@ -450,35 +406,39 @@ func (x *Exec) Rows() []Row { return x.rows }
 // row headers (attribute slices are shared — the workload treats them
 // as immutable).
 func (db *DB) Select(pr *profiler.Probe, t *Table, pred Pred, opts SelectOpts) []Row {
-	x := Exec{db: db, pr: pr}
+	x := db.NewExec(pr)
 	x.sel(t, pred, opts)
-	x.block()
+	defer x.Abort() // a no-op unless Kill or Shutdown unwinds the wait
+	pr.Thread().Await(x.run)
 	return x.rows
 }
 
 // Lookup fetches a row by primary key under read locking.
 func (db *DB) Lookup(pr *profiler.Probe, t *Table, id int64) (Row, bool) {
-	x := Exec{db: db, pr: pr}
+	x := db.NewExec(pr)
 	x.lookup(t, id)
-	x.block()
+	defer x.Abort()
+	pr.Thread().Await(x.run)
 	return x.row, x.ok
 }
 
 // Update applies fn to the row with the given id under the engine's write
 // locking. It reports whether the row existed.
 func (db *DB) Update(pr *profiler.Probe, t *Table, id int64, fn func(*Row)) bool {
-	x := Exec{db: db, pr: pr}
+	x := db.NewExec(pr)
 	x.update(t, id, fn)
-	x.block()
+	defer x.Abort()
+	pr.Thread().Await(x.run)
 	return x.ok
 }
 
 // Insert appends a row under write locking (the whole table for MyISAM,
 // the new row's lock for InnoDB).
 func (db *DB) Insert(pr *profiler.Probe, t *Table, r Row) {
-	x := Exec{db: db, pr: pr}
+	x := db.NewExec(pr)
 	x.insert(t, r)
-	x.block()
+	defer x.Abort()
+	pr.Thread().Await(x.run)
 }
 
 // TempSort models the heavy-weight "sort into a temporary table" query
@@ -486,7 +446,8 @@ func (db *DB) Insert(pr *profiler.Probe, t *Table, r Row) {
 // and sort them, charging temp+agg+sort costs. Only the cost (and the
 // profiler frames) matter; callers aggregate real data themselves.
 func (db *DB) TempSort(pr *profiler.Probe, n int) {
-	x := Exec{db: db, pr: pr}
+	x := db.NewExec(pr)
 	x.tempSort(n)
-	x.block()
+	defer x.Abort()
+	pr.Thread().Await(x.run)
 }

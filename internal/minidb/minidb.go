@@ -14,13 +14,12 @@
 // per transaction context (Table 1) and its lock crosstalk fall out of
 // the same machinery as every other stage.
 //
-// Each statement's logic exists once, as a stepper (Exec.step) that runs
-// until it needs a lock or CPU time and reports the need instead of
-// blocking, and is driven two ways: DB.Lookup/Select/Update/Insert/
-// TempSort block the calling free-form thread for each need, and
-// Exec.Lookup/Select/... turn each need into a Coro step, so a
+// Each statement's logic exists once, as a frame (Exec.advance) that
+// takes a Coro step for each lock or CPU demand and resumes itself, so a
 // run-to-completion database thread (TPC-W's mysqld) executes a query
-// without a stack. exec.go has the design and a worked example.
+// without a stack (Exec.Lookup/Select/...). DB.Lookup/Select/Update/
+// Insert/TempSort are the same frame awaited by the calling free-form
+// thread. exec.go has the design and a worked example.
 package minidb
 
 import (
@@ -255,10 +254,10 @@ func (t *Table) update(i int, fn func(*Row)) {
 }
 
 // DB is one database instance bound to a simulation and a CPU. Its
-// statement methods (exec.go) are the blocking driver of the statement
-// stepper: Lookup, say, is an Exec on the caller's stack stepped through
-// "table lock, shared" (Thread.Lock), "LookupCost of CPU" (Probe.ComputeN)
-// and done. A frame program gets the same statements from DB.NewExec.
+// statement methods (exec.go) block the calling free-form thread: Lookup,
+// say, awaits an Exec's frame through "table lock, shared", "LookupCost
+// of CPU" and done. A frame program gets the same statements from
+// DB.NewExec.
 type DB struct {
 	Name string
 	CPU  *vclock.CPU

@@ -13,11 +13,14 @@ package vclock
 // method is a thin driver over it: it takes the same Coro step on the
 // thread's own program with driveBody as the continuation, then parks
 // the body (Thread.park) unless the step completed on the spot, and the
-// post-wake bookkeeping runs in resume for both faces. So a program
-// expressed as frames and the same program as a free-form body perform
-// the same event pushes and waiter-list mutations in the same order, and
-// the event order is a function of the event queue's contents alone.
-// The quick-check property tests and the scenario corpus sweep pin this.
+// post-wake bookkeeping runs in resume for both faces. Thread.Await does
+// the same for a whole frame chain, so a library's blocking call is its
+// frame op, awaited, not a second driver. So a program expressed as
+// frames and the same program as a free-form body perform the same event
+// pushes and waiter-list mutations in the same order, and the event
+// order is a function of the event queue's contents alone. The
+// quick-check property tests and the per-model frame-parity tests pin
+// this.
 
 // Step is the opaque receipt a Frame returns. Frames cannot construct a
 // meaningful Step themselves — they obtain one by calling exactly one
@@ -44,6 +47,7 @@ const (
 	blockWake                 // plain wake: queue get, sleep, yield, compute
 	blockLock                 // lock acquisition: wait accounting + observer pending
 	blockGetTimeout           // timed get: the wake payload may be the timeout sentinel
+	blockReturn               // not a block: an awaited chain reached Thread.Await's k on the body's stack
 )
 
 // Coro is the execution state of one thread's program — a frame chain,
@@ -247,7 +251,9 @@ func (c *Coro) Unlock(l *Lock) { c.t.Unlock(l) }
 // one the value the previous step produced — until the program blocks
 // again or finishes, and reports which. The dispatcher calls it with
 // each wake's payload; the goroutine engine's driver calls it between
-// parks.
+// parks. Thread.Await calls it with nothing blocked, to run an awaited
+// chain on the body's stack: there the chain's return to the body
+// (blockReturn) leaves the loop as a block does.
 func (c *Coro) resume(v any) (done bool) {
 	t := c.t
 	t.sim.count.FrameSteps++

@@ -1,6 +1,7 @@
 package vclock
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -267,6 +268,90 @@ func TestCoroBlockingAPIMisusePanics(t *testing.T) {
 	cr := s.Crashed()
 	if cr == nil || !strings.Contains(crashText(cr), "goroutine blocking API") {
 		t.Fatalf("crash = %+v, want blocking-API misuse panic", cr)
+	}
+}
+
+// TestAwaitReturnsWhatKReceives: Thread.Await hands back the value its
+// op's continuation receives, whether the chain completes on the body's
+// stack (no switch) or blocks and finishes on the dispatcher; a chain
+// that ends the program instead of continuing into k fails loudly.
+func TestAwaitReturnsWhatKReceives(t *testing.T) {
+	s := New()
+	q := s.NewQueue("q")
+	q.Put(1)
+	q.Put(7)
+	// Take an item and hand k the item plus ten, after a sleep.
+	getPlusTen := func(c *Coro, k Frame) Step {
+		return c.Get(q, func(c *Coro, v any) Step {
+			return c.Sleep(Millisecond, func(c *Coro, _ any) Step { return k(c, v.(int)+10) })
+		})
+	}
+	var got []any
+	var switches []int64
+	s.Go("awaiter", func(th *Thread) {
+		got = append(got, th.Await(getPlusTen)) // 1 is buffered, the sleep's wake is the next event: all inline
+		switches = append(switches, s.Switches())
+		// A Goto hands k nil, not the item the Get before it delivered.
+		got = append(got, th.Await(func(c *Coro, k Frame) Step {
+			return c.Get(q, func(c *Coro, _ any) Step { return c.Goto(k) })
+		}))
+		switches = append(switches, s.Switches())
+		got = append(got, th.Await(getPlusTen)) // waits for the Put at 5 ms
+		got = append(got, th.Now())
+	})
+	s.At(Time(5*Millisecond), func() { q.Put(2) })
+	s.Run()
+	if c := s.Crashed(); c != nil {
+		t.Fatal(c)
+	}
+	if want := []any{11, nil, 12, Time(6 * Millisecond)}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("Await returned %v, want %v", got, want)
+	}
+	// Only the start switched to the body: a chain that never blocks
+	// runs on the body's stack.
+	if fmt.Sprint(switches) != "[1 1]" {
+		t.Errorf("switches after the first two Awaits = %v, want [1 1]", switches)
+	}
+
+	s = New()
+	s.Go("ender", func(th *Thread) {
+		th.Await(func(c *Coro, _ Frame) Step { return c.End() })
+	})
+	s.Run()
+	if cr := s.Crashed(); cr == nil || !strings.Contains(crashText(cr), "ended the program") {
+		t.Fatalf("crash = %+v, want the awaited-End panic", cr)
+	}
+}
+
+// TestAwaitKilledRunsChainDeferFirst: a body killed while it waits
+// inside an awaited chain — before or after the chain's first wake —
+// runs the chain's Coro.Defer, then its own deferred functions, as a
+// callee's cleanup runs before its caller's; nothing after the Await
+// runs, and the thread is gone.
+func TestAwaitKilledRunsChainDeferFirst(t *testing.T) {
+	for _, killAt := range []Duration{Millisecond / 2, 2 * Millisecond} {
+		s := New()
+		never := s.NewQueue("never")
+		var order []string
+		victim := s.Go("victim", func(th *Thread) {
+			defer func() { order = append(order, "body") }()
+			th.Await(func(c *Coro, k Frame) Step {
+				c.Defer(func() { order = append(order, "chain") })
+				return c.Sleep(Millisecond, func(c *Coro, _ any) Step { return c.Get(never, k) })
+			})
+			order = append(order, "after Await")
+		})
+		s.At(Time(killAt), func() { s.Kill(victim) })
+		s.Run()
+		if c := s.Crashed(); c != nil {
+			t.Fatal(c)
+		}
+		if fmt.Sprint(order) != "[chain body]" {
+			t.Errorf("killed at %v: cleanups ran %v, want [chain body]", killAt, order)
+		}
+		if s.Live() != 0 {
+			t.Errorf("killed at %v: %d threads live, want 0", killAt, s.Live())
+		}
 	}
 }
 
@@ -674,6 +759,7 @@ type interpCoro struct {
 	trace *[]traceEntry
 
 	resumeF Frame
+	k       Frame // awaited: where the program continues instead of End
 }
 
 func (it *interpCoro) rec(at Time, v any) {
@@ -699,6 +785,9 @@ func (it *interpCoro) begin(c *Coro, _ any) Step { return it.step(c) }
 func (it *interpCoro) step(c *Coro) Step {
 	for {
 		if it.pc >= len(it.prog) {
+			if it.k != nil {
+				return c.Goto(it.k)
+			}
 			return c.End()
 		}
 		in := it.prog[it.pc]
@@ -738,8 +827,9 @@ func (it *interpCoro) step(c *Coro) Step {
 
 // interpRun executes the given per-thread programs and returns the
 // merged observation trace plus the final clock. mode selects the
-// rendering: plain goroutine bodies, or coroutine programs on either
-// engine.
+// rendering: plain goroutine bodies, coroutine programs on either
+// engine, or goroutine bodies that each await their coroutine program
+// as one chain.
 func interpRun(progs [][]qop, mode string) ([]traceEntry, Time) {
 	s := New()
 	switch mode {
@@ -763,6 +853,15 @@ func interpRun(progs [][]qop, mode string) ([]traceEntry, Time) {
 		}
 		it := &interpCoro{name: name, prog: prog, qs: qs, lk: lk, cpu: cpu, trace: &trace}
 		it.resumeF = it.resume
+		if mode == "awaited" {
+			s.Go(name, func(th *Thread) {
+				th.Await(func(c *Coro, k Frame) Step {
+					it.k = k
+					return it.step(c)
+				})
+			})
+			continue
+		}
 		s.GoCoro(name, it.begin)
 	}
 	s.Run()
@@ -773,8 +872,9 @@ func interpRun(progs [][]qop, mode string) ([]traceEntry, Time) {
 // TestQuickCoroEngineParity: for any three randomized structured-blocking
 // programs over shared queues, a lock and a CPU, the observation trace
 // and final clock are identical whether the programs run as goroutine
-// bodies, as coroutines on the run-to-completion engine, or as
-// coroutines driven by goroutines.
+// bodies, as coroutines on the run-to-completion engine, as coroutines
+// driven by goroutines, or as one chain each that a goroutine body
+// awaits (Thread.Await).
 func TestQuickCoroEngineParity(t *testing.T) {
 	f := func(ra, rb, rc []byte) bool {
 		progs := [][]qop{
@@ -783,7 +883,7 @@ func TestQuickCoroEngineParity(t *testing.T) {
 			decodeProg(rc, 2, 14),
 		}
 		ref, refNow := interpRun(progs, "threads")
-		for _, mode := range []string{"coro", "goroutine"} {
+		for _, mode := range []string{"coro", "goroutine", "awaited"} {
 			got, gotNow := interpRun(progs, mode)
 			if gotNow != refNow || len(got) != len(ref) {
 				return false

@@ -163,9 +163,6 @@ func (l *Link) Send(v any) {
 	l.seq++
 }
 
-// Latency reports the link's configured delivery delay.
-func (l *Link) Latency() Duration { return l.latency }
-
 // Lookahead reports the epoch width the group will run with: the
 // minimum positive link latency, or 0 when no epoch link exists (the
 // domains are then independent and run without barriers).

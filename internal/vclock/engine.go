@@ -31,17 +31,10 @@ func (k EngineKind) String() string {
 	return "coro"
 }
 
-// DefaultEngine is the engine every Sim is born with (snapshotted by
-// New, so mutating it never affects simulations already built).
-var DefaultEngine = EngineCoro
-
-// Engine reports the engine this simulation runs coroutine threads on.
-func (s *Sim) Engine() EngineKind { return s.engine }
-
-// SetEngine overrides the simulation's coroutine engine, which New
-// seeded from DefaultEngine. It must be called before any thread is
-// created: a Sim cannot mix a thread spawned under one engine with a
-// later engine change.
+// SetEngine overrides the simulation's coroutine engine, EngineCoro
+// unless set. It must be called before any thread is created: a Sim
+// cannot mix a thread spawned under one engine with a later engine
+// change.
 func (s *Sim) SetEngine(k EngineKind) {
 	if len(s.threads) > 0 {
 		panic("vclock: SetEngine after threads were created")

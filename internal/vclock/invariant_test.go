@@ -318,6 +318,14 @@ func TestBlockingCallOutsideOwnBody(t *testing.T) {
 		s.Run()
 		check(t, s, "(scheduler)")
 	})
+	t.Run("callback Await", func(t *testing.T) {
+		s, sleeper := setup()
+		s.At(Time(Millisecond), func() {
+			sleeper.Await(func(c *Coro, k Frame) Step { return c.Goto(k) })
+		})
+		s.Run()
+		check(t, s, "(scheduler)")
+	})
 	t.Run("other thread", func(t *testing.T) {
 		s, sleeper := setup()
 		s.GoAt(Time(Millisecond), "meddler", func(*Thread) { sleeper.Get(s.NewQueue("empty")) })

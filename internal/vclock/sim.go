@@ -37,7 +37,7 @@ type Sim struct {
 
 	running bool        // inside RunUntil
 	stop    func() bool // RunUntil's stop predicate, nil when absent
-	engine  EngineKind  // how GoCoro threads execute (snapshot of DefaultEngine)
+	engine  EngineKind  // how GoCoro threads execute (SetEngine)
 
 	cur      *Thread // free-form thread whose body is executing (set by driveBody); nil in dispatcher context
 	stepping *Thread // thread whose program is executing (set by stepCoro); nil otherwise
@@ -235,7 +235,7 @@ func (s *Sim) schedule(at Time, t *Thread) { s.push(event{when: at, t: t}) }
 
 // New returns an empty simulation with the clock at zero.
 func New() *Sim {
-	s := &Sim{threads: make(map[int]*Thread), engine: DefaultEngine}
+	s := &Sim{threads: make(map[int]*Thread)}
 	s.q.next, s.q.min[64] = endOfTime, endOfTime
 	// Every bucket starts with room for sixteen events, all of it carved
 	// from one allocation: a run whose queue stays shallow then allocates
@@ -615,11 +615,11 @@ func (t *Thread) mustRun() {
 }
 
 // park finishes a blocking Thread method, whose Coro op on t.coro (with
-// driveBody as its continuation) is the Step argument. When the op
-// completed on the spot it returns the op's value at once; otherwise the
-// body yields to driveBody and park returns the payload of the wake that
-// resumes it, after Coro.resume has run the op's post-wake bookkeeping.
-// Either way the value is in c.passv.
+// driveBody or, for Await, bodyReturn as its continuation) is the Step
+// argument. When the op completed on the spot it returns the op's value
+// at once; otherwise the body yields to driveBody and park returns the
+// payload of the wake that resumes it, after Coro.resume has run the
+// op's post-wake bookkeeping. Either way the value is in c.passv.
 func (t *Thread) park(Step) any {
 	c := t.coro
 	if c.blocked != blockNone && !t.co.yield(struct{}{}) {
@@ -628,6 +628,44 @@ func (t *Thread) park(Step) any {
 	v := c.passv
 	c.passv, c.stepped = nil, false
 	return v
+}
+
+// Await runs op — a Coro op, or a frame chain that ends by continuing
+// into k — as a step of t's own program and returns the value k
+// receives: a blocking library call is its frame op, awaited, with no
+// second driver. Frames that run before the chain first blocks run here,
+// on the body's stack; the rest run on the dispatcher after each wake,
+// as for any frame program, and a Coro.Defer the chain registers is on
+// t's Defer stack, so a kill while the body waits inside op runs it
+// before the body's own deferred functions. Like every blocking Thread
+// method, Await must be called from t's own body.
+func (t *Thread) Await(op func(c *Coro, k Frame) Step) any {
+	t.mustRun()
+	c := t.coro
+	op(c, bodyReturn)
+	if c.blocked == blockNone {
+		v := c.passv
+		c.passv = nil
+		if c.done || c.resume(v) {
+			panic("vclock: awaited chain on thread " + t.Name + " ended the program instead of continuing into k")
+		}
+	}
+	if c.blocked == blockReturn {
+		c.blocked = blockNone
+	}
+	return t.park(Step{})
+}
+
+// bodyReturn is the k Thread.Await passes its op. Reached on the body's
+// own stack, the chain never blocked: it hands v to Await as a
+// blockReturn step, which ends the frame loop as a block would. Reached
+// on the dispatcher, after a wake, it is driveBody.
+func bodyReturn(c *Coro, v any) Step {
+	if c.t.sim.cur != c.t {
+		return driveBody(c, v)
+	}
+	c.passv = v
+	return c.block(blockReturn, nil)
 }
 
 // wakeAt schedules t to wake at virtual time `at` with payload v. The
@@ -729,7 +767,7 @@ type Counters struct {
 
 	SleepsInline    uint64 // SleepUntil / Compute served by advancing the clock in place
 	SleepsScheduled uint64 // ... by a wake event
-	FrameSteps      uint64 // Coro.resume calls: every start and wake, a free-form body's too
+	FrameSteps      uint64 // Coro.resume calls: every start and wake, a free-form body's too, and each awaited chain run on its body's stack
 	Switches        uint64 // starts and resumptions of a free-form body's coroutine (Sim.Switches)
 
 	Reserves       uint64 // positive-duration Compute requests booked on a CPU

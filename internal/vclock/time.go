@@ -35,9 +35,6 @@ func (t Time) String() string {
 	return fmt.Sprintf("%d.%06ds", int64(t)/1e9, (int64(t)%1e9)/1000)
 }
 
-// Micros returns the duration in (fractional) microseconds.
-func (d Duration) Micros() float64 { return float64(d) / 1e3 }
-
 // Millis returns the duration in (fractional) milliseconds.
 func (d Duration) Millis() float64 { return float64(d) / 1e6 }
 

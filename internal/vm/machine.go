@@ -219,15 +219,6 @@ func (m *Machine) NonFlow(lock int) bool {
 	return m.nonFlowSpill[lock]
 }
 
-// FlushTranslation drops the translation cache (used by the Table 3
-// micro-benchmark to measure first-execution cost). Predecoded programs
-// are kept; only the per-pc translation bits reset.
-func (m *Machine) FlushTranslation() {
-	for _, ps := range m.progs {
-		clear(ps.translated)
-	}
-}
-
 // Reap removes halted threads so long-running hosts (e.g. the Apache
 // model spawning one push/pop execution per connection) do not accumulate
 // dead threads. Thread IDs are not reused; the translation cache is

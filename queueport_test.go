@@ -10,10 +10,11 @@ import (
 	"whodunit"
 )
 
-// The two faces of a Queue's critical-section operations — the blocking
-// Queue.Push/Pop and the frame face of a QueuePort — are two drivers of
-// one implementation. These tests run the same small programs on either
-// face, and on both at once.
+// A Queue's critical-section operations are written once, as a
+// QueuePort's frames: a run-to-completion thread calls them (the frame
+// face) and the blocking Queue.Push/Pop await them (the blocking face).
+// These tests run the same small programs on either face, and on both
+// at once.
 
 // popped is what a popper saw: the element and the transaction context
 // its probe was in when the pop returned.
@@ -263,6 +264,49 @@ func TestQueueGetRefusesFramePushedElem(t *testing.T) {
 	app.RunUntil(func() bool { return done })
 	if !panicked {
 		t.Fatal("Get on an element pushed through a port did not panic")
+	}
+}
+
+// TestQueueOpsOutsideOwnBody: Push and Pop called for a thread from a
+// scheduler callback are rejected, with or without flow detection, and
+// the element goes nowhere: each is a blocking call of the probe's
+// thread, whether or not a machine runs its critical section.
+func TestQueueOpsOutsideOwnBody(t *testing.T) {
+	const want = "vclock: blocking call on thread owner from outside its running body"
+	for _, flow := range []bool{false, true} {
+		for _, op := range []string{"push", "pop"} {
+			var opts []whodunit.Option
+			if flow {
+				opts = append(opts, whodunit.WithFlowDetection())
+			}
+			app := whodunit.NewApp("misuse", opts...)
+			st := app.Stage("misuse")
+			q := app.NewQueue("q")
+			var owner *whodunit.Probe
+			st.Go("owner", func(th *whodunit.Thread, pr *whodunit.Probe) {
+				owner = pr
+				th.Sleep(whodunit.Second)
+			})
+			app.Sim().At(whodunit.Time(whodunit.Millisecond), func() {
+				if op == "push" {
+					q.Push(owner, "x")
+				} else {
+					q.Pop(owner)
+				}
+			})
+			func() {
+				defer func() {
+					recover() // Run raises the crash
+					if c := app.Sim().Crashed(); c == nil || c.Thread != "(scheduler)" || !strings.HasPrefix(fmt.Sprint(c.Value), want) {
+						t.Errorf("flow %v, %s from a callback: crash %v, want %q recorded against (scheduler)", flow, op, c, want)
+					}
+				}()
+				app.Run()
+			}()
+			if n := q.Len(); n != 0 {
+				t.Errorf("flow %v, %s from a callback: %d elements on the queue, want 0", flow, op, n)
+			}
+		}
 	}
 }
 

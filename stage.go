@@ -169,7 +169,7 @@ func (st *Stage) CriticalSection(pr *Probe, l *Lock, fn func()) {
 // from regs, pr's transaction context is registered with the flow
 // tracker for the duration, and the cycles consumed are charged to
 // pr's CPU. This is the escape hatch for custom shared-memory
-// structures; Queue.Push/Pop are built on it. Requires
+// structures, on the emulation Queue.Push/Pop use. Requires
 // WithFlowDetection.
 //
 // The machine's lock ids and word-addressed memory are shared
