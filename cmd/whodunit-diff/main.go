@@ -19,6 +19,7 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"io"
@@ -114,15 +115,19 @@ func run(args []string, stdout, stderr io.Writer) (status int) {
 	}
 
 	d := whodunit.Diff(a, b)
+	out := bufio.NewWriter(stdout)
 	switch {
 	case *folded:
-		whodunit.FoldedDiff(a, b, stdout)
+		whodunit.FoldedDiff(a, b, out)
 	case *jsonOut:
-		if err := d.JSON(stdout); err != nil {
+		if err := d.JSON(out); err != nil {
 			fail("%v", err)
 		}
 	default:
-		d.Text(stdout)
+		d.Text(out)
+	}
+	if err := out.Flush(); err != nil {
+		fail("write: %v", err)
 	}
 	if *threshold >= 0 && d.Exceeds(*threshold) {
 		fmt.Fprintf(stderr, "whodunit-diff: max delta %d exceeds threshold %d\n", d.MaxDelta(), *threshold)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -102,6 +103,29 @@ func TestDiffOutputFormats(t *testing.T) {
 		}
 		if len(strings.Fields(line)) < 3 {
 			t.Fatalf("folded line %q lacks the two delta columns", line)
+		}
+	}
+}
+
+// errWriter fails every write, as stdout does when redirected to a full
+// device.
+type errWriter struct{}
+
+func (errWriter) Write([]byte) (int, error) { return 0, errors.New("no space left on device") }
+
+// TestWriteErrorExits2: a diff that cannot be written is an IO error in
+// every output form.
+func TestWriteErrorExits2(t *testing.T) {
+	a := writeReportFile(t, "quickstart")
+	b := writeReportFile(t, "quickstart:seed=9")
+	for _, form := range [][]string{{}, {"-folded"}, {"-json"}} {
+		var stderr bytes.Buffer
+		args := append(append([]string(nil), form...), a, b)
+		if got := run(args, errWriter{}, &stderr); got != 2 {
+			t.Errorf("run(%v) into a failing writer = %d, want 2", form, got)
+		}
+		if !strings.Contains(stderr.String(), "no space left") {
+			t.Errorf("%v: stderr %q does not carry the write error", form, stderr.String())
 		}
 	}
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -96,6 +97,23 @@ func TestListPrintsWholeRegistry(t *testing.T) {
 	for _, in := range scenarios.Index() {
 		if !strings.Contains(out, in.Name+" ") {
 			t.Errorf("-list omits %s", in.Name)
+		}
+	}
+}
+
+// errWriter fails every write, as stdout does when redirected to a full
+// device.
+type errWriter struct{}
+
+func (errWriter) Write([]byte) (int, error) { return 0, errors.New("no space left on device") }
+
+// TestWriteErrorExits1: a report that cannot be written exits 1 in
+// every output form.
+func TestWriteErrorExits1(t *testing.T) {
+	for _, args := range [][]string{{"-json", "fdqueue"}, {"-dot", "fdqueue"}, {"-folded", "fdqueue"}, {"fdqueue"}} {
+		var stderr bytes.Buffer
+		if got := run(args, errWriter{}, &stderr); got != 1 {
+			t.Errorf("run(%v) into a failing writer = %d, want 1", args, got)
 		}
 	}
 }

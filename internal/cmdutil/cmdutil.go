@@ -4,6 +4,7 @@
 package cmdutil
 
 import (
+	"bufio"
 	"flag"
 	"io"
 
@@ -28,17 +29,21 @@ func JSONFlag() *bool {
 // report JSON (whodunit-diff input), the stitched graph as Graphviz
 // dot, folded stacks (flamegraph.pl input), or text when none is set.
 // The first set flag wins; a tool that rejects combinations does so
-// before running anything.
+// before running anything. Every form goes through one buffered writer,
+// so a failed write is returned whichever form was chosen.
 func EmitReport(w io.Writer, r *whodunit.Report, jsonOut, dot, folded bool) error {
+	bw := bufio.NewWriter(w)
 	switch {
 	case jsonOut:
-		return r.JSON(w)
+		if err := r.JSON(bw); err != nil {
+			return err
+		}
 	case dot:
-		r.DOT(w)
+		r.DOT(bw)
 	case folded:
-		r.Folded(w)
+		r.Folded(bw)
 	default:
-		r.Text(w)
+		r.Text(bw)
 	}
-	return nil
+	return bw.Flush()
 }

@@ -2,11 +2,13 @@ package cmdutil_test
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"io"
 	"testing"
 
 	"whodunit"
+	"whodunit/internal/cct"
 	"whodunit/internal/cmdutil"
 )
 
@@ -63,10 +65,21 @@ func TestJSONFlag(t *testing.T) {
 	}
 }
 
+// errWriter fails every write, as stdout does when redirected to a full
+// device.
+type errWriter struct{}
+
+func (errWriter) Write([]byte) (int, error) { return 0, errors.New("no space left on device") }
+
 // TestEmitReportFormats checks each selector against the Report method
-// it stands for, and that the JSON form decodes back to the report.
+// it stands for, that a failed write is returned in every form, and
+// that the JSON form decodes back to the report.
 func TestEmitReportFormats(t *testing.T) {
-	rep := whodunit.NewReport("cmdutil-test")
+	rep := whodunit.ReportFromDumps("cmdutil-test", whodunit.StageDump{
+		Stage: "web",
+		Trees: []whodunit.TreeDump{{Label: "root", Total: 1,
+			Records: []cct.FlatRecord{{Path: []string{"main"}, Self: 1}}}},
+	})
 	rep.Elapsed = 3 * whodunit.Millisecond
 
 	direct := func(render func(io.Writer)) string {
@@ -91,6 +104,9 @@ func TestEmitReportFormats(t *testing.T) {
 		}
 		if got.String() != tc.want {
 			t.Errorf("%s: EmitReport wrote\n%s\nwant\n%s", tc.name, got.String(), tc.want)
+		}
+		if err := cmdutil.EmitReport(errWriter{}, rep, tc.json, tc.dot, tc.folded); err == nil {
+			t.Errorf("%s: EmitReport into a failing writer returned nil", tc.name)
 		}
 	}
 

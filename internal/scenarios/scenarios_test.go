@@ -69,7 +69,8 @@ func render(t *testing.T, rep *whodunit.Report) (jsonBytes, textBytes []byte) {
 }
 
 // TestCorpusGoldens pins every scenario bit-for-bit and, independently,
-// asserts the structural diff against the decoded golden is empty.
+// asserts the structural diff against the decoded golden is empty and
+// that the decoded golden re-encodes to its own bytes.
 func TestCorpusGoldens(t *testing.T) {
 	for _, s := range scenarios.All() {
 		s := s
@@ -82,9 +83,15 @@ func TestCorpusGoldens(t *testing.T) {
 			if *update {
 				return
 			}
-			golden, err := whodunit.ReadReport(bytes.NewReader(readGolden(t, s.Name, "json")))
+			want := readGolden(t, s.Name, "json")
+			golden, err := whodunit.ReadReport(bytes.NewReader(want))
 			if err != nil {
 				t.Fatalf("decode golden: %v", err)
+			}
+			// The golden round-trips: decoding and re-encoding it gives its
+			// bytes back.
+			if back, _ := render(t, golden); !bytes.Equal(back, want) {
+				t.Errorf("%s golden re-encodes to %d bytes, not its own %d", s.Name, len(back), len(want))
 			}
 			if d := whodunit.Diff(golden, rep); !d.Empty() {
 				var buf bytes.Buffer

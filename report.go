@@ -1,10 +1,12 @@
 package whodunit
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 
 	"whodunit/internal/profiler"
@@ -178,15 +180,99 @@ func (r *Report) TotalSamples() int64 {
 	return n
 }
 
-// JSON writes the report as indented JSON. The stitched graph is derived
-// data and is omitted; ReadReport rebuilds it.
+// JSON writes the report as indented JSON: the same bytes as a
+// json.Encoder with SetIndent("", "  "), final newline included. The
+// stitched graph is derived data and is omitted; ReadReport rebuilds it.
+//
+// The whole document is never held in memory. encoding/json encodes each
+// field but the flow log, one field at a time, before anything is
+// written, so an encoding error writes nothing. The flow log, which §3's
+// flow detection makes the bulk of a large report, is then written flow
+// by flow through a buffer of a few KB.
 func (r *Report) JSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(r); err != nil {
+	fields := [...]struct {
+		key  string
+		v    any
+		omit bool
+	}{
+		{"app", r.App, false},
+		{"elapsed_ns", r.Elapsed, false},
+		{"window", r.Window, r.Window == nil},
+		{"stages", r.Stages, false},
+		{"crosstalk", r.Crosstalk, len(r.Crosstalk) == 0},
+		{"flows", r.Flows, len(r.Flows) == 0},
+		{"faults", r.Faults, r.Faults == nil},
+		{"missing", r.Missing, len(r.Missing) == 0},
+	}
+	var vals [len(fields)][]byte
+	for i, f := range fields {
+		if _, flows := f.v.([]FlowEvent); flows || f.omit {
+			continue
+		}
+		b, err := json.MarshalIndent(f.v, "  ", "  ")
+		if err != nil {
+			return fmt.Errorf("whodunit: encode report: %w", err)
+		}
+		vals[i] = b
+	}
+	// bw keeps the first write error and writes nothing after it; Flush
+	// returns it.
+	bw := bufio.NewWriterSize(w, jsonChunk)
+	var flow []byte // one flow's encoding, reused
+	sep := "{\n  \""
+	for i, f := range fields {
+		if f.omit {
+			continue
+		}
+		bw.WriteString(sep)
+		bw.WriteString(f.key)
+		bw.WriteString(`": `)
+		sep = ",\n  \""
+		flows, ok := f.v.([]FlowEvent)
+		if !ok {
+			bw.Write(vals[i])
+			continue
+		}
+		bw.WriteString("[\n")
+		for j, fe := range flows {
+			if j > 0 {
+				bw.WriteString(",\n")
+			}
+			flow = appendFlow(flow[:0], fe)
+			bw.Write(flow)
+		}
+		bw.WriteString("\n  ]")
+	}
+	bw.WriteString("\n}\n")
+	if err := bw.Flush(); err != nil {
 		return fmt.Errorf("whodunit: encode report: %w", err)
 	}
 	return nil
+}
+
+// jsonChunk is how much Report.JSON gathers before a write to its
+// writer.
+const jsonChunk = 8 << 10
+
+// appendFlow appends one flow-log element as encoding/json indents it at
+// depth two of a report. It is the one place FlowEvent's JSON layout is
+// written; ReadReport decodes it with encoding/json.
+func appendFlow(b []byte, f FlowEvent) []byte {
+	b = append(b, "    {\n      \"Producer\": "...)
+	b = strconv.AppendInt(b, int64(f.Producer), 10)
+	b = append(b, ",\n      \"Consumer\": "...)
+	b = strconv.AppendInt(b, int64(f.Consumer), 10)
+	b = append(b, ",\n      \"Token\": "...)
+	b = strconv.AppendUint(b, uint64(f.Token), 10)
+	b = append(b, ",\n      \"Lock\": "...)
+	b = strconv.AppendInt(b, int64(f.Lock), 10)
+	b = append(b, ",\n      \"Loc\": {\n        \"Kind\": "...)
+	b = strconv.AppendUint(b, uint64(f.Loc.Kind), 10)
+	b = append(b, ",\n        \"Addr\": "...)
+	b = strconv.AppendUint(b, uint64(f.Loc.Addr), 10)
+	b = append(b, ",\n        \"Thread\": "...)
+	b = strconv.AppendInt(b, int64(f.Loc.Thread), 10)
+	return append(b, "\n      }\n    }"...)
 }
 
 // ReadReport decodes a JSON report and restitches its transaction graph.

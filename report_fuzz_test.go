@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"whodunit"
+	"whodunit/internal/vm"
 )
 
 // validReportJSON renders one real retired-window report — the
@@ -29,7 +30,8 @@ func validReportJSON(f *testing.F) []byte {
 
 // FuzzReadReport asserts ReadReport either errors or returns a report
 // every renderer and accessor can process — malformed, truncated or
-// hostile input must never panic.
+// hostile input must never panic — and whose JSON decodes back to the
+// same JSON.
 func FuzzReadReport(f *testing.F) {
 	valid := validReportJSON(f)
 	f.Add(valid)
@@ -41,6 +43,20 @@ func FuzzReadReport(f *testing.F) {
 	f.Add([]byte(`{"stages": [{"stage": "", "trees": null}]}`))
 	f.Add([]byte(`{"stages": [{"dumps": [{"entries": [{"chain": [0], "tree": {}}]}]}]}`))
 	f.Add([]byte(`{"window": {"seq": -9223372036854775808}}`))
+	// The serve window above has no flow log; the same report with one.
+	withFlows, err := whodunit.ReadReport(bytes.NewReader(valid))
+	if err != nil {
+		f.Fatal(err)
+	}
+	withFlows.Flows = []whodunit.FlowEvent{
+		{Producer: 0, Consumer: 1, Token: 1, Lock: 1, Loc: vm.MemLoc(4)},
+		{Producer: -1, Consumer: 2, Token: 1<<32 - 1, Lock: 2, Loc: vm.RegLoc(2, 3)},
+	}
+	var buf bytes.Buffer
+	if err := withFlows.JSON(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rep, err := whodunit.ReadReport(bytes.NewReader(data))
 		if err != nil {
@@ -50,8 +66,21 @@ func FuzzReadReport(f *testing.F) {
 		// path: renderers, totals, and a self-diff.
 		rep.Text(io.Discard)
 		rep.Folded(io.Discard)
-		if err := rep.JSON(io.Discard); err != nil {
+		// Whatever decodes re-encodes, and the re-encoding is a fixed
+		// point: JSON(ReadReport(JSON(r))) == JSON(r).
+		var once, twice bytes.Buffer
+		if err := rep.JSON(&once); err != nil {
 			t.Fatalf("re-encode: %v", err)
+		}
+		back, err := whodunit.ReadReport(bytes.NewReader(once.Bytes()))
+		if err != nil {
+			t.Fatalf("re-encoded report does not decode: %v", err)
+		}
+		if err := back.JSON(&twice); err != nil {
+			t.Fatalf("second re-encode: %v", err)
+		}
+		if !bytes.Equal(once.Bytes(), twice.Bytes()) {
+			t.Fatalf("re-encoding is not a fixed point:\n%s\nthen\n%s", once.Bytes(), twice.Bytes())
 		}
 		_ = rep.TotalSamples()
 		d := whodunit.Diff(rep, rep)

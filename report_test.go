@@ -2,6 +2,8 @@ package whodunit_test
 
 import (
 	"bytes"
+	"io"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -70,5 +72,27 @@ func TestReportFolded(t *testing.T) {
 	back.Folded(&buf2)
 	if buf2.String() != out {
 		t.Fatal("folded output differs after JSON round trip")
+	}
+}
+
+// TestReportJSONMemoryIndependentOfFlows: encoding a report allocates a
+// bounded amount however long its flow log is, since the log is written
+// flow by flow rather than marshalled whole and then re-indented (about
+// 136 MB for these 100 000 flows). Not parallel: it reads the process's
+// allocation counter.
+func TestReportJSONMemoryIndependentOfFlows(t *testing.T) {
+	r := whodunit.NewReport("flows")
+	r.Flows = make([]whodunit.FlowEvent, 100_000)
+	for i := range r.Flows {
+		r.Flows[i] = whodunit.FlowEvent{Producer: i, Consumer: i + 1, Token: whodunit.FlowToken(i), Lock: 7}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := r.JSON(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 2<<20 {
+		t.Fatalf("encoding 100 000 flows allocated %d bytes, want at most 2 MB", grew)
 	}
 }
