@@ -1,9 +1,11 @@
 package whodunit
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
@@ -477,43 +479,51 @@ func diffCrosstalk(a, b []CrosstalkPair) []CrosstalkDelta {
 	return out
 }
 
+// diffFlows counts each side's flows per (lock, producer, consumer) and
+// returns the keys whose counts differ, in key order. It sorts each
+// side's keys and merge-walks the two runs: a flow log holds tens of
+// thousands of distinct keys, which a map would hash one by one.
 func diffFlows(a, b []FlowEvent) []FlowDelta {
 	type flowKey struct{ lock, prod, cons int }
-	index := func(fs []FlowEvent) map[flowKey]int64 {
-		m := make(map[flowKey]int64, len(fs))
-		for _, f := range fs {
-			m[flowKey{f.Lock, f.Producer, f.Consumer}]++
+	compare := func(x, y flowKey) int {
+		if c := cmp.Compare(x.lock, y.lock); c != 0 {
+			return c
 		}
-		return m
+		if c := cmp.Compare(x.prod, y.prod); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.cons, y.cons)
 	}
-	am, bm := index(a), index(b)
-	keys := make([]flowKey, 0, len(am)+len(bm))
-	for k := range am {
-		keys = append(keys, k)
+	sorted := func(fs []FlowEvent) []flowKey {
+		ks := make([]flowKey, len(fs))
+		for i, f := range fs {
+			ks[i] = flowKey{f.Lock, f.Producer, f.Consumer}
+		}
+		slices.SortFunc(ks, compare)
+		return ks
 	}
-	for k := range bm {
-		if _, ok := am[k]; !ok {
-			keys = append(keys, k)
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].lock != keys[j].lock {
-			return keys[i].lock < keys[j].lock
-		}
-		if keys[i].prod != keys[j].prod {
-			return keys[i].prod < keys[j].prod
-		}
-		return keys[i].cons < keys[j].cons
-	})
+	ak, bk := sorted(a), sorted(b)
 	var out []FlowDelta
-	for _, k := range keys {
-		if am[k] == bm[k] {
-			continue
+	for i, j := 0, 0; i < len(ak) || j < len(bk); {
+		var k flowKey // the smaller of the two runs' next keys
+		if j == len(bk) || i < len(ak) && compare(ak[i], bk[j]) <= 0 {
+			k = ak[i]
+		} else {
+			k = bk[j]
 		}
-		out = append(out, FlowDelta{
-			Lock: k.lock, Producer: k.prod, Consumer: k.cons,
-			CountA: am[k], CountB: bm[k],
-		})
+		var ca, cb int64
+		for ; i < len(ak) && ak[i] == k; i++ {
+			ca++
+		}
+		for ; j < len(bk) && bk[j] == k; j++ {
+			cb++
+		}
+		if ca != cb {
+			out = append(out, FlowDelta{
+				Lock: k.lock, Producer: k.prod, Consumer: k.cons,
+				CountA: ca, CountB: cb,
+			})
+		}
 	}
 	return out
 }

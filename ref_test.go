@@ -1,14 +1,24 @@
 package whodunit
 
-// The differential oracle for Report.JSON: refReportJSON is the encoder
-// Report.JSON was before it streamed the flow log — one json.Encoder
-// with SetIndent over the whole report — kept, test-only, as the
-// executable old definition. TestQuickReportJSONMatchesRef demands the
-// same bytes (or the same error, with nothing written) on generated
-// reports that reach every optional field, nil and empty slices, the
-// integer extremes of a flow, and strings encoding/json must escape.
+// The differential oracles for the report's encoder, reader and flow
+// diff, each the old definition kept, test-only, as executable:
+//
+//   - refReportJSON is the encoder Report.JSON was before it streamed the
+//     flow log: one json.Encoder with SetIndent over the whole report.
+//     TestQuickReportJSONMatchesRef demands the same bytes (or the same
+//     error, with nothing written) on generated reports that reach every
+//     optional field, nil and empty slices, the integer extremes of a
+//     flow, and strings encoding/json must escape.
+//   - refReadReport is ReadReport before it read the flow log with
+//     readFlow: one json.Decoder over the whole input.
+//     TestQuickReadReportMatchesRef demands the same error, or reports
+//     that encode to the same bytes, on the same generated reports and on
+//     rewrites of them in every layout Report.JSON does not write.
+//   - refDiffFlows is diffFlows before it sorted: a count map per side.
+//     TestQuickDiffFlowsMatchesRef demands the same deltas.
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
@@ -16,7 +26,11 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"os"
 	"reflect"
+	"regexp"
+	"sort"
+	"strings"
 	"testing"
 
 	"whodunit/internal/cct"
@@ -273,6 +287,320 @@ func TestFlowLayoutCoversEveryField(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, c.want) {
 			t.Errorf("%v has fields %v; appendFlow writes %v", c.typ, got, c.want)
+		}
+	}
+}
+
+func refReadReport(rd io.Reader) (*Report, error) {
+	var r Report
+	if err := json.NewDecoder(rd).Decode(&r); err != nil {
+		return nil, fmt.Errorf("whodunit: decode report: %w", err)
+	}
+	r.restitch()
+	return &r, nil
+}
+
+func refDiffFlows(a, b []FlowEvent) []FlowDelta {
+	type flowKey struct{ lock, prod, cons int }
+	index := func(fs []FlowEvent) map[flowKey]int64 {
+		m := make(map[flowKey]int64, len(fs))
+		for _, f := range fs {
+			m[flowKey{f.Lock, f.Producer, f.Consumer}]++
+		}
+		return m
+	}
+	am, bm := index(a), index(b)
+	keys := make([]flowKey, 0, len(am)+len(bm))
+	for k := range am {
+		keys = append(keys, k)
+	}
+	for k := range bm {
+		if _, ok := am[k]; !ok {
+			keys = append(keys, k)
+		}
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].lock != keys[j].lock {
+			return keys[i].lock < keys[j].lock
+		}
+		if keys[i].prod != keys[j].prod {
+			return keys[i].prod < keys[j].prod
+		}
+		return keys[i].cons < keys[j].cons
+	})
+	var out []FlowDelta
+	for _, k := range keys {
+		if am[k] == bm[k] {
+			continue
+		}
+		out = append(out, FlowDelta{
+			Lock: k.lock, Producer: k.prod, Consumer: k.cons,
+			CountA: am[k], CountB: bm[k],
+		})
+	}
+	return out
+}
+
+// chunks reads data in pieces of 1 to 64 bytes, so that what a reader
+// has buffered ends at every kind of place.
+type chunks struct {
+	data []byte
+	rng  *rand.Rand
+}
+
+func (c *chunks) Read(p []byte) (int, error) {
+	if len(c.data) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p[:min(len(p), 1+c.rng.Intn(64))], c.data)
+	c.data = c.data[n:]
+	return n, nil
+}
+
+// sameRead fails the test unless ReadReport, reading data in chunks,
+// and the oracle agree on it: the same error, or equal reports, which
+// encode to the same bytes.
+func sameRead(t *testing.T, what string, data []byte, rng *rand.Rand) {
+	t.Helper()
+	got, gotErr := ReadReport(&chunks{data, rng})
+	want, wantErr := refReadReport(bytes.NewReader(data))
+	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+		t.Fatalf("%s: error %v, oracle %v", what, gotErr, wantErr)
+	}
+	if gotErr != nil {
+		return
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: decoded report differs from the oracle's", what)
+	}
+	var g, w bytes.Buffer
+	if err := got.JSON(&g); err != nil {
+		t.Fatalf("%s: re-encode: %v", what, err)
+	}
+	if err := want.JSON(&w); err != nil {
+		t.Fatalf("%s: oracle's re-encode: %v", what, err)
+	}
+	if !bytes.Equal(g.Bytes(), w.Bytes()) {
+		t.Fatalf("%s: re-encodes to %d bytes, the oracle's report to %d", what, g.Len(), w.Len())
+	}
+}
+
+// flowValue matches one integer of a flow-log element, by key.
+func flowValue(key string) *regexp.Regexp {
+	return regexp.MustCompile(`("` + key + `": )[^,\n]*`)
+}
+
+// rewrites returns js, a report r as Report.JSON writes it, in layouts
+// JSON does not write, each named. Among them are js cut inside the
+// flow log's first and last element: at every offset if allCuts, else
+// at one drawn by rng.
+func rewrites(r *Report, js []byte, allCuts bool, rng *rand.Rand) map[string][]byte {
+	out := map[string][]byte{}
+	var b bytes.Buffer
+	if err := json.Compact(&b, js); err != nil {
+		panic(err)
+	}
+	out["compact"] = b.Bytes()
+	var tabs bytes.Buffer
+	if err := json.Indent(&tabs, js, "", "\t"); err != nil {
+		panic(err)
+	}
+	out["tabs"] = tabs.Bytes()
+	end := bytes.LastIndex(js, []byte("\n}"))
+	with := func(at int, s string) []byte {
+		return append(append(append([]byte(nil), js[:at]...), s...), js[at:]...)
+	}
+	out["flows null first"] = with(2, `  "flows": null,`+"\n")
+	out["flows last"] = with(end, ",\n  \"flows\": [\n"+string(appendFlow(nil, FlowEvent{Lock: 9}))+"\n  ]")
+	out["no final newline"] = js[:len(js)-1]
+	out["missing comma"] = bytes.Replace(js, []byte(",\n  \""), []byte("\n  \""), 1)
+	out["trailing comma"] = with(end, ",")
+	out["trailing bytes"] = append(append([]byte(nil), js...), "} garbage"...)
+	if len(r.Flows) == 0 {
+		return out
+	}
+	// The flow log's text, and its first and last elements'.
+	log := bytes.Index(js, []byte(`"flows": [`)) + len(`"flows": [`) + 1
+	logEnd := log + bytes.Index(js[log:], []byte("\n  ]"))
+	first := appendFlow(nil, r.Flows[0])
+	last := appendFlow(nil, r.Flows[len(r.Flows)-1])
+	put := func(at, n int, s []byte) []byte {
+		return append(append(append([]byte(nil), js[:at]...), s...), js[at+n:]...)
+	}
+	edit := func(f func([]byte) []byte) []byte {
+		return put(log, len(first), f(append([]byte(nil), first...)))
+	}
+	out["flows null"] = put(log-2, logEnd+4-(log-2), []byte("null"))
+	out["flows empty"] = put(log, logEnd-log, nil)
+	if js[logEnd+4] == ',' {
+		out["no comma after flows"] = put(logEnd+4, 1, nil)
+	}
+	out["case-folded key"] = edit(func(f []byte) []byte {
+		return bytes.Replace(f, []byte(`"Producer"`), []byte(`"producer"`), 1)
+	})
+	out["reordered keys"] = edit(func(f []byte) []byte {
+		lines := bytes.Split(f, []byte("\n"))
+		lines[1], lines[2] = lines[2], lines[1]
+		return bytes.Join(lines, []byte("\n"))
+	})
+	out["unknown key"] = edit(func(f []byte) []byte {
+		return bytes.Replace(f, []byte("{\n"), []byte("{\n      \"Extra\": 1,\n"), 1)
+	})
+	for _, c := range []struct{ key, val string }{
+		{"Producer", "01"}, {"Producer", "-0"}, {"Consumer", "1e3"}, {"Lock", "+1"},
+		{"Token", "2147483648"}, {"Token", "4294967296"}, {"Kind", "256"},
+		{"Thread", "-9223372036854775809"}, {"Addr", "null"}, {"Producer", `"1"`},
+	} {
+		out[c.key+" "+c.val] = edit(func(f []byte) []byte {
+			return flowValue(c.key).ReplaceAll(f, []byte("${1}"+c.val))
+		})
+	}
+	for _, el := range [][2]int{{log, len(first)}, {logEnd - len(last), len(last)}} {
+		offsets := rng.Perm(el[1] + 1)
+		if !allCuts {
+			offsets = offsets[:1]
+		}
+		for _, i := range offsets {
+			out[fmt.Sprintf("cut at %d", el[0]+i)] = js[:el[0]+i]
+		}
+	}
+	return out
+}
+
+// TestQuickReadReportMatchesRef: ReadReport reads every report JSON
+// writes without falling back to encoding/json, and agrees with the
+// oracle on it and on every rewrite of it.
+func TestQuickReadReportMatchesRef(t *testing.T) {
+	for seed := int64(0); seed < 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		r := genReport{rng}.report()
+		var js bytes.Buffer
+		if err := r.JSON(&js); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		d := reportReader{br: bufio.NewReaderSize(&chunks{js.Bytes(), rng}, jsonChunk)}
+		if d.read() == nil {
+			t.Fatalf("seed %d: the report JSON wrote was handed to encoding/json", seed)
+		}
+		sameRead(t, fmt.Sprintf("seed %d", seed), js.Bytes(), rng)
+		// Each rewrite is decoded three times, so the reports over 16 KB
+		// (a third of them, most of the bytes) are only cut, and only one
+		// small report in ten is cut at every offset.
+		small := js.Len() <= 16<<10
+		allCuts := seed%10 == 0 && js.Len() <= 4<<10
+		for name, data := range rewrites(r, js.Bytes(), allCuts, rng) {
+			if small || strings.HasPrefix(name, "cut") {
+				sameRead(t, fmt.Sprintf("seed %d, %s", seed, name), data, rng)
+			}
+		}
+	}
+}
+
+// TestReadFlowInvertsAppendFlow: readFlow reads back what appendFlow
+// wrote, integer extremes included; a cut element is reported as cut
+// where it ends; and no other spelling of an integer is accepted.
+func TestReadFlowInvertsAppendFlow(t *testing.T) {
+	g := genReport{rand.New(rand.NewSource(1))}
+	flows := []FlowEvent{{}, {
+		Producer: math.MinInt, Consumer: math.MaxInt, Token: math.MaxUint32, Lock: math.MinInt,
+		Loc: vm.Loc{Kind: math.MaxUint8, Addr: math.MaxUint32, Thread: math.MaxInt},
+	}}
+	for range 1000 {
+		flows = append(flows, g.flow())
+	}
+	for _, f := range flows {
+		b := appendFlow(nil, f)
+		got, n, ok := readFlow(append(b, ",\n"...))
+		if !ok || n != len(b) || got != f {
+			t.Fatalf("readFlow(appendFlow(%+v)) = %+v, %d, %v; want it back, %d, true", f, got, n, ok, len(b))
+		}
+		for cut := range len(b) {
+			if _, n, ok := readFlow(b[:cut]); ok || n != cut {
+				t.Fatalf("%q: readFlow = %d, %v; want %d, false", b[:cut], n, ok, cut)
+			}
+		}
+	}
+	b := appendFlow(nil, FlowEvent{Producer: 1, Consumer: 10, Token: 255, Lock: -1})
+	for _, c := range []struct{ key, val string }{
+		{"Producer", "01"}, {"Producer", "+1"}, {"Producer", "-0"}, {"Producer", "1.0"},
+		{"Consumer", "1e1"}, {"Consumer", "010"}, {"Token", "4294967296"}, {"Token", "-1"},
+		{"Lock", "-01"}, {"Lock", "- 1"}, {"Kind", "256"}, {"Addr", "99999999999999999999"},
+		{"Thread", "9223372036854775808"}, {"Thread", "-9223372036854775809"},
+	} {
+		bad := flowValue(c.key).ReplaceAll(b, []byte("${1}"+c.val))
+		if _, n, ok := readFlow(append(bad, ",\n"...)); ok || n >= len(bad) {
+			t.Errorf("readFlow accepted %s %s, or read it to its end (%d of %d bytes)", c.key, c.val, n, len(bad))
+		}
+	}
+}
+
+// TestQuickDiffFlowsMatchesRef: the sorted merge and the count maps give
+// the same deltas on generated flow logs: either side empty, heavy
+// duplicates, negative ids, keys on one side only.
+func TestQuickDiffFlowsMatchesRef(t *testing.T) {
+	for seed := int64(0); seed < 500; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		log := func(ids, off int) []FlowEvent {
+			fs := make([]FlowEvent, rng.Intn(4)*rng.Intn(40))
+			for i := range fs {
+				id := func() int { return off + rng.Intn(2*ids+1) - ids }
+				fs[i] = FlowEvent{Lock: id(), Producer: id(), Consumer: id(), Token: FlowToken(rng.Intn(3))}
+			}
+			return fs
+		}
+		ids := 1 + rng.Intn(5)
+		a, b := log(ids, 0), log(ids, rng.Intn(3)*ids)
+		got, want := diffFlows(a, b), refDiffFlows(a, b)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: diffFlows = %v\noracle %v", seed, got, want)
+		}
+	}
+}
+
+// BenchmarkReadReport decodes, with ReadReport and with the oracle, a
+// report of tpcw's size (23 KB, no flow log) and one of apache's in the
+// repository benchmark: the apache golden's flow log, pairs of flows
+// from thread 2k to 2k+1, extended to 80 000 flows (14.4 MB).
+func BenchmarkReadReport(b *testing.B) {
+	tpcw, err := os.ReadFile("internal/scenarios/testdata/tpcw-mega.json.golden")
+	if err != nil {
+		b.Fatal(err)
+	}
+	golden, err := os.ReadFile("internal/scenarios/testdata/apache.json.golden")
+	if err != nil {
+		b.Fatal(err)
+	}
+	r, err := ReadReport(bytes.NewReader(golden))
+	if err != nil {
+		b.Fatal(err)
+	}
+	r.Flows = make([]FlowEvent, 80_000)
+	for i := range r.Flows {
+		k := i / 2
+		r.Flows[i] = FlowEvent{Producer: 2 * k, Consumer: 2*k + 1, Token: 1, Lock: 1,
+			Loc: vm.Loc{Kind: vm.LocReg, Addr: uint32(4 + i%2), Thread: 2*k + 1}}
+	}
+	var apache bytes.Buffer
+	if err := r.JSON(&apache); err != nil {
+		b.Fatal(err)
+	}
+	for _, in := range []struct {
+		name string
+		js   []byte
+	}{{"tpcw", tpcw}, {"apache", apache.Bytes()}} {
+		for _, read := range []struct {
+			name string
+			f    func(io.Reader) (*Report, error)
+		}{{"ReadReport", ReadReport}, {"ref", refReadReport}} {
+			b.Run(in.name+"/"+read.name, func(b *testing.B) {
+				b.SetBytes(int64(len(in.js)))
+				b.ReportAllocs()
+				for b.Loop() {
+					if _, err := read.f(bytes.NewReader(in.js)); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

@@ -2,15 +2,19 @@ package whodunit
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 
 	"whodunit/internal/profiler"
 	"whodunit/internal/stitch"
+	"whodunit/internal/vm"
 )
 
 // ContextShare is one context's share of a stage's profile samples.
@@ -180,6 +184,29 @@ func (r *Report) TotalSamples() int64 {
 	return n
 }
 
+// reportField is one top-level field of a report's JSON: its key, a
+// pointer to its value, and whether JSON leaves it out (omitempty).
+type reportField struct {
+	key  string
+	v    any
+	omit bool
+}
+
+// fields lists the report's top-level fields in the order JSON writes
+// them and ReadReport expects them.
+func (r *Report) fields() [8]reportField {
+	return [...]reportField{
+		{"app", &r.App, false},
+		{"elapsed_ns", &r.Elapsed, false},
+		{"window", &r.Window, r.Window == nil},
+		{"stages", &r.Stages, false},
+		{"crosstalk", &r.Crosstalk, len(r.Crosstalk) == 0},
+		{"flows", &r.Flows, len(r.Flows) == 0},
+		{"faults", &r.Faults, r.Faults == nil},
+		{"missing", &r.Missing, len(r.Missing) == 0},
+	}
+}
+
 // JSON writes the report as indented JSON: the same bytes as a
 // json.Encoder with SetIndent("", "  "), final newline included. The
 // stitched graph is derived data and is omitted; ReadReport rebuilds it.
@@ -190,23 +217,10 @@ func (r *Report) TotalSamples() int64 {
 // flow detection makes the bulk of a large report, is then written flow
 // by flow through a buffer of a few KB.
 func (r *Report) JSON(w io.Writer) error {
-	fields := [...]struct {
-		key  string
-		v    any
-		omit bool
-	}{
-		{"app", r.App, false},
-		{"elapsed_ns", r.Elapsed, false},
-		{"window", r.Window, r.Window == nil},
-		{"stages", r.Stages, false},
-		{"crosstalk", r.Crosstalk, len(r.Crosstalk) == 0},
-		{"flows", r.Flows, len(r.Flows) == 0},
-		{"faults", r.Faults, r.Faults == nil},
-		{"missing", r.Missing, len(r.Missing) == 0},
-	}
+	fields := r.fields()
 	var vals [len(fields)][]byte
 	for i, f := range fields {
-		if _, flows := f.v.([]FlowEvent); flows || f.omit {
+		if _, flows := f.v.(*[]FlowEvent); flows || f.omit {
 			continue
 		}
 		b, err := json.MarshalIndent(f.v, "  ", "  ")
@@ -228,13 +242,13 @@ func (r *Report) JSON(w io.Writer) error {
 		bw.WriteString(f.key)
 		bw.WriteString(`": `)
 		sep = ",\n  \""
-		flows, ok := f.v.([]FlowEvent)
+		flows, ok := f.v.(*[]FlowEvent)
 		if !ok {
 			bw.Write(vals[i])
 			continue
 		}
 		bw.WriteString("[\n")
-		for j, fe := range flows {
+		for j, fe := range *flows {
 			if j > 0 {
 				bw.WriteString(",\n")
 			}
@@ -251,38 +265,354 @@ func (r *Report) JSON(w io.Writer) error {
 }
 
 // jsonChunk is how much Report.JSON gathers before a write to its
-// writer.
+// writer, and the size of ReadReport's read buffer.
 const jsonChunk = 8 << 10
 
-// appendFlow appends one flow-log element as encoding/json indents it at
-// depth two of a report. It is the one place FlowEvent's JSON layout is
-// written; ReadReport decodes it with encoding/json.
-func appendFlow(b []byte, f FlowEvent) []byte {
-	b = append(b, "    {\n      \"Producer\": "...)
-	b = strconv.AppendInt(b, int64(f.Producer), 10)
-	b = append(b, ",\n      \"Consumer\": "...)
-	b = strconv.AppendInt(b, int64(f.Consumer), 10)
-	b = append(b, ",\n      \"Token\": "...)
-	b = strconv.AppendUint(b, uint64(f.Token), 10)
-	b = append(b, ",\n      \"Lock\": "...)
-	b = strconv.AppendInt(b, int64(f.Lock), 10)
-	b = append(b, ",\n      \"Loc\": {\n        \"Kind\": "...)
-	b = strconv.AppendUint(b, uint64(f.Loc.Kind), 10)
-	b = append(b, ",\n        \"Addr\": "...)
-	b = strconv.AppendUint(b, uint64(f.Loc.Addr), 10)
-	b = append(b, ",\n        \"Thread\": "...)
-	b = strconv.AppendInt(b, int64(f.Loc.Thread), 10)
-	return append(b, "\n      }\n    }"...)
+// flowText is FlowEvent's JSON layout at depth two of a report: the text
+// before each of its seven integers, in the order appendFlow writes
+// them, then the text that closes the element.
+var flowText = [8]string{
+	"    {\n      \"Producer\": ",
+	",\n      \"Consumer\": ",
+	",\n      \"Token\": ",
+	",\n      \"Lock\": ",
+	",\n      \"Loc\": {\n        \"Kind\": ",
+	",\n        \"Addr\": ",
+	",\n        \"Thread\": ",
+	"\n      }\n    }",
 }
 
+// appendFlow appends one flow-log element as encoding/json indents it at
+// depth two of a report. It and readFlow, its inverse, are the one place
+// FlowEvent's JSON layout is written and read; a flow log in any other
+// layout is read by encoding/json (see ReadReport).
+func appendFlow(b []byte, f FlowEvent) []byte {
+	b = append(b, flowText[0]...)
+	b = strconv.AppendInt(b, int64(f.Producer), 10)
+	b = append(b, flowText[1]...)
+	b = strconv.AppendInt(b, int64(f.Consumer), 10)
+	b = append(b, flowText[2]...)
+	b = strconv.AppendUint(b, uint64(f.Token), 10)
+	b = append(b, flowText[3]...)
+	b = strconv.AppendInt(b, int64(f.Lock), 10)
+	b = append(b, flowText[4]...)
+	b = strconv.AppendUint(b, uint64(f.Loc.Kind), 10)
+	b = append(b, flowText[5]...)
+	b = strconv.AppendUint(b, uint64(f.Loc.Addr), 10)
+	b = append(b, flowText[6]...)
+	b = strconv.AppendInt(b, int64(f.Loc.Thread), 10)
+	return append(b, flowText[7]...)
+}
+
+// readFlow reads one flow-log element at the start of b, exactly as
+// appendFlow writes it, and returns it with its length in bytes. It
+// accepts only appendFlow's bytes: each integer in range and written as
+// strconv writes it (no "+", no leading zero, no "-0"). For anything
+// else ok is false and n is where reading stopped: len(b) if b ended
+// before the element could be told apart from one.
+func readFlow(b []byte) (f FlowEvent, n int, ok bool) {
+	s := flowScan{b: b, ok: true}
+	f.Producer = int(s.int(0))
+	f.Consumer = int(s.int(1))
+	f.Token = FlowToken(s.uint(2, 32))
+	f.Lock = int(s.int(3))
+	f.Loc.Kind = vm.LocKind(s.uint(4, 8))
+	f.Loc.Addr = uint32(s.uint(5, 32))
+	f.Loc.Thread = int(s.int(6))
+	s.lit(flowText[7])
+	return f, s.n, s.ok
+}
+
+// flowScan is readFlow's cursor: b[n:] is unread, and ok turns false at
+// the first byte appendFlow would not have written.
+type flowScan struct {
+	b  []byte
+	n  int
+	ok bool
+}
+
+func (s *flowScan) lit(t string) {
+	if !s.ok {
+		return
+	}
+	rest := s.b[s.n:]
+	if len(rest) >= len(t) && string(rest[:len(t)]) == t {
+		s.n += len(t)
+		return
+	}
+	s.ok = false
+	if strings.HasPrefix(t, string(rest)) {
+		s.n = len(s.b)
+	}
+}
+
+// int reads flowText[i], then an int.
+func (s *flowScan) int(i int) int64 {
+	s.lit(flowText[i])
+	neg := s.ok && s.n < len(s.b) && s.b[s.n] == '-'
+	if neg {
+		s.n++
+	}
+	u := s.digits()
+	limit := uint64(1)<<(strconv.IntSize-1) - 1
+	if neg {
+		limit++
+	}
+	if u > limit || neg && u == 0 {
+		s.ok = false
+	}
+	if neg {
+		return -int64(u)
+	}
+	return int64(u)
+}
+
+// uint reads flowText[i], then an unsigned integer of the given bits.
+func (s *flowScan) uint(i, bits int) uint64 {
+	s.lit(flowText[i])
+	u := s.digits()
+	if u > uint64(1)<<bits-1 {
+		s.ok = false
+	}
+	return u
+}
+
+// digits reads a decimal magnitude: "0", or up to 19 digits without a
+// leading zero, which fit in a uint64.
+func (s *flowScan) digits() uint64 {
+	if !s.ok {
+		return 0
+	}
+	start := s.n
+	var u uint64
+	for s.n < len(s.b) && '0' <= s.b[s.n] && s.b[s.n] <= '9' {
+		if s.n-start == 19 {
+			s.ok = false
+			return 0
+		}
+		u = u*10 + uint64(s.b[s.n]-'0')
+		s.n++
+	}
+	if d := s.n - start; d == 0 || d > 1 && s.b[start] == '0' {
+		s.ok = false
+	}
+	return u
+}
+
+// maxFlowText is the length of the longest element appendFlow writes.
+var maxFlowText = len(appendFlow(nil, FlowEvent{
+	Producer: math.MinInt, Consumer: math.MinInt, Token: math.MaxUint32, Lock: math.MinInt,
+	Loc: vm.Loc{Kind: math.MaxUint8, Addr: math.MaxUint32, Thread: math.MinInt},
+}))
+
 // ReadReport decodes a JSON report and restitches its transaction graph.
+// It decodes whatever encoding/json would decode into a Report, to the
+// same report, and fails with encoding/json's error.
+//
+// It mirrors JSON: it walks the document as JSON lays it out, decodes
+// each field but the flow log with encoding/json, one field at a time,
+// and the flow log with readFlow. At the first byte JSON would not have
+// written there, it hands the whole input to a json.Decoder: the bytes
+// read so far (the flows read re-encoded by appendFlow), then the rest.
+// Like the decoder, it reads no further than the report's closing "}".
 func ReadReport(rd io.Reader) (*Report, error) {
-	var r Report
-	if err := json.NewDecoder(rd).Decode(&r); err != nil {
-		return nil, fmt.Errorf("whodunit: decode report: %w", err)
+	d := reportReader{br: bufio.NewReaderSize(rd, jsonChunk), text: make([]byte, 0, jsonChunk)}
+	r := d.read()
+	if r == nil {
+		r = new(Report)
+		if err := json.NewDecoder(d.replay()).Decode(r); err != nil {
+			return nil, fmt.Errorf("whodunit: decode report: %w", err)
+		}
 	}
 	r.restitch()
-	return &r, nil
+	return r, nil
+}
+
+// reportReader reads a report in JSON's layout and keeps what it read,
+// for replay.
+type reportReader struct {
+	br     *bufio.Reader
+	text   []byte // the bytes read but the flow log's elements
+	flowAt int    // where in text the flow log's elements were
+	// The flow log's elements read, in blocks of at most flowBlock. The
+	// log is copied into one slice of its length at its end, so reading
+	// it allocates about twice what it holds, where append's growth
+	// would allocate five times.
+	blocks [][]FlowEvent
+	nflows int
+}
+
+// flowBlock is the most flows one of reportReader's blocks holds.
+const flowBlock = 4096
+
+// read returns the report, or nil at the first byte that JSON would not
+// have written.
+func (d *reportReader) read() *Report {
+	r := new(Report)
+	fields := r.fields()
+	if !d.lit("{\n") {
+		return nil
+	}
+	for i := 0; ; i++ {
+		// A key: a field after the one read last, so none twice.
+		for i < len(fields) && !d.lit(`  "`+fields[i].key+`": `) {
+			i++
+		}
+		if i == len(fields) {
+			return nil
+		}
+		var comma, ok bool
+		if flows, isFlows := fields[i].v.(*[]FlowEvent); isFlows {
+			comma, ok = d.flowLog()
+			*flows = slices.Concat(d.blocks...)
+		} else {
+			var v []byte
+			v, comma, ok = d.value()
+			ok = ok && json.Unmarshal(v, fields[i].v) == nil
+		}
+		if !ok {
+			return nil
+		}
+		// Another key follows a comma, the end of the report a value
+		// without one.
+		key, end := d.fieldEnd()
+		switch {
+		case comma && key:
+		case !comma && end:
+			return r
+		default:
+			return nil
+		}
+	}
+}
+
+// has reports whether the input starts with s. It reads no further
+// than the first byte that differs.
+func (d *reportReader) has(s string) bool {
+	for {
+		b, _ := d.br.Peek(min(len(s), d.br.Buffered()))
+		if string(b) != s[:len(b)] {
+			return false
+		}
+		if len(b) == len(s) {
+			return true
+		}
+		if more, _ := d.br.Peek(len(b) + 1); len(more) == len(b) {
+			return false
+		}
+	}
+}
+
+// lit reads s if the input starts with it.
+func (d *reportReader) lit(s string) bool {
+	if !d.has(s) {
+		return false
+	}
+	d.text = append(d.text, s...)
+	d.br.Discard(len(s))
+	return true
+}
+
+// fieldEnd reports whether the next line starts a key or ends the
+// report: in JSON's layout a newline inside a field's value is followed
+// by four spaces, or by two and the value's closing bracket.
+func (d *reportReader) fieldEnd() (key, end bool) {
+	if d.has("}") {
+		return false, true
+	}
+	return d.has(`  "`), false
+}
+
+// value reads a field's value, up to the first newline at fieldEnd, and
+// returns it without that newline and the comma, if any, before it.
+func (d *reportReader) value() (v []byte, comma, ok bool) {
+	start := len(d.text)
+	for {
+		b, _ := d.br.Peek(d.br.Buffered())
+		n := len(b) // what to read of b if no newline in it is at fieldEnd
+		for i := 0; ; i++ {
+			j := bytes.IndexByte(b[i:], '\n')
+			if j < 0 {
+				break
+			}
+			i += j
+			next := b[i+1:]
+			if len(next) > 0 && next[0] == '}' || len(next) >= 3 && string(next[:3]) == `  "` {
+				d.text = append(d.text, b[:i+1]...)
+				d.br.Discard(i + 1)
+				v, comma = bytes.CutSuffix(d.text[start:len(d.text)-1], []byte(","))
+				return v, comma, true
+			}
+			if len(next) < 3 && strings.HasPrefix(`  "`, string(next)) {
+				n = i // b ends too soon to tell: leave the newline unread
+				break
+			}
+		}
+		d.text = append(d.text, b[:n]...)
+		d.br.Discard(n)
+		if more, _ := d.br.Peek(len(b) - n + 1); len(more) == len(b)-n {
+			return nil, false, false
+		}
+	}
+}
+
+// flowLog reads the flow log from its "[" to the end of its closing
+// line, every element with readFlow.
+func (d *reportReader) flowLog() (comma, ok bool) {
+	if !d.lit("[\n") {
+		return false, false
+	}
+	d.flowAt = len(d.text)
+	for sep := ""; d.has(sep); sep = ",\n" {
+		f, n, ok := d.flow(len(sep))
+		if !ok {
+			break
+		}
+		if k := len(d.blocks); k == 0 || len(d.blocks[k-1]) == cap(d.blocks[k-1]) {
+			d.blocks = append(d.blocks, make([]FlowEvent, 0, min(max(d.nflows, 64), flowBlock)))
+		}
+		last := &d.blocks[len(d.blocks)-1]
+		*last = append(*last, f)
+		d.nflows++
+		d.br.Discard(len(sep) + n)
+	}
+	if d.nflows == 0 || !d.lit("\n  ]") {
+		return false, false
+	}
+	if d.lit(",\n") {
+		return true, true
+	}
+	return false, d.lit("\n")
+}
+
+// flow reads the element that starts off bytes into the buffered input,
+// reading more input only while the bytes buffered end inside what could
+// be one.
+func (d *reportReader) flow(off int) (FlowEvent, int, bool) {
+	for {
+		b, _ := d.br.Peek(min(off+maxFlowText, d.br.Buffered()))
+		f, n, ok := readFlow(b[off:])
+		if ok || off+n < len(b) || len(b) == off+maxFlowText {
+			return f, n, ok
+		}
+		if more, _ := d.br.Peek(len(b) + 1); len(more) == len(b) {
+			return f, n, false
+		}
+	}
+}
+
+// replay returns the input: what was read, then the rest.
+func (d *reportReader) replay() io.Reader {
+	b := append([]byte(nil), d.text[:d.flowAt]...)
+	sep := ""
+	for _, block := range d.blocks {
+		for _, f := range block {
+			b = appendFlow(append(b, sep...), f)
+			sep = ",\n"
+		}
+	}
+	b = append(b, d.text[d.flowAt:]...)
+	return io.MultiReader(bytes.NewReader(b), d.br)
 }
 
 // Text writes the full human-readable report: per-stage context shares,

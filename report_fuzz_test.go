@@ -2,6 +2,7 @@ package whodunit_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"testing"
 
@@ -28,10 +29,11 @@ func validReportJSON(f *testing.F) []byte {
 	return buf.Bytes()
 }
 
-// FuzzReadReport asserts ReadReport either errors or returns a report
-// every renderer and accessor can process — malformed, truncated or
-// hostile input must never panic — and whose JSON decodes back to the
-// same JSON.
+// FuzzReadReport asserts ReadReport agrees with the oracle
+// RefReadReport (both fail, or both decode reports that encode to the
+// same bytes) and either errors or returns a report every renderer and
+// accessor can process — malformed, truncated or hostile input must
+// never panic — and whose JSON decodes back to the same JSON.
 func FuzzReadReport(f *testing.F) {
 	valid := validReportJSON(f)
 	f.Add(valid)
@@ -57,10 +59,31 @@ func FuzzReadReport(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
+	// The same flow log in layouts ReadReport hands to encoding/json.
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, buf.Bytes()); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(compact.Bytes())
+	f.Add(bytes.ReplaceAll(buf.Bytes(), []byte(`"Consumer"`), []byte(`"consumer"`)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rep, err := whodunit.ReadReport(bytes.NewReader(data))
+		ref, refErr := whodunit.RefReadReport(bytes.NewReader(data))
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("ReadReport error %v, oracle %v", err, refErr)
+		}
 		if err != nil {
 			return
+		}
+		var got, want bytes.Buffer
+		if err := rep.JSON(&got); err != nil {
+			t.Fatalf("re-encode: %v", err)
+		}
+		if err := ref.JSON(&want); err != nil {
+			t.Fatalf("oracle re-encode: %v", err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("re-encodes to\n%s\nthe oracle's report to\n%s", got.Bytes(), want.Bytes())
 		}
 		// A successfully decoded report must survive every presentation
 		// path: renderers, totals, and a self-diff.

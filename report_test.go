@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -94,5 +95,35 @@ func TestReportJSONMemoryIndependentOfFlows(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 2<<20 {
 		t.Fatalf("encoding 100 000 flows allocated %d bytes, want at most 2 MB", grew)
+	}
+}
+
+// TestReadReportMemoryIndependentOfText: decoding a report allocates
+// about what the decoded flow log holds, not what its text takes: the
+// 100 000 flows below are 4.8 MB decoded and 17 MB of text, and one
+// json.Decoder over the whole input allocated about 68 MB for them. Not
+// parallel: it reads the process's allocation counter.
+func TestReadReportMemoryIndependentOfText(t *testing.T) {
+	r := whodunit.NewReport("flows")
+	r.Flows = make([]whodunit.FlowEvent, 100_000)
+	for i := range r.Flows {
+		r.Flows[i] = whodunit.FlowEvent{Producer: i, Consumer: i + 1, Token: whodunit.FlowToken(i), Lock: 7}
+	}
+	var js bytes.Buffer
+	if err := r.JSON(&js); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	back, err := whodunit.ReadReport(bytes.NewReader(js.Bytes()))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(back.Flows, r.Flows) {
+		t.Fatal("flow log differs after the round trip")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
+		t.Fatalf("decoding 100 000 flows (%d bytes of JSON) allocated %d bytes, want at most 16 MB", js.Len(), grew)
 	}
 }
