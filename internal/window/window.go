@@ -11,6 +11,7 @@
 package window
 
 import (
+	"slices"
 	"sync"
 
 	"whodunit/internal/vclock"
@@ -145,6 +146,13 @@ func (r *Ring[T]) Total() int64 {
 	return r.total
 }
 
+// Subscribers reports how many subscriptions are attached.
+func (r *Ring[T]) Subscribers() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.subs)
+}
+
 // Subscribe registers a listener for future retirements, delivered on a
 // channel with the given buffer. The returned cancel function detaches
 // the subscription and closes the channel; it is idempotent. Close on
@@ -170,11 +178,10 @@ func (r *Ring[T]) Subscribe(buf int) (<-chan Keyed[T], func()) {
 		}
 		s.closed = true
 		close(s.ch)
-		for i, sub := range r.subs {
-			if sub == s {
-				r.subs = append(r.subs[:i], r.subs[i+1:]...)
-				break
-			}
+		// slices.Delete zeroes the vacated tail slot, so the backing
+		// array does not pin the channel and its buffered windows.
+		if i := slices.Index(r.subs, s); i >= 0 {
+			r.subs = slices.Delete(r.subs, i, i+1)
 		}
 	}
 	return s.ch, cancel

@@ -83,6 +83,38 @@ func TestSubscribeDeliversAndCancels(t *testing.T) {
 	r.Append(meta(2), 12) // must not panic or deliver to cancelled sub
 }
 
+// TestCancelClearsVacatedSlot checks that a cancelled subscriber leaves
+// no pointer behind in the backing array of the subscriber list,
+// whichever position it held: a stale slot would pin its channel and the
+// windows buffered in it.
+func TestCancelClearsVacatedSlot(t *testing.T) {
+	for _, victim := range []int{0, 1, 2} {
+		r := NewRing[int](4)
+		cancels := make([]func(), 3)
+		for i := range cancels {
+			_, cancels[i] = r.Subscribe(1)
+		}
+		cancels[victim]()
+		if got := r.Subscribers(); got != 2 {
+			t.Fatalf("victim %d: %d subscribers after cancel, want 2", victim, got)
+		}
+		if vacated := r.subs[:3][2]; vacated != nil {
+			t.Fatalf("victim %d: vacated slot still holds %p", victim, vacated)
+		}
+		for i, c := range cancels {
+			if i != victim {
+				c()
+			}
+		}
+		if got := r.Subscribers(); got != 0 {
+			t.Fatalf("victim %d: %d subscribers after cancelling all, want 0", victim, got)
+		}
+		if tail := r.subs[:3]; tail[0] != nil || tail[1] != nil || tail[2] != nil {
+			t.Fatalf("victim %d: backing array still holds %v", victim, tail)
+		}
+	}
+}
+
 func TestSubscribeDropsWhenFull(t *testing.T) {
 	r := NewRing[int](8)
 	ch, cancel := r.Subscribe(1)

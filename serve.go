@@ -1,8 +1,10 @@
 package whodunit
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -32,6 +34,15 @@ import (
 // detached snapshot Report the handler then serializes. With a fixed
 // seed, the sequence of retired-window Reports is bit-identical across
 // runs; the HTTP layer is the only nondeterministic edge.
+//
+// A retired window is immutable, so each of its encodings — /report in
+// every format, its auto-diff in every format, its /stream frame — is
+// built on the first read and shared by every later reader. A /diff of
+// a window against the one it was auto-diffed with at retirement serves
+// that diff; only other pairs are diffed per request. The encodings live
+// on the ring entry and go with it, so memory grows with Retain, not
+// with uptime. The live window, /windows and /healthz change as the run
+// goes and are built per request.
 
 // ServeConfig configures a Server.
 type ServeConfig struct {
@@ -94,6 +105,120 @@ type WindowEvent struct {
 	Recovered bool `json:"recovered,omitempty"`
 	// Restarts is the cumulative restart count at retirement time.
 	Restarts int64 `json:"restarts,omitempty"`
+
+	enc *encodings // filled on first read; behind a pointer so the event copies
+}
+
+// An encoding is one rendering of a retired window that the HTTP API
+// serves: its report, its auto-diff, or its /stream frame.
+type encoding int
+
+const (
+	reportJSON encoding = iota
+	reportText
+	reportFolded
+	diffJSON
+	diffText
+	streamFrame
+	numEncodings
+)
+
+// reportFormats and diffFormats map a ?format= value to its encoding.
+var (
+	reportFormats = map[string]encoding{"": reportJSON, "json": reportJSON, "text": reportText, "folded": reportFolded}
+	diffFormats   = map[string]encoding{"": diffJSON, "json": diffJSON, "text": diffText}
+)
+
+// encodings memoizes a retired window's renderings, each built once on
+// its first read.
+type encodings struct {
+	once [numEncodings]sync.Once
+	b    [numEncodings][]byte
+	err  [numEncodings]error
+}
+
+// encoded returns the window's encoding e, building it on the first call.
+func (ev *WindowEvent) encoded(e encoding) ([]byte, error) {
+	m := ev.enc
+	m.once[e].Do(func() {
+		var buf bytes.Buffer
+		if e == streamFrame {
+			m.err[e] = ev.writeFrame(&buf)
+		} else {
+			m.err[e] = writeEncoding(&buf, e, ev.Report, ev.Diff)
+		}
+		m.b[e] = buf.Bytes()
+	})
+	return m.b[e], m.err[e]
+}
+
+// writeEncoding renders rep (the report encodings) or d (the diff ones).
+func writeEncoding(w io.Writer, e encoding, rep *Report, d *ReportDiff) error {
+	switch e {
+	case reportJSON:
+		return rep.JSON(w)
+	case reportText:
+		rep.Text(w)
+	case reportFolded:
+		rep.Folded(w)
+	case diffJSON:
+		return d.JSON(w)
+	case diffText:
+		d.Text(w)
+	default:
+		panic(fmt.Sprintf("whodunit: encoding %d has no writer", e))
+	}
+	return nil
+}
+
+// writeFrame writes the window's /stream frame: a "window" event (data:
+// the WindowEvent as compact JSON), then an "alert" event when the
+// auto-diff exceeded the threshold and a "degraded" event while the
+// server recovers from a restart.
+func (ev *WindowEvent) writeFrame(w io.Writer) error {
+	data, err := json.Marshal(ev)
+	if err != nil {
+		return err
+	}
+	seq := ev.Report.Window.Seq
+	fmt.Fprintf(w, "event: window\nid: %d\ndata: %s\n\n", seq, data)
+	if ev.Alert {
+		fmt.Fprintf(w, "event: alert\nid: %d\ndata: {\"seq\": %d, \"max_delta\": %d}\n\n",
+			seq, seq, ev.MaxDelta)
+	}
+	if ev.Degraded {
+		fmt.Fprintf(w, "event: degraded\nid: %d\ndata: {\"seq\": %d, \"restarts\": %d, \"recovered\": %v}\n\n",
+			seq, seq, ev.Restarts, ev.Recovered)
+	}
+	return nil
+}
+
+// serve answers with the window's encoding e.
+func (ev *WindowEvent) serve(w http.ResponseWriter, e encoding) {
+	b, err := ev.encoded(e)
+	serveEncoding(w, e, b, err)
+}
+
+// serveEncoding answers with encoding e, or a 500 if it failed.
+func serveEncoding(w http.ResponseWriter, e encoding, b []byte, err error) {
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	ctype := "text/plain; charset=utf-8"
+	if e == reportJSON || e == diffJSON {
+		ctype = "application/json"
+	}
+	w.Header().Set("Content-Type", ctype)
+	w.Write(b)
+}
+
+// serveFresh answers with encoding e of a report or diff that is not a
+// retained window's, encoding it for this request alone.
+func serveFresh(w http.ResponseWriter, e encoding, rep *Report, d *ReportDiff) {
+	var buf bytes.Buffer
+	err := writeEncoding(&buf, e, rep, d)
+	serveEncoding(w, e, buf.Bytes(), err)
 }
 
 // Server drives a windowed App as a continuous profiling service. Create
@@ -381,7 +506,7 @@ func (s *Server) onWindow(rep *Report) {
 		rep.Window.Seq += s.seqBase
 	}
 	s.lastRetire.Store(time.Now().UnixNano())
-	ev := &WindowEvent{Report: rep, Restarts: s.restarts.Load()}
+	ev := &WindowEvent{Report: rep, Restarts: s.restarts.Load(), enc: new(encodings)}
 	// Only full windows participate in the adjacent auto-diff: the final
 	// partial window legitimately has fewer samples and would always
 	// "regress".
@@ -396,6 +521,8 @@ func (s *Server) onWindow(rep *Report) {
 		}
 	}
 	if full && s.prevFull != nil {
+		// d.WindowA is prevFull's own WindowMeta: handleDiff recognizes
+		// the pair by it and serves this diff.
 		d := Diff(s.prevFull, rep)
 		ev.Diff = d
 		ev.MaxDelta = d.MaxDelta()
@@ -466,28 +593,18 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-func writeReport(w http.ResponseWriter, rep *Report, format string) {
-	switch format {
-	case "", "json":
-		w.Header().Set("Content-Type", "application/json")
-		rep.JSON(w)
-	case "text":
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		rep.Text(w)
-	case "folded":
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		rep.Folded(w)
-	default:
-		http.Error(w, fmt.Sprintf("unknown format %q (want text, json or folded)", format), http.StatusBadRequest)
-	}
-}
-
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
-	format := r.URL.Query().Get("format")
-	switch win := r.URL.Query().Get("window"); win {
+	q := r.URL.Query()
+	format := q.Get("format")
+	e, ok := reportFormats[format]
+	if !ok {
+		http.Error(w, fmt.Sprintf("unknown format %q (want text, json or folded)", format), http.StatusBadRequest)
+		return
+	}
+	switch win := q.Get("window"); win {
 	case "live":
 		if rep, ok := s.liveReport(); ok {
-			writeReport(w, rep, format)
+			serveFresh(w, e, rep, nil)
 			return
 		}
 		// Run finished: fall through to the latest retired window.
@@ -498,7 +615,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "no window retired yet", http.StatusNotFound)
 			return
 		}
-		writeReport(w, kv.V.Report, format)
+		kv.V.serve(w, e)
 	default:
 		seq, err := strconv.ParseInt(win, 10, 64)
 		if err != nil {
@@ -511,7 +628,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 				seq, s.ring.Total(), s.cfg.Retain), http.StatusNotFound)
 			return
 		}
-		writeReport(w, kv.V.Report, format)
+		kv.V.serve(w, e)
 	}
 }
 
@@ -566,11 +683,10 @@ func (s *Server) handleWindows(w http.ResponseWriter, r *http.Request) {
 	enc.Encode(idx)
 }
 
-// handleStream serves the SSE feed: one "window" event per retirement
-// (data: the WindowEvent as compact JSON) and an additional "alert"
-// event when the adjacent-window diff exceeded the threshold. The stream
-// ends when the run finishes or the client disconnects; slow clients
-// skip windows rather than stalling the simulation.
+// handleStream serves the SSE feed: each retirement's frame (see
+// writeFrame), encoded once per window and shared by every subscriber.
+// The stream ends when the run finishes or the client disconnects; slow
+// clients skip windows rather than stalling the simulation.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
@@ -593,19 +709,11 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 				flusher.Flush()
 				return
 			}
-			data, err := json.Marshal(kv.V)
+			frame, err := kv.V.encoded(streamFrame)
 			if err != nil {
 				continue
 			}
-			fmt.Fprintf(w, "event: window\nid: %d\ndata: %s\n\n", kv.Meta.Seq, data)
-			if kv.V.Alert {
-				fmt.Fprintf(w, "event: alert\nid: %d\ndata: {\"seq\": %d, \"max_delta\": %d}\n\n",
-					kv.Meta.Seq, kv.Meta.Seq, kv.V.MaxDelta)
-			}
-			if kv.V.Degraded {
-				fmt.Fprintf(w, "event: degraded\nid: %d\ndata: {\"seq\": %d, \"restarts\": %d, \"recovered\": %v}\n\n",
-					kv.Meta.Seq, kv.Meta.Seq, kv.V.Restarts, kv.V.Recovered)
-			}
+			w.Write(frame)
 			flusher.Flush()
 		case <-r.Context().Done():
 			return
@@ -613,9 +721,17 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// handleDiff diffs two retained windows. When a is the window b was
+// auto-diffed against at retirement, that diff is the answer.
 func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	get := func(name string) (*Report, bool) {
+	format := q.Get("format")
+	e, ok := diffFormats[format]
+	if !ok {
+		http.Error(w, fmt.Sprintf("unknown format %q (want text or json)", format), http.StatusBadRequest)
+		return
+	}
+	get := func(name string) (*WindowEvent, bool) {
 		v := q.Get(name)
 		if v == "" {
 			http.Error(w, fmt.Sprintf("missing query parameter %q (a window sequence number)", name), http.StatusBadRequest)
@@ -631,27 +747,21 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, fmt.Sprintf("window %d not retained", seq), http.StatusNotFound)
 			return nil, false
 		}
-		return kv.V.Report, true
+		return kv.V, true
 	}
-	ra, ok := get("a")
+	a, ok := get("a")
 	if !ok {
 		return
 	}
-	rb, ok := get("b")
+	b, ok := get("b")
 	if !ok {
 		return
 	}
-	d := Diff(ra, rb)
-	switch format := q.Get("format"); format {
-	case "", "json":
-		w.Header().Set("Content-Type", "application/json")
-		d.JSON(w)
-	case "text":
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		d.Text(w)
-	default:
-		http.Error(w, fmt.Sprintf("unknown format %q (want text or json)", format), http.StatusBadRequest)
+	if b.Diff != nil && b.Diff.WindowA == a.Report.Window {
+		b.serve(w, e)
+		return
 	}
+	serveFresh(w, e, nil, Diff(a.Report, b.Report))
 }
 
 // handleHealthz reports prometheus-style status lines; the response code
