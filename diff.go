@@ -357,7 +357,7 @@ func diffTrees(ft *cct.FrameTable, a, b []TreeDump) []TreeDiff {
 			// re-interns a frame name.
 			ra := cct.FromRecordsShared(ta.Label, ft, ta.Records)
 			rb := cct.FromRecordsShared(tb.Label, ft, tb.Records)
-			td.Nodes = diffNodes(ft, ra.Root, rb.Root, nil, td.Nodes)
+			td.Nodes = diffNodes(ra.Root, rb.Root, nil, td.Nodes)
 			if len(td.Nodes) > 0 || td.TotalA != td.TotalB {
 				out = append(out, td)
 			}
@@ -366,15 +366,16 @@ func diffTrees(ft *cct.FrameTable, a, b []TreeDump) []TreeDiff {
 	return out
 }
 
-// diffNodes walks two same-context trees in lockstep, matching children
-// by interned FrameID (the trees share ft), and appends a NodeDelta for
-// every node whose self samples or calls differ. A child present on one
-// side only becomes a single Subtree row carrying inclusive totals.
-func diffNodes(ft *cct.FrameTable, na, nb *cct.Node, path []string, out []NodeDelta) []NodeDelta {
-	ids := mergeChildIDs(ft, na.ChildIDs(), nb.ChildIDs())
-	for _, id := range ids {
-		ca, cb := na.ChildByID(id), nb.ChildByID(id)
-		path = append(path, ft.Name(id))
+// diffNodes walks two same-context trees in lockstep, merging their
+// name-ordered children (the trees share one frame table, so a frame on
+// both sides has one FrameID), and appends a NodeDelta for every node
+// whose self samples or calls differ. A child present on one side only
+// becomes a single Subtree row carrying inclusive totals.
+func diffNodes(na, nb *cct.Node, path []string, out []NodeDelta) []NodeDelta {
+	for ka, kb := na.Children(), nb.Children(); len(ka) > 0 || len(kb) > 0; {
+		var ca, cb *cct.Node
+		ca, cb, ka, kb = popChildPair(ka, kb)
+		path = append(path, either(ca, cb).Frame)
 		switch {
 		case cb == nil:
 			out = append(out, NodeDelta{
@@ -394,35 +395,32 @@ func diffNodes(ft *cct.FrameTable, na, nb *cct.Node, path []string, out []NodeDe
 					CallsA: ca.Calls, CallsB: cb.Calls,
 				})
 			}
-			out = diffNodes(ft, ca, cb, path, out)
+			out = diffNodes(ca, cb, path, out)
 		}
 		path = path[:len(path)-1]
 	}
 	return out
 }
 
-// mergeChildIDs merges two name-sorted FrameID slices into their sorted
-// union. Both slices were issued by ft, so equal names have equal IDs.
-func mergeChildIDs(ft *cct.FrameTable, a, b []cct.FrameID) []cct.FrameID {
-	out := make([]cct.FrameID, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			out = append(out, a[i])
-			i++
-			j++
-		case ft.Name(a[i]) < ft.Name(b[j]):
-			out = append(out, a[i])
-			i++
-		default:
-			out = append(out, b[j])
-			j++
-		}
+// popChildPair takes the name-least frame off the front of two
+// name-ordered child lists of trees sharing one frame table: its node on
+// each side (nil on a side that lacks it) and both lists' remainders.
+func popChildPair(ka, kb []*cct.Node) (ca, cb *cct.Node, ra, rb []*cct.Node) {
+	switch {
+	case len(kb) == 0 || len(ka) > 0 && ka[0].ID() != kb[0].ID() && ka[0].Frame < kb[0].Frame:
+		return ka[0], nil, ka[1:], kb
+	case len(ka) == 0 || ka[0].ID() != kb[0].ID():
+		return nil, kb[0], ka, kb[1:]
 	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
+	return ka[0], kb[0], ka[1:], kb[1:]
+}
+
+// either returns the one of a popChildPair's nodes that is not nil.
+func either(ca, cb *cct.Node) *cct.Node {
+	if ca != nil {
+		return ca
+	}
+	return cb
 }
 
 func clonePath(path []string) []string {
@@ -710,15 +708,16 @@ func FoldedDiff(a, b *Report, w io.Writer) {
 			} else {
 				rb = cct.NewShared("", ft)
 			}
-			foldNodes(ft, ra.Root, rb.Root, stage+";"+label, w)
+			foldNodes(ra.Root, rb.Root, stage+";"+label, w)
 		}
 	}
 }
 
-func foldNodes(ft *cct.FrameTable, na, nb *cct.Node, prefix string, w io.Writer) {
-	for _, id := range mergeChildIDs(ft, na.ChildIDs(), nb.ChildIDs()) {
-		ca, cb := na.ChildByID(id), nb.ChildByID(id)
-		line := prefix + ";" + ft.Name(id)
+func foldNodes(na, nb *cct.Node, prefix string, w io.Writer) {
+	for ka, kb := na.Children(), nb.Children(); len(ka) > 0 || len(kb) > 0; {
+		var ca, cb *cct.Node
+		ca, cb, ka, kb = popChildPair(ka, kb)
+		line := prefix + ";" + either(ca, cb).Frame
 		var selfA, selfB int64
 		if ca != nil {
 			selfA = ca.Self
@@ -731,19 +730,18 @@ func foldNodes(ft *cct.FrameTable, na, nb *cct.Node, prefix string, w io.Writer)
 		}
 		switch {
 		case cb == nil:
-			foldOneSide(ft, ca, line, w, true)
+			foldOneSide(ca, line, w, true)
 		case ca == nil:
-			foldOneSide(ft, cb, line, w, false)
+			foldOneSide(cb, line, w, false)
 		default:
-			foldNodes(ft, ca, cb, line, w)
+			foldNodes(ca, cb, line, w)
 		}
 	}
 }
 
-func foldOneSide(ft *cct.FrameTable, n *cct.Node, prefix string, w io.Writer, sideA bool) {
-	for _, id := range n.ChildIDs() {
-		c := n.ChildByID(id)
-		line := prefix + ";" + ft.Name(id)
+func foldOneSide(n *cct.Node, prefix string, w io.Writer, sideA bool) {
+	for _, c := range n.Children() {
+		line := prefix + ";" + c.Frame
 		if c.Self != 0 {
 			if sideA {
 				fmt.Fprintf(w, "%s %d 0\n", line, c.Self)
@@ -751,6 +749,6 @@ func foldOneSide(ft *cct.FrameTable, n *cct.Node, prefix string, w io.Writer, si
 				fmt.Fprintf(w, "%s 0 %d\n", line, c.Self)
 			}
 		}
-		foldOneSide(ft, c, line, w, sideA)
+		foldOneSide(c, line, w, sideA)
 	}
 }

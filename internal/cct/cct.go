@@ -5,17 +5,22 @@
 // each tree is annotated with the transaction context it profiles.
 //
 // Frame names are interned: a FrameTable maps each distinct procedure
-// name to a small integer FrameID exactly once, tree nodes key their
-// children by FrameID, and the hot accumulation paths (AddSamplesIDs,
-// AddCallIDs) walk ID slices without touching a string. Names are
-// resolved back only at presentation time (Render, Flatten, Children).
-// A profiler shares one FrameTable across all its trees so a probe's
-// interned call stack is valid in whichever context tree a sample lands.
+// name to a small integer FrameID exactly once, and the hot accumulation
+// paths (AddSamplesIDs, AddCallIDs) walk ID slices without touching a
+// string. A node keeps its children in one slice ordered by frame name:
+// lookup scans it by FrameID, and a new child is inserted at its name's
+// place, so every deterministic walk (Children, Walk, Flatten,
+// CloneShared, a diff's merge of two trees) reads the slice as it is,
+// with no sorted copy. Only Render, whose order is by inclusive count,
+// sorts (a copy). A profiler shares one FrameTable across all its trees
+// so a probe's interned call stack is valid in whichever context tree a
+// sample lands.
 package cct
 
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -61,7 +66,9 @@ func (ft *FrameTable) Len() int { return len(ft.names) }
 
 // Node is one procedure frame in a calling context tree. Self counts
 // samples attributed to the frame itself; call counts are kept for the
-// instrumented (gprof-like) mode.
+// instrumented (gprof-like) mode. Its children are a slice ordered by
+// frame name (distinct children have distinct names), so a fan-out of k
+// costs a k-long scan per lookup and no per-node map.
 type Node struct {
 	Frame    string // resolved name, fixed at node creation
 	Self     int64
@@ -69,16 +76,17 @@ type Node struct {
 	id       FrameID
 	ft       *FrameTable
 	parent   *Node
-	children map[FrameID]*Node
+	children []*Node // ordered by Frame
 }
 
 // Tree is a calling context tree. Label carries the transaction-context
 // annotation (a rendered context or synopsis chain).
 type Tree struct {
 	Label string
-	Root  *Node
+	Root  *Node // points at root: a tree and its root are one allocation
 	total int64
 	ft    *FrameTable
+	root  Node
 }
 
 // New returns an empty tree annotated with label, owning a private frame
@@ -90,7 +98,9 @@ func New(label string) *Tree { return NewShared(label, NewFrameTable()) }
 // — the profiler keeps one table per stage so a probe's interned stack
 // lands in any of the stage's per-context trees without re-interning.
 func NewShared(label string, ft *FrameTable) *Tree {
-	return &Tree{Label: label, Root: &Node{Frame: "(root)", ft: ft}, ft: ft}
+	t := &Tree{Label: label, ft: ft, root: Node{Frame: "(root)", ft: ft}}
+	t.Root = &t.root
+	return t
 }
 
 // Frames returns the tree's frame table.
@@ -103,15 +113,16 @@ func (t *Tree) Total() int64 { return t.total }
 func (n *Node) Child(frame string) *Node { return n.child(n.ft.ID(frame)) }
 
 // child is the hot-path variant of Child: the frame is already interned.
+// A new child goes in at its name's place, so the slice stays ordered.
 func (n *Node) child(id FrameID) *Node {
-	if n.children == nil {
-		n.children = make(map[FrameID]*Node)
+	if c := n.ChildByID(id); c != nil {
+		return c
 	}
-	c, ok := n.children[id]
-	if !ok {
-		c = &Node{Frame: n.ft.Name(id), id: id, ft: n.ft, parent: n}
-		n.children[id] = c
-	}
+	c := &Node{Frame: n.ft.Name(id), id: id, ft: n.ft, parent: n}
+	i, _ := slices.BinarySearchFunc(n.children, c.Frame, func(e *Node, name string) int {
+		return strings.Compare(e.Frame, name)
+	})
+	n.children = slices.Insert(n.children, i, c)
 	return c
 }
 
@@ -122,36 +133,30 @@ func (n *Node) Parent() *Node { return n.parent }
 func (n *Node) ID() FrameID { return n.id }
 
 // ChildByID returns the child for an already-interned frame without
-// creating it, or nil. Together with ChildIDs it is the walk hook for
-// structural matching across trees that share a FrameTable (Report
-// diffing): matched-node walks compare FrameIDs and never re-intern
-// frame names.
+// creating it, or nil: a scan of the children by FrameID.
 func (n *Node) ChildByID(id FrameID) *Node {
-	return n.children[id]
+	for _, c := range n.children {
+		if c.id == id {
+			return c
+		}
+	}
+	return nil
 }
 
-// ChildIDs returns the node's children's frame ids sorted by frame name
-// — the same deterministic order Children uses, without materializing
-// the child nodes.
+// ChildIDs returns the node's children's frame ids in Children's order,
+// sorted by frame name, in a slice of its own.
 func (n *Node) ChildIDs() []FrameID {
-	out := make([]FrameID, 0, len(n.children))
-	for id := range n.children {
-		out = append(out, id)
+	out := make([]FrameID, len(n.children))
+	for i, c := range n.children {
+		out[i] = c.id
 	}
-	sort.Slice(out, func(i, j int) bool { return n.ft.names[out[i]] < n.ft.names[out[j]] })
 	return out
 }
 
 // Children returns the node's children sorted by frame name, for
-// deterministic iteration.
-func (n *Node) Children() []*Node {
-	out := make([]*Node, 0, len(n.children))
-	for _, c := range n.children {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Frame < out[j].Frame })
-	return out
-}
+// deterministic iteration. The slice is the node's own: callers must
+// not modify it, and a later insertion under n may change it.
+func (n *Node) Children() []*Node { return n.children }
 
 // Path returns the node for the given call path, creating intermediate
 // nodes as needed. An empty path returns the root.
@@ -177,14 +182,12 @@ func (t *Tree) Find(path ...string) *Node {
 	n := t.Root
 	for _, f := range path {
 		id, ok := t.ft.ids[f]
-		if !ok || n.children == nil {
-			return nil
-		}
-		c, ok := n.children[id]
 		if !ok {
 			return nil
 		}
-		n = c
+		if n = n.ChildByID(id); n == nil {
+			return nil
+		}
 	}
 	return n
 }
@@ -237,16 +240,16 @@ func (n *Node) InclusiveCalls() int64 {
 // Merge adds every sample and call count of src into t. The trees need
 // not share a frame table: frames are matched by name.
 func (t *Tree) Merge(src *Tree) {
-	var rec func(dst, s *Node)
-	rec = func(dst, s *Node) {
-		dst.Self += s.Self
-		dst.Calls += s.Calls
-		for _, c := range s.children {
-			rec(dst.Child(c.Frame), c)
-		}
-	}
-	rec(t.Root, src.Root)
+	mergeNode(t.Root, src.Root)
 	t.total += src.total
+}
+
+func mergeNode(dst, src *Node) {
+	dst.Self += src.Self
+	dst.Calls += src.Calls
+	for _, c := range src.children {
+		mergeNode(dst.Child(c.Frame), c)
+	}
 }
 
 // CloneShared returns a deep copy of t whose frames are interned in ft —
@@ -254,32 +257,39 @@ func (t *Tree) Merge(src *Tree) {
 // with t (frame-name strings are immutable), so it can be read from any
 // goroutine while further samples accumulate into t. Children are copied
 // in name order, so the clone's frame table interns names in a
-// deterministic order.
+// deterministic order; each sibling set is copied into one array of
+// nodes and one exactly sized child slice.
 func (t *Tree) CloneShared(ft *FrameTable) *Tree {
 	out := NewShared(t.Label, ft)
-	var rec func(dst, src *Node)
-	rec = func(dst, src *Node) {
-		dst.Self, dst.Calls = src.Self, src.Calls
-		for _, c := range src.Children() {
-			rec(dst.child(ft.ID(c.Frame)), c)
-		}
-	}
-	rec(out.Root, t.Root)
+	cloneNode(out.Root, t.Root, ft)
 	out.total = t.total
 	return out
 }
 
+func cloneNode(dst, src *Node, ft *FrameTable) {
+	dst.Self, dst.Calls = src.Self, src.Calls
+	if len(src.children) == 0 {
+		return
+	}
+	nodes := make([]Node, len(src.children))
+	dst.children = make([]*Node, len(src.children))
+	for i, c := range src.children {
+		d := &nodes[i]
+		d.Frame, d.id, d.ft, d.parent = c.Frame, ft.ID(c.Frame), ft, dst
+		dst.children[i] = d
+		cloneNode(d, c, ft)
+	}
+}
+
 // Walk visits every node in deterministic (preorder, name-sorted) order.
 // depth is 0 for the root's immediate children.
-func (t *Tree) Walk(fn func(n *Node, depth int)) {
-	var rec func(n *Node, depth int)
-	rec = func(n *Node, depth int) {
-		for _, c := range n.Children() {
-			fn(c, depth)
-			rec(c, depth+1)
-		}
+func (t *Tree) Walk(fn func(n *Node, depth int)) { walk(t.Root, 0, fn) }
+
+func walk(n *Node, depth int, fn func(n *Node, depth int)) {
+	for _, c := range n.children {
+		fn(c, depth)
+		walk(c, depth+1, fn)
 	}
-	rec(t.Root, 0)
 }
 
 // Render writes an indented text rendering of the tree to w. denom is the
@@ -293,7 +303,7 @@ func (t *Tree) Render(w io.Writer, denom int64, minPct float64) {
 	}
 	var rec func(n *Node, indent int)
 	rec = func(n *Node, indent int) {
-		kids := n.Children()
+		kids := slices.Clone(n.children)
 		sort.Slice(kids, func(i, j int) bool {
 			a, b := kids[i].Inclusive(), kids[j].Inclusive()
 			if a != b {
@@ -332,25 +342,47 @@ type FlatRecord struct {
 }
 
 // Flatten converts the tree to records in deterministic order, including
-// only nodes with nonzero self samples or calls.
+// only nodes with nonzero self samples or calls. The records share one
+// exactly sized array, and their paths another, each path capped at its
+// own length.
 func (t *Tree) Flatten() []FlatRecord {
-	var out []FlatRecord
-	var path []string
-	var rec func(n *Node)
-	rec = func(n *Node) {
-		for _, c := range n.Children() {
-			path = append(path, c.Frame)
-			if c.Self != 0 || c.Calls != 0 {
-				p := make([]string, len(path))
-				copy(p, path)
-				out = append(out, FlatRecord{Path: p, Self: c.Self, Calls: c.Calls})
-			}
-			rec(c)
-			path = path[:len(path)-1]
-		}
+	nrec, npath := countRecords(t.Root, 1)
+	if nrec == 0 {
+		return nil
 	}
-	rec(t.Root)
+	out, _ := flatten(t.Root, 1, make([]FlatRecord, 0, nrec), make([]string, npath))
 	return out
+}
+
+// countRecords reports how many records Flatten emits under n, whose
+// children sit at depth depth, and the total length of their paths.
+func countRecords(n *Node, depth int) (nrec, npath int) {
+	for _, c := range n.children {
+		if c.Self != 0 || c.Calls != 0 {
+			nrec++
+			npath += depth
+		}
+		r, p := countRecords(c, depth+1)
+		nrec, npath = nrec+r, npath+p
+	}
+	return nrec, npath
+}
+
+// flatten appends n's records to out, cutting each path from the front
+// of paths, and returns out and what is left of paths.
+func flatten(n *Node, depth int, out []FlatRecord, paths []string) ([]FlatRecord, []string) {
+	for _, c := range n.children {
+		if c.Self != 0 || c.Calls != 0 {
+			p := paths[:depth:depth]
+			paths = paths[depth:]
+			for i, a := depth-1, c; i >= 0; i, a = i-1, a.parent {
+				p[i] = a.Frame
+			}
+			out = append(out, FlatRecord{Path: p, Self: c.Self, Calls: c.Calls})
+		}
+		out, paths = flatten(c, depth+1, out, paths)
+	}
+	return out, paths
 }
 
 // FromRecords rebuilds a tree from flattened records.

@@ -171,9 +171,23 @@ type Profiler struct {
 
 	profile
 	frames *cct.FrameTable
-	index  map[CtxtID][]int // CtxtID -> slot indexes (hash bucket)
-	probes []*Probe         // every probe issued; Retire invalidates their caches
-	ccTab  []ccNode         // CallCtxt memo, indexed by the base context's synopsis
+	ctxts  map[CtxtID][]ctxtEntry // every context seen, for the stage's lifetime (hash bucket)
+	window int                    // Retire count: which window a ctxtEntry's slot belongs to
+	probes []*Probe               // every probe issued; Retire invalidates their caches
+	ccTab  []ccNode               // CallCtxt memo, indexed by the base context's synopsis
+}
+
+// ctxtEntry is one context's stage-lifetime dictionary entry: its
+// rendered names (Key, Label and the prefix chain's String), made when
+// the stage first saw it, and its tree slot in the current window, if it
+// has one. Contexts are interned and chains immutable, so the names
+// never go stale; Retire only advances the window, which empties every
+// entry's slot at once.
+type ctxtEntry struct {
+	ctxt               TxnCtxt
+	key, label, prefix string
+	window             int // the slot below is current when window == Profiler.window
+	slot               int
 }
 
 // profile is the state the presentation methods read: the CCT
@@ -190,10 +204,12 @@ type profile struct {
 	overheadAcc  vclock.Duration
 }
 
-// treeSlot is one CCT dictionary entry: the context and its tree.
+// treeSlot is one CCT dictionary entry: the context, its rendered key and
+// prefix (the label is the tree's), and its tree.
 type treeSlot struct {
-	ctxt TxnCtxt
-	tree *cct.Tree
+	ctxt        TxnCtxt
+	key, prefix string
+	tree        *cct.Tree
 }
 
 // New returns a profiler for the named stage in the given mode with
@@ -207,7 +223,7 @@ func New(stage string, mode Mode) *Profiler {
 		Overhead: DefaultOverhead,
 		profile:  profile{byLabel: make(map[string]int)},
 		frames:   cct.NewFrameTable(),
-		index:    make(map[CtxtID][]int),
+		ctxts:    make(map[CtxtID][]ctxtEntry),
 	}
 }
 
@@ -224,41 +240,59 @@ func (p *Profiler) Frames() *cct.FrameTable { return p.frames }
 // so never more than Table.Size().
 func (p *Profiler) CallCtxtSlots() int { return len(p.ccTab) }
 
-// tree returns (creating if needed) the CCT for the given context. The
-// lookup is a single map access on the interned numeric identity plus a
-// chain-equality confirmation — no strings are built; the label and key
-// strings exist only from creation (once per distinct context) onward.
+// tree returns (creating if needed) the current window's CCT for the
+// given context. The lookup is a single map access on the interned
+// numeric identity plus a chain-equality confirmation — no strings are
+// built. A context's label, key and prefix strings are rendered once,
+// the first time the stage sees it, and live as long as the stage: every
+// later window's tree, Entries and stage dump reuse them.
 func (p *Profiler) tree(tc TxnCtxt) *cct.Tree {
 	id := tc.ID()
-	for _, i := range p.index[id] {
-		if p.slots[i].ctxt.Prefix.Equal(tc.Prefix) {
-			return p.slots[i].tree
-		}
+	bucket := p.ctxts[id]
+	k := 0
+	for k < len(bucket) && !bucket[k].ctxt.Prefix.Equal(tc.Prefix) {
+		k++
 	}
-	t := cct.NewShared(tc.Label(), p.frames)
-	i := len(p.slots)
-	p.slots = append(p.slots, treeSlot{ctxt: tc, tree: t})
-	p.index[id] = append(p.index[id], i)
-	if _, ok := p.byLabel[t.Label]; !ok {
-		p.byLabel[t.Label] = i
+	if k == len(bucket) {
+		bucket = append(bucket, ctxtEntry{ctxt: tc, key: tc.Key(), label: tc.Label(), prefix: tc.Prefix.String(), window: -1})
+		p.ctxts[id] = bucket
+	}
+	e := &bucket[k]
+	if e.window == p.window {
+		return p.slots[e.slot].tree
+	}
+	label := e.label
+	if tc.Local != e.ctxt.Local {
+		// Another table's context with the same synopsis: it keys the
+		// same entry, but renders its own label.
+		label = tc.Label()
+	}
+	t := cct.NewShared(label, p.frames)
+	e.window, e.slot = p.window, len(p.slots)
+	p.slots = append(p.slots, treeSlot{ctxt: tc, key: e.key, prefix: e.prefix, tree: t})
+	if _, ok := p.byLabel[label]; !ok {
+		p.byLabel[label] = e.slot
 	}
 	return t
 }
 
 // TreeEntry pairs a CCT with the transaction context it is annotated
-// with; used for post-mortem stitching (§7.1).
+// with; used for post-mortem stitching (§7.1). Key and Prefix are the
+// context's Key and its prefix chain's String; the label is Tree.Label.
 type TreeEntry struct {
-	Key  string
-	Ctxt TxnCtxt
-	Tree *cct.Tree
+	Key    string
+	Prefix string
+	Ctxt   TxnCtxt
+	Tree   *cct.Tree
 }
 
-// Entries returns every (context, CCT) pair in creation order. The
-// serializable Key strings are rendered here, at presentation time.
+// Entries returns every (context, CCT) pair in creation order. Its
+// strings are the ones the stage rendered when it first saw each
+// context, shared by every window since (see Profiler.tree).
 func (d *profile) Entries() []TreeEntry {
 	out := make([]TreeEntry, 0, len(d.slots))
 	for _, s := range d.slots {
-		out = append(out, TreeEntry{Key: s.ctxt.Key(), Ctxt: s.ctxt, Tree: s.tree})
+		out = append(out, TreeEntry{Key: s.key, Prefix: s.prefix, Ctxt: s.ctxt, Tree: s.tree})
 	}
 	return out
 }
@@ -371,13 +405,16 @@ func (p *Profiler) View() *Snapshot {
 // the snapshot and restart from zero; probes' sampling phases, call
 // stacks and transaction contexts carry over, so the concatenation of
 // retired windows is sample-for-sample the profile an unwindowed run
-// would have taken.
+// would have taken. The contexts' rendered names belong to the stage,
+// not the window: they carry over too, and later windows' trees reuse
+// them.
 //
 // See Snapshot for the concurrency contract of the returned view.
 func (p *Profiler) Retire() *Snapshot {
 	s := p.View()
-	p.profile = profile{byLabel: make(map[string]int)}
-	p.index = make(map[CtxtID][]int)
+	n := len(p.slots)
+	p.profile = profile{slots: make([]treeSlot, 0, n), byLabel: make(map[string]int, n)}
+	p.window++
 	// Every probe's cached tree pointer now names a retired tree; the
 	// next sample must re-resolve against the fresh dictionary.
 	for _, pr := range p.probes {
@@ -397,7 +434,8 @@ func (p *Profiler) Snapshot() *Snapshot {
 	ft := cct.NewFrameTable()
 	s.slots = make([]treeSlot, len(p.slots))
 	for i, sl := range p.slots {
-		s.slots[i] = treeSlot{ctxt: sl.ctxt, tree: sl.tree.CloneShared(ft)}
+		sl.tree = sl.tree.CloneShared(ft)
+		s.slots[i] = sl
 	}
 	s.byLabel = maps.Clone(p.byLabel)
 	return s

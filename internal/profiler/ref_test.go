@@ -113,3 +113,80 @@ func TestQuickCallCtxtMatchesUncached(t *testing.T) {
 		})
 	}
 }
+
+// TestQuickEntryNamesMatchFreshRendering: a context's key, label and
+// prefix string are rendered once, when the stage first sees it, and
+// reused by every later window. What each retired window presents must
+// equal rendering its entries afresh, as every window once did: one
+// entry per (synopsis, prefix) key in the order the window first sampled
+// it, carrying the context of that first sample and its Key, its
+// prefix's String and its Label. Probes switch among the stage's own
+// contexts, contexts of another table whose synopses coincide with the
+// stage's (the same dictionary entry, another label), and three prefix
+// chains, and windows retire at random.
+//
+// Mutants this test fails (applied by hand, see CHANGES.md): the label
+// of the context the stage saw first reused for another table's
+// context, and Retire leaving the window count where it was.
+func TestQuickEntryNamesMatchFreshRendering(t *testing.T) {
+	chains := []tranctx.Chain{nil, {1}, {2, 3}}
+	for seed := uint64(1); seed <= 4; seed++ {
+		rng := vclock.NewRNG(seed)
+		prof := New("stage", ModeWhodunit)
+		foreign := tranctx.NewTable()
+		for _, f := range []string{"accept", "parse", "render"} {
+			prof.Table.Root().Extend(tranctx.HandlerHop("here", f))
+			foreign.Root().Extend(tranctx.HandlerHop("elsewhere", f))
+		}
+		pr := prof.NewProbe(nil, nil)
+		var firsts []TxnCtxt // the window's contexts, at their first sample
+		seen := map[string]bool{}
+		relabelled := 0
+		check := func(s *Snapshot) {
+			entries := s.Entries()
+			if len(entries) != len(firsts) {
+				t.Fatalf("seed %d: %d entries, want %d", seed, len(entries), len(firsts))
+			}
+			for i, e := range entries {
+				tc := firsts[i]
+				if e.Ctxt.Local != tc.Local || !e.Ctxt.Prefix.Equal(tc.Prefix) {
+					t.Fatalf("seed %d: entry %d is %s, want %s", seed, i, e.Ctxt.Label(), tc.Label())
+				}
+				if e.Key != tc.Key() || e.Prefix != tc.Prefix.String() || e.Tree.Label != tc.Label() {
+					t.Fatalf("seed %d: entry %d names (%q, %q, %q), want (%q, %q, %q)",
+						seed, i, e.Key, e.Prefix, e.Tree.Label, tc.Key(), tc.Prefix.String(), tc.Label())
+				}
+				if s.TreeByLabel(e.Tree.Label) == nil {
+					t.Fatalf("seed %d: no tree by label %q", seed, e.Tree.Label)
+				}
+			}
+			firsts, seen = firsts[:0], map[string]bool{}
+		}
+		for op := 0; op < 5000; op++ {
+			switch k := rng.Intn(20); {
+			case k < 8:
+				tab := prof.Table
+				if rng.Intn(3) == 0 {
+					tab = foreign
+				}
+				local, _ := tab.Lookup(tranctx.Synopsis(rng.Intn(tab.Size())))
+				pr.SetTxn(TxnCtxt{Prefix: chains[rng.Intn(len(chains))], Local: local})
+			case k < 19:
+				if tc := pr.Txn(); !seen[tc.Key()] {
+					seen[tc.Key()] = true
+					firsts = append(firsts, tc)
+					if tc.Local.Table() == foreign && tc.Local.Synopsis() != 0 {
+						relabelled++
+					}
+				}
+				pr.account(DefaultInterval) // one sample, into the tree of pr.Txn()
+			default:
+				check(prof.Retire())
+			}
+		}
+		check(prof.Retire())
+		if relabelled == 0 {
+			t.Errorf("seed %d: no window first sampled another table's context", seed)
+		}
+	}
+}

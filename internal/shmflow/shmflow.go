@@ -182,9 +182,13 @@ type Tracker struct {
 	locks      map[int]*lockInfo
 	lastLock   *lockInfo // locks[lastLockID], the entry used last
 	lastLockID int
-	flows      []FlowEvent
+	flows      [][]FlowEvent // the flow log in blocks of flowBlock events: appending never copies it
 	stats      Stats
 }
+
+// flowBlock is the length of one block of the flow log. A log that grew
+// as one slice would allocate about five times its final size.
+const flowBlock = 1024
 
 var _ vm.Tracer = (*Tracker)(nil)
 
@@ -194,8 +198,18 @@ func NewTracker() *Tracker {
 	return &Tracker{locks: make(map[int]*lockInfo)}
 }
 
-// Flows returns every detected flow event in order.
-func (tr *Tracker) Flows() []FlowEvent { return tr.flows }
+// Flows returns every detected flow event in order, copied into a slice
+// of exactly their number (nil when there is none).
+func (tr *Tracker) Flows() []FlowEvent {
+	if tr.stats.Flows == 0 {
+		return nil
+	}
+	out := make([]FlowEvent, 0, tr.stats.Flows)
+	for _, b := range tr.flows {
+		out = append(out, b...)
+	}
+	return out
+}
 
 // NonFlow reports whether lock has been classified non-flow.
 func (tr *Tracker) NonFlow(lock int) bool {
@@ -227,7 +241,6 @@ func (tr *Tracker) DictSize() int { return tr.stats.DictEntries }
 // Stats returns the tracker's counters.
 func (tr *Tracker) Stats() Stats {
 	s := tr.stats
-	s.Flows = int64(len(tr.flows))
 	s.RegFilesLive = len(tr.live)
 	s.RegFilesPooled = len(tr.free)
 	return s
@@ -495,7 +508,12 @@ func (tr *Tracker) inWindow(ac *vm.Access) {
 			continue
 		}
 		ev := FlowEvent{Producer: e.producer, Consumer: ac.Thread, Token: e.tok, Lock: e.lock, Loc: loc}
-		tr.flows = append(tr.flows, ev)
+		if tr.stats.Flows%flowBlock == 0 {
+			tr.flows = append(tr.flows, make([]FlowEvent, 0, flowBlock))
+		}
+		b := &tr.flows[len(tr.flows)-1]
+		*b = append(*b, ev)
+		tr.stats.Flows++
 		if tr.OnFlow != nil {
 			tr.OnFlow(ev)
 		}

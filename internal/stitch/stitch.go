@@ -44,12 +44,16 @@ type StageDump struct {
 // serializable StageDump: a running profiler's through Profiler.View, a
 // window's through Profiler.Retire or Profiler.Snapshot.
 func Dump(s *profiler.Snapshot, eps ...*ipc.Endpoint) StageDump {
+	entries := s.Entries()
 	d := StageDump{Stage: s.Stage}
-	for _, e := range s.Entries() {
+	if len(entries) > 0 {
+		d.Trees = make([]TreeDump, 0, len(entries)) // nil when empty: it encodes as null
+	}
+	for _, e := range entries {
 		d.Trees = append(d.Trees, TreeDump{
 			Key:     e.Key,
-			Prefix:  e.Ctxt.Prefix.String(),
-			Label:   e.Ctxt.Label(),
+			Prefix:  e.Prefix,
+			Label:   e.Tree.Label,
 			Total:   e.Tree.Total(),
 			Records: e.Tree.Flatten(),
 		})

@@ -1,0 +1,39 @@
+//go:build !race
+
+package whodunit_test
+
+import (
+	"runtime"
+	"testing"
+
+	"whodunit"
+)
+
+// TestServeRetiredWindowAllocs bounds the heap allocations a served app
+// makes per retired window in steady state: simulation, retirement,
+// stitching and the adjacent auto-diff of one 100 ms window of the
+// two-stage serveApp. It is the difference between a 50-window and a
+// 10-window run, so start-up cost cancels out. The count repeats to the
+// allocation: the run is deterministic and nothing else allocates. A
+// window costs about 123 allocations with name-ordered CCT children and
+// context names rendered once per stage; with a Go map per CCT node,
+// sorted child copies on every walk and names rendered every window it
+// cost about 175. Not parallel: it reads the process's malloc count.
+func TestServeRetiredWindowAllocs(t *testing.T) {
+	const bound = 145
+	mallocs := func(windows int) uint64 {
+		srv := whodunit.NewServer(serveApp(7), whodunit.ServeConfig{
+			Window: 100 * whodunit.Millisecond, Threshold: -1, MaxWindows: windows,
+		})
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		srv.Run()
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	perWindow := float64(mallocs(50)-mallocs(10)) / 40
+	t.Logf("%.1f allocations per retired window", perWindow)
+	if perWindow > bound {
+		t.Fatalf("%.1f allocations per retired window, want at most %d", perWindow, bound)
+	}
+}

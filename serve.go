@@ -230,6 +230,10 @@ type Server struct {
 
 	ring  *window.Ring[*WindowEvent]
 	reqCh chan func()
+	// pending is set after anything the stop predicate must act on: a
+	// request enqueued on reqCh, Stop, a watchdog abort. While it is
+	// clear the predicate is this one load.
+	pending atomic.Bool
 
 	stopOnce  sync.Once
 	stopped   atomic.Bool
@@ -385,8 +389,7 @@ func (s *Server) runOnce(app *App) (*Report, error) {
 		go s.watchdog(wdStop)
 	}
 	rep, err := app.runSupervised(func() bool {
-		s.drainRequests()
-		return s.stopped.Load() || s.aborted.Load()
+		return s.pending.Load() && s.stopRequested()
 	})
 	if wdStop != nil {
 		close(wdStop)
@@ -416,6 +419,7 @@ func (s *Server) watchdog(stop chan struct{}) {
 			last := time.Unix(0, s.lastRetire.Load())
 			if time.Since(last) > s.cfg.Watchdog {
 				s.aborted.Store(true)
+				s.pending.Store(true)
 				return
 			}
 		}
@@ -453,6 +457,7 @@ func (s *Server) wallWait(deadline time.Time) (stopped bool) {
 func (s *Server) Stop() {
 	s.stopOnce.Do(func() {
 		s.stopped.Store(true)
+		s.pending.Store(true)
 		close(s.stopCh)
 	})
 }
@@ -479,6 +484,22 @@ func (s *Server) Degraded() bool { return s.degraded.Load() }
 
 // GaveUp reports whether the supervision loop exhausted MaxRestarts.
 func (s *Server) GaveUp() bool { return s.gaveUp.Load() }
+
+// stopRequested is the stop predicate's slow path, taken once pending is
+// set: it runs the requests enqueued so far and reports whether the run
+// must stop. A stopped or aborted run leaves pending set, so every later
+// call reports true again.
+func (s *Server) stopRequested() bool {
+	// Clear before draining: a request enqueued after the drain sets
+	// pending again once it is on reqCh.
+	s.pending.Store(false)
+	s.drainRequests()
+	if s.stopped.Load() || s.aborted.Load() {
+		s.pending.Store(true)
+		return true
+	}
+	return false
+}
 
 // drainRequests executes pending epoch-pinned read closures. Runs in the
 // simulation goroutine between events, so the closures may touch live
@@ -562,6 +583,7 @@ func (s *Server) liveReport() (*Report, bool) {
 	fn := func() { ch <- s.app.Load().LiveWindowReport() }
 	select {
 	case s.reqCh <- fn:
+		s.pending.Store(true)
 	case <-s.finished:
 		return nil, false
 	}

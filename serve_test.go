@@ -348,6 +348,65 @@ func TestServeStopDrainsFinalWindow(t *testing.T) {
 	}
 }
 
+// TestServeLiveReadMidRun issues a live /report from another goroutine
+// while a free-running server retires windows: the stop predicate must
+// notice the enqueued read and answer it from the running simulation
+// (the window in progress, not a retired one), and windows must keep
+// retiring afterwards.
+func TestServeLiveReadMidRun(t *testing.T) {
+	srv := whodunit.NewServer(serveApp(11), whodunit.ServeConfig{
+		Window: 100 * whodunit.Millisecond, Threshold: -1,
+	})
+	feed, cancel := srv.Ring().Subscribe(1)
+	defer cancel()
+	go srv.Run()
+	defer func() {
+		srv.Stop()
+		<-srv.Done()
+	}()
+	timeout := time.After(30 * time.Second)
+	waitRetired := func(n int64) {
+		for srv.Ring().Total() < n {
+			select {
+			case _, ok := <-feed:
+				if !ok {
+					t.Fatalf("run finished after %d windows, want it endless", srv.Ring().Total())
+				}
+			case <-timeout:
+				t.Fatalf("%d windows retired, want %d", srv.Ring().Total(), n)
+			}
+		}
+	}
+	waitRetired(2)
+	retired := srv.Ring().Total()
+	type answer struct {
+		code int
+		body string
+	}
+	got := make(chan answer, 1)
+	go func() {
+		code, body := get(t, srv.Handler(), "/report?window=live")
+		got <- answer{code, body}
+	}()
+	var a answer
+	select {
+	case a = <-got:
+	case <-timeout:
+		t.Fatal("live read issued mid-run was not answered")
+	}
+	if a.code != http.StatusOK {
+		t.Fatalf("live /report: %d %s", a.code, a.body)
+	}
+	var rep whodunit.Report
+	if err := json.Unmarshal([]byte(a.body), &rep); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Window == nil || rep.Window.Seq < retired {
+		t.Fatalf("live /report window %+v, want the one in progress (seq >= %d)", rep.Window, retired)
+	}
+	waitRetired(rep.Window.Seq + 2)
+}
+
 // failAt builds a fault plan whose single injected failure kills the
 // simulation at the given virtual time.
 func failAt(at whodunit.Duration) *whodunit.FaultPlan {
