@@ -389,17 +389,17 @@ func (a *App) retireWindow(end vclock.Time) {
 
 // LiveWindowReport builds a Report of the in-progress window without
 // retiring it: the same shape retireWindow will eventually produce for
-// this window, computed from detached profiler snapshots
-// (profiler.Snapshot), so the returned report shares nothing mutable
-// with the live run. Must be called synchronously with the simulation
-// (scheduler context or between events); the result is then
-// free-threaded. This is the snapshot-while-running path behind the
-// serving API's live /report.
+// this window, read from the live profilers (Profiler.View). The report
+// keeps only what NewStageReport detaches (flattened records, copied
+// sends, fresh shares), so it shares nothing mutable with the live run.
+// Must be called synchronously with the simulation (scheduler context
+// or between events); the result is then free-threaded. This is the
+// snapshot-while-running path behind the serving API's live /report.
 func (a *App) LiveWindowReport() *Report {
 	now := a.sim.Now()
 	srs := make([]StageReport, 0, len(a.stages))
 	for _, st := range a.stages {
-		srs = append(srs, NewStageReport(st.prof.Snapshot(), st.endpoints...))
+		srs = append(srs, NewStageReport(st.prof.View(), st.endpoints...))
 	}
 	rep := NewReport(a.Name, srs...)
 	rep.Elapsed = Duration(now.Sub(a.winStart))

@@ -527,30 +527,31 @@ func diffFlows(a, b []FlowEvent) []FlowDelta {
 }
 
 func diffEdges(a, b *TransactionGraph) []EdgeDelta {
-	index := func(g *TransactionGraph) map[string]int64 {
-		m := make(map[string]int64)
+	// An edge group is keyed by its delta with both counts zero.
+	counts := make(map[EdgeDelta][2]int64)
+	for side, g := range [2]*TransactionGraph{a, b} {
 		if g == nil {
-			return m
+			continue
 		}
 		for _, e := range g.Edges {
 			from, to := g.Nodes[e.From], g.Nodes[e.To]
-			m[strings.Join([]string{from.Stage, from.Label, to.Stage, to.Label, e.Kind}, "\x00")]++
+			k := EdgeDelta{FromStage: from.Stage, FromLabel: from.Label, ToStage: to.Stage, ToLabel: to.Label, Kind: e.Kind}
+			c := counts[k]
+			c[side]++
+			counts[k] = c
 		}
-		return m
 	}
-	am, bm := index(a), index(b)
 	var out []EdgeDelta
-	for _, k := range sortedKeyUnion(am, bm) {
-		if am[k] == bm[k] {
-			continue
+	for k, c := range counts {
+		if c[0] != c[1] {
+			k.CountA, k.CountB = c[0], c[1]
+			out = append(out, k)
 		}
-		parts := strings.Split(k, "\x00")
-		out = append(out, EdgeDelta{
-			FromStage: parts[0], FromLabel: parts[1],
-			ToStage: parts[2], ToLabel: parts[3], Kind: parts[4],
-			CountA: am[k], CountB: bm[k],
-		})
 	}
+	slices.SortFunc(out, func(x, y EdgeDelta) int {
+		return cmp.Or(strings.Compare(x.FromStage, y.FromStage), strings.Compare(x.FromLabel, y.FromLabel),
+			strings.Compare(x.ToStage, y.ToStage), strings.Compare(x.ToLabel, y.ToLabel), strings.Compare(x.Kind, y.Kind))
+	})
 	return out
 }
 

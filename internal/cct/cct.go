@@ -385,11 +385,6 @@ func flatten(n *Node, depth int, out []FlatRecord, paths []string) ([]FlatRecord
 	return out, paths
 }
 
-// FromRecords rebuilds a tree from flattened records.
-func FromRecords(label string, recs []FlatRecord) *Tree {
-	return FromRecordsShared(label, NewFrameTable(), recs)
-}
-
 // FromRecordsShared rebuilds a tree from flattened records, interning
 // its frames in ft. Rebuilding two runs' dumps into one shared table is
 // what lets a diff match their nodes by FrameID alone: each distinct

@@ -113,7 +113,7 @@ func TestFlattenRoundTrip(t *testing.T) {
 	tr.AddSamples([]string{"m"}, 1)
 	tr.AddCall([]string{"m", "f"})
 	recs := tr.Flatten()
-	back := FromRecords("lbl", recs)
+	back := FromRecordsShared("lbl", NewFrameTable(), recs)
 	if back.Total() != tr.Total() {
 		t.Fatalf("round-trip total = %d, want %d", back.Total(), tr.Total())
 	}
@@ -134,7 +134,7 @@ func TestQuickFlattenPreservesTotals(t *testing.T) {
 			}
 			tr.AddSamples(path, int64(op%7)+1)
 		}
-		back := FromRecords("q", tr.Flatten())
+		back := FromRecordsShared("q", NewFrameTable(), tr.Flatten())
 		if back.Total() != tr.Total() {
 			return false
 		}

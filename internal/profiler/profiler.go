@@ -14,7 +14,6 @@ package profiler
 
 import (
 	"fmt"
-	"maps"
 	"sort"
 
 	"whodunit/internal/cct"
@@ -191,13 +190,12 @@ type ctxtEntry struct {
 }
 
 // profile is the state the presentation methods read: the CCT
-// dictionary, its label index and the sampling counters. A Profiler
-// embeds the live one and a Snapshot a shared, retired or copied one, so
-// each presentation method (Entries, Trees, TreeByLabel, TotalSamples,
-// Stats, Merged, Shares) is written once.
+// dictionary and the sampling counters. A Profiler embeds the live one
+// and a Snapshot a shared, retired or copied one, so each presentation
+// method (Entries, Trees, TotalSamples, Stats, Merged, Shares) is
+// written once.
 type profile struct {
-	slots        []treeSlot     // creation order, deterministic
-	byLabel      map[string]int // rendered label -> first slot index
+	slots        []treeSlot // creation order, deterministic
 	samples      int64
 	calls        int64
 	ctxtSwitches int64
@@ -221,7 +219,6 @@ func New(stage string, mode Mode) *Profiler {
 		Mode:     mode,
 		Interval: DefaultInterval,
 		Overhead: DefaultOverhead,
-		profile:  profile{byLabel: make(map[string]int)},
 		frames:   cct.NewFrameTable(),
 		ctxts:    make(map[CtxtID][]ctxtEntry),
 	}
@@ -270,9 +267,6 @@ func (p *Profiler) tree(tc TxnCtxt) *cct.Tree {
 	t := cct.NewShared(label, p.frames)
 	e.window, e.slot = p.window, len(p.slots)
 	p.slots = append(p.slots, treeSlot{ctxt: tc, key: e.key, prefix: e.prefix, tree: t})
-	if _, ok := p.byLabel[label]; !ok {
-		p.byLabel[label] = e.slot
-	}
 	return t
 }
 
@@ -304,16 +298,6 @@ func (d *profile) Trees() []*cct.Tree {
 		out = append(out, s.tree)
 	}
 	return out
-}
-
-// TreeByLabel finds a CCT by its rendered context label, or nil. Labels
-// are indexed at tree creation, so this is a single map lookup; when two
-// contexts render to the same label the earliest-created tree wins.
-func (d *profile) TreeByLabel(label string) *cct.Tree {
-	if i, ok := d.byLabel[label]; ok {
-		return d.slots[i].tree
-	}
-	return nil
 }
 
 // TotalSamples reports all samples taken across every context.
@@ -390,7 +374,7 @@ type Snapshot struct {
 }
 
 // View returns the profiler's current state as a Snapshot that shares
-// the live trees and label index. Read it where the profiler is read —
+// the live trees. Read it where the profiler is read —
 // synchronously with the simulation — and before the profiler takes
 // another sample.
 func (p *Profiler) View() *Snapshot {
@@ -413,7 +397,7 @@ func (p *Profiler) View() *Snapshot {
 func (p *Profiler) Retire() *Snapshot {
 	s := p.View()
 	n := len(p.slots)
-	p.profile = profile{slots: make([]treeSlot, 0, n), byLabel: make(map[string]int, n)}
+	p.profile = profile{slots: make([]treeSlot, 0, n)}
 	p.window++
 	// Every probe's cached tree pointer now names a retired tree; the
 	// next sample must re-resolve against the fresh dictionary.
@@ -437,7 +421,6 @@ func (p *Profiler) Snapshot() *Snapshot {
 		sl.tree = sl.tree.CloneShared(ft)
 		s.slots[i] = sl
 	}
-	s.byLabel = maps.Clone(p.byLabel)
 	return s
 }
 

@@ -156,9 +156,6 @@ func TestQuickEntryNamesMatchFreshRendering(t *testing.T) {
 					t.Fatalf("seed %d: entry %d names (%q, %q, %q), want (%q, %q, %q)",
 						seed, i, e.Key, e.Prefix, e.Tree.Label, tc.Key(), tc.Prefix.String(), tc.Label())
 				}
-				if s.TreeByLabel(e.Tree.Label) == nil {
-					t.Fatalf("seed %d: no tree by label %q", seed, e.Tree.Label)
-				}
 			}
 			firsts, seen = firsts[:0], map[string]bool{}
 		}

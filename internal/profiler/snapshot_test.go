@@ -2,9 +2,11 @@ package profiler
 
 import (
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
+	"whodunit/internal/cct"
 	"whodunit/internal/tranctx"
 	"whodunit/internal/vclock"
 )
@@ -72,12 +74,6 @@ func TestSnapshotPresentationParity(t *testing.T) {
 				if tr.Label != wantLabels[i] {
 					t.Fatalf("tree %d label %q, want %q", i, tr.Label, wantLabels[i])
 				}
-				if got := s.TreeByLabel(tr.Label); got != tr {
-					t.Fatalf("TreeByLabel(%q) = %p, want %p", tr.Label, got, tr)
-				}
-			}
-			if s.TreeByLabel("no-such-context") != nil {
-				t.Fatal("TreeByLabel on an unknown label must return nil")
 			}
 			// The search context dominates: its query path must survive the
 			// copy with exact counts.
@@ -85,7 +81,8 @@ func TestSnapshotPresentationParity(t *testing.T) {
 			if top.Samples != 9 {
 				t.Fatalf("top share %+v, want 9 samples", top)
 			}
-			if n := s.TreeByLabel(top.Label).Find("serve", "query"); n == nil || n.Self != 9 {
+			i := slices.IndexFunc(s.Trees(), func(tr *cct.Tree) bool { return tr.Label == top.Label })
+			if n := s.Trees()[i].Find("serve", "query"); n == nil || n.Self != 9 {
 				t.Fatalf("query node %+v, want self 9", n)
 			}
 		})
@@ -221,7 +218,7 @@ func TestSnapshotWhileRunning(t *testing.T) {
 			snap.Merged()
 			snap.Stats()
 			for _, tr := range snap.Trees() {
-				snap.TreeByLabel(tr.Label)
+				tr.Find("serve")
 			}
 		}
 	}()

@@ -14,6 +14,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -118,6 +119,34 @@ func TestDiffSelfEmptyCorpus(t *testing.T) {
 		}
 		if d := whodunit.Diff(rep, rep); !d.Empty() {
 			t.Errorf("%s: Diff(r, r) not empty: max delta %d", s.Name, d.MaxDelta())
+		}
+	}
+}
+
+// TestReportFromDumpsSharesMatchRun: a report rebuilt from a corpus
+// report's own stage dumps (what whodunit-stitch does with dump files)
+// lists every stage's context shares exactly as the run's report does,
+// in the same order.
+func TestReportFromDumpsSharesMatchRun(t *testing.T) {
+	for _, s := range scenarios.All() {
+		f, err := os.Open(goldenPath(s.Name, "json"))
+		if err != nil {
+			t.Fatalf("%s: %v (run -update first)", s.Name, err)
+		}
+		rep, err := whodunit.ReadReport(f)
+		f.Close()
+		if err != nil {
+			t.Fatalf("%s: decode: %v", s.Name, err)
+		}
+		dumps := make([]whodunit.StageDump, len(rep.Stages))
+		for i := range rep.Stages {
+			dumps[i] = rep.Stages[i].Dump
+		}
+		back := whodunit.ReportFromDumps(rep.App, dumps...)
+		for i, sr := range rep.Stages {
+			if got := back.Stages[i].Shares; !reflect.DeepEqual(got, sr.Shares) {
+				t.Errorf("%s stage %s: shares from dumps %+v\nrun's report %+v", s.Name, sr.Stage, got, sr.Shares)
+			}
 		}
 	}
 }

@@ -81,11 +81,12 @@ func DecodeDump(r io.Reader) (StageDump, error) {
 }
 
 // Node is one (stage, transaction context) profile in the stitched graph.
+// Its CCT is the TreeDump it was built from, in its stage's dump: the
+// graph indexes the dumps, it does not copy their trees.
 type Node struct {
 	Stage string
 	Label string
 	Total int64
-	Tree  *cct.Tree
 }
 
 // Edge connects the context a message was sent from to the context it
@@ -97,6 +98,8 @@ type Edge struct {
 
 // Graph is the stitched end-to-end transactional profile.
 type Graph struct {
+	// Nodes are the dumps' trees in order, one per TreeDump, then the
+	// "(missing)" sink if the graph has one.
 	Nodes []Node
 	Edges []Edge
 	// Missing names stages declared absent when the graph was built
@@ -132,21 +135,15 @@ func BuildPartial(dumps []StageDump, missing []string) *Graph {
 	// single map lookup instead of the previous O(sends × stages × trees)
 	// rescan of every dump. Candidate lists keep dump/tree order, so the
 	// emitted edge set is identical.
-	byStageKey := make(map[string]int)
+	type stageKey struct{ stage, key string }
+	byStageKey := make(map[stageKey]int)
 	byPrefix := make(map[string][]int)
-	stageOf := make([]string, 0)
 	for _, d := range dumps {
 		for _, td := range d.Trees {
 			idx := len(g.Nodes)
-			g.Nodes = append(g.Nodes, Node{
-				Stage: d.Stage,
-				Label: td.Label,
-				Total: td.Total,
-				Tree:  cct.FromRecords(td.Label, td.Records),
-			})
-			byStageKey[d.Stage+"\x00"+td.Key] = idx
+			g.Nodes = append(g.Nodes, Node{Stage: d.Stage, Label: td.Label, Total: td.Total})
+			byStageKey[stageKey{d.Stage, td.Key}] = idx
 			byPrefix[td.Prefix] = append(byPrefix[td.Prefix], idx)
-			stageOf = append(stageOf, d.Stage)
 		}
 	}
 	// Request edges: sender context --chain--> receiver tree whose prefix
@@ -154,13 +151,13 @@ func BuildPartial(dumps []StageDump, missing []string) *Graph {
 	severed := make(map[int]bool) // sender nodes with at least one lost send
 	for _, d := range dumps {
 		for _, send := range d.Sends {
-			from, ok := byStageKey[d.Stage+"\x00"+send.FromKey]
+			from, ok := byStageKey[stageKey{d.Stage, send.FromKey}]
 			if !ok {
 				continue
 			}
 			matched := false
 			for _, to := range byPrefix[send.Chain] {
-				if stageOf[to] == d.Stage {
+				if g.Nodes[to].Stage == d.Stage {
 					continue
 				}
 				matched = true
@@ -177,7 +174,6 @@ func BuildPartial(dumps []StageDump, missing []string) *Graph {
 		g.Nodes = append(g.Nodes, Node{
 			Stage: "(missing)",
 			Label: "lost to: " + strings.Join(g.Missing, ", "),
-			Tree:  cct.New("(missing)"),
 		})
 		for from := range severed {
 			g.Edges = append(g.Edges, Edge{From: from, To: sink, Kind: "severed"})

@@ -2,9 +2,11 @@ package stitch
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
+	"whodunit/internal/cct"
 	"whodunit/internal/ipc"
 	"whodunit/internal/profiler"
 	"whodunit/internal/vclock"
@@ -76,15 +78,26 @@ func TestBuildConnectsTiers(t *testing.T) {
 
 func TestCalleeTreesDuplicatedPerContext(t *testing.T) {
 	// Figure 7: the callee's call-path tree appears once per caller
-	// context.
-	g := Build(buildTwoTier(t))
+	// context. A node's CCT is its TreeDump: nodes follow the dumps'
+	// trees in order.
+	dumps := buildTwoTier(t)
+	g := Build(dumps)
+	var trees []TreeDump
+	for _, d := range dumps {
+		trees = append(trees, d.Trees...)
+	}
 	calleeNodes := 0
-	for _, n := range g.Nodes {
-		if n.Stage == "callee" && n.Total > 0 {
-			calleeNodes++
-			if n.Tree.Find("callee_rpc_svc") == nil {
-				t.Fatalf("callee node missing svc frame: %+v", n)
-			}
+	for i, n := range g.Nodes {
+		if n.Stage != "callee" || n.Total == 0 {
+			continue
+		}
+		calleeNodes++
+		td := trees[i]
+		if td.Label != n.Label || td.Total != n.Total {
+			t.Fatalf("node %d %+v is not its tree %q (total %d)", i, n, td.Label, td.Total)
+		}
+		if !slices.ContainsFunc(td.Records, func(r cct.FlatRecord) bool { return r.Path[0] == "callee_rpc_svc" }) {
+			t.Fatalf("callee node %d's tree has no svc frame: %+v", i, td.Records)
 		}
 	}
 	if calleeNodes != 2 {

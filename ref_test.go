@@ -16,6 +16,9 @@ package whodunit
 //     rewrites of them in every layout Report.JSON does not write.
 //   - refDiffFlows is diffFlows before it sorted: a count map per side.
 //     TestQuickDiffFlowsMatchesRef demands the same deltas.
+//   - refDiffEdges is diffEdges before it keyed edge groups by struct:
+//     a count map per side over "\x00"-joined names, split again for the
+//     output. TestQuickDiffEdgesMatchesRef demands the same deltas.
 
 import (
 	"bufio"
@@ -341,6 +344,34 @@ func refDiffFlows(a, b []FlowEvent) []FlowDelta {
 	return out
 }
 
+func refDiffEdges(a, b *TransactionGraph) []EdgeDelta {
+	index := func(g *TransactionGraph) map[string]int64 {
+		m := make(map[string]int64)
+		if g == nil {
+			return m
+		}
+		for _, e := range g.Edges {
+			from, to := g.Nodes[e.From], g.Nodes[e.To]
+			m[strings.Join([]string{from.Stage, from.Label, to.Stage, to.Label, e.Kind}, "\x00")]++
+		}
+		return m
+	}
+	am, bm := index(a), index(b)
+	var out []EdgeDelta
+	for _, k := range sortedKeyUnion(am, bm) {
+		if am[k] == bm[k] {
+			continue
+		}
+		parts := strings.Split(k, "\x00")
+		out = append(out, EdgeDelta{
+			FromStage: parts[0], FromLabel: parts[1],
+			ToStage: parts[2], ToLabel: parts[3], Kind: parts[4],
+			CountA: am[k], CountB: bm[k],
+		})
+	}
+	return out
+}
+
 // chunks reads data in pieces of 1 to 64 bytes, so that what a reader
 // has buffered ends at every kind of place.
 type chunks struct {
@@ -554,6 +585,59 @@ func TestQuickDiffFlowsMatchesRef(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d: diffFlows = %v\noracle %v", seed, got, want)
 		}
+	}
+}
+
+// graphReport stitches a report from stage dumps drawn from small name
+// pools: several stages (a name may repeat), prefixes shared within and
+// across stages, sends that match no receiver and, by turns, stages
+// declared missing. Labels repeat across contexts and stages, so several
+// edges fall into one group. No name holds a NUL byte: only then do the
+// oracle's joined keys sort as the field-wise struct order does.
+func graphReport(rng *rand.Rand) *Report {
+	name := func(kind string, n int) string { return fmt.Sprintf("%s%d", kind, rng.Intn(n)) }
+	var dumps []StageDump
+	for range 1 + rng.Intn(4) {
+		d := StageDump{Stage: name("s", 4)}
+		for range rng.Intn(5) {
+			key := name("p", 4) + "|" + name("l", 3)
+			d.Trees = append(d.Trees, TreeDump{Key: key, Prefix: name("p", 4), Label: name("ctx", 3), Total: rng.Int63n(9)})
+		}
+		for range rng.Intn(6) {
+			d.Sends = append(d.Sends, ipc.SendRecord{Chain: name("p", 6), FromKey: name("p", 5) + "|" + name("l", 3)})
+		}
+		dumps = append(dumps, d)
+	}
+	r := ReportFromDumps("app", dumps...)
+	for range rng.Intn(3) {
+		r.Missing = append(r.Missing, name("s", 6))
+	}
+	r.restitch()
+	return r
+}
+
+// TestQuickDiffEdgesMatchesRef: struct-keyed edge groups and the joined
+// string keys give the same deltas, in the same order, on generated
+// graphs: request, response and severed edges, groups on one side
+// only, and a side with no graph.
+func TestQuickDiffEdgesMatchesRef(t *testing.T) {
+	kinds := map[string]bool{}
+	for seed := int64(0); seed < 1000; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		a, b := graphReport(rng), graphReport(rng)
+		got, want := Diff(a, b).Edges, refDiffEdges(a.Graph, b.Graph)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: Diff edges = %v\noracle %v", seed, got, want)
+		}
+		for _, d := range got {
+			kinds[d.Kind] = true
+		}
+		if got, want := diffEdges(nil, b.Graph), refDiffEdges(nil, b.Graph); !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: diffEdges(nil, b) = %v\noracle %v", seed, got, want)
+		}
+	}
+	if len(kinds) != 3 {
+		t.Fatalf("deltas reached edge kinds %v; want request, response and severed", kinds)
 	}
 }
 

@@ -3,6 +3,7 @@ package whodunit
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -43,6 +44,7 @@ type StageReport struct {
 // or Profiler.Snapshot.
 func NewStageReport(s *profiler.Snapshot, eps ...*Endpoint) StageReport {
 	samples, calls, switches, overhead := s.Stats()
+	d := stitch.Dump(s, eps...)
 	return StageReport{
 		Stage:        s.Stage,
 		Mode:         s.Mode,
@@ -50,8 +52,8 @@ func NewStageReport(s *profiler.Snapshot, eps ...*Endpoint) StageReport {
 		Calls:        calls,
 		CtxtSwitches: switches,
 		Overhead:     overhead,
-		Shares:       s.Shares(),
-		Dump:         stitch.Dump(s, eps...),
+		Shares:       shares(d.Trees, samples),
+		Dump:         d,
 	}
 }
 
@@ -62,14 +64,29 @@ func stageReportFromDump(d StageDump) StageReport {
 	for _, td := range d.Trees {
 		sr.Samples += td.Total
 	}
-	for _, td := range d.Trees {
-		share := 0.0
-		if sr.Samples > 0 {
-			share = float64(td.Total) / float64(sr.Samples)
-		}
-		sr.Shares = append(sr.Shares, ContextShare{Label: td.Label, Samples: td.Total, Share: share})
-	}
+	sr.Shares = shares(d.Trees, sr.Samples)
 	return sr
+}
+
+// shares is each context's share of a stage's samples, by descending
+// samples, then label: the order of Profiler.Shares, for a report taken
+// from a run and for one rebuilt from its dumps alike.
+func shares(trees []TreeDump, samples int64) []ContextShare {
+	if len(trees) == 0 {
+		return nil // as a report read back without a shares field has it
+	}
+	out := make([]ContextShare, 0, len(trees))
+	for _, td := range trees {
+		share := 0.0
+		if samples > 0 {
+			share = float64(td.Total) / float64(samples)
+		}
+		out = append(out, ContextShare{Label: td.Label, Samples: td.Total, Share: share})
+	}
+	slices.SortFunc(out, func(a, b ContextShare) int {
+		return cmp.Or(cmp.Compare(b.Samples, a.Samples), strings.Compare(a.Label, b.Label))
+	})
+	return out
 }
 
 // WindowMeta identifies the aggregation window a Report covers in a

@@ -127,3 +127,23 @@ func TestReadReportMemoryIndependentOfText(t *testing.T) {
 		t.Fatalf("decoding 100 000 flows (%d bytes of JSON) allocated %d bytes, want at most 16 MB", js.Len(), grew)
 	}
 }
+
+// TestReportFromDumpsSharesOrder: shares rebuilt from a dump come by
+// descending samples, then label, whatever the order of the dump's
+// trees, as Profiler.Shares orders a run's.
+func TestReportFromDumpsSharesOrder(t *testing.T) {
+	var d whodunit.StageDump
+	for _, tr := range []struct {
+		label string
+		total int64
+	}{{"b", 5}, {"d", 0}, {"c", 10}, {"a", 5}} {
+		d.Trees = append(d.Trees, whodunit.TreeDump{Key: tr.label, Label: tr.label, Total: tr.total})
+	}
+	var got []string
+	for _, sh := range whodunit.ReportFromDumps("app", d).Stages[0].Shares {
+		got = append(got, sh.Label+":"+strconv.FormatFloat(sh.Share, 'g', -1, 64))
+	}
+	if want := []string{"c:0.5", "a:0.25", "b:0.25", "d:0"}; !slices.Equal(got, want) {
+		t.Fatalf("shares %v, want %v", got, want)
+	}
+}

@@ -252,7 +252,9 @@ type (
 	StageDump = stitch.StageDump
 	// TreeDump is one serialized per-context CCT within a StageDump.
 	TreeDump = stitch.TreeDump
-	// TransactionGraph is the stitched end-to-end profile.
+	// TransactionGraph is the stitched end-to-end profile. Its nodes
+	// index the stage dumps it was stitched from: a node's CCT is its
+	// stage dump's TreeDump.
 	TransactionGraph = stitch.Graph
 )
 
