@@ -16,9 +16,9 @@ import (
 // explain the delta": the same application profiled before and after a
 // code change, under two seeds, in two modes. Diff structurally matches
 // two Reports of the same application and keeps only what differs:
-// per-stage sample/call deltas, per-context CCT trees matched by
-// interned frame path with per-node deltas and added/removed subtrees,
-// crosstalk-matrix deltas, shared-memory-flow deltas, and
+// per-stage sample/call deltas, per-context CCTs matched by call path
+// over the dumps' records with per-node deltas and added/removed
+// subtrees, crosstalk-matrix deltas, shared-memory-flow deltas, and
 // stitched-graph edge deltas. A diff renders as annotated text, JSON
 // (lossless round-trip via ReadDiff), and difffolded-style two-column
 // folded stacks (FoldedDiff) for differential flame graphs; MaxDelta
@@ -35,7 +35,8 @@ const (
 // root) with both sides' self samples and call counts. A node present in
 // only one report is reported once, as a Subtree row whose counts are
 // the subtree's inclusive totals and whose OnlyIn names the side that
-// has it; its descendants are not enumerated.
+// has it; its descendants are not enumerated. Path shares its backing
+// array with the compared reports' records.
 type NodeDelta struct {
 	Path    []string `json:"path"`
 	SelfA   int64    `json:"self_a"`
@@ -130,8 +131,7 @@ type ReportDiff struct {
 func Diff(a, b *Report) *ReportDiff {
 	d := &ReportDiff{AppA: a.App, AppB: b.App, ElapsedA: a.Elapsed, ElapsedB: b.Elapsed,
 		WindowA: a.Window, WindowB: b.Window}
-	ft := cct.NewFrameTable()
-	d.Stages = diffStages(ft, a.Stages, b.Stages)
+	d.Stages = diffStages(a.Stages, b.Stages)
 	d.Crosstalk = diffCrosstalk(a.Crosstalk, b.Crosstalk)
 	d.Flows = diffFlows(a.Flows, b.Flows)
 	d.Edges = diffEdges(a.Graph, b.Graph)
@@ -294,7 +294,7 @@ func indexTrees(tds []TreeDump) map[string]*TreeDump {
 	return m
 }
 
-func diffStages(ft *cct.FrameTable, a, b []StageReport) []StageDiff {
+func diffStages(a, b []StageReport) []StageDiff {
 	am, bm := indexStages(a), indexStages(b)
 	var out []StageDiff
 	for _, name := range sortedKeyUnion(am, bm) {
@@ -310,7 +310,7 @@ func diffStages(ft *cct.FrameTable, a, b []StageReport) []StageDiff {
 				SamplesA: sa.Samples, SamplesB: sb.Samples,
 				CallsA: sa.Calls, CallsB: sb.Calls,
 				SwitchesA: sa.CtxtSwitches, SwitchesB: sb.CtxtSwitches,
-				Trees: diffTrees(ft, sa.Dump.Trees, sb.Dump.Trees),
+				Trees: diffTrees(sa.Dump.Trees, sb.Dump.Trees),
 			}
 			if len(sd.Trees) > 0 || sd.SamplesA != sd.SamplesB ||
 				sd.CallsA != sd.CallsB || sd.SwitchesA != sd.SwitchesB {
@@ -340,7 +340,7 @@ func oneSidedStage(sr *StageReport, side string) StageDiff {
 	return sd
 }
 
-func diffTrees(ft *cct.FrameTable, a, b []TreeDump) []TreeDiff {
+func diffTrees(a, b []TreeDump) []TreeDiff {
 	am, bm := indexTrees(a), indexTrees(b)
 	var out []TreeDiff
 	for _, key := range sortedKeyUnion(am, bm) {
@@ -351,13 +351,8 @@ func diffTrees(ft *cct.FrameTable, a, b []TreeDump) []TreeDiff {
 		case ta == nil:
 			out = append(out, TreeDiff{Key: key, Label: tb.Label, OnlyIn: SideB, TotalB: tb.Total})
 		default:
-			td := TreeDiff{Key: key, Label: ta.Label, TotalA: ta.Total, TotalB: tb.Total}
-			// Both sides' records rebuild into trees sharing ft, so the
-			// matched-node walk below compares FrameIDs and never
-			// re-interns a frame name.
-			ra := cct.FromRecordsShared(ta.Label, ft, ta.Records)
-			rb := cct.FromRecordsShared(tb.Label, ft, tb.Records)
-			td.Nodes = diffNodes(ra.Root, rb.Root, nil, td.Nodes)
+			td := TreeDiff{Key: key, Label: ta.Label, TotalA: ta.Total, TotalB: tb.Total,
+				Nodes: diffRecords(cct.SortedRecords(ta.Records), cct.SortedRecords(tb.Records))}
 			if len(td.Nodes) > 0 || td.TotalA != td.TotalB {
 				out = append(out, td)
 			}
@@ -366,67 +361,84 @@ func diffTrees(ft *cct.FrameTable, a, b []TreeDump) []TreeDiff {
 	return out
 }
 
-// diffNodes walks two same-context trees in lockstep, merging their
-// name-ordered children (the trees share one frame table, so a frame on
-// both sides has one FrameID), and appends a NodeDelta for every node
-// whose self samples or calls differ. A child present on one side only
-// becomes a single Subtree row carrying inclusive totals.
-func diffNodes(na, nb *cct.Node, path []string, out []NodeDelta) []NodeDelta {
-	for ka, kb := na.Children(), nb.Children(); len(ka) > 0 || len(kb) > 0; {
-		var ca, cb *cct.Node
-		ca, cb, ka, kb = popChildPair(ka, kb)
-		path = append(path, either(ca, cb).Frame)
-		switch {
-		case cb == nil:
-			out = append(out, NodeDelta{
-				Path:  clonePath(path),
-				SelfA: ca.Inclusive(), CallsA: ca.InclusiveCalls(), Subtree: true, OnlyIn: SideA,
-			})
-		case ca == nil:
-			out = append(out, NodeDelta{
-				Path:  clonePath(path),
-				SelfB: cb.Inclusive(), CallsB: cb.InclusiveCalls(), Subtree: true, OnlyIn: SideB,
-			})
-		default:
-			if ca.Self != cb.Self || ca.Calls != cb.Calls {
-				out = append(out, NodeDelta{
-					Path:  clonePath(path),
-					SelfA: ca.Self, SelfB: cb.Self,
-					CallsA: ca.Calls, CallsB: cb.Calls,
-				})
+// diffRecords merges two same-context record lists in path order (see
+// cct.SortedRecords) and returns a NodeDelta for every node whose self
+// samples or calls differ. A tree's nodes are its records' paths and
+// their prefixes. A record at a node the other tree has, as a record or
+// as an inner node, is compared with the other record or with zero. A
+// node one tree lacks under a node both have tops a one-sided subtree:
+// one Subtree row, totalled over the run of records under it.
+func diffRecords(a, b []cct.FlatRecord) []NodeDelta {
+	recs := [2][]cct.FlatRecord{a, b}
+	var next [2]int // each side's first unread record
+	var out []NodeDelta
+	for next[0] < len(a) || next[1] < len(b) {
+		s := 0 // the side whose next record comes first
+		switch c := headOrder(a[next[0]:], b[next[1]:]); {
+		case c == 0:
+			ra, rb := a[next[0]], b[next[1]]
+			if ra.Self != rb.Self || ra.Calls != rb.Calls {
+				out = append(out, NodeDelta{Path: slices.Clip(ra.Path),
+					SelfA: ra.Self, SelfB: rb.Self, CallsA: ra.Calls, CallsB: rb.Calls})
 			}
-			out = diffNodes(ca, cb, path, out)
+			next[0]++
+			next[1]++
+			continue
+		case c > 0:
+			s = 1
 		}
-		path = path[:len(path)-1]
+		mine, other, o := recs[s], recs[1-s], next[1-s]
+		r := mine[next[s]]
+		// The other tree has the prefixes r's path shares with its
+		// records, the longest with a neighbour of r's place among them.
+		depth := 0
+		if o > 0 {
+			depth = commonPrefix(r.Path, other[o-1].Path)
+		}
+		if o < len(other) {
+			depth = max(depth, commonPrefix(r.Path, other[o].Path))
+		}
+		var self, calls [2]int64
+		nd := NodeDelta{Path: slices.Clip(r.Path)}
+		if depth == len(r.Path) {
+			next[s]++
+			if r.Self == 0 && r.Calls == 0 {
+				continue
+			}
+			self[s], calls[s] = r.Self, r.Calls
+		} else {
+			nd = NodeDelta{Path: r.Path[: depth+1 : depth+1], Subtree: true, OnlyIn: [2]string{SideA, SideB}[s]}
+			for ; next[s] < len(mine) && commonPrefix(mine[next[s]].Path, nd.Path) == depth+1; next[s]++ {
+				self[s] += mine[next[s]].Self
+				calls[s] += mine[next[s]].Calls
+			}
+		}
+		nd.SelfA, nd.SelfB, nd.CallsA, nd.CallsB = self[0], self[1], calls[0], calls[1]
+		out = append(out, nd)
 	}
 	return out
 }
 
-// popChildPair takes the name-least frame off the front of two
-// name-ordered child lists of trees sharing one frame table: its node on
-// each side (nil on a side that lacks it) and both lists' remainders.
-func popChildPair(ka, kb []*cct.Node) (ca, cb *cct.Node, ra, rb []*cct.Node) {
+// headOrder compares the first records of two path-ordered lists: < 0
+// when a's comes first or b is empty, > 0 when b's comes first or a is
+// empty, 0 when both are at one path.
+func headOrder(a, b []cct.FlatRecord) int {
 	switch {
-	case len(kb) == 0 || len(ka) > 0 && ka[0].ID() != kb[0].ID() && ka[0].Frame < kb[0].Frame:
-		return ka[0], nil, ka[1:], kb
-	case len(ka) == 0 || ka[0].ID() != kb[0].ID():
-		return nil, kb[0], ka, kb[1:]
+	case len(b) == 0:
+		return -1
+	case len(a) == 0:
+		return 1
 	}
-	return ka[0], kb[0], ka[1:], kb[1:]
+	return slices.Compare(a[0].Path, b[0].Path)
 }
 
-// either returns the one of a popChildPair's nodes that is not nil.
-func either(ca, cb *cct.Node) *cct.Node {
-	if ca != nil {
-		return ca
+// commonPrefix returns the length of the longest common prefix of p and q.
+func commonPrefix(p, q []string) int {
+	n := 0
+	for n < len(p) && n < len(q) && p[n] == q[n] {
+		n++
 	}
-	return cb
-}
-
-func clonePath(path []string) []string {
-	p := make([]string, len(path))
-	copy(p, path)
-	return p
+	return n
 }
 
 // sortedKeyUnion returns the sorted union of two maps' keys — the
@@ -682,11 +694,9 @@ func (d *ReportDiff) Text(w io.Writer) {
 // paths included — the renderer needs both columns to size and color
 // frames), in the deterministic stage/context/path order Diff uses.
 func FoldedDiff(a, b *Report, w io.Writer) {
-	ft := cct.NewFrameTable()
 	am, bm := indexStages(a.Stages), indexStages(b.Stages)
 	for _, stage := range sortedKeyUnion(am, bm) {
-		ta := map[string]*TreeDump{}
-		tb := map[string]*TreeDump{}
+		var ta, tb map[string]*TreeDump
 		if sr := am[stage]; sr != nil {
 			ta = indexTrees(sr.Dump.Trees)
 		}
@@ -694,62 +704,28 @@ func FoldedDiff(a, b *Report, w io.Writer) {
 			tb = indexTrees(sr.Dump.Trees)
 		}
 		for _, key := range sortedKeyUnion(ta, tb) {
-			da, db := ta[key], tb[key]
 			label := ""
-			var ra, rb *cct.Tree
-			if da != nil {
-				label = da.Label
-				ra = cct.FromRecordsShared(da.Label, ft, da.Records)
-			} else {
-				ra = cct.NewShared("", ft)
+			var ra, rb []cct.FlatRecord
+			if da := ta[key]; da != nil {
+				label, ra = da.Label, cct.SortedRecords(da.Records)
 			}
-			if db != nil {
-				label = db.Label
-				rb = cct.FromRecordsShared(db.Label, ft, db.Records)
-			} else {
-				rb = cct.NewShared("", ft)
+			if db := tb[key]; db != nil {
+				label, rb = db.Label, cct.SortedRecords(db.Records)
 			}
-			foldNodes(ra.Root, rb.Root, stage+";"+label, w)
-		}
-	}
-}
-
-func foldNodes(na, nb *cct.Node, prefix string, w io.Writer) {
-	for ka, kb := na.Children(), nb.Children(); len(ka) > 0 || len(kb) > 0; {
-		var ca, cb *cct.Node
-		ca, cb, ka, kb = popChildPair(ka, kb)
-		line := prefix + ";" + either(ca, cb).Frame
-		var selfA, selfB int64
-		if ca != nil {
-			selfA = ca.Self
-		}
-		if cb != nil {
-			selfB = cb.Self
-		}
-		if selfA != 0 || selfB != 0 {
-			fmt.Fprintf(w, "%s %d %d\n", line, selfA, selfB)
-		}
-		switch {
-		case cb == nil:
-			foldOneSide(ca, line, w, true)
-		case ca == nil:
-			foldOneSide(cb, line, w, false)
-		default:
-			foldNodes(ca, cb, line, w)
-		}
-	}
-}
-
-func foldOneSide(n *cct.Node, prefix string, w io.Writer, sideA bool) {
-	for _, c := range n.Children() {
-		line := prefix + ";" + c.Frame
-		if c.Self != 0 {
-			if sideA {
-				fmt.Fprintf(w, "%s %d 0\n", line, c.Self)
-			} else {
-				fmt.Fprintf(w, "%s 0 %d\n", line, c.Self)
+			for len(ra) > 0 || len(rb) > 0 {
+				var path []string
+				var selfA, selfB int64
+				c := headOrder(ra, rb)
+				if c <= 0 {
+					path, selfA, ra = ra[0].Path, ra[0].Self, ra[1:]
+				}
+				if c >= 0 {
+					path, selfB, rb = rb[0].Path, rb[0].Self, rb[1:]
+				}
+				if selfA != 0 || selfB != 0 {
+					fmt.Fprintf(w, "%s;%s;%s %d %d\n", stage, label, strings.Join(path, ";"), selfA, selfB)
+				}
 			}
 		}
-		foldOneSide(c, line, w, sideA)
 	}
 }

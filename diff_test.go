@@ -219,28 +219,6 @@ func TestDiffFindsKnownDeltas(t *testing.T) {
 	}
 }
 
-// TestDiffMatchedWalkDoesNotReintern pins the diff hot path's interning
-// discipline: rebuilding both runs' trees into one shared FrameTable
-// interns every frame name exactly once, and the matched-node walk
-// itself never interns — the table does not grow while matching.
-func TestDiffMatchedWalkDoesNotReintern(t *testing.T) {
-	r := rand.New(rand.NewSource(2))
-	recsA, _ := randRecords(r)
-	recsB, _ := randRecords(r)
-	ft := cct.NewFrameTable()
-	ra := cct.FromRecordsShared("ctx", ft, recsA)
-	rb := cct.FromRecordsShared("ctx", ft, recsB)
-	before := ft.Len()
-	for i := 0; i < 3; i++ {
-		if out := diffNodes(ra.Root, rb.Root, nil, nil); i == 0 && len(out) == 0 {
-			t.Log("note: random trees matched exactly this draw")
-		}
-		if ft.Len() != before {
-			t.Fatalf("matching walk grew the frame table: %d -> %d", before, ft.Len())
-		}
-	}
-}
-
 // BenchmarkReportDiff pins the diff hot path's allocation behavior over
 // a realistic report pair (mostly-matched trees with scattered deltas).
 func BenchmarkReportDiff(b *testing.B) {

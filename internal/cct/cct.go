@@ -10,10 +10,12 @@
 // string. A node keeps its children in one slice ordered by frame name:
 // lookup scans it by FrameID, and a new child is inserted at its name's
 // place, so every deterministic walk (Children, Walk, Flatten,
-// CloneShared, a diff's merge of two trees) reads the slice as it is,
-// with no sorted copy. Only Render, whose order is by inclusive count,
-// sorts (a copy). A profiler shares one FrameTable across all its trees
-// so a probe's interned call stack is valid in whichever context tree a
+// CloneShared) reads the slice as it is, with no sorted copy. Only
+// Render, whose order is by inclusive count, sorts (a copy). Flatten's
+// records are in path order, the trees' preorder, so a reader of two
+// dumps (a report diff) merges their record lists without rebuilding a
+// tree. A profiler shares one FrameTable across all its trees so a
+// probe's interned call stack is valid in whichever context tree a
 // sample lands.
 package cct
 
@@ -143,16 +145,6 @@ func (n *Node) ChildByID(id FrameID) *Node {
 	return nil
 }
 
-// ChildIDs returns the node's children's frame ids in Children's order,
-// sorted by frame name, in a slice of its own.
-func (n *Node) ChildIDs() []FrameID {
-	out := make([]FrameID, len(n.children))
-	for i, c := range n.children {
-		out[i] = c.id
-	}
-	return out
-}
-
 // Children returns the node's children sorted by frame name, for
 // deterministic iteration. The slice is the node's own: callers must
 // not modify it, and a later insertion under n may change it.
@@ -222,17 +214,6 @@ func (n *Node) Inclusive() int64 {
 	sum := n.Self
 	for _, c := range n.children {
 		sum += c.Inclusive()
-	}
-	return sum
-}
-
-// InclusiveCalls reports the node's inclusive call count (itself plus
-// all descendants) — the aggregate a diff reports for a subtree present
-// in only one of two runs.
-func (n *Node) InclusiveCalls() int64 {
-	sum := n.Calls
-	for _, c := range n.children {
-		sum += c.InclusiveCalls()
 	}
 	return sum
 }
@@ -333,16 +314,18 @@ func (t *Tree) Render(w io.Writer, denom int64, minPct float64) {
 }
 
 // FlatRecord is a serializable (path, self, calls) triple; a tree flattens
-// to a list of records and can be rebuilt from one. Used for writing
-// per-stage profiles to disk for post-mortem stitching.
+// to a list of records. Used for writing per-stage profiles to disk for
+// post-mortem stitching and diffing.
 type FlatRecord struct {
 	Path  []string `json:"path"`
 	Self  int64    `json:"self"`
 	Calls int64    `json:"calls,omitempty"`
 }
 
-// Flatten converts the tree to records in deterministic order, including
-// only nodes with nonzero self samples or calls. The records share one
+// Flatten converts the tree to records in path order, including only
+// nodes with nonzero self samples or calls. Path order is slices.Compare
+// on the paths: a path comes before its extensions and siblings are in
+// name order, which is the tree's preorder. The records share one
 // exactly sized array, and their paths another, each path capped at its
 // own length.
 func (t *Tree) Flatten() []FlatRecord {
@@ -385,17 +368,31 @@ func flatten(n *Node, depth int, out []FlatRecord, paths []string) ([]FlatRecord
 	return out, paths
 }
 
-// FromRecordsShared rebuilds a tree from flattened records, interning
-// its frames in ft. Rebuilding two runs' dumps into one shared table is
-// what lets a diff match their nodes by FrameID alone: each distinct
-// frame name is interned exactly once, at tree build.
-func FromRecordsShared(label string, ft *FrameTable, recs []FlatRecord) *Tree {
-	t := NewShared(label, ft)
-	for _, r := range recs {
-		n := t.Path(r.Path)
-		n.Self += r.Self
-		n.Calls += r.Calls
-		t.total += r.Self
+// SortedRecords returns recs in Flatten's order: strictly increasing
+// paths, none of them empty. A list already in that order, as every
+// Flatten output is, is returned as it is. Any other list (a
+// hand-edited or foreign dump) is copied and sorted, with the records
+// of one path summed into one and those of the empty path (the root)
+// dropped, as a tree built from the list would hold them.
+func SortedRecords(recs []FlatRecord) []FlatRecord {
+	sorted := len(recs) == 0 || len(recs[0].Path) > 0
+	for i := 1; sorted && i < len(recs); i++ {
+		sorted = slices.Compare(recs[i-1].Path, recs[i].Path) < 0
 	}
-	return t
+	if sorted {
+		return recs
+	}
+	out := slices.DeleteFunc(slices.Clone(recs), func(r FlatRecord) bool { return len(r.Path) == 0 })
+	slices.SortFunc(out, func(x, y FlatRecord) int { return slices.Compare(x.Path, y.Path) })
+	n := 0
+	for _, r := range out {
+		if n > 0 && slices.Equal(out[n-1].Path, r.Path) {
+			out[n-1].Self += r.Self
+			out[n-1].Calls += r.Calls
+			continue
+		}
+		out[n] = r
+		n++
+	}
+	return out[:n]
 }

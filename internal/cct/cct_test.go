@@ -2,6 +2,7 @@ package cct
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -107,18 +108,33 @@ func TestWalkPreorder(t *testing.T) {
 	}
 }
 
+// TestFlattenRoundTrip: Flatten writes a tree's records in path order,
+// and SortedRecords brings a mixed-up copy of them back to that list.
 func TestFlattenRoundTrip(t *testing.T) {
 	tr := New("lbl")
 	tr.AddSamples([]string{"m", "f", "g"}, 4)
+	tr.AddSamples([]string{"n"}, 2)
 	tr.AddSamples([]string{"m"}, 1)
 	tr.AddCall([]string{"m", "f"})
-	recs := tr.Flatten()
-	back := FromRecordsShared("lbl", NewFrameTable(), recs)
-	if back.Total() != tr.Total() {
-		t.Fatalf("round-trip total = %d, want %d", back.Total(), tr.Total())
+	want := []FlatRecord{
+		{Path: []string{"m"}, Self: 1},
+		{Path: []string{"m", "f"}, Calls: 1},
+		{Path: []string{"m", "f", "g"}, Self: 4},
+		{Path: []string{"n"}, Self: 2},
 	}
-	if back.Find("m", "f", "g").Self != 4 || back.Find("m", "f").Calls != 1 {
-		t.Fatal("round-trip lost node data")
+	if recs := tr.Flatten(); !reflect.DeepEqual(recs, want) {
+		t.Fatalf("Flatten = %v, want %v", recs, want)
+	}
+	// Out of order, a path split in two, and the root: SortedRecords
+	// gives Flatten's list back.
+	mixed := []FlatRecord{want[3], want[2], {Path: []string{"m"}}, {Path: nil, Self: 3}, want[1], want[0]}
+	if got := SortedRecords(mixed); !reflect.DeepEqual(got, want) {
+		t.Fatalf("SortedRecords = %v, want %v", got, want)
+	}
+	// A root record in front of a list in path order is dropped too.
+	rooted := append([]FlatRecord{{Path: []string{}, Self: 3}}, want...)
+	if got := SortedRecords(rooted); !reflect.DeepEqual(got, want) {
+		t.Fatalf("SortedRecords of a rooted list = %v, want %v", got, want)
 	}
 }
 
@@ -134,12 +150,15 @@ func TestQuickFlattenPreservesTotals(t *testing.T) {
 			}
 			tr.AddSamples(path, int64(op%7)+1)
 		}
-		back := FromRecordsShared("q", NewFrameTable(), tr.Flatten())
-		if back.Total() != tr.Total() {
-			return false
+		recs := tr.Flatten()
+		var total int64
+		for i, r := range recs {
+			if i > 0 && slices.Compare(recs[i-1].Path, r.Path) >= 0 {
+				return false
+			}
+			total += r.Self
 		}
-		// Inclusive at root must match too.
-		return back.Root.Inclusive() == tr.Root.Inclusive()
+		return total == tr.Total() && total == tr.Root.Inclusive()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

@@ -11,6 +11,7 @@ import (
 	"io"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -53,14 +54,6 @@ func (n *refNode) sortedChildren() []*refNode {
 		out = append(out, c)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].frame < out[j].frame })
-	return out
-}
-
-func (n *refNode) childIDs() []FrameID {
-	out := make([]FrameID, 0, len(n.children))
-	for _, c := range n.sortedChildren() {
-		out = append(out, c.id)
-	}
 	return out
 }
 
@@ -235,8 +228,8 @@ func genPair(r *rand.Rand, ft *FrameTable) (*Tree, *refTree) {
 }
 
 // sameTree reports the first difference between tr and ref through the
-// node reads: children (order, frame, ID, counts), ChildIDs, Inclusive
-// and InclusiveCalls at every node, and the Walk sequence.
+// node reads: children (order, frame, ID, counts) and Inclusive at every
+// node, and the Walk sequence.
 func sameTree(tr *Tree, ref *refTree) error {
 	if tr.Total() != ref.total {
 		return fmt.Errorf("total %d, ref %d", tr.Total(), ref.total)
@@ -249,14 +242,10 @@ func sameTree(tr *Tree, ref *refTree) error {
 		if n.Inclusive() != rn.inclusive() {
 			return fmt.Errorf("%q inclusive %d, ref %d", n.Frame, n.Inclusive(), rn.inclusive())
 		}
-		if got, want := n.ChildIDs(), rn.childIDs(); !reflect.DeepEqual(got, want) {
-			return fmt.Errorf("%q ChildIDs %v, ref %v", n.Frame, got, want)
-		}
 		kids, rkids := n.Children(), rn.sortedChildren()
 		if len(kids) != len(rkids) {
 			return fmt.Errorf("%q has %d children, ref %d", n.Frame, len(kids), len(rkids))
 		}
-		var calls int64
 		for i, c := range kids {
 			if c.Parent() != n || c.ID() != rkids[i].id || n.ChildByID(c.ID()) != c {
 				return fmt.Errorf("%q child %d: parent, ID or ChildByID wrong", n.Frame, i)
@@ -264,10 +253,6 @@ func sameTree(tr *Tree, ref *refTree) error {
 			if err := rec(c, rkids[i]); err != nil {
 				return err
 			}
-			calls += c.InclusiveCalls()
-		}
-		if n.InclusiveCalls() != n.Calls+calls {
-			return fmt.Errorf("%q InclusiveCalls %d, want %d", n.Frame, n.InclusiveCalls(), n.Calls+calls)
 		}
 		return nil
 	}
@@ -303,7 +288,7 @@ func sameOutput(tr *Tree, ref *refTree) error {
 }
 
 // TestQuickTreeMatchesMapOracle builds random trees both ways and
-// compares every read: Children, ChildIDs, ChildByID, Walk, Inclusive,
+// compares every read: Children, ChildByID, Walk, Inclusive,
 // Flatten and Render on the tree as built; Find on random paths, present
 // and missing; Merge into a tree over the same table and into one over a
 // private table; and CloneShared, including the order the clone's table
@@ -403,5 +388,38 @@ func TestReadsDoNotAllocate(t *testing.T) {
 	}
 	if a := testing.AllocsPerRun(20, func() { tr.Flatten() }); a != 2 {
 		t.Fatalf("Flatten of %d nodes allocates %.1f times, want 2", nodes, a)
+	}
+}
+
+// TestSortedRecordsKeepsFlattenOrder pins the record order a diff reads
+// dumps by: for every tree genPair builds, SortedRecords hands Flatten's
+// list back as it is, without allocating, and turns a shuffled copy
+// with each record split into duplicates and root records mixed in
+// back into the same list.
+func TestSortedRecordsKeepsFlattenOrder(t *testing.T) {
+	for seed := int64(0); seed < 60; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		tr, _ := genPair(r, NewFrameTable())
+		recs := tr.Flatten()
+		if got := SortedRecords(recs); len(got) != len(recs) || &got[0] != &recs[0] {
+			t.Fatalf("seed %d: SortedRecords copied Flatten's %d records", seed, len(recs))
+		}
+		if a := testing.AllocsPerRun(5, func() { SortedRecords(recs) }); a != 0 {
+			t.Fatalf("seed %d: SortedRecords of Flatten's list allocates %.1f times", seed, a)
+		}
+		var mixed []FlatRecord
+		for _, rec := range recs {
+			self, calls := r.Int63n(rec.Self+1), r.Int63n(rec.Calls+1)
+			mixed = append(mixed,
+				FlatRecord{Path: rec.Path, Self: self, Calls: calls},
+				FlatRecord{Path: slices.Clone(rec.Path), Self: rec.Self - self, Calls: rec.Calls - calls})
+			if r.Intn(20) == 0 {
+				mixed = append(mixed, FlatRecord{Path: []string{}, Self: 1})
+			}
+		}
+		r.Shuffle(len(mixed), func(i, j int) { mixed[i], mixed[j] = mixed[j], mixed[i] })
+		if got := SortedRecords(mixed); !reflect.DeepEqual(got, recs) {
+			t.Fatalf("seed %d: SortedRecords of the mixed copy has %d records, Flatten %d", seed, len(got), len(recs))
+		}
 	}
 }

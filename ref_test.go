@@ -19,6 +19,12 @@ package whodunit
 //   - refDiffEdges is diffEdges before it keyed edge groups by struct:
 //     a count map per side over "\x00"-joined names, split again for the
 //     output. TestQuickDiffEdgesMatchesRef demands the same deltas.
+//   - refDiffTrees and refFoldedDiff are the tree diff and the two-column
+//     folded diff before they merged the dumps' record lists: both sides'
+//     records rebuilt into two CCTs over one frame table, then walked
+//     in lockstep. TestQuickDiffTreesMatchesRef demands the same diff
+//     and the same folded bytes on generated pairs, and
+//     TestDiffCorpusMatchesRef on the scenario corpus.
 
 import (
 	"bufio"
@@ -32,6 +38,7 @@ import (
 	"os"
 	"reflect"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -372,6 +379,196 @@ func refDiffEdges(a, b *TransactionGraph) []EdgeDelta {
 	return out
 }
 
+// refDiff is Diff with its stages compared by the oracle.
+func refDiff(a, b *Report) *ReportDiff {
+	d := Diff(a, b)
+	d.Stages = refDiffStages(a.Stages, b.Stages)
+	return d
+}
+
+func refDiffStages(a, b []StageReport) []StageDiff {
+	ft := cct.NewFrameTable()
+	am, bm := indexStages(a), indexStages(b)
+	var out []StageDiff
+	for _, name := range sortedKeyUnion(am, bm) {
+		sa, sb := am[name], bm[name]
+		switch {
+		case sb == nil:
+			out = append(out, oneSidedStage(sa, SideA))
+		case sa == nil:
+			out = append(out, oneSidedStage(sb, SideB))
+		default:
+			sd := StageDiff{
+				Stage:    name,
+				SamplesA: sa.Samples, SamplesB: sb.Samples,
+				CallsA: sa.Calls, CallsB: sb.Calls,
+				SwitchesA: sa.CtxtSwitches, SwitchesB: sb.CtxtSwitches,
+				Trees: refDiffTrees(ft, sa.Dump.Trees, sb.Dump.Trees),
+			}
+			if len(sd.Trees) > 0 || sd.SamplesA != sd.SamplesB ||
+				sd.CallsA != sd.CallsB || sd.SwitchesA != sd.SwitchesB {
+				out = append(out, sd)
+			}
+		}
+	}
+	return out
+}
+
+// refRebuild builds the tree a dump's records describe, its frames
+// interned in ft: every record's path is made, and its counts added in.
+func refRebuild(ft *cct.FrameTable, recs []cct.FlatRecord) *cct.Tree {
+	t := cct.NewShared("", ft)
+	for _, r := range recs {
+		n := t.Path(r.Path)
+		n.Self += r.Self
+		n.Calls += r.Calls
+	}
+	return t
+}
+
+func refDiffTrees(ft *cct.FrameTable, a, b []TreeDump) []TreeDiff {
+	am, bm := indexTrees(a), indexTrees(b)
+	var out []TreeDiff
+	for _, key := range sortedKeyUnion(am, bm) {
+		ta, tb := am[key], bm[key]
+		switch {
+		case tb == nil:
+			out = append(out, TreeDiff{Key: key, Label: ta.Label, OnlyIn: SideA, TotalA: ta.Total})
+		case ta == nil:
+			out = append(out, TreeDiff{Key: key, Label: tb.Label, OnlyIn: SideB, TotalB: tb.Total})
+		default:
+			td := TreeDiff{Key: key, Label: ta.Label, TotalA: ta.Total, TotalB: tb.Total}
+			ra, rb := refRebuild(ft, ta.Records), refRebuild(ft, tb.Records)
+			td.Nodes = refDiffNodes(ra.Root, rb.Root, nil, td.Nodes)
+			if len(td.Nodes) > 0 || td.TotalA != td.TotalB {
+				out = append(out, td)
+			}
+		}
+	}
+	return out
+}
+
+func refDiffNodes(na, nb *cct.Node, path []string, out []NodeDelta) []NodeDelta {
+	for ka, kb := na.Children(), nb.Children(); len(ka) > 0 || len(kb) > 0; {
+		var ca, cb *cct.Node
+		ca, cb, ka, kb = refPopChildPair(ka, kb)
+		path = append(path, refEither(ca, cb).Frame)
+		switch {
+		case cb == nil:
+			out = append(out, NodeDelta{
+				Path:  slices.Clone(path),
+				SelfA: ca.Inclusive(), CallsA: refInclusiveCalls(ca), Subtree: true, OnlyIn: SideA,
+			})
+		case ca == nil:
+			out = append(out, NodeDelta{
+				Path:  slices.Clone(path),
+				SelfB: cb.Inclusive(), CallsB: refInclusiveCalls(cb), Subtree: true, OnlyIn: SideB,
+			})
+		default:
+			if ca.Self != cb.Self || ca.Calls != cb.Calls {
+				out = append(out, NodeDelta{
+					Path:  slices.Clone(path),
+					SelfA: ca.Self, SelfB: cb.Self,
+					CallsA: ca.Calls, CallsB: cb.Calls,
+				})
+			}
+			out = refDiffNodes(ca, cb, path, out)
+		}
+		path = path[:len(path)-1]
+	}
+	return out
+}
+
+func refPopChildPair(ka, kb []*cct.Node) (ca, cb *cct.Node, ra, rb []*cct.Node) {
+	switch {
+	case len(kb) == 0 || len(ka) > 0 && ka[0].ID() != kb[0].ID() && ka[0].Frame < kb[0].Frame:
+		return ka[0], nil, ka[1:], kb
+	case len(ka) == 0 || ka[0].ID() != kb[0].ID():
+		return nil, kb[0], ka, kb[1:]
+	}
+	return ka[0], kb[0], ka[1:], kb[1:]
+}
+
+func refEither(ca, cb *cct.Node) *cct.Node {
+	if ca != nil {
+		return ca
+	}
+	return cb
+}
+
+func refInclusiveCalls(n *cct.Node) int64 {
+	sum := n.Calls
+	for _, c := range n.Children() {
+		sum += refInclusiveCalls(c)
+	}
+	return sum
+}
+
+func refFoldedDiff(a, b *Report, w io.Writer) {
+	ft := cct.NewFrameTable()
+	am, bm := indexStages(a.Stages), indexStages(b.Stages)
+	for _, stage := range sortedKeyUnion(am, bm) {
+		var ta, tb map[string]*TreeDump
+		if sr := am[stage]; sr != nil {
+			ta = indexTrees(sr.Dump.Trees)
+		}
+		if sr := bm[stage]; sr != nil {
+			tb = indexTrees(sr.Dump.Trees)
+		}
+		for _, key := range sortedKeyUnion(ta, tb) {
+			label := ""
+			var ra, rb []cct.FlatRecord
+			if da := ta[key]; da != nil {
+				label, ra = da.Label, da.Records
+			}
+			if db := tb[key]; db != nil {
+				label, rb = db.Label, db.Records
+			}
+			refFoldNodes(refRebuild(ft, ra).Root, refRebuild(ft, rb).Root, stage+";"+label, w)
+		}
+	}
+}
+
+func refFoldNodes(na, nb *cct.Node, prefix string, w io.Writer) {
+	for ka, kb := na.Children(), nb.Children(); len(ka) > 0 || len(kb) > 0; {
+		var ca, cb *cct.Node
+		ca, cb, ka, kb = refPopChildPair(ka, kb)
+		line := prefix + ";" + refEither(ca, cb).Frame
+		var selfA, selfB int64
+		if ca != nil {
+			selfA = ca.Self
+		}
+		if cb != nil {
+			selfB = cb.Self
+		}
+		if selfA != 0 || selfB != 0 {
+			fmt.Fprintf(w, "%s %d %d\n", line, selfA, selfB)
+		}
+		switch {
+		case cb == nil:
+			refFoldOneSide(ca, line, w, true)
+		case ca == nil:
+			refFoldOneSide(cb, line, w, false)
+		default:
+			refFoldNodes(ca, cb, line, w)
+		}
+	}
+}
+
+func refFoldOneSide(n *cct.Node, prefix string, w io.Writer, sideA bool) {
+	for _, c := range n.Children() {
+		line := prefix + ";" + c.Frame
+		if c.Self != 0 {
+			if sideA {
+				fmt.Fprintf(w, "%s %d 0\n", line, c.Self)
+			} else {
+				fmt.Fprintf(w, "%s 0 %d\n", line, c.Self)
+			}
+		}
+		refFoldOneSide(c, line, w, sideA)
+	}
+}
+
 // chunks reads data in pieces of 1 to 64 bytes, so that what a reader
 // has buffered ends at every kind of place.
 type chunks struct {
@@ -638,6 +835,165 @@ func TestQuickDiffEdgesMatchesRef(t *testing.T) {
 	}
 	if len(kinds) != 3 {
 		t.Fatalf("deltas reached edge kinds %v; want request, response and severed", kinds)
+	}
+}
+
+// diffPair generates two reports whose context trees overlap: contexts
+// from a small key pool (some on one side only), each side's records
+// drawn from one small universe of call paths (names that share a
+// prefix, now and then an empty frame name), so that one side's record
+// often sits at the other's inner node and a one-sided subtree often
+// tops at no record. A side's list is by turns a Flatten output, which
+// diffPair counts, or raw: shuffled, with records split into duplicates,
+// zero counts and empty (root) paths.
+func diffPair(rng *rand.Rand) (a, b *Report, flattened int) {
+	path := func() []string {
+		p := make([]string, 1+rng.Intn(3))
+		for i := range p {
+			p[i] = []string{"a", "ab", "b"}[rng.Intn(3)]
+			if rng.Intn(40) == 0 {
+				p[i] = ""
+			}
+		}
+		return p
+	}
+	records := func() []cct.FlatRecord {
+		n := rng.Intn(7)
+		if rng.Intn(2) == 0 {
+			t := cct.New("")
+			for range n {
+				if p := path(); rng.Intn(3) == 0 {
+					t.AddCall(p)
+				} else {
+					t.AddSamples(p, 1+rng.Int63n(5))
+				}
+			}
+			flattened++
+			return t.Flatten()
+		}
+		var recs []cct.FlatRecord
+		for range n {
+			r := cct.FlatRecord{Path: path(), Self: rng.Int63n(4), Calls: rng.Int63n(3)}
+			switch rng.Intn(10) {
+			case 0:
+				r.Path = nil
+			case 1:
+				r.Path = []string{}
+			}
+			recs = append(recs, r)
+			if rng.Intn(4) == 0 {
+				r.Self, r.Calls = rng.Int63n(3), rng.Int63n(2)
+				recs = append(recs, r)
+			}
+		}
+		rng.Shuffle(len(recs), func(i, j int) { recs[i], recs[j] = recs[j], recs[i] })
+		return recs
+	}
+	report := func() *Report {
+		var dumps []StageDump
+		for s := range 1 + rng.Intn(2) {
+			d := StageDump{Stage: fmt.Sprintf("stage%d", s)}
+			for k := range 3 {
+				if rng.Intn(5) == 0 {
+					continue
+				}
+				recs := records()
+				var total int64
+				for _, r := range recs {
+					total += r.Self
+				}
+				d.Trees = append(d.Trees, TreeDump{
+					Key: fmt.Sprintf("p%d|c%d", k, k), Prefix: fmt.Sprintf("p%d", k),
+					Label: fmt.Sprintf("ctx%d", k+rng.Intn(2)), Total: total, Records: recs,
+				})
+			}
+			dumps = append(dumps, d)
+		}
+		return ReportFromDumps("app", dumps...)
+	}
+	return report(), report(), flattened
+}
+
+// TestQuickDiffTreesMatchesRef: merging the record lists gives the diff
+// and the folded diff that rebuilding and walking two trees gave, on
+// randReport pairs (unsorted records, duplicates, zero counts) and on
+// diffPair's. Counters show the generators reached every case the merge
+// tells apart.
+func TestQuickDiffTreesMatchesRef(t *testing.T) {
+	var reached struct{ flattened, unsorted, duplicate, zero, root, inner, topNotRecord int }
+	hasPath := func(recs []cct.FlatRecord, path []string) bool {
+		return slices.ContainsFunc(recs, func(r cct.FlatRecord) bool { return slices.Equal(r.Path, path) })
+	}
+	records := func(r *Report, stage, key string) []cct.FlatRecord {
+		if sr := indexStages(r.Stages)[stage]; sr != nil {
+			if td := indexTrees(sr.Dump.Trees)[key]; td != nil {
+				return td.Records
+			}
+		}
+		return nil
+	}
+	for seed := int64(0); seed < 3000; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var a, b *Report
+		if seed%4 == 0 {
+			a, b = randReport(rng), randReport(rng)
+		} else {
+			var n int
+			a, b, n = diffPair(rng)
+			reached.flattened += n
+		}
+		got, want := Diff(a, b), refDiff(a, b)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: Diff stages = %+v\noracle %+v", seed, got.Stages, want.Stages)
+		}
+		var fgot, fwant bytes.Buffer
+		FoldedDiff(a, b, &fgot)
+		refFoldedDiff(a, b, &fwant)
+		if !bytes.Equal(fgot.Bytes(), fwant.Bytes()) {
+			t.Fatalf("seed %d: FoldedDiff wrote\n%s\noracle\n%s", seed, fgot.Bytes(), fwant.Bytes())
+		}
+
+		for _, r := range []*Report{a, b} {
+			for _, sr := range r.Stages {
+				for _, td := range sr.Dump.Trees {
+					paths := map[string]bool{}
+					for _, rec := range td.Records {
+						k := strings.Join(rec.Path, "\x00")
+						switch {
+						case len(rec.Path) == 0:
+							reached.root++
+						case paths[k]:
+							reached.duplicate++
+						}
+						paths[k] = true
+						if rec.Self == 0 && rec.Calls == 0 {
+							reached.zero++
+						}
+					}
+					if s := cct.SortedRecords(td.Records); len(s) != len(td.Records) || len(s) > 0 && &s[0] != &td.Records[0] {
+						reached.unsorted++
+					}
+				}
+			}
+		}
+		for _, sd := range want.Stages {
+			for _, td := range sd.Trees {
+				ra, rb := records(a, sd.Stage, td.Key), records(b, sd.Stage, td.Key)
+				for _, nd := range td.Nodes {
+					switch {
+					case !nd.Subtree && (!hasPath(ra, nd.Path) || !hasPath(rb, nd.Path)):
+						reached.inner++
+					case nd.OnlyIn == SideA && !hasPath(ra, nd.Path), nd.OnlyIn == SideB && !hasPath(rb, nd.Path):
+						reached.topNotRecord++
+					}
+				}
+			}
+		}
+	}
+	t.Logf("cases reached: %+v", reached)
+	if reached.flattened == 0 || reached.unsorted == 0 || reached.duplicate == 0 || reached.zero == 0 ||
+		reached.root == 0 || reached.inner == 0 || reached.topNotRecord == 0 {
+		t.Fatalf("a case was never reached: %+v", reached)
 	}
 }
 

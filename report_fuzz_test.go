@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"slices"
 	"testing"
 
 	"whodunit"
+	"whodunit/internal/cct"
 	"whodunit/internal/vm"
 )
 
@@ -33,7 +35,9 @@ func validReportJSON(f *testing.F) []byte {
 // RefReadReport (both fail, or both decode reports that encode to the
 // same bytes) and either errors or returns a report every renderer and
 // accessor can process — malformed, truncated or hostile input must
-// never panic — and whose JSON decodes back to the same JSON.
+// never panic — and whose JSON decodes back to the same JSON. A decoded
+// report diffs empty against itself, and its folded self-diff equals
+// the oracle RefFoldedDiff's.
 func FuzzReadReport(f *testing.F) {
 	valid := validReportJSON(f)
 	f.Add(valid)
@@ -66,6 +70,26 @@ func FuzzReadReport(f *testing.F) {
 	}
 	f.Add(compact.Bytes())
 	f.Add(bytes.ReplaceAll(buf.Bytes(), []byte(`"Consumer"`), []byte(`"consumer"`)))
+	// Records out of Flatten's order, a path twice and the root: only a
+	// decoded report holds such lists.
+	unsorted, err := whodunit.ReadReport(bytes.NewReader(valid))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, sr := range unsorted.Stages {
+		for i := range sr.Dump.Trees {
+			if recs := sr.Dump.Trees[i].Records; len(recs) > 0 {
+				callee := cct.FlatRecord{Path: append(slices.Clip(recs[0].Path), "callee"), Self: 2}
+				root := cct.FlatRecord{Path: []string{}, Self: 1}
+				sr.Dump.Trees[i].Records = append([]cct.FlatRecord{callee, recs[0], root}, recs...)
+			}
+		}
+	}
+	buf.Reset()
+	if err := unsorted.JSON(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rep, err := whodunit.ReadReport(bytes.NewReader(data))
 		ref, refErr := whodunit.RefReadReport(bytes.NewReader(data))
@@ -107,9 +131,21 @@ func FuzzReadReport(f *testing.F) {
 		}
 		_ = rep.TotalSamples()
 		d := whodunit.Diff(rep, rep)
+		if !d.Empty() {
+			t.Fatalf("self-diff not empty (max delta %d)", d.MaxDelta())
+		}
 		d.Text(io.Discard)
 		if err := d.JSON(io.Discard); err != nil {
 			t.Fatalf("self-diff encode: %v", err)
+		}
+		// The diff merges each context's records in path order, sorting
+		// a decoded list that is not: the folded self-diff must equal
+		// the one read from trees rebuilt from the records.
+		var folded, oracle bytes.Buffer
+		whodunit.FoldedDiff(rep, rep, &folded)
+		whodunit.RefFoldedDiff(rep, rep, &oracle)
+		if !bytes.Equal(folded.Bytes(), oracle.Bytes()) {
+			t.Fatalf("folded self-diff\n%s\nthe oracle's\n%s", folded.Bytes(), oracle.Bytes())
 		}
 	})
 }
