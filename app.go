@@ -62,14 +62,6 @@ type App struct {
 	faultPlan *faults.Plan
 	injector  *faults.Injector
 
-	// Windowed (continuous-profiling) runs: profiles are retired into
-	// per-window Reports every `window` of virtual time. Only NewServer
-	// sets the window, and its callback is the server's onWindow.
-	window   Duration
-	onWindow func(*Report)
-	winSeq   int64
-	winStart vclock.Time
-
 	ran bool
 }
 
@@ -317,94 +309,54 @@ func (a *App) RunFor(d Duration) *Report {
 }
 
 func (a *App) run(stop func() bool) *Report {
-	rep, err := a.runSupervised(stop)
+	a.start()
+	a.group.RunUntil(stop)
+	rep, err := a.finish()
 	if err != nil {
-		// Unsupervised callers keep the historical contract: an injected
-		// (or genuine) panic in the simulation aborts the run loudly.
+		// An injected (or genuine) panic in the simulation aborts the run
+		// loudly; only a supervised Server carries on past one.
 		panic(err)
 	}
 	return rep
 }
 
-// runSupervised is run with crash capture surfaced instead of raised:
-// if a simulated thread or scheduler callback panics, the simulation
-// halts at that instant, whatever profiles accumulated are still
-// retired, dumped and stitched into the returned (partial) report, and
-// the crash comes back as the error. This is the degraded-operation
-// contract the Server's supervision loop builds on.
-func (a *App) runSupervised(stop func() bool) (*Report, error) {
+// start readies the app to run, once: pipes become links and the fault
+// plan's timed faults are scheduled.
+func (a *App) start() {
 	if a.ran {
 		panic(fmt.Sprintf("whodunit: app %q already run", a.Name))
 	}
 	a.ran = true
 	a.armPipes()
 	a.armFaults()
-	if a.window > 0 {
-		if stop == nil {
-			panic(fmt.Sprintf("whodunit: app %q is served but run with no stop condition; run it through its Server", a.Name))
-		}
-		a.winStart = a.sim.Now()
-		a.sim.Every(a.window, func() { a.retireWindow(a.sim.Now()) })
-	}
-	a.group.RunUntil(stop)
+}
+
+// finish ends a run that stopped or crashed: surviving threads unwind,
+// and whatever the profiles accumulated is stitched into the returned
+// (partial, on a crash) report. A crash of a simulated thread or
+// scheduler callback comes back as the error.
+func (a *App) finish() (*Report, error) {
 	var err error
 	if c := a.group.Crashed(); c != nil {
 		err = c
-	}
-	if a.window > 0 {
-		// Retire whatever accumulated since the last tick as a final
-		// (possibly partial) window, so shutdown loses no samples.
-		a.retireWindow(a.sim.Now())
 	}
 	a.group.Shutdown()
 	return a.Report(), err
 }
 
-// retireWindow closes the aggregation window ending at end: every
-// stage's profiler retires its tree set (an O(1) swap — see
-// profiler.Retire), the retired snapshots are assembled into a
-// per-window Report, and the window callback receives it. Runs in
-// scheduler context at window ticks and once more after RunUntil
-// returns, for the final partial window.
-//
-// Window reports deliberately omit the crosstalk matrix and flow list:
-// those accumulate over the whole run, and copying cumulative totals
-// into every window would make behaviorally identical adjacent windows
-// diff non-empty.
-func (a *App) retireWindow(end vclock.Time) {
-	if end <= a.winStart {
-		return // empty window (e.g. final retire landing on a tick)
-	}
-	meta := &WindowMeta{Seq: a.winSeq, Start: Duration(a.winStart), End: Duration(end)}
+// stageReport reads every stage's profile into a Report that has only
+// its stages set: through Profiler.Retire if retire (ending a window),
+// else Profiler.View. Both calls inline, so no Snapshot is allocated.
+func (a *App) stageReport(retire bool) *Report {
 	srs := make([]StageReport, 0, len(a.stages))
 	for _, st := range a.stages {
-		srs = append(srs, NewStageReport(st.prof.Retire(), st.endpoints...))
+		snap := st.prof.View()
+		if retire {
+			snap = st.prof.Retire()
+		}
+		srs = append(srs, NewStageReport(snap, st.endpoints...))
 	}
-	rep := NewReport(a.Name, srs...)
-	rep.Elapsed = Duration(end.Sub(a.winStart))
-	rep.Window = meta
-	a.winSeq, a.winStart = a.winSeq+1, end
-	a.onWindow(rep)
-}
-
-// LiveWindowReport builds a Report of the in-progress window without
-// retiring it: the same shape retireWindow will eventually produce for
-// this window, read from the live profilers (Profiler.View). The report
-// keeps only what NewStageReport detaches (flattened records, copied
-// sends, fresh shares), so it shares nothing mutable with the live run.
-// Must be called synchronously with the simulation (scheduler context
-// or between events); the result is then free-threaded. This is the
-// snapshot-while-running path behind the serving API's live /report.
-func (a *App) LiveWindowReport() *Report {
-	now := a.sim.Now()
-	srs := make([]StageReport, 0, len(a.stages))
-	for _, st := range a.stages {
-		srs = append(srs, NewStageReport(st.prof.View(), st.endpoints...))
-	}
-	rep := NewReport(a.Name, srs...)
-	rep.Elapsed = Duration(now.Sub(a.winStart))
-	rep.Window = &WindowMeta{Seq: a.winSeq, Start: Duration(a.winStart), End: Duration(now)}
-	return rep
+	return NewReport(a.Name, srs...)
 }
 
 // Arrivals installs an open-loop arrival process: arrive(i) is invoked
@@ -457,11 +409,7 @@ func RunApps(apps ...*App) []*Report {
 // App.Run calls it automatically; call it directly only when driving the
 // simulator by hand through App.Sim.
 func (a *App) Report() *Report {
-	srs := make([]StageReport, 0, len(a.stages))
-	for _, st := range a.stages {
-		srs = append(srs, NewStageReport(st.prof.View(), st.endpoints...))
-	}
-	rep := NewReport(a.Name, srs...)
+	rep := a.stageReport(false)
 	rep.Elapsed = Duration(a.group.Now())
 	if a.monitor != nil {
 		rep.Crosstalk = a.monitor.Pairs()

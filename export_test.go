@@ -17,3 +17,8 @@ func ReportJSONMemo(ev *WindowEvent) []byte {
 	b, _ := ev.encoded(reportJSON)
 	return b
 }
+
+// LiveWindow returns what a live /report of s reads: the window in
+// progress, under the sequence number it will retire with. Call it from
+// s's simulation (a scheduler callback of the served app).
+func LiveWindow(s *Server) *Report { return s.liveWindow() }

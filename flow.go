@@ -436,39 +436,11 @@ func queueProg(lock int, base int64, pop bool) *vm.Program {
 	if p, ok := queueProgs.Load(shape); ok {
 		return p.(*vm.Program)
 	}
-	data := base + 0x10
-	var prog *vm.Program
+	op := "push"
 	if pop {
-		prog = vm.MustAssemble(fmt.Sprintf("fd_queue_pop@%#x", base), fmt.Sprintf(`
-	pop:
-		lock %d
-		decm  [r1]           ; --queue->nelts
-		load  r3, [r1]       ; r3 = nelts
-		add   r6, r3, r3
-		movi  r7, %#x
-		add   r7, r7, r6     ; r7 = &queue->data[nelts]
-		load  r4, [r7+0]     ; *sd = elem->sd
-		load  r5, [r7+1]     ; *p  = elem->p
-		unlock %d
-		store [r9+0], r4     ; caller uses sd after return (consume)
-		store [r9+1], r5     ; caller uses p  after return (consume)
-		halt
-	`, lock, data, lock))
-	} else {
-		prog = vm.MustAssemble(fmt.Sprintf("fd_queue_push@%#x", base), fmt.Sprintf(`
-	push:
-		lock %d
-		load  r3, [r1]       ; r3 = queue->nelts
-		add   r6, r3, r3     ; r6 = nelts * 2 (element stride)
-		movi  r7, %#x        ; r7 = &queue->data[0]
-		add   r7, r7, r6     ; r7 = &queue->data[nelts]
-		store [r7+0], r4     ; elem->sd = sd   (produce)
-		store [r7+1], r5     ; elem->p  = p    (produce)
-		incm  [r1]           ; queue->nelts++
-		unlock %d
-		halt
-	`, lock, data, lock))
+		op = "pop"
 	}
+	prog := shmflow.QueueProg(fmt.Sprintf("fd_queue_%s@%#x", op, base), lock, base, pop)
 	got, _ := queueProgs.LoadOrStore(shape, prog)
 	return got.(*vm.Program)
 }

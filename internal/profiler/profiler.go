@@ -356,7 +356,8 @@ func (d *profile) Shares() []ContextShare {
 //
 //   - Profiler.View shares the live state without copying or resetting
 //     it: the way to present a profiler that keeps running, read before
-//     it samples again (the end-of-run report).
+//     it samples again (the end-of-run report, and the continuous
+//     profiling service's live window).
 //   - Profiler.Retire transfers ownership of the active tree set in O(1)
 //     (copy-on-retire): the snapshot's trees still share the profiler's
 //     frame table, so they must be read from the goroutine driving the
@@ -366,7 +367,8 @@ func (d *profile) Shares() []ContextShare {
 //   - Profiler.Snapshot deep-copies every tree into a snapshot-private
 //     frame table: the result shares nothing mutable with the live
 //     profiler and can be read from any goroutine while the simulation
-//     advances (the snapshot-while-running path behind live /report).
+//     advances. Nothing in the serving path takes one; the benchmark's
+//     profiler.snapshot_us row prices it.
 type Snapshot struct {
 	Stage string
 	Mode  Mode

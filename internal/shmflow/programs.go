@@ -1,6 +1,10 @@
 package shmflow
 
-import "whodunit/internal/vm"
+import (
+	"fmt"
+
+	"whodunit/internal/vm"
+)
 
 // Memory-layout constants shared by the scenario programs. The word-
 // addressed layout mirrors Figure 1's fd_queue_t: a counter word plus an
@@ -20,42 +24,57 @@ const (
 	ListLock = 4
 )
 
-// ApachePush is ap_queue_push from Figure 1: under one_big_mutex, store
-// the connection's sd and p (passed in r4, r5) into data[nelts] and bump
-// nelts. r1 must hold &queue (QueueBase).
-var ApachePush = vm.MustAssemble("ap_queue_push", `
+// ApachePush is ap_queue_push from Figure 1 (see QueueProg) on the
+// queue at QueueBase under one_big_mutex.
+var ApachePush = QueueProg("ap_queue_push", QueueLock, QueueBase, false)
+
+// ApachePop is ap_queue_pop from Figure 1 (see QueueProg) on the queue
+// at QueueBase under one_big_mutex.
+var ApachePop = QueueProg("ap_queue_pop", QueueLock, QueueBase, true)
+
+// QueueProg assembles one of Figure 1's critical sections, under the
+// given program name, for an fd_queue_t laid out at base (nelts at
+// base, two-word elements from base+0x10) and guarded by vm lock `lock`.
+// r1 must hold base.
+//
+// Push (ap_queue_push) stores the connection's sd and p (passed in r4,
+// r5) into data[nelts] and bumps nelts. Pop (ap_queue_pop) reads
+// data[--nelts] into r4, r5, then — after releasing the lock — uses the
+// values by storing them into caller locals at [r9], a private scratch
+// address.
+func QueueProg(name string, lock int, base int64, pop bool) *vm.Program {
+	src := `
 	push:
-		lock 1
+		lock %[1]d
 		load  r3, [r1]       ; r3 = queue->nelts
 		add   r6, r3, r3     ; r6 = nelts * 2 (element stride)
-		movi  r7, 0x1010     ; r7 = &queue->data[0]
+		movi  r7, %#[2]x     ; r7 = &queue->data[0]
 		add   r7, r7, r6     ; r7 = &queue->data[nelts]
 		store [r7+0], r4     ; elem->sd = sd   (produce)
 		store [r7+1], r5     ; elem->p  = p    (produce)
 		incm  [r1]           ; queue->nelts++
-		unlock 1
+		unlock %[1]d
 		halt
-`)
-
-// ApachePop is ap_queue_pop from Figure 1: under one_big_mutex, read
-// data[--nelts] into r4, r5, then — after releasing the mutex — use the
-// values by storing them into caller locals at [r9]. r1 must hold &queue;
-// r9 a private scratch address.
-var ApachePop = vm.MustAssemble("ap_queue_pop", `
+`
+	if pop {
+		src = `
 	pop:
-		lock 1
+		lock %[1]d
 		decm  [r1]           ; --queue->nelts
 		load  r3, [r1]       ; r3 = nelts
 		add   r6, r3, r3
-		movi  r7, 0x1010
+		movi  r7, %#[2]x
 		add   r7, r7, r6     ; r7 = &queue->data[nelts]
 		load  r4, [r7+0]     ; *sd = elem->sd
 		load  r5, [r7+1]     ; *p  = elem->p
-		unlock 1
+		unlock %[1]d
 		store [r9+0], r4     ; caller uses sd after return (consume)
 		store [r9+1], r5     ; caller uses p  after return (consume)
 		halt
-`)
+`
+	}
+	return vm.MustAssemble(name, fmt.Sprintf(src, lock, base+0x10))
+}
 
 // SharedCounter is Figure 2's pattern: each thread increments a shared
 // counter under a mutex r2 times. No MOV ever crosses threads, so no flow

@@ -41,8 +41,9 @@ type StageDump struct {
 }
 
 // Dump captures a stage's profile (and optionally its endpoints) into a
-// serializable StageDump: a running profiler's through Profiler.View, a
-// window's through Profiler.Retire or Profiler.Snapshot.
+// serializable StageDump: a running profiler's (or a served window in
+// progress) through Profiler.View, a retired window's through
+// Profiler.Retire.
 func Dump(s *profiler.Snapshot, eps ...*ipc.Endpoint) StageDump {
 	entries := s.Entries()
 	d := StageDump{Stage: s.Stage}

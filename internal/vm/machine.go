@@ -74,18 +74,18 @@ type Thread struct {
 	code      []dinstr   // ps.code, cached for one less indirection
 	entry     int        // the pc it was spawned at, for Rearm
 	halted    bool
-	blockedOn int // lock id the thread is waiting for, or -1
+	blocked   bool // waiting for a lock
 	granted   bool
 	heldLocks []int
 	window    int // remaining post-critical-section traced instructions
 }
 
-// Halted reports whether the thread has executed HALT or run off the end
-// of its program.
+// Halted reports whether the thread has executed HALT, run off the end
+// of its program, or faulted (see Machine.Run).
 func (t *Thread) Halted() bool { return t.halted }
 
 // Blocked reports whether the thread is waiting on a lock.
-func (t *Thread) Blocked() bool { return t.blockedOn >= 0 && !t.granted }
+func (t *Thread) Blocked() bool { return t.blocked && !t.granted }
 
 type mlock struct {
 	owner   int // thread id, or -1
@@ -129,6 +129,7 @@ type Machine struct {
 	ring         []*Thread // unhalted threads in spawn order
 	rr           int       // round-robin cursor into ring
 	nextID       int
+	fault        error // a program error since Run last returned one
 
 	// Reusable Access emission state: one Access and one Reads backing
 	// array, overwritten per traced instruction (see Tracer).
@@ -164,7 +165,7 @@ func (m *Machine) Spawn(prog *Program, label string) (*Thread, error) {
 		return nil, err
 	}
 	ps := m.progStateFor(prog)
-	t := &Thread{ID: m.nextID, Prog: prog, PC: pc, entry: pc, blockedOn: -1, ps: ps, code: ps.code}
+	t := &Thread{ID: m.nextID, Prog: prog, PC: pc, entry: pc, ps: ps, code: ps.code}
 	m.nextID++
 	m.Threads = append(m.Threads, t)
 	m.ring = append(m.ring, t)
@@ -182,7 +183,7 @@ func (m *Machine) Rearm(t *Thread) {
 	if !t.halted {
 		panic(fmt.Sprintf("vm: Rearm of thread %d, which has not halted", t.ID))
 	}
-	*t = Thread{ID: m.nextID, Prog: t.Prog, PC: t.entry, entry: t.entry, blockedOn: -1,
+	*t = Thread{ID: m.nextID, Prog: t.Prog, PC: t.entry, entry: t.entry,
 		ps: t.ps, code: t.code, heldLocks: t.heldLocks[:0]}
 	m.nextID++
 	m.Threads = append(m.Threads, t)
@@ -246,7 +247,9 @@ var ErrDeadlock = errors.New("vm: deadlock: all live threads blocked")
 // ErrStepLimit is returned by Run when maxSteps is exhausted.
 var ErrStepLimit = errors.New("vm: step limit exceeded")
 
-// Run interleaves all threads round-robin until every thread halts.
+// Run interleaves all threads round-robin until every thread halts. A
+// thread that faults — unlocks a lock it does not hold — halts, and Run
+// returns the fault.
 //
 // When exactly one thread is runnable — the common case for the
 // library's queue push/pop executions — Run executes whole straight-line
@@ -266,12 +269,15 @@ func (m *Machine) Run(maxSteps int64) error {
 			steps += m.execRun(t, maxSteps-steps)
 			if t.halted {
 				m.removeRing(0)
-				return nil
+				return m.takeFault()
 			}
 			continue
 		}
 		progressed, anyLive := m.Step()
 		steps++
+		if m.fault != nil {
+			return m.takeFault()
+		}
 		if !anyLive {
 			return nil
 		}
@@ -279,6 +285,13 @@ func (m *Machine) Run(maxSteps int64) error {
 			return ErrDeadlock
 		}
 	}
+}
+
+// takeFault returns the pending fault, if any, and clears it.
+func (m *Machine) takeFault() error {
+	err := m.fault
+	m.fault = nil
+	return err
 }
 
 // execRun executes up to budget instructions of t (budget ≥ 1, t
@@ -481,12 +494,12 @@ func (m *Machine) execLock(t *Thread, in *dinstr, pc int) {
 	case l.owner == t.ID && t.granted:
 		// Our pending acquisition was granted by the releaser.
 		t.granted = false
-		t.blockedOn = -1
+		t.blocked = false
 	case l.owner == -1:
 		l.owner = t.ID
 	default:
 		// Block; re-executed once granted.
-		t.blockedOn = id
+		t.blocked = true
 		l.waiters = append(l.waiters, t)
 		return
 	}
@@ -513,7 +526,9 @@ func (m *Machine) execUnlock(t *Thread, in *dinstr, pc int) {
 		}
 	}
 	if idx < 0 {
-		panic(fmt.Sprintf("vm: thread %d unlocks %d it does not hold", t.ID, id))
+		t.halted = true
+		m.fault = fmt.Errorf("vm: thread %d unlocks %d it does not hold", t.ID, id)
+		return
 	}
 	wasEmu := m.traced(t)
 	outermost := idx == 0 && len(t.heldLocks) == 1

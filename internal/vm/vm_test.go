@@ -183,15 +183,42 @@ func TestStepLimit(t *testing.T) {
 	}
 }
 
-func TestUnlockWithoutHoldPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
+// TestUnlockWithoutHoldIsAnError runs a program that unlocks a lock it
+// does not hold, alone (Run's single-thread path) and beside another
+// thread (the round-robin path): the thread halts and Run returns the
+// fault, once.
+func TestUnlockWithoutHoldIsAnError(t *testing.T) {
+	bad := MustAssemble("bad", "main: unlock 1\nhalt")
+	spin := MustAssemble("spin", "main: nop\nnop\nnop\nhalt")
+	for _, progs := range [][]*Program{{bad}, {spin, bad}} {
+		m := NewMachine()
+		for _, p := range progs {
+			m.Spawn(p, "main")
 		}
-	}()
-	m := NewMachine()
-	m.Spawn(MustAssemble("bad", "main: unlock 1\nhalt"), "main")
-	m.Run(100)
+		err := m.Run(100)
+		if err == nil || !strings.Contains(err.Error(), "unlocks 1 it does not hold") {
+			t.Fatalf("%d threads: err = %v, want the unheld unlock", len(progs), err)
+		}
+		if th := m.Threads[len(progs)-1]; !th.Halted() {
+			t.Fatalf("%d threads: the faulting thread did not halt", len(progs))
+		}
+		if err := m.Run(100); err != nil {
+			t.Fatalf("%d threads: Run after the fault: %v", len(progs), err)
+		}
+	}
+}
+
+// TestNegativeLockIDBlocks takes a negative and a huge lock id twice in
+// one thread: like any other id, the second acquisition blocks and Run
+// reports the deadlock instead of spinning to the step limit.
+func TestNegativeLockIDBlocks(t *testing.T) {
+	for _, id := range []string{"1", "-1", "9223372036854775807"} {
+		m := NewMachine()
+		m.Spawn(MustAssemble("twice", "main: lock "+id+"\nlock "+id+"\nhalt"), "main")
+		if err := m.Run(100); err != ErrDeadlock {
+			t.Fatalf("lock %s twice: err = %v, want ErrDeadlock", id, err)
+		}
+	}
 }
 
 func TestDirectCostsCharged(t *testing.T) {

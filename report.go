@@ -40,8 +40,8 @@ type StageReport struct {
 
 // NewStageReport captures a stage's profile (and the endpoints whose
 // sends should become request edges) into a StageReport: a running
-// profiler's through Profiler.View, a window's through Profiler.Retire
-// or Profiler.Snapshot.
+// profiler's (or a served window in progress) through Profiler.View, a
+// retired window's through Profiler.Retire.
 func NewStageReport(s *profiler.Snapshot, eps ...*Endpoint) StageReport {
 	samples, calls, switches, overhead := s.Stats()
 	d := stitch.Dump(s, eps...)

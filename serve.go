@@ -27,13 +27,16 @@ import (
 //	GET /diff     — diff two retained windows (?a=N&b=M); ?format=text|json
 //	GET /healthz  — prometheus-style status; 503 while an alert is active
 //
-// The simulation stays single-threaded and deterministic: window
-// retirement happens in scheduler context, and live /report requests are
-// epoch-pinned reads — the handler enqueues a closure that the simulation
-// executes between events (inside its stop predicate), building a
-// detached snapshot Report the handler then serializes. With a fixed
-// seed, the sequence of retired-window Reports is bit-identical across
-// runs; the HTTP layer is the only nondeterministic edge.
+// The Server alone cuts and numbers windows: it ticks them on the app's
+// clock and numbers them in one series across supervised restarts. The
+// simulation stays single-threaded and deterministic: window retirement
+// happens in scheduler context, and live /report requests are
+// epoch-pinned reads — the handler enqueues a closure that the
+// simulation executes between events (inside its stop predicate),
+// reading the live profilers into a Report that keeps only what it
+// detaches, which the handler then serializes. With a fixed seed, the
+// sequence of retired-window Reports is bit-identical across runs; the
+// HTTP layer is the only nondeterministic edge.
 //
 // A retired window is immutable, so each of its encodings — /report in
 // every format, its auto-diff in every format, its /stream frame — is
@@ -241,9 +244,11 @@ type Server struct {
 	finished  chan struct{}
 	startWall time.Time
 
-	// Sim-goroutine-only state.
+	// Sim-goroutine-only state. winSeq runs on across supervised
+	// restarts; winStart is on the current run's clock.
 	prevFull *Report
-	seqBase  int64 // global window seq of the current run's window 0
+	winSeq   int64       // the window in progress
+	winStart vclock.Time // where it started
 
 	alertsTotal atomic.Int64
 	alertActive atomic.Bool
@@ -313,8 +318,7 @@ func NewServer(app *App, cfg ServeConfig) *Server {
 	return s
 }
 
-// adopt wires an app (initial or restart-built) into the server: the
-// app takes the server's window and retires each one to onWindow.
+// adopt makes an app (initial or restart-built) the server's next run.
 // Window retirement reads every stage's profiler on domain 0's clock,
 // so the app must run on one time domain.
 func (s *Server) adopt(app *App) {
@@ -324,8 +328,6 @@ func (s *Server) adopt(app *App) {
 	if app.Shards() > 1 {
 		panic(fmt.Sprintf("whodunit: served app %q has %d time domains (WithShards); a served app runs on one", app.Name, app.Shards()))
 	}
-	app.window = s.cfg.Window
-	app.onWindow = s.onWindow
 	s.app.Store(app)
 }
 
@@ -377,10 +379,9 @@ func (s *Server) Run() *Report {
 }
 
 // runOnce drives one app until it stops, dies, or trips the watchdog,
-// returning its (possibly partial) report. The global window sequence
-// is rebased so the ring sees one dense series across restarts.
+// retiring a window every cfg.Window of virtual time and then a final
+// partial one, so shutdown loses no samples. It returns the residue.
 func (s *Server) runOnce(app *App) (*Report, error) {
-	s.seqBase = s.ring.Total()
 	s.aborted.Store(false)
 	s.lastRetire.Store(time.Now().UnixNano())
 	var wdStop chan struct{}
@@ -388,9 +389,15 @@ func (s *Server) runOnce(app *App) (*Report, error) {
 		wdStop = make(chan struct{})
 		go s.watchdog(wdStop)
 	}
-	rep, err := app.runSupervised(func() bool {
+	app.start()
+	// Armed after pipes and faults: same-instant events keep their order.
+	s.winStart = app.sim.Now()
+	app.sim.Every(s.cfg.Window, func() { s.retire(app) })
+	app.group.RunUntil(func() bool {
 		return s.pending.Load() && s.stopRequested()
 	})
+	s.retire(app)
+	rep, err := app.finish()
 	if wdStop != nil {
 		close(wdStop)
 	}
@@ -515,17 +522,32 @@ func (s *Server) drainRequests() {
 	}
 }
 
-// onWindow is the served app's window callback: it wraps each retired window
-// into a WindowEvent, auto-diffs consecutive full windows against the
-// threshold, publishes on the ring, and enforces MaxWindows and Pace.
-// Runs in scheduler context.
-func (s *Server) onWindow(rep *Report) {
-	// Rebase the window sequence: each supervised run restarts its app
-	// (and virtual clock) at zero, but the ring and the feed present one
-	// dense series across restarts.
-	if rep.Window != nil {
-		rep.Window.Seq += s.seqBase
+// windowReport reads app's window in progress, up to now, into a
+// Report; retire ends the window. Runs in the simulation goroutine.
+// Window reports omit the crosstalk matrix and flow list: those
+// accumulate over the whole run, and copying cumulative totals into
+// every window would make identical adjacent windows diff non-empty.
+func (s *Server) windowReport(app *App, retire bool) *Report {
+	end := app.sim.Now()
+	rep := app.stageReport(retire)
+	rep.Elapsed = Duration(end.Sub(s.winStart))
+	rep.Window = &WindowMeta{Seq: s.winSeq, Start: Duration(s.winStart), End: Duration(end)}
+	return rep
+}
+
+// retire ends app's window now (each profiler swaps its tree set out in
+// O(1), see profiler.Retire), wraps its Report into a WindowEvent,
+// auto-diffs it against the previous full window, publishes it on the
+// ring, and enforces MaxWindows and Pace. Runs in scheduler context at
+// window ticks, and once after the run stops for the final window.
+func (s *Server) retire(app *App) {
+	end := app.sim.Now()
+	if end <= s.winStart {
+		return // empty window (e.g. final retire landing on a tick)
 	}
+	meta := window.Meta{Seq: s.winSeq, Start: s.winStart, End: end}
+	rep := s.windowReport(app, true)
+	s.winSeq, s.winStart = s.winSeq+1, end
 	s.lastRetire.Store(time.Now().UnixNano())
 	ev := &WindowEvent{Report: rep, Restarts: s.restarts.Load(), enc: new(encodings)}
 	// Only full windows participate in the adjacent auto-diff: the final
@@ -558,11 +580,7 @@ func (s *Server) onWindow(rep *Report) {
 	if full {
 		s.prevFull = rep
 	}
-	s.ring.Append(window.Meta{
-		Seq:   rep.Window.Seq,
-		Start: vclock.Time(rep.Window.Start),
-		End:   vclock.Time(rep.Window.End),
-	}, ev)
+	s.ring.Append(meta, ev)
 	if s.cfg.MaxWindows > 0 && s.ring.Total() >= int64(s.cfg.MaxWindows) {
 		s.Stop()
 	}
@@ -574,13 +592,18 @@ func (s *Server) onWindow(rep *Report) {
 	}
 }
 
+// liveWindow is the report the window in progress would retire as if
+// it ended now. It keeps only what NewStageReport detaches, so it
+// shares nothing mutable with the running app.
+func (s *Server) liveWindow() *Report { return s.windowReport(s.app.Load(), false) }
+
 // liveReport builds a Report of the in-progress window via an
-// epoch-pinned read: the closure runs in the simulation goroutine at an
-// event boundary and detaches a snapshot. Returns false if the run has
-// already finished.
+// epoch-pinned read: the closure runs liveWindow in the simulation
+// goroutine at an event boundary. Returns false if the run has already
+// finished.
 func (s *Server) liveReport() (*Report, bool) {
 	ch := make(chan *Report, 1)
-	fn := func() { ch <- s.app.Load().LiveWindowReport() }
+	fn := func() { ch <- s.liveWindow() }
 	select {
 	case s.reqCh <- fn:
 		s.pending.Store(true)

@@ -134,19 +134,59 @@ func TestServeLiveMatchesRetired(t *testing.T) {
 	srv := whodunit.NewServer(app, whodunit.ServeConfig{
 		Window: 100 * whodunit.Millisecond, Threshold: -1, MaxWindows: 3,
 	})
-	// Capture a live snapshot from scheduler context at the exact end of
-	// window 1 — before retireWindow swaps the trees out. The retired
+	// Read the live window from scheduler context at the exact end of
+	// window 1 — before the server's tick retires it. The retired
 	// window-1 report must match it bit for bit: copy-on-retire and the
-	// detached live snapshot must agree on every sample.
+	// live read must agree on every sample.
 	var live *whodunit.Report
 	app.Sim().At(whodunit.Time(200*whodunit.Millisecond), func() {
-		live = app.LiveWindowReport()
+		live = whodunit.LiveWindow(srv)
 	})
 	srv.Run()
+	assertLiveIsRetired(t, srv, live, 1)
+}
 
-	kv, ok := srv.Ring().Get(1)
+// TestServeLiveSeqAfterRestart reads the live window of a supervised
+// server's second run: it must carry the sequence number it retires
+// with, not its index within the run. Run 0 retires windows 0 and 1 and
+// dies mid-window-2, so run 1's first window, read at its end, is 3.
+func TestServeLiveSeqAfterRestart(t *testing.T) {
+	var srv *whodunit.Server
+	var live *whodunit.Report
+	srv = whodunit.NewServer(nil, whodunit.ServeConfig{
+		Window: 100 * whodunit.Millisecond, Threshold: -1, MaxWindows: 5,
+		RestartBackoff: time.Millisecond,
+		MakeApp: func(run int) *whodunit.App {
+			if run == 0 {
+				return serveApp(7, whodunit.WithFaults(failAt(250*whodunit.Millisecond)))
+			}
+			app := serveApp(7)
+			app.Sim().At(whodunit.Time(100*whodunit.Millisecond), func() {
+				live = whodunit.LiveWindow(srv)
+			})
+			return app
+		},
+	})
+	srv.Run()
+	if srv.Restarts() != 1 {
+		t.Fatalf("restarts=%d, want 1", srv.Restarts())
+	}
+	if live == nil {
+		t.Fatal("run 1's live read never ran")
+	}
+	if live.Window.Seq != 3 {
+		t.Fatalf("live window after the restart: %+v, want seq 3", live.Window)
+	}
+	assertLiveIsRetired(t, srv, live, 3)
+}
+
+// assertLiveIsRetired checks that the live report equals retired window
+// seq in JSON, byte for byte.
+func assertLiveIsRetired(t *testing.T, srv *whodunit.Server, live *whodunit.Report, seq int64) {
+	t.Helper()
+	kv, ok := srv.Ring().Get(seq)
 	if !ok {
-		t.Fatal("window 1 not retained")
+		t.Fatalf("window %d not retained", seq)
 	}
 	var a, b bytes.Buffer
 	if err := live.JSON(&a); err != nil {
@@ -155,11 +195,9 @@ func TestServeLiveMatchesRetired(t *testing.T) {
 	if err := kv.V.Report.JSON(&b); err != nil {
 		t.Fatal(err)
 	}
-	// The retired report and the live snapshot differ only in Elapsed
-	// bookkeeping origin; both cover [100ms, 200ms).
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatalf("live snapshot at window boundary differs from retired window:\nlive:    %s\nretired: %s",
-			a.String(), b.String())
+		t.Fatalf("live read at the end of window %d differs from the retired window:\nlive:    %s\nretired: %s",
+			seq, a.String(), b.String())
 	}
 }
 
