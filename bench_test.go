@@ -1,11 +1,11 @@
 package whodunit_test
 
 // One benchmark per table and figure of the paper's evaluation, plus
-// ablation benches for the design choices called out in DESIGN.md. The
-// benchmarks run the reduced-scale (Quick) experiments — the same code
-// paths as the full runs in cmd/whodunit-bench — and report the headline
-// quantity of each result as a custom metric, so `go test -bench=.`
-// regenerates the shape of every paper result.
+// ablation benches for the design choices of README's "Performance"
+// section. The benchmarks run the reduced-scale (Quick) experiments —
+// the same code paths as the full runs in cmd/whodunit-bench — and
+// report the headline quantity of each result as a custom metric, so
+// `go test -bench=.` regenerates the shape of every paper result.
 
 import (
 	"testing"

@@ -53,10 +53,10 @@ func TestWorkerSamplesAnnotatedWithListenerContext(t *testing.T) {
 		if e.Ctxt.Local.IsRoot() {
 			continue
 		}
-		if e.Tree.Find("worker_thread", "ap_process_connection") != nil &&
+		if _, ok := e.Tree.Find("worker_thread", "ap_process_connection"); ok &&
 			e.Ctxt.Local.Last().Label == "listener_thread>apr_socket_accept" {
 			found = true
-			if e.Tree.Find("worker_thread", "ap_process_connection", "sendfile") == nil {
+			if _, ok := e.Tree.Find("worker_thread", "ap_process_connection", "sendfile"); !ok {
 				t.Fatal("sendfile frame missing under worker context")
 			}
 		}
@@ -72,14 +72,13 @@ func TestProcessConnectionDominatesProfile(t *testing.T) {
 	// hotter than the accept path.
 	res := Run(DefaultConfig(smallTrace()))
 	m := res.Profiler.Merged()
-	serve := m.Find("worker_thread", "ap_process_connection")
-	accept := m.Find("listener_thread", "apr_socket_accept")
-	if serve == nil {
+	serve, ok := m.Find("worker_thread", "ap_process_connection")
+	if !ok {
 		t.Fatal("no serve samples")
 	}
-	if accept != nil && accept.Inclusive() > serve.Inclusive() {
+	if accept, _ := m.Find("listener_thread", "apr_socket_accept"); accept.Inclusive > serve.Inclusive {
 		t.Fatalf("accept %d >= serve %d; profile shape wrong",
-			accept.Inclusive(), serve.Inclusive())
+			accept.Inclusive, serve.Inclusive)
 	}
 }
 

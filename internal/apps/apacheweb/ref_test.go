@@ -134,7 +134,7 @@ func TestApacheFrameParity(t *testing.T) {
 							// handed its connection's context serves it under
 							// the one it started with.
 							for _, e := range got.Profiler.Entries() {
-								if e.Ctxt.Local.IsRoot() && e.Tree.Find("worker_thread", "ap_process_connection") != nil {
+								if _, ok := e.Tree.Find("worker_thread", "ap_process_connection"); ok && e.Ctxt.Local.IsRoot() {
 									t.Fatalf("seed %d workers %d cores %d gap %v: a connection was served under the root context", seed, workers, cores, gap)
 								}
 							}

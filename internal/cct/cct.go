@@ -4,19 +4,18 @@
 // call counts, for the gprof-style baseline) along call paths; the root of
 // each tree is annotated with the transaction context it profiles.
 //
-// Frame names are interned: a FrameTable maps each distinct procedure
-// name to a small integer FrameID exactly once, and the hot accumulation
-// paths (AddSamplesIDs, AddCallIDs) walk ID slices without touching a
-// string. A node keeps its children in one slice ordered by frame name:
-// lookup scans it by FrameID, and a new child is inserted at its name's
-// place, so every deterministic walk (Children, Walk, Flatten,
-// CloneShared) reads the slice as it is, with no sorted copy. Only
-// Render, whose order is by inclusive count, sorts (a copy). Flatten's
-// records are in path order, the trees' preorder, so a reader of two
-// dumps (a report diff) merges their record lists without rebuilding a
-// tree. A profiler shares one FrameTable across all its trees so a
-// probe's interned call stack is valid in whichever context tree a
-// sample lands.
+// Frame names are interned: a FrameTable maps each procedure name to a
+// small integer FrameID once, and the hot paths (AddSamplesIDs,
+// AddCallIDs) walk ID slices without touching a string. A profiler
+// shares one table across all its trees, so a probe's interned stack is
+// valid in whichever context tree a sample lands. A tree is one node
+// array: the root is index 0, a node comes after its parent, and a
+// node's children are indexes in frame-name order. So Flatten and
+// CloneShared read the children as they are, one backward pass sums
+// inclusive counts, and Flatten's records are in path order, the tree's
+// preorder, which lets a report diff merge two dumps' lists without
+// rebuilding a tree. Only Render, whose order is by inclusive count,
+// sorts (a copy).
 package cct
 
 import (
@@ -57,38 +56,26 @@ func (ft *FrameTable) ID(name string) FrameID {
 // Name resolves an ID issued by this table.
 func (ft *FrameTable) Name(id FrameID) string { return ft.names[id] }
 
-// Lookup returns the ID of an already-interned name without interning it.
-func (ft *FrameTable) Lookup(name string) (FrameID, bool) {
-	id, ok := ft.ids[name]
-	return id, ok
-}
-
 // Len reports the number of interned frames.
 func (ft *FrameTable) Len() int { return len(ft.names) }
 
-// Node is one procedure frame in a calling context tree. Self counts
-// samples attributed to the frame itself; call counts are kept for the
-// instrumented (gprof-like) mode. Its children are a slice ordered by
-// frame name (distinct children have distinct names), so a fan-out of k
-// costs a k-long scan per lookup and no per-node map.
-type Node struct {
-	Frame    string // resolved name, fixed at node creation
-	Self     int64
-	Calls    int64
-	id       FrameID
-	ft       *FrameTable
-	parent   *Node
-	children []*Node // ordered by Frame
+// node is one procedure frame of a tree. A lookup scans kids by FrameID,
+// so a fan-out of k costs a k-long scan; calls counts invocations in the
+// instrumented (gprof-like) mode.
+type node struct {
+	id          FrameID
+	parent      int32
+	kids        []int32
+	self, calls int64
 }
 
 // Tree is a calling context tree. Label carries the transaction-context
 // annotation (a rendered context or synopsis chain).
 type Tree struct {
 	Label string
-	Root  *Node // points at root: a tree and its root are one allocation
 	total int64
 	ft    *FrameTable
-	root  Node
+	nodes []node // nodes[0] is the root; a node comes after its parent
 }
 
 // New returns an empty tree annotated with label, owning a private frame
@@ -96,13 +83,11 @@ type Tree struct {
 func New(label string) *Tree { return NewShared(label, NewFrameTable()) }
 
 // NewShared returns an empty tree annotated with label whose frames are
-// interned in ft. Trees sharing one table can exchange FrameIDs directly
-// — the profiler keeps one table per stage so a probe's interned stack
-// lands in any of the stage's per-context trees without re-interning.
+// interned in ft, so trees sharing ft can exchange FrameIDs directly.
 func NewShared(label string, ft *FrameTable) *Tree {
-	t := &Tree{Label: label, ft: ft, root: Node{Frame: "(root)", ft: ft}}
-	t.Root = &t.root
-	return t
+	// Room for four nodes: on the serve benchmark, retired windows
+	// allocate least at that start without allocating more bytes.
+	return &Tree{Label: label, ft: ft, nodes: make([]node, 1, 4)}
 }
 
 // Frames returns the tree's frame table.
@@ -111,165 +96,123 @@ func (t *Tree) Frames() *FrameTable { return t.ft }
 // Total reports the total number of samples in the tree.
 func (t *Tree) Total() int64 { return t.total }
 
-// Child returns (creating if necessary) the child of n for frame.
-func (n *Node) Child(frame string) *Node { return n.child(n.ft.ID(frame)) }
+// AddSamplesIDs attributes n samples to the leaf of an interned call
+// path — the profiler's per-sample hot path. It performs no string work
+// and, once the path's nodes exist, no allocation.
+func (t *Tree) AddSamplesIDs(ids []FrameID, n int64) {
+	t.nodes[t.path(0, ids)].self += n
+	t.total += n
+}
 
-// child is the hot-path variant of Child: the frame is already interned.
-// A new child goes in at its name's place, so the slice stays ordered.
-func (n *Node) child(id FrameID) *Node {
-	if c := n.ChildByID(id); c != nil {
-		return c
+// AddCallIDs counts one invocation of the leaf of an interned call path
+// (instrumented mode).
+func (t *Tree) AddCallIDs(ids []FrameID) { t.nodes[t.path(0, ids)].calls++ }
+
+// path returns the node at ids below node i, adding the nodes it lacks.
+func (t *Tree) path(i int32, ids []FrameID) int32 {
+	nodes := t.nodes
+next:
+	for k, id := range ids {
+		for _, c := range nodes[i].kids {
+			if nodes[c].id == id {
+				i = c
+				continue next
+			}
+		}
+		for _, id := range ids[k:] {
+			i = t.add(i, id)
+		}
+		break
 	}
-	c := &Node{Frame: n.ft.Name(id), id: id, ft: n.ft, parent: n}
-	i, _ := slices.BinarySearchFunc(n.children, c.Frame, func(e *Node, name string) int {
-		return strings.Compare(e.Frame, name)
+	return i
+}
+
+// add appends a child of node i for frame id, which i lacks, and
+// inserts it among i's children at its name's place.
+func (t *Tree) add(i int32, id FrameID) int32 {
+	c := int32(len(t.nodes))
+	t.nodes = append(t.nodes, node{id: id, parent: i})
+	p := &t.nodes[i]
+	k, _ := slices.BinarySearchFunc(p.kids, t.ft.names[id], func(e int32, name string) int {
+		return strings.Compare(t.ft.names[t.nodes[e].id], name)
 	})
-	n.children = slices.Insert(n.children, i, c)
+	p.kids = slices.Insert(p.kids, k, c)
 	return c
 }
 
-// Parent returns the parent node (nil for the root).
-func (n *Node) Parent() *Node { return n.parent }
-
-// ID returns the node's interned frame id (meaningless for the root).
-func (n *Node) ID() FrameID { return n.id }
-
-// ChildByID returns the child for an already-interned frame without
-// creating it, or nil: a scan of the children by FrameID.
-func (n *Node) ChildByID(id FrameID) *Node {
-	for _, c := range n.children {
-		if c.id == id {
-			return c
+// inclusive returns every node's inclusive sample count (itself plus
+// all descendants), by index: a child comes after its parent, so one
+// backward pass adds each node's sum into its parent's.
+func (t *Tree) inclusive() []int64 {
+	inc := make([]int64, len(t.nodes))
+	for i := len(t.nodes) - 1; i >= 0; i-- {
+		if inc[i] += t.nodes[i].self; i > 0 {
+			inc[t.nodes[i].parent] += inc[i]
 		}
 	}
-	return nil
+	return inc
 }
 
-// Children returns the node's children sorted by frame name, for
-// deterministic iteration. The slice is the node's own: callers must
-// not modify it, and a later insertion under n may change it.
-func (n *Node) Children() []*Node { return n.children }
+// Counts are one node's sample and call counts; Inclusive adds the
+// samples of all its descendants to Self.
+type Counts struct{ Self, Calls, Inclusive int64 }
 
-// Path returns the node for the given call path, creating intermediate
-// nodes as needed. An empty path returns the root.
-func (t *Tree) Path(path []string) *Node {
-	n := t.Root
-	for _, f := range path {
-		n = n.child(t.ft.ID(f))
-	}
-	return n
-}
-
-// PathIDs is Path for an already-interned call path.
-func (t *Tree) PathIDs(ids []FrameID) *Node {
-	n := t.Root
-	for _, id := range ids {
-		n = n.child(id)
-	}
-	return n
-}
-
-// Find returns the node at path without creating it, or nil.
-func (t *Tree) Find(path ...string) *Node {
-	n := t.Root
+// Find returns the counts of the node at path without creating it, and
+// whether it exists. An empty path is the root.
+func (t *Tree) Find(path ...string) (Counts, bool) {
+	var i int32
+next:
 	for _, f := range path {
 		id, ok := t.ft.ids[f]
-		if !ok {
-			return nil
+		for _, c := range t.nodes[i].kids {
+			if ok && t.nodes[c].id == id {
+				i = c
+				continue next
+			}
 		}
-		if n = n.ChildByID(id); n == nil {
-			return nil
-		}
+		return Counts{}, false
 	}
-	return n
-}
-
-// AddSamples attributes n samples to the leaf of path.
-func (t *Tree) AddSamples(path []string, n int64) {
-	t.Path(path).Self += n
-	t.total += n
-}
-
-// AddSamplesIDs is AddSamples for an already-interned call path — the
-// profiler's per-sample hot path. It performs no string work and, once
-// the path's nodes exist, no allocation.
-func (t *Tree) AddSamplesIDs(ids []FrameID, n int64) {
-	t.PathIDs(ids).Self += n
-	t.total += n
-}
-
-// AddCall counts one invocation of the leaf of path (instrumented mode).
-func (t *Tree) AddCall(path []string) {
-	t.Path(path).Calls++
-}
-
-// AddCallIDs is AddCall for an already-interned call path.
-func (t *Tree) AddCallIDs(ids []FrameID) {
-	t.PathIDs(ids).Calls++
-}
-
-// Inclusive reports the node's inclusive sample count (itself plus all
-// descendants).
-func (n *Node) Inclusive() int64 {
-	sum := n.Self
-	for _, c := range n.children {
-		sum += c.Inclusive()
-	}
-	return sum
+	n := &t.nodes[i]
+	return Counts{n.self, n.calls, t.inclusive()[i]}, true
 }
 
 // Merge adds every sample and call count of src into t. The trees need
 // not share a frame table: frames are matched by name.
 func (t *Tree) Merge(src *Tree) {
-	mergeNode(t.Root, src.Root)
-	t.total += src.total
-}
-
-func mergeNode(dst, src *Node) {
-	dst.Self += src.Self
-	dst.Calls += src.Calls
-	for _, c := range src.children {
-		mergeNode(dst.Child(c.Frame), c)
+	at := make([]int32, len(src.nodes)) // src index → t index
+	for j, s := range src.nodes {
+		if j > 0 {
+			at[j] = t.path(at[s.parent], []FrameID{t.ft.ID(src.ft.names[s.id])})
+		}
+		t.nodes[at[j]].self += s.self
+		t.nodes[at[j]].calls += s.calls
 	}
+	t.total += src.total
 }
 
 // CloneShared returns a deep copy of t whose frames are interned in ft —
 // the detach step of a profiler snapshot. The copy shares nothing mutable
 // with t (frame-name strings are immutable), so it can be read from any
-// goroutine while further samples accumulate into t. Children are copied
-// in name order, so the clone's frame table interns names in a
-// deterministic order; each sibling set is copied into one array of
-// nodes and one exactly sized child slice.
+// goroutine while further samples accumulate into t. It copies the node
+// array and all child lists, and interns frames in preorder.
 func (t *Tree) CloneShared(ft *FrameTable) *Tree {
-	out := NewShared(t.Label, ft)
-	cloneNode(out.Root, t.Root, ft)
-	out.total = t.total
+	out := &Tree{Label: t.Label, total: t.total, ft: ft, nodes: slices.Clone(t.nodes)}
+	kids := make([]int32, 0, len(t.nodes)-1)
+	for i := range out.nodes {
+		n := &out.nodes[i]
+		kids = append(kids, n.kids...)
+		n.kids = kids[len(kids)-len(n.kids) : len(kids) : len(kids)]
+	}
+	out.intern(t.ft, 0)
 	return out
 }
 
-func cloneNode(dst, src *Node, ft *FrameTable) {
-	dst.Self, dst.Calls = src.Self, src.Calls
-	if len(src.children) == 0 {
-		return
-	}
-	nodes := make([]Node, len(src.children))
-	dst.children = make([]*Node, len(src.children))
-	for i, c := range src.children {
-		d := &nodes[i]
-		d.Frame, d.id, d.ft, d.parent = c.Frame, ft.ID(c.Frame), ft, dst
-		dst.children[i] = d
-		cloneNode(d, c, ft)
-	}
-}
-
-// Walk visits every node in deterministic (preorder, name-sorted) order.
-// depth is 0 for the root's immediate children.
-func (t *Tree) Walk(fn func(n *Node, depth int)) { walk(t.Root, 0, fn) }
-
-func walk(n *Node, depth int, fn func(n *Node, depth int)) {
-	for _, c := range n.children {
-		fn(c, depth)
-		walk(c, depth+1, fn)
+// intern re-interns, in preorder, the frames below node i, which are
+// still ids of from.
+func (t *Tree) intern(from *FrameTable, i int32) {
+	for _, c := range t.nodes[i].kids {
+		t.nodes[c].id = t.ft.ID(from.names[t.nodes[c].id])
+		t.intern(from, c)
 	}
 }
 
@@ -282,35 +225,25 @@ func (t *Tree) Render(w io.Writer, denom int64, minPct float64) {
 	if t.Label != "" {
 		fmt.Fprintf(w, "context: %s\n", t.Label)
 	}
-	var rec func(n *Node, indent int)
-	rec = func(n *Node, indent int) {
-		kids := slices.Clone(n.children)
-		sort.Slice(kids, func(i, j int) bool {
-			a, b := kids[i].Inclusive(), kids[j].Inclusive()
-			if a != b {
-				return a > b
-			}
-			return kids[i].Frame < kids[j].Frame
-		})
+	inc := t.inclusive()
+	var rec func(i int32, indent int)
+	rec = func(i int32, indent int) {
+		kids := slices.Clone(t.nodes[i].kids)
+		sort.SliceStable(kids, func(a, b int) bool { return inc[kids[a]] > inc[kids[b]] })
 		for _, c := range kids {
-			inc := c.Inclusive()
-			pct := 0.0
-			if denom > 0 {
-				pct = 100 * float64(inc) / float64(denom)
-			}
-			if denom > 0 && pct < minPct {
-				continue
-			}
+			n, frame := &t.nodes[c], t.ft.names[t.nodes[c].id]
 			pad := strings.Repeat("  ", indent)
-			if denom > 0 {
-				fmt.Fprintf(w, "%s%-*s %6.2f%%  (self %d, incl %d)\n", pad, 40-2*indent, c.Frame, pct, c.Self, inc)
+			if denom <= 0 {
+				fmt.Fprintf(w, "%s%s (self %d, calls %d)\n", pad, frame, n.self, n.calls)
+			} else if pct := 100 * float64(inc[c]) / float64(denom); pct >= minPct {
+				fmt.Fprintf(w, "%s%-*s %6.2f%%  (self %d, incl %d)\n", pad, 40-2*indent, frame, pct, n.self, inc[c])
 			} else {
-				fmt.Fprintf(w, "%s%s (self %d, calls %d)\n", pad, c.Frame, c.Self, c.Calls)
+				continue
 			}
 			rec(c, indent+1)
 		}
 	}
-	rec(t.Root, 0)
+	rec(0, 0)
 }
 
 // FlatRecord is a serializable (path, self, calls) triple; a tree flattens
@@ -329,41 +262,36 @@ type FlatRecord struct {
 // exactly sized array, and their paths another, each path capped at its
 // own length.
 func (t *Tree) Flatten() []FlatRecord {
-	nrec, npath := countRecords(t.Root, 1)
+	nrec, npath := 0, 0
+	for i := 1; i < len(t.nodes); i++ {
+		if n := &t.nodes[i]; n.self != 0 || n.calls != 0 {
+			nrec++
+			for j := int32(i); j != 0; j = t.nodes[j].parent {
+				npath++
+			}
+		}
+	}
 	if nrec == 0 {
 		return nil
 	}
-	out, _ := flatten(t.Root, 1, make([]FlatRecord, 0, nrec), make([]string, npath))
+	out, _ := t.flatten(0, 1, make([]FlatRecord, 0, nrec), make([]string, npath))
 	return out
 }
 
-// countRecords reports how many records Flatten emits under n, whose
-// children sit at depth depth, and the total length of their paths.
-func countRecords(n *Node, depth int) (nrec, npath int) {
-	for _, c := range n.children {
-		if c.Self != 0 || c.Calls != 0 {
-			nrec++
-			npath += depth
-		}
-		r, p := countRecords(c, depth+1)
-		nrec, npath = nrec+r, npath+p
-	}
-	return nrec, npath
-}
-
-// flatten appends n's records to out, cutting each path from the front
-// of paths, and returns out and what is left of paths.
-func flatten(n *Node, depth int, out []FlatRecord, paths []string) ([]FlatRecord, []string) {
-	for _, c := range n.children {
-		if c.Self != 0 || c.Calls != 0 {
+// flatten appends the records below node i, whose children sit at depth
+// depth, to out, cutting each path from the front of paths, and returns
+// out and what is left of paths.
+func (t *Tree) flatten(i int32, depth int, out []FlatRecord, paths []string) ([]FlatRecord, []string) {
+	for _, c := range t.nodes[i].kids {
+		if n := &t.nodes[c]; n.self != 0 || n.calls != 0 {
 			p := paths[:depth:depth]
 			paths = paths[depth:]
-			for i, a := depth-1, c; i >= 0; i, a = i-1, a.parent {
-				p[i] = a.Frame
+			for k, a := depth-1, c; k >= 0; k, a = k-1, t.nodes[a].parent {
+				p[k] = t.ft.names[t.nodes[a].id]
 			}
-			out = append(out, FlatRecord{Path: p, Self: c.Self, Calls: c.Calls})
+			out = append(out, FlatRecord{Path: p, Self: n.self, Calls: n.calls})
 		}
-		out, paths = flatten(c, depth+1, out, paths)
+		out, paths = t.flatten(c, depth+1, out, paths)
 	}
 	return out, paths
 }

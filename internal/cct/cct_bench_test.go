@@ -1,38 +1,33 @@
 package cct
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
-// BenchmarkCCTAddSamples measures the per-sample CCT accumulation: walk
-// the current call path to its node and bump the counter. The IDs
-// variant is the profiler's hot path (the probe keeps its stack interned);
-// the Strings variant is the compatibility path and shows what interning
-// saves.
+// BenchmarkCCTAddSamples measures the per-sample CCT accumulation, the
+// profiler's hot path: walk an interned depth-6 call path to its node
+// and bump the counter. Each inner node of the path has fanout children
+// and the path takes the one whose name sorts last, so a lookup scans
+// them all; 14 is the widest fan-out a benchmark workload builds.
 func BenchmarkCCTAddSamples(b *testing.B) {
-	path := []string{"main", "serve", "handler", "read", "parse"}
-
-	b.Run("IDs", func(b *testing.B) {
-		b.ReportAllocs()
-		tr := New("(bench)")
-		ids := make([]FrameID, len(path))
-		for i, f := range path {
-			ids[i] = tr.Frames().ID(f)
-		}
-		tr.AddSamplesIDs(ids, 1) // create the path nodes
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			tr.AddSamplesIDs(ids, 1)
-		}
-	})
-
-	b.Run("Strings", func(b *testing.B) {
-		b.ReportAllocs()
-		tr := New("(bench)")
-		tr.AddSamples(path, 1)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			tr.AddSamples(path, 1)
-		}
-	})
+	for _, fanout := range []int{1, 4, 14} {
+		b.Run(fmt.Sprintf("fanout=%d", fanout), func(b *testing.B) {
+			b.ReportAllocs()
+			tr := New("(bench)")
+			path := make([]FrameID, 6)
+			for d := range path {
+				for k := 0; k < fanout; k++ {
+					path[d] = tr.Frames().ID(fmt.Sprintf("d%d_%02d", d, k))
+					tr.AddSamplesIDs(path[:d+1], 1)
+				}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tr.AddSamplesIDs(path, 1)
+			}
+		})
+	}
 }
 
 // TestAddSamplesIDsZeroAllocSteadyState pins the allocation contract the

@@ -8,43 +8,56 @@ import (
 	"testing/quick"
 )
 
+// ids interns path in tr's frame table.
+func ids(tr *Tree, path ...string) []FrameID {
+	out := make([]FrameID, len(path))
+	for i, f := range path {
+		out[i] = tr.Frames().ID(f)
+	}
+	return out
+}
+
 func TestAddSamplesAndTotals(t *testing.T) {
 	tr := New("ctx")
-	tr.AddSamples([]string{"main", "foo"}, 3)
-	tr.AddSamples([]string{"main", "foo", "bar"}, 2)
-	tr.AddSamples([]string{"main"}, 1)
+	tr.AddSamplesIDs(ids(tr, "main", "foo"), 3)
+	tr.AddSamplesIDs(ids(tr, "main", "foo", "bar"), 2)
+	tr.AddSamplesIDs(ids(tr, "main"), 1)
 	if tr.Total() != 6 {
 		t.Fatalf("total = %d, want 6", tr.Total())
 	}
-	if n := tr.Find("main", "foo"); n == nil || n.Self != 3 {
-		t.Fatalf("main>foo self = %v", n)
+	if c, ok := tr.Find("main", "foo"); !ok || c != (Counts{Self: 3, Inclusive: 5}) {
+		t.Fatalf("main>foo = %+v, %v", c, ok)
 	}
-	if inc := tr.Find("main").Inclusive(); inc != 6 {
-		t.Fatalf("main inclusive = %d, want 6", inc)
+	if c, _ := tr.Find("main"); c.Inclusive != 6 {
+		t.Fatalf("main inclusive = %d, want 6", c.Inclusive)
 	}
-	if inc := tr.Find("main", "foo").Inclusive(); inc != 5 {
-		t.Fatalf("foo inclusive = %d, want 5", inc)
+	if c, ok := tr.Find(); !ok || c != (Counts{Inclusive: 6}) {
+		t.Fatalf("root = %+v, %v", c, ok)
 	}
 }
 
 func TestFindMissing(t *testing.T) {
 	tr := New("")
-	if tr.Find("nope") != nil {
-		t.Fatal("Find on empty tree should be nil")
+	if _, ok := tr.Find("nope"); ok {
+		t.Fatal("Find on empty tree should miss")
 	}
-	tr.AddSamples([]string{"a"}, 1)
-	if tr.Find("a", "b") != nil {
-		t.Fatal("Find of missing child should be nil")
+	tr.AddSamplesIDs(ids(tr, "a"), 1)
+	if _, ok := tr.Find("a", "b"); ok {
+		t.Fatal("Find of missing child should miss")
+	}
+	tr.Frames().ID("b")
+	if _, ok := tr.Find("a", "b"); ok {
+		t.Fatal("Find of an interned frame that is no child should miss")
 	}
 }
 
 func TestAddCallCounts(t *testing.T) {
 	tr := New("")
 	for i := 0; i < 5; i++ {
-		tr.AddCall([]string{"main", "f"})
+		tr.AddCallIDs(ids(tr, "main", "f"))
 	}
-	if n := tr.Find("main", "f"); n.Calls != 5 {
-		t.Fatalf("calls = %d, want 5", n.Calls)
+	if c, _ := tr.Find("main", "f"); c.Calls != 5 {
+		t.Fatalf("calls = %d, want 5", c.Calls)
 	}
 	if tr.Total() != 0 {
 		t.Fatal("calls must not count as samples")
@@ -53,35 +66,25 @@ func TestAddCallCounts(t *testing.T) {
 
 func TestMerge(t *testing.T) {
 	a := New("x")
-	a.AddSamples([]string{"m", "f"}, 2)
+	a.AddSamplesIDs(ids(a, "m", "f"), 2)
 	b := New("x")
-	b.AddSamples([]string{"m", "f"}, 3)
-	b.AddSamples([]string{"m", "g"}, 1)
+	b.AddSamplesIDs(ids(b, "m", "g"), 1)
+	b.AddSamplesIDs(ids(b, "m", "f"), 3)
 	a.Merge(b)
 	if a.Total() != 6 {
 		t.Fatalf("merged total = %d, want 6", a.Total())
 	}
-	if a.Find("m", "f").Self != 5 || a.Find("m", "g").Self != 1 {
+	f, _ := a.Find("m", "f")
+	g, _ := a.Find("m", "g")
+	if f.Self != 5 || g.Self != 1 {
 		t.Fatal("merge did not sum per-node samples")
-	}
-}
-
-func TestChildrenSorted(t *testing.T) {
-	tr := New("")
-	for _, f := range []string{"zeta", "alpha", "mid"} {
-		tr.Root.Child(f)
-	}
-	kids := tr.Root.Children()
-	names := []string{kids[0].Frame, kids[1].Frame, kids[2].Frame}
-	if !reflect.DeepEqual(names, []string{"alpha", "mid", "zeta"}) {
-		t.Fatalf("children order = %v", names)
 	}
 }
 
 func TestRenderPercentagesAndElision(t *testing.T) {
 	tr := New("myctx")
-	tr.AddSamples([]string{"main", "hot"}, 97)
-	tr.AddSamples([]string{"main", "cold"}, 3)
+	tr.AddSamplesIDs(ids(tr, "main", "hot"), 97)
+	tr.AddSamplesIDs(ids(tr, "main", "cold"), 3)
 	var sb strings.Builder
 	tr.Render(&sb, tr.Total(), 5.0)
 	out := sb.String()
@@ -96,26 +99,14 @@ func TestRenderPercentagesAndElision(t *testing.T) {
 	}
 }
 
-func TestWalkPreorder(t *testing.T) {
-	tr := New("")
-	tr.AddSamples([]string{"a", "b"}, 1)
-	tr.AddSamples([]string{"a", "c"}, 1)
-	tr.AddSamples([]string{"d"}, 1)
-	var seen []string
-	tr.Walk(func(n *Node, depth int) { seen = append(seen, n.Frame) })
-	if !reflect.DeepEqual(seen, []string{"a", "b", "c", "d"}) {
-		t.Fatalf("walk order = %v", seen)
-	}
-}
-
 // TestFlattenRoundTrip: Flatten writes a tree's records in path order,
 // and SortedRecords brings a mixed-up copy of them back to that list.
 func TestFlattenRoundTrip(t *testing.T) {
 	tr := New("lbl")
-	tr.AddSamples([]string{"m", "f", "g"}, 4)
-	tr.AddSamples([]string{"n"}, 2)
-	tr.AddSamples([]string{"m"}, 1)
-	tr.AddCall([]string{"m", "f"})
+	tr.AddSamplesIDs(ids(tr, "n"), 2)
+	tr.AddSamplesIDs(ids(tr, "m", "f", "g"), 4)
+	tr.AddSamplesIDs(ids(tr, "m"), 1)
+	tr.AddCallIDs(ids(tr, "m", "f"))
 	want := []FlatRecord{
 		{Path: []string{"m"}, Self: 1},
 		{Path: []string{"m", "f"}, Calls: 1},
@@ -148,7 +139,7 @@ func TestQuickFlattenPreservesTotals(t *testing.T) {
 			for i := range path {
 				path[i] = frames[int(op>>(2*i))%len(frames)]
 			}
-			tr.AddSamples(path, int64(op%7)+1)
+			tr.AddSamplesIDs(ids(tr, path...), int64(op%7)+1)
 		}
 		recs := tr.Flatten()
 		var total int64
@@ -158,7 +149,8 @@ func TestQuickFlattenPreservesTotals(t *testing.T) {
 			}
 			total += r.Self
 		}
-		return total == tr.Total() && total == tr.Root.Inclusive()
+		root, _ := tr.Find()
+		return total == tr.Total() && total == root.Inclusive
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -170,14 +162,15 @@ func TestQuickMergeIsAdditive(t *testing.T) {
 		build := func(vals []uint8) *Tree {
 			tr := New("")
 			for _, v := range vals {
-				tr.AddSamples([]string{"m", string(rune('a' + v%4))}, int64(v%5)+1)
+				tr.AddSamplesIDs(ids(tr, "m", string(rune('a'+v%4))), int64(v%5)+1)
 			}
 			return tr
 		}
 		a, b := build(xs), build(ys)
 		wantTotal := a.Total() + b.Total()
 		a.Merge(b)
-		return a.Total() == wantTotal && a.Root.Inclusive() == wantTotal
+		root, _ := a.Find()
+		return a.Total() == wantTotal && root.Inclusive == wantTotal
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

@@ -1,10 +1,10 @@
 package cct
 
-// The differential oracle for name-ordered children: refTree is the
-// calling context tree as it was when a node kept its children in a Go
-// map keyed by FrameID and every ordered walk sorted a fresh copy by
-// frame name. The slice-children Tree must be indistinguishable from it
-// through every read the package offers.
+// The differential oracle for the node array: refTree is the calling
+// context tree as it was when each node was its own allocation, kept
+// its children in a Go map keyed by FrameID, and every ordered walk
+// sorted a fresh copy by frame name. The array Tree must be
+// indistinguishable from it through every read the package offers.
 
 import (
 	"fmt"
@@ -116,23 +116,19 @@ func (t *refTree) cloneShared(ft *FrameTable) *refTree {
 	return out
 }
 
-type refVisit struct {
-	frame       string
-	depth       int
-	self, calls int64
-}
-
-func (t *refTree) walk() []refVisit {
-	var out []refVisit
-	var rec func(n *refNode, depth int)
-	rec = func(n *refNode, depth int) {
+// nodes returns every node below the root in preorder, each with its
+// path.
+func (t *refTree) nodes() (paths [][]string, nodes []*refNode) {
+	var rec func(n *refNode, path []string)
+	rec = func(n *refNode, path []string) {
 		for _, c := range n.sortedChildren() {
-			out = append(out, refVisit{c.frame, depth, c.self, c.calls})
-			rec(c, depth+1)
+			p := append(path[:len(path):len(path)], c.frame)
+			paths, nodes = append(paths, p), append(nodes, c)
+			rec(c, p)
 		}
 	}
-	rec(t.root, 0)
-	return out
+	rec(t.root, nil)
+	return paths, nodes
 }
 
 func (t *refTree) render(w io.Writer, denom int64, minPct float64) {
@@ -227,42 +223,32 @@ func genPair(r *rand.Rand, ft *FrameTable) (*Tree, *refTree) {
 	return tr, ref
 }
 
-// sameTree reports the first difference between tr and ref through the
-// node reads: children (order, frame, ID, counts) and Inclusive at every
-// node, and the Walk sequence.
+// sameTree reports the first difference between tr and ref: the
+// total, the node count, Find at the root and at every oracle node, and
+// the array's own invariants (a node comes after its parent and each
+// child names its parent).
 func sameTree(tr *Tree, ref *refTree) error {
 	if tr.Total() != ref.total {
 		return fmt.Errorf("total %d, ref %d", tr.Total(), ref.total)
 	}
-	var rec func(n *Node, rn *refNode) error
-	rec = func(n *Node, rn *refNode) error {
-		if n.Frame != rn.frame || n.Self != rn.self || n.Calls != rn.calls {
-			return fmt.Errorf("node %q (%d, %d), ref %q (%d, %d)", n.Frame, n.Self, n.Calls, rn.frame, rn.self, rn.calls)
-		}
-		if n.Inclusive() != rn.inclusive() {
-			return fmt.Errorf("%q inclusive %d, ref %d", n.Frame, n.Inclusive(), rn.inclusive())
-		}
-		kids, rkids := n.Children(), rn.sortedChildren()
-		if len(kids) != len(rkids) {
-			return fmt.Errorf("%q has %d children, ref %d", n.Frame, len(kids), len(rkids))
-		}
-		for i, c := range kids {
-			if c.Parent() != n || c.ID() != rkids[i].id || n.ChildByID(c.ID()) != c {
-				return fmt.Errorf("%q child %d: parent, ID or ChildByID wrong", n.Frame, i)
-			}
-			if err := rec(c, rkids[i]); err != nil {
-				return err
+	paths, nodes := ref.nodes()
+	if len(tr.nodes) != len(nodes)+1 {
+		return fmt.Errorf("%d nodes, ref %d", len(tr.nodes), len(nodes)+1)
+	}
+	for i, n := range tr.nodes {
+		for _, c := range n.kids {
+			if c <= int32(i) || tr.nodes[c].parent != int32(i) {
+				return fmt.Errorf("node %d: child %d has parent %d", i, c, tr.nodes[c].parent)
 			}
 		}
-		return nil
 	}
-	if err := rec(tr.Root, ref.root); err != nil {
-		return err
-	}
-	var walked []refVisit
-	tr.Walk(func(n *Node, depth int) { walked = append(walked, refVisit{n.Frame, depth, n.Self, n.Calls}) })
-	if want := ref.walk(); !reflect.DeepEqual(walked, want) {
-		return fmt.Errorf("Walk differs: %d visits, ref %d", len(walked), len(want))
+	paths, nodes = append(paths, nil), append(nodes, ref.root)
+	for i, path := range paths {
+		rn := nodes[i]
+		want := Counts{Self: rn.self, Calls: rn.calls, Inclusive: rn.inclusive()}
+		if got, ok := tr.Find(path...); !ok || got != want {
+			return fmt.Errorf("Find(%q) = %+v, %v; ref %+v", path, got, ok, want)
+		}
 	}
 	return nil
 }
@@ -288,15 +274,15 @@ func sameOutput(tr *Tree, ref *refTree) error {
 }
 
 // TestQuickTreeMatchesMapOracle builds random trees both ways and
-// compares every read: Children, ChildByID, Walk, Inclusive,
-// Flatten and Render on the tree as built; Find on random paths, present
-// and missing; Merge into a tree over the same table and into one over a
-// private table; and CloneShared, including the order the clone's table
-// interns frames in.
+// compares every read: Find at every node, Flatten and Render on the
+// tree as built; Find on random paths, present and missing; Merge into a
+// tree over the same table and into one over a private table; and
+// CloneShared, including the order the clone's table interns frames in.
 //
 // Mutants this test fails (applied by hand, see CHANGES.md): a new child
 // appended instead of inserted at its name's place, an insertion
-// position off by one, and a Flatten that caps no path.
+// position off by one, a Flatten that caps no path, and an inclusive
+// pass that skips the parent sum.
 func TestQuickTreeMatchesMapOracle(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -325,9 +311,10 @@ func TestQuickTreeMatchesMapOracle(t *testing.T) {
 			if i%5 == 0 {
 				path[len(path)-1] = "absent"
 			}
-			n, rn := tr.Find(path...), ref.find(path...)
-			if (n == nil) != (rn == nil) || n != nil && (n.Self != rn.self || n.Inclusive() != rn.inclusive()) {
-				t.Fatalf("seed %d: Find(%q) = %v, ref %v", seed, path, n, rn)
+			c, ok := tr.Find(path...)
+			rn := ref.find(path...)
+			if ok != (rn != nil) || ok && c != (Counts{rn.self, rn.calls, rn.inclusive()}) {
+				t.Fatalf("seed %d: Find(%q) = %+v, %v; ref %v", seed, path, c, ok, rn)
 			}
 		}
 
@@ -358,36 +345,58 @@ func TestQuickTreeMatchesMapOracle(t *testing.T) {
 		if err := sameOutput(clone, rclone); err != nil {
 			t.Fatalf("seed %d: clone: %v", seed, err)
 		}
-		// The clone shares nothing mutable: more samples into the
-		// original leave it as it was.
-		tr.AddSamples([]string{"after", "clone"}, 3)
+	}
+}
+
+// TestCloneSharedDetached: a clone shares no backing array with its
+// original. After CloneShared, more samples land on every path of the
+// original and a child whose name sorts first ("") joins every inner
+// node, which shifts the original's child lists in place where they
+// have room; the clone still reads as the oracle's clone, and the
+// original as the oracle given the same samples.
+//
+// Mutant this test fails (see CHANGES.md): a clone that copies the node
+// array but shares its child lists.
+func TestCloneSharedDetached(t *testing.T) {
+	for seed := int64(0); seed < 60; seed++ {
+		ft := NewFrameTable()
+		tr, ref := genPair(rand.New(rand.NewSource(seed)), ft)
+		clone, rclone := tr.CloneShared(NewFrameTable()), ref.cloneShared(NewFrameTable())
+		paths, nodes := ref.nodes()
+		for i, path := range paths {
+			ids := make([]FrameID, len(path), len(path)+1)
+			for j, f := range path {
+				ids[j] = ft.ID(f)
+			}
+			tr.AddSamplesIDs(ids, 2)
+			ref.pathIDs(ids).self += 2
+			ref.total += 2
+			if len(nodes[i].children) > 0 {
+				ids = append(ids, ft.ID(""))
+				tr.AddSamplesIDs(ids, 1)
+				ref.pathIDs(ids).self++
+				ref.total++
+			}
+		}
+		if err := sameTree(tr, ref); err != nil {
+			t.Fatalf("seed %d: original: %v", seed, err)
+		}
 		if err := sameTree(clone, rclone); err != nil {
+			t.Fatalf("seed %d: clone changed under the original: %v", seed, err)
+		}
+		if err := sameOutput(clone, rclone); err != nil {
 			t.Fatalf("seed %d: clone changed under the original: %v", seed, err)
 		}
 	}
 }
 
-// TestReadsDoNotAllocate pins what name-ordered children buy: Children,
-// Walk and ChildByID read the tree as it is, and Flatten allocates its
-// two arrays and nothing per record.
+// TestReadsDoNotAllocate pins what name-ordered children buy: Flatten
+// reads the children as they are and allocates its two arrays and
+// nothing per record.
 func TestReadsDoNotAllocate(t *testing.T) {
 	tr, _ := genPair(rand.New(rand.NewSource(1)), NewFrameTable())
-	nodes := 0
-	tr.Walk(func(*Node, int) { nodes++ })
-	walk := func() {
-		tr.Walk(func(n *Node, _ int) {
-			for _, c := range n.Children() {
-				if n.ChildByID(c.ID()) != c {
-					panic("ChildByID")
-				}
-			}
-		})
-	}
-	if a := testing.AllocsPerRun(20, walk); a != 0 {
-		t.Fatalf("walking %d nodes allocates %.1f times, want 0", nodes, a)
-	}
 	if a := testing.AllocsPerRun(20, func() { tr.Flatten() }); a != 2 {
-		t.Fatalf("Flatten of %d nodes allocates %.1f times, want 2", nodes, a)
+		t.Fatalf("Flatten of %d nodes allocates %.1f times, want 2", len(tr.nodes), a)
 	}
 }
 

@@ -1,8 +1,6 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§8, §9). Each experiment has a typed result and a Render
-// method printing rows in the paper's layout; DESIGN.md maps experiment
-// ids to the modules involved, and EXPERIMENTS.md records paper-vs-
-// measured values.
+// method printing rows in the paper's layout.
 package experiments
 
 import (
@@ -60,11 +58,11 @@ func Fig8Apache(sc Scale, mode ...profiler.Mode) Fig8Result {
 	m := res.Profiler.Merged()
 	total := m.Total()
 	share := func(path ...string) float64 {
-		n := m.Find(path...)
-		if n == nil || total == 0 {
+		if total == 0 {
 			return 0
 		}
-		return 100 * float64(n.Inclusive()) / float64(total)
+		n, _ := m.Find(path...)
+		return 100 * float64(n.Inclusive) / float64(total)
 	}
 	var sb strings.Builder
 	m.Render(&sb, total, 0.5)

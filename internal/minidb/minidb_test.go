@@ -223,7 +223,7 @@ func TestProfilerSeesQueryFrames(t *testing.T) {
 	e.s.Run()
 	e.s.Shutdown()
 	m := e.p.Merged()
-	if m.Find("dispatch_query", "select_item", "sort_rows") == nil {
+	if _, ok := m.Find("dispatch_query", "select_item", "sort_rows"); !ok {
 		t.Fatal("sort frame missing from profile")
 	}
 	if m.Total() == 0 {

@@ -291,15 +291,6 @@ func (d *profile) Entries() []TreeEntry {
 	return out
 }
 
-// Trees returns every CCT in creation order.
-func (d *profile) Trees() []*cct.Tree {
-	out := make([]*cct.Tree, 0, len(d.slots))
-	for _, s := range d.slots {
-		out = append(out, s.tree)
-	}
-	return out
-}
-
 // TotalSamples reports all samples taken across every context.
 func (d *profile) TotalSamples() int64 { return d.samples }
 

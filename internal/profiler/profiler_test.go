@@ -31,9 +31,9 @@ func TestSamplingCountsAreExact(t *testing.T) {
 	if p.TotalSamples() != 10 {
 		t.Fatalf("samples = %d, want 10", p.TotalSamples())
 	}
-	tr := p.Trees()[0]
-	if n := tr.Find("main"); n == nil || n.Self != 10 {
-		t.Fatalf("main self = %v, want 10", n)
+	tr := p.Entries()[0].Tree
+	if n, ok := tr.Find("main"); !ok || n.Self != 10 {
+		t.Fatalf("main self = %+v, want 10", n)
 	}
 }
 
@@ -76,12 +76,12 @@ func TestSamplesLandOnCurrentStack(t *testing.T) {
 		pr.Compute(6 * DefaultInterval)
 		pr.Exit(tok)
 	})
-	tr := p.Trees()[0]
-	if n := tr.Find("main", "inner"); n.Self != 4 {
+	tr := p.Entries()[0].Tree
+	if n, _ := tr.Find("main", "inner"); n.Self != 4 {
 		t.Fatalf("inner self = %d, want 4", n.Self)
 	}
-	if n := tr.Find("main"); n.Self != 6 || n.Inclusive() != 10 {
-		t.Fatalf("main self=%d incl=%d, want 6/10", n.Self, n.Inclusive())
+	if n, _ := tr.Find("main"); n.Self != 6 || n.Inclusive != 10 {
+		t.Fatalf("main self=%d incl=%d, want 6/10", n.Self, n.Inclusive)
 	}
 }
 
@@ -113,8 +113,8 @@ func TestSamplingModeIgnoresContexts(t *testing.T) {
 		pr.SetTxn(TxnCtxt{Local: pr.Profiler().Table.Root().Append(tranctx.HandlerHop("stage", "x"))})
 		pr.Compute(5 * DefaultInterval)
 	})
-	if len(p.Trees()) != 1 {
-		t.Fatalf("csprof mode should keep one tree, got %d", len(p.Trees()))
+	if len(p.Entries()) != 1 {
+		t.Fatalf("csprof mode should keep one tree, got %d", len(p.Entries()))
 	}
 }
 
@@ -133,7 +133,7 @@ func TestInstrumentedCountsCallsAndCharges(t *testing.T) {
 	if ov < 50*DefaultOverhead.PerCall {
 		t.Fatalf("overhead %v < 50 per-call charges", ov)
 	}
-	if p.Merged().Find("f").Calls != 50 {
+	if n, _ := p.Merged().Find("f"); n.Calls != 50 {
 		t.Fatal("call counts not in CCT")
 	}
 }
@@ -242,8 +242,8 @@ func TestMergedCombinesContexts(t *testing.T) {
 		pr.Compute(3 * DefaultInterval)
 	})
 	m := p.Merged()
-	if m.Total() != 5 || m.Find("f").Self != 5 {
-		t.Fatalf("merged total = %d f=%v", m.Total(), m.Find("f"))
+	if n, _ := m.Find("f"); m.Total() != 5 || n.Self != 5 {
+		t.Fatalf("merged total = %d f=%+v", m.Total(), n)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"whodunit/internal/cct"
 	"whodunit/internal/tranctx"
 	"whodunit/internal/vclock"
 )
@@ -48,8 +47,8 @@ func TestSnapshotPresentationParity(t *testing.T) {
 			wantSamples, wantCalls, wantSwitches, wantOverhead := p.Stats()
 			wantEntries := len(p.Entries())
 			wantLabels := make([]string, 0, wantEntries)
-			for _, tr := range p.Trees() {
-				wantLabels = append(wantLabels, tr.Label)
+			for _, e := range p.Entries() {
+				wantLabels = append(wantLabels, e.Tree.Label)
 			}
 
 			s := ctor.take(p)
@@ -70,9 +69,9 @@ func TestSnapshotPresentationParity(t *testing.T) {
 			if got := len(s.Entries()); got != wantEntries {
 				t.Fatalf("Entries %d, want %d", got, wantEntries)
 			}
-			for i, tr := range s.Trees() {
-				if tr.Label != wantLabels[i] {
-					t.Fatalf("tree %d label %q, want %q", i, tr.Label, wantLabels[i])
+			for i, e := range s.Entries() {
+				if e.Tree.Label != wantLabels[i] {
+					t.Fatalf("tree %d label %q, want %q", i, e.Tree.Label, wantLabels[i])
 				}
 			}
 			// The search context dominates: its query path must survive the
@@ -81,8 +80,8 @@ func TestSnapshotPresentationParity(t *testing.T) {
 			if top.Samples != 9 {
 				t.Fatalf("top share %+v, want 9 samples", top)
 			}
-			i := slices.IndexFunc(s.Trees(), func(tr *cct.Tree) bool { return tr.Label == top.Label })
-			if n := s.Trees()[i].Find("serve", "query"); n == nil || n.Self != 9 {
+			i := slices.IndexFunc(s.Entries(), func(e TreeEntry) bool { return e.Tree.Label == top.Label })
+			if n, ok := s.Entries()[i].Tree.Find("serve", "query"); !ok || n.Self != 9 {
 				t.Fatalf("query node %+v, want self 9", n)
 			}
 		})
@@ -108,10 +107,10 @@ func TestRetireResetsLiveState(t *testing.T) {
 	}
 	// The post-retire samples must land in a fresh tree, not the
 	// retired one.
-	if n := snap.Merged().Find("f"); n.Self != 4 {
+	if n, _ := snap.Merged().Find("f"); n.Self != 4 {
 		t.Fatalf("retired f self %d, want 4 (post-retire samples leaked in)", n.Self)
 	}
-	if n := p.Merged().Find("f"); n.Self != 6 {
+	if n, _ := p.Merged().Find("f"); n.Self != 6 {
 		t.Fatalf("live f self %d, want 6", n.Self)
 	}
 }
@@ -187,10 +186,10 @@ func TestSnapshotDetachedFromLiveProfiler(t *testing.T) {
 		t.Fatalf("snapshot has %d samples, want the 3 taken before it", snap.TotalSamples())
 	}
 	m := snap.Merged()
-	if n := m.Find("f"); n == nil || n.Self != 3 {
-		t.Fatalf("snapshot f = %+v, want self 3", m.Find("f"))
+	if n, ok := m.Find("f"); !ok || n.Self != 3 {
+		t.Fatalf("snapshot f = %+v, want self 3", n)
 	}
-	if m.Find("g") != nil {
+	if _, ok := m.Find("g"); ok {
 		t.Fatal("frame entered after the snapshot leaked into it")
 	}
 }
@@ -217,8 +216,8 @@ func TestSnapshotWhileRunning(t *testing.T) {
 			}
 			snap.Merged()
 			snap.Stats()
-			for _, tr := range snap.Trees() {
-				tr.Find("serve")
+			for _, e := range snap.Entries() {
+				e.Tree.Find("serve")
 			}
 		}
 	}()

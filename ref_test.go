@@ -387,7 +387,6 @@ func refDiff(a, b *Report) *ReportDiff {
 }
 
 func refDiffStages(a, b []StageReport) []StageDiff {
-	ft := cct.NewFrameTable()
 	am, bm := indexStages(a), indexStages(b)
 	var out []StageDiff
 	for _, name := range sortedKeyUnion(am, bm) {
@@ -403,7 +402,7 @@ func refDiffStages(a, b []StageReport) []StageDiff {
 				SamplesA: sa.Samples, SamplesB: sb.Samples,
 				CallsA: sa.Calls, CallsB: sb.Calls,
 				SwitchesA: sa.CtxtSwitches, SwitchesB: sb.CtxtSwitches,
-				Trees: refDiffTrees(ft, sa.Dump.Trees, sb.Dump.Trees),
+				Trees: refDiffTrees(sa.Dump.Trees, sb.Dump.Trees),
 			}
 			if len(sd.Trees) > 0 || sd.SamplesA != sd.SamplesB ||
 				sd.CallsA != sd.CallsB || sd.SwitchesA != sd.SwitchesB {
@@ -414,19 +413,57 @@ func refDiffStages(a, b []StageReport) []StageDiff {
 	return out
 }
 
-// refRebuild builds the tree a dump's records describe, its frames
-// interned in ft: every record's path is made, and its counts added in.
-func refRebuild(ft *cct.FrameTable, recs []cct.FlatRecord) *cct.Tree {
-	t := cct.NewShared("", ft)
-	for _, r := range recs {
-		n := t.Path(r.Path)
-		n.Self += r.Self
-		n.Calls += r.Calls
-	}
-	return t
+// refNode is a node of the tree a dump's records describe, as the
+// diff oracles rebuild it: its own counts and its children by frame
+// name. It shares no code with cct.Tree.
+type refNode struct {
+	self, calls int64
+	kids        map[string]*refNode
 }
 
-func refDiffTrees(ft *cct.FrameTable, a, b []TreeDump) []TreeDiff {
+// refRebuild builds the tree a dump's records describe: every record's
+// path is made, and its counts added in.
+func refRebuild(recs []cct.FlatRecord) *refNode {
+	root := &refNode{}
+	for _, r := range recs {
+		n := root
+		for _, f := range r.Path {
+			c := n.kids[f]
+			if c == nil {
+				if n.kids == nil {
+					n.kids = map[string]*refNode{}
+				}
+				c = &refNode{}
+				n.kids[f] = c
+			}
+			n = c
+		}
+		n.self += r.Self
+		n.calls += r.Calls
+	}
+	return root
+}
+
+// inclusive sums the samples and the calls of n and all its
+// descendants.
+func (n *refNode) inclusive() (self, calls int64) {
+	self, calls = n.self, n.calls
+	for _, c := range n.kids {
+		s, k := c.inclusive()
+		self, calls = self+s, calls+k
+	}
+	return self, calls
+}
+
+// kid returns n's child for frame f, or an empty node.
+func (n *refNode) kid(f string) *refNode {
+	if c := n.kids[f]; c != nil {
+		return c
+	}
+	return &refNode{}
+}
+
+func refDiffTrees(a, b []TreeDump) []TreeDiff {
 	am, bm := indexTrees(a), indexTrees(b)
 	var out []TreeDiff
 	for _, key := range sortedKeyUnion(am, bm) {
@@ -438,8 +475,7 @@ func refDiffTrees(ft *cct.FrameTable, a, b []TreeDump) []TreeDiff {
 			out = append(out, TreeDiff{Key: key, Label: tb.Label, OnlyIn: SideB, TotalB: tb.Total})
 		default:
 			td := TreeDiff{Key: key, Label: ta.Label, TotalA: ta.Total, TotalB: tb.Total}
-			ra, rb := refRebuild(ft, ta.Records), refRebuild(ft, tb.Records)
-			td.Nodes = refDiffNodes(ra.Root, rb.Root, nil, td.Nodes)
+			td.Nodes = refDiffNodes(refRebuild(ta.Records), refRebuild(tb.Records), nil, td.Nodes)
 			if len(td.Nodes) > 0 || td.TotalA != td.TotalB {
 				out = append(out, td)
 			}
@@ -448,28 +484,23 @@ func refDiffTrees(ft *cct.FrameTable, a, b []TreeDump) []TreeDiff {
 	return out
 }
 
-func refDiffNodes(na, nb *cct.Node, path []string, out []NodeDelta) []NodeDelta {
-	for ka, kb := na.Children(), nb.Children(); len(ka) > 0 || len(kb) > 0; {
-		var ca, cb *cct.Node
-		ca, cb, ka, kb = refPopChildPair(ka, kb)
-		path = append(path, refEither(ca, cb).Frame)
+func refDiffNodes(na, nb *refNode, path []string, out []NodeDelta) []NodeDelta {
+	for _, f := range sortedKeyUnion(na.kids, nb.kids) {
+		ca, cb := na.kids[f], nb.kids[f]
+		path = append(path, f)
 		switch {
 		case cb == nil:
-			out = append(out, NodeDelta{
-				Path:  slices.Clone(path),
-				SelfA: ca.Inclusive(), CallsA: refInclusiveCalls(ca), Subtree: true, OnlyIn: SideA,
-			})
+			self, calls := ca.inclusive()
+			out = append(out, NodeDelta{Path: slices.Clone(path), SelfA: self, CallsA: calls, Subtree: true, OnlyIn: SideA})
 		case ca == nil:
-			out = append(out, NodeDelta{
-				Path:  slices.Clone(path),
-				SelfB: cb.Inclusive(), CallsB: refInclusiveCalls(cb), Subtree: true, OnlyIn: SideB,
-			})
+			self, calls := cb.inclusive()
+			out = append(out, NodeDelta{Path: slices.Clone(path), SelfB: self, CallsB: calls, Subtree: true, OnlyIn: SideB})
 		default:
-			if ca.Self != cb.Self || ca.Calls != cb.Calls {
+			if ca.self != cb.self || ca.calls != cb.calls {
 				out = append(out, NodeDelta{
 					Path:  slices.Clone(path),
-					SelfA: ca.Self, SelfB: cb.Self,
-					CallsA: ca.Calls, CallsB: cb.Calls,
+					SelfA: ca.self, SelfB: cb.self,
+					CallsA: ca.calls, CallsB: cb.calls,
 				})
 			}
 			out = refDiffNodes(ca, cb, path, out)
@@ -479,33 +510,7 @@ func refDiffNodes(na, nb *cct.Node, path []string, out []NodeDelta) []NodeDelta 
 	return out
 }
 
-func refPopChildPair(ka, kb []*cct.Node) (ca, cb *cct.Node, ra, rb []*cct.Node) {
-	switch {
-	case len(kb) == 0 || len(ka) > 0 && ka[0].ID() != kb[0].ID() && ka[0].Frame < kb[0].Frame:
-		return ka[0], nil, ka[1:], kb
-	case len(ka) == 0 || ka[0].ID() != kb[0].ID():
-		return nil, kb[0], ka, kb[1:]
-	}
-	return ka[0], kb[0], ka[1:], kb[1:]
-}
-
-func refEither(ca, cb *cct.Node) *cct.Node {
-	if ca != nil {
-		return ca
-	}
-	return cb
-}
-
-func refInclusiveCalls(n *cct.Node) int64 {
-	sum := n.Calls
-	for _, c := range n.Children() {
-		sum += refInclusiveCalls(c)
-	}
-	return sum
-}
-
 func refFoldedDiff(a, b *Report, w io.Writer) {
-	ft := cct.NewFrameTable()
 	am, bm := indexStages(a.Stages), indexStages(b.Stages)
 	for _, stage := range sortedKeyUnion(am, bm) {
 		var ta, tb map[string]*TreeDump
@@ -524,48 +529,21 @@ func refFoldedDiff(a, b *Report, w io.Writer) {
 			if db := tb[key]; db != nil {
 				label, rb = db.Label, db.Records
 			}
-			refFoldNodes(refRebuild(ft, ra).Root, refRebuild(ft, rb).Root, stage+";"+label, w)
+			refFoldNodes(refRebuild(ra), refRebuild(rb), stage+";"+label, w)
 		}
 	}
 }
 
-func refFoldNodes(na, nb *cct.Node, prefix string, w io.Writer) {
-	for ka, kb := na.Children(), nb.Children(); len(ka) > 0 || len(kb) > 0; {
-		var ca, cb *cct.Node
-		ca, cb, ka, kb = refPopChildPair(ka, kb)
-		line := prefix + ";" + refEither(ca, cb).Frame
-		var selfA, selfB int64
-		if ca != nil {
-			selfA = ca.Self
+// refFoldNodes writes a line for every node under na or nb with
+// samples on either side; a node missing on one side reads as empty.
+func refFoldNodes(na, nb *refNode, prefix string, w io.Writer) {
+	for _, f := range sortedKeyUnion(na.kids, nb.kids) {
+		ca, cb := na.kid(f), nb.kid(f)
+		line := prefix + ";" + f
+		if ca.self != 0 || cb.self != 0 {
+			fmt.Fprintf(w, "%s %d %d\n", line, ca.self, cb.self)
 		}
-		if cb != nil {
-			selfB = cb.Self
-		}
-		if selfA != 0 || selfB != 0 {
-			fmt.Fprintf(w, "%s %d %d\n", line, selfA, selfB)
-		}
-		switch {
-		case cb == nil:
-			refFoldOneSide(ca, line, w, true)
-		case ca == nil:
-			refFoldOneSide(cb, line, w, false)
-		default:
-			refFoldNodes(ca, cb, line, w)
-		}
-	}
-}
-
-func refFoldOneSide(n *cct.Node, prefix string, w io.Writer, sideA bool) {
-	for _, c := range n.Children() {
-		line := prefix + ";" + c.Frame
-		if c.Self != 0 {
-			if sideA {
-				fmt.Fprintf(w, "%s %d 0\n", line, c.Self)
-			} else {
-				fmt.Fprintf(w, "%s 0 %d\n", line, c.Self)
-			}
-		}
-		refFoldOneSide(c, line, w, sideA)
+		refFoldNodes(ca, cb, line, w)
 	}
 }
 
@@ -862,10 +840,15 @@ func diffPair(rng *rand.Rand) (a, b *Report, flattened int) {
 		if rng.Intn(2) == 0 {
 			t := cct.New("")
 			for range n {
-				if p := path(); rng.Intn(3) == 0 {
-					t.AddCall(p)
+				p := path()
+				ids := make([]cct.FrameID, len(p))
+				for i, f := range p {
+					ids[i] = t.Frames().ID(f)
+				}
+				if rng.Intn(3) == 0 {
+					t.AddCallIDs(ids)
 				} else {
-					t.AddSamples(p, 1+rng.Int63n(5))
+					t.AddSamplesIDs(ids, 1+rng.Int63n(5))
 				}
 			}
 			flattened++
