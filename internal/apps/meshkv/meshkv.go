@@ -33,9 +33,10 @@
 // with the pod index) and their CPU and time-domain placement, because
 // both layouts' reports are pinned byte for byte; and direct injection
 // or the ingress hop, because time domains may only talk through a
-// latency-bearing pipe. Only directly injected requests complete on the
-// injector's own domain, so only their envelopes are recycled and only
-// that request path allocates nothing in the steady state.
+// latency-bearing pipe. Every layout recycles its envelopes: a request
+// completes on its pod's domain and goes back on the injector's free
+// list, which is safe because a vclock.Group runs all its domains on
+// the goroutine that called RunUntil (internal/vclock/domain.go:16).
 package meshkv
 
 import (
@@ -122,10 +123,8 @@ type layout struct {
 	// stage names pod r's tier and places it: the bare name on the
 	// shared CPU, or name-r on a private CPU on the pod's time domain.
 	stage func(r int, tier string, cores int) (string, []whodunit.StageOption)
-	// hop is the ingress latency into a pod. 0 means the replay puts
-	// requests straight into the frontend; they then complete on the
-	// injector's own time domain, so the envelope goes back onto its
-	// free list.
+	// hop is the ingress latency into a pod; 0 means the replay puts
+	// requests straight into the frontend.
 	hop whodunit.Duration
 }
 
@@ -335,9 +334,7 @@ func (sys *system) buildPod(topo *mesh.Topology, lay layout, r int) *pod {
 		}
 		st.Count++
 		st.TotalLatency += now.Sub(req.Start)
-		if lay.hop == 0 {
-			sys.free = append(sys.free, req)
-		}
+		sys.free = append(sys.free, req)
 	}
 	p.inject = front.Inject
 	if lay.hop > 0 {
@@ -414,8 +411,10 @@ func (p *pod) kvHandler(db *mesh.Service, workers int) mesh.Handler {
 }
 
 // inject turns a trace event into a mesh request for its key's home
-// pod, reusing a recycled envelope when the layout returns them (runs
-// in domain-0 scheduler context via trace.Replay/OpenLoop).
+// pod, reusing an envelope from the free list (runs in domain-0
+// scheduler context via trace.Replay/OpenLoop). Completions on any
+// domain feed that list: a Group never hands a domain to another
+// goroutine (internal/vclock/domain.go:16).
 func (sys *system) inject(ev trace.Event) {
 	var req *mesh.Request
 	if n := len(sys.free); n > 0 {

@@ -932,25 +932,34 @@ type tables struct {
 	item, orderLine, customer, orders, author *minidb.Table
 }
 
-// loadTables creates and populates the TPC-W schema on db.
+// loadTables creates and populates the TPC-W schema on db. Each table's
+// attributes come from one array, k per row; a row's window is capped
+// at its k so that adding an attribute to it copies instead of writing
+// into the next row (see minidb.Table.LoadRow).
 func loadTables(db *minidb.DB, itemEngine minidb.Engine, seed uint64) tables {
 	rng := vclock.NewRNG(seed ^ 0x5eed)
 	item := db.CreateTable("item", itemEngine)
+	a := make([]minidb.Attr, 3*10000)
 	for i := 0; i < 10000; i++ {
-		item.LoadRow(minidb.Row{ID: int64(i), Attrs: []minidb.Attr{
-			{Name: "subject", Val: int64(i % 24)}, {Name: "cost", Val: int64(10 + i%90)},
-			{Name: "sales", Val: int64(rng.Intn(100000))},
-		}})
+		w := a[3*i : 3*i+3 : 3*i+3]
+		w[0] = minidb.Attr{Name: "subject", Val: int64(i % 24)}
+		w[1] = minidb.Attr{Name: "cost", Val: int64(10 + i%90)}
+		w[2] = minidb.Attr{Name: "sales", Val: int64(rng.Intn(100000))}
+		item.LoadRow(minidb.Row{ID: int64(i), Attrs: w})
 	}
 	orderLine := db.CreateTable("order_line", minidb.EngineMyISAM)
+	a = make([]minidb.Attr, 2*7776)
 	for i := 0; i < 7776; i++ {
-		orderLine.LoadRow(minidb.Row{ID: int64(i), Attrs: []minidb.Attr{
-			{Name: "item", Val: int64(rng.Intn(10000))}, {Name: "qty", Val: int64(1 + rng.Intn(5))},
-		}})
+		w := a[2*i : 2*i+2 : 2*i+2]
+		w[0] = minidb.Attr{Name: "item", Val: int64(rng.Intn(10000))}
+		w[1] = minidb.Attr{Name: "qty", Val: int64(1 + rng.Intn(5))}
+		orderLine.LoadRow(minidb.Row{ID: int64(i), Attrs: w})
 	}
 	customer := db.CreateTable("customer", minidb.EngineMyISAM)
+	a = make([]minidb.Attr, 2880)
 	for i := 0; i < 2880; i++ {
-		customer.LoadRow(minidb.Row{ID: int64(i), Attrs: []minidb.Attr{{Name: "discount", Val: int64(i % 50)}}})
+		a[i] = minidb.Attr{Name: "discount", Val: int64(i % 50)}
+		customer.LoadRow(minidb.Row{ID: int64(i), Attrs: a[i : i+1 : i+1]})
 	}
 	orders := db.CreateTable("orders", minidb.EngineInnoDB)
 	author := db.CreateTable("author", minidb.EngineMyISAM)

@@ -325,7 +325,11 @@ func (t *Table) Len() int { return len(t.rows) }
 // one, which also shadows an earlier positional row of the same id. The
 // new position is the largest, so appending it to each cached equality
 // index keeps the index in row order — cheaper than dropping what the
-// next WhereAttr select would rebuild over the whole table.
+// next WhereAttr select would rebuild over the whole table. The table
+// keeps r.Attrs as given, so a caller may share one backing array
+// between rows only by passing capacity-capped windows (a[k*i:k*i+k:k*i+k]):
+// SetAttr or AddAttr of a new attribute then copies the row's window
+// instead of appending over the next row's.
 func (t *Table) LoadRow(r Row) {
 	pos := len(t.rows)
 	switch {

@@ -1,6 +1,7 @@
 package minidb
 
 import (
+	"slices"
 	"testing"
 
 	"whodunit/internal/profiler"
@@ -251,4 +252,64 @@ func TestMissingTablePanics(t *testing.T) {
 		}
 	}()
 	e.db.Table("nope")
+}
+
+// TestRowsSharingAnAttrArrayStayIsolated: rows bulk-loaded from
+// capacity-capped windows of one array are independent. Adding an
+// attribute to one row through SetAttr must copy its window rather than
+// append over the next row's, and AddAttr of an attribute it has writes
+// only its own; the next row reads as loaded through Lookup, a scan and
+// a WhereAttr select whose index was built before the writes.
+func TestRowsSharingAnAttrArrayStayIsolated(t *testing.T) {
+	const n, k, hit = 8, 2, 3
+	e := newEnv()
+	tab := e.db.CreateTable("item", EngineInnoDB)
+	a := make([]Attr, k*n)
+	for i := 0; i < n; i++ {
+		w := a[k*i : k*i+k : k*i+k]
+		w[0] = Attr{Name: "subject", Val: int64(i % 3)}
+		w[1] = Attr{Name: "stock", Val: int64(10 + i)}
+		tab.LoadRow(Row{ID: int64(i), Attrs: w})
+	}
+	loaded := func(r Row) bool {
+		i := r.ID
+		return len(r.Attrs) == k && r.Attr("subject") == i%3 && r.Attr("stock") == 10+i && r.Attr("color") == 0
+	}
+	subjectOf := int64((hit + 1) % 3)
+	e.go_("q", func(pr *profiler.Probe, th *vclock.Thread) {
+		before := e.db.Select(pr, tab, nil, SelectOpts{WhereAttr: "subject", WhereEquals: subjectOf})
+		if !e.db.Update(pr, tab, hit, func(r *Row) {
+			r.SetAttr("color", 7)
+			r.AddAttr("stock", 5)
+		}) {
+			t.Fatal("update missed its row")
+		}
+		r, ok := e.db.Lookup(pr, tab, hit)
+		if !ok || r.Attr("subject") != hit%3 || r.Attr("stock") != 15+hit || r.Attr("color") != 7 {
+			t.Errorf("updated row = %+v %v", r, ok)
+		}
+		next, ok := e.db.Lookup(pr, tab, hit+1)
+		if !ok || !loaded(next) {
+			t.Errorf("row %d after an update of row %d = %+v, want it as loaded", hit+1, hit, next)
+		}
+		for _, r := range e.db.Select(pr, tab, nil, SelectOpts{}) {
+			if r.ID != hit && !loaded(r) {
+				t.Errorf("scan: row %d = %+v, want it as loaded", r.ID, r)
+			}
+		}
+		after := e.db.Select(pr, tab, nil, SelectOpts{WhereAttr: "subject", WhereEquals: subjectOf})
+		if !slices.EqualFunc(before, after, func(x, y Row) bool { return x.ID == y.ID }) {
+			t.Errorf("select where subject = %d: %d rows before the update, %d after", subjectOf, len(before), len(after))
+		}
+		for _, r := range after {
+			if r.Attr("subject") != subjectOf || (r.ID != hit && !loaded(r)) {
+				t.Errorf("select where subject = %d returned row %+v", subjectOf, r)
+			}
+		}
+		if !slices.ContainsFunc(after, func(r Row) bool { return r.ID == hit+1 }) {
+			t.Errorf("select where subject = %d lost row %d", subjectOf, hit+1)
+		}
+	})
+	e.s.Run()
+	e.s.Shutdown()
 }
