@@ -75,7 +75,8 @@ type Tree struct {
 	Label string
 	total int64
 	ft    *FrameTable
-	nodes []node // nodes[0] is the root; a node comes after its parent
+	nodes []node  // nodes[0] is the root; a node comes after its parent
+	first [4]node // nodes' array until a fifth node is added
 }
 
 // New returns an empty tree annotated with label, owning a private frame
@@ -85,9 +86,12 @@ func New(label string) *Tree { return NewShared(label, NewFrameTable()) }
 // NewShared returns an empty tree annotated with label whose frames are
 // interned in ft, so trees sharing ft can exchange FrameIDs directly.
 func NewShared(label string, ft *FrameTable) *Tree {
-	// Room for four nodes: on the serve benchmark, retired windows
-	// allocate least at that start without allocating more bytes.
-	return &Tree{Label: label, ft: ft, nodes: make([]node, 1, 4)}
+	// Room for four nodes inside the tree, so a new tree is one
+	// allocation: on the serve benchmark, retired windows allocate least
+	// at that start without allocating more bytes.
+	t := &Tree{Label: label, ft: ft}
+	t.nodes = t.first[:1]
+	return t
 }
 
 // Frames returns the tree's frame table.
@@ -196,7 +200,8 @@ func (t *Tree) Merge(src *Tree) {
 // goroutine while further samples accumulate into t. It copies the node
 // array and all child lists, and interns frames in preorder.
 func (t *Tree) CloneShared(ft *FrameTable) *Tree {
-	out := &Tree{Label: t.Label, total: t.total, ft: ft, nodes: slices.Clone(t.nodes)}
+	out := &Tree{Label: t.Label, total: t.total, ft: ft}
+	out.nodes = append(out.first[:0], t.nodes...)
 	kids := make([]int32, 0, len(t.nodes)-1)
 	for i := range out.nodes {
 		n := &out.nodes[i]
@@ -262,38 +267,52 @@ type FlatRecord struct {
 // exactly sized array, and their paths another, each path capped at its
 // own length.
 func (t *Tree) Flatten() []FlatRecord {
-	nrec, npath := 0, 0
-	for i := 1; i < len(t.nodes); i++ {
-		if n := &t.nodes[i]; n.self != 0 || n.calls != 0 {
-			nrec++
-			for j := int32(i); j != 0; j = t.nodes[j].parent {
-				npath++
-			}
-		}
-	}
+	nrec, npath := t.FlatSize()
 	if nrec == 0 {
 		return nil
 	}
-	out, _ := t.flatten(0, 1, make([]FlatRecord, 0, nrec), make([]string, npath))
+	out, _ := t.AppendFlat(make([]FlatRecord, 0, nrec), make([]string, 0, npath))
 	return out
 }
 
-// flatten appends the records below node i, whose children sit at depth
-// depth, to out, cutting each path from the front of paths, and returns
-// out and what is left of paths.
-func (t *Tree) flatten(i int32, depth int, out []FlatRecord, paths []string) ([]FlatRecord, []string) {
+// FlatSize reports how many records Flatten returns and how many path
+// elements they hold together, so that the arrays of several trees'
+// records can be sized at once.
+func (t *Tree) FlatSize() (records, pathElems int) {
+	for i := 1; i < len(t.nodes); i++ {
+		if n := &t.nodes[i]; n.self != 0 || n.calls != 0 {
+			records++
+			for j := int32(i); j != 0; j = t.nodes[j].parent {
+				pathElems++
+			}
+		}
+	}
+	return records, pathElems
+}
+
+// AppendFlat appends Flatten's records to recs and their paths to paths,
+// each path a window of paths capped at its own length, and returns both
+// arrays. With the capacity FlatSize asks for it allocates nothing.
+func (t *Tree) AppendFlat(recs []FlatRecord, paths []string) ([]FlatRecord, []string) {
+	return t.appendFlat(0, 1, recs, paths)
+}
+
+// appendFlat is AppendFlat for the nodes below node i, whose children
+// sit at depth depth.
+func (t *Tree) appendFlat(i int32, depth int, recs []FlatRecord, paths []string) ([]FlatRecord, []string) {
 	for _, c := range t.nodes[i].kids {
 		if n := &t.nodes[c]; n.self != 0 || n.calls != 0 {
-			p := paths[:depth:depth]
-			paths = paths[depth:]
+			at := len(paths)
+			paths = slices.Grow(paths, depth)[:at+depth]
+			p := paths[at : at+depth : at+depth]
 			for k, a := depth-1, c; k >= 0; k, a = k-1, t.nodes[a].parent {
 				p[k] = t.ft.names[t.nodes[a].id]
 			}
-			out = append(out, FlatRecord{Path: p, Self: n.self, Calls: n.calls})
+			recs = append(recs, FlatRecord{Path: p, Self: n.self, Calls: n.calls})
 		}
-		out, paths = t.flatten(c, depth+1, out, paths)
+		recs, paths = t.appendFlat(c, depth+1, recs, paths)
 	}
-	return out, paths
+	return recs, paths
 }
 
 // SortedRecords returns recs in Flatten's order: strictly increasing

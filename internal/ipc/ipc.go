@@ -92,7 +92,7 @@ type Endpoint struct {
 	sent    [][]sentEntry // last synopsis -> the sent chains ending in it
 	lens    uint64        // bit min(n, 63) set: a chain of n synopses was sent
 	lookups uint64        // prefix searches Recv made (Lookups)
-	sends   []SendRecord
+	sends   []SendRecord  // append-only: Sends hands it out
 }
 
 // NewEndpoint returns an endpoint for the named stage.
@@ -218,11 +218,12 @@ func (e *Endpoint) Slots() int { return len(e.sent) }
 
 // Sends returns the distinct chains this endpoint sent, with the contexts
 // they originated from, for post-mortem stitching.
-func (e *Endpoint) Sends() []SendRecord {
-	out := make([]SendRecord, len(e.sends))
-	copy(out, e.sends)
-	return out
-}
+//
+// The list is the endpoint's own log, not a copy: read it, do not write
+// it. It is capped at its length, and the log is append-only (a record
+// is written once, when its chain is first sent), so later sends do not
+// change the list a caller holds, and an append to it copies.
+func (e *Endpoint) Sends() []SendRecord { return e.sends[:len(e.sends):len(e.sends)] }
 
 // --- Wire transport -------------------------------------------------
 

@@ -192,22 +192,13 @@ type ctxtEntry struct {
 // profile is the state the presentation methods read: the CCT
 // dictionary and the sampling counters. A Profiler embeds the live one
 // and a Snapshot a shared, retired or copied one, so each presentation
-// method (Entries, Trees, TotalSamples, Stats, Merged, Shares) is
-// written once.
+// method (Entries, TotalSamples, Stats, Merged, Shares) is written once.
 type profile struct {
-	slots        []treeSlot // creation order, deterministic
+	slots        []TreeEntry // creation order, deterministic
 	samples      int64
 	calls        int64
 	ctxtSwitches int64
 	overheadAcc  vclock.Duration
-}
-
-// treeSlot is one CCT dictionary entry: the context, its rendered key and
-// prefix (the label is the tree's), and its tree.
-type treeSlot struct {
-	ctxt        TxnCtxt
-	key, prefix string
-	tree        *cct.Tree
 }
 
 // New returns a profiler for the named stage in the given mode with
@@ -256,7 +247,7 @@ func (p *Profiler) tree(tc TxnCtxt) *cct.Tree {
 	}
 	e := &bucket[k]
 	if e.window == p.window {
-		return p.slots[e.slot].tree
+		return p.slots[e.slot].Tree
 	}
 	label := e.label
 	if tc.Local != e.ctxt.Local {
@@ -266,7 +257,7 @@ func (p *Profiler) tree(tc TxnCtxt) *cct.Tree {
 	}
 	t := cct.NewShared(label, p.frames)
 	e.window, e.slot = p.window, len(p.slots)
-	p.slots = append(p.slots, treeSlot{ctxt: tc, key: e.key, prefix: e.prefix, tree: t})
+	p.slots = append(p.slots, TreeEntry{Key: e.key, Prefix: e.prefix, Ctxt: tc, Tree: t})
 	return t
 }
 
@@ -283,13 +274,13 @@ type TreeEntry struct {
 // Entries returns every (context, CCT) pair in creation order. Its
 // strings are the ones the stage rendered when it first saw each
 // context, shared by every window since (see Profiler.tree).
-func (d *profile) Entries() []TreeEntry {
-	out := make([]TreeEntry, 0, len(d.slots))
-	for _, s := range d.slots {
-		out = append(out, TreeEntry{Key: s.key, Prefix: s.prefix, Ctxt: s.ctxt, Tree: s.tree})
-	}
-	return out
-}
+//
+// The list is the profile's own, not a copy: read it, do not write it.
+// It is capped at its length, and the profile only ever appends to it
+// (a sample into a new context) and never rewrites an entry, so later
+// samples do not change the list a caller holds. They do add to the
+// trees it names, in a View of a running profiler.
+func (d *profile) Entries() []TreeEntry { return d.slots[:len(d.slots):len(d.slots)] }
 
 // TotalSamples reports all samples taken across every context.
 func (d *profile) TotalSamples() int64 { return d.samples }
@@ -305,8 +296,8 @@ func (d *profile) Stats() (samples, calls, ctxtSwitches int64, overhead vclock.D
 // private tree.
 func (d *profile) Merged() *cct.Tree {
 	m := cct.New("(all contexts)")
-	for _, s := range d.slots {
-		m.Merge(s.tree)
+	for _, e := range d.slots {
+		m.Merge(e.Tree)
 	}
 	return m
 }
@@ -323,8 +314,8 @@ type ContextShare struct {
 // Shares computes per-context sample shares.
 func (d *profile) Shares() []ContextShare {
 	out := make([]ContextShare, 0, len(d.slots))
-	for _, s := range d.slots {
-		t := s.tree
+	for _, e := range d.slots {
+		t := e.Tree
 		sh := 0.0
 		if d.samples > 0 {
 			sh = float64(t.Total()) / float64(d.samples)
@@ -390,7 +381,7 @@ func (p *Profiler) View() *Snapshot {
 func (p *Profiler) Retire() *Snapshot {
 	s := p.View()
 	n := len(p.slots)
-	p.profile = profile{slots: make([]treeSlot, 0, n)}
+	p.profile = profile{slots: make([]TreeEntry, 0, n)}
 	p.window++
 	// Every probe's cached tree pointer now names a retired tree; the
 	// next sample must re-resolve against the fresh dictionary.
@@ -409,10 +400,10 @@ func (p *Profiler) Retire() *Snapshot {
 func (p *Profiler) Snapshot() *Snapshot {
 	s := p.View()
 	ft := cct.NewFrameTable()
-	s.slots = make([]treeSlot, len(p.slots))
-	for i, sl := range p.slots {
-		sl.tree = sl.tree.CloneShared(ft)
-		s.slots[i] = sl
+	s.slots = make([]TreeEntry, len(p.slots))
+	for i, e := range p.slots {
+		e.Tree = e.Tree.CloneShared(ft)
+		s.slots[i] = e
 	}
 	return s
 }

@@ -7,9 +7,11 @@
 package stitch
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
@@ -44,23 +46,40 @@ type StageDump struct {
 // serializable StageDump: a running profiler's (or a served window in
 // progress) through Profiler.View, a retired window's through
 // Profiler.Retire.
+//
+// The dump allocates two arrays for the whole stage, whatever its tree
+// count: every tree's records go into one exactly sized record array,
+// each TreeDump.Records a window of it capped at its own length, and
+// their paths into one path array. A stage with one endpoint shares the
+// endpoint's send log (Endpoint.Sends), which later sends never change.
 func Dump(s *profiler.Snapshot, eps ...*ipc.Endpoint) StageDump {
 	entries := s.Entries()
 	d := StageDump{Stage: s.Stage}
-	if len(entries) > 0 {
-		d.Trees = make([]TreeDump, 0, len(entries)) // nil when empty: it encodes as null
+	if len(eps) > 0 {
+		// Capped: appending the other endpoints' sends copies the first's.
+		d.Sends = eps[0].Sends()
+		for _, ep := range eps[1:] {
+			d.Sends = append(d.Sends, ep.Sends()...)
+		}
 	}
+	if len(entries) == 0 {
+		return d // no trees: nil, which encodes as null
+	}
+	nrec, npath := 0, 0
 	for _, e := range entries {
-		d.Trees = append(d.Trees, TreeDump{
-			Key:     e.Key,
-			Prefix:  e.Prefix,
-			Label:   e.Tree.Label,
-			Total:   e.Tree.Total(),
-			Records: e.Tree.Flatten(),
-		})
+		r, p := e.Tree.FlatSize()
+		nrec, npath = nrec+r, npath+p
 	}
-	for _, ep := range eps {
-		d.Sends = append(d.Sends, ep.Sends()...)
+	recs, paths := make([]cct.FlatRecord, 0, nrec), make([]string, 0, npath)
+	d.Trees = make([]TreeDump, len(entries))
+	for i, e := range entries {
+		at := len(recs)
+		recs, paths = e.Tree.AppendFlat(recs, paths)
+		td := TreeDump{Key: e.Key, Prefix: e.Prefix, Label: e.Tree.Label, Total: e.Tree.Total()}
+		if len(recs) > at {
+			td.Records = recs[at:len(recs):len(recs)] // nil when empty, as Flatten's
+		}
+		d.Trees[i] = td
 	}
 	return d
 }
@@ -131,24 +150,42 @@ func BuildPartial(dumps []StageDump, missing []string) *Graph {
 		g.Missing = append([]string(nil), missing...)
 		sort.Strings(g.Missing)
 	}
-	// Index nodes by (stage, context key), and receiver candidates by
-	// prefix chain, in one pass. The per-send matching below is then a
-	// single map lookup instead of the previous O(sends × stages × trees)
-	// rescan of every dump. Candidate lists keep dump/tree order, so the
-	// emitted edge set is identical.
+	n := 0
+	for _, d := range dumps {
+		n += len(d.Trees)
+	}
+	if n == 0 {
+		return g // no sender and no receiver: no node, no edge, no sink
+	}
+	// Index nodes by (stage, context key), and receivers by prefix chain
+	// as one list per prefix through a shared link array: first[p] is the
+	// first node whose tree has prefix p and next[i] the node after node
+	// i with its prefix, each stored plus one (0 ends a list). The lists
+	// are linked from the last tree back, so each keeps dump/tree order.
 	type stageKey struct{ stage, key string }
-	byStageKey := make(map[stageKey]int)
-	byPrefix := make(map[string][]int)
+	byStageKey := make(map[stageKey]int, n)
+	g.Nodes = make([]Node, 0, n+min(len(g.Missing), 1)) // room for the "(missing)" sink
 	for _, d := range dumps {
 		for _, td := range d.Trees {
-			idx := len(g.Nodes)
+			byStageKey[stageKey{d.Stage, td.Key}] = len(g.Nodes)
 			g.Nodes = append(g.Nodes, Node{Stage: d.Stage, Label: td.Label, Total: td.Total})
-			byStageKey[stageKey{d.Stage, td.Key}] = idx
-			byPrefix[td.Prefix] = append(byPrefix[td.Prefix], idx)
+		}
+	}
+	first := make(map[string]int32, n) // sized for n prefixes: one table however many share one
+	next := make([]int32, n)
+	for i, k := n, len(dumps)-1; k >= 0; k-- {
+		trees := dumps[k].Trees
+		for j := len(trees) - 1; j >= 0; j-- {
+			i--
+			next[i] = first[trees[j].Prefix]
+			first[trees[j].Prefix] = int32(i + 1)
 		}
 	}
 	// Request edges: sender context --chain--> receiver tree whose prefix
-	// equals the sent chain (in another stage).
+	// equals the sent chain (in another stage), each with its response
+	// edge back. The first pass counts them and finds the senders with a
+	// send that matched nothing, so the edge list is allocated once.
+	edges := 0
 	severed := make(map[int]bool) // sender nodes with at least one lost send
 	for _, d := range dumps {
 		for _, send := range d.Sends {
@@ -157,16 +194,33 @@ func BuildPartial(dumps []StageDump, missing []string) *Graph {
 				continue
 			}
 			matched := false
-			for _, to := range byPrefix[send.Chain] {
-				if g.Nodes[to].Stage == d.Stage {
-					continue
+			for to := first[send.Chain]; to != 0; to = next[to-1] {
+				if g.Nodes[to-1].Stage != d.Stage {
+					matched = true
+					edges += 2
 				}
-				matched = true
-				g.Edges = append(g.Edges, Edge{From: from, To: to, Kind: "request"})
-				g.Edges = append(g.Edges, Edge{From: to, To: from, Kind: "response"})
 			}
 			if !matched && len(g.Missing) > 0 {
 				severed[from] = true
+			}
+		}
+	}
+	if edges+len(severed) == 0 {
+		return g
+	}
+	g.Edges = make([]Edge, 0, edges+len(severed))
+	for _, d := range dumps {
+		for _, send := range d.Sends {
+			from, ok := byStageKey[stageKey{d.Stage, send.FromKey}]
+			if !ok {
+				continue
+			}
+			for to := first[send.Chain]; to != 0; to = next[to-1] {
+				if g.Nodes[to-1].Stage != d.Stage {
+					g.Edges = append(g.Edges,
+						Edge{From: from, To: int(to - 1), Kind: "request"},
+						Edge{From: int(to - 1), To: from, Kind: "response"})
+				}
 			}
 		}
 	}
@@ -180,15 +234,8 @@ func BuildPartial(dumps []StageDump, missing []string) *Graph {
 			g.Edges = append(g.Edges, Edge{From: from, To: sink, Kind: "severed"})
 		}
 	}
-	sort.Slice(g.Edges, func(i, j int) bool {
-		a, b := g.Edges[i], g.Edges[j]
-		if a.From != b.From {
-			return a.From < b.From
-		}
-		if a.To != b.To {
-			return a.To < b.To
-		}
-		return a.Kind < b.Kind
+	slices.SortFunc(g.Edges, func(a, b Edge) int {
+		return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To), strings.Compare(a.Kind, b.Kind))
 	})
 	return g
 }
