@@ -493,30 +493,51 @@ func diffCrosstalk(a, b []CrosstalkPair) []CrosstalkDelta {
 // returns the keys whose counts differ, in key order. It sorts each
 // side's keys and merge-walks the two runs: a flow log holds tens of
 // thousands of distinct keys, which a map would hash one by one.
+//
+// A flow log is appended as flows are detected, so its keys come nearly
+// in order: out of place at a few hundred spots, each by a few dozen
+// places. Each side is sorted by insertion, which costs one comparison
+// a key there. A log that is not nearly ordered would make that
+// quadratic, so once the moves pass a budget of a few per key the sort
+// finishes with slices.SortFunc instead.
 func diffFlows(a, b []FlowEvent) []FlowDelta {
 	type flowKey struct{ lock, prod, cons int }
+	less := func(x, y flowKey) bool {
+		return x.lock < y.lock || x.lock == y.lock && (x.prod < y.prod || x.prod == y.prod && x.cons < y.cons)
+	}
 	compare := func(x, y flowKey) int {
-		if c := cmp.Compare(x.lock, y.lock); c != 0 {
-			return c
+		switch {
+		case less(x, y):
+			return -1
+		case less(y, x):
+			return 1
 		}
-		if c := cmp.Compare(x.prod, y.prod); c != 0 {
-			return c
-		}
-		return cmp.Compare(x.cons, y.cons)
+		return 0
 	}
 	sorted := func(fs []FlowEvent) []flowKey {
 		ks := make([]flowKey, len(fs))
 		for i, f := range fs {
 			ks[i] = flowKey{f.Lock, f.Producer, f.Consumer}
 		}
-		slices.SortFunc(ks, compare)
+		budget := flowSortMoves * len(ks)
+		for i := 1; i < len(ks); i++ {
+			k, j := ks[i], i
+			for ; j > 0 && less(k, ks[j-1]); j-- {
+				ks[j] = ks[j-1]
+			}
+			ks[j] = k
+			if budget -= i - j; budget < 0 {
+				slices.SortFunc(ks, compare)
+				break
+			}
+		}
 		return ks
 	}
 	ak, bk := sorted(a), sorted(b)
 	var out []FlowDelta
 	for i, j := 0, 0; i < len(ak) || j < len(bk); {
 		var k flowKey // the smaller of the two runs' next keys
-		if j == len(bk) || i < len(ak) && compare(ak[i], bk[j]) <= 0 {
+		if j == len(bk) || i < len(ak) && !less(bk[j], ak[i]) {
 			k = ak[i]
 		} else {
 			k = bk[j]
@@ -537,6 +558,10 @@ func diffFlows(a, b []FlowEvent) []FlowDelta {
 	}
 	return out
 }
+
+// flowSortMoves is how many places diffFlows' insertion sort may move
+// each key, on average, before it hands the rest to slices.SortFunc.
+const flowSortMoves = 4
 
 func diffEdges(a, b *TransactionGraph) []EdgeDelta {
 	// An edge group is keyed by its delta with both counts zero.

@@ -13,9 +13,16 @@ package whodunit
 //     readFlow: one json.Decoder over the whole input.
 //     TestQuickReadReportMatchesRef demands the same error, or reports
 //     that encode to the same bytes, on the same generated reports and on
-//     rewrites of them in every layout Report.JSON does not write.
-//   - refDiffFlows is diffFlows before it sorted: a count map per side.
-//     TestQuickDiffFlowsMatchesRef demands the same deltas.
+//     rewrites of them in every layout Report.JSON does not write;
+//     TestReadReportAcrossRefills on a flow log longer than the read
+//     buffer, in pieces of every size, cut, and with an element rewritten.
+//   - refDiffFlows is the flow diff before it sorted each side's keys: a
+//     count map per side. diffFlows sorts by insertion, which is linear
+//     on a log in the order a run records it, and hands a log that is
+//     not over to slices.SortFunc once its moves pass a budget.
+//     TestQuickDiffFlowsMatchesRef demands the same deltas on generated
+//     logs: random ones, logs in record order with local inversions,
+//     reversed ones and long runs of one key.
 //   - refDiffEdges is diffEdges before it keyed edge groups by struct:
 //     a count map per side over "\x00"-joined names, split again for the
 //     output. TestQuickDiffEdgesMatchesRef demands the same deltas.
@@ -228,6 +235,16 @@ func sameJSON(t *testing.T, what string, r *Report) {
 func TestQuickReportJSONMatchesRef(t *testing.T) {
 	sameJSON(t, "zero report", &Report{})
 	sameJSON(t, "zero flow", &Report{Flows: []FlowEvent{{}}})
+	// appendFlow writes integers below a million itself: each number of
+	// digits, on both sides of every power of ten.
+	var digits []FlowEvent
+	for p := 1; p <= 1e7; p *= 10 {
+		for _, v := range []int{p - 1, p, p + 1} {
+			digits = append(digits, FlowEvent{Producer: v, Consumer: -v, Token: FlowToken(v), Lock: v,
+				Loc: vm.Loc{Kind: vm.LocKind(v), Addr: uint32(v), Thread: v}})
+		}
+	}
+	sameJSON(t, "digit counts", &Report{Flows: digits})
 	// A value encoding/json rejects: the same error, and (as the oracle
 	// writes nothing then) no byte before it, flow log or not.
 	for _, flows := range [][]FlowEvent{nil, make([]FlowEvent, 3)} {
@@ -547,18 +564,24 @@ func refFoldNodes(na, nb *refNode, prefix string, w io.Writer) {
 	}
 }
 
-// chunks reads data in pieces of 1 to 64 bytes, so that what a reader
-// has buffered ends at every kind of place.
+// chunks reads data in pieces of size bytes or, with size 0, of 1 to 64
+// bytes drawn by rng, so that what a reader has buffered ends at every
+// kind of place.
 type chunks struct {
 	data []byte
 	rng  *rand.Rand
+	size int
 }
 
 func (c *chunks) Read(p []byte) (int, error) {
 	if len(c.data) == 0 {
 		return 0, io.EOF
 	}
-	n := copy(p[:min(len(p), 1+c.rng.Intn(64))], c.data)
+	size := c.size
+	if size == 0 {
+		size = 1 + c.rng.Intn(64)
+	}
+	n := copy(p[:min(len(p), size)], c.data)
 	c.data = c.data[n:]
 	return n, nil
 }
@@ -568,7 +591,13 @@ func (c *chunks) Read(p []byte) (int, error) {
 // encode to the same bytes.
 func sameRead(t *testing.T, what string, data []byte, rng *rand.Rand) {
 	t.Helper()
-	got, gotErr := ReadReport(&chunks{data, rng})
+	sameReadFrom(t, what, data, &chunks{data: data, rng: rng})
+}
+
+// sameReadFrom is sameRead with ReadReport reading data from rd.
+func sameReadFrom(t *testing.T, what string, data []byte, rd io.Reader) {
+	t.Helper()
+	got, gotErr := ReadReport(rd)
 	want, wantErr := refReadReport(bytes.NewReader(data))
 	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 		t.Fatalf("%s: error %v, oracle %v", what, gotErr, wantErr)
@@ -684,7 +713,7 @@ func TestQuickReadReportMatchesRef(t *testing.T) {
 		if err := r.JSON(&js); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		d := reportReader{br: bufio.NewReaderSize(&chunks{js.Bytes(), rng}, jsonChunk)}
+		d := reportReader{br: bufio.NewReaderSize(&chunks{data: js.Bytes(), rng: rng}, jsonChunk)}
 		if d.read() == nil {
 			t.Fatalf("seed %d: the report JSON wrote was handed to encoding/json", seed)
 		}
@@ -702,6 +731,67 @@ func TestQuickReadReportMatchesRef(t *testing.T) {
 	}
 }
 
+// TestReadReportAcrossRefills: ReadReport parses each buffer's whole
+// flow-log elements in one pass and reads the element the buffer's end
+// cuts across a refill. A flow log over twice as long as its read buffer
+// is read in pieces of every size from one byte to past the longest
+// element, so the buffer ends at every offset of an element; then it is
+// cut at every offset of an element past the first refill; then one
+// element in the middle of the log is rewritten, which must hand the
+// input to encoding/json and give the oracle's report or error.
+func TestReadReportAcrossRefills(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	g := genReport{rng}
+	r := &Report{App: "refills", Stages: []StageReport{{Stage: "web"}}}
+	// Elements of many lengths: ids of one to four digits, and by turns
+	// a flow of the generator's, integer extremes included.
+	r.Flows = nearOrderedLog(rng, 5*jsonChunk/maxFlowText, 40, 20)
+	for i := range r.Flows {
+		r.Flows[i].Producer *= 1 + rng.Intn(20)
+		if rng.Intn(7) == 0 {
+			r.Flows[i] = g.flow()
+		}
+	}
+	var buf bytes.Buffer
+	if err := r.JSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	js := buf.Bytes()
+	log := bytes.Index(js, []byte(`"flows": [`)) + len(`"flows": [`) + 1
+	if logEnd := log + bytes.Index(js[log:], []byte("\n  ]")); logEnd-log < 2*jsonChunk {
+		t.Fatalf("the flow log is %d bytes, not over twice the read buffer's %d", logEnd-log, jsonChunk)
+	}
+	for size := 1; size <= maxFlowText+len(",\n")+1; size++ {
+		d := reportReader{br: bufio.NewReaderSize(&chunks{data: js, size: size}, jsonChunk)}
+		if d.read() == nil {
+			t.Fatalf("pieces of %d bytes: the report JSON wrote was handed to encoding/json", size)
+		}
+		sameReadFrom(t, fmt.Sprintf("pieces of %d bytes", size), js, &chunks{data: js, size: size})
+	}
+	// The first element that starts past the first refill.
+	at, i := log, 0
+	for ; at < jsonChunk+log; i++ {
+		at += len(appendFlow(nil, r.Flows[i])) + len(",\n")
+	}
+	el := appendFlow(nil, r.Flows[i])
+	for cut := at; cut <= at+len(el)+len(",\n"); cut++ {
+		sameRead(t, fmt.Sprintf("cut at %d", cut), js[:cut], rng)
+	}
+	put := func(key, val string) []byte {
+		return slices.Concat(js[:at], flowValue(key).ReplaceAll(el, []byte("${1}"+val)), js[at+len(el):])
+	}
+	for name, data := range map[string][]byte{
+		"leading zero":  put("Producer", "01"),
+		"fraction":      put("Consumer", "1.0"),
+		"string":        put("Lock", `"1"`),
+		"spaced number": put("Token", " 7"),
+	} {
+		for _, size := range []int{64, 1000, jsonChunk / 2, len(data)} {
+			sameReadFrom(t, fmt.Sprintf("%s, pieces of %d bytes", name, size), data, &chunks{data: data, size: size})
+		}
+	}
+}
+
 // TestReadFlowInvertsAppendFlow: readFlow reads back what appendFlow
 // wrote, integer extremes included; a cut element is reported as cut
 // where it ends; and no other spelling of an integer is accepted.
@@ -714,6 +804,14 @@ func TestReadFlowInvertsAppendFlow(t *testing.T) {
 	for range 1000 {
 		flows = append(flows, g.flow())
 	}
+	longest := FlowEvent{
+		Producer: math.MinInt, Consumer: math.MinInt, Token: math.MaxUint32, Lock: math.MinInt,
+		Loc: vm.Loc{Kind: math.MaxUint8, Addr: math.MaxUint32, Thread: math.MinInt},
+	}
+	if n := len(appendFlow(nil, longest)); n != maxFlowText {
+		t.Fatalf("the longest element is %d bytes; maxFlowText says %d", n, maxFlowText)
+	}
+	flows = append(flows, longest)
 	for _, f := range flows {
 		b := appendFlow(nil, f)
 		got, n, ok := readFlow(append(b, ",\n"...))
@@ -742,8 +840,19 @@ func TestReadFlowInvertsAppendFlow(t *testing.T) {
 
 // TestQuickDiffFlowsMatchesRef: the sorted merge and the count maps give
 // the same deltas on generated flow logs: either side empty, heavy
-// duplicates, negative ids, keys on one side only.
+// duplicates, negative ids, keys on one side only; and on the three
+// orders diffFlows' insertion sort meets: keys in log order with local
+// inversions (the sort's fast path), fully reversed logs (past its
+// move budget, so only the fallback sorts them) and long runs of one
+// key.
 func TestQuickDiffFlowsMatchesRef(t *testing.T) {
+	same := func(what string, a, b []FlowEvent) {
+		t.Helper()
+		got, want := diffFlows(a, b), refDiffFlows(a, b)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: diffFlows = %v\noracle %v", what, got, want)
+		}
+	}
 	for seed := int64(0); seed < 500; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		log := func(ids, off int) []FlowEvent {
@@ -756,11 +865,85 @@ func TestQuickDiffFlowsMatchesRef(t *testing.T) {
 		}
 		ids := 1 + rng.Intn(5)
 		a, b := log(ids, 0), log(ids, rng.Intn(3)*ids)
-		got, want := diffFlows(a, b), refDiffFlows(a, b)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d: diffFlows = %v\noracle %v", seed, got, want)
+		same(fmt.Sprintf("seed %d", seed), a, b)
+	}
+	for seed := int64(0); seed < 100; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		a, b := nearOrderedLog(rng, 1+rng.Intn(3000), 40, 20), nearOrderedLog(rng, 1+rng.Intn(3000), 40, 20)
+		same(fmt.Sprintf("seed %d, local inversions", seed), a, b)
+		ra, rb := slices.Clone(a), slices.Clone(b)
+		slices.Reverse(ra)
+		slices.Reverse(rb)
+		if seed < 10 {
+			// The insertion sort moves a key once per inversion.
+			if n := inversions(a); len(a) > 500 && n == 0 || n > flowSortMoves*len(a) {
+				t.Fatalf("seed %d: %d flows in log order have %d inversions, not a few under the budget", seed, len(a), n)
+			}
+			if n := inversions(ra); len(ra) > 100 && n <= flowSortMoves*len(ra) {
+				t.Fatalf("seed %d: %d reversed flows have %d inversions, within the budget", seed, len(ra), n)
+			}
+		}
+		same(fmt.Sprintf("seed %d, reversed", seed), ra, rb)
+		same(fmt.Sprintf("seed %d, reversed against ordered", seed), ra, b)
+		// Runs of one key, up to a few hundred long, by turns ascending
+		// and descending, some keys on both sides.
+		runs := func() []FlowEvent {
+			var fs []FlowEvent
+			for k := range 1 + rng.Intn(20) {
+				key := FlowEvent{Lock: 1, Producer: k / 3, Consumer: rng.Intn(3)}
+				if k%2 == 1 {
+					key.Producer = -key.Producer
+				}
+				for range 1 + rng.Intn(300) {
+					fs = append(fs, key)
+				}
+			}
+			return fs
+		}
+		same(fmt.Sprintf("seed %d, runs", seed), runs(), runs())
+	}
+}
+
+// inversions counts the pairs of a flow log out of key order.
+func inversions(fs []FlowEvent) int {
+	key := func(f FlowEvent) []int { return []int{f.Lock, f.Producer, f.Consumer} }
+	n := 0
+	for j := range fs {
+		for i := range j {
+			if slices.Compare(key(fs[j]), key(fs[i])) < 0 {
+				n++
+			}
 		}
 	}
+	return n
+}
+
+// nearOrderedLog is a flow log in the order a run of apache records
+// one: the two flows of each producer/consumer pair, pair after pair,
+// then about one flow in every swapped with one up to maxDisp places on,
+// most often a near one. Now and then a pair is left out or has a third
+// flow, so two such logs differ.
+func nearOrderedLog(rng *rand.Rand, n, maxDisp, every int) []FlowEvent {
+	fs := make([]FlowEvent, 0, n)
+	for k := 0; len(fs) < n; k++ {
+		reps := 2
+		switch rng.Intn(50) {
+		case 0:
+			reps = 0
+		case 1:
+			reps = 3
+		}
+		for r := range min(reps, n-len(fs)) {
+			fs = append(fs, FlowEvent{Producer: 2 * k, Consumer: 2*k + 1, Token: 1, Lock: 1,
+				Loc: vm.Loc{Kind: vm.LocReg, Addr: uint32(4 + r), Thread: 2*k + 1}})
+		}
+	}
+	for i := range fs {
+		if j := i + 1 + rng.Intn(1+rng.Intn(maxDisp)); rng.Intn(every) == 0 && j < len(fs) {
+			fs[i], fs[j] = fs[j], fs[i]
+		}
+	}
+	return fs
 }
 
 // graphReport stitches a report from stage dumps drawn from small name
@@ -982,8 +1165,12 @@ func TestQuickDiffTreesMatchesRef(t *testing.T) {
 
 // BenchmarkReadReport decodes, with ReadReport and with the oracle, a
 // report of tpcw's size (23 KB, no flow log) and one of apache's in the
-// repository benchmark: the apache golden's flow log, pairs of flows
-// from thread 2k to 2k+1, extended to 80 000 flows (14.4 MB).
+// repository benchmark: the apache golden with a flow log of 80 000
+// flows in the order a run records them (nearOrderedLog: 160 flows
+// swapped out of place, 2 638 inversions, none displaced more than 38
+// places; 14.4 MB). Over the same log it times the rest of the analysis
+// a report gets, encoding it (into a reused buffer) and the flow diff
+// against a second such log, each also in ns per flow.
 func BenchmarkReadReport(b *testing.B) {
 	tpcw, err := os.ReadFile("internal/scenarios/testdata/tpcw-mega.json.golden")
 	if err != nil {
@@ -997,15 +1184,14 @@ func BenchmarkReadReport(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	r.Flows = make([]FlowEvent, 80_000)
-	for i := range r.Flows {
-		k := i / 2
-		r.Flows[i] = FlowEvent{Producer: 2 * k, Consumer: 2*k + 1, Token: 1, Lock: 1,
-			Loc: vm.Loc{Kind: vm.LocReg, Addr: uint32(4 + i%2), Thread: 2*k + 1}}
-	}
+	r.Flows = nearOrderedLog(rand.New(rand.NewSource(1)), 80_000, 40, 500)
+	other := nearOrderedLog(rand.New(rand.NewSource(2)), 80_000, 40, 500)
 	var apache bytes.Buffer
 	if err := r.JSON(&apache); err != nil {
 		b.Fatal(err)
+	}
+	perFlow := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(r.Flows)), "ns/flow")
 	}
 	for _, in := range []struct {
 		name string
@@ -1023,7 +1209,29 @@ func BenchmarkReadReport(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
+				if in.name == "apache" {
+					perFlow(b)
+				}
 			})
 		}
 	}
+	b.Run("apache/encode", func(b *testing.B) {
+		var buf bytes.Buffer
+		b.SetBytes(int64(apache.Len()))
+		b.ReportAllocs()
+		for b.Loop() {
+			buf.Reset()
+			if err := r.JSON(&buf); err != nil {
+				b.Fatal(err)
+			}
+		}
+		perFlow(b)
+	})
+	b.Run("apache/diff", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			diffFlows(r.Flows, other)
+		}
+		perFlow(b)
+	})
 }

@@ -232,7 +232,8 @@ func (r *Report) fields() [8]reportField {
 // field but the flow log, one field at a time, before anything is
 // written, so an encoding error writes nothing. The flow log, which §3's
 // flow detection makes the bulk of a large report, is then written flow
-// by flow through a buffer of a few KB.
+// by flow, each flow formatted in place in the free space of a buffer of
+// a few KB.
 func (r *Report) JSON(w io.Writer) error {
 	fields := r.fields()
 	var vals [len(fields)][]byte
@@ -249,7 +250,6 @@ func (r *Report) JSON(w io.Writer) error {
 	// bw keeps the first write error and writes nothing after it; Flush
 	// returns it.
 	bw := bufio.NewWriterSize(w, jsonChunk)
-	var flow []byte // one flow's encoding, reused
 	sep := "{\n  \""
 	for i, f := range fields {
 		if f.omit {
@@ -266,11 +266,16 @@ func (r *Report) JSON(w io.Writer) error {
 		}
 		bw.WriteString("[\n")
 		for j, fe := range *flows {
-			if j > 0 {
-				bw.WriteString(",\n")
+			// Each flow is formatted in the writer's buffer, flushed first
+			// if the longest flow would not fit.
+			if bw.Available() < len(",\n")+maxFlowText && bw.Flush() != nil {
+				break
 			}
-			flow = appendFlow(flow[:0], fe)
-			bw.Write(flow)
+			b := bw.AvailableBuffer()
+			if j > 0 {
+				b = append(b, ",\n"...)
+			}
+			bw.Write(appendFlow(b, fe))
 		}
 		bw.WriteString("\n  ]")
 	}
@@ -285,40 +290,105 @@ func (r *Report) JSON(w io.Writer) error {
 // writer, and the size of ReadReport's read buffer.
 const jsonChunk = 8 << 10
 
-// flowText is FlowEvent's JSON layout at depth two of a report: the text
-// before each of its seven integers, in the order appendFlow writes
-// them, then the text that closes the element.
-var flowText = [8]string{
-	"    {\n      \"Producer\": ",
-	",\n      \"Consumer\": ",
-	",\n      \"Token\": ",
-	",\n      \"Lock\": ",
-	",\n      \"Loc\": {\n        \"Kind\": ",
-	",\n        \"Addr\": ",
-	",\n        \"Thread\": ",
-	"\n      }\n    }",
+// FlowEvent's JSON layout at depth two of a report: the text before each
+// of its seven integers, in the order appendFlow writes them, then the
+// text that closes the element.
+const (
+	flowProducer = "    {\n      \"Producer\": "
+	flowConsumer = ",\n      \"Consumer\": "
+	flowToken    = ",\n      \"Token\": "
+	flowLock     = ",\n      \"Lock\": "
+	flowKind     = ",\n      \"Loc\": {\n        \"Kind\": "
+	flowAddr     = ",\n        \"Addr\": "
+	flowThread   = ",\n        \"Thread\": "
+	flowEnd      = "\n      }\n    }"
+)
+
+// flowText is the layout's text, in order, for readFlow.
+var flowText = [8]string{flowProducer, flowConsumer, flowToken, flowLock, flowKind, flowAddr, flowThread, flowEnd}
+
+// flowArrays is the layout's text as arrays, for appendFlow: an array
+// is copied into place by a few moves, a string appended by a call.
+var flowArrays = struct {
+	producer [len(flowProducer)]byte
+	consumer [len(flowConsumer)]byte
+	token    [len(flowToken)]byte
+	lock     [len(flowLock)]byte
+	kind     [len(flowKind)]byte
+	addr     [len(flowAddr)]byte
+	thread   [len(flowThread)]byte
+	end      [len(flowEnd)]byte
+}{
+	[len(flowProducer)]byte([]byte(flowProducer)),
+	[len(flowConsumer)]byte([]byte(flowConsumer)),
+	[len(flowToken)]byte([]byte(flowToken)),
+	[len(flowLock)]byte([]byte(flowLock)),
+	[len(flowKind)]byte([]byte(flowKind)),
+	[len(flowAddr)]byte([]byte(flowAddr)),
+	[len(flowThread)]byte([]byte(flowThread)),
+	[len(flowEnd)]byte([]byte(flowEnd)),
 }
+
+// maxFlowText is the length of the longest element appendFlow writes:
+// the layout's text and seven integers at their longest.
+const maxFlowText = len(flowProducer+flowConsumer+flowToken+flowLock+flowKind+flowAddr+flowThread+flowEnd) +
+	4*len("-9223372036854775808") + 2*len("4294967295") + len("255")
 
 // appendFlow appends one flow-log element as encoding/json indents it at
 // depth two of a report. It and readFlow, its inverse, are the one place
 // FlowEvent's JSON layout is written and read; a flow log in any other
 // layout is read by encoding/json (see ReadReport).
+//
+// It makes room for the longest element once, then writes the element
+// in place: each piece of text as an array, each integer by putInt.
 func appendFlow(b []byte, f FlowEvent) []byte {
-	b = append(b, flowText[0]...)
-	b = strconv.AppendInt(b, int64(f.Producer), 10)
-	b = append(b, flowText[1]...)
-	b = strconv.AppendInt(b, int64(f.Consumer), 10)
-	b = append(b, flowText[2]...)
-	b = strconv.AppendUint(b, uint64(f.Token), 10)
-	b = append(b, flowText[3]...)
-	b = strconv.AppendInt(b, int64(f.Lock), 10)
-	b = append(b, flowText[4]...)
-	b = strconv.AppendUint(b, uint64(f.Loc.Kind), 10)
-	b = append(b, flowText[5]...)
-	b = strconv.AppendUint(b, uint64(f.Loc.Addr), 10)
-	b = append(b, flowText[6]...)
-	b = strconv.AppendInt(b, int64(f.Loc.Thread), 10)
-	return append(b, flowText[7]...)
+	b = slices.Grow(b, maxFlowText)
+	t, n := b[:cap(b)], len(b)
+	*(*[len(flowProducer)]byte)(t[n:]) = flowArrays.producer
+	n = putInt(t, n+len(flowProducer), int64(f.Producer))
+	*(*[len(flowConsumer)]byte)(t[n:]) = flowArrays.consumer
+	n = putInt(t, n+len(flowConsumer), int64(f.Consumer))
+	*(*[len(flowToken)]byte)(t[n:]) = flowArrays.token
+	n = putInt(t, n+len(flowToken), int64(f.Token))
+	*(*[len(flowLock)]byte)(t[n:]) = flowArrays.lock
+	n = putInt(t, n+len(flowLock), int64(f.Lock))
+	*(*[len(flowKind)]byte)(t[n:]) = flowArrays.kind
+	n = putInt(t, n+len(flowKind), int64(f.Loc.Kind))
+	*(*[len(flowAddr)]byte)(t[n:]) = flowArrays.addr
+	n = putInt(t, n+len(flowAddr), int64(f.Loc.Addr))
+	*(*[len(flowThread)]byte)(t[n:]) = flowArrays.thread
+	n = putInt(t, n+len(flowThread), int64(f.Loc.Thread))
+	*(*[len(flowEnd)]byte)(t[n:]) = flowArrays.end
+	return t[:n+len(flowEnd)]
+}
+
+// putInt writes i in decimal at t[n:], which has room for it, as
+// strconv.AppendInt(t[:n], i, 10) does, and returns where it ends. It
+// writes the ids of a flow log, below a million, digit by digit from
+// the last, and leaves any other value to strconv.
+func putInt(t []byte, n int, i int64) int {
+	if uint64(i) >= 1e6 {
+		return len(strconv.AppendInt(t[:n], i, 10))
+	}
+	u, end := uint32(i), n+1
+	switch {
+	case u >= 1e5:
+		end += 5
+	case u >= 1e4:
+		end += 4
+	case u >= 1e3:
+		end += 3
+	case u >= 100:
+		end += 2
+	case u >= 10:
+		end++
+	}
+	for k := end - 1; k > n; k-- {
+		t[k] = byte('0' + u%10)
+		u /= 10
+	}
+	t[n] = byte('0' + u)
+	return end
 }
 
 // readFlow reads one flow-log element at the start of b, exactly as
@@ -328,99 +398,62 @@ func appendFlow(b []byte, f FlowEvent) []byte {
 // else ok is false and n is where reading stopped: len(b) if b ended
 // before the element could be told apart from one.
 func readFlow(b []byte) (f FlowEvent, n int, ok bool) {
-	s := flowScan{b: b, ok: true}
-	f.Producer = int(s.int(0))
-	f.Consumer = int(s.int(1))
-	f.Token = FlowToken(s.uint(2, 32))
-	f.Lock = int(s.int(3))
-	f.Loc.Kind = vm.LocKind(s.uint(4, 8))
-	f.Loc.Addr = uint32(s.uint(5, 32))
-	f.Loc.Thread = int(s.int(6))
-	s.lit(flowText[7])
-	return f, s.n, s.ok
-}
-
-// flowScan is readFlow's cursor: b[n:] is unread, and ok turns false at
-// the first byte appendFlow would not have written.
-type flowScan struct {
-	b  []byte
-	n  int
-	ok bool
-}
-
-func (s *flowScan) lit(t string) {
-	if !s.ok {
-		return
-	}
-	rest := s.b[s.n:]
-	if len(rest) >= len(t) && string(rest[:len(t)]) == t {
-		s.n += len(t)
-		return
-	}
-	s.ok = false
-	if strings.HasPrefix(t, string(rest)) {
-		s.n = len(s.b)
-	}
-}
-
-// int reads flowText[i], then an int.
-func (s *flowScan) int(i int) int64 {
-	s.lit(flowText[i])
-	neg := s.ok && s.n < len(s.b) && s.b[s.n] == '-'
-	if neg {
-		s.n++
-	}
-	u := s.digits()
-	limit := uint64(1)<<(strconv.IntSize-1) - 1
-	if neg {
-		limit++
-	}
-	if u > limit || neg && u == 0 {
-		s.ok = false
-	}
-	if neg {
-		return -int64(u)
-	}
-	return int64(u)
-}
-
-// uint reads flowText[i], then an unsigned integer of the given bits.
-func (s *flowScan) uint(i, bits int) uint64 {
-	s.lit(flowText[i])
-	u := s.digits()
-	if u > uint64(1)<<bits-1 {
-		s.ok = false
-	}
-	return u
-}
-
-// digits reads a decimal magnitude: "0", or up to 19 digits without a
-// leading zero, which fit in a uint64.
-func (s *flowScan) digits() uint64 {
-	if !s.ok {
-		return 0
-	}
-	start := s.n
-	var u uint64
-	for s.n < len(s.b) && '0' <= s.b[s.n] && s.b[s.n] <= '9' {
-		if s.n-start == 19 {
-			s.ok = false
-			return 0
+	var v [len(flowMax)]int64
+	for i, limit := range flowMax {
+		t := flowText[i]
+		if len(b)-n < len(t) || string(b[n:n+len(t)]) != t {
+			return f, litEnd(b, n, t), false
 		}
-		u = u*10 + uint64(s.b[s.n]-'0')
-		s.n++
+		n += len(t)
+		// A magnitude: "0", or up to 19 digits without a leading zero,
+		// which fit in a uint64; negative only where the limit is MaxInt.
+		neg := limit == math.MaxInt && n < len(b) && b[n] == '-'
+		if neg {
+			n++
+			limit++
+		}
+		start := n
+		var u uint64
+		for ; n < len(b) && '0' <= b[n] && b[n] <= '9'; n++ {
+			if n-start == 19 {
+				return f, n, false
+			}
+			u = u*10 + uint64(b[n]-'0')
+		}
+		if d := n - start; d == 0 || d > 1 && b[start] == '0' || u > limit || neg && u == 0 {
+			return f, n, false
+		}
+		v[i] = int64(u)
+		if neg {
+			v[i] = -v[i]
+		}
 	}
-	if d := s.n - start; d == 0 || d > 1 && s.b[start] == '0' {
-		s.ok = false
+	t := flowText[len(v)]
+	if len(b)-n < len(t) || string(b[n:n+len(t)]) != t {
+		return f, litEnd(b, n, t), false
 	}
-	return u
+	f = FlowEvent{
+		Producer: int(v[0]), Consumer: int(v[1]), Token: FlowToken(v[2]), Lock: int(v[3]),
+		Loc: vm.Loc{Kind: vm.LocKind(v[4]), Addr: uint32(v[5]), Thread: int(v[6])},
+	}
+	return f, n + len(t), true
 }
 
-// maxFlowText is the length of the longest element appendFlow writes.
-var maxFlowText = len(appendFlow(nil, FlowEvent{
-	Producer: math.MinInt, Consumer: math.MinInt, Token: math.MaxUint32, Lock: math.MinInt,
-	Loc: vm.Loc{Kind: math.MaxUint8, Addr: math.MaxUint32, Thread: math.MinInt},
-}))
+// flowMax is the largest magnitude of each integer readFlow reads, in
+// appendFlow's order; the ints, whose maximum is MaxInt, may be
+// negative.
+var flowMax = [7]uint64{
+	math.MaxInt, math.MaxInt, math.MaxUint32, math.MaxInt, math.MaxUint8, math.MaxUint32, math.MaxInt,
+}
+
+// litEnd is where readFlow stopped when b[n:] does not start with the
+// text t: len(b) if b ends inside t, else n.
+func litEnd(b []byte, n int, t string) int {
+	if strings.HasPrefix(t, string(b[n:])) {
+		return len(b)
+	}
+	return n
+}
 
 // ReadReport decodes a JSON report and restitches its transaction graph.
 // It decodes whatever encoding/json would decode into a Report, to the
@@ -574,24 +607,38 @@ func (d *reportReader) value() (v []byte, comma, ok bool) {
 }
 
 // flowLog reads the flow log from its "[" to the end of its closing
-// line, every element with readFlow.
+// line, every element with readFlow. It reads every element the buffer
+// holds whole in one pass over the buffer; only the element the
+// buffer's end cuts is read by flow, which refills the buffer.
 func (d *reportReader) flowLog() (comma, ok bool) {
 	if !d.lit("[\n") {
 		return false, false
 	}
 	d.flowAt = len(d.text)
-	for sep := ""; d.has(sep); sep = ",\n" {
-		f, n, ok := d.flow(len(sep))
+	sep := ""
+	for {
+		b, _ := d.br.Peek(d.br.Buffered())
+		n := 0
+		for len(b)-n >= len(sep) && string(b[n:n+len(sep)]) == sep {
+			f, m, ok := readFlow(b[n+len(sep):])
+			if !ok {
+				break
+			}
+			d.add(f)
+			n += len(sep) + m
+			sep = ",\n"
+		}
+		d.br.Discard(n)
+		if !d.has(sep) {
+			break
+		}
+		f, m, ok := d.flow(len(sep))
 		if !ok {
 			break
 		}
-		if k := len(d.blocks); k == 0 || len(d.blocks[k-1]) == cap(d.blocks[k-1]) {
-			d.blocks = append(d.blocks, make([]FlowEvent, 0, min(max(d.nflows, 64), flowBlock)))
-		}
-		last := &d.blocks[len(d.blocks)-1]
-		*last = append(*last, f)
-		d.nflows++
-		d.br.Discard(len(sep) + n)
+		d.add(f)
+		d.br.Discard(len(sep) + m)
+		sep = ",\n"
 	}
 	if d.nflows == 0 || !d.lit("\n  ]") {
 		return false, false
@@ -600,6 +647,16 @@ func (d *reportReader) flowLog() (comma, ok bool) {
 		return true, true
 	}
 	return false, d.lit("\n")
+}
+
+// add appends f to the flow log read.
+func (d *reportReader) add(f FlowEvent) {
+	if k := len(d.blocks); k == 0 || len(d.blocks[k-1]) == cap(d.blocks[k-1]) {
+		d.blocks = append(d.blocks, make([]FlowEvent, 0, min(max(d.nflows, 64), flowBlock)))
+	}
+	last := &d.blocks[len(d.blocks)-1]
+	*last = append(*last, f)
+	d.nflows++
 }
 
 // flow reads the element that starts off bytes into the buffered input,
