@@ -176,9 +176,9 @@ func BenchmarkAblationNativeFallback(b *testing.B) {
 		m := vm.NewMachine()
 		m.Mode = vm.ModeEmulateCS
 		tr := shmflow.NewTracker()
-		tr.ThreadCtxt = func(int) shmflow.Token { return 1 }
+		tr.ThreadCtxt = func(int32) shmflow.Token { return 1 }
 		if demote {
-			tr.OnNonFlow = func(lock int) { m.SetNonFlow(lock) }
+			tr.OnNonFlow = m.SetNonFlow
 		}
 		m.Tracer = tr
 		var total int64

@@ -501,7 +501,7 @@ func diffCrosstalk(a, b []CrosstalkPair) []CrosstalkDelta {
 // quadratic, so once the moves pass a budget of a few per key the sort
 // finishes with slices.SortFunc instead.
 func diffFlows(a, b []FlowEvent) []FlowDelta {
-	type flowKey struct{ lock, prod, cons int }
+	type flowKey struct{ lock, prod, cons int32 }
 	less := func(x, y flowKey) bool {
 		return x.lock < y.lock || x.lock == y.lock && (x.prod < y.prod || x.prod == y.prod && x.cons < y.cons)
 	}
@@ -551,7 +551,7 @@ func diffFlows(a, b []FlowEvent) []FlowDelta {
 		}
 		if ca != cb {
 			out = append(out, FlowDelta{
-				Lock: k.lock, Producer: k.prod, Consumer: k.cons,
+				Lock: int(k.lock), Producer: int(k.prod), Consumer: int(k.cons),
 				CountA: ca, CountB: cb,
 			})
 		}

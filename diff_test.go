@@ -87,8 +87,8 @@ func randReport(r *rand.Rand) *Report {
 	}
 	for i := 0; i < r.Intn(4); i++ {
 		rep.Flows = append(rep.Flows, FlowEvent{
-			Producer: r.Intn(3), Consumer: 3 + r.Intn(3),
-			Token: FlowToken(r.Intn(8)), Lock: 1 + r.Intn(2),
+			Producer: r.Int31n(3), Consumer: 3 + r.Int31n(3),
+			Token: FlowToken(r.Intn(8)), Lock: 1 + r.Int31n(2),
 			Loc: vm.Loc{Kind: vm.LocMem, Addr: uint32(r.Intn(64))},
 		})
 	}

@@ -36,11 +36,11 @@ type flowState struct {
 	// Every emulated execution runs its vm thread to completion before
 	// another can start, so one slot holds what the tracker's ThreadCtxt
 	// reads.
-	running    int           // vm thread executing on the machine
+	running    int32         // vm thread executing on the machine
 	runningTok shmflow.Token // its producer token
 
 	consumed shmflow.Token // token delivered by OnFlow during the current run
-	consumer int           // vm thread the tracker assigned that token to
+	consumer int32         // vm thread the tracker assigned that token to
 
 	nextLock int   // next vm lock id to hand to a Queue
 	nextBase int64 // next vm memory base to hand to a Queue
@@ -97,14 +97,14 @@ func (a *App) initFlow() {
 	}
 	a.machine.Mode = vm.ModeEmulateCS
 	a.tracker = shmflow.NewTracker()
-	a.tracker.ThreadCtxt = func(tid int) shmflow.Token {
+	a.tracker.ThreadCtxt = func(tid int32) shmflow.Token {
 		if tid != a.flow.running {
 			return 0
 		}
 		return a.flow.runningTok
 	}
 	a.tracker.OnFlow = func(ev FlowEvent) { a.flow.consumed, a.flow.consumer = ev.Token, ev.Consumer }
-	a.tracker.OnNonFlow = func(lock int) { a.machine.SetNonFlow(lock) }
+	a.tracker.OnNonFlow = a.machine.SetNonFlow
 	a.machine.Tracer = a.tracker
 }
 

@@ -34,7 +34,7 @@ func TestFlowDetectedListenerToWorkers(t *testing.T) {
 	if len(res.Flows) == 0 {
 		t.Fatal("no shared-memory flows detected")
 	}
-	producers := map[int]bool{}
+	producers := map[int32]bool{}
 	for _, f := range res.Flows {
 		producers[f.Producer] = true
 		if f.Lock != 1 {

@@ -325,7 +325,7 @@ func FlowValidation() FlowValidationResult {
 		m := vm.NewMachine()
 		m.Mode = vm.ModeEmulateCS
 		tr := shmflow.NewTracker()
-		tr.ThreadCtxt = func(tid int) shmflow.Token { return shmflow.Token(tid + 1) }
+		tr.ThreadCtxt = func(tid int32) shmflow.Token { return shmflow.Token(tid + 1) }
 		m.Tracer = tr
 		setup(m, tr)
 		if err := m.Run(1_000_000); err != nil {

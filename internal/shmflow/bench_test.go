@@ -20,7 +20,7 @@ type tripRig struct {
 func newTripRig(traced bool) *tripRig {
 	r := &tripRig{m: vm.NewMachine(), tr: NewTracker()}
 	r.m.Mode = vm.ModeEmulateCS
-	r.tr.ThreadCtxt = func(int) Token { return 7 }
+	r.tr.ThreadCtxt = func(int32) Token { return 7 }
 	r.m.Tracer = nopTracer{}
 	if traced {
 		r.m.Tracer = r.tr

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"sort"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -27,15 +27,15 @@ import (
 type refEntry struct {
 	tok      Token
 	valid    bool
-	lock     int
-	producer int
+	lock     int32
+	producer int32
 }
 
 // refLockInfo is the oracle's own per-lock thread sets: plain maps, so it
 // shares nothing with the bit sets it is compared against.
 type refLockInfo struct {
-	producers map[int]bool
-	consumers map[int]bool
+	producers map[int32]bool
+	consumers map[int32]bool
 	nonFlow   bool
 }
 
@@ -44,7 +44,7 @@ type refLockInfo struct {
 type refTracker struct {
 	// ThreadCtxt supplies the executing thread's current transaction
 	// context token; required.
-	ThreadCtxt func(thread int) Token
+	ThreadCtxt func(thread int32) Token
 	// OnFlow, if set, is invoked for every detected flow (after the
 	// consumer set updates). This is where the profiler propagates the
 	// context to the consuming thread (§3.5).
@@ -53,10 +53,10 @@ type refTracker struct {
 	// classified as not constituting transaction flow; the application
 	// typically responds with Machine.SetNonFlow to drop to native
 	// execution (§7.2).
-	OnNonFlow func(lock int)
+	OnNonFlow func(lock int32)
 
 	dict  map[vm.Loc]refEntry
-	locks map[int]*refLockInfo
+	locks map[int32]*refLockInfo
 	flows []FlowEvent
 }
 
@@ -67,7 +67,7 @@ var _ vm.Tracer = (*refTracker)(nil)
 func newRefTracker() *refTracker {
 	return &refTracker{
 		dict:  make(map[vm.Loc]refEntry),
-		locks: make(map[int]*refLockInfo),
+		locks: make(map[int32]*refLockInfo),
 	}
 }
 
@@ -75,18 +75,18 @@ func newRefTracker() *refTracker {
 func (tr *refTracker) Flows() []FlowEvent { return tr.flows }
 
 // NonFlow reports whether lock has been classified non-flow.
-func (tr *refTracker) NonFlow(lock int) bool {
+func (tr *refTracker) NonFlow(lock int32) bool {
 	li := tr.locks[lock]
 	return li != nil && li.nonFlow
 }
 
 // Producers returns the sorted producer thread ids recorded for lock.
-func (tr *refTracker) Producers(lock int) []int { return tr.side(lock, true) }
+func (tr *refTracker) Producers(lock int32) []int32 { return tr.side(lock, true) }
 
 // Consumers returns the sorted consumer thread ids recorded for lock.
-func (tr *refTracker) Consumers(lock int) []int { return tr.side(lock, false) }
+func (tr *refTracker) Consumers(lock int32) []int32 { return tr.side(lock, false) }
 
-func (tr *refTracker) side(lock int, prod bool) []int {
+func (tr *refTracker) side(lock int32, prod bool) []int32 {
 	li := tr.locks[lock]
 	if li == nil {
 		return nil
@@ -95,11 +95,11 @@ func (tr *refTracker) side(lock int, prod bool) []int {
 	if prod {
 		set = li.producers
 	}
-	out := make([]int, 0, len(set))
+	out := make([]int32, 0, len(set))
 	for id := range set {
 		out = append(out, id)
 	}
-	sort.Ints(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -107,10 +107,10 @@ func (tr *refTracker) side(lock int, prod bool) []int {
 // capacity monitoring).
 func (tr *refTracker) DictSize() int { return len(tr.dict) }
 
-func (tr *refTracker) lockInfoFor(lock int) *refLockInfo {
+func (tr *refTracker) lockInfoFor(lock int32) *refLockInfo {
 	li, ok := tr.locks[lock]
 	if !ok {
-		li = &refLockInfo{producers: make(map[int]bool), consumers: make(map[int]bool)}
+		li = &refLockInfo{producers: make(map[int32]bool), consumers: make(map[int32]bool)}
 		tr.locks[lock] = li
 	}
 	return li
@@ -123,7 +123,7 @@ func (tr *refTracker) lockInfoFor(lock int) *refLockInfo {
 // no associated context on critical-section entry.
 func (tr *refTracker) OnLock(thread, lock int) {
 	for r := byte(0); r < vm.NumRegs; r++ {
-		delete(tr.dict, vm.RegLoc(thread, r))
+		delete(tr.dict, vm.RegLoc(int32(thread), r))
 	}
 }
 
@@ -144,7 +144,7 @@ func (tr *refTracker) OnAccess(ac vm.Access) {
 
 // flushMismatched drops loc's entry if it was last set under a different
 // lock (§3.2: a location may serve different purposes at different times).
-func (tr *refTracker) flushMismatched(loc vm.Loc, lock int) {
+func (tr *refTracker) flushMismatched(loc vm.Loc, lock int32) {
 	if e, ok := tr.dict[loc]; ok && e.lock != lock {
 		delete(tr.dict, loc)
 	}
@@ -225,7 +225,7 @@ func (tr *refTracker) inWindow(ac vm.Access) {
 // check needed — the full rescan this replaces was O(producers) per
 // traced instruction, quadratic over an app's lifetime of one-shot
 // critical-section executions.
-func (tr *refTracker) addProducer(lock, thread int) {
+func (tr *refTracker) addProducer(lock, thread int32) {
 	li := tr.lockInfoFor(lock)
 	if li.producers[thread] {
 		return
@@ -236,7 +236,7 @@ func (tr *refTracker) addProducer(lock, thread int) {
 	}
 }
 
-func (tr *refTracker) addConsumer(lock, thread int) *refLockInfo {
+func (tr *refTracker) addConsumer(lock, thread int32) *refLockInfo {
 	li := tr.lockInfoFor(lock)
 	if !li.consumers[thread] {
 		li.consumers[thread] = true
@@ -247,7 +247,7 @@ func (tr *refTracker) addConsumer(lock, thread int) *refLockInfo {
 	return li
 }
 
-func (tr *refTracker) markNonFlow(lock int, li *refLockInfo) {
+func (tr *refTracker) markNonFlow(lock int32, li *refLockInfo) {
 	li.nonFlow = true
 	if tr.OnNonFlow != nil {
 		tr.OnNonFlow(lock)
@@ -374,9 +374,9 @@ func newDiffSide(ref bool) *diffSide {
 	s.m.Mode = vm.ModeEmulateCS
 	s.m.MaxWindow = diffWindow
 	s.tr = newTracker(ref,
-		func(tid int) Token { return Token(tid % 5) }, // token 0 and shared tokens included
+		func(tid int32) Token { return Token(tid % 5) }, // token 0 and shared tokens included
 		func(ev FlowEvent) { s.calls = append(s.calls, ev.String()) },
-		func(lock int) {
+		func(lock int32) {
 			s.calls = append(s.calls, fmt.Sprintf("nonflow %d", lock))
 			s.m.SetNonFlow(lock) // feed back, so a wrong verdict changes what is traced next
 		})
@@ -401,7 +401,7 @@ func diffCase(seed int64, cov *diffCoverage) error {
 	shadow, ref := newDiffSide(false), newDiffSide(true)
 	sides := [2]*diffSide{shadow, ref}
 	var threads [2][]*vm.Thread
-	released := make(map[int]bool)
+	released := make(map[int32]bool)
 
 	spawn := func() {
 		var regs [vm.NumRegs]int64
@@ -453,7 +453,7 @@ func diffCase(seed int64, cov *diffCoverage) error {
 			return fmt.Errorf("callback sequences differ:\nshadow %v\nref    %v", shadow.calls, ref.calls)
 		}
 		for _, l := range diffLocks {
-			l := int(l)
+			l := int32(l)
 			if !reflect.DeepEqual(shadow.tr.Producers(l), ref.tr.Producers(l)) ||
 				!reflect.DeepEqual(shadow.tr.Consumers(l), ref.tr.Consumers(l)) ||
 				shadow.tr.NonFlow(l) != ref.tr.NonFlow(l) {

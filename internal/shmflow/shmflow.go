@@ -60,12 +60,16 @@ import (
 type Token uint32
 
 // FlowEvent records one detected transaction flow: consumer picked up the
-// context tok that producer left at loc, under the given lock.
+// context tok that producer left at loc, under the given lock. Its ids
+// are the vm machine's, at its width: Producer, Consumer and Loc.Thread
+// are int32 thread ids, each issued once, never reused and refused past
+// MaxInt32 rather than wrapped, and Lock is an int32 lock id (see
+// vm.Machine). A flow is 28 bytes.
 type FlowEvent struct {
-	Producer int
-	Consumer int
+	Producer int32
+	Consumer int32
 	Token    Token
-	Lock     int
+	Lock     int32
 	Loc      vm.Loc
 }
 
@@ -77,8 +81,8 @@ func (e FlowEvent) String() string {
 // For memory words state also says whether the word has an entry at all;
 // a register's presence is its file's mask bit.
 type entry struct {
-	lock     int
-	producer int
+	lock     int32
+	producer int32
 	tok      Token
 	state    uint8
 }
@@ -101,7 +105,7 @@ const (
 // regFile is the shadow of one vm thread's registers. Only registers
 // whose mask bit is set have an entry, so flushing the file is one store.
 type regFile struct {
-	thread int
+	thread int32
 	mask   uint16
 	e      [vm.NumRegs]entry
 }
@@ -121,13 +125,13 @@ type lockInfo struct {
 // mask.
 type idSet struct{ words []uint64 }
 
-func (s *idSet) has(id int) bool {
-	w := id >> 6
+func (s *idSet) has(id int32) bool {
+	w := int(id >> 6)
 	return w < len(s.words) && s.words[w]&(1<<(id&63)) != 0
 }
 
-func (s *idSet) add(id int) {
-	w := id >> 6
+func (s *idSet) add(id int32) {
+	w := int(id >> 6)
 	if w >= len(s.words) {
 		s.words = append(s.words, make([]uint64, w+1-len(s.words))...)
 	}
@@ -135,11 +139,11 @@ func (s *idSet) add(id int) {
 }
 
 // ids returns the members in increasing order, never nil.
-func (s *idSet) ids() []int {
-	out := []int{}
+func (s *idSet) ids() []int32 {
+	out := []int32{}
 	for w, word := range s.words {
 		for ; word != 0; word &= word - 1 {
-			out = append(out, w<<6+bits.TrailingZeros64(word))
+			out = append(out, int32(w<<6+bits.TrailingZeros64(word)))
 		}
 	}
 	return out
@@ -163,7 +167,7 @@ type Stats struct {
 type Tracker struct {
 	// ThreadCtxt supplies the executing thread's current transaction
 	// context token; required.
-	ThreadCtxt func(thread int) Token
+	ThreadCtxt func(thread int32) Token
 	// OnFlow, if set, is invoked for every detected flow (after the
 	// consumer set updates). This is where the profiler propagates the
 	// context to the consuming thread (§3.5).
@@ -172,16 +176,16 @@ type Tracker struct {
 	// classified as not constituting transaction flow; the application
 	// typically responds with Machine.SetNonFlow to drop to native
 	// execution (§7.2).
-	OnNonFlow func(lock int)
+	OnNonFlow func(lock int32)
 
 	pages      []*[pageWords]entry // shadow memory directory
 	spill      map[uint32]entry    // words past the directory
 	live       []*regFile          // register files of unreleased threads; see regs
 	last       *regFile            // the file used last
 	free       []*regFile          // released files
-	locks      map[int]*lockInfo
+	locks      map[int32]*lockInfo
 	lastLock   *lockInfo // locks[lastLockID], the entry used last
-	lastLockID int
+	lastLockID int32
 	flows      [][]FlowEvent // the flow log in blocks of flowBlock events: appending never copies it
 	stats      Stats
 }
@@ -195,7 +199,7 @@ var _ vm.Tracer = (*Tracker)(nil)
 // NewTracker returns a tracker with an empty dictionary. ThreadCtxt must
 // be assigned before use.
 func NewTracker() *Tracker {
-	return &Tracker{locks: make(map[int]*lockInfo)}
+	return &Tracker{locks: make(map[int32]*lockInfo)}
 }
 
 // Flows returns every detected flow event in order, copied into a slice
@@ -212,18 +216,18 @@ func (tr *Tracker) Flows() []FlowEvent {
 }
 
 // NonFlow reports whether lock has been classified non-flow.
-func (tr *Tracker) NonFlow(lock int) bool {
+func (tr *Tracker) NonFlow(lock int32) bool {
 	li := tr.locks[lock]
 	return li != nil && li.nonFlow
 }
 
 // Producers returns the sorted producer thread ids recorded for lock.
-func (tr *Tracker) Producers(lock int) []int { return tr.side(lock, true) }
+func (tr *Tracker) Producers(lock int32) []int32 { return tr.side(lock, true) }
 
 // Consumers returns the sorted consumer thread ids recorded for lock.
-func (tr *Tracker) Consumers(lock int) []int { return tr.side(lock, false) }
+func (tr *Tracker) Consumers(lock int32) []int32 { return tr.side(lock, false) }
 
-func (tr *Tracker) side(lock int, prod bool) []int {
+func (tr *Tracker) side(lock int32, prod bool) []int32 {
 	li := tr.locks[lock]
 	if li == nil {
 		return nil
@@ -250,7 +254,7 @@ func (tr *Tracker) Stats() Stats {
 // the free list. Whoever owns a vm thread calls it once the thread has
 // halted (beside Machine.Reap); see the package comment for why no result
 // can depend on it.
-func (tr *Tracker) Release(thread int) {
+func (tr *Tracker) Release(thread int32) {
 	for i, rf := range tr.live {
 		if rf.thread != thread {
 			continue
@@ -272,7 +276,7 @@ func (tr *Tracker) Release(thread int) {
 // file used last answers first; behind it the unreleased threads' files
 // are scanned, not hashed — a host that releases its halted threads has
 // as many as it has executions in flight, a handful.
-func (tr *Tracker) regs(thread int, create bool) *regFile {
+func (tr *Tracker) regs(thread int32, create bool) *regFile {
 	if rf := tr.last; rf != nil && rf.thread == thread {
 		return rf
 	}
@@ -401,7 +405,7 @@ func (tr *Tracker) del(loc vm.Loc) {
 // lockInfoFor returns lock's thread sets; consecutive produces and
 // consumes are mostly under one lock, so the entry used last answers
 // before the map does.
-func (tr *Tracker) lockInfoFor(lock int) *lockInfo {
+func (tr *Tracker) lockInfoFor(lock int32) *lockInfo {
 	if tr.lastLock != nil && tr.lastLockID == lock {
 		return tr.lastLock
 	}
@@ -421,7 +425,7 @@ func (tr *Tracker) lockInfoFor(lock int) *lockInfo {
 // no associated context on critical-section entry.
 func (tr *Tracker) OnLock(thread, lock int) {
 	tr.stats.CSEntries++
-	if rf := tr.regs(thread, false); rf != nil {
+	if rf := tr.regs(int32(thread), false); rf != nil {
 		tr.stats.DictEntries -= bits.OnesCount16(rf.mask)
 		rf.mask = 0
 	}
@@ -445,7 +449,7 @@ func (tr *Tracker) OnAccess(ac vm.Access) {
 
 // flushMismatched drops loc's entry if it was last set under a different
 // lock (§3.2: a location may serve different purposes at different times).
-func (tr *Tracker) flushMismatched(loc vm.Loc, lock int) {
+func (tr *Tracker) flushMismatched(loc vm.Loc, lock int32) {
 	if e, ok := tr.get(loc); ok && e.lock != lock {
 		tr.del(loc)
 		tr.stats.LockFlushes++
@@ -533,7 +537,7 @@ func (tr *Tracker) inWindow(ac *vm.Access) {
 // check needed — the full rescan this replaces was O(producers) per
 // traced instruction, quadratic over an app's lifetime of one-shot
 // critical-section executions.
-func (tr *Tracker) addProducer(lock, thread int) {
+func (tr *Tracker) addProducer(lock, thread int32) {
 	li := tr.lockInfoFor(lock)
 	if li.producers.has(thread) {
 		return
@@ -544,7 +548,7 @@ func (tr *Tracker) addProducer(lock, thread int) {
 	}
 }
 
-func (tr *Tracker) addConsumer(lock, thread int) *lockInfo {
+func (tr *Tracker) addConsumer(lock, thread int32) *lockInfo {
 	li := tr.lockInfoFor(lock)
 	if !li.consumers.has(thread) {
 		li.consumers.add(thread)
@@ -555,7 +559,7 @@ func (tr *Tracker) addConsumer(lock, thread int) *lockInfo {
 	return li
 }
 
-func (tr *Tracker) markNonFlow(lock int, li *lockInfo) {
+func (tr *Tracker) markNonFlow(lock int32, li *lockInfo) {
 	li.nonFlow = true
 	if tr.OnNonFlow != nil {
 		tr.OnNonFlow(lock)

@@ -2,18 +2,38 @@ package shmflow
 
 import (
 	"testing"
+	"unsafe"
 
 	"whodunit/internal/vm"
 )
+
+// TestRecordWidths pins the sizes that the 32-bit ids buy: a location is
+// 12 bytes, a flow 28 (the flow log holds one per detected flow, and a
+// report a copy of it) and a dictionary entry 16 (a shadow page holds
+// 512). A field widened back to int fails here first.
+func TestRecordWidths(t *testing.T) {
+	for _, c := range []struct {
+		what      string
+		got, want uintptr
+	}{
+		{"vm.Loc", unsafe.Sizeof(vm.Loc{}), 12},
+		{"FlowEvent", unsafe.Sizeof(FlowEvent{}), 28},
+		{"entry", unsafe.Sizeof(entry{}), 16},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s is %d bytes, want %d", c.what, c.got, c.want)
+		}
+	}
+}
 
 // tracker is what the scenarios need of a §3 implementation; the
 // production Tracker and the map-keyed oracle (ref_test.go) both have it.
 type tracker interface {
 	vm.Tracer
 	Flows() []FlowEvent
-	NonFlow(lock int) bool
-	Producers(lock int) []int
-	Consumers(lock int) []int
+	NonFlow(lock int32) bool
+	Producers(lock int32) []int32
+	Consumers(lock int32) []int32
 }
 
 // rig wires a machine in emulate mode to a tracker whose thread contexts
@@ -22,9 +42,9 @@ type tracker interface {
 type rig struct {
 	m         *vm.Machine
 	tr        tracker
-	ctxts     map[int]Token
+	ctxts     map[int32]Token
 	onFlow    func(FlowEvent)
-	onNonFlow func(lock int)
+	onNonFlow func(lock int32)
 }
 
 // eachTracker runs a scenario once per implementation, as subtests, so
@@ -36,7 +56,7 @@ func eachTracker(t *testing.T, scenario func(t *testing.T, newRig func() *rig)) 
 
 // newTracker returns the production Tracker, or the oracle when ref is
 // set, with its three hooks assigned.
-func newTracker(ref bool, ctxt func(int) Token, onFlow func(FlowEvent), onNonFlow func(int)) tracker {
+func newTracker(ref bool, ctxt func(int32) Token, onFlow func(FlowEvent), onNonFlow func(int32)) tracker {
 	if ref {
 		tr := newRefTracker()
 		tr.ThreadCtxt, tr.OnFlow, tr.OnNonFlow = ctxt, onFlow, onNonFlow
@@ -48,16 +68,16 @@ func newTracker(ref bool, ctxt func(int) Token, onFlow func(FlowEvent), onNonFlo
 }
 
 func newRig(ref bool) *rig {
-	r := &rig{m: vm.NewMachine(), ctxts: make(map[int]Token)}
+	r := &rig{m: vm.NewMachine(), ctxts: make(map[int32]Token)}
 	r.m.Mode = vm.ModeEmulateCS
 	r.tr = newTracker(ref,
-		func(tid int) Token { return r.ctxts[tid] },
+		func(tid int32) Token { return r.ctxts[tid] },
 		func(ev FlowEvent) {
 			if r.onFlow != nil {
 				r.onFlow(ev)
 			}
 		},
-		func(lock int) {
+		func(lock int32) {
 			if r.onNonFlow != nil {
 				r.onNonFlow(lock)
 			}
@@ -130,7 +150,7 @@ func testApacheQueueMultipleWorkers(t *testing.T, newRig func() *rig) {
 	w2 := r.spawn(t, ApachePop, "pop", 0, map[byte]int64{1: QueueBase, 9: 0x8100})
 	r.run(t)
 
-	consumers := map[int]bool{}
+	consumers := map[int32]bool{}
 	for _, f := range r.tr.Flows() {
 		if f.Token != 7 {
 			t.Fatalf("flow with wrong token: %v", f)
@@ -178,8 +198,8 @@ func testAllocatorPatternClassifiedNonFlow(t *testing.T, newRig func() *rig) {
 	// (consume) from the same free list mark the lock non-flow the first
 	// time a thread appears in both sets.
 	r := newRig()
-	var demoted []int
-	r.onNonFlow = func(lock int) { demoted = append(demoted, lock) }
+	var demoted []int32
+	r.onNonFlow = func(lock int32) { demoted = append(demoted, lock) }
 
 	r.spawn(t, AllocWork, "main", 5, map[byte]int64{2: FreeHead, 4: 0x3100, 9: 0x8000})
 	r.spawn(t, AllocWork, "main", 6, map[byte]int64{2: FreeHead, 4: 0x3200, 9: 0x8100})
@@ -432,7 +452,7 @@ func testNonFlowDemotionStopsEmulation(t *testing.T, newRig func() *rig) {
 	// Wire OnNonFlow to Machine.SetNonFlow as the implementation does
 	// (§7.2) and verify subsequent critical sections run native (cheap).
 	r := newRig()
-	r.onNonFlow = func(lock int) { r.m.SetNonFlow(lock) }
+	r.onNonFlow = func(lock int32) { r.m.SetNonFlow(lock) }
 
 	r.spawn(t, AllocWork, "main", 1, map[byte]int64{2: FreeHead, 4: 0x3100, 9: 0x8000})
 	r.run(t)

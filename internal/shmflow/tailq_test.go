@@ -80,7 +80,7 @@ func testTailqFlowDetected(t *testing.T, newRig func() *rig) {
 	if c1.Regs[4] != 111 || c2.Regs[4] != 222 {
 		t.Fatalf("payloads: c1=%d c2=%d, want 111/222", c1.Regs[4], c2.Regs[4])
 	}
-	toks := map[int]Token{}
+	toks := map[int32]Token{}
 	for _, f := range r.tr.Flows() {
 		toks[f.Consumer] = f.Token
 	}
@@ -129,7 +129,7 @@ func testTailqInterleavedProducersDistinctTokens(t *testing.T, newRig func() *ri
 	r.run(t)
 	c2 := r.spawn(t, TailqRemoveHead, "remove", 0, map[byte]int64{1: tqHead, 9: 0x8100})
 	r.run(t)
-	got := map[int]Token{}
+	got := map[int32]Token{}
 	for _, f := range r.tr.Flows() {
 		got[f.Consumer] = f.Token
 	}

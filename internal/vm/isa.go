@@ -133,18 +133,20 @@ const (
 	LocReg
 )
 
-// Loc names a location: a memory word or a (thread, register) pair.
+// Loc names a location: a memory word or a (thread, register) pair. It
+// is 12 bytes: a thread id is an int32, issued once by the machine and
+// refused past MaxInt32, never wrapped (see Machine).
 type Loc struct {
 	Kind   LocKind
 	Addr   uint32 // memory address, or register index
-	Thread int    // owning thread for LocReg
+	Thread int32  // owning thread for LocReg
 }
 
 // MemLoc names memory address a.
 func MemLoc(a uint32) Loc { return Loc{Kind: LocMem, Addr: a} }
 
 // RegLoc names register r of thread tid.
-func RegLoc(tid int, r byte) Loc { return Loc{Kind: LocReg, Addr: uint32(r), Thread: tid} }
+func RegLoc(tid int32, r byte) Loc { return Loc{Kind: LocReg, Addr: uint32(r), Thread: tid} }
 
 func (l Loc) String() string {
 	if l.Kind == LocReg {
@@ -173,16 +175,16 @@ const (
 // Tracer.OnAccess call — a tracer that wants to keep the read set must
 // copy it.
 type Access struct {
-	Thread   int
+	Thread   int32
 	PC       int
 	Instr    Instr
 	Kind     AccessKind
 	Src, Dst Loc   // valid per Kind (Src only for AccMove)
 	Reads    []Loc // every location the instruction read, including
 	// address-base registers; consume detection (§7.2) watches these.
-	InCS     bool // executing under at least one held lock
-	Lock     int  // outermost held lock id when InCS
-	InWindow bool // within the post-critical-section window
+	InCS     bool  // executing under at least one held lock
+	Lock     int32 // outermost held lock id when InCS
+	InWindow bool  // within the post-critical-section window
 }
 
 // Tracer observes traced instruction executions; the shmflow package
@@ -193,6 +195,7 @@ type Access struct {
 type Tracer interface {
 	OnAccess(ac Access)
 	// OnLock and OnUnlock bracket critical sections (outermost lock only).
+	// Their ids are the machine's int32 thread and lock ids, widened.
 	OnLock(thread, lock int)
 	OnUnlock(thread, lock int)
 }

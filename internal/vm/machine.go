@@ -3,6 +3,7 @@ package vm
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // ExecMode selects how the machine runs critical sections.
@@ -61,7 +62,7 @@ const DefaultMaxWindow = 128
 
 // Thread is one hardware thread of the machine.
 type Thread struct {
-	ID   int
+	ID   int32 // issued by Spawn or Rearm, never reused (see Machine)
 	Prog *Program
 	PC   int
 	Regs [NumRegs]int64
@@ -76,7 +77,7 @@ type Thread struct {
 	halted    bool
 	blocked   bool // waiting for a lock
 	granted   bool
-	heldLocks []int
+	heldLocks []int32
 	window    int // remaining post-critical-section traced instructions
 }
 
@@ -88,7 +89,7 @@ func (t *Thread) Halted() bool { return t.halted }
 func (t *Thread) Blocked() bool { return t.blocked && !t.granted }
 
 type mlock struct {
-	owner   int // thread id, or -1
+	owner   int32 // thread id, or -1
 	waiters []*Thread
 }
 
@@ -108,6 +109,15 @@ const lockDenseLimit = 1 << 16
 // sparse ids, and the scheduler keeps a ring of unhalted threads so
 // stepping never scans halted ones. The steady-state emulation path
 // performs no heap allocation.
+//
+// Thread ids and lock ids are int32, the width at which a Loc and the
+// flow tracker's records hold them. Spawn and Rearm issue thread ids
+// counting up from 0 and never reuse one, for an id names its thread's
+// registers (Loc) and its side of every detected flow. Once the next id
+// would pass math.MaxInt32, Spawn returns ErrThreadIDs and Rearm records
+// it for the next Run to return: ids are refused, never wrapped. Lock ids
+// are the immediates of LOCK and UNLOCK, checked when a program is first
+// spawned on the machine: one outside int32 fails Spawn with ErrLockID.
 type Machine struct {
 	Mem     Memory
 	Threads []*Thread
@@ -122,14 +132,14 @@ type Machine struct {
 	TotalCycles int64
 
 	progs        map[*Program]*progState
-	locks        []mlock        // dense lock table, indexed by lock id
-	lockSpill    map[int]*mlock // ids outside [0, lockDenseLimit)
-	nonFlow      []bool         // dense non-flow set, indexed by lock id
-	nonFlowSpill map[int]bool
+	locks        []mlock          // dense lock table, indexed by lock id
+	lockSpill    map[int32]*mlock // ids outside [0, lockDenseLimit)
+	nonFlow      []bool           // dense non-flow set, indexed by lock id
+	nonFlowSpill map[int32]bool
 	ring         []*Thread // unhalted threads in spawn order
 	rr           int       // round-robin cursor into ring
-	nextID       int
-	fault        error // a program error since Run last returned one
+	nextID       int64     // the id the next thread takes; > MaxInt32 once exhausted
+	fault        error     // a program error since Run last returned one
 
 	// Reusable Access emission state: one Access and one Reads backing
 	// array, overwritten per traced instruction (see Tracer).
@@ -149,13 +159,30 @@ func NewMachine() *Machine {
 
 // progStateFor returns (predecoding on first use) the machine's execution
 // state for prog.
-func (m *Machine) progStateFor(prog *Program) *progState {
+func (m *Machine) progStateFor(prog *Program) (*progState, error) {
 	ps := m.progs[prog]
 	if ps == nil {
-		ps = predecode(prog, m.Cost)
+		var err error
+		if ps, err = predecode(prog, m.Cost); err != nil {
+			return nil, err
+		}
 		m.progs[prog] = ps
 	}
-	return ps
+	return ps, nil
+}
+
+// ErrThreadIDs is the error of a Spawn or Rearm past the last thread id,
+// math.MaxInt32.
+var ErrThreadIDs = errors.New("vm: thread ids exhausted: every int32 id has been issued")
+
+// takeID issues the next thread id.
+func (m *Machine) takeID() (int32, error) {
+	if m.nextID > math.MaxInt32 {
+		return 0, ErrThreadIDs
+	}
+	id := int32(m.nextID)
+	m.nextID++
+	return id, nil
 }
 
 // Spawn creates a thread running prog from the given label.
@@ -164,9 +191,15 @@ func (m *Machine) Spawn(prog *Program, label string) (*Thread, error) {
 	if err != nil {
 		return nil, err
 	}
-	ps := m.progStateFor(prog)
-	t := &Thread{ID: m.nextID, Prog: prog, PC: pc, entry: pc, ps: ps, code: ps.code}
-	m.nextID++
+	ps, err := m.progStateFor(prog)
+	if err != nil {
+		return nil, err
+	}
+	id, err := m.takeID()
+	if err != nil {
+		return nil, err
+	}
+	t := &Thread{ID: id, Prog: prog, PC: pc, entry: pc, ps: ps, code: ps.code}
 	m.Threads = append(m.Threads, t)
 	m.ring = append(m.ring, t)
 	return t, nil
@@ -178,14 +211,19 @@ func (m *Machine) Spawn(prog *Program, label string) (*Thread, error) {
 // no held-lock slice per execution. The new thread is a new identity —
 // it takes the next thread id, exactly as Spawn would, because ids are
 // never reused — with zeroed registers and cycle count. t must have
-// halted and been reaped.
+// halted and been reaped. Past the last id, t stays halted and the next
+// Run returns ErrThreadIDs.
 func (m *Machine) Rearm(t *Thread) {
 	if !t.halted {
 		panic(fmt.Sprintf("vm: Rearm of thread %d, which has not halted", t.ID))
 	}
-	*t = Thread{ID: m.nextID, Prog: t.Prog, PC: t.entry, entry: t.entry,
+	id, err := m.takeID()
+	if err != nil {
+		m.fault = err
+		return
+	}
+	*t = Thread{ID: id, Prog: t.Prog, PC: t.entry, entry: t.entry,
 		ps: t.ps, code: t.code, heldLocks: t.heldLocks[:0]}
-	m.nextID++
 	m.Threads = append(m.Threads, t)
 	m.ring = append(m.ring, t)
 }
@@ -193,9 +231,9 @@ func (m *Machine) Rearm(t *Thread) {
 // SetNonFlow marks a lock's critical sections for native execution —
 // the optimisation Whodunit applies once a lock's accesses are known not
 // to carry transaction flow (§7.2).
-func (m *Machine) SetNonFlow(lock int) {
+func (m *Machine) SetNonFlow(lock int32) {
 	if lock >= 0 && lock < lockDenseLimit {
-		if lock >= len(m.nonFlow) {
+		if int(lock) >= len(m.nonFlow) {
 			nf := make([]bool, lock+1)
 			copy(nf, m.nonFlow)
 			m.nonFlow = nf
@@ -204,14 +242,14 @@ func (m *Machine) SetNonFlow(lock int) {
 		return
 	}
 	if m.nonFlowSpill == nil {
-		m.nonFlowSpill = make(map[int]bool)
+		m.nonFlowSpill = make(map[int32]bool)
 	}
 	m.nonFlowSpill[lock] = true
 }
 
 // NonFlow reports whether lock has been demoted to native execution.
-func (m *Machine) NonFlow(lock int) bool {
-	if lock >= 0 && lock < len(m.nonFlow) {
+func (m *Machine) NonFlow(lock int32) bool {
+	if lock >= 0 && int(lock) < len(m.nonFlow) {
 		return m.nonFlow[lock]
 	}
 	if lock >= 0 && lock < lockDenseLimit {
@@ -434,9 +472,9 @@ func (m *Machine) charge(t *Thread, pc int, emulated bool) {
 // returned pointer is valid only until the next lock call (dense-table
 // growth may move entries); callers use it immediately and never retain
 // it.
-func (m *Machine) lock(id int) *mlock {
+func (m *Machine) lock(id int32) *mlock {
 	if id >= 0 && id < lockDenseLimit {
-		for i := len(m.locks); i <= id; i++ {
+		for i := len(m.locks); i <= int(id); i++ {
 			m.locks = append(m.locks, mlock{owner: -1})
 		}
 		return &m.locks[id]
@@ -444,7 +482,7 @@ func (m *Machine) lock(id int) *mlock {
 	l := m.lockSpill[id]
 	if l == nil {
 		if m.lockSpill == nil {
-			m.lockSpill = make(map[int]*mlock)
+			m.lockSpill = make(map[int32]*mlock)
 		}
 		l = &mlock{owner: -1}
 		m.lockSpill[id] = l
@@ -488,7 +526,7 @@ func (m *Machine) exec(t *Thread) {
 }
 
 func (m *Machine) execLock(t *Thread, in *dinstr, pc int) {
-	id := int(in.imm)
+	id := int32(in.imm) // in range: predecode checked it
 	l := m.lock(id)
 	switch {
 	case l.owner == t.ID && t.granted:
@@ -509,7 +547,7 @@ func (m *Machine) execLock(t *Thread, in *dinstr, pc int) {
 	if len(t.heldLocks) == 1 {
 		t.window = 0
 		if m.Tracer != nil && m.Mode == ModeEmulateCS && !m.NonFlow(id) {
-			m.Tracer.OnLock(t.ID, id)
+			m.Tracer.OnLock(int(t.ID), int(id))
 		}
 	}
 	m.charge(t, pc, m.traced(t))
@@ -517,7 +555,7 @@ func (m *Machine) execLock(t *Thread, in *dinstr, pc int) {
 }
 
 func (m *Machine) execUnlock(t *Thread, in *dinstr, pc int) {
-	id := int(in.imm)
+	id := int32(in.imm) // in range: predecode checked it
 	idx := -1
 	for i, h := range t.heldLocks {
 		if h == id {
@@ -544,7 +582,7 @@ func (m *Machine) execUnlock(t *Thread, in *dinstr, pc int) {
 	if outermost && wasEmu {
 		t.window = m.MaxWindow
 		if m.Tracer != nil {
-			m.Tracer.OnUnlock(t.ID, id)
+			m.Tracer.OnUnlock(int(t.ID), int(id))
 		}
 	}
 	m.charge(t, pc, wasEmu)

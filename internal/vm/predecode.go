@@ -1,5 +1,15 @@
 package vm
 
+import (
+	"errors"
+	"fmt"
+	"math"
+)
+
+// ErrLockID is the error of a Spawn whose program locks or unlocks a lock
+// id outside int32.
+var ErrLockID = errors.New("lock id outside int32")
+
 // dinstr is one predecoded instruction: operands unpacked from the
 // assembler's Instr, the native cycle cost baked in from the machine's
 // cost model, and the length of the straight-line run starting here — so
@@ -39,9 +49,13 @@ func straightLine(op Op) bool {
 // predecode lowers a program into its dense internal form under the
 // given cost model. Cost must not change after a program is first
 // spawned on a machine; the per-op direct cycle cost is baked in here.
-func predecode(p *Program, cost CostModel) *progState {
+// A LOCK or UNLOCK whose lock id is outside int32 is an error.
+func predecode(p *Program, cost CostModel) (*progState, error) {
 	code := make([]dinstr, len(p.Code))
 	for i, in := range p.Code {
+		if (in.Op == LOCK || in.Op == UNLOCK) && (in.Imm < math.MinInt32 || in.Imm > math.MaxInt32) {
+			return nil, fmt.Errorf("vm: program %q: %v at pc %d: %w", p.Name, in, i, ErrLockID)
+		}
 		code[i] = dinstr{
 			op: in.Op, rd: in.RD, rs: in.RS, rt: in.RT,
 			imm: in.Imm, off: in.Off, target: int32(in.Target),
@@ -59,5 +73,5 @@ func predecode(p *Program, cost CostModel) *progState {
 		}
 		code[i].runLen = run
 	}
-	return &progState{code: code, translated: make([]bool, len(code))}
+	return &progState{code: code, translated: make([]bool, len(code))}, nil
 }

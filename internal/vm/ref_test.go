@@ -17,12 +17,12 @@ import (
 // --- reference implementation ---------------------------------------
 
 type refLock struct {
-	owner   int
+	owner   int32
 	waiters []*refThread
 }
 
 type refThread struct {
-	id        int
+	id        int32
 	prog      *Program
 	pc        int
 	regs      [NumRegs]int64
@@ -66,7 +66,7 @@ func (m *refMachine) spawn(prog *Program, label string) *refThread {
 	if err != nil {
 		panic(err)
 	}
-	t := &refThread{id: len(m.threads), prog: prog, pc: pc, blockedOn: -1}
+	t := &refThread{id: int32(len(m.threads)), prog: prog, pc: pc, blockedOn: -1}
 	m.threads = append(m.threads, t)
 	return t
 }
@@ -176,7 +176,7 @@ func (m *refMachine) exec(t *refThread) {
 		if len(t.heldLocks) == 1 {
 			t.window = 0
 			if m.tracer != nil && m.mode == ModeEmulateCS && !m.nonFlow[id] {
-				m.tracer.OnLock(t.id, id)
+				m.tracer.OnLock(int(t.id), id)
 			}
 		}
 		m.charge(t, pc, m.traced(t))
@@ -208,7 +208,7 @@ func (m *refMachine) exec(t *refThread) {
 		if outermost && wasEmu {
 			t.window = m.maxWindow
 			if m.tracer != nil {
-				m.tracer.OnUnlock(t.id, id)
+				m.tracer.OnUnlock(int(t.id), id)
 			}
 		}
 		m.charge(t, pc, wasEmu)
@@ -311,7 +311,7 @@ func (m *refMachine) refEmit(t *refThread, pc int, in Instr, ac *Access) {
 	ac.Instr = in
 	ac.InCS = len(t.heldLocks) > 0
 	if ac.InCS {
-		ac.Lock = t.heldLocks[0]
+		ac.Lock = int32(t.heldLocks[0])
 	}
 	ac.InWindow = !ac.InCS && t.window > 0
 	m.tracer.OnAccess(*ac)
@@ -332,7 +332,7 @@ type traceEvent struct {
 type captureTracer struct{ events []traceEvent }
 
 func (c *captureTracer) OnAccess(ac Access) {
-	ev := traceEvent{kind: "access", thread: ac.Thread, ac: ac}
+	ev := traceEvent{kind: "access", thread: int(ac.Thread), ac: ac}
 	ev.reads = append(ev.reads, ac.Reads...)
 	ev.ac.Reads = nil
 	c.events = append(c.events, ev)

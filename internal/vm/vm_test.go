@@ -1,6 +1,8 @@
 package vm
 
 import (
+	"errors"
+	"math"
 	"strings"
 	"testing"
 )
@@ -210,11 +212,14 @@ func TestUnlockWithoutHoldIsAnError(t *testing.T) {
 
 // TestNegativeLockIDBlocks takes a negative and a huge lock id twice in
 // one thread: like any other id, the second acquisition blocks and Run
-// reports the deadlock instead of spinning to the step limit.
+// reports the deadlock instead of spinning to the step limit. The huge
+// ids are the ends of int32, past the dense lock table.
 func TestNegativeLockIDBlocks(t *testing.T) {
-	for _, id := range []string{"1", "-1", "9223372036854775807"} {
+	for _, id := range []string{"1", "-1", "2147483647", "-2147483648"} {
 		m := NewMachine()
-		m.Spawn(MustAssemble("twice", "main: lock "+id+"\nlock "+id+"\nhalt"), "main")
+		if _, err := m.Spawn(MustAssemble("twice", "main: lock "+id+"\nlock "+id+"\nhalt"), "main"); err != nil {
+			t.Fatalf("lock %s: %v", id, err)
+		}
 		if err := m.Run(100); err != ErrDeadlock {
 			t.Fatalf("lock %s twice: err = %v, want ErrDeadlock", id, err)
 		}
@@ -409,7 +414,7 @@ func TestRearmIsAFreshThreadInOldStorage(t *testing.T) {
 	}
 	first := *th
 	m.Reap()
-	for i := 2; i < 5; i++ {
+	for i := int32(2); i < 5; i++ {
 		m.Rearm(th)
 		if th.ID != i || th.Halted() || th.Cycles != 0 || th.Regs != ([NumRegs]int64{}) {
 			t.Fatalf("re-armed thread: id %d halted %v cycles %d regs %v, want id %d, runnable, zeroed", th.ID, th.Halted(), th.Cycles, th.Regs[:3], i)
@@ -440,4 +445,63 @@ func TestRearmIsAFreshThreadInOldStorage(t *testing.T) {
 	}()
 	live, _ := m.Spawn(p, "main")
 	m.Rearm(live)
+}
+
+// setNextID makes id the next thread id m issues, so a test reaches the
+// end of the id space without spawning 2^31 threads.
+func setNextID(m *Machine, id int64) { m.nextID = id }
+
+// TestThreadIDsRefusedPastMaxInt32 issues the last thread id, then asks
+// for one more through Spawn and through Rearm: each is refused with
+// ErrThreadIDs (Rearm's at the next Run), and no id wraps.
+func TestThreadIDsRefusedPastMaxInt32(t *testing.T) {
+	p := MustAssemble("t", "main: lock 1\nmovi r1, 1\nunlock 1\nhalt")
+	for _, mode := range []ExecMode{ModeDirect, ModeEmulateCS} {
+		m := NewMachine()
+		m.Mode = mode
+		setNextID(m, math.MaxInt32)
+		th, err := m.Spawn(p, "main")
+		if err != nil || th.ID != math.MaxInt32 {
+			t.Fatalf("mode %d: the last id: thread %v, err %v", mode, th, err)
+		}
+		if err := m.Run(100); err != nil {
+			t.Fatal(err)
+		}
+		m.Reap()
+		if next, err := m.Spawn(p, "main"); !errors.Is(err, ErrThreadIDs) || next != nil {
+			t.Fatalf("mode %d: Spawn past the last id: thread %v, err %v", mode, next, err)
+		}
+		m.Rearm(th)
+		if err := m.Run(100); !errors.Is(err, ErrThreadIDs) {
+			t.Fatalf("mode %d: Run after a Rearm past the last id: err %v", mode, err)
+		}
+		if th.ID != math.MaxInt32 || !th.Halted() || len(m.Threads) != 0 {
+			t.Fatalf("mode %d: refused Rearm left thread %d halted %v, %d threads", mode, th.ID, th.Halted(), len(m.Threads))
+		}
+		if err := m.Run(100); err != nil {
+			t.Fatalf("mode %d: the refusal is returned once, then Run: %v", mode, err)
+		}
+	}
+}
+
+// TestLockIDsOutsideInt32FailSpawn assembles a LOCK or UNLOCK one past
+// either end of int32: Spawn fails with ErrLockID, naming the program,
+// and spawns no thread.
+func TestLockIDsOutsideInt32FailSpawn(t *testing.T) {
+	ends := MustAssemble("ends", "main: lock 2147483647\nlock -2147483648\nunlock -2147483648\nunlock 2147483647\nhalt")
+	for _, src := range []string{
+		"main: lock 2147483648\nunlock 2147483648\nhalt",
+		"main: lock -2147483649\nunlock -2147483649\nhalt",
+		"main: lock 1\nunlock 2147483648\nhalt",
+		"main: halt\nother: unlock -9223372036854775808\nhalt",
+	} {
+		m := NewMachine()
+		th, err := m.Spawn(MustAssemble("wide", src), "main")
+		if !errors.Is(err, ErrLockID) || !strings.Contains(err.Error(), `"wide"`) || th != nil || len(m.Threads) != 0 {
+			t.Fatalf("%q: thread %v, %d threads, err %v; want ErrLockID naming the program", src, th, len(m.Threads), err)
+		}
+		if th, err := m.Spawn(ends, "main"); err != nil || th.ID != 0 {
+			t.Fatalf("%q: a valid program after the refusal: thread %v, err %v", src, th, err)
+		}
+	}
 }

@@ -89,15 +89,18 @@ func GenWeb(cfg WebConfig) *WebTrace {
 	})
 
 	// Pre-pass: draw each connection's geometric request count (cheap)
-	// and record where its Zipf draws start in the stream; skip past them.
+	// and record where its Zipf draws start in the stream and where its
+	// requests start in the trace's one request array (they end where the
+	// next connection's start); skip past them.
 	type connPlan struct {
-		n         int
+		at        int
 		zipfStart uint64
 	}
 	plans := make([]connPlan, cfg.NumConns)
 	rng := vclock.NewRNG(cfg.Seed)
 	rng.Skip(uint64(cfg.NumFiles))
 	off := uint64(cfg.NumFiles)
+	reqs := 0
 	for c := range plans {
 		// Geometric number of requests with the configured mean (same
 		// draw-per-test shape as the original loop).
@@ -112,14 +115,18 @@ func GenWeb(cfg WebConfig) *WebTrace {
 				break
 			}
 		}
-		plans[c] = connPlan{n: n, zipfStart: off}
+		plans[c] = connPlan{at: reqs, zipfStart: off}
 		rng.Skip(uint64(n))
 		off += uint64(n)
+		reqs += n
 	}
 
 	// Requests: workers replay each connection's Zipf draws from its
-	// recorded stream position.
+	// recorded stream position into its window of one array, capped at
+	// its length so an append to one connection's requests copies them
+	// rather than overwrite the next connection's.
 	zipf := vclock.NewZipfTable(cfg.NumFiles, cfg.ZipfS) // shared read-only table
+	all := make([]Request, reqs)
 	tr := &WebTrace{Files: sizes, Conns: make([]Connection, cfg.NumConns)}
 	par.Do((cfg.NumConns+genShard-1)/genShard, func(s int) {
 		lo, hi := s*genShard, (s+1)*genShard
@@ -129,7 +136,11 @@ func GenWeb(cfg WebConfig) *WebTrace {
 		for c := lo; c < hi; c++ {
 			crng := vclock.NewRNG(cfg.Seed)
 			crng.Skip(plans[c].zipfStart)
-			conn := Connection{ID: c, Reqs: make([]Request, plans[c].n)}
+			end := reqs
+			if c+1 < len(plans) {
+				end = plans[c+1].at
+			}
+			conn := Connection{ID: c, Reqs: all[plans[c].at:end:end]}
 			for r := range conn.Reqs {
 				f := zipf.Sample(crng)
 				conn.Reqs[r] = Request{File: f, Size: sizes[f]}

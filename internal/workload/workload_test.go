@@ -2,8 +2,10 @@ package workload
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"whodunit/internal/vclock"
 )
@@ -64,6 +66,29 @@ func TestGenWebShape(t *testing.T) {
 	}
 	if max < totalReqs/100 {
 		t.Fatalf("popularity not skewed: max count %d of %d", max, totalReqs)
+	}
+}
+
+// TestGenWebReqsAreCappedWindows: every connection's requests are a
+// window of one array, capped at its length, so appending to one
+// connection's requests cannot write into the next one's.
+func TestGenWebReqsAreCappedWindows(t *testing.T) {
+	tr := GenWeb(DefaultWebConfig())
+	for i, c := range tr.Conns {
+		if cap(c.Reqs) != len(c.Reqs) {
+			t.Fatalf("connection %d: %d requests with capacity %d", i, len(c.Reqs), cap(c.Reqs))
+		}
+		if i > 0 {
+			prev := tr.Conns[i-1].Reqs
+			if unsafe.Add(unsafe.Pointer(&prev[0]), len(prev)*int(unsafe.Sizeof(Request{}))) != unsafe.Pointer(&c.Reqs[0]) {
+				t.Fatalf("connection %d's requests do not follow connection %d's in one array", i, i-1)
+			}
+		}
+	}
+	before := slices.Clone(tr.Conns[1].Reqs)
+	_ = append(tr.Conns[0].Reqs, Request{File: -1})
+	if !slices.Equal(tr.Conns[1].Reqs, before) {
+		t.Fatal("an append to connection 0's requests overwrote connection 1's")
 	}
 }
 

@@ -93,6 +93,22 @@ func (g genReport) int64() int64 {
 	return g.rng.Int63()
 }
 
+// int32 draws the ends of int32 and zero as often as a random value:
+// FlowEvent's ids are int32.
+func (g genReport) int32() int32 {
+	switch g.rng.Intn(6) {
+	case 0:
+		return 0
+	case 1:
+		return math.MaxInt32
+	case 2:
+		return math.MinInt32
+	case 3:
+		return -g.rng.Int31n(1000)
+	}
+	return g.rng.Int31()
+}
+
 func (g genReport) uint64() uint64 {
 	switch g.rng.Intn(4) {
 	case 0:
@@ -120,14 +136,14 @@ func (g genReport) strings() []string {
 
 func (g genReport) flow() FlowEvent {
 	return FlowEvent{
-		Producer: int(g.int64()),
-		Consumer: int(g.int64()),
+		Producer: g.int32(),
+		Consumer: g.int32(),
 		Token:    FlowToken(g.uint64()),
-		Lock:     int(g.int64()),
+		Lock:     g.int32(),
 		Loc: vm.Loc{
 			Kind:   vm.LocKind(g.uint64()),
 			Addr:   uint32(g.uint64()),
-			Thread: int(g.int64()),
+			Thread: g.int32(),
 		},
 	}
 }
@@ -238,8 +254,8 @@ func TestQuickReportJSONMatchesRef(t *testing.T) {
 	// appendFlow writes integers below a million itself: each number of
 	// digits, on both sides of every power of ten.
 	var digits []FlowEvent
-	for p := 1; p <= 1e7; p *= 10 {
-		for _, v := range []int{p - 1, p, p + 1} {
+	for p := int32(1); p <= 1e7; p *= 10 {
+		for _, v := range []int32{p - 1, p, p + 1} {
 			digits = append(digits, FlowEvent{Producer: v, Consumer: -v, Token: FlowToken(v), Lock: v,
 				Loc: vm.Loc{Kind: vm.LocKind(v), Addr: uint32(v), Thread: v}})
 		}
@@ -332,7 +348,7 @@ func refDiffFlows(a, b []FlowEvent) []FlowDelta {
 	index := func(fs []FlowEvent) map[flowKey]int64 {
 		m := make(map[flowKey]int64, len(fs))
 		for _, f := range fs {
-			m[flowKey{f.Lock, f.Producer, f.Consumer}]++
+			m[flowKey{int(f.Lock), int(f.Producer), int(f.Consumer)}]++
 		}
 		return m
 	}
@@ -747,7 +763,7 @@ func TestReadReportAcrossRefills(t *testing.T) {
 	// a flow of the generator's, integer extremes included.
 	r.Flows = nearOrderedLog(rng, 5*jsonChunk/maxFlowText, 40, 20)
 	for i := range r.Flows {
-		r.Flows[i].Producer *= 1 + rng.Intn(20)
+		r.Flows[i].Producer *= 1 + rng.Int31n(20)
 		if rng.Intn(7) == 0 {
 			r.Flows[i] = g.flow()
 		}
@@ -798,15 +814,18 @@ func TestReadReportAcrossRefills(t *testing.T) {
 func TestReadFlowInvertsAppendFlow(t *testing.T) {
 	g := genReport{rand.New(rand.NewSource(1))}
 	flows := []FlowEvent{{}, {
-		Producer: math.MinInt, Consumer: math.MaxInt, Token: math.MaxUint32, Lock: math.MinInt,
-		Loc: vm.Loc{Kind: math.MaxUint8, Addr: math.MaxUint32, Thread: math.MaxInt},
+		Producer: math.MinInt32, Consumer: math.MaxInt32, Token: math.MaxUint32, Lock: math.MinInt32,
+		Loc: vm.Loc{Kind: math.MaxUint8, Addr: math.MaxUint32, Thread: math.MaxInt32},
+	}, {
+		Producer: math.MaxInt32, Consumer: math.MinInt32, Token: math.MaxUint32, Lock: math.MaxInt32,
+		Loc: vm.Loc{Kind: math.MaxUint8, Addr: math.MaxUint32, Thread: math.MinInt32},
 	}}
 	for range 1000 {
 		flows = append(flows, g.flow())
 	}
 	longest := FlowEvent{
-		Producer: math.MinInt, Consumer: math.MinInt, Token: math.MaxUint32, Lock: math.MinInt,
-		Loc: vm.Loc{Kind: math.MaxUint8, Addr: math.MaxUint32, Thread: math.MinInt},
+		Producer: math.MinInt32, Consumer: math.MinInt32, Token: math.MaxUint32, Lock: math.MinInt32,
+		Loc: vm.Loc{Kind: math.MaxUint8, Addr: math.MaxUint32, Thread: math.MinInt32},
 	}
 	if n := len(appendFlow(nil, longest)); n != maxFlowText {
 		t.Fatalf("the longest element is %d bytes; maxFlowText says %d", n, maxFlowText)
@@ -830,10 +849,45 @@ func TestReadFlowInvertsAppendFlow(t *testing.T) {
 		{"Consumer", "1e1"}, {"Consumer", "010"}, {"Token", "4294967296"}, {"Token", "-1"},
 		{"Lock", "-01"}, {"Lock", "- 1"}, {"Kind", "256"}, {"Addr", "99999999999999999999"},
 		{"Thread", "9223372036854775808"}, {"Thread", "-9223372036854775809"},
+		{"Producer", "2147483648"}, {"Consumer", "-2147483649"}, {"Lock", "2147483648"},
+		{"Thread", "2147483648"}, {"Thread", "-2147483649"},
 	} {
 		bad := flowValue(c.key).ReplaceAll(b, []byte("${1}"+c.val))
 		if _, n, ok := readFlow(append(bad, ",\n"...)); ok || n >= len(bad) {
 			t.Errorf("readFlow accepted %s %s, or read it to its end (%d of %d bytes)", c.key, c.val, n, len(bad))
+		}
+	}
+}
+
+// TestReadReportInt32Boundary: a flow log whose ids sit at both ends of
+// int32 is read back by readFlow, with nothing handed to encoding/json;
+// one past either end, in any id field, fails ReadReport with
+// encoding/json's error, the oracle's.
+func TestReadReportInt32Boundary(t *testing.T) {
+	r := &Report{App: "int32", Flows: []FlowEvent{{
+		Producer: math.MaxInt32, Consumer: math.MinInt32, Token: math.MaxUint32, Lock: math.MaxInt32,
+		Loc: vm.Loc{Kind: vm.LocReg, Addr: 15, Thread: math.MinInt32},
+	}, {
+		Producer: math.MinInt32, Consumer: math.MaxInt32, Token: 1, Lock: math.MinInt32,
+		Loc: vm.Loc{Kind: vm.LocReg, Addr: 4, Thread: math.MaxInt32},
+	}}}
+	var buf bytes.Buffer
+	if err := r.JSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	js := buf.Bytes()
+	d := reportReader{br: bufio.NewReader(bytes.NewReader(js))}
+	if got := d.read(); got == nil || !slices.Equal(got.Flows, r.Flows) {
+		t.Fatalf("the int32 extremes were not read back by readFlow: %+v", got)
+	}
+	sameRead(t, "int32 extremes", js, rand.New(rand.NewSource(1)))
+	for _, key := range []string{"Producer", "Consumer", "Lock", "Thread"} {
+		for _, val := range []string{"2147483648", "-2147483649"} {
+			data := flowValue(key).ReplaceAll(js, []byte("${1}"+val))
+			if _, err := ReadReport(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "int32") {
+				t.Fatalf("%s %s: err = %v, want encoding/json's int32 range error", key, val, err)
+			}
+			sameReadFrom(t, key+" "+val, data, bytes.NewReader(data))
 		}
 	}
 }
@@ -858,7 +912,7 @@ func TestQuickDiffFlowsMatchesRef(t *testing.T) {
 		log := func(ids, off int) []FlowEvent {
 			fs := make([]FlowEvent, rng.Intn(4)*rng.Intn(40))
 			for i := range fs {
-				id := func() int { return off + rng.Intn(2*ids+1) - ids }
+				id := func() int32 { return int32(off + rng.Intn(2*ids+1) - ids) }
 				fs[i] = FlowEvent{Lock: id(), Producer: id(), Consumer: id(), Token: FlowToken(rng.Intn(3))}
 			}
 			return fs
@@ -890,7 +944,7 @@ func TestQuickDiffFlowsMatchesRef(t *testing.T) {
 		runs := func() []FlowEvent {
 			var fs []FlowEvent
 			for k := range 1 + rng.Intn(20) {
-				key := FlowEvent{Lock: 1, Producer: k / 3, Consumer: rng.Intn(3)}
+				key := FlowEvent{Lock: 1, Producer: int32(k / 3), Consumer: rng.Int31n(3)}
 				if k%2 == 1 {
 					key.Producer = -key.Producer
 				}
@@ -906,7 +960,7 @@ func TestQuickDiffFlowsMatchesRef(t *testing.T) {
 
 // inversions counts the pairs of a flow log out of key order.
 func inversions(fs []FlowEvent) int {
-	key := func(f FlowEvent) []int { return []int{f.Lock, f.Producer, f.Consumer} }
+	key := func(f FlowEvent) []int32 { return []int32{f.Lock, f.Producer, f.Consumer} }
 	n := 0
 	for j := range fs {
 		for i := range j {
@@ -925,7 +979,7 @@ func inversions(fs []FlowEvent) int {
 // flow, so two such logs differ.
 func nearOrderedLog(rng *rand.Rand, n, maxDisp, every int) []FlowEvent {
 	fs := make([]FlowEvent, 0, n)
-	for k := 0; len(fs) < n; k++ {
+	for k := int32(0); len(fs) < n; k++ {
 		reps := 2
 		switch rng.Intn(50) {
 		case 0:

@@ -332,7 +332,7 @@ var flowArrays = struct {
 // maxFlowText is the length of the longest element appendFlow writes:
 // the layout's text and seven integers at their longest.
 const maxFlowText = len(flowProducer+flowConsumer+flowToken+flowLock+flowKind+flowAddr+flowThread+flowEnd) +
-	4*len("-9223372036854775808") + 2*len("4294967295") + len("255")
+	4*len("-2147483648") + 2*len("4294967295") + len("255")
 
 // appendFlow appends one flow-log element as encoding/json indents it at
 // depth two of a report. It and readFlow, its inverse, are the one place
@@ -406,8 +406,9 @@ func readFlow(b []byte) (f FlowEvent, n int, ok bool) {
 		}
 		n += len(t)
 		// A magnitude: "0", or up to 19 digits without a leading zero,
-		// which fit in a uint64; negative only where the limit is MaxInt.
-		neg := limit == math.MaxInt && n < len(b) && b[n] == '-'
+		// which fit in a uint64; negative only where the limit is
+		// MaxInt32.
+		neg := limit == math.MaxInt32 && n < len(b) && b[n] == '-'
 		if neg {
 			n++
 			limit++
@@ -433,17 +434,17 @@ func readFlow(b []byte) (f FlowEvent, n int, ok bool) {
 		return f, litEnd(b, n, t), false
 	}
 	f = FlowEvent{
-		Producer: int(v[0]), Consumer: int(v[1]), Token: FlowToken(v[2]), Lock: int(v[3]),
-		Loc: vm.Loc{Kind: vm.LocKind(v[4]), Addr: uint32(v[5]), Thread: int(v[6])},
+		Producer: int32(v[0]), Consumer: int32(v[1]), Token: FlowToken(v[2]), Lock: int32(v[3]),
+		Loc: vm.Loc{Kind: vm.LocKind(v[4]), Addr: uint32(v[5]), Thread: int32(v[6])},
 	}
 	return f, n + len(t), true
 }
 
 // flowMax is the largest magnitude of each integer readFlow reads, in
-// appendFlow's order; the ints, whose maximum is MaxInt, may be
+// appendFlow's order; the int32 ids, whose maximum is MaxInt32, may be
 // negative.
 var flowMax = [7]uint64{
-	math.MaxInt, math.MaxInt, math.MaxUint32, math.MaxInt, math.MaxUint8, math.MaxUint32, math.MaxInt,
+	math.MaxInt32, math.MaxInt32, math.MaxUint32, math.MaxInt32, math.MaxUint8, math.MaxUint32, math.MaxInt32,
 }
 
 // litEnd is where readFlow stopped when b[n:] does not start with the

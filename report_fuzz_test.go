@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"slices"
 	"testing"
 
@@ -57,12 +58,15 @@ func FuzzReadReport(f *testing.F) {
 	withFlows.Flows = []whodunit.FlowEvent{
 		{Producer: 0, Consumer: 1, Token: 1, Lock: 1, Loc: vm.MemLoc(4)},
 		{Producer: -1, Consumer: 2, Token: 1<<32 - 1, Lock: 2, Loc: vm.RegLoc(2, 3)},
+		{Producer: math.MaxInt32, Consumer: math.MinInt32, Token: 3, Lock: math.MinInt32, Loc: vm.RegLoc(math.MaxInt32, 4)},
 	}
 	var buf bytes.Buffer
 	if err := withFlows.JSON(&buf); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
+	// An id one past int32, which encoding/json refuses.
+	f.Add(bytes.Replace(buf.Bytes(), []byte(`"Producer": 2147483647`), []byte(`"Producer": 2147483648`), 1))
 	// The same flow log in layouts ReadReport hands to encoding/json.
 	var compact bytes.Buffer
 	if err := json.Compact(&compact, buf.Bytes()); err != nil {
