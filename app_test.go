@@ -9,6 +9,7 @@ import (
 	"whodunit"
 	"whodunit/internal/ipc"
 	"whodunit/internal/profiler"
+	"whodunit/internal/stitch"
 	"whodunit/internal/vclock"
 )
 
@@ -84,7 +85,7 @@ func TestAppTwoStageEndToEnd(t *testing.T) {
 	}
 
 	// --- Manual facade path --------------------------------------
-	s := whodunit.NewSim()
+	s := vclock.New()
 	cpu := s.NewCPU("cpu", 2)
 	webProf := profiler.New("web", whodunit.ModeWhodunit)
 	dbProf := profiler.New("db", whodunit.ModeWhodunit)
@@ -99,7 +100,7 @@ func TestAppTwoStageEndToEnd(t *testing.T) {
 		})
 	s.Run()
 	s.Shutdown()
-	manual := whodunit.Stitch([]whodunit.StageDump{
+	manual := stitch.Build([]whodunit.StageDump{
 		whodunit.DumpStage(webProf, webEP),
 		whodunit.DumpStage(dbProf, dbEP),
 	})

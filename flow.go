@@ -3,7 +3,6 @@ package whodunit
 import (
 	"fmt"
 	"slices"
-	"sync"
 
 	"whodunit/internal/faults"
 	"whodunit/internal/profiler"
@@ -414,49 +413,19 @@ func (q *Queue) checkRaw(v any) any {
 	return v
 }
 
-// queueShape identifies an assembled queue critical section: the
-// push/pop code depends only on the vm lock id and the region base, so
-// programs are cached process-wide by shape and shared across queues and
-// apps. Every app hands out lock ids and bases from the same ReserveCS
-// sequence, so a sweep of N identical apps assembles each program once
-// instead of once per app. Programs are immutable after assembly and
-// each machine keeps its own per-program state, so sharing across
-// concurrently running apps (RunApps) is safe; the cache is a sync.Map
-// for the same reason.
-type queueShape struct {
-	lock int
-	base int64
-	pop  bool
-}
-
-var queueProgs sync.Map // queueShape -> *vm.Program
-
-func queueProg(lock int, base int64, pop bool) *vm.Program {
-	shape := queueShape{lock, base, pop}
-	if p, ok := queueProgs.Load(shape); ok {
-		return p.(*vm.Program)
-	}
-	op := "push"
-	if pop {
-		op = "pop"
-	}
-	prog := shmflow.QueueProg(fmt.Sprintf("fd_queue_%s@%#x", op, base), lock, base, pop)
-	got, _ := queueProgs.LoadOrStore(shape, prog)
-	return got.(*vm.Program)
-}
-
 // ensure allocates the queue's vm resources: a word-addressed region
 // laid out like Figure 1's fd_queue_t ([base] = nelts, data at
-// base+0x10, per-consumer scratch words from base+0x7000) and a
-// dedicated vm lock (one_big_mutex), plus the push/pop programs for
-// those addresses (fetched from the process-wide shape cache).
+// base+0x10, per-consumer scratch words from base+0x7000), a dedicated
+// vm lock (one_big_mutex), and the push/pop programs for those
+// addresses, assembled for this queue alone: no other queue of the app
+// has its lock and region.
 func (q *Queue) ensure() {
 	if q.push != nil {
 		return
 	}
 	q.lockID, q.base = q.app.ReserveCS()
-	q.push = queueProg(q.lockID, q.base, false)
-	q.pop = queueProg(q.lockID, q.base, true)
+	q.push = shmflow.QueueProg(fmt.Sprintf("fd_queue_push@%#x", q.base), q.lockID, q.base, false)
+	q.pop = shmflow.QueueProg(fmt.Sprintf("fd_queue_pop@%#x", q.base), q.lockID, q.base, true)
 }
 
 // newScratch hands out a popping thread's scratch words: a slot taken

@@ -20,6 +20,10 @@
 // still the whole API; a run makes no thread switch (Result.Switches
 // reads 0), and what the simulator spends on a connection is the
 // emulator, the tracker and the profiler.
+//
+// The per-request CPU costs are calibration constants of the model
+// (parseCost, sendPerByte below), fixed once against the paper's
+// figures; Config holds only what a run varies.
 package apacheweb
 
 import (
@@ -33,6 +37,13 @@ import (
 // Xeon).
 const CyclesPerSecond = whodunit.DefaultCyclesPerSecond
 
+// parseCost is the fixed CPU demand to parse one request; sendPerByte
+// the per-byte cost of ap_process_connection/sendfile.
+const (
+	parseCost   = 60 * whodunit.Microsecond
+	sendPerByte = 12 * whodunit.Nanosecond // ~80 MB/s per core sendfile path
+)
+
 // Config parameterises a run.
 type Config struct {
 	Workers int
@@ -42,21 +53,15 @@ type Config struct {
 	// ConnInterval is the inter-arrival gap between accepted connections
 	// at the listener; 0 means back-to-back (peak load).
 	ConnInterval whodunit.Duration
-	// ParseCost is the fixed CPU demand to parse one request; SendPerByte
-	// the per-byte cost of ap_process_connection/sendfile.
-	ParseCost   whodunit.Duration
-	SendPerByte whodunit.Duration
 }
 
 // DefaultConfig serves trace at peak load with 8 workers on 2 cores.
 func DefaultConfig(trace *workload.WebTrace) Config {
 	return Config{
-		Workers:     8,
-		Cores:       2,
-		Mode:        whodunit.ModeWhodunit,
-		Trace:       trace,
-		ParseCost:   60 * whodunit.Microsecond,
-		SendPerByte: 12 * whodunit.Nanosecond, // ~80 MB/s per core sendfile path
+		Workers: 8,
+		Cores:   2,
+		Mode:    whodunit.ModeWhodunit,
+		Trace:   trace,
 	}
 }
 
@@ -241,12 +246,12 @@ func (w *worker) serve(c *whodunit.Coro) whodunit.Step {
 		w.pr.Exit(w.tok)
 		return w.idle(c, nil)
 	}
-	return w.pr.ComputeStep(c, w.sys.cfg.ParseCost, w.parsedF)
+	return w.pr.ComputeStep(c, parseCost, w.parsedF)
 }
 
 func (w *worker) parsed(c *whodunit.Coro, _ any) whodunit.Step {
 	w.sendTok = w.pr.EnterID(w.sys.sendFrame)
-	return w.pr.ComputeStep(c, whodunit.Duration(w.conn.Reqs[w.req].Size)*w.sys.cfg.SendPerByte, w.sentF)
+	return w.pr.ComputeStep(c, whodunit.Duration(w.conn.Reqs[w.req].Size)*sendPerByte, w.sentF)
 }
 
 func (w *worker) sent(c *whodunit.Coro, _ any) whodunit.Step {

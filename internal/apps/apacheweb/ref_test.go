@@ -43,7 +43,7 @@ func (l *listener) refSpawn(name string) {
 
 func (w *worker) refSpawn(name string) {
 	sys := w.sys
-	cfg, fdq, res := sys.cfg, sys.fdq, sys.res
+	fdq, res := sys.fdq, sys.res
 	sys.st.Go(name, func(th *whodunit.Thread, pr *whodunit.Probe) {
 		for {
 			func() {
@@ -52,10 +52,10 @@ func (w *worker) refSpawn(name string) {
 				func() {
 					defer pr.Exit(pr.Enter("ap_process_connection"))
 					for _, req := range conn.Reqs {
-						pr.Compute(cfg.ParseCost)
+						pr.Compute(parseCost)
 						func() {
 							defer pr.Exit(pr.Enter("sendfile"))
-							pr.Compute(whodunit.Duration(req.Size) * cfg.SendPerByte)
+							pr.Compute(whodunit.Duration(req.Size) * sendPerByte)
 						}()
 						res.BytesSent += req.Size
 						res.Requests++

@@ -10,6 +10,11 @@
 // Stage.SEDAStage over App.NewQueue transports, and each worker thread's
 // probe is bound with Stage.Worker, so stage-sequence contexts propagate
 // through the middleware with no wiring here.
+//
+// The page-cache size and the per-operation costs are calibration
+// constants of the model (the const block after the stage names),
+// fixed once against the paper's figures; Config holds only what a run
+// varies.
 package haboob
 
 import (
@@ -31,41 +36,35 @@ const (
 	StWrite  = "WriteStage"
 )
 
+// The §8.3/§9.3 experiment scale (Haboob is an order of magnitude
+// slower than Apache in the paper): the page cache's capacity in
+// objects and the per-operation CPU costs.
+const (
+	cacheObjects = 300
+	listenCost   = 20 * whodunit.Microsecond
+	acceptCost   = 60 * whodunit.Microsecond
+	readCost     = 50 * whodunit.Microsecond
+	parseCost    = 80 * whodunit.Microsecond
+	cacheCost    = 40 * whodunit.Microsecond
+	missCost     = 60 * whodunit.Microsecond
+	diskPerByte  = 25 * whodunit.Nanosecond
+	diskLatency  = 3 * whodunit.Millisecond
+	writePerByte = 90 * whodunit.Nanosecond
+)
+
 // Config parameterises a run.
 type Config struct {
 	Mode            whodunit.Mode
 	Trace           *workload.WebTrace
-	CacheObjects    int
 	ThreadsPerStage int
-	// Per-operation CPU costs.
-	ListenCost   whodunit.Duration
-	AcceptCost   whodunit.Duration
-	ReadCost     whodunit.Duration
-	ParseCost    whodunit.Duration
-	CacheCost    whodunit.Duration
-	MissCost     whodunit.Duration
-	DiskPerByte  whodunit.Duration
-	DiskLatency  whodunit.Duration
-	WritePerByte whodunit.Duration
 }
 
-// DefaultConfig matches the §8.3/§9.3 experiment scale (Haboob is an
-// order of magnitude slower than Apache in the paper).
+// DefaultConfig profiles in whodunit mode with two threads per stage.
 func DefaultConfig(trace *workload.WebTrace) Config {
 	return Config{
 		Mode:            whodunit.ModeWhodunit,
 		Trace:           trace,
-		CacheObjects:    300,
 		ThreadsPerStage: 2,
-		ListenCost:      20 * whodunit.Microsecond,
-		AcceptCost:      60 * whodunit.Microsecond,
-		ReadCost:        50 * whodunit.Microsecond,
-		ParseCost:       80 * whodunit.Microsecond,
-		CacheCost:       40 * whodunit.Microsecond,
-		MissCost:        60 * whodunit.Microsecond,
-		DiskPerByte:     25 * whodunit.Nanosecond,
-		DiskLatency:     3 * whodunit.Millisecond,
-		WritePerByte:    90 * whodunit.Nanosecond,
 	}
 }
 
@@ -100,7 +99,7 @@ func Run(cfg Config) *Result {
 		if cached[id] {
 			return
 		}
-		if len(cacheFIFO) >= cfg.CacheObjects {
+		if len(cacheFIFO) >= cacheObjects {
 			delete(cached, cacheFIFO[0])
 			cacheFIFO = cacheFIFO[1:]
 		}
@@ -129,23 +128,23 @@ func Run(cfg Config) *Result {
 	// handler bodies; each returns after enqueueing downstream.
 	handlers := map[string]func(w *whodunit.SEDAWorker, pr *whodunit.Probe, th *whodunit.Thread, t *task){
 		StListen: func(w *whodunit.SEDAWorker, pr *whodunit.Probe, th *whodunit.Thread, t *task) {
-			pr.Compute(cfg.ListenCost)
+			pr.Compute(listenCost)
 			w.Enqueue(httpSrv, t)
 		},
 		StHTTP: func(w *whodunit.SEDAWorker, pr *whodunit.Probe, th *whodunit.Thread, t *task) {
-			pr.Compute(cfg.AcceptCost)
+			pr.Compute(acceptCost)
 			w.Enqueue(read, t)
 		},
 		StRead: func(w *whodunit.SEDAWorker, pr *whodunit.Probe, th *whodunit.Thread, t *task) {
-			pr.Compute(cfg.ReadCost)
+			pr.Compute(readCost)
 			w.Enqueue(recv, t)
 		},
 		StRecv: func(w *whodunit.SEDAWorker, pr *whodunit.Probe, th *whodunit.Thread, t *task) {
-			pr.Compute(cfg.ParseCost)
+			pr.Compute(parseCost)
 			w.Enqueue(cache, t)
 		},
 		StCache: func(w *whodunit.SEDAWorker, pr *whodunit.Probe, th *whodunit.Thread, t *task) {
-			pr.Compute(cfg.CacheCost)
+			pr.Compute(cacheCost)
 			req := t.conn.Reqs[t.next]
 			if cached[req.File] {
 				res.Hits++
@@ -156,19 +155,19 @@ func Run(cfg Config) *Result {
 			}
 		},
 		StMiss: func(w *whodunit.SEDAWorker, pr *whodunit.Probe, th *whodunit.Thread, t *task) {
-			pr.Compute(cfg.MissCost)
+			pr.Compute(missCost)
 			w.Enqueue(fileIO, t)
 		},
 		StFileIO: func(w *whodunit.SEDAWorker, pr *whodunit.Probe, th *whodunit.Thread, t *task) {
 			req := t.conn.Reqs[t.next]
-			th.Sleep(cfg.DiskLatency)
-			pr.Compute(whodunit.Duration(req.Size) * cfg.DiskPerByte)
+			th.Sleep(diskLatency)
+			pr.Compute(whodunit.Duration(req.Size) * diskPerByte)
 			cachePut(req.File)
 			w.Enqueue(write, t)
 		},
 		StWrite: func(w *whodunit.SEDAWorker, pr *whodunit.Probe, th *whodunit.Thread, t *task) {
 			req := t.conn.Reqs[t.next]
-			pr.Compute(whodunit.Duration(req.Size) * cfg.WritePerByte)
+			pr.Compute(whodunit.Duration(req.Size) * writePerByte)
 			res.BytesSent += req.Size
 			res.Requests++
 			t.next++

@@ -22,18 +22,18 @@
 // back at its frontend.
 //
 // One model, two layouts, selected by Config.Replicas. At 0 there is
-// one pipeline on the app's shared Cores-wide CPU, fed directly by the
-// trace replay. At R ≥ 1 there are R self-contained pods — each the
-// whole pipeline, with private per-stage CPUs — and the replay routes
-// each request to its key's home pod (so the caches stay pod-coherent)
-// over a mesh.Ingress hop of HopLatency; with Sharded, pod r runs on
-// time domain r+1, without it the same program runs on one domain and
-// reports the same bytes. The tier handlers exist once. What differs is
-// exactly what Config.layout returns: stage names (bare, or suffixed
-// with the pod index) and their CPU and time-domain placement, because
-// both layouts' reports are pinned byte for byte; and direct injection
-// or the ingress hop, because time domains may only talk through a
-// latency-bearing pipe. Every layout recycles its envelopes: a request
+// one pipeline on the app's shared sharedCores-wide CPU, fed directly
+// by the trace replay. At R ≥ 1 there are R self-contained pods — each
+// the whole pipeline, with private per-stage CPUs — and the replay
+// routes each request to its key's home pod (so the caches stay
+// pod-coherent) over a mesh.Ingress hop of hopLatency; with Sharded,
+// pod r runs on time domain r+1, without it the same program runs on
+// one domain and reports the same bytes. The tier handlers exist once.
+// What differs is exactly what Config.layout returns: stage names (bare,
+// or suffixed with the pod index) and their CPU and time-domain
+// placement, because both layouts' reports are pinned byte for byte;
+// and direct injection or the ingress hop, because time domains may
+// only talk through a latency-bearing pipe. Every layout recycles its envelopes: a request
 // completes on its pod's domain and goes back on the injector's free
 // list, which is safe because a vclock.Group runs all its domains on
 // the goroutine that called RunUntil (internal/vclock/domain.go:16).
@@ -55,59 +55,50 @@ type Config struct {
 
 	// Replicas selects the layout: 0 is the single pipeline, R ≥ 1 is R
 	// pods fed through ingress hops (see the package comment). Sharded
-	// puts pod r on time domain r+1; HopLatency is the client → pod
-	// network latency and so the epoch width, 0 = 1ms. Neither means
-	// anything at Replicas 0, and Cores only there: it sizes the shared
-	// CPU, where pods have private per-stage CPUs.
-	Replicas   int
-	Sharded    bool
-	HopLatency whodunit.Duration
-	Cores      int
+	// puts pod r on time domain r+1; it means nothing at Replicas 0.
+	Replicas int
+	Sharded  bool
 
 	Shards int // kv/cache shards on each pipeline's consistent-hash ring
-	VNodes int // ring virtual nodes per shard
 	Deep   bool
-
-	// Worker counts, per pipeline (ShardWorkers per kv shard).
-	FrontendWorkers int
-	ProxyWorkers    int
-	ShardWorkers    int
-	DBWorkers       int
 
 	// Trace drives Run; Serve ignores it and generates on the fly.
 	Trace *trace.Trace
 }
 
+// The deployment's fixed shape: calibration constants of the model,
+// like the CPU costs further down.
+const (
+	// sharedCores sizes the single pipeline's shared CPU; pods have
+	// private per-stage CPUs instead.
+	sharedCores = 4
+	// hopLatency is the replicated layout's client → pod network
+	// latency, and so the epoch width of a sharded run.
+	hopLatency = whodunit.Millisecond
+	vnodes     = 16 // ring virtual nodes per shard
+	// Worker counts, per pipeline (shardWorkers per kv shard).
+	frontendWorkers = 4
+	proxyWorkers    = 2
+	shardWorkers    = 2
+	dbWorkers       = 2
+)
+
 // DefaultConfig is the 4-shard scenario scale.
 func DefaultConfig(tr *trace.Trace) Config {
 	return Config{
-		Name:            "meshkv",
-		Mode:            whodunit.ModeWhodunit,
-		Seed:            1,
-		Cores:           4,
-		Shards:          4,
-		VNodes:          16,
-		FrontendWorkers: 4,
-		ProxyWorkers:    2,
-		ShardWorkers:    2,
-		DBWorkers:       2,
-		Trace:           tr,
+		Name:   "meshkv",
+		Mode:   whodunit.ModeWhodunit,
+		Seed:   1,
+		Shards: 4,
+		Trace:  tr,
 	}
 }
 
 // validate is the one place a Config is checked, so a bad one fails at
 // build with a message instead of deep inside the run.
 func (cfg Config) validate() error {
-	for _, c := range []struct {
-		name string
-		n    int
-	}{
-		{"Shards", cfg.Shards}, {"FrontendWorkers", cfg.FrontendWorkers}, {"ProxyWorkers", cfg.ProxyWorkers},
-		{"ShardWorkers", cfg.ShardWorkers}, {"DBWorkers", cfg.DBWorkers},
-	} {
-		if c.n < 1 {
-			return fmt.Errorf("meshkv: %s must be >= 1 (got %d)", c.name, c.n)
-		}
+	if cfg.Shards < 1 {
+		return fmt.Errorf("meshkv: Shards must be >= 1 (got %d)", cfg.Shards)
 	}
 	if cfg.Replicas < 0 {
 		return fmt.Errorf("meshkv: Replicas must be >= 0 (got %d)", cfg.Replicas)
@@ -132,7 +123,7 @@ func (cfg Config) layout() layout {
 	if cfg.Replicas == 0 {
 		return layout{
 			pods: 1,
-			app:  []whodunit.Option{whodunit.WithCores(cfg.Cores)},
+			app:  []whodunit.Option{whodunit.WithCores(sharedCores)},
 			stage: func(_ int, tier string, _ int) (string, []whodunit.StageOption) {
 				return tier, nil
 			},
@@ -142,10 +133,6 @@ func (cfg Config) layout() layout {
 	if cfg.Sharded {
 		domains = cfg.Replicas + 1
 	}
-	hop := cfg.HopLatency
-	if hop == 0 {
-		hop = whodunit.Millisecond
-	}
 	return layout{
 		pods: cfg.Replicas,
 		app:  []whodunit.Option{whodunit.WithShards(domains)},
@@ -153,7 +140,7 @@ func (cfg Config) layout() layout {
 			return fmt.Sprintf("%s-%d", tier, r),
 				[]whodunit.StageOption{whodunit.StageCPU(cores), whodunit.StageShard(r + 1)}
 		},
-		hop: hop,
+		hop: hopLatency,
 	}
 }
 
@@ -281,13 +268,13 @@ func (sys *system) buildPod(topo *mesh.Topology, lay layout, r int) *pod {
 	}
 	proxy := func(tier string, mode mesh.Mode, route mesh.Router) *mesh.Service {
 		name, place := lay.stage(r, tier, 1)
-		return topo.Proxy(name, mode, cfg.ProxyWorkers, route, place...)
+		return topo.Proxy(name, mode, proxyWorkers, route, place...)
 	}
 
 	// Handlers are chains of segments bound once here (see mesh.Handler):
 	// a segment's one blocking call takes effect when it returns, and
 	// Then names where the request continues.
-	db := service("db", 2, cfg.DBWorkers, func(c *mesh.Call) {
+	db := service("db", 2, dbWorkers, func(c *mesh.Call) {
 		req := c.Req()
 		switch req.Op {
 		case "fill": // read the canonical value for a cache miss
@@ -304,11 +291,11 @@ func (sys *system) buildPod(topo *mesh.Topology, lay layout, r int) *pod {
 
 	kvName, kvPlace := lay.stage(r, "kv", 1)
 	for i := range p.kvs {
-		p.kvs[i] = topo.Service(fmt.Sprintf("%s-%d", kvName, i), cfg.ShardWorkers,
-			p.kvHandler(db, cfg.ShardWorkers), kvPlace...)
+		p.kvs[i] = topo.Service(fmt.Sprintf("%s-%d", kvName, i), shardWorkers,
+			p.kvHandler(db, shardWorkers), kvPlace...)
 	}
 
-	var ring mesh.Router = mesh.NewRing(cfg.VNodes, p.kvs...)
+	var ring mesh.Router = mesh.NewRing(vnodes, p.kvs...)
 	if cfg.Deep {
 		ring = mesh.To(proxy("cache-proxy", mesh.StreamingWithBuffering, ring))
 	}
@@ -322,7 +309,7 @@ func (sys *system) buildPod(topo *mesh.Topology, lay layout, r int) *pod {
 		c.Invoke(next)
 		c.Then(respond)
 	}
-	front := service("frontend", 2, cfg.FrontendWorkers, func(c *mesh.Call) {
+	front := service("frontend", 2, frontendWorkers, func(c *mesh.Call) {
 		c.Compute(parseCost + kb(c.Req().Size))
 		c.Then(call)
 	})

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"whodunit"
+	"whodunit/internal/mesh"
 	"whodunit/internal/trace"
 )
 
@@ -182,10 +183,6 @@ func TestBuildPanicsOnBadConfig(t *testing.T) {
 		mutate func(*Config)
 	}{
 		{"Shards", func(c *Config) { c.Shards = 0 }},
-		{"FrontendWorkers", func(c *Config) { c.FrontendWorkers = 0 }},
-		{"ProxyWorkers", func(c *Config) { c.ProxyWorkers = -1 }},
-		{"ShardWorkers", func(c *Config) { c.ShardWorkers = 0 }},
-		{"DBWorkers", func(c *Config) { c.DBWorkers = 0 }},
 		{"Replicas", func(c *Config) { c.Replicas = -1 }},
 		{"Trace", func(c *Config) { c.Trace = nil }},
 	} {
@@ -201,5 +198,24 @@ func TestBuildPanicsOnBadConfig(t *testing.T) {
 			Run(cfg)
 			t.Errorf("bad %s: Run did not panic", tc.field)
 		}()
+	}
+}
+
+// TestRecycledEnvelopeCarriesNothingOver: an envelope from the free
+// list is the previous request's, so inject must rewrite every field the
+// mesh's Inject does not: the trace event's four and the response size.
+func TestRecycledEnvelopeCarriesNothingOver(t *testing.T) {
+	sys := build(DefaultConfig(nil))
+	dirty := &mesh.Request{Op: "set", Key: "stale", Size: 9, Stream: 7, RespSize: 4096, Start: 5}
+	sys.free = append(sys.free, dirty)
+	var got *mesh.Request
+	sys.pods[0].inject = func(req *mesh.Request) { got = req }
+	ev := trace.Event{Op: "get", Key: "k1", Size: 3, Stream: 2}
+	sys.inject(ev)
+	if got != dirty {
+		t.Fatalf("inject did not reuse the free envelope")
+	}
+	if got.Op != ev.Op || got.Key != ev.Key || got.Size != ev.Size || got.Stream != ev.Stream || got.RespSize != 0 {
+		t.Fatalf("recycled envelope %+v, want %+v with RespSize 0", *got, ev)
 	}
 }

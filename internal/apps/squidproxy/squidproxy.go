@@ -12,6 +12,10 @@
 // bound to the dispatching probe (Stage.BindLoop), so every handler's
 // samples land in the handler-sequence context with no instrumentation
 // in the handlers themselves.
+//
+// The origin latency and the per-unit costs are calibration constants
+// of the model (the const block before Config), fixed once against the
+// paper's figures; Config holds only what a run varies.
 package squidproxy
 
 import (
@@ -21,35 +25,33 @@ import (
 	"whodunit/internal/workload"
 )
 
+// The §8.2 experiment: same web trace as Apache, origin on a separate
+// machine.
+const (
+	// originDelay is the network+origin latency for a miss.
+	originDelay = 2 * whodunit.Millisecond
+	// Per-unit CPU costs.
+	acceptCost   = 40 * whodunit.Microsecond
+	parseCost    = 70 * whodunit.Microsecond
+	connectCost  = 50 * whodunit.Microsecond
+	recvPerByte  = 10 * whodunit.Nanosecond // receiving origin data (miss)
+	writePerByte = 14 * whodunit.Nanosecond // writing the reply to the client
+)
+
 // Config parameterises a run.
 type Config struct {
 	Mode  whodunit.Mode
 	Trace *workload.WebTrace
 	// CacheObjects is the LRU capacity in objects.
 	CacheObjects int
-	// OriginDelay is the network+origin latency for a miss.
-	OriginDelay whodunit.Duration
-	// Per-unit CPU costs.
-	AcceptCost   whodunit.Duration
-	ParseCost    whodunit.Duration
-	ConnectCost  whodunit.Duration
-	RecvPerByte  whodunit.Duration // receiving origin data (miss)
-	WritePerByte whodunit.Duration // writing the reply to the client
 }
 
-// DefaultConfig mirrors the §8.2 experiment: same web trace as Apache,
-// origin on a separate machine.
+// DefaultConfig profiles in whodunit mode with a 400-object cache.
 func DefaultConfig(trace *workload.WebTrace) Config {
 	return Config{
 		Mode:         whodunit.ModeWhodunit,
 		Trace:        trace,
 		CacheObjects: 400,
-		OriginDelay:  2 * whodunit.Millisecond,
-		AcceptCost:   40 * whodunit.Microsecond,
-		ParseCost:    70 * whodunit.Microsecond,
-		ConnectCost:  50 * whodunit.Microsecond,
-		RecvPerByte:  10 * whodunit.Nanosecond,
-		WritePerByte: 14 * whodunit.Nanosecond,
 	}
 }
 
@@ -135,7 +137,7 @@ func Run(cfg Config) *Result {
 		req := st.conn.Reqs[st.next]
 		func() {
 			defer pr.Exit(pr.Enter("commHandleWrite"))
-			pr.Compute(whodunit.Duration(req.Size) * cfg.WritePerByte)
+			pr.Compute(whodunit.Duration(req.Size) * writePerByte)
 		}()
 		res.BytesSent += req.Size
 		res.Requests++
@@ -152,7 +154,7 @@ func Run(cfg Config) *Result {
 		req := st.conn.Reqs[st.next]
 		func() {
 			defer pr.Exit(pr.Enter("httpReadReply"))
-			pr.Compute(whodunit.Duration(req.Size) * cfg.RecvPerByte)
+			pr.Compute(whodunit.Duration(req.Size) * recvPerByte)
 		}()
 		cache.put(req.File)
 		ioReady(l.NewEvent(hWrite, st), 50*whodunit.Microsecond)
@@ -162,9 +164,9 @@ func Run(cfg Config) *Result {
 		st := ev.Data.(*connState)
 		func() {
 			defer pr.Exit(pr.Enter("commConnectHandle"))
-			pr.Compute(cfg.ConnectCost)
+			pr.Compute(connectCost)
 		}()
-		ioReady(l.NewEvent(hReadReply, st), cfg.OriginDelay)
+		ioReady(l.NewEvent(hReadReply, st), originDelay)
 	}}
 
 	hRead = &whodunit.EventHandler{Name: "clientReadRequest", Fn: func(l *whodunit.EventLoop, ev *whodunit.Event) {
@@ -172,7 +174,7 @@ func Run(cfg Config) *Result {
 		req := st.conn.Reqs[st.next]
 		func() {
 			defer pr.Exit(pr.Enter("clientReadRequest"))
-			pr.Compute(cfg.ParseCost)
+			pr.Compute(parseCost)
 		}()
 		if cache.get(req.File) {
 			res.Hits++
@@ -187,7 +189,7 @@ func Run(cfg Config) *Result {
 		st := ev.Data.(*connState)
 		func() {
 			defer pr.Exit(pr.Enter("httpAccept"))
-			pr.Compute(cfg.AcceptCost)
+			pr.Compute(acceptCost)
 		}()
 		ioReady(l.NewEvent(hRead, st), 40*whodunit.Microsecond)
 	}}

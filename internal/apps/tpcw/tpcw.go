@@ -32,7 +32,7 @@
 // layouts is exactly what Config.layout returns: the app and stage
 // names, and mysql declared after or before the web tiers, because both
 // layouts' reports are pinned byte for byte;
-// a direct Put or an App.Pipe of HopLatency between pod and database,
+// a direct Put or an App.Pipe of hopLatency between pod and database,
 // because time domains may only talk through a latency-bearing pipe; the
 // crosstalk monitor, because its classifier reads every pod's chain
 // registry from the database's scheduler, which collapses sharding; and
@@ -72,7 +72,14 @@ func chainKeyOf(ch tranctx.Chain) chainKey {
 	return k
 }
 
-// Config parameterises one TPC-W run.
+// hopLatency is the replicated layout's app-server <-> database network
+// latency, and so the epoch width of a sharded run.
+const hopLatency = whodunit.Millisecond
+
+// Config parameterises one TPC-W run. The per-tier CPU costs are not in
+// it: they are calibration constants of the model, fixed once against
+// the paper's Table 1 — the squid and tomcat charges in their frames
+// below, the database's in minidb.DefaultCost.
 type Config struct {
 	Clients        int               // total, partitioned round-robin across pods
 	Duration       whodunit.Duration // virtual run length
@@ -83,12 +90,10 @@ type Config struct {
 
 	// Replicas selects the layout: 0 is the paper's single deployment,
 	// R ≥ 1 is R web pods before one database (see the package comment).
-	// Sharded puts pod r on time domain r+1; HopLatency is the
-	// app-server <-> database network latency and so the epoch width,
-	// 0 = 1ms. Neither means anything at Replicas 0.
-	Replicas   int
-	Sharded    bool
-	HopLatency whodunit.Duration
+	// Sharded puts pod r on time domain r+1; it means nothing at
+	// Replicas 0.
+	Replicas int
+	Sharded  bool
 
 	TomcatWorkers int // per pod
 	SquidWorkers  int // per pod
@@ -165,16 +170,12 @@ func (cfg Config) layout(classify func(whodunit.TxnCtxt) string) layout {
 	if cfg.Sharded {
 		domains = cfg.Replicas + 1
 	}
-	hop := cfg.HopLatency
-	if hop == 0 {
-		hop = whodunit.Millisecond
-	}
 	return layout{
 		appName: "tpcw-mega",
 		app:     []whodunit.Option{whodunit.WithShards(domains)},
 		pods:    cfg.Replicas,
 		name:    func(tier string, r int) string { return fmt.Sprintf("%s-%d", tier, r) },
-		hop:     hop,
+		hop:     hopLatency,
 		drain:   true,
 	}
 }

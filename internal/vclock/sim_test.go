@@ -435,10 +435,10 @@ func TestRNGExpMean(t *testing.T) {
 
 func TestZipfSkew(t *testing.T) {
 	r := NewRNG(9)
-	z := NewZipf(r, 1000, 1.0)
+	z := NewZipfTable(1000, 1.0)
 	counts := make([]int, 1000)
 	for i := 0; i < 50000; i++ {
-		counts[z.Next()]++
+		counts[z.Sample(r)]++
 	}
 	if counts[0] < counts[1] || counts[1] < counts[10] {
 		t.Fatalf("zipf not skewed: c0=%d c1=%d c10=%d", counts[0], counts[1], counts[10])

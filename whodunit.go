@@ -66,8 +66,9 @@
 //   - CrosstalkMonitor — the §6 interference matrix (internal/crosstalk);
 //   - flow detection for implicit shared-memory handoff on the bundled
 //     machine emulator (internal/vm, internal/shmflow);
-//   - Stitch — post-mortem assembly of per-stage profiles into the
-//     global transaction graph (internal/stitch).
+//   - DumpStage, ReadStageDump and ReportFromDumps — a stage's profile
+//     as a dump, and the unified report stitched post-mortem from a set
+//     of dumps (internal/stitch).
 //
 // See examples/quickstart for a complete two-stage walkthrough, and
 // cmd/whodunit-bench for the paper's full evaluation.
@@ -120,14 +121,8 @@ const (
 	Minute      = vclock.Minute
 )
 
-// Lock modes.
-const (
-	Shared    = vclock.Shared
-	Exclusive = vclock.Exclusive
-)
-
-// NewSim returns an empty simulation with the clock at zero.
-func NewSim() *Sim { return vclock.New() }
+// Exclusive is the lock mode of a writer.
+const Exclusive = vclock.Exclusive
 
 // Run-to-completion scheduling (Sim.GoCoro, App.GoCoroShard,
 // Stage.GoCoro): thread bodies written as resumable state machines are
@@ -175,9 +170,6 @@ const (
 // command-line flag directly with flag.Var.
 var ParseMode = profiler.ParseMode
 
-// CallHop builds a call-path context hop.
-var CallHop = tranctx.CallHop
-
 // Event-driven and SEDA libraries.
 type (
 	// EventLoop is a libevent-style loop with context propagation.
@@ -203,12 +195,6 @@ type (
 	Msg = ipc.Msg
 	// Conn wraps an Endpoint around a byte stream.
 	Conn = ipc.Conn
-)
-
-// Message kinds.
-const (
-	KindRequest  = ipc.Request
-	KindResponse = ipc.Response
 )
 
 // Crosstalk.
@@ -261,9 +247,6 @@ type (
 // DumpStage captures a stage's profiler (plus endpoints) for post-mortem
 // stitching.
 func DumpStage(p *Profiler, eps ...*Endpoint) StageDump { return stitch.Dump(p.View(), eps...) }
-
-// Stitch assembles per-stage dumps into the global transaction graph.
-func Stitch(dumps []StageDump) *TransactionGraph { return stitch.Build(dumps) }
 
 // ReadStageDump decodes a stage dump from JSON.
 func ReadStageDump(r io.Reader) (StageDump, error) { return stitch.DecodeDump(r) }

@@ -9,12 +9,15 @@ import (
 	"whodunit/internal/event"
 	"whodunit/internal/ipc"
 	"whodunit/internal/profiler"
+	"whodunit/internal/stitch"
+	"whodunit/internal/tranctx"
+	"whodunit/internal/vclock"
 )
 
 // TestPublicAPITwoStagePipeline exercises the facade end to end: two
 // stages over queues, per-context CCTs at the callee, stitching.
 func TestPublicAPITwoStagePipeline(t *testing.T) {
-	s := whodunit.NewSim()
+	s := vclock.New()
 	cpu := s.NewCPU("cpu", 2)
 	webProf := profiler.New("web", whodunit.ModeWhodunit)
 	dbProf := profiler.New("db", whodunit.ModeWhodunit)
@@ -26,7 +29,7 @@ func TestPublicAPITwoStagePipeline(t *testing.T) {
 		pr := dbProf.NewProbe(th, cpu)
 		for i := 0; i < 2; i++ {
 			msg := th.Get(reqQ).(whodunit.Msg)
-			if kind := dbEP.Recv(pr, msg); kind != whodunit.KindRequest {
+			if kind := dbEP.Recv(pr, msg); kind != ipc.Request {
 				t.Errorf("db got %v", kind)
 			}
 			func() {
@@ -43,7 +46,7 @@ func TestPublicAPITwoStagePipeline(t *testing.T) {
 				defer pr.Exit(pr.Enter("handle_" + page))
 				pr.Compute(2 * whodunit.Millisecond)
 				reqQ.Put(webEP.Send(pr, nil))
-				if kind := webEP.Recv(pr, th.Get(respQ).(whodunit.Msg)); kind != whodunit.KindResponse {
+				if kind := webEP.Recv(pr, th.Get(respQ).(whodunit.Msg)); kind != ipc.Response {
 					t.Errorf("web got %v", kind)
 				}
 			}()
@@ -63,7 +66,7 @@ func TestPublicAPITwoStagePipeline(t *testing.T) {
 		t.Fatalf("db context trees with samples = %d, want 2", withSamples)
 	}
 
-	g := whodunit.Stitch([]whodunit.StageDump{
+	g := stitch.Build([]whodunit.StageDump{
 		whodunit.DumpStage(webProf, webEP),
 		whodunit.DumpStage(dbProf, dbEP),
 	})
@@ -398,7 +401,7 @@ func TestStageWithTxnRestoresContext(t *testing.T) {
 	done := false
 	st.Go("t", func(th *whodunit.Thread, pr *whodunit.Probe) {
 		outer := st.BeginTxn(pr, "outer")
-		inner := whodunit.TxnCtxt{Local: outer.Local.Extend(whodunit.CallHop("wt", "inner"))}
+		inner := whodunit.TxnCtxt{Local: outer.Local.Extend(tranctx.CallHop("wt", "inner"))}
 		st.WithTxn(pr, inner, func() {
 			if pr.Txn().Label() != "wt:outer | wt:inner" {
 				t.Errorf("inside WithTxn: %q", pr.Txn().Label())
