@@ -15,17 +15,18 @@ type arrivals struct {
 	step   func()
 }
 
-// replay is Replay's cursor: the events and the index of the one due.
+// replay is Replay's cursor: the trace and the index of the event due,
+// expanded when it fires.
 type replay struct {
 	arrivals
-	evs []Event
-	i   int
+	tr *Trace
+	i  int
 }
 
 func (r *replay) fire() {
-	r.inject(r.evs[r.i])
-	if r.i++; r.i < len(r.evs) {
-		r.sim.At(r.base.Add(r.evs[r.i].T), r.step)
+	r.inject(r.tr.Event(r.i))
+	if r.i++; r.i < len(r.tr.Events) {
+		r.sim.At(r.base.Add(r.tr.Events[r.i].T), r.step)
 	}
 }
 
@@ -42,9 +43,9 @@ func Replay(app *whodunit.App, tr *Trace, inject func(ev Event)) {
 		return
 	}
 	sim := app.Sim()
-	r := &replay{arrivals: arrivals{sim: sim, base: sim.Now(), inject: inject}, evs: tr.Events}
+	r := &replay{arrivals: arrivals{sim: sim, base: sim.Now(), inject: inject}, tr: tr}
 	r.step = r.fire
-	sim.At(r.base.Add(r.evs[0].T), r.step)
+	sim.At(r.base.Add(tr.Events[0].T), r.step)
 }
 
 // openLoop is OpenLoop's cursor: the generator and the event due.
@@ -56,7 +57,7 @@ type openLoop struct {
 
 func (o *openLoop) fire() {
 	o.inject(o.due)
-	o.due = o.g.next()
+	o.due = o.g.event()
 	o.sim.At(o.base.Add(o.due.T), o.step)
 }
 
@@ -69,6 +70,6 @@ func OpenLoop(app *whodunit.App, cfg GenConfig, inject func(ev Event)) {
 	sim := app.Sim()
 	o := &openLoop{arrivals: arrivals{sim: sim, base: sim.Now(), inject: inject}, g: newGen(cfg)}
 	o.step = o.fire
-	o.due = o.g.next()
+	o.due = o.g.event()
 	sim.At(o.base.Add(o.due.T), o.step)
 }

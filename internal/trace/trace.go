@@ -16,6 +16,12 @@
 // Timestamps are virtual nanoseconds from the start of the trace and
 // must be non-decreasing; the header's event count lets the loader
 // report how much of a truncated trace was lost.
+//
+// In memory a Trace is 24-byte Records plus two name tables: a record's
+// op and key are indices into the trace's Ops and Keys, each table filled
+// in order of first appearance, so one event sequence has exactly one
+// representation. Indices from two traces are never compared; names are.
+// Event, the wide form, is the line format and what replay injects.
 package trace
 
 import (
@@ -24,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"whodunit"
 	"whodunit/internal/vclock"
@@ -32,7 +39,20 @@ import (
 // Format is the header format tag of trace files this package writes.
 const Format = "whodunit-trace/v1"
 
-// Event is one request record.
+// The widths of a Record's identifiers. A stream id is below maxStreams,
+// a trace names at most maxOps ops and maxKeys keys (one short of 2^32:
+// Gen's key-id map keeps 0 for a key not drawn yet). Read salvages a line
+// past any of them as corrupt; GenConfig validation refuses a config that
+// could draw one.
+const (
+	maxStreams = 1 << 16
+	maxOps     = 1 << 8
+	maxKeys    = math.MaxUint32
+)
+
+// Event is one request in its wide form: the JSONL line format, and what
+// Replay and OpenLoop hand to inject. A Trace stores Records;
+// Trace.Event expands one.
 type Event struct {
 	T      whodunit.Duration `json:"t"` // arrival, virtual ns from trace start
 	Stream int               `json:"stream"`
@@ -44,14 +64,35 @@ type Event struct {
 // valid reports whether ev is a well-formed successor of an event at
 // prev: fields in range and time non-decreasing.
 func (ev Event) valid(prev whodunit.Duration) bool {
-	return ev.Op != "" && ev.T >= prev && ev.T >= 0 && ev.Stream >= 0 && ev.Size >= 0
+	return ev.Op != "" && ev.T >= prev && ev.T >= 0 && ev.Stream >= 0 && ev.Stream < maxStreams && ev.Size >= 0
 }
 
-// Trace is a loaded or generated request trace. Lost counts trailing
-// records a salvaging Read could not recover (0 for generated traces).
+// Record is one stored event, 24 bytes: Op and Key index the owning
+// Trace's Ops and Keys.
+type Record struct {
+	T      whodunit.Duration // arrival, virtual ns from trace start
+	Size   int64             // request payload bytes
+	Key    uint32
+	Stream uint16
+	Op     uint8
+}
+
+// Trace is a loaded or generated request trace: its records and the name
+// tables they index, each table in order of first appearance, so one
+// event sequence has one Trace value. Lost counts trailing records a
+// salvaging Read could not recover (0 for generated traces).
 type Trace struct {
-	Events []Event
+	Events []Record
+	Keys   []string
+	Ops    []string
 	Lost   int
+}
+
+// Event expands record i. It allocates nothing: the names are the
+// tables' own strings.
+func (tr *Trace) Event(i int) Event {
+	r := &tr.Events[i]
+	return Event{T: r.T, Stream: int(r.Stream), Op: tr.Ops[r.Op], Key: tr.Keys[r.Key], Size: r.Size}
 }
 
 // header is the first line of a trace file.
@@ -67,20 +108,52 @@ func Write(w io.Writer, tr *Trace) error {
 	if err := enc.Encode(header{Format: Format, Events: len(tr.Events)}); err != nil {
 		return err
 	}
+	var ev Event
 	for i := range tr.Events {
-		if err := enc.Encode(&tr.Events[i]); err != nil {
+		ev = tr.Event(i)
+		if err := enc.Encode(&ev); err != nil {
 			return err
 		}
 	}
 	return bw.Flush()
 }
 
+// names is a name table Read fills in order of first appearance; index
+// maps each name to its position in list.
+type names struct {
+	index map[string]uint32
+	list  []string
+}
+
+// lookup returns name's index, or the index a new name would take; ok is
+// false when a new name would not fit under limit.
+func (n *names) lookup(name string, limit int) (i uint32, ok bool) {
+	if i, ok := n.index[name]; ok {
+		return i, true
+	}
+	return uint32(len(n.list)), len(n.list) < limit
+}
+
+// keep adds name at i if lookup found it new.
+func (n *names) keep(name string, i uint32) {
+	if int(i) == len(n.list) {
+		n.index[name] = i
+		n.list = append(n.list, name)
+	}
+}
+
+// readHint caps the records Read sizes its slice for from the header's
+// count, which the file, not the reader, states.
+const readHint = 1 << 16
+
 // Read decodes a JSONL trace from r, salvaging what it can: a missing
 // or malformed header is an error (there is nothing to salvage), but
 // once the header is in, events are kept up to the first corrupt or
 // out-of-order line and everything after it — plus any events the
-// header promised that never arrived — is counted in Trace.Lost. Read
-// never panics on malformed input (see FuzzReadTrace).
+// header promised that never arrived — is counted in Trace.Lost. A line
+// whose stream, op or key does not fit a Record (a stream of 2^16 or
+// more, a 257th distinct op, a 2^32-th distinct key) is corrupt too.
+// Read never panics on malformed input (see FuzzReadTrace).
 func Read(r io.Reader) (*Trace, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64*1024), 16*1024*1024)
@@ -97,7 +170,9 @@ func Read(r io.Reader) (*Trace, error) {
 	if hdr.Format != Format {
 		return nil, fmt.Errorf("trace: unsupported format %q (want %q)", hdr.Format, Format)
 	}
-	tr := &Trace{}
+	tr := &Trace{Events: make([]Record, 0, min(max(hdr.Events, 0), readHint))}
+	ops := names{index: map[string]uint32{}}
+	keys := names{index: map[string]uint32{}}
 	prev := whodunit.Duration(0)
 	for sc.Scan() {
 		line := sc.Bytes()
@@ -105,7 +180,10 @@ func Read(r io.Reader) (*Trace, error) {
 			continue
 		}
 		var ev Event
-		if err := json.Unmarshal(line, &ev); err != nil || !ev.valid(prev) {
+		err := json.Unmarshal(line, &ev)
+		op, opOK := ops.lookup(ev.Op, maxOps)
+		key, keyOK := keys.lookup(ev.Key, maxKeys)
+		if err != nil || !ev.valid(prev) || !opOK || !keyOK {
 			// Corrupt record: keep the salvaged prefix, count the rest.
 			tr.Lost++
 			for sc.Scan() {
@@ -113,7 +191,9 @@ func Read(r io.Reader) (*Trace, error) {
 			}
 			break
 		}
-		tr.Events = append(tr.Events, ev)
+		ops.keep(ev.Op, op)
+		keys.keep(ev.Key, key)
+		tr.Events = append(tr.Events, Record{T: ev.T, Size: ev.Size, Key: key, Stream: uint16(ev.Stream), Op: uint8(op)})
 		prev = ev.T
 	}
 	if sc.Err() != nil {
@@ -124,6 +204,7 @@ func Read(r io.Reader) (*Trace, error) {
 	if hdr.Events > len(tr.Events)+tr.Lost {
 		tr.Lost = hdr.Events - len(tr.Events)
 	}
+	tr.Ops, tr.Keys = ops.list, keys.list
 	return tr, nil
 }
 
@@ -208,11 +289,11 @@ type gen struct {
 }
 
 func newGen(cfg GenConfig) *gen {
-	if cfg.Keys < 1 {
-		panic(fmt.Sprintf("trace: GenConfig.Keys must be >= 1 (got %d)", cfg.Keys))
+	if cfg.Keys < 1 || uint64(max(cfg.Keys, cfg.HotKeys)) > maxKeys {
+		panic(fmt.Sprintf("trace: GenConfig.Keys and HotKeys must be in [1, %d] (got %d, %d)", uint64(maxKeys), cfg.Keys, cfg.HotKeys))
 	}
-	if cfg.Streams < 1 {
-		panic(fmt.Sprintf("trace: GenConfig.Streams must be >= 1 (got %d)", cfg.Streams))
+	if cfg.Streams < 1 || cfg.Streams > maxStreams {
+		panic(fmt.Sprintf("trace: GenConfig.Streams must be in [1, %d] (got %d)", maxStreams, cfg.Streams))
 	}
 	if cfg.MeanGap <= 0 {
 		panic(fmt.Sprintf("trace: GenConfig.MeanGap must be positive (got %v)", cfg.MeanGap))
@@ -224,9 +305,27 @@ func newGen(cfg GenConfig) *gen {
 	return g
 }
 
+// The generator's ops, by the code a draw carries.
+const (
+	opGet = iota
+	opSet
+)
+
+var opNames = [...]string{opGet: "get", opSet: "set"}
+
+// draw is one generated event before it is named: its key as an id of
+// the generator's key space, its op as a code of opNames.
+type draw struct {
+	t      whodunit.Duration
+	size   int64
+	key    int
+	stream int
+	op     int
+}
+
 // next draws the following event. Draw order is fixed (gap, hot, key,
 // op, size, stream) — it is part of the bit-reproducibility contract.
-func (g *gen) next() Event {
+func (g *gen) next() draw {
 	gap := g.cfg.MeanGap
 	if g.cfg.BurstEvery > 0 && g.cfg.BurstFactor > 1 && g.t%g.cfg.BurstEvery < g.cfg.BurstLen {
 		gap = whodunit.Duration(float64(gap) / g.cfg.BurstFactor)
@@ -242,19 +341,19 @@ func (g *gen) next() Event {
 		id = g.rng.Intn(g.cfg.Keys)
 	}
 
-	op, size := "set", int64(0)
+	op, size := opSet, int64(0)
 	if g.rng.Float64() < g.cfg.ReadFrac {
-		op, size = "get", g.cfg.GetSize
+		op, size = opGet, g.cfg.GetSize
 	} else {
 		size = int64(g.rng.Pareto(float64(g.cfg.MinSize), float64(g.cfg.MaxSize), g.cfg.SizeAlpha))
 	}
-	return Event{
-		T:      g.t,
-		Stream: g.rng.Intn(g.cfg.Streams),
-		Op:     op,
-		Key:    g.key(id),
-		Size:   size,
-	}
+	return draw{t: g.t, size: size, key: id, stream: g.rng.Intn(g.cfg.Streams), op: op}
+}
+
+// event draws the following event in its wide form.
+func (g *gen) event() Event {
+	d := g.next()
+	return Event{T: d.t, Stream: d.stream, Op: opNames[d.op], Key: g.key(d.key), Size: d.size}
 }
 
 // key names key id. The key space is small and every event names one,
@@ -267,12 +366,30 @@ func (g *gen) key(id int) string {
 }
 
 // Gen produces cfg.Events synthetic events — the same sequence OpenLoop
-// would inject, materialised.
+// would inject, stored as records. A drawn key id and op code reach their
+// table indices through slices indexed by id and code, so no name is
+// hashed or formatted per event.
 func Gen(cfg GenConfig) *Trace {
 	g := newGen(cfg)
-	tr := &Trace{Events: make([]Event, cfg.Events)}
+	tr := &Trace{Events: make([]Record, cfg.Events)}
+	// 1 + the table index of each key id and op code; 0 until it is drawn.
+	keyIndex := make([]uint32, len(g.keys))
+	var opIndex [len(opNames)]uint8
 	for i := range tr.Events {
-		tr.Events[i] = g.next()
+		d := g.next()
+		k := keyIndex[d.key]
+		if k == 0 {
+			tr.Keys = append(tr.Keys, g.key(d.key))
+			k = uint32(len(tr.Keys))
+			keyIndex[d.key] = k
+		}
+		o := opIndex[d.op]
+		if o == 0 {
+			tr.Ops = append(tr.Ops, opNames[d.op])
+			o = uint8(len(tr.Ops))
+			opIndex[d.op] = o
+		}
+		tr.Events[i] = Record{T: d.t, Size: d.size, Key: k - 1, Stream: uint16(d.stream), Op: o - 1}
 	}
 	return tr
 }

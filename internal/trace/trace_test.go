@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"whodunit"
 )
@@ -31,7 +32,8 @@ func TestGenShape(t *testing.T) {
 	}
 	gets, prev := 0, whodunit.Duration(0)
 	keys := map[string]int{}
-	for _, ev := range tr.Events {
+	for i := range tr.Events {
+		ev := tr.Event(i)
 		if !ev.valid(prev) {
 			t.Fatalf("invalid event %+v after t=%d", ev, prev)
 		}
@@ -69,8 +71,8 @@ func TestGenHotKeys(t *testing.T) {
 	cfg.HotFrac = 0.6
 	tr := Gen(cfg)
 	hot := 0
-	for _, ev := range tr.Events {
-		if ev.Key == "k0000" || ev.Key == "k0001" || ev.Key == "k0002" {
+	for i := range tr.Events {
+		if ev := tr.Event(i); ev.Key == "k0000" || ev.Key == "k0001" || ev.Key == "k0002" {
 			hot++
 		}
 	}
@@ -113,8 +115,8 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if got.Lost != 0 {
 		t.Fatalf("round trip lost %d events", got.Lost)
 	}
-	if !reflect.DeepEqual(got.Events, tr.Events) {
-		t.Fatal("round-tripped events differ")
+	if !reflect.DeepEqual(got, tr) {
+		t.Fatal("round-tripped trace differs")
 	}
 }
 
@@ -140,8 +142,10 @@ func TestReadSalvagesTruncation(t *testing.T) {
 	if got.Lost != 100-len(got.Events) {
 		t.Fatalf("lost %d, want %d", got.Lost, 100-len(got.Events))
 	}
-	if !reflect.DeepEqual(got.Events, tr.Events[:len(got.Events)]) {
-		t.Fatal("salvaged prefix is not a prefix of the original")
+	for i := range got.Events {
+		if got.Event(i) != tr.Event(i) {
+			t.Fatalf("salvaged event %d is %+v, not the original's %+v", i, got.Event(i), tr.Event(i))
+		}
 	}
 }
 
@@ -158,6 +162,61 @@ func TestReadStopsAtCorruptLine(t *testing.T) {
 	}
 	if len(got.Events) != 1 || got.Lost != 3 {
 		t.Fatalf("kept %d lost %d; want 1 kept (the rest after the corrupt line is lost: 3)", len(got.Events), got.Lost)
+	}
+}
+
+// outOfRangeTraces are two trace files whose second-to-last line does
+// not fit a Record: one names stream 65 536, the other a 257th distinct
+// op (and a key no earlier line named). Each ends with a valid line.
+func outOfRangeTraces() (stream, op []byte) {
+	stream = []byte(`{"format":"whodunit-trace/v1","events":3}
+{"t":1,"stream":65535,"op":"get","key":"a","size":1}
+{"t":2,"stream":65536,"op":"get","key":"a","size":1}
+{"t":3,"stream":0,"op":"get","key":"a","size":1}
+`)
+	var b strings.Builder
+	b.WriteString(`{"format":"whodunit-trace/v1","events":258}` + "\n")
+	for i := 0; i < 257; i++ {
+		key := "a"
+		if i == 256 {
+			key = "fresh"
+		}
+		fmt.Fprintf(&b, `{"t":%d,"stream":0,"op":"op%d","key":%q,"size":1}`+"\n", i, i, key)
+	}
+	b.WriteString(`{"t":300,"stream":0,"op":"op0","key":"a","size":1}` + "\n")
+	return stream, []byte(b.String())
+}
+
+// TestReadSalvagesOutOfRangeIDs: a line whose stream id is 16 bits wide
+// or more, or which names a 257th op, is corrupt: the prefix is kept,
+// the rest is counted lost, and the refused line leaves no name behind
+// in either table.
+func TestReadSalvagesOutOfRangeIDs(t *testing.T) {
+	stream, op := outOfRangeTraces()
+	got, err := Read(bytes.NewReader(stream))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Events) != 1 || got.Lost != 2 || got.Event(0).Stream != 65535 {
+		t.Fatalf("stream 65536: kept %d (%+v), lost %d; want stream 65535 kept and 2 lost", len(got.Events), got.Events, got.Lost)
+	}
+	got, err = Read(bytes.NewReader(op))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Events) != 256 || got.Lost != 2 || len(got.Ops) != 256 || got.Ops[255] != "op255" {
+		t.Fatalf("257th op: kept %d, lost %d, %d ops; want 256 kept, 2 lost, 256 ops", len(got.Events), got.Lost, len(got.Ops))
+	}
+	if !reflect.DeepEqual(got.Keys, []string{"a"}) {
+		t.Fatalf("keys %q: the refused line's key was interned", got.Keys)
+	}
+}
+
+// TestRecordIs24Bytes pins the stored event's layout: two 8-byte fields
+// and the key, stream and op indices in one more word.
+func TestRecordIs24Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(Record{}); n != 24 {
+		t.Fatalf("a Record is %d bytes, want 24", n)
 	}
 }
 
@@ -207,11 +266,15 @@ func TestReplayBitReproducible(t *testing.T) {
 }
 
 // TestOpenLoopMatchesGen: the open-loop stream is Gen's sequence
-// continued — the first n injected events equal Gen(cfg).Events[:n].
+// continued — the first n injected events are Gen(cfg)'s n records.
 func TestOpenLoopMatchesGen(t *testing.T) {
 	cfg := MetaKV()
 	cfg.Events = 150
-	want := Gen(cfg).Events
+	tr := Gen(cfg)
+	want := make([]Event, len(tr.Events))
+	for i := range want {
+		want[i] = tr.Event(i)
+	}
 
 	app := whodunit.NewApp("openloop", whodunit.WithSeed(1))
 	var got []Event
@@ -239,7 +302,7 @@ func TestArrivalsAllocateNothing(t *testing.T) {
 		sim := app.Sim()
 		n := 0
 		install(app, func(ev Event) {
-			if want := tr.Events[n]; ev != want || sim.Now() != whodunit.Time(want.T) {
+			if want := tr.Event(n); ev != want || sim.Now() != whodunit.Time(want.T) {
 				t.Fatalf("%s: event %d is %+v at %v, want %+v at its own instant", name, n, ev, sim.Now(), want)
 			}
 			n++
@@ -259,6 +322,7 @@ func TestGenConfigValidation(t *testing.T) {
 	bad := []func(*GenConfig){
 		func(c *GenConfig) { c.Keys = 0 },
 		func(c *GenConfig) { c.Streams = 0 },
+		func(c *GenConfig) { c.Streams = 65537 }, // a stream id is 16 bits
 		func(c *GenConfig) { c.MeanGap = 0 },
 	}
 	for i, mutate := range bad {
@@ -277,8 +341,8 @@ func TestGenConfigValidation(t *testing.T) {
 
 // TestGenKeyTable: the per-generator key table yields exactly the names
 // the generator used to format per event — five-digit ids included — and
-// once every name in use has been formatted, drawing an event allocates
-// nothing.
+// once every name in use has been formatted, drawing an event in its
+// wide form, as OpenLoop does, allocates nothing.
 func TestGenKeyTable(t *testing.T) {
 	cfg := CacheTrace()
 	cfg.Keys, cfg.HotKeys, cfg.HotFrac = 12_000, 12_500, 0.1
@@ -292,7 +356,7 @@ func TestGenKeyTable(t *testing.T) {
 		t.Fatalf("table of %d keys, last %q, eighth %q", n, g.key(n-1), g.key(7))
 	}
 	var sink Event
-	if avg := testing.AllocsPerRun(1000, func() { sink = g.next() }); avg != 0 {
+	if avg := testing.AllocsPerRun(1000, func() { sink = g.event() }); avg != 0 {
 		t.Errorf("a warm generator allocates %.2f times per event, want 0 (last %+v)", avg, sink)
 	}
 }
