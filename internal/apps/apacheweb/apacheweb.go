@@ -251,13 +251,13 @@ func (w *worker) serve(c *whodunit.Coro) whodunit.Step {
 
 func (w *worker) parsed(c *whodunit.Coro, _ any) whodunit.Step {
 	w.sendTok = w.pr.EnterID(w.sys.sendFrame)
-	return w.pr.ComputeStep(c, whodunit.Duration(w.conn.Reqs[w.req].Size)*sendPerByte, w.sentF)
+	return w.pr.ComputeStep(c, whodunit.Duration(w.sys.cfg.Trace.Size(w.conn.Reqs[w.req]))*sendPerByte, w.sentF)
 }
 
 func (w *worker) sent(c *whodunit.Coro, _ any) whodunit.Step {
 	w.pr.Exit(w.sendTok)
 	res := w.sys.res
-	res.BytesSent += w.conn.Reqs[w.req].Size
+	res.BytesSent += w.sys.cfg.Trace.Size(w.conn.Reqs[w.req])
 	res.Requests++
 	w.req++
 	return w.serve(c)

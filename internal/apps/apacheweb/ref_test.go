@@ -43,7 +43,7 @@ func (l *listener) refSpawn(name string) {
 
 func (w *worker) refSpawn(name string) {
 	sys := w.sys
-	fdq, res := sys.fdq, sys.res
+	fdq, res, tr := sys.fdq, sys.res, sys.cfg.Trace
 	sys.st.Go(name, func(th *whodunit.Thread, pr *whodunit.Probe) {
 		for {
 			func() {
@@ -55,9 +55,9 @@ func (w *worker) refSpawn(name string) {
 						pr.Compute(parseCost)
 						func() {
 							defer pr.Exit(pr.Enter("sendfile"))
-							pr.Compute(whodunit.Duration(req.Size) * sendPerByte)
+							pr.Compute(whodunit.Duration(tr.Size(req)) * sendPerByte)
 						}()
-						res.BytesSent += req.Size
+						res.BytesSent += tr.Size(req)
 						res.Requests++
 					}
 				}()

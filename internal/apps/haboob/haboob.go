@@ -146,7 +146,7 @@ func Run(cfg Config) *Result {
 		StCache: func(w *whodunit.SEDAWorker, pr *whodunit.Probe, th *whodunit.Thread, t *task) {
 			pr.Compute(cacheCost)
 			req := t.conn.Reqs[t.next]
-			if cached[req.File] {
+			if cached[int(req.File)] {
 				res.Hits++
 				w.Enqueue(write, t)
 			} else {
@@ -161,14 +161,14 @@ func Run(cfg Config) *Result {
 		StFileIO: func(w *whodunit.SEDAWorker, pr *whodunit.Probe, th *whodunit.Thread, t *task) {
 			req := t.conn.Reqs[t.next]
 			th.Sleep(diskLatency)
-			pr.Compute(whodunit.Duration(req.Size) * diskPerByte)
-			cachePut(req.File)
+			pr.Compute(whodunit.Duration(cfg.Trace.Size(req)) * diskPerByte)
+			cachePut(int(req.File))
 			w.Enqueue(write, t)
 		},
 		StWrite: func(w *whodunit.SEDAWorker, pr *whodunit.Probe, th *whodunit.Thread, t *task) {
-			req := t.conn.Reqs[t.next]
-			pr.Compute(whodunit.Duration(req.Size) * writePerByte)
-			res.BytesSent += req.Size
+			size := cfg.Trace.Size(t.conn.Reqs[t.next])
+			pr.Compute(whodunit.Duration(size) * writePerByte)
+			res.BytesSent += size
 			res.Requests++
 			t.next++
 			if t.next < len(t.conn.Reqs) {

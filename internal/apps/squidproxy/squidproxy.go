@@ -134,12 +134,12 @@ func Run(cfg Config) *Result {
 
 	hWrite = &whodunit.EventHandler{Name: "commHandleWrite", Fn: func(l *whodunit.EventLoop, ev *whodunit.Event) {
 		st := ev.Data.(*connState)
-		req := st.conn.Reqs[st.next]
+		size := cfg.Trace.Size(st.conn.Reqs[st.next])
 		func() {
 			defer pr.Exit(pr.Enter("commHandleWrite"))
-			pr.Compute(whodunit.Duration(req.Size) * writePerByte)
+			pr.Compute(whodunit.Duration(size) * writePerByte)
 		}()
-		res.BytesSent += req.Size
+		res.BytesSent += size
 		res.Requests++
 		st.next++
 		if st.next < len(st.conn.Reqs) {
@@ -154,9 +154,9 @@ func Run(cfg Config) *Result {
 		req := st.conn.Reqs[st.next]
 		func() {
 			defer pr.Exit(pr.Enter("httpReadReply"))
-			pr.Compute(whodunit.Duration(req.Size) * recvPerByte)
+			pr.Compute(whodunit.Duration(cfg.Trace.Size(req)) * recvPerByte)
 		}()
-		cache.put(req.File)
+		cache.put(int(req.File))
 		ioReady(l.NewEvent(hWrite, st), 50*whodunit.Microsecond)
 	}}
 
@@ -176,7 +176,7 @@ func Run(cfg Config) *Result {
 			defer pr.Exit(pr.Enter("clientReadRequest"))
 			pr.Compute(parseCost)
 		}()
-		if cache.get(req.File) {
+		if cache.get(int(req.File)) {
 			res.Hits++
 			ioReady(l.NewEvent(hWrite, st), 20*whodunit.Microsecond)
 		} else {

@@ -936,36 +936,46 @@ type tables struct {
 // loadTables creates and populates the TPC-W schema on db. Each table's
 // attributes come from one array, k per row; a row's window is capped
 // at its k so that adding an attribute to it copies instead of writing
-// into the next row (see minidb.Table.LoadRow).
+// into the next row (see minidb.Table.LoadRow). Each table is loaded in
+// one LoadRows, which sizes its row array once; LoadRows copies the
+// rows, so one buffer, as long as the largest table, serves them all.
 func loadTables(db *minidb.DB, itemEngine minidb.Engine, seed uint64) tables {
 	rng := vclock.NewRNG(seed ^ 0x5eed)
+	rows := make([]minidb.Row, 10000)
 	item := db.CreateTable("item", itemEngine)
 	a := make([]minidb.Attr, 3*10000)
-	for i := 0; i < 10000; i++ {
+	for i := range rows {
 		w := a[3*i : 3*i+3 : 3*i+3]
 		w[0] = minidb.Attr{Name: "subject", Val: int64(i % 24)}
 		w[1] = minidb.Attr{Name: "cost", Val: int64(10 + i%90)}
 		w[2] = minidb.Attr{Name: "sales", Val: int64(rng.Intn(100000))}
-		item.LoadRow(minidb.Row{ID: int64(i), Attrs: w})
+		rows[i] = minidb.Row{ID: int64(i), Attrs: w}
 	}
+	item.LoadRows(rows)
 	orderLine := db.CreateTable("order_line", minidb.EngineMyISAM)
-	a = make([]minidb.Attr, 2*7776)
-	for i := 0; i < 7776; i++ {
+	rows = rows[:7776]
+	a = make([]minidb.Attr, 2*len(rows))
+	for i := range rows {
 		w := a[2*i : 2*i+2 : 2*i+2]
 		w[0] = minidb.Attr{Name: "item", Val: int64(rng.Intn(10000))}
 		w[1] = minidb.Attr{Name: "qty", Val: int64(1 + rng.Intn(5))}
-		orderLine.LoadRow(minidb.Row{ID: int64(i), Attrs: w})
+		rows[i] = minidb.Row{ID: int64(i), Attrs: w}
 	}
+	orderLine.LoadRows(rows)
 	customer := db.CreateTable("customer", minidb.EngineMyISAM)
-	a = make([]minidb.Attr, 2880)
-	for i := 0; i < 2880; i++ {
+	rows = rows[:2880]
+	a = make([]minidb.Attr, len(rows))
+	for i := range rows {
 		a[i] = minidb.Attr{Name: "discount", Val: int64(i % 50)}
-		customer.LoadRow(minidb.Row{ID: int64(i), Attrs: a[i : i+1 : i+1]})
+		rows[i] = minidb.Row{ID: int64(i), Attrs: a[i : i+1 : i+1]}
 	}
+	customer.LoadRows(rows)
 	orders := db.CreateTable("orders", minidb.EngineInnoDB)
 	author := db.CreateTable("author", minidb.EngineMyISAM)
-	for i := 0; i < 2500; i++ {
-		author.LoadRow(minidb.Row{ID: int64(i)})
+	rows = rows[:2500]
+	for i := range rows {
+		rows[i] = minidb.Row{ID: int64(i)}
 	}
+	author.LoadRows(rows)
 	return tables{item: item, orderLine: orderLine, customer: customer, orders: orders, author: author}
 }

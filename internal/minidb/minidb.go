@@ -345,6 +345,18 @@ func (t *Table) LoadRow(r Row) {
 	}
 }
 
+// LoadRows loads rows in order as LoadRow does, after growing the
+// table's row array once to hold them all, so a bulk load of n rows
+// allocates the array once rather than at every doubling.
+func (t *Table) LoadRows(rows []Row) {
+	if n := len(t.rows) + len(rows); n > cap(t.rows) {
+		t.rows = append(make([]Row, 0, n), t.rows...)
+	}
+	for _, r := range rows {
+		t.LoadRow(r)
+	}
+}
+
 // TableLock returns the table-wide lock MyISAM statements take (InnoDB
 // statements never touch it), so a test can ask who holds it.
 func (t *Table) TableLock() *vclock.Lock { return t.lock }

@@ -1,6 +1,7 @@
 package minidb
 
 import (
+	"maps"
 	"slices"
 	"testing"
 
@@ -309,4 +310,44 @@ func TestRowsSharingAnAttrArrayStayIsolated(t *testing.T) {
 	})
 	e.s.Run()
 	e.s.Shutdown()
+}
+
+// TestLoadRowsAllocatesOnce: a bulk load of n rows into a fresh table
+// allocates its row array once, where n LoadRows would grow it at every
+// doubling, and leaves the table as loading the rows one LoadRow at a
+// time does, index entries of out-of-place ids included.
+func TestLoadRowsAllocatesOnce(t *testing.T) {
+	const n = 5000
+	e := newEnv()
+	rows := make([]Row, n)
+	for i := range rows {
+		rows[i] = Row{ID: int64(i)}
+	}
+	// AllocsPerRun calls the function once more than it is asked to.
+	tabs := make([]*Table, 11)
+	for i := range tabs {
+		tabs[i] = e.db.CreateTable(string(rune('a'+i)), EngineInnoDB)
+	}
+	next := 0
+	if allocs := testing.AllocsPerRun(len(tabs)-1, func() {
+		tabs[next].LoadRows(rows)
+		next++
+	}); allocs != 1 {
+		t.Fatalf("LoadRows of %d rows into a fresh table: %v allocations, want 1", n, allocs)
+	}
+	for _, tab := range tabs {
+		if tab.Len() != n || cap(tab.rows) < n {
+			t.Fatalf("table %s: %d rows with capacity %d, want %d", tab.Name, tab.Len(), cap(tab.rows), n)
+		}
+	}
+
+	rows[7].ID, rows[9].ID = 9, 100_000
+	bulk, one := e.db.CreateTable("bulk", EngineMyISAM), e.db.CreateTable("one", EngineMyISAM)
+	bulk.LoadRows(rows)
+	for _, r := range rows {
+		one.LoadRow(r)
+	}
+	if !slices.EqualFunc(bulk.rows, one.rows, func(x, y Row) bool { return x.ID == y.ID }) || !maps.Equal(bulk.byID, one.byID) {
+		t.Fatalf("LoadRows left rows or index entries %v that LoadRow one at a time does not (%v)", bulk.byID, one.byID)
+	}
 }

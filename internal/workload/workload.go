@@ -9,30 +9,39 @@
 package workload
 
 import (
+	"fmt"
+	"math"
+
 	"whodunit/internal/par"
 	"whodunit/internal/vclock"
 )
 
-// Request is one HTTP request: a file id and its size in bytes.
+// Request is one HTTP request: the id of the file it asks for, 4 bytes.
+// File ids are dense, 0 to NumFiles-1, issued by GenWeb for the life of
+// the trace; one id is one file. The request's size is the file's, read
+// from the trace's file table (WebTrace.Size), not stored per request.
 type Request struct {
-	File int
-	Size int64
+	File int32
 }
 
 // Connection is one client connection carrying a few requests
 // (persistent connections, then closed — the pattern that makes Apache's
-// listener push new work through shared memory, §9.2).
+// listener push new work through shared memory, §9.2). A connection's id
+// is its index in WebTrace.Conns.
 type Connection struct {
-	ID   int
 	Reqs []Request
 }
 
-// WebTrace is a generated web workload.
+// WebTrace is a generated web workload: its connections, in arrival
+// order, and the file table their requests index.
 type WebTrace struct {
 	Conns      []Connection
-	Files      []int64 // size per file id
-	TotalBytes int64
+	Files      []int64 // size in bytes per file id
+	TotalBytes int64   // sum of every request's size
 }
+
+// Size returns the size in bytes of the file r asks for.
+func (tr *WebTrace) Size(r Request) int64 { return tr.Files[r.File] }
 
 // WebConfig parameterises web trace generation.
 type WebConfig struct {
@@ -64,6 +73,24 @@ func DefaultWebConfig() WebConfig {
 // genShard is the number of items one worker generates per grab.
 const genShard = 256
 
+// validate panics with a message on a configuration GenWeb cannot
+// generate from: a file id must fit its int32, a connection needs at
+// least one request on average, and sizes must form a positive range.
+func (cfg WebConfig) validate() {
+	if cfg.NumFiles < 1 || cfg.NumFiles > math.MaxInt32 {
+		panic(fmt.Sprintf("workload: WebConfig.NumFiles must be in [1, %d] (got %d)", math.MaxInt32, cfg.NumFiles))
+	}
+	if cfg.NumConns < 0 {
+		panic(fmt.Sprintf("workload: WebConfig.NumConns must not be negative (got %d)", cfg.NumConns))
+	}
+	if cfg.MeanReqs < 1 {
+		panic(fmt.Sprintf("workload: WebConfig.MeanReqs must be at least 1 (got %d)", cfg.MeanReqs))
+	}
+	if cfg.MinSize <= 0 || cfg.MinSize > cfg.MaxSize {
+		panic(fmt.Sprintf("workload: WebConfig sizes must satisfy 0 < MinSize <= MaxSize (got %d, %d)", cfg.MinSize, cfg.MaxSize))
+	}
+}
+
 // GenWeb generates a web trace from cfg. The draw sequence is the
 // classic single-stream one — sizes for every file, then per connection
 // a geometric request count followed by one Zipf draw per request — so
@@ -74,6 +101,7 @@ const genShard = 256
 // each connection's offset in the stream and every worker jumps there in
 // O(1) with RNG.Skip.
 func GenWeb(cfg WebConfig) *WebTrace {
+	cfg.validate()
 	// File sizes: size i is draw i of the stream.
 	sizes := make([]int64, cfg.NumFiles)
 	par.Do((cfg.NumFiles+genShard-1)/genShard, func(s int) {
@@ -140,19 +168,18 @@ func GenWeb(cfg WebConfig) *WebTrace {
 			if c+1 < len(plans) {
 				end = plans[c+1].at
 			}
-			conn := Connection{ID: c, Reqs: all[plans[c].at:end:end]}
-			for r := range conn.Reqs {
-				f := zipf.Sample(crng)
-				conn.Reqs[r] = Request{File: f, Size: sizes[f]}
+			reqs := all[plans[c].at:end:end]
+			for r := range reqs {
+				reqs[r] = Request{File: int32(zipf.Sample(crng))}
 			}
-			tr.Conns[c] = conn
+			tr.Conns[c] = Connection{Reqs: reqs}
 		}
 	})
 	// Deterministic index-order total (int64 addition commutes, but keep
 	// the reduction out of the parallel phase anyway).
 	for _, conn := range tr.Conns {
 		for _, r := range conn.Reqs {
-			tr.TotalBytes += r.Size
+			tr.TotalBytes += tr.Size(r)
 		}
 	}
 	return tr

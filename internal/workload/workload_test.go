@@ -1,8 +1,11 @@
 package workload
 
 import (
+	"math"
+	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -38,13 +41,11 @@ func TestGenWebShape(t *testing.T) {
 		}
 		totalReqs += len(c.Reqs)
 		for _, r := range c.Reqs {
-			if r.Size < cfg.MinSize || r.Size > cfg.MaxSize {
-				t.Fatalf("size %d out of [%d,%d]", r.Size, cfg.MinSize, cfg.MaxSize)
+			size := tr.Size(r)
+			if size < cfg.MinSize || size > cfg.MaxSize {
+				t.Fatalf("size %d out of [%d,%d]", size, cfg.MinSize, cfg.MaxSize)
 			}
-			if r.Size != tr.Files[r.File] {
-				t.Fatal("request size inconsistent with file table")
-			}
-			sum += r.Size
+			sum += size
 			counts[r.File]++
 		}
 	}
@@ -67,6 +68,79 @@ func TestGenWebShape(t *testing.T) {
 	if max < totalReqs/100 {
 		t.Fatalf("popularity not skewed: max count %d of %d", max, totalReqs)
 	}
+}
+
+// TestRequestIs4Bytes pins the stored layout: a request is its 32-bit
+// file id and nothing else, and a connection is its requests (its id is
+// its index in the trace).
+func TestRequestIs4Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(Request{}); n != 4 {
+		t.Fatalf("Request is %d bytes, want 4", n)
+	}
+	for _, c := range []struct {
+		typ   reflect.Type
+		field string
+	}{{reflect.TypeFor[Request](), "File"}, {reflect.TypeFor[Connection](), "Reqs"}} {
+		if c.typ.NumField() != 1 || c.typ.Field(0).Name != c.field {
+			t.Fatalf("%v has %d fields, want only %s", c.typ, c.typ.NumField(), c.field)
+		}
+	}
+}
+
+// TestGenWebConfigValidation: the file id is an int32 issued densely
+// below NumFiles, so a configuration whose ids would not fit, or that
+// cannot be generated at all, panics with a message naming the field
+// before any draw. The cases go through validate itself, so that a
+// GenWeb that stopped validating would not size a file table past
+// int32 here; one GenWeb call then checks that GenWeb validates.
+func TestGenWebConfigValidation(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		set  func(*WebConfig)
+		want string
+	}{
+		{"no files", func(c *WebConfig) { c.NumFiles = 0 }, "NumFiles"},
+		{"negative files", func(c *WebConfig) { c.NumFiles = -1 }, "NumFiles"},
+		{"files past int32", func(c *WebConfig) { c.NumFiles = int(int64(math.MaxInt32) + 1) }, "NumFiles"},
+		{"negative conns", func(c *WebConfig) { c.NumConns = -1 }, "NumConns"},
+		{"zero mean requests", func(c *WebConfig) { c.MeanReqs = 0 }, "MeanReqs"},
+		{"zero min size", func(c *WebConfig) { c.MinSize = 0 }, "MinSize"},
+		{"min above max", func(c *WebConfig) { c.MinSize, c.MaxSize = 4096, 1024 }, "MinSize"},
+	} {
+		cfg := DefaultWebConfig()
+		c.set(&cfg)
+		if msg := panicMessage(cfg.validate); !strings.Contains(msg, c.want) {
+			t.Errorf("%s: panic %q, want a message naming %s", c.name, msg, c.want)
+		}
+	}
+	cfg := DefaultWebConfig()
+	cfg.NumFiles = 0
+	if msg := panicMessage(func() { GenWeb(cfg) }); !strings.Contains(msg, "WebConfig.NumFiles") {
+		t.Errorf("GenWeb with no files: panic %q, want the validation message", msg)
+	}
+	// The edges that are allowed: one file, no connections, one request
+	// per connection on average, a single size.
+	cfg = DefaultWebConfig()
+	cfg.NumFiles, cfg.NumConns, cfg.MeanReqs, cfg.MinSize, cfg.MaxSize = 1, 0, 1, 512, 512
+	if tr := GenWeb(cfg); len(tr.Conns) != 0 || tr.TotalBytes != 0 {
+		t.Fatalf("empty trace: %d connections, %d bytes", len(tr.Conns), tr.TotalBytes)
+	}
+	cfg.NumConns = 10
+	for _, c := range GenWeb(cfg).Conns {
+		for _, r := range c.Reqs {
+			if r.File != 0 {
+				t.Fatalf("one-file trace asked for file %d", r.File)
+			}
+		}
+	}
+}
+
+// panicMessage runs f and returns the string it panicked with, or ""
+// if it returned.
+func panicMessage(f func()) (msg string) {
+	defer func() { msg, _ = recover().(string) }()
+	f()
+	return ""
 }
 
 // TestGenWebReqsAreCappedWindows: every connection's requests are a
@@ -148,10 +222,10 @@ func TestQuickTraceInvariants(t *testing.T) {
 		var sum int64
 		for _, c := range tr.Conns {
 			for _, r := range c.Reqs {
-				if r.File < 0 || r.File >= cfg.NumFiles {
+				if r.File < 0 || int(r.File) >= cfg.NumFiles {
 					return false
 				}
-				sum += r.Size
+				sum += tr.Size(r)
 			}
 		}
 		return sum == tr.TotalBytes && len(tr.Conns) == cfg.NumConns
