@@ -6,10 +6,10 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sort"
 	"strings"
 
 	"whodunit/internal/cct"
+	"whodunit/internal/stitch"
 )
 
 // Report diffing — the paper's §9 case studies are all "run A vs run B,
@@ -19,10 +19,13 @@ import (
 // per-stage sample/call deltas, per-context CCTs matched by call path
 // over the dumps' records with per-node deltas and added/removed
 // subtrees, crosstalk-matrix deltas, shared-memory-flow deltas, and
-// stitched-graph edge deltas. A diff renders as annotated text, JSON
-// (lossless round-trip via ReadDiff), and difffolded-style two-column
-// folded stacks (FoldedDiff) for differential flame graphs; MaxDelta
-// powers the CI threshold gate of cmd/whodunit-diff.
+// stitched-graph edge deltas. Every section is matched by a merge-walk
+// of the two sides' entries in key order (see mergeKeys), so a diff the
+// size of a served window's, which every retirement takes, allocates
+// nothing but itself. A diff renders as annotated text, JSON (lossless
+// round-trip via ReadDiff), and difffolded-style two-column folded
+// stacks (FoldedDiff) for differential flame graphs; MaxDelta powers
+// the CI threshold gate of cmd/whodunit-diff.
 
 // Sides of a diff, used in OnlyIn fields for entries present in just one
 // report.
@@ -213,8 +216,10 @@ func (d *ReportDiff) Exceeds(threshold int64) bool { return d.MaxDelta() > thres
 
 // Mirrored returns the same diff viewed from the other side: every A
 // field swapped with its B counterpart and OnlyIn markers flipped.
-// Diff(b, a) equals Diff(a, b).Mirrored() — entry orders are symmetric
-// by construction (sorted key unions).
+// Diff(b, a) equals Diff(a, b).Mirrored(): every section is merged in
+// key order, which does not depend on which side is which. (A tree
+// matched on both sides takes side A's label, so the two differ where a
+// context's label does.)
 func (d *ReportDiff) Mirrored() *ReportDiff {
 	flip := func(side string) string {
 		switch side {
@@ -227,78 +232,136 @@ func (d *ReportDiff) Mirrored() *ReportDiff {
 	}
 	m := &ReportDiff{AppA: d.AppB, AppB: d.AppA, ElapsedA: d.ElapsedB, ElapsedB: d.ElapsedA,
 		WindowA: d.WindowB, WindowB: d.WindowA}
-	for _, sd := range d.Stages {
-		ms := StageDiff{
+	m.Stages = mapped(d.Stages, func(sd StageDiff) StageDiff {
+		return StageDiff{
 			Stage: sd.Stage, OnlyIn: flip(sd.OnlyIn),
 			SamplesA: sd.SamplesB, SamplesB: sd.SamplesA,
 			CallsA: sd.CallsB, CallsB: sd.CallsA,
 			SwitchesA: sd.SwitchesB, SwitchesB: sd.SwitchesA,
+			Trees: mapped(sd.Trees, func(td TreeDiff) TreeDiff {
+				return TreeDiff{
+					Key: td.Key, Label: td.Label, OnlyIn: flip(td.OnlyIn),
+					TotalA: td.TotalB, TotalB: td.TotalA,
+					Nodes: mapped(td.Nodes, func(nd NodeDelta) NodeDelta {
+						return NodeDelta{
+							Path:  nd.Path,
+							SelfA: nd.SelfB, SelfB: nd.SelfA,
+							CallsA: nd.CallsB, CallsB: nd.CallsA,
+							Subtree: nd.Subtree, OnlyIn: flip(nd.OnlyIn),
+						}
+					}),
+				}
+			}),
 		}
-		for _, td := range sd.Trees {
-			mt := TreeDiff{
-				Key: td.Key, Label: td.Label, OnlyIn: flip(td.OnlyIn),
-				TotalA: td.TotalB, TotalB: td.TotalA,
-			}
-			for _, nd := range td.Nodes {
-				mt.Nodes = append(mt.Nodes, NodeDelta{
-					Path:  nd.Path,
-					SelfA: nd.SelfB, SelfB: nd.SelfA,
-					CallsA: nd.CallsB, CallsB: nd.CallsA,
-					Subtree: nd.Subtree, OnlyIn: flip(nd.OnlyIn),
-				})
-			}
-			ms.Trees = append(ms.Trees, mt)
-		}
-		m.Stages = append(m.Stages, ms)
-	}
-	for _, cd := range d.Crosstalk {
-		m.Crosstalk = append(m.Crosstalk, CrosstalkDelta{
+	})
+	m.Crosstalk = mapped(d.Crosstalk, func(cd CrosstalkDelta) CrosstalkDelta {
+		return CrosstalkDelta{
 			Waiter: cd.Waiter, Holder: cd.Holder,
 			CountA: cd.CountB, CountB: cd.CountA,
 			TotalA: cd.TotalB, TotalB: cd.TotalA,
-		})
-	}
-	for _, fd := range d.Flows {
-		m.Flows = append(m.Flows, FlowDelta{
+		}
+	})
+	m.Flows = mapped(d.Flows, func(fd FlowDelta) FlowDelta {
+		return FlowDelta{
 			Lock: fd.Lock, Producer: fd.Producer, Consumer: fd.Consumer,
 			CountA: fd.CountB, CountB: fd.CountA,
-		})
-	}
-	for _, ed := range d.Edges {
-		m.Edges = append(m.Edges, EdgeDelta{
+		}
+	})
+	m.Edges = mapped(d.Edges, func(ed EdgeDelta) EdgeDelta {
+		return EdgeDelta{
 			FromStage: ed.FromStage, FromLabel: ed.FromLabel,
 			ToStage: ed.ToStage, ToLabel: ed.ToLabel, Kind: ed.Kind,
 			CountA: ed.CountB, CountB: ed.CountA,
-		})
-	}
+		}
+	})
 	return m
 }
 
-// --- stage and tree matching ---
+// --- matching ---
 
-// indexStages and indexTrees define the matching identity shared by
-// Diff and FoldedDiff: stages match by name, trees by context key.
-func indexStages(srs []StageReport) map[string]*StageReport {
-	m := make(map[string]*StageReport, len(srs))
-	for i := range srs {
-		m[srs[i].Stage] = &srs[i]
+// Every section of a diff matches its two sides by one mechanism: each
+// side's entries are put in key order (their indices are sorted, ties
+// by index), the two ordered runs are merge-walked, and only the
+// deltas are kept. Deltas therefore come out in key order, which is
+// the same order for Diff(a, b) and Diff(b, a). A key repeated within
+// one side is one run: a stage, a tree or a crosstalk cell is its
+// run's last entry, as an index by key would keep, and an edge group
+// counts its run. The indices and each section's deltas are collected
+// in arrays on the stack, and a section keeps an exact-length copy, so
+// only a section larger than its array allocates more than the diff
+// itself. The flow diff walks its sides the same way over keys it
+// sorts itself (see diffFlows): a flow log runs to tens of thousands
+// of flows, nearly in order.
+
+// mergeKeys merge-walks the entries of a and b in the order of their
+// keys, key(side, e) for side 0 (a) and 1 (b). For every key of either
+// side, in order, visit gets the key, each side's last entry with it
+// (nil where the side has none) and how many entries with it each side
+// has.
+func mergeKeys[E, K any](a, b []E, key func(side int, e *E) K, compare func(x, y K) int, visit func(k K, ea, eb *E, n [2]int64)) {
+	var buf [128]int32 // room for a served window's sections, twice over
+	order := buf[:0]
+	if n := len(a) + len(b); n > len(buf) {
+		order = make([]int32, 0, n)
 	}
-	return m
+	sides := [2][]E{a, b}
+	for s, es := range sides {
+		at := len(order)
+		for i := range es {
+			order = append(order, int32(i))
+		}
+		slices.SortStableFunc(order[at:], func(i, j int32) int { return compare(key(s, &es[i]), key(s, &es[j])) })
+	}
+	runs := [2][]int32{order[:len(a)], order[len(a):]}
+	for len(runs[0]) > 0 || len(runs[1]) > 0 {
+		first := 0 // the side whose next key comes first
+		if len(runs[0]) == 0 || len(runs[1]) > 0 && compare(key(0, &a[runs[0][0]]), key(1, &b[runs[1][0]])) > 0 {
+			first = 1
+		}
+		k := key(first, &sides[first][runs[first][0]])
+		var last [2]*E
+		var n [2]int64
+		for s, es := range sides {
+			for ; len(runs[s]) > 0 && compare(key(s, &es[runs[s][0]]), k) == 0; runs[s] = runs[s][1:] {
+				last[s] = &es[runs[s][0]]
+				n[s]++
+			}
+		}
+		visit(k, last[0], last[1], n)
+	}
 }
 
-func indexTrees(tds []TreeDump) map[string]*TreeDump {
-	m := make(map[string]*TreeDump, len(tds))
-	for i := range tds {
-		m[tds[i].Key] = &tds[i]
+// exact returns the deltas a section collected as a slice of their own,
+// with no spare capacity, or nil when there are none.
+func exact[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
 	}
-	return m
+	return append([]T(nil), s...)
 }
+
+// mapped returns f of every element of s, or nil when s is empty.
+func mapped[T, U any](s []T, f func(T) U) []U {
+	if len(s) == 0 {
+		return nil
+	}
+	out := make([]U, len(s))
+	for i, x := range s {
+		out[i] = f(x)
+	}
+	return out
+}
+
+// Stages match by name and trees by context key; Diff and FoldedDiff
+// share these keys.
+func stageName(_ int, sr *StageReport) string { return sr.Stage }
+
+func treeKey(_ int, td *TreeDump) string { return td.Key }
 
 func diffStages(a, b []StageReport) []StageDiff {
-	am, bm := indexStages(a), indexStages(b)
-	var out []StageDiff
-	for _, name := range sortedKeyUnion(am, bm) {
-		sa, sb := am[name], bm[name]
+	var buf [8]StageDiff
+	out := buf[:0]
+	mergeKeys(a, b, stageName, strings.Compare, func(name string, sa, sb *StageReport, _ [2]int64) {
 		switch {
 		case sb == nil:
 			out = append(out, oneSidedStage(sa, SideA))
@@ -317,21 +380,21 @@ func diffStages(a, b []StageReport) []StageDiff {
 				out = append(out, sd)
 			}
 		}
-	}
-	return out
+	})
+	return exact(out)
 }
 
 func oneSidedStage(sr *StageReport, side string) StageDiff {
 	sd := StageDiff{Stage: sr.Stage, OnlyIn: side}
-	for _, td := range sr.Dump.Trees {
+	sd.Trees = mapped(sr.Dump.Trees, func(td TreeDump) TreeDiff {
 		t := TreeDiff{Key: td.Key, Label: td.Label, OnlyIn: side}
 		if side == SideA {
 			t.TotalA = td.Total
 		} else {
 			t.TotalB = td.Total
 		}
-		sd.Trees = append(sd.Trees, t)
-	}
+		return t
+	})
 	if side == SideA {
 		sd.SamplesA, sd.CallsA, sd.SwitchesA = sr.Samples, sr.Calls, sr.CtxtSwitches
 	} else {
@@ -341,10 +404,9 @@ func oneSidedStage(sr *StageReport, side string) StageDiff {
 }
 
 func diffTrees(a, b []TreeDump) []TreeDiff {
-	am, bm := indexTrees(a), indexTrees(b)
-	var out []TreeDiff
-	for _, key := range sortedKeyUnion(am, bm) {
-		ta, tb := am[key], bm[key]
+	var buf [8]TreeDiff
+	out := buf[:0]
+	mergeKeys(a, b, treeKey, strings.Compare, func(key string, ta, tb *TreeDump, _ [2]int64) {
 		switch {
 		case tb == nil:
 			out = append(out, TreeDiff{Key: key, Label: ta.Label, OnlyIn: SideA, TotalA: ta.Total})
@@ -357,8 +419,8 @@ func diffTrees(a, b []TreeDump) []TreeDiff {
 				out = append(out, td)
 			}
 		}
-	}
-	return out
+	})
+	return exact(out)
 }
 
 // diffRecords merges two same-context record lists in path order (see
@@ -371,7 +433,8 @@ func diffTrees(a, b []TreeDump) []TreeDiff {
 func diffRecords(a, b []cct.FlatRecord) []NodeDelta {
 	recs := [2][]cct.FlatRecord{a, b}
 	var next [2]int // each side's first unread record
-	var out []NodeDelta
+	var buf [8]NodeDelta
+	out := buf[:0]
 	for next[0] < len(a) || next[1] < len(b) {
 		s := 0 // the side whose next record comes first
 		switch c := headOrder(a[next[0]:], b[next[1]:]); {
@@ -416,7 +479,7 @@ func diffRecords(a, b []cct.FlatRecord) []NodeDelta {
 		nd.SelfA, nd.SelfB, nd.CallsA, nd.CallsB = self[0], self[1], calls[0], calls[1]
 		out = append(out, nd)
 	}
-	return out
+	return exact(out)
 }
 
 // headOrder compares the first records of two path-ordered lists: < 0
@@ -441,52 +504,32 @@ func commonPrefix(p, q []string) int {
 	return n
 }
 
-// sortedKeyUnion returns the sorted union of two maps' keys — the
-// symmetric iteration order that makes Diff(a,b) and Diff(b,a) exact
-// mirrors.
-func sortedKeyUnion[V any](a, b map[string]V) []string {
-	keys := make([]string, 0, len(a)+len(b))
-	for k := range a {
-		keys = append(keys, k)
-	}
-	for k := range b {
-		if _, ok := a[k]; !ok {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 // --- crosstalk, flow and graph matching ---
 
+// crosstalkCell is a crosstalk cell's key: its (waiter, holder) pair.
+type crosstalkCell struct{ waiter, holder string }
+
 func diffCrosstalk(a, b []CrosstalkPair) []CrosstalkDelta {
-	type cell struct {
-		count int64
-		total Duration
+	var buf [8]CrosstalkDelta
+	out := buf[:0]
+	cell := func(_ int, p *CrosstalkPair) crosstalkCell { return crosstalkCell{p.Waiter, p.Holder} }
+	compare := func(x, y crosstalkCell) int {
+		return cmp.Or(strings.Compare(x.waiter, y.waiter), strings.Compare(x.holder, y.holder))
 	}
-	index := func(ps []CrosstalkPair) map[string]cell {
-		m := make(map[string]cell, len(ps))
-		for _, p := range ps {
-			m[p.Waiter+"\x00"+p.Holder] = cell{p.Count, p.Total}
+	mergeKeys(a, b, cell, compare, func(k crosstalkCell, pa, pb *CrosstalkPair, _ [2]int64) {
+		var d CrosstalkDelta
+		if pa != nil {
+			d.CountA, d.TotalA = pa.Count, pa.Total
 		}
-		return m
-	}
-	am, bm := index(a), index(b)
-	var out []CrosstalkDelta
-	for _, k := range sortedKeyUnion(am, bm) {
-		ca, cb := am[k], bm[k]
-		if ca == cb {
-			continue
+		if pb != nil {
+			d.CountB, d.TotalB = pb.Count, pb.Total
 		}
-		waiter, holder, _ := strings.Cut(k, "\x00")
-		out = append(out, CrosstalkDelta{
-			Waiter: waiter, Holder: holder,
-			CountA: ca.count, CountB: cb.count,
-			TotalA: ca.total, TotalB: cb.total,
-		})
-	}
-	return out
+		if d.CountA != d.CountB || d.TotalA != d.TotalB {
+			d.Waiter, d.Holder = k.waiter, k.holder
+			out = append(out, d)
+		}
+	})
+	return exact(out)
 }
 
 // diffFlows counts each side's flows per (lock, producer, consumer) and
@@ -563,33 +606,52 @@ func diffFlows(a, b []FlowEvent) []FlowDelta {
 // each key, on average, before it hands the rest to slices.SortFunc.
 const flowSortMoves = 4
 
+// diffEdges counts each side's stitched-graph edges per group and
+// returns the groups whose counts differ. A group is keyed by its
+// endpoints' stages and labels and the edge kind.
 func diffEdges(a, b *TransactionGraph) []EdgeDelta {
-	// An edge group is keyed by its delta with both counts zero.
-	counts := make(map[EdgeDelta][2]int64)
-	for side, g := range [2]*TransactionGraph{a, b} {
-		if g == nil {
-			continue
-		}
-		for _, e := range g.Edges {
-			from, to := g.Nodes[e.From], g.Nodes[e.To]
-			k := EdgeDelta{FromStage: from.Stage, FromLabel: from.Label, ToStage: to.Stage, ToLabel: to.Label, Kind: e.Kind}
-			c := counts[k]
-			c[side]++
-			counts[k] = c
+	var buf [16]EdgeDelta
+	out := buf[:0]
+	graphs := [2]*TransactionGraph{a, b}
+	var edges [2][]stitch.Edge
+	for s, g := range graphs {
+		if g != nil {
+			edges[s] = g.Edges
 		}
 	}
-	var out []EdgeDelta
-	for k, c := range counts {
-		if c[0] != c[1] {
-			k.CountA, k.CountB = c[0], c[1]
-			out = append(out, k)
-		}
+	type group struct {
+		from, to *stitch.Node
+		kind     string
 	}
-	slices.SortFunc(out, func(x, y EdgeDelta) int {
-		return cmp.Or(strings.Compare(x.FromStage, y.FromStage), strings.Compare(x.FromLabel, y.FromLabel),
-			strings.Compare(x.ToStage, y.ToStage), strings.Compare(x.ToLabel, y.ToLabel), strings.Compare(x.Kind, y.Kind))
+	key := func(s int, e *stitch.Edge) group {
+		return group{&graphs[s].Nodes[e.From], &graphs[s].Nodes[e.To], e.Kind}
+	}
+	compare := func(x, y group) int {
+		if c := compareNodes(x.from, y.from); c != 0 {
+			return c
+		}
+		if c := compareNodes(x.to, y.to); c != 0 {
+			return c
+		}
+		return strings.Compare(x.kind, y.kind)
+	}
+	mergeKeys(edges[0], edges[1], key, compare, func(k group, _, _ *stitch.Edge, n [2]int64) {
+		if n[0] != n[1] {
+			out = append(out, EdgeDelta{
+				FromStage: k.from.Stage, FromLabel: k.from.Label, ToStage: k.to.Stage, ToLabel: k.to.Label, Kind: k.kind,
+				CountA: n[0], CountB: n[1],
+			})
+		}
 	})
-	return out
+	return exact(out)
+}
+
+// compareNodes orders stitched-graph nodes by stage, then label.
+func compareNodes(x, y *stitch.Node) int {
+	if c := strings.Compare(x.Stage, y.Stage); c != 0 {
+		return c
+	}
+	return strings.Compare(x.Label, y.Label)
 }
 
 // --- renderers ---
@@ -719,22 +781,21 @@ func (d *ReportDiff) Text(w io.Writer) {
 // paths included — the renderer needs both columns to size and color
 // frames), in the deterministic stage/context/path order Diff uses.
 func FoldedDiff(a, b *Report, w io.Writer) {
-	am, bm := indexStages(a.Stages), indexStages(b.Stages)
-	for _, stage := range sortedKeyUnion(am, bm) {
-		var ta, tb map[string]*TreeDump
-		if sr := am[stage]; sr != nil {
-			ta = indexTrees(sr.Dump.Trees)
+	mergeKeys(a.Stages, b.Stages, stageName, strings.Compare, func(stage string, sa, sb *StageReport, _ [2]int64) {
+		var ta, tb []TreeDump
+		if sa != nil {
+			ta = sa.Dump.Trees
 		}
-		if sr := bm[stage]; sr != nil {
-			tb = indexTrees(sr.Dump.Trees)
+		if sb != nil {
+			tb = sb.Dump.Trees
 		}
-		for _, key := range sortedKeyUnion(ta, tb) {
+		mergeKeys(ta, tb, treeKey, strings.Compare, func(_ string, da, db *TreeDump, _ [2]int64) {
 			label := ""
 			var ra, rb []cct.FlatRecord
-			if da := ta[key]; da != nil {
+			if da != nil {
 				label, ra = da.Label, cct.SortedRecords(da.Records)
 			}
-			if db := tb[key]; db != nil {
+			if db != nil {
 				label, rb = db.Label, cct.SortedRecords(db.Records)
 			}
 			for len(ra) > 0 || len(rb) > 0 {
@@ -751,6 +812,6 @@ func FoldedDiff(a, b *Report, w io.Writer) {
 					fmt.Fprintf(w, "%s;%s;%s %d %d\n", stage, label, strings.Join(path, ";"), selfA, selfB)
 				}
 			}
-		}
-	}
+		})
+	})
 }

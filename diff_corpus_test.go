@@ -13,9 +13,10 @@ import (
 
 // TestDiffCorpusMatchesRef diffs each corpus scenario's golden report
 // against a fresh run of the scenario at seed 9 and demands the
-// oracle's diff (RefDiff: both sides' records rebuilt into trees) and
-// folded diff, byte for byte: the generated pairs of
-// TestQuickDiffTreesMatchesRef on trees the applications grew.
+// oracle's diff (RefDiff: every section matched through maps, both
+// sides' records rebuilt into trees) and folded diff, byte for byte:
+// the generated pairs of TestQuickDiffTreesMatchesRef on trees and
+// graphs the applications grew.
 func TestDiffCorpusMatchesRef(t *testing.T) {
 	list := scenarios.All()
 	for i := range list {

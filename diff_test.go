@@ -219,16 +219,71 @@ func TestDiffFindsKnownDeltas(t *testing.T) {
 	}
 }
 
+// serveWindowPair builds two adjacent windows in the shape the serve
+// workload retires (a frontend before an rpc proxy, four kv shards and
+// a db): seven stages, ten contexts in b and nine in a, one or two
+// records each, and request/response edges that repeat a group once
+// per send. Between the windows every stage's samples move, the sends
+// and so the edge counts change, and one db context is new in b. Every
+// record list is in Flatten's order, so the diff sorts none.
+func serveWindowPair() (a, b *Report) {
+	window := func(w int64) *Report {
+		tree := func(prefix, label string, self ...int64) TreeDump {
+			td := TreeDump{Key: prefix + "|0", Prefix: prefix, Label: label}
+			for i, s := range self {
+				td.Records = append(td.Records, cct.FlatRecord{Path: []string{"serve", "rpc", "reply"}[:i+1], Self: s, Calls: s / 2})
+				td.Total += s
+			}
+			return td
+		}
+		sends := func(chain, from string, n int64) []ipc.SendRecord {
+			var out []ipc.SendRecord
+			for range n {
+				out = append(out, ipc.SendRecord{Chain: chain, FromKey: from + "|0"})
+			}
+			return out
+		}
+		dumps := []StageDump{
+			{Stage: "frontend", Trees: []TreeDump{tree("1", "frontend:rpc_get", 40+w), tree("3", "frontend:rpc_set", 12-w)},
+				Sends: append(sends("p2", "1", 2+w), sends("p2", "3", 1)...)},
+			{Stage: "rpc-proxy", Trees: []TreeDump{tree("p2", "[p2]", 9+w, 3)}, Sends: sends("p2#1", "p2", 1+w)},
+		}
+		for s := range int64(4) {
+			dumps = append(dumps, StageDump{Stage: fmt.Sprintf("kv-%d", s),
+				Trees: []TreeDump{tree("p2#1", "[p2#1]", 20+s*w, 5+w)}, Sends: sends("p2#1#1", "p2#1", 1+w*(s%2))})
+		}
+		db := StageDump{Stage: "db", Trees: []TreeDump{tree("p2#1#1", "[p2#1#1]", 30-w), tree("p4#2#2", "[p4#2#2]", 4)}}
+		if w > 0 {
+			db.Trees = append(db.Trees, tree("p4#2", "[p4#2]", 2))
+		}
+		dumps = append(dumps, db)
+		r := ReportFromDumps("serve-mesh", dumps...)
+		r.Window = &WindowMeta{Seq: w, Start: Duration(w) * 2 * Second, End: Duration(w+1) * 2 * Second}
+		r.Elapsed = 2 * Second
+		return r
+	}
+	return window(0), window(1)
+}
+
 // BenchmarkReportDiff pins the diff hot path's allocation behavior over
-// a realistic report pair (mostly-matched trees with scattered deltas).
+// a random report pair (mostly-matched trees with scattered deltas) and
+// over serveWindowPair, the auto-diff a served window gets on retiring.
 func BenchmarkReportDiff(b *testing.B) {
 	r := rand.New(rand.NewSource(3))
-	ra, rb := randReport(r), randReport(r)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if d := Diff(ra, rb); d == nil {
-			b.Fatal("nil diff")
-		}
+	random := [2]*Report{randReport(r), randReport(r)}
+	var serve [2]*Report
+	serve[0], serve[1] = serveWindowPair()
+	for _, pair := range []struct {
+		name string
+		ab   [2]*Report
+	}{{"random", random}, {"serve-window", serve}} {
+		b.Run(pair.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if d := Diff(pair.ab[0], pair.ab[1]); d == nil {
+					b.Fatal("nil diff")
+				}
+			}
+		})
 	}
 }

@@ -11,6 +11,10 @@ var (
 	RefFoldedDiff = refFoldedDiff
 )
 
+// ServeWindowPair is serveWindowPair, for the allocation pin of package
+// whodunit_test.
+var ServeWindowPair = serveWindowPair
+
 // ReportJSONMemo returns the bytes /report serves for a retired window
 // in JSON, building them on the first call.
 func ReportJSONMemo(ev *WindowEvent) []byte {

@@ -23,15 +23,22 @@ package whodunit
 //     TestQuickDiffFlowsMatchesRef demands the same deltas on generated
 //     logs: random ones, logs in record order with local inversions,
 //     reversed ones and long runs of one key.
-//   - refDiffEdges is diffEdges before it keyed edge groups by struct:
-//     a count map per side over "\x00"-joined names, split again for the
-//     output. TestQuickDiffEdgesMatchesRef demands the same deltas.
+//   - refDiffStages, refDiffCrosstalk and refDiffEdges match as the diff
+//     did before every section merge-walked its sides in key order: an
+//     index map per side, keyed by name or by struct (a later entry
+//     replaces an earlier one with its key; an edge group counts), and
+//     the sorted union of the two maps' keys.
+//     TestQuickDiffCrosstalkMatchesRef and TestQuickDiffEdgesMatchesRef
+//     demand the same deltas on generated matrices and graphs whose
+//     names may hold a NUL byte and whose keys may repeat; refDiff is
+//     every oracle at once.
 //   - refDiffTrees and refFoldedDiff are the tree diff and the two-column
 //     folded diff before they merged the dumps' record lists: both sides'
-//     records rebuilt into two CCTs over one frame table, then walked
-//     in lockstep. TestQuickDiffTreesMatchesRef demands the same diff
-//     and the same folded bytes on generated pairs, and
-//     TestDiffCorpusMatchesRef on the scenario corpus.
+//     records rebuilt into two trees of refNodes, then walked in
+//     lockstep. TestQuickDiffTreesMatchesRef demands the same diff and
+//     the same folded bytes on generated pairs, repeated stage names and
+//     context keys among them, and TestDiffCorpusMatchesRef on the
+//     scenario corpus.
 
 import (
 	"bufio"
@@ -384,39 +391,120 @@ func refDiffFlows(a, b []FlowEvent) []FlowDelta {
 	return out
 }
 
+// crosstalkKey and edgeKey key the oracles' maps by struct, so that
+// names holding a NUL byte stay apart.
+type crosstalkKey struct{ waiter, holder string }
+
+type edgeKey struct{ fromStage, fromLabel, toStage, toLabel, kind string }
+
+func refDiffCrosstalk(a, b []CrosstalkPair) []CrosstalkDelta {
+	type cell struct {
+		count int64
+		total Duration
+	}
+	index := func(ps []CrosstalkPair) map[crosstalkKey]cell {
+		m := make(map[crosstalkKey]cell, len(ps))
+		for _, p := range ps {
+			m[crosstalkKey{p.Waiter, p.Holder}] = cell{p.Count, p.Total}
+		}
+		return m
+	}
+	am, bm := index(a), index(b)
+	var out []CrosstalkDelta
+	for _, k := range keyUnion(am, bm, func(x, y crosstalkKey) bool {
+		return x.waiter < y.waiter || x.waiter == y.waiter && x.holder < y.holder
+	}) {
+		ca, cb := am[k], bm[k]
+		if ca == cb {
+			continue
+		}
+		out = append(out, CrosstalkDelta{
+			Waiter: k.waiter, Holder: k.holder,
+			CountA: ca.count, CountB: cb.count,
+			TotalA: ca.total, TotalB: cb.total,
+		})
+	}
+	return out
+}
+
 func refDiffEdges(a, b *TransactionGraph) []EdgeDelta {
-	index := func(g *TransactionGraph) map[string]int64 {
-		m := make(map[string]int64)
+	index := func(g *TransactionGraph) map[edgeKey]int64 {
+		m := make(map[edgeKey]int64)
 		if g == nil {
 			return m
 		}
 		for _, e := range g.Edges {
 			from, to := g.Nodes[e.From], g.Nodes[e.To]
-			m[strings.Join([]string{from.Stage, from.Label, to.Stage, to.Label, e.Kind}, "\x00")]++
+			m[edgeKey{from.Stage, from.Label, to.Stage, to.Label, e.Kind}]++
 		}
 		return m
 	}
 	am, bm := index(a), index(b)
 	var out []EdgeDelta
-	for _, k := range sortedKeyUnion(am, bm) {
+	for _, k := range keyUnion(am, bm, func(x, y edgeKey) bool {
+		return slices.Compare([]string{x.fromStage, x.fromLabel, x.toStage, x.toLabel, x.kind},
+			[]string{y.fromStage, y.fromLabel, y.toStage, y.toLabel, y.kind}) < 0
+	}) {
 		if am[k] == bm[k] {
 			continue
 		}
-		parts := strings.Split(k, "\x00")
 		out = append(out, EdgeDelta{
-			FromStage: parts[0], FromLabel: parts[1],
-			ToStage: parts[2], ToLabel: parts[3], Kind: parts[4],
+			FromStage: k.fromStage, FromLabel: k.fromLabel,
+			ToStage: k.toStage, ToLabel: k.toLabel, Kind: k.kind,
 			CountA: am[k], CountB: bm[k],
 		})
 	}
 	return out
 }
 
-// refDiff is Diff with its stages compared by the oracle.
+// indexStages and indexTrees are the matching identity of the diff
+// oracles: stages by name, trees by context key, a later entry in
+// place of an earlier one with its key.
+func indexStages(srs []StageReport) map[string]*StageReport {
+	m := make(map[string]*StageReport, len(srs))
+	for i := range srs {
+		m[srs[i].Stage] = &srs[i]
+	}
+	return m
+}
+
+func indexTrees(tds []TreeDump) map[string]*TreeDump {
+	m := make(map[string]*TreeDump, len(tds))
+	for i := range tds {
+		m[tds[i].Key] = &tds[i]
+	}
+	return m
+}
+
+// keyUnion returns the union of two maps' keys in the order less gives.
+func keyUnion[K comparable, V any](a, b map[K]V, less func(x, y K) bool) []K {
+	keys := make([]K, 0, len(a)+len(b))
+	for k := range a {
+		keys = append(keys, k)
+	}
+	for k := range b {
+		if _, ok := a[k]; !ok {
+			keys = append(keys, k)
+		}
+	}
+	sort.Slice(keys, func(i, j int) bool { return less(keys[i], keys[j]) })
+	return keys
+}
+
+// sortedKeyUnion returns the sorted union of two string-keyed maps' keys.
+func sortedKeyUnion[V any](a, b map[string]V) []string {
+	return keyUnion(a, b, func(x, y string) bool { return x < y })
+}
+
+// refDiff is Diff with every section compared by its oracle.
 func refDiff(a, b *Report) *ReportDiff {
-	d := Diff(a, b)
-	d.Stages = refDiffStages(a.Stages, b.Stages)
-	return d
+	return &ReportDiff{AppA: a.App, AppB: b.App, ElapsedA: a.Elapsed, ElapsedB: b.Elapsed,
+		WindowA: a.Window, WindowB: b.Window,
+		Stages:    refDiffStages(a.Stages, b.Stages),
+		Crosstalk: refDiffCrosstalk(a.Crosstalk, b.Crosstalk),
+		Flows:     refDiffFlows(a.Flows, b.Flows),
+		Edges:     refDiffEdges(a.Graph, b.Graph),
+	}
 }
 
 func refDiffStages(a, b []StageReport) []StageDiff {
@@ -1001,13 +1089,19 @@ func nearOrderedLog(rng *rand.Rand, n, maxDisp, every int) []FlowEvent {
 }
 
 // graphReport stitches a report from stage dumps drawn from small name
-// pools: several stages (a name may repeat), prefixes shared within and
-// across stages, sends that match no receiver and, by turns, stages
-// declared missing. Labels repeat across contexts and stages, so several
-// edges fall into one group. No name holds a NUL byte: only then do the
-// oracle's joined keys sort as the field-wise struct order does.
+// pools: several stages (a name may repeat), context keys that may
+// repeat within a stage, prefixes shared within and across stages,
+// sends that match no receiver and, by turns, stages declared missing.
+// Labels repeat across contexts and stages, so several edges fall into
+// one group. Now and then a name holds a NUL byte, which a key joined
+// with NULs would confuse with another.
 func graphReport(rng *rand.Rand) *Report {
-	name := func(kind string, n int) string { return fmt.Sprintf("%s%d", kind, rng.Intn(n)) }
+	name := func(kind string, n int) string {
+		if rng.Intn(10) == 0 {
+			return fmt.Sprintf("%s\x00%d", kind[:1], rng.Intn(n))
+		}
+		return fmt.Sprintf("%s%d", kind, rng.Intn(n))
+	}
 	var dumps []StageDump
 	for range 1 + rng.Intn(4) {
 		d := StageDump{Stage: name("s", 4)}
@@ -1028,12 +1122,33 @@ func graphReport(rng *rand.Rand) *Report {
 	return r
 }
 
-// TestQuickDiffEdgesMatchesRef: struct-keyed edge groups and the joined
-// string keys give the same deltas, in the same order, on generated
-// graphs: request, response and severed edges, groups on one side
-// only, and a side with no graph.
+// repeats counts the stage names and tree keys that r repeats.
+func repeats(r *Report) (stages, trees int) {
+	seen := map[string]bool{}
+	for _, sr := range r.Stages {
+		if seen[sr.Stage] {
+			stages++
+		}
+		seen[sr.Stage] = true
+		keys := map[string]bool{}
+		for _, td := range sr.Dump.Trees {
+			if keys[td.Key] {
+				trees++
+			}
+			keys[td.Key] = true
+		}
+	}
+	return stages, trees
+}
+
+// TestQuickDiffEdgesMatchesRef: merge-walked edge groups and the count
+// maps give the same deltas, in the same order, on generated graphs:
+// request, response and severed edges, groups on one side only, a side
+// with no graph, repeated stage names and context keys, and names that
+// hold a NUL byte.
 func TestQuickDiffEdgesMatchesRef(t *testing.T) {
 	kinds := map[string]bool{}
+	var repeated, nul int
 	for seed := int64(0); seed < 1000; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		a, b := graphReport(rng), graphReport(rng)
@@ -1043,13 +1158,66 @@ func TestQuickDiffEdgesMatchesRef(t *testing.T) {
 		}
 		for _, d := range got {
 			kinds[d.Kind] = true
+			if strings.Contains(d.FromStage+d.FromLabel+d.ToStage+d.ToLabel, "\x00") {
+				nul++
+			}
+		}
+		if s, k := repeats(a); s+k > 0 {
+			repeated++
 		}
 		if got, want := diffEdges(nil, b.Graph), refDiffEdges(nil, b.Graph); !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d: diffEdges(nil, b) = %v\noracle %v", seed, got, want)
 		}
 	}
-	if len(kinds) != 3 {
-		t.Fatalf("deltas reached edge kinds %v; want request, response and severed", kinds)
+	if len(kinds) != 3 || repeated == 0 || nul == 0 {
+		t.Fatalf("deltas reached edge kinds %v, %d reports with repeats, %d deltas with a NUL; want request, response and severed, and both others above 0", kinds, repeated, nul)
+	}
+}
+
+// TestQuickDiffCrosstalkMatchesRef: merge-walking (waiter, holder)
+// pairs gives the struct-keyed oracle's deltas, in the same order, on
+// generated matrices: names that hold a NUL byte, a cell repeated on
+// one side (the later one is matched), cells on one side only, and an
+// empty side. First the pair that a key joined with a NUL cannot tell
+// apart: ("a\x00b", "c") and ("a", "b\x00c") are two cells.
+func TestQuickDiffCrosstalkMatchesRef(t *testing.T) {
+	joined := []CrosstalkPair{{Waiter: "a\x00b", Holder: "c", Count: 1}, {Waiter: "a", Holder: "b\x00c", Count: 2}}
+	want := []CrosstalkDelta{{Waiter: "a", Holder: "b\x00c", CountA: 2}, {Waiter: "a\x00b", Holder: "c", CountA: 1}}
+	if got := diffCrosstalk(joined, nil); !reflect.DeepEqual(got, want) {
+		t.Fatalf("diffCrosstalk(%#v, nil) = %#v; want %#v", joined, got, want)
+	}
+	names := []string{"", "a", "b", "ab", "a\x00", "a\x00b", "b\x00c", "\x00"}
+	matrix := func(rng *rand.Rand) []CrosstalkPair {
+		var ps []CrosstalkPair
+		for range rng.Intn(8) {
+			ps = append(ps, CrosstalkPair{
+				Waiter: names[rng.Intn(len(names))], Holder: names[rng.Intn(len(names))],
+				Count: rng.Int63n(3), Total: Duration(rng.Int63n(3)),
+			})
+		}
+		return ps
+	}
+	var repeated int
+	for seed := int64(0); seed < 3000; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		a, b := matrix(rng), matrix(rng)
+		if got, want := diffCrosstalk(a, b), refDiffCrosstalk(a, b); !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: diffCrosstalk(%#v, %#v) = %#v\noracle %#v", seed, a, b, got, want)
+		}
+		if got, want := diffCrosstalk(nil, b), refDiffCrosstalk(nil, b); !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: diffCrosstalk(nil, %#v) = %#v\noracle %#v", seed, b, got, want)
+		}
+		seen := map[crosstalkKey]bool{}
+		for _, p := range a {
+			if k := (crosstalkKey{p.Waiter, p.Holder}); seen[k] {
+				repeated++
+			} else {
+				seen[k] = true
+			}
+		}
+	}
+	if repeated == 0 {
+		t.Fatal("no generated matrix repeated a cell")
 	}
 }
 
@@ -1060,7 +1228,9 @@ func TestQuickDiffEdgesMatchesRef(t *testing.T) {
 // often sits at the other's inner node and a one-sided subtree often
 // tops at no record. A side's list is by turns a Flatten output, which
 // diffPair counts, or raw: shuffled, with records split into duplicates,
-// zero counts and empty (root) paths.
+// zero counts and empty (root) paths. Now and then a report repeats a
+// stage name or a stage repeats a context key, with other contents, as
+// a hand-written report may: a diff matches the later one.
 func diffPair(rng *rand.Rand) (a, b *Report, flattened int) {
 	path := func() []string {
 		p := make([]string, 1+rng.Intn(3))
@@ -1109,38 +1279,69 @@ func diffPair(rng *rand.Rand) (a, b *Report, flattened int) {
 		rng.Shuffle(len(recs), func(i, j int) { recs[i], recs[j] = recs[j], recs[i] })
 		return recs
 	}
+	tree := func(k int) TreeDump {
+		recs := records()
+		var total int64
+		for _, r := range recs {
+			total += r.Self
+		}
+		return TreeDump{
+			Key: fmt.Sprintf("p%d|c%d", k, k), Prefix: fmt.Sprintf("p%d", k),
+			Label: fmt.Sprintf("ctx%d", k+rng.Intn(2)), Total: total, Records: recs,
+		}
+	}
+	dump := func(s int) StageDump {
+		d := StageDump{Stage: fmt.Sprintf("stage%d", s)}
+		for k := range 3 {
+			if rng.Intn(5) != 0 {
+				d.Trees = append(d.Trees, tree(k))
+			}
+		}
+		if rng.Intn(6) == 0 {
+			d.Trees = append(d.Trees, tree(rng.Intn(3))) // a key again
+		}
+		return d
+	}
 	report := func() *Report {
 		var dumps []StageDump
 		for s := range 1 + rng.Intn(2) {
-			d := StageDump{Stage: fmt.Sprintf("stage%d", s)}
-			for k := range 3 {
-				if rng.Intn(5) == 0 {
-					continue
-				}
-				recs := records()
-				var total int64
-				for _, r := range recs {
-					total += r.Self
-				}
-				d.Trees = append(d.Trees, TreeDump{
-					Key: fmt.Sprintf("p%d|c%d", k, k), Prefix: fmt.Sprintf("p%d", k),
-					Label: fmt.Sprintf("ctx%d", k+rng.Intn(2)), Total: total, Records: recs,
-				})
-			}
-			dumps = append(dumps, d)
+			dumps = append(dumps, dump(s))
+		}
+		if rng.Intn(6) == 0 {
+			dumps = append(dumps, dump(rng.Intn(2))) // a stage name again
 		}
 		return ReportFromDumps("app", dumps...)
 	}
 	return report(), report(), flattened
 }
 
+// unlabeled clears the label of every tree d matched on both sides and
+// returns d. A matched tree takes side A's label, and diffPair draws a
+// context's label on each side apart, so only so do Diff(b, a) and
+// Diff(a, b) mirrored compare equal.
+func unlabeled(d *ReportDiff) *ReportDiff {
+	for _, sd := range d.Stages {
+		for i := range sd.Trees {
+			if sd.Trees[i].OnlyIn == "" {
+				sd.Trees[i].Label = ""
+			}
+		}
+	}
+	return d
+}
+
 // TestQuickDiffTreesMatchesRef: merging the record lists gives the diff
 // and the folded diff that rebuilding and walking two trees gave, on
 // randReport pairs (unsorted records, duplicates, zero counts) and on
-// diffPair's. Counters show the generators reached every case the merge
-// tells apart.
+// diffPair's, whose repeated stage names and context keys the oracle
+// indexes by key: the later entry wins. Diff(b, a) is Diff(a, b)
+// mirrored on each, labels aside (see unlabeled). Counters show the generators reached every case
+// the merge tells apart.
 func TestQuickDiffTreesMatchesRef(t *testing.T) {
-	var reached struct{ flattened, unsorted, duplicate, zero, root, inner, topNotRecord int }
+	var reached struct {
+		flattened, unsorted, duplicate, zero, root, inner, topNotRecord int
+		repeatedStage, repeatedTree                                     int
+	}
 	hasPath := func(recs []cct.FlatRecord, path []string) bool {
 		return slices.ContainsFunc(recs, func(r cct.FlatRecord) bool { return slices.Equal(r.Path, path) })
 	}
@@ -1166,6 +1367,9 @@ func TestQuickDiffTreesMatchesRef(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d: Diff stages = %+v\noracle %+v", seed, got.Stages, want.Stages)
 		}
+		if ba, m := unlabeled(Diff(b, a)), unlabeled(got.Mirrored()); !reflect.DeepEqual(ba, m) {
+			t.Fatalf("seed %d: Diff(b, a) = %+v\nDiff(a, b) mirrored %+v", seed, ba.Stages, m.Stages)
+		}
 		var fgot, fwant bytes.Buffer
 		FoldedDiff(a, b, &fgot)
 		refFoldedDiff(a, b, &fwant)
@@ -1174,6 +1378,9 @@ func TestQuickDiffTreesMatchesRef(t *testing.T) {
 		}
 
 		for _, r := range []*Report{a, b} {
+			s, k := repeats(r)
+			reached.repeatedStage += s
+			reached.repeatedTree += k
 			for _, sr := range r.Stages {
 				for _, td := range sr.Dump.Trees {
 					paths := map[string]bool{}
@@ -1212,7 +1419,8 @@ func TestQuickDiffTreesMatchesRef(t *testing.T) {
 	}
 	t.Logf("cases reached: %+v", reached)
 	if reached.flattened == 0 || reached.unsorted == 0 || reached.duplicate == 0 || reached.zero == 0 ||
-		reached.root == 0 || reached.inner == 0 || reached.topNotRecord == 0 {
+		reached.root == 0 || reached.inner == 0 || reached.topNotRecord == 0 ||
+		reached.repeatedStage == 0 || reached.repeatedTree == 0 {
 		t.Fatalf("a case was never reached: %+v", reached)
 	}
 }
