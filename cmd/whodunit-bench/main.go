@@ -9,7 +9,8 @@
 // Experiments (and the client-count sweeps inside them) run across
 // GOMAXPROCS workers; every simulation draws from explicitly seeded RNG
 // streams, so the output is identical to a serial run
-// (GOMAXPROCS=1 whodunit-bench).
+// (GOMAXPROCS=1 whodunit-bench). Exit status: 0 on success, 1 if the
+// output or a profile cannot be written, 2 on a usage error.
 package main
 
 import (
@@ -19,6 +20,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 
 	"whodunit/internal/cmdutil"
@@ -29,61 +31,50 @@ var experimentNames = []string{
 	"validate", "fig8", "fig9", "fig10", "table1", "fig11", "fig12", "table2", "table3", "overheads", "mesh", "megascale",
 }
 
-func main() { os.Exit(run()) }
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-func run() int {
-	quick := flag.Bool("quick", false, "reduced-scale run")
-	only := flag.String("only", "", "run a single experiment: "+strings.Join(experimentNames, "|"))
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile (captured after the run) to this file")
-	mode := cmdutil.ModeFlag()
-	flag.Parse()
-
-	if flag.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "whodunit-bench: unexpected arguments %q (configuration is flag-only)\n", flag.Args())
+// run is the whole tool behind a testable seam, like whodunit-run's.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("whodunit-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	quick := fs.Bool("quick", false, "reduced-scale run")
+	only := fs.String("only", "", "run a single experiment: "+strings.Join(experimentNames, "|"))
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
+	memprofile := fs.String("memprofile", "", "write a heap profile (captured after the run) to this file")
+	mode := cmdutil.ModeFlag(fs)
+	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *only != "" {
-		known := false
-		for _, n := range experimentNames {
-			if *only == n {
-				known = true
-				break
-			}
-		}
-		if !known {
-			fmt.Fprintf(os.Stderr, "whodunit-bench: unknown experiment %q (want %s)\n",
-				*only, strings.Join(experimentNames, "|"))
-			return 2
-		}
-		// -mode only affects the case-study figures; an explicit -mode
-		// combined with -only for any other experiment is a conflict (the
-		// mode would silently do nothing), the same contract
-		// whodunit-stitch enforces for its flag combinations.
-		modeDependent := map[string]bool{"fig8": true, "fig9": true, "fig10": true}
-		if !modeDependent[*only] {
-			modeSet := false
-			flag.Visit(func(f *flag.Flag) {
-				if f.Name == "mode" {
-					modeSet = true
-				}
-			})
-			if modeSet {
-				fmt.Fprintf(os.Stderr, "whodunit-bench: -mode has no effect on experiment %q (only fig8, fig9 and fig10 honor it)\n", *only)
-				return 2
-			}
-		}
+
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "whodunit-bench: unexpected arguments %q (configuration is flag-only)\n", fs.Args())
+		return 2
+	}
+	if *only != "" && !slices.Contains(experimentNames, *only) {
+		fmt.Fprintf(stderr, "whodunit-bench: -only: unknown experiment %q (want %s)\n",
+			*only, strings.Join(experimentNames, "|"))
+		return 2
+	}
+	// -mode only affects the case-study figures; an explicit -mode
+	// combined with -only for any other experiment is a conflict (the
+	// mode would silently do nothing), as whodunit-run and
+	// whodunit-stitch reject a second output form.
+	modeSet := false
+	fs.Visit(func(f *flag.Flag) { modeSet = modeSet || f.Name == "mode" })
+	if modeSet && *only != "" && !slices.Contains([]string{"fig8", "fig9", "fig10"}, *only) {
+		fmt.Fprintf(stderr, "whodunit-bench: -mode has no effect on experiment %q (only fig8, fig9 and fig10 honor it)\n", *only)
+		return 2
 	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "whodunit-bench: cpuprofile: %v\n", err)
+			fmt.Fprintf(stderr, "whodunit-bench: cpuprofile: %v\n", err)
 			return 1
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "whodunit-bench: cpuprofile: %v\n", err)
+			fmt.Fprintf(stderr, "whodunit-bench: cpuprofile: %v\n", err)
 			return 1
 		}
 		defer pprof.StopCPUProfile()
@@ -112,26 +103,23 @@ func run() int {
 		{Name: "mesh", Run: func(w io.Writer) { experiments.MeshTraffic(sc).Render(w) }},
 		{Name: "megascale", Run: func(w io.Writer) { experiments.MegaScale(mg).Render(w) }},
 	}
-	jobs := all[:0:0]
-	for _, j := range all {
-		if *only == "" || *only == j.Name {
-			jobs = append(jobs, j)
-		}
+	if *only != "" {
+		all = slices.DeleteFunc(all, func(j experiments.Job) bool { return j.Name != *only })
 	}
-	if err := experiments.RunAll(os.Stdout, jobs); err != nil {
-		fmt.Fprintf(os.Stderr, "whodunit-bench: %v\n", err)
+	if err := experiments.RunAll(stdout, all); err != nil {
+		fmt.Fprintf(stderr, "whodunit-bench: %v\n", err)
 		return 1
 	}
 	if *memprofile != "" {
 		f, err := os.Create(*memprofile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "whodunit-bench: memprofile: %v\n", err)
+			fmt.Fprintf(stderr, "whodunit-bench: memprofile: %v\n", err)
 			return 1
 		}
 		defer f.Close()
 		runtime.GC()
 		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "whodunit-bench: memprofile: %v\n", err)
+			fmt.Fprintf(stderr, "whodunit-bench: memprofile: %v\n", err)
 			return 1
 		}
 	}

@@ -1,8 +1,8 @@
 // Command whodunit-diff compares two Whodunit reports — the §9
 // regression-hunting workflow ("run A vs run B, explain the delta") as
 // a tool. The two sides are either report JSON files (written with
-// -json by whodunit-run, whodunit-mesh or whodunit-stitch) or fresh runs
-// of corpus scenarios named with -run specs:
+// -json by whodunit-run or whodunit-stitch) or fresh runs of corpus
+// scenarios named with -run specs:
 //
 //	whodunit-diff before.json after.json
 //	whodunit-diff -run apache -run apache:seed=7
@@ -10,8 +10,10 @@
 //	whodunit-diff -json a.json b.json > delta.json
 //	whodunit-diff -folded a.json b.json | flamegraph.pl --negate > diff.svg
 //	whodunit-diff -threshold 0 a.json b.json   # CI gate: exit 1 on any delta
+//	whodunit-diff -run mesh-deep:trace=a.jsonl -run mesh-deep:trace=b.jsonl
 //
-// A -run spec is scenario[:seed=N][,mode=off|csprof|whodunit|gprof]
+// A -run spec is whodunit-run's argument,
+// scenario[:seed=N][,mode=off|csprof|whodunit|gprof][,trace=F|,write-trace=F]
 // (see -list for the scenario corpus). Exit status is part of the
 // contract: 0 means the diff is within bounds (or informational), 1
 // means -threshold was set and the largest sample/count delta exceeds
@@ -23,47 +25,26 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log"
 	"os"
 
 	"whodunit"
 	"whodunit/internal/scenarios"
 )
 
-type runSpecs []string
-
-func (r *runSpecs) String() string { return fmt.Sprint([]string(*r)) }
-func (r *runSpecs) Set(s string) error {
-	*r = append(*r, s)
-	return nil
-}
-
-// failure aborts run via panic; run recovers it into exit status 2.
-type failure string
-
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run is the whole tool behind a testable seam: it parses args on its
 // own FlagSet, writes to the given streams, and returns the process
 // exit status (0 in-bounds, 1 threshold exceeded, 2 usage/IO error).
-func run(args []string, stdout, stderr io.Writer) (status int) {
-	fail := func(format string, a ...any) {
-		panic(failure(fmt.Sprintf("whodunit-diff: "+format, a...)))
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			msg, ok := r.(failure)
-			if !ok {
-				panic(r)
-			}
-			fmt.Fprintln(stderr, string(msg))
-			status = 2
-		}
-	}()
-
+func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("whodunit-diff", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	var runs runSpecs
-	fs.Var(&runs, "run", "scenario run spec (repeat twice): name[:seed=N][,mode=M]")
+	var runs []string
+	fs.Func("run", "scenario run spec (repeat twice): name[:seed=N][,mode=M][,trace=F|,write-trace=F]", func(spec string) error {
+		runs = append(runs, spec)
+		return nil
+	})
 	threshold := fs.Int64("threshold", -1, "exit 1 if the largest sample/count delta exceeds this (-1 disables gating)")
 	jsonOut := fs.Bool("json", false, "emit the diff as JSON instead of text")
 	folded := fs.Bool("folded", false, "emit two-column folded stacks (difffolded format) for differential flame graphs")
@@ -77,61 +58,75 @@ func run(args []string, stdout, stderr io.Writer) (status int) {
 		return 0
 	}
 
-	loadReport := func(path string) *whodunit.Report {
-		f, err := os.Open(path)
-		if err != nil {
-			fail("%v", err)
-		}
-		defer f.Close()
-		rep, err := whodunit.ReadReport(f)
-		if err != nil {
-			fail("%s: %v", path, err)
-		}
-		if rep.App == "" && len(rep.Stages) == 0 {
-			fail("%s: not a report (expected a file written with -json)", path)
-		}
-		return rep
-	}
-
-	var a, b *whodunit.Report
+	var sides [2]*whodunit.Report
+	var err error
 	switch {
 	case len(runs) == 2 && fs.NArg() == 0:
-		reps := make([]*whodunit.Report, 2)
+		warn := log.New(stderr, "whodunit-diff: ", 0)
 		for i, spec := range runs {
-			s, err := scenarios.ParseSpec(spec)
-			if err != nil {
-				fail("%v", err)
+			var s scenarios.Scenario
+			if s, err = scenarios.ParseSpec(spec); err != nil {
+				break
 			}
-			reps[i] = s.Report()
+			if sides[i], err = s.Run(warn); err != nil {
+				break
+			}
 		}
-		a, b = reps[0], reps[1]
 	case len(runs) == 0 && fs.NArg() == 2:
-		a, b = loadReport(fs.Arg(0)), loadReport(fs.Arg(1))
+		for i, path := range fs.Args() {
+			if sides[i], err = loadReport(path); err != nil {
+				break
+			}
+		}
 	default:
 		fmt.Fprintln(stderr, "usage: whodunit-diff [-threshold N] [-json|-folded] a.json b.json")
 		fmt.Fprintln(stderr, "       whodunit-diff [-threshold N] [-json|-folded] -run specA -run specB")
 		fmt.Fprintln(stderr, "       whodunit-diff -list")
 		return 2
 	}
+	if err != nil {
+		fmt.Fprintf(stderr, "whodunit-diff: %v\n", err)
+		return 2
+	}
 
+	a, b := sides[0], sides[1]
 	d := whodunit.Diff(a, b)
 	out := bufio.NewWriter(stdout)
 	switch {
 	case *folded:
 		whodunit.FoldedDiff(a, b, out)
 	case *jsonOut:
-		if err := d.JSON(out); err != nil {
-			fail("%v", err)
-		}
+		err = d.JSON(out)
 	default:
 		d.Text(out)
 	}
-	if err := out.Flush(); err != nil {
-		fail("write: %v", err)
+	if err == nil {
+		err = out.Flush()
+	}
+	if err != nil {
+		fmt.Fprintf(stderr, "whodunit-diff: write: %v\n", err)
+		return 2
 	}
 	if *threshold >= 0 && d.Exceeds(*threshold) {
 		fmt.Fprintf(stderr, "whodunit-diff: max delta %d exceeds threshold %d\n", d.MaxDelta(), *threshold)
 		return 1
 	}
 	return 0
+}
+
+// loadReport reads one report JSON side.
+func loadReport(path string) (*whodunit.Report, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	rep, err := whodunit.ReadReport(f)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %v", path, err)
+	}
+	if rep.App == "" && len(rep.Stages) == 0 {
+		return nil, fmt.Errorf("%s: not a report (expected a file written with -json)", path)
+	}
+	return rep, nil
 }

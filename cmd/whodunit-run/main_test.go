@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -114,6 +115,79 @@ func TestWriteErrorExits1(t *testing.T) {
 		var stderr bytes.Buffer
 		if got := run(args, errWriter{}, &stderr); got != 1 {
 			t.Errorf("run(%v) into a failing writer = %d, want 1", args, got)
+		}
+	}
+}
+
+// golden reads one of the scenario corpus's pinned outputs.
+func golden(t *testing.T, name string) []byte {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join("..", "..", "internal", "scenarios", "testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
+// TestMeshTraceRoundTrip: a mesh spec that records its generated trace
+// and one that replays the recorded file print exactly the scenario's
+// goldens, in JSON and text. A truncated file replays what it salvages
+// and says what it lost; a file with nothing to replay and a trace key
+// the spec cannot take are usage errors.
+func TestMeshTraceRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "mesh.jsonl")
+	wantJSON, wantText := golden(t, "mesh-deep.json.golden"), golden(t, "mesh-deep.text.golden")
+	for _, args := range [][]string{
+		{"-json", "mesh-deep:write-trace=" + path},
+		{"-json", "mesh-deep:trace=" + path},
+	} {
+		if got := runOK(t, args...); !bytes.Equal(got, wantJSON) {
+			t.Fatalf("whodunit-run %v differs from the JSON golden (%d bytes vs %d)", args, len(got), len(wantJSON))
+		}
+	}
+	if got := runOK(t, "mesh-deep:trace="+path); !bytes.Equal(got, wantText) {
+		t.Fatalf("the replayed text report differs from the text golden (%d bytes vs %d)", len(got), len(wantText))
+	}
+
+	whole, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	truncated := filepath.Join(dir, "truncated.jsonl")
+	if err := os.WriteFile(truncated, whole[:len(whole)*2/3], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	if got := run([]string{"mesh-deep:trace=" + truncated}, &stdout, &stderr); got != 0 || stdout.Len() == 0 {
+		t.Fatalf("truncated trace: status %d, %d bytes out\nstderr: %s", got, stdout.Len(), stderr.String())
+	}
+	if !regexp.MustCompile(`^whodunit-run: .*truncated\.jsonl: salvaged \d+ events \(\d+ lost\)\n$`).MatchString(stderr.String()) {
+		t.Fatalf("truncated trace: stderr %q, want one salvage note", stderr.String())
+	}
+
+	empty := filepath.Join(dir, "empty.jsonl")
+	if err := os.WriteFile(empty, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ spec, errHas string }{
+		{"mesh-deep:trace=" + empty, "empty.jsonl"},
+		{"mesh-deep:trace=" + filepath.Join(dir, "missing.jsonl"), "missing.jsonl"},
+		{"mesh-deep:write-trace=" + filepath.Join(dir, "no-dir", "t.jsonl"), "no-dir"},
+		{"apache:trace=" + path, "trace= in"},
+		{"quickstart:write-trace=" + path, "write-trace= in"},
+		{"mesh-deep:trace=" + path + ",write-trace=" + path, "conflict"},
+		{"mesh-deep:trace=", "empty trace= path"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if got := run([]string{tc.spec}, &stdout, &stderr); got != 2 {
+			t.Errorf("%s: status %d, want 2\nstderr: %s", tc.spec, got, stderr.String())
+		}
+		if msg := stderr.String(); !strings.Contains(msg, tc.errHas) || strings.Count(msg, "\n") != 1 {
+			t.Errorf("%s: stderr %q, want one line mentioning %q", tc.spec, msg, tc.errHas)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%s: stdout %q on an error", tc.spec, stdout.String())
 		}
 	}
 }

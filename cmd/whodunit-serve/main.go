@@ -20,7 +20,9 @@
 // -max-restarts bounds the rebuild budget and -watchdog aborts a run
 // that stops retiring windows. The run stops after -windows windows
 // (0 = run until SIGINT/SIGTERM); on a signal the simulation drains
-// gracefully, retiring the in-progress window before exit.
+// gracefully, retiring the in-progress window before exit. Exit status:
+// 0 on success, 1 if the HTTP server fails mid-run, 2 on a usage error
+// or an -addr that cannot be bound.
 package main
 
 import (
@@ -28,10 +30,11 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -40,66 +43,78 @@ import (
 	"whodunit/internal/scenarios"
 )
 
-func fail(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "whodunit-serve: "+format+"\n", args...)
-	os.Exit(2)
-}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-func main() {
-	scenario := flag.String("scenario", "serve-web", "serving scenario to run (see -list)")
-	list := flag.Bool("list", false, "list serving scenarios and exit")
-	addr := flag.String("addr", "127.0.0.1:7077", "HTTP listen address (empty = headless, no HTTP)")
-	windowFlag := flag.Duration("window", 0, "aggregation window in virtual time (default: the scenario's recommended window)")
-	retain := flag.Int("retain", 16, "retired windows kept queryable")
-	threshold := flag.Int64("threshold", -2, "adjacent-window alert threshold in sample units; -1 disables (default: the scenario's recommended threshold)")
-	maxWindows := flag.Int("windows", 0, "stop after this many retired windows (0 = run until signal)")
-	pace := flag.Float64("pace", 1.0, "virtual seconds simulated per wall second (0 = free-run)")
-	seed := flag.Uint64("seed", 0, "workload seed override (default: the scenario's seed)")
-	maxRestarts := flag.Int("max-restarts", 3, "restart budget for supervised scenarios before giving up")
-	watchdog := flag.Duration("watchdog", 0, "abort a run that retires no window for this much wall time (0 = off; supervised scenarios only)")
-	mode := cmdutil.ModeFlag()
-	flag.Parse()
+// run is the whole tool behind a testable seam, like whodunit-run's.
+// It binds -addr before it prints or runs anything, and it leaves no
+// signal handler behind.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("whodunit-serve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	scenario := fs.String("scenario", "serve-web", "serving scenario to run (see -list)")
+	list := fs.Bool("list", false, "list serving scenarios and exit")
+	addr := fs.String("addr", "127.0.0.1:7077", "HTTP listen address (empty = headless, no HTTP)")
+	windowFlag := fs.Duration("window", 0, "aggregation window in virtual time (default: the scenario's recommended window)")
+	retain := fs.Int("retain", 16, "retired windows kept queryable")
+	threshold := fs.Int64("threshold", -2, "adjacent-window alert threshold in sample units; -1 disables (default: the scenario's recommended threshold)")
+	maxWindows := fs.Int("windows", 0, "stop after this many retired windows (0 = run until signal)")
+	pace := fs.Float64("pace", 1.0, "virtual seconds simulated per wall second (0 = free-run)")
+	seed := fs.Uint64("seed", 0, "workload seed override (default: the scenario's seed)")
+	maxRestarts := fs.Int("max-restarts", 3, "restart budget for supervised scenarios before giving up")
+	watchdog := fs.Duration("watchdog", 0, "abort a run that retires no window for this much wall time (0 = off; supervised scenarios only)")
+	mode := cmdutil.ModeFlag(fs)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	if *list {
-		scenarios.List(os.Stdout, scenarios.KindServing)
-		return
+		scenarios.List(stdout, scenarios.KindServing)
+		return 0
 	}
-	if flag.NArg() > 0 {
-		fail("unexpected arguments %q (configuration is flag-only)", flag.Args())
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "whodunit-serve: "+format+"\n", a...)
+		return 2
+	}
+	if fs.NArg() > 0 {
+		return usage("unexpected arguments %q (configuration is flag-only)", fs.Args())
 	}
 	s, ok := scenarios.ServeByName(*scenario)
 	if !ok {
 		if in, found := scenarios.Lookup(*scenario); found && in.Kind == scenarios.KindBatch {
-			fail("%q is a batch scenario (run it with whodunit-run %s)", *scenario, *scenario)
+			return usage("-scenario: %q is a batch scenario (run it with whodunit-run %s)", *scenario, *scenario)
 		}
-		fail("unknown scenario %q (known: %s)", *scenario, strings.Join(scenarios.ServeNames(), ", "))
+		return usage("-scenario: unknown scenario %q (-list shows the serving scenarios)", *scenario)
 	}
-	if *retain < 1 {
-		fail("-retain must be at least 1 (got %d)", *retain)
+	switch {
+	case *retain < 1:
+		return usage("-retain must be at least 1 (got %d)", *retain)
+	case *maxWindows < 0:
+		return usage("-windows must be >= 0 (got %d)", *maxWindows)
+	case *pace < 0:
+		return usage("-pace must be >= 0 (got %v)", *pace)
+	case *windowFlag < 0:
+		return usage("-window must be positive (got %v)", *windowFlag)
+	case *threshold < -2:
+		return usage("-threshold must be >= -1 (got %d); -1 disables alerting", *threshold)
+	case *addr == "" && *maxWindows == 0:
+		return usage("headless (-addr \"\") with -windows 0 would run forever with no way to observe it; set -windows or an -addr")
+	case *maxRestarts < 1:
+		return usage("-max-restarts must be at least 1 (got %d)", *maxRestarts)
+	case *watchdog < 0:
+		return usage("-watchdog must be >= 0 (got %v)", *watchdog)
+	case *watchdog > 0 && s.MakeRun == nil:
+		return usage("-watchdog needs a supervised scenario (%s is unsupervised; try serve-crashy)", s.Name)
 	}
-	if *maxWindows < 0 {
-		fail("-windows must be >= 0 (got %d)", *maxWindows)
-	}
-	if *pace < 0 {
-		fail("-pace must be >= 0 (got %v)", *pace)
-	}
-	if *windowFlag < 0 {
-		fail("-window must be positive (got %v)", *windowFlag)
-	}
-	if *threshold < -2 {
-		fail("-threshold must be >= -1 (got %d); -1 disables alerting", *threshold)
-	}
-	if *addr == "" && *maxWindows == 0 {
-		fail("headless (-addr \"\") with -windows 0 would run forever with no way to observe it; set -windows or an -addr")
-	}
-	if *maxRestarts < 1 {
-		fail("-max-restarts must be at least 1 (got %d)", *maxRestarts)
-	}
-	if *watchdog < 0 {
-		fail("-watchdog must be >= 0 (got %v)", *watchdog)
-	}
-	if *watchdog > 0 && s.MakeRun == nil {
-		fail("-watchdog needs a supervised scenario (%s is unsupervised; try serve-crashy)", s.Name)
+
+	// Bind first: an address that cannot be served is a usage error, seen
+	// before anything claims to serve on it.
+	var ln net.Listener
+	if *addr != "" {
+		var err error
+		if ln, err = net.Listen("tcp", *addr); err != nil {
+			return usage("-addr: %v", err)
+		}
+		defer ln.Close()
 	}
 
 	p := s.Defaults
@@ -136,11 +151,9 @@ func main() {
 	}
 	srv := whodunit.NewServer(app, cfg)
 
-	// Lead the narration with the registry's description of what is
-	// being profiled, so a bare log identifies its scenario.
-	if in, found := scenarios.Lookup(s.Name); found {
-		fmt.Printf("scenario %s: %s\n", in.Name, in.About)
-	}
+	// Lead the narration with what is being profiled, so a bare log
+	// identifies its scenario.
+	fmt.Fprintf(stdout, "scenario %s: %s\n", s.Name, s.About)
 
 	// Narrate retirements on stdout (the headless CI path greps these).
 	// The subscription closes when the run finishes, so waiting on
@@ -152,7 +165,7 @@ func main() {
 		defer close(printerDone)
 		for kv := range events {
 			rep := kv.V.Report
-			fmt.Printf("window %d [%.3fs, %.3fs): %d samples",
+			fmt.Fprintf(stdout, "window %d [%.3fs, %.3fs): %d samples",
 				rep.Window.Seq, rep.Window.Start.Seconds(), rep.Window.End.Seconds(), rep.TotalSamples())
 			if kv.V.Diff != nil {
 				// Diff against the previous FULL window — across a crash
@@ -161,18 +174,18 @@ func main() {
 				if kv.V.Diff.WindowA != nil {
 					prev = kv.V.Diff.WindowA.Seq
 				}
-				fmt.Printf(", max delta %d vs window %d", kv.V.MaxDelta, prev)
+				fmt.Fprintf(stdout, ", max delta %d vs window %d", kv.V.MaxDelta, prev)
 			}
 			if kv.V.Degraded {
-				fmt.Printf(", DEGRADED (restart %d)", kv.V.Restarts)
+				fmt.Fprintf(stdout, ", DEGRADED (restart %d)", kv.V.Restarts)
 			}
-			fmt.Println()
+			fmt.Fprintln(stdout)
 			if kv.V.Alert {
-				fmt.Printf("ALERT window %d: adjacent diff max delta %d exceeds threshold %d\n",
+				fmt.Fprintf(stdout, "ALERT window %d: adjacent diff max delta %d exceeds threshold %d\n",
 					rep.Window.Seq, kv.V.MaxDelta, thr)
 			}
 			if kv.V.Recovered {
-				fmt.Printf("recovered: window %d is the first full window after restart %d\n",
+				fmt.Fprintf(stdout, "recovered: window %d is the first full window after restart %d\n",
 					rep.Window.Seq, kv.V.Restarts)
 			}
 		}
@@ -180,23 +193,23 @@ func main() {
 	defer cancelEvents()
 
 	var httpSrv *http.Server
-	if *addr != "" {
-		httpSrv = &http.Server{Addr: *addr, Handler: srv.Handler()}
-		go func() {
-			fmt.Printf("serving %s on http://%s (window %s, threshold %d, pace %gx)\n",
-				s.Name, *addr, time.Duration(window), thr, *pace)
-			if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				fail("%v", err)
-			}
-		}()
+	serveErr := make(chan error, 1)
+	if ln != nil {
+		httpSrv = &http.Server{Handler: srv.Handler()}
+		fmt.Fprintf(stdout, "serving %s on http://%s (window %s, threshold %d, pace %gx)\n",
+			s.Name, ln.Addr(), time.Duration(window), thr, *pace)
+		// Serve returns ErrServerClosed after the Shutdown below, or an
+		// error that ends the run early.
+		go func() { serveErr <- httpSrv.Serve(ln); srv.Stop() }()
 	}
 
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, syscall.SIGINT, syscall.SIGTERM)
+	defer signal.Stop(sigCh)
 	go func() {
 		select {
 		case sig := <-sigCh:
-			fmt.Printf("received %s, draining: retiring the in-progress window\n", sig)
+			fmt.Fprintf(stdout, "received %s, draining: retiring the in-progress window\n", sig)
 			srv.Stop()
 		case <-srv.Done():
 		}
@@ -204,14 +217,20 @@ func main() {
 
 	srv.Run()
 	<-printerDone
-	fmt.Printf("run finished: %d windows retired, %d alerts, %d restarts\n",
+	fmt.Fprintf(stdout, "run finished: %d windows retired, %d alerts, %d restarts\n",
 		srv.Ring().Total(), srv.AlertsTotal(), srv.Restarts())
 	if srv.GaveUp() {
-		fmt.Printf("gave up: restart budget (%d) exhausted\n", *maxRestarts)
+		fmt.Fprintf(stdout, "gave up: restart budget (%d) exhausted\n", *maxRestarts)
 	}
-	if httpSrv != nil {
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		defer cancel()
-		httpSrv.Shutdown(ctx)
+	if httpSrv == nil {
+		return 0
 	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	httpSrv.Shutdown(ctx)
+	if err := <-serveErr; !errors.Is(err, http.ErrServerClosed) {
+		fmt.Fprintf(stderr, "whodunit-serve: %v\n", err)
+		return 1
+	}
+	return 0
 }

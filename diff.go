@@ -52,7 +52,9 @@ type NodeDelta struct {
 
 // TreeDiff is one differing transaction-context tree within a stage.
 // Trees are matched across reports by context key (synopsis prefix +
-// local context), the identity the stitcher also matches on.
+// local context), the identity the stitcher also matches on. A tree
+// matched on both sides carries the lexically smaller of its two labels
+// (treeLabel), whichever report is A.
 type TreeDiff struct {
 	Key    string      `json:"key"`
 	Label  string      `json:"label"`
@@ -217,9 +219,8 @@ func (d *ReportDiff) Exceeds(threshold int64) bool { return d.MaxDelta() > thres
 // Mirrored returns the same diff viewed from the other side: every A
 // field swapped with its B counterpart and OnlyIn markers flipped.
 // Diff(b, a) equals Diff(a, b).Mirrored(): every section is merged in
-// key order, which does not depend on which side is which. (A tree
-// matched on both sides takes side A's label, so the two differ where a
-// context's label does.)
+// key order, and a tree matched on both sides takes the smaller of its
+// labels, neither of which depends on which side is which.
 func (d *ReportDiff) Mirrored() *ReportDiff {
 	flip := func(side string) string {
 		switch side {
@@ -413,7 +414,7 @@ func diffTrees(a, b []TreeDump) []TreeDiff {
 		case ta == nil:
 			out = append(out, TreeDiff{Key: key, Label: tb.Label, OnlyIn: SideB, TotalB: tb.Total})
 		default:
-			td := TreeDiff{Key: key, Label: ta.Label, TotalA: ta.Total, TotalB: tb.Total,
+			td := TreeDiff{Key: key, Label: treeLabel(ta, tb), TotalA: ta.Total, TotalB: tb.Total,
 				Nodes: diffRecords(cct.SortedRecords(ta.Records), cct.SortedRecords(tb.Records))}
 			if len(td.Nodes) > 0 || td.TotalA != td.TotalB {
 				out = append(out, td)
@@ -421,6 +422,18 @@ func diffTrees(a, b []TreeDump) []TreeDiff {
 		}
 	})
 	return exact(out)
+}
+
+// treeLabel is the label a diff gives a context: its only one, or the
+// lexically smaller of two, which does not depend on which report is A.
+func treeLabel(a, b *TreeDump) string {
+	switch {
+	case a == nil:
+		return b.Label
+	case b == nil:
+		return a.Label
+	}
+	return min(a.Label, b.Label)
 }
 
 // diffRecords merges two same-context record lists in path order (see
@@ -790,13 +803,13 @@ func FoldedDiff(a, b *Report, w io.Writer) {
 			tb = sb.Dump.Trees
 		}
 		mergeKeys(ta, tb, treeKey, strings.Compare, func(_ string, da, db *TreeDump, _ [2]int64) {
-			label := ""
+			label := treeLabel(da, db)
 			var ra, rb []cct.FlatRecord
 			if da != nil {
-				label, ra = da.Label, cct.SortedRecords(da.Records)
+				ra = cct.SortedRecords(da.Records)
 			}
 			if db != nil {
-				label, rb = db.Label, cct.SortedRecords(db.Records)
+				rb = cct.SortedRecords(db.Records)
 			}
 			for len(ra) > 0 || len(rb) > 0 {
 				var path []string

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"flag"
 	"io"
+	"strings"
 	"testing"
 
 	"whodunit"
@@ -12,17 +13,9 @@ import (
 	"whodunit/internal/cmdutil"
 )
 
-// The flag helpers register on the global CommandLine (that is their
-// contract — every whodunit-* binary shares one flag set), so each is
-// registered exactly once for the whole test binary.
-var (
-	modeFlag = cmdutil.ModeFlag()
-	jsonFlag = cmdutil.JSONFlag()
-)
-
 func TestModeFlagDefault(t *testing.T) {
-	if *modeFlag != whodunit.ModeWhodunit {
-		t.Fatalf("default mode = %v, want whodunit", *modeFlag)
+	if m := cmdutil.ModeFlag(flag.NewFlagSet("t", flag.ContinueOnError)); *m != whodunit.ModeWhodunit {
+		t.Fatalf("default mode = %v, want whodunit", *m)
 	}
 }
 
@@ -34,34 +27,55 @@ func TestModeFlagParsesEveryMode(t *testing.T) {
 		"gprof":    whodunit.ModeInstrumented,
 	}
 	for name, m := range want {
-		if err := flag.CommandLine.Set("mode", name); err != nil {
-			t.Fatalf("set mode=%s: %v", name, err)
+		fs := flag.NewFlagSet("t", flag.ContinueOnError)
+		mode := cmdutil.ModeFlag(fs)
+		if err := fs.Parse([]string{"-mode", name}); err != nil {
+			t.Fatalf("-mode %s: %v", name, err)
 		}
-		if *modeFlag != m {
-			t.Fatalf("mode %s parsed to %v, want %v", name, *modeFlag, m)
+		if *mode != m {
+			t.Fatalf("mode %s parsed to %v, want %v", name, *mode, m)
 		}
 	}
-	if err := flag.CommandLine.Set("mode", "bogus"); err == nil {
-		t.Fatal("mode=bogus accepted")
-	}
-	// Leave the shared flag at its documented default.
-	if err := flag.CommandLine.Set("mode", "whodunit"); err != nil {
-		t.Fatal(err)
+	fs := flag.NewFlagSet("t", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	cmdutil.ModeFlag(fs)
+	if err := fs.Parse([]string{"-mode", "bogus"}); err == nil {
+		t.Fatal("-mode bogus accepted")
 	}
 }
 
-func TestJSONFlag(t *testing.T) {
-	if *jsonFlag {
-		t.Fatal("json flag defaults to true")
+// output parses args on a fresh flag set carrying only the output-form
+// flags.
+func output(t *testing.T, args ...string) *cmdutil.Output {
+	t.Helper()
+	fs := flag.NewFlagSet("t", flag.ContinueOnError)
+	o := cmdutil.OutputFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatalf("parse %v: %v", args, err)
 	}
-	if err := flag.CommandLine.Set("json", "true"); err != nil {
-		t.Fatal(err)
+	return o
+}
+
+// TestOutputFlags: each form alone (or none) passes Check, and any two
+// fail it with an error naming both flags. A form turned off
+// explicitly is not a form.
+func TestOutputFlags(t *testing.T) {
+	for _, args := range [][]string{nil, {"-json"}, {"-dot"}, {"-folded"}, {"-json=false", "-dot"}} {
+		if err := output(t, args...).Check(); err != nil {
+			t.Errorf("%v: %v", args, err)
+		}
 	}
-	if !*jsonFlag {
-		t.Fatal("json flag did not set")
-	}
-	if err := flag.CommandLine.Set("json", "false"); err != nil {
-		t.Fatal(err)
+	for _, args := range [][]string{{"-json", "-dot"}, {"-dot", "-folded"}, {"-folded", "-json"}, {"-json", "-dot", "-folded"}} {
+		err := output(t, args...).Check()
+		if err == nil {
+			t.Errorf("%v: Check passed", args)
+			continue
+		}
+		for _, f := range args {
+			if !strings.Contains(err.Error(), f) {
+				t.Errorf("%v: %q does not name %s", args, err, f)
+			}
+		}
 	}
 }
 
@@ -71,8 +85,8 @@ type errWriter struct{}
 
 func (errWriter) Write([]byte) (int, error) { return 0, errors.New("no space left on device") }
 
-// TestEmitReportFormats checks each selector against the Report method
-// it stands for, that a failed write is returned in every form, and
+// TestEmitReportFormats checks each output form against the Report
+// method it stands for, that a failed write is returned in every form, and
 // that the JSON form decodes back to the report.
 func TestEmitReportFormats(t *testing.T) {
 	rep := whodunit.ReportFromDumps("cmdutil-test", whodunit.StageDump{
@@ -88,35 +102,39 @@ func TestEmitReportFormats(t *testing.T) {
 		return buf.String()
 	}
 	cases := []struct {
-		name              string
-		json, dot, folded bool
-		want              string
+		flag string
+		want string
 	}{
-		{"text", false, false, false, direct(rep.Text)},
-		{"dot", false, true, false, direct(rep.DOT)},
-		{"folded", false, false, true, direct(rep.Folded)},
-		{"json", true, false, false, direct(func(w io.Writer) { _ = rep.JSON(w) })},
+		{"", direct(rep.Text)},
+		{"-dot", direct(rep.DOT)},
+		{"-folded", direct(rep.Folded)},
+		{"-json", direct(func(w io.Writer) { _ = rep.JSON(w) })},
 	}
 	for _, tc := range cases {
+		var args []string
+		if tc.flag != "" {
+			args = []string{tc.flag}
+		}
+		o := output(t, args...)
 		var got bytes.Buffer
-		if err := cmdutil.EmitReport(&got, rep, tc.json, tc.dot, tc.folded); err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
+		if err := o.Emit(&got, rep); err != nil {
+			t.Fatalf("%q: %v", tc.flag, err)
 		}
 		if got.String() != tc.want {
-			t.Errorf("%s: EmitReport wrote\n%s\nwant\n%s", tc.name, got.String(), tc.want)
+			t.Errorf("%q: Emit wrote\n%s\nwant\n%s", tc.flag, got.String(), tc.want)
 		}
-		if err := cmdutil.EmitReport(errWriter{}, rep, tc.json, tc.dot, tc.folded); err == nil {
-			t.Errorf("%s: EmitReport into a failing writer returned nil", tc.name)
+		if err := o.Emit(errWriter{}, rep); err == nil {
+			t.Errorf("%q: Emit into a failing writer returned nil", tc.flag)
 		}
 	}
 
 	var raw bytes.Buffer
-	if err := cmdutil.EmitReport(&raw, rep, true, false, false); err != nil {
+	if err := output(t, "-json").Emit(&raw, rep); err != nil {
 		t.Fatal(err)
 	}
 	decoded, err := whodunit.ReadReport(&raw)
 	if err != nil {
-		t.Fatalf("EmitReport JSON does not decode: %v", err)
+		t.Fatalf("Emit's JSON does not decode: %v", err)
 	}
 	if decoded.App != "cmdutil-test" || decoded.Elapsed != rep.Elapsed {
 		t.Fatalf("decoded = %+v", decoded)

@@ -17,7 +17,7 @@ package scenarios
 
 import (
 	"fmt"
-	"sort"
+	"log"
 	"strconv"
 	"strings"
 
@@ -33,10 +33,14 @@ import (
 
 // Params are the knobs every scenario exposes: the RNG seed feeding its
 // workload and the profiling mode. A run spec overrides them
-// ("apache:seed=7,mode=csprof").
+// ("apache:seed=7,mode=csprof"). A trace-replay mesh spec may also name
+// a trace file: Trace replays it, WriteTrace records the generated
+// trace there first ("mesh-deep:write-trace=t.jsonl"). Only Run acts on
+// the two paths.
 type Params struct {
-	Seed uint64
-	Mode whodunit.Mode
+	Seed              uint64
+	Mode              whodunit.Mode
+	Trace, WriteTrace string
 }
 
 // Scenario is one corpus entry. Exactly one of MakeApp and Make is set:
@@ -50,17 +54,36 @@ type Scenario struct {
 
 	MakeApp func(p Params) *whodunit.App
 	Make    func(p Params) *whodunit.Report
+
+	// mesh is set on the trace-replay mesh scenarios: the trace= and
+	// write-trace= keys act on it.
+	mesh *meshReplay
 }
 
-// Report runs the scenario fresh at its default parameters.
-func (s Scenario) Report() *whodunit.Report { return s.ReportWith(s.Defaults) }
-
-// ReportWith runs the scenario fresh with p.
-func (s Scenario) ReportWith(p Params) *whodunit.Report {
+// Report runs the scenario fresh at its parameters. It reads and
+// writes no file: a spec's Trace and WriteTrace are Run's.
+func (s Scenario) Report() *whodunit.Report {
 	if s.MakeApp != nil {
-		return s.MakeApp(p).Run()
+		return s.MakeApp(s.Defaults).Run()
 	}
-	return s.Make(p)
+	return s.Make(s.Defaults)
+}
+
+// Run runs the scenario as the command-line tools do: Report, except
+// that a mesh spec naming a trace file replays that file (a note on
+// what a salvaging read lost goes to warn) or records its generated
+// trace there before replaying it. A file that cannot be read, holds no
+// replayable event or cannot be written is an error.
+func (s Scenario) Run(warn *log.Logger) (*whodunit.Report, error) {
+	p := s.Defaults
+	if p.Trace == "" && p.WriteTrace == "" {
+		return s.Report(), nil
+	}
+	tr, err := s.mesh.trace(p, warn)
+	if err != nil {
+		return nil, err
+	}
+	return s.mesh.replay(p, tr), nil
 }
 
 // goldenTrace is the fixed web workload the three legacy web-server
@@ -437,16 +460,6 @@ func All() []Scenario {
 	return out
 }
 
-// Names returns every scenario name, sorted.
-func Names() []string {
-	out := make([]string, 0, len(all))
-	for _, s := range all {
-		out = append(out, s.Name)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // ByName looks a scenario up.
 func ByName(name string) (Scenario, bool) {
 	for _, s := range all {
@@ -462,9 +475,11 @@ func ByName(name string) (Scenario, bool) {
 //	name[:key=value[,key=value...]]
 //
 // where keys are "seed" (uint) and "mode" (off|csprof|whodunit|gprof),
-// returning the scenario with its defaults overridden. This is the
-// grammar of cmd/whodunit-run's argument and cmd/whodunit-diff's -run
-// flag.
+// and, on the trace-replay mesh scenarios, one of "trace" and
+// "write-trace" (a file path without a comma), returning the scenario
+// with its defaults overridden. ParseSpec does no I/O: the paths are
+// Run's. This is the grammar of cmd/whodunit-run's argument and
+// cmd/whodunit-diff's -run flag.
 func ParseSpec(spec string) (Scenario, error) {
 	name, overrides, _ := strings.Cut(spec, ":")
 	s, ok := ByName(name)
@@ -472,7 +487,7 @@ func ParseSpec(spec string) (Scenario, error) {
 		if in, serving := Lookup(name); serving && in.Kind == KindServing {
 			return Scenario{}, fmt.Errorf("scenarios: %q is a serving scenario (run it with whodunit-serve -scenario %s)", name, name)
 		}
-		return Scenario{}, fmt.Errorf("scenarios: unknown scenario %q (known: %s)", name, strings.Join(Names(), ", "))
+		return Scenario{}, fmt.Errorf("scenarios: unknown scenario %q (-list shows the corpus)", name)
 	}
 	if overrides == "" {
 		return s, nil
@@ -495,9 +510,24 @@ func ParseSpec(spec string) (Scenario, error) {
 				return Scenario{}, fmt.Errorf("scenarios: %v in %q", err, spec)
 			}
 			s.Defaults.Mode = m
+		case "trace", "write-trace":
+			if s.mesh == nil {
+				return Scenario{}, fmt.Errorf("scenarios: %s= in %q needs a trace-replay mesh scenario (mesh-steady, mesh-hot-key or mesh-deep)", key, spec)
+			}
+			if val == "" {
+				return Scenario{}, fmt.Errorf("scenarios: empty %s= path in %q", key, spec)
+			}
+			if key == "trace" {
+				s.Defaults.Trace = val
+			} else {
+				s.Defaults.WriteTrace = val
+			}
 		default:
-			return Scenario{}, fmt.Errorf("scenarios: unknown override key %q in %q (want seed or mode)", key, spec)
+			return Scenario{}, fmt.Errorf("scenarios: unknown override key %q in %q (want seed, mode, trace or write-trace)", key, spec)
 		}
+	}
+	if s.Defaults.Trace != "" && s.Defaults.WriteTrace != "" {
+		return Scenario{}, fmt.Errorf("scenarios: trace= and write-trace= conflict in %q: replaying a file generates nothing to write", spec)
 	}
 	return s, nil
 }

@@ -219,15 +219,6 @@ func ServeAll() []ServeScenario {
 	return out
 }
 
-// ServeNames returns every serving-scenario name, in corpus order.
-func ServeNames() []string {
-	out := make([]string, 0, len(serveAll))
-	for _, s := range serveAll {
-		out = append(out, s.Name)
-	}
-	return out
-}
-
 // ServeByName looks a serving scenario up.
 func ServeByName(name string) (ServeScenario, bool) {
 	for _, s := range serveAll {
@@ -244,13 +235,8 @@ func ServeByName(name string) (ServeScenario, bool) {
 // serving tests share. The final partial window (retired when the stop
 // condition trips mid-window) is excluded.
 func (s ServeScenario) Windows(n int) []*whodunit.Report {
-	return s.WindowsWith(s.Defaults, n)
-}
-
-// WindowsWith is Windows with explicit parameters.
-func (s ServeScenario) WindowsWith(p Params, n int) []*whodunit.Report {
 	var out []*whodunit.Report
-	for _, ev := range s.EventsWith(p, n) {
+	for _, ev := range s.Events(n) {
 		if ev.Report.Elapsed == s.Window && len(out) < n {
 			out = append(out, ev.Report)
 		}
@@ -266,11 +252,7 @@ func (s ServeScenario) WindowsWith(p Params, n int) []*whodunit.Report {
 // under a supervised Server; the restart backoff is wall-clock only, so
 // the event sequence stays a pure function of the seed.
 func (s ServeScenario) Events(n int) []*whodunit.WindowEvent {
-	return s.EventsWith(s.Defaults, n)
-}
-
-// EventsWith is Events with explicit parameters.
-func (s ServeScenario) EventsWith(p Params, n int) []*whodunit.WindowEvent {
+	p := s.Defaults
 	cfg := whodunit.ServeConfig{
 		Window:     s.Window,
 		Retain:     n + 1,

@@ -595,7 +595,7 @@ func refDiffTrees(a, b []TreeDump) []TreeDiff {
 		case ta == nil:
 			out = append(out, TreeDiff{Key: key, Label: tb.Label, OnlyIn: SideB, TotalB: tb.Total})
 		default:
-			td := TreeDiff{Key: key, Label: ta.Label, TotalA: ta.Total, TotalB: tb.Total}
+			td := TreeDiff{Key: key, Label: min(ta.Label, tb.Label), TotalA: ta.Total, TotalB: tb.Total}
 			td.Nodes = refDiffNodes(refRebuild(ta.Records), refRebuild(tb.Records), nil, td.Nodes)
 			if len(td.Nodes) > 0 || td.TotalA != td.TotalB {
 				out = append(out, td)
@@ -642,14 +642,15 @@ func refFoldedDiff(a, b *Report, w io.Writer) {
 			tb = indexTrees(sr.Dump.Trees)
 		}
 		for _, key := range sortedKeyUnion(ta, tb) {
-			label := ""
+			var labels []string
 			var ra, rb []cct.FlatRecord
 			if da := ta[key]; da != nil {
-				label, ra = da.Label, da.Records
+				labels, ra = append(labels, da.Label), da.Records
 			}
 			if db := tb[key]; db != nil {
-				label, rb = db.Label, db.Records
+				labels, rb = append(labels, db.Label), db.Records
 			}
+			label := slices.Min(labels)
 			refFoldNodes(refRebuild(ra), refRebuild(rb), stage+";"+label, w)
 		}
 	}
@@ -1315,32 +1316,19 @@ func diffPair(rng *rand.Rand) (a, b *Report, flattened int) {
 	return report(), report(), flattened
 }
 
-// unlabeled clears the label of every tree d matched on both sides and
-// returns d. A matched tree takes side A's label, and diffPair draws a
-// context's label on each side apart, so only so do Diff(b, a) and
-// Diff(a, b) mirrored compare equal.
-func unlabeled(d *ReportDiff) *ReportDiff {
-	for _, sd := range d.Stages {
-		for i := range sd.Trees {
-			if sd.Trees[i].OnlyIn == "" {
-				sd.Trees[i].Label = ""
-			}
-		}
-	}
-	return d
-}
-
 // TestQuickDiffTreesMatchesRef: merging the record lists gives the diff
 // and the folded diff that rebuilding and walking two trees gave, on
 // randReport pairs (unsorted records, duplicates, zero counts) and on
 // diffPair's, whose repeated stage names and context keys the oracle
 // indexes by key: the later entry wins. Diff(b, a) is Diff(a, b)
-// mirrored on each, labels aside (see unlabeled). Counters show the generators reached every case
-// the merge tells apart.
+// mirrored on each, labels included (diffPair labels a context apart on
+// the two sides), and FoldedDiff(b, a) is FoldedDiff(a, b) with its
+// columns swapped. Counters show the generators reached every case the
+// merge tells apart.
 func TestQuickDiffTreesMatchesRef(t *testing.T) {
 	var reached struct {
 		flattened, unsorted, duplicate, zero, root, inner, topNotRecord int
-		repeatedStage, repeatedTree                                     int
+		repeatedStage, repeatedTree, relabeled                          int
 	}
 	hasPath := func(recs []cct.FlatRecord, path []string) bool {
 		return slices.ContainsFunc(recs, func(r cct.FlatRecord) bool { return slices.Equal(r.Path, path) })
@@ -1367,15 +1355,20 @@ func TestQuickDiffTreesMatchesRef(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d: Diff stages = %+v\noracle %+v", seed, got.Stages, want.Stages)
 		}
-		if ba, m := unlabeled(Diff(b, a)), unlabeled(got.Mirrored()); !reflect.DeepEqual(ba, m) {
+		if ba, m := Diff(b, a), got.Mirrored(); !reflect.DeepEqual(ba, m) {
 			t.Fatalf("seed %d: Diff(b, a) = %+v\nDiff(a, b) mirrored %+v", seed, ba.Stages, m.Stages)
 		}
-		var fgot, fwant bytes.Buffer
+		var fgot, fwant, fba bytes.Buffer
 		FoldedDiff(a, b, &fgot)
 		refFoldedDiff(a, b, &fwant)
 		if !bytes.Equal(fgot.Bytes(), fwant.Bytes()) {
 			t.Fatalf("seed %d: FoldedDiff wrote\n%s\noracle\n%s", seed, fgot.Bytes(), fwant.Bytes())
 		}
+		FoldedDiff(b, a, &fba)
+		if swapped := swapFoldedColumns(fgot.String()); fba.String() != swapped {
+			t.Fatalf("seed %d: FoldedDiff(b, a) wrote\n%s\nFoldedDiff(a, b) swapped\n%s", seed, fba.String(), swapped)
+		}
+		reached.relabeled += relabeled(a, b)
 
 		for _, r := range []*Report{a, b} {
 			s, k := repeats(r)
@@ -1420,9 +1413,44 @@ func TestQuickDiffTreesMatchesRef(t *testing.T) {
 	t.Logf("cases reached: %+v", reached)
 	if reached.flattened == 0 || reached.unsorted == 0 || reached.duplicate == 0 || reached.zero == 0 ||
 		reached.root == 0 || reached.inner == 0 || reached.topNotRecord == 0 ||
-		reached.repeatedStage == 0 || reached.repeatedTree == 0 {
+		reached.repeatedStage == 0 || reached.repeatedTree == 0 || reached.relabeled == 0 {
 		t.Fatalf("a case was never reached: %+v", reached)
 	}
+}
+
+// swapFoldedColumns swaps the two count columns of every difffolded
+// line.
+func swapFoldedColumns(folded string) string {
+	var out strings.Builder
+	for _, line := range strings.SplitAfter(folded, "\n") {
+		if line == "" {
+			continue
+		}
+		f := strings.Fields(line)
+		n := len(f)
+		f[n-2], f[n-1] = f[n-1], f[n-2]
+		out.WriteString(strings.Join(f, " ") + "\n")
+	}
+	return out.String()
+}
+
+// relabeled counts the contexts a and b both hold, by stage and key, but
+// label differently.
+func relabeled(a, b *Report) int {
+	n := 0
+	for stage, sa := range indexStages(a.Stages) {
+		sb := indexStages(b.Stages)[stage]
+		if sb == nil {
+			continue
+		}
+		tb := indexTrees(sb.Dump.Trees)
+		for key, ta := range indexTrees(sa.Dump.Trees) {
+			if t := tb[key]; t != nil && t.Label != ta.Label {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // BenchmarkReadReport decodes, with ReadReport and with the oracle, a
