@@ -52,9 +52,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if *jsonOut && *folded {
+		fmt.Fprintln(stderr, "whodunit-diff: -json and -folded conflict: at most one output form")
+		return 2
+	}
 
 	if *list {
-		scenarios.List(stdout, scenarios.KindBatch)
+		scenarios.List(stdout)
 		return 0
 	}
 

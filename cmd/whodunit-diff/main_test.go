@@ -57,6 +57,7 @@ func TestExitCodes(t *testing.T) {
 		{"bad run spec", []string{"-run", "quickstart", "-run", "nope"}, 2, "unknown scenario"},
 		{"bad flag", []string{"-bogus"}, 2, ""},
 		{"list", []string{"-list"}, 0, ""},
+		{"two output flags", []string{"-json", "-folded", a, b}, 2, "-json and -folded conflict"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -44,7 +44,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	if *list {
-		scenarios.List(stdout, scenarios.KindBatch)
+		scenarios.List(stdout)
 		return 0
 	}
 	if fs.NArg() != 1 {

@@ -93,11 +93,20 @@ func TestUsageErrors(t *testing.T) {
 	}
 }
 
+// TestListPrintsWholeRegistry: -list names every scenario of both
+// tables.
 func TestListPrintsWholeRegistry(t *testing.T) {
 	out := string(runOK(t, "-list"))
-	for _, in := range scenarios.Index() {
-		if !strings.Contains(out, in.Name+" ") {
-			t.Errorf("-list omits %s", in.Name)
+	var names []string
+	for _, s := range scenarios.All() {
+		names = append(names, s.Name)
+	}
+	for _, s := range scenarios.ServeAll() {
+		names = append(names, s.Name)
+	}
+	for _, name := range names {
+		if !strings.Contains(out, name+" ") {
+			t.Errorf("-list omits %s", name)
 		}
 	}
 }

@@ -4,6 +4,7 @@
 // auto-diffed against an alert threshold, all exposed over HTTP.
 //
 //	whodunit-serve -scenario serve-web                    # serve on 127.0.0.1:7077
+//	whodunit-serve -scenario serve-web:seed=3,mode=csprof # seed and mode overrides
 //	curl localhost:7077/report?format=text                # latest retired window
 //	curl localhost:7077/report?window=live                # the in-progress window
 //	curl localhost:7077/windows                           # retained-window index
@@ -12,15 +13,18 @@
 //	whodunit-serve -scenario serve-shift -addr "" -windows 6   # headless bounded run
 //	whodunit-serve -scenario serve-crashy -addr "" -windows 6 -pace 0   # supervised fault run
 //
-// Each retired window prints one line to stdout; windows whose
-// adjacent diff exceeds the threshold print an ALERT line. Supervised
-// scenarios (serve-crashy) rebuild a dying run through the scenario
-// factory — windows retired while recovering are marked DEGRADED and
-// the first full window after a restart prints a recovered line;
-// -max-restarts bounds the rebuild budget and -watchdog aborts a run
-// that stops retiring windows. The run stops after -windows windows
-// (0 = run until SIGINT/SIGTERM); on a signal the simulation drains
-// gracefully, retiring the in-progress window before exit. Exit status:
+// -scenario is a run spec, name[:seed=N][,mode=off|csprof|whodunit|gprof]
+// — whodunit-run's grammar (scenarios.ParseServeSpec) without the trace
+// keys. Each retired window prints one line to stdout; windows whose
+// adjacent diff exceeds the threshold print an ALERT line. Every
+// scenario is served supervised: a run that dies (serve-crashy's run 0
+// does) is rebuilt through the scenario's App — windows retired while
+// recovering are marked DEGRADED and the first full window after a
+// restart prints a recovered line; -max-restarts bounds the rebuild
+// budget and -watchdog aborts a run that stops retiring windows. The
+// run stops after -windows windows (0 = run until SIGINT/SIGTERM); on a
+// signal the simulation drains gracefully, retiring the in-progress
+// window before exit. Exit status:
 // 0 on success, 1 if the HTTP server fails mid-run, 2 on a usage error
 // or an -addr that cannot be bound.
 package main
@@ -39,7 +43,6 @@ import (
 	"time"
 
 	"whodunit"
-	"whodunit/internal/cmdutil"
 	"whodunit/internal/scenarios"
 )
 
@@ -51,24 +54,22 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("whodunit-serve", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	scenario := fs.String("scenario", "serve-web", "serving scenario to run (see -list)")
-	list := fs.Bool("list", false, "list serving scenarios and exit")
+	scenario := fs.String("scenario", "serve-web", "serving run spec: name[:seed=N][,mode=M] (see -list)")
+	list := fs.Bool("list", false, "list the scenario corpus and exit")
 	addr := fs.String("addr", "127.0.0.1:7077", "HTTP listen address (empty = headless, no HTTP)")
 	windowFlag := fs.Duration("window", 0, "aggregation window in virtual time (default: the scenario's recommended window)")
 	retain := fs.Int("retain", 16, "retired windows kept queryable")
 	threshold := fs.Int64("threshold", -2, "adjacent-window alert threshold in sample units; -1 disables (default: the scenario's recommended threshold)")
 	maxWindows := fs.Int("windows", 0, "stop after this many retired windows (0 = run until signal)")
 	pace := fs.Float64("pace", 1.0, "virtual seconds simulated per wall second (0 = free-run)")
-	seed := fs.Uint64("seed", 0, "workload seed override (default: the scenario's seed)")
-	maxRestarts := fs.Int("max-restarts", 3, "restart budget for supervised scenarios before giving up")
-	watchdog := fs.Duration("watchdog", 0, "abort a run that retires no window for this much wall time (0 = off; supervised scenarios only)")
-	mode := cmdutil.ModeFlag(fs)
+	maxRestarts := fs.Int("max-restarts", 3, "restart budget before giving up")
+	watchdog := fs.Duration("watchdog", 0, "abort a run that retires no window for this much wall time (0 = off)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 
 	if *list {
-		scenarios.List(stdout, scenarios.KindServing)
+		scenarios.List(stdout)
 		return 0
 	}
 	usage := func(format string, a ...any) int {
@@ -78,12 +79,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if fs.NArg() > 0 {
 		return usage("unexpected arguments %q (configuration is flag-only)", fs.Args())
 	}
-	s, ok := scenarios.ServeByName(*scenario)
-	if !ok {
-		if in, found := scenarios.Lookup(*scenario); found && in.Kind == scenarios.KindBatch {
-			return usage("-scenario: %q is a batch scenario (run it with whodunit-run %s)", *scenario, *scenario)
-		}
-		return usage("-scenario: unknown scenario %q (-list shows the serving scenarios)", *scenario)
+	s, err := scenarios.ParseServeSpec(*scenario)
+	if err != nil {
+		return usage("-scenario: %v", err)
 	}
 	switch {
 	case *retain < 1:
@@ -102,26 +100,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return usage("-max-restarts must be at least 1 (got %d)", *maxRestarts)
 	case *watchdog < 0:
 		return usage("-watchdog must be >= 0 (got %v)", *watchdog)
-	case *watchdog > 0 && s.MakeRun == nil:
-		return usage("-watchdog needs a supervised scenario (%s is unsupervised; try serve-crashy)", s.Name)
 	}
 
 	// Bind first: an address that cannot be served is a usage error, seen
 	// before anything claims to serve on it.
 	var ln net.Listener
 	if *addr != "" {
-		var err error
 		if ln, err = net.Listen("tcp", *addr); err != nil {
 			return usage("-addr: %v", err)
 		}
 		defer ln.Close()
 	}
 
-	p := s.Defaults
-	p.Mode = *mode
-	if *seed != 0 {
-		p.Seed = *seed
-	}
 	window := s.Window
 	if *windowFlag > 0 {
 		window = whodunit.Duration(*windowFlag)
@@ -131,31 +121,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 		thr = *threshold
 	}
 
-	cfg := whodunit.ServeConfig{
-		Window:     window,
-		Retain:     *retain,
-		Threshold:  thr,
-		MaxWindows: *maxWindows,
-		Pace:       *pace,
-	}
-	var app *whodunit.App
-	if s.MakeRun != nil {
-		// Supervised scenario: the server rebuilds the app through the
-		// factory when a run dies and serves on, degraded, until the
-		// fresh run retires a full window.
-		cfg.MakeApp = func(run int) *whodunit.App { return s.MakeRun(p, run) }
-		cfg.MaxRestarts = *maxRestarts
-		cfg.Watchdog = *watchdog
-	} else {
-		app = s.MakeApp(p)
-	}
-	srv := whodunit.NewServer(app, cfg)
+	// The server rebuilds the app when a run dies and serves on,
+	// degraded, until the fresh run retires a full window.
+	srv := s.Server(whodunit.ServeConfig{
+		Window:      window,
+		Retain:      *retain,
+		Threshold:   thr,
+		MaxWindows:  *maxWindows,
+		Pace:        *pace,
+		MaxRestarts: *maxRestarts,
+		Watchdog:    *watchdog,
+	})
 
 	// Lead the narration with what is being profiled, so a bare log
 	// identifies its scenario.
 	fmt.Fprintf(stdout, "scenario %s: %s\n", s.Name, s.About)
 
-	// Narrate retirements on stdout (the headless CI path greps these).
+	// Narrate retirements on stdout (TestHeadlessBoundedRun reads these).
 	// The subscription closes when the run finishes, so waiting on
 	// printerDone after Run guarantees every window line is emitted —
 	// including the final partial window of a graceful drain.

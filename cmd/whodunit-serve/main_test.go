@@ -3,8 +3,11 @@ package main
 import (
 	"bytes"
 	"net"
+	"strconv"
 	"strings"
 	"testing"
+
+	"whodunit/internal/scenarios"
 )
 
 // TestUsageErrors: every flag value the tool cannot serve exits 2 with
@@ -26,8 +29,8 @@ func TestUsageErrors(t *testing.T) {
 		{"headless forever", []string{"-addr", ""}, "-windows"},
 		{"max restarts", []string{"-max-restarts", "0"}, "-max-restarts"},
 		{"watchdog", []string{"-watchdog", "-1s"}, "-watchdog"},
-		{"watchdog unsupervised", []string{"-scenario", "serve-web", "-watchdog", "1s"}, "-watchdog"},
-		{"bad mode", []string{"-mode", "bogus"}, "-mode"},
+		{"bad mode", []string{"-scenario", "serve-web:mode=bogus"}, "mode"},
+		{"trace key", []string{"-scenario", "serve-web:trace=t.jsonl"}, "trace="},
 		{"unknown flag", []string{"-bogus"}, "-bogus"},
 	}
 	for _, tc := range cases {
@@ -46,15 +49,37 @@ func TestUsageErrors(t *testing.T) {
 	}
 }
 
-// TestHeadlessBoundedRun: a headless free-running serve retires the
-// windows it was asked for, narrates each, and exits 0.
-func TestHeadlessBoundedRun(t *testing.T) {
+// headless runs a free-running headless serve of spec for n windows
+// and returns its stdout, failing on a non-zero status.
+func headless(t *testing.T, spec string, n int) string {
+	t.Helper()
 	var stdout, stderr bytes.Buffer
-	if got := run([]string{"-scenario", "serve-web", "-addr", "", "-windows", "2", "-pace", "0"}, &stdout, &stderr); got != 0 {
-		t.Fatalf("status %d\nstderr: %s", got, stderr.String())
+	args := []string{"-scenario", spec, "-addr", "", "-windows", strconv.Itoa(n), "-pace", "0"}
+	if got := run(args, &stdout, &stderr); got != 0 {
+		t.Fatalf("run(%v) = %d\nstderr: %s", args, got, stderr.String())
 	}
-	out := stdout.String()
-	if n := strings.Count(out, "\nwindow "); n != 2 {
+	return stdout.String()
+}
+
+// windowLines returns the narration's per-window lines.
+func windowLines(out string) []string {
+	var lines []string
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "window ") {
+			lines = append(lines, line)
+		}
+	}
+	return lines
+}
+
+// TestHeadlessBoundedRun: a headless free-running serve retires the
+// windows it was asked for, narrates each, and exits 0. The injected
+// mix shift of serve-shift alerts between windows 2 and 3; serve-crashy
+// dies in run 0, serves degraded and recovers, as README quotes; and a
+// spec's seed reaches the served app.
+func TestHeadlessBoundedRun(t *testing.T) {
+	out := headless(t, "serve-web", 2)
+	if n := len(windowLines(out)); n != 2 {
 		t.Errorf("%d window lines, want 2:\n%s", n, out)
 	}
 	if !strings.Contains(out, "run finished: 2 windows retired") {
@@ -62,6 +87,40 @@ func TestHeadlessBoundedRun(t *testing.T) {
 	}
 	if strings.Contains(out, "serving") {
 		t.Errorf("a headless run claims to serve:\n%s", out)
+	}
+
+	t.Run("serve-shift", func(t *testing.T) {
+		if out := headless(t, "serve-shift", 6); !strings.Contains(out, "\nALERT window 3:") {
+			t.Errorf("the mix shift did not alert at window 3:\n%s", out)
+		}
+	})
+	t.Run("serve-crashy", func(t *testing.T) {
+		out := headless(t, "serve-crashy", 6)
+		for _, want := range []string{"DEGRADED", "\nrecovered: window", "\nrun finished: 6 windows retired, 0 alerts, 1 restarts\n"} {
+			if !strings.Contains(out, want) {
+				t.Errorf("no %q in:\n%s", want, out)
+			}
+		}
+	})
+	t.Run("seed", func(t *testing.T) {
+		def, seeded := windowLines(out), windowLines(headless(t, "serve-web:seed=3", 2))
+		if strings.Join(def, "\n") == strings.Join(seeded, "\n") {
+			t.Errorf("serve-web:seed=3 retired the default seed's windows:\n%s", strings.Join(seeded, "\n"))
+		}
+	})
+}
+
+// TestListIsTheWholeCorpus: -list prints the listing every tool
+// prints, batch and serving tables alike.
+func TestListIsTheWholeCorpus(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if got := run([]string{"-list"}, &stdout, &stderr); got != 0 {
+		t.Fatalf("status %d\nstderr: %s", got, stderr.String())
+	}
+	var want bytes.Buffer
+	scenarios.List(&want)
+	if !bytes.Equal(stdout.Bytes(), want.Bytes()) {
+		t.Errorf("-list differs from scenarios.List:\n%s", stdout.String())
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 func TestDenseTablesBounded(t *testing.T) {
 	const windows = 200
 	s, _ := scenarios.ServeByName("serve-mesh")
-	app := s.MakeApp(s.Defaults)
+	app := s.App(s.Defaults, 0)
 	type sizes struct{ ctxts, sent, memo int }
 	var history [][]sizes // window -> stage
 	app.Sim().Every(s.Window, func() {

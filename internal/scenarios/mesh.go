@@ -102,8 +102,9 @@ func meshDeepTrace() trace.GenConfig {
 }
 
 // serveMeshApp builds the open-loop mesh: the standard 4-shard topology
-// fed by an endless cache-trace arrival stream.
-func serveMeshApp(p Params) *whodunit.App {
+// fed by an endless cache-trace arrival stream. Every run attempt is the
+// same app.
+func serveMeshApp(p Params, _ int) *whodunit.App {
 	cfg := meshkv.DefaultConfig(nil)
 	cfg.Name = "serve-mesh"
 	cfg.Mode = p.Mode

@@ -17,9 +17,11 @@ package scenarios
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"strconv"
 	"strings"
+	"time"
 
 	"whodunit"
 	"whodunit/internal/apps/apacheweb"
@@ -44,9 +46,9 @@ type Params struct {
 }
 
 // Scenario is one corpus entry. Exactly one of MakeApp and Make is set:
-// MakeApp builds an unrun App (API-level scenarios, fanned out through
-// whodunit.RunApps), Make runs a model whose App lives inside its Run
-// function and returns the assembled report.
+// MakeApp builds an unrun App (API-level scenarios), Make runs a model
+// whose App lives inside its Run function and returns the assembled
+// report.
 type Scenario struct {
 	Name     string
 	About    string
@@ -170,7 +172,7 @@ func quickstartApp(p Params) *whodunit.App {
 	reqQ, respQ := app.NewQueue("requests"), app.NewQueue("responses")
 
 	// The page sequence is fixed before any thread runs, so every worker
-	// loop has a static bound and the app terminates on its own (RunApps
+	// loop has a static bound and the app terminates on its own (Report
 	// drives it with plain Run, no stop predicate).
 	rng := vclock.NewRNG(p.Seed)
 	pages := make([]string, 100)
@@ -470,6 +472,31 @@ func ByName(name string) (Scenario, bool) {
 	return Scenario{}, false
 }
 
+// List prints both tables for a tool's -list: the batch corpus, then
+// the serving corpus, each serving line with its recommended window and
+// threshold and the tool that runs it.
+func List(w io.Writer) {
+	for _, s := range all {
+		fmt.Fprintf(w, "%-24s %s\n", s.Name, s.About)
+	}
+	for _, s := range serveAll {
+		fmt.Fprintf(w, "%-24s [whodunit-serve] window %s, threshold %d — %s\n",
+			s.Name, time.Duration(s.Window), s.Threshold, s.About)
+	}
+}
+
+// unknown explains a name the caller's table lacks: it names the tool
+// that runs a scenario of the other table.
+func unknown(name string) error {
+	if _, ok := ByName(name); ok {
+		return fmt.Errorf("scenarios: %q is a batch scenario (run it with whodunit-run %s)", name, name)
+	}
+	if _, ok := ServeByName(name); ok {
+		return fmt.Errorf("scenarios: %q is a serving scenario (run it with whodunit-serve -scenario %s)", name, name)
+	}
+	return fmt.Errorf("scenarios: unknown scenario %q (-list shows the corpus)", name)
+}
+
 // ParseSpec resolves a run spec of the form
 //
 //	name[:key=value[,key=value...]]
@@ -479,82 +506,73 @@ func ByName(name string) (Scenario, bool) {
 // "write-trace" (a file path without a comma), returning the scenario
 // with its defaults overridden. ParseSpec does no I/O: the paths are
 // Run's. This is the grammar of cmd/whodunit-run's argument and
-// cmd/whodunit-diff's -run flag.
+// cmd/whodunit-diff's -run flag; ParseServeSpec reads the same grammar
+// for the serving corpus.
 func ParseSpec(spec string) (Scenario, error) {
 	name, overrides, _ := strings.Cut(spec, ":")
 	s, ok := ByName(name)
 	if !ok {
-		if in, serving := Lookup(name); serving && in.Kind == KindServing {
-			return Scenario{}, fmt.Errorf("scenarios: %q is a serving scenario (run it with whodunit-serve -scenario %s)", name, name)
-		}
-		return Scenario{}, fmt.Errorf("scenarios: unknown scenario %q (-list shows the corpus)", name)
+		return Scenario{}, unknown(name)
 	}
+	if err := override(&s.Defaults, spec, overrides, s.mesh != nil); err != nil {
+		return Scenario{}, err
+	}
+	return s, nil
+}
+
+// override applies a spec's comma-separated key=value overrides to p.
+// traces says whether the trace keys apply (the trace-replay mesh
+// scenarios).
+func override(p *Params, spec, overrides string, traces bool) error {
 	if overrides == "" {
-		return s, nil
+		return nil
 	}
 	for _, kv := range strings.Split(overrides, ",") {
 		key, val, found := strings.Cut(kv, "=")
 		if !found {
-			return Scenario{}, fmt.Errorf("scenarios: bad override %q in %q (want key=value)", kv, spec)
+			return fmt.Errorf("scenarios: bad override %q in %q (want key=value)", kv, spec)
 		}
 		switch key {
 		case "seed":
 			seed, err := strconv.ParseUint(val, 10, 64)
 			if err != nil {
-				return Scenario{}, fmt.Errorf("scenarios: bad seed %q in %q: %v", val, spec, err)
+				return fmt.Errorf("scenarios: bad seed %q in %q: %v", val, spec, err)
 			}
-			s.Defaults.Seed = seed
+			p.Seed = seed
 		case "mode":
 			m, err := whodunit.ParseMode(val)
 			if err != nil {
-				return Scenario{}, fmt.Errorf("scenarios: %v in %q", err, spec)
+				return fmt.Errorf("scenarios: %v in %q", err, spec)
 			}
-			s.Defaults.Mode = m
+			p.Mode = m
 		case "trace", "write-trace":
-			if s.mesh == nil {
-				return Scenario{}, fmt.Errorf("scenarios: %s= in %q needs a trace-replay mesh scenario (mesh-steady, mesh-hot-key or mesh-deep)", key, spec)
+			if !traces {
+				return fmt.Errorf("scenarios: %s= in %q needs a trace-replay mesh scenario (mesh-steady, mesh-hot-key or mesh-deep)", key, spec)
 			}
 			if val == "" {
-				return Scenario{}, fmt.Errorf("scenarios: empty %s= path in %q", key, spec)
+				return fmt.Errorf("scenarios: empty %s= path in %q", key, spec)
 			}
 			if key == "trace" {
-				s.Defaults.Trace = val
+				p.Trace = val
 			} else {
-				s.Defaults.WriteTrace = val
+				p.WriteTrace = val
 			}
 		default:
-			return Scenario{}, fmt.Errorf("scenarios: unknown override key %q in %q (want seed, mode, trace or write-trace)", key, spec)
+			return fmt.Errorf("scenarios: unknown override key %q in %q (want seed, mode, trace or write-trace)", key, spec)
 		}
 	}
-	if s.Defaults.Trace != "" && s.Defaults.WriteTrace != "" {
-		return Scenario{}, fmt.Errorf("scenarios: trace= and write-trace= conflict in %q: replaying a file generates nothing to write", spec)
+	if p.Trace != "" && p.WriteTrace != "" {
+		return fmt.Errorf("scenarios: trace= and write-trace= conflict in %q: replaying a file generates nothing to write", spec)
 	}
-	return s, nil
+	return nil
 }
 
 // RunAll runs every scenario in list fresh and returns their reports in
-// input order. API-level scenarios (MakeApp) fan out through
-// whodunit.RunApps; model-backed scenarios fan out through the same
-// par worker pool their internal sweeps use. Reports are bit-identical
-// to running each scenario serially — that is the differential-
-// determinism regression test.
+// input order, fanned out through the par worker pool the model sweeps
+// use. Reports are bit-identical to running each scenario serially —
+// that is the differential-determinism regression test.
 func RunAll(list []Scenario) []*whodunit.Report {
 	reports := make([]*whodunit.Report, len(list))
-	var apps []*whodunit.App
-	var appIdx, modelIdx []int
-	for i, s := range list {
-		if s.MakeApp != nil {
-			apps = append(apps, s.MakeApp(s.Defaults))
-			appIdx = append(appIdx, i)
-		} else {
-			modelIdx = append(modelIdx, i)
-		}
-	}
-	for i, rep := range whodunit.RunApps(apps...) {
-		reports[appIdx[i]] = rep
-	}
-	par.Do(len(modelIdx), func(j int) {
-		reports[modelIdx[j]] = list[modelIdx[j]].Report()
-	})
+	par.Do(len(list), func(i int) { reports[i] = list[i].Report() })
 	return reports
 }

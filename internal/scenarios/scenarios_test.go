@@ -211,7 +211,7 @@ func TestCorpusUnderFaultPlan(t *testing.T) {
 }
 
 // TestRunAllDeterminism runs the whole corpus serially and through the
-// parallel RunAll fan-out (whodunit.RunApps + the par pool) and asserts
+// parallel RunAll fan-out (one par.Do over Scenario.Report) and asserts
 // every pair of reports is bit-identical and diff-empty — PR 2's
 // serial-vs-parallel bit-identity discipline extended to the corpus.
 func TestRunAllDeterminism(t *testing.T) {
@@ -230,7 +230,7 @@ func TestRunAllDeterminism(t *testing.T) {
 		if !d.Empty() {
 			var buf bytes.Buffer
 			d.Text(&buf)
-			t.Errorf("%s: serial vs RunApps-parallel run differ:\n%s", s.Name, buf.String())
+			t.Errorf("%s: serial vs parallel RunAll runs differ:\n%s", s.Name, buf.String())
 			continue
 		}
 		var js1, js2 bytes.Buffer

@@ -2,6 +2,7 @@ package scenarios
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"whodunit"
@@ -34,13 +35,11 @@ type ServeScenario struct {
 	// any real behavior shift it models.
 	Threshold int64
 
-	// Exactly one of MakeApp and MakeRun is set. MakeApp builds the app
-	// for an unsupervised server; MakeRun (supervised scenarios) builds
-	// the app for the given 0-based run attempt — the server rebuilds
-	// through it after a crash, so a scenario can inject a failure into
-	// run 0 only and model recovery.
-	MakeApp func(p Params) *whodunit.App
-	MakeRun func(p Params, run int) *whodunit.App
+	// App builds the app for the given 0-based run attempt. Every
+	// serving scenario is served supervised: the server rebuilds through
+	// App after a crash, so a scenario can inject a failure into run 0
+	// only and model recovery. A run that does not die is run 0 alone.
+	App func(p Params, run int) *whodunit.App
 }
 
 // serveWebApp builds the open-loop two-tier web app: a Poisson arrival
@@ -144,7 +143,7 @@ func serveWebApp(name string, p Params, searchShift whodunit.Duration, plan *who
 // the db-request queue drops ~12% of its messages (web workers retry
 // under a timeout, so the drops surface as "retry" frames in the web
 // CCT), and run 0 additionally dies from an injected failure at t=5s —
-// the supervised server rebuilds through MakeRun and recovers.
+// the supervised server rebuilds through App and recovers.
 func serveCrashyApp(name string, p Params, run int) *whodunit.App {
 	plan := &whodunit.FaultPlan{
 		Seed:     p.Seed,
@@ -175,7 +174,7 @@ var serveAll = []ServeScenario{
 		Defaults:  Params{Seed: 11, Mode: whodunit.ModeWhodunit},
 		Window:    2 * whodunit.Second,
 		Threshold: 400,
-		MakeApp: func(p Params) *whodunit.App {
+		App: func(p Params, _ int) *whodunit.App {
 			return serveWebApp("serve-web", p, 0, nil, whodunit.RetryPolicy{})
 		},
 	},
@@ -185,7 +184,7 @@ var serveAll = []ServeScenario{
 		Defaults:  Params{Seed: 11, Mode: whodunit.ModeWhodunit},
 		Window:    2 * whodunit.Second,
 		Threshold: 400,
-		MakeApp: func(p Params) *whodunit.App {
+		App: func(p Params, _ int) *whodunit.App {
 			return serveWebApp("serve-shift", p, 6*whodunit.Second, nil, whodunit.RetryPolicy{})
 		},
 	},
@@ -195,7 +194,7 @@ var serveAll = []ServeScenario{
 		Defaults:  Params{Seed: 11, Mode: whodunit.ModeWhodunit},
 		Window:    2 * whodunit.Second,
 		Threshold: -1,
-		MakeRun: func(p Params, run int) *whodunit.App {
+		App: func(p Params, run int) *whodunit.App {
 			return serveCrashyApp("serve-crashy", p, run)
 		},
 	},
@@ -208,7 +207,7 @@ var serveAll = []ServeScenario{
 		// Measured: steady-state window-to-window drift stays under ~40
 		// samples; the cache-warmup taper peaks at ~117 on the db stage.
 		Threshold: 200,
-		MakeApp:   serveMeshApp,
+		App:       serveMeshApp,
 	},
 }
 
@@ -227,6 +226,27 @@ func ServeByName(name string) (ServeScenario, bool) {
 		}
 	}
 	return ServeScenario{}, false
+}
+
+// ParseServeSpec resolves a serving run spec, name[:seed=N][,mode=M]:
+// ParseSpec's grammar, without the trace keys.
+func ParseServeSpec(spec string) (ServeScenario, error) {
+	name, overrides, _ := strings.Cut(spec, ":")
+	s, ok := ServeByName(name)
+	if !ok {
+		return ServeScenario{}, unknown(name)
+	}
+	if err := override(&s.Defaults, spec, overrides, false); err != nil {
+		return ServeScenario{}, err
+	}
+	return s, nil
+}
+
+// Server serves the scenario at its parameters under cfg, supervised:
+// cfg.MakeApp is the scenario's App.
+func (s ServeScenario) Server(cfg whodunit.ServeConfig) *whodunit.Server {
+	cfg.MakeApp = func(run int) *whodunit.App { return s.App(s.Defaults, run) }
+	return whodunit.NewServer(nil, cfg)
 }
 
 // Windows runs the scenario at its defaults until n windows of the
@@ -248,25 +268,16 @@ func (s ServeScenario) Windows(n int) []*whodunit.Report {
 // (full and partial alike) and returns every retired WindowEvent in
 // sequence order — the raw feed the degraded-operation goldens pin:
 // unlike Windows it keeps the crash-partial windows and the
-// degraded/recovered annotations. Supervised scenarios (MakeRun) run
-// under a supervised Server; the restart backoff is wall-clock only, so
-// the event sequence stays a pure function of the seed.
+// degraded/recovered annotations. The restart backoff is wall-clock
+// only, so the event sequence stays a pure function of the seed.
 func (s ServeScenario) Events(n int) []*whodunit.WindowEvent {
-	p := s.Defaults
-	cfg := whodunit.ServeConfig{
-		Window:     s.Window,
-		Retain:     n + 1,
-		Threshold:  -1,
-		MaxWindows: n,
-	}
-	var app *whodunit.App
-	if s.MakeRun != nil {
-		cfg.MakeApp = func(run int) *whodunit.App { return s.MakeRun(p, run) }
-		cfg.RestartBackoff = time.Millisecond
-	} else {
-		app = s.MakeApp(p)
-	}
-	srv := whodunit.NewServer(app, cfg)
+	srv := s.Server(whodunit.ServeConfig{
+		Window:         s.Window,
+		Retain:         n + 1,
+		Threshold:      -1,
+		MaxWindows:     n,
+		RestartBackoff: time.Millisecond,
+	})
 	srv.Run()
 	var out []*whodunit.WindowEvent
 	for _, kv := range srv.Ring().Entries() {

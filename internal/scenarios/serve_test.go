@@ -9,6 +9,7 @@ package scenarios_test
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"testing"
 
 	"whodunit"
@@ -32,9 +33,9 @@ func renderWindows(t *testing.T, reps []*whodunit.Report) []byte {
 
 // renderEvents renders the full event feed — full and partial windows
 // with their degraded/recovered annotations — one header line plus the
-// report JSON per event. This is the pinned artifact of the supervised
-// (MakeRun) scenarios, where the crash-partial window and the recovery
-// point are exactly what the golden must not let drift.
+// report JSON per event. This is the pinned artifact of the scenarios
+// that crash (pinsEvents), where the crash-partial window and the
+// recovery point are exactly what the golden must not let drift.
 func renderEvents(t *testing.T, evs []*whodunit.WindowEvent) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -48,15 +49,24 @@ func renderEvents(t *testing.T, evs []*whodunit.WindowEvent) []byte {
 	return buf.Bytes()
 }
 
+// pinsEvents says whether a serving scenario's golden is its event feed
+// (<name>.events.golden, the scenarios that crash and recover) rather
+// than its full windows. A new such scenario needs the file created
+// before -update fills it.
+func pinsEvents(s scenarios.ServeScenario) bool {
+	_, err := os.Stat(goldenPath(s.Name, "events"))
+	return err == nil
+}
+
 func TestServeWindowsGolden(t *testing.T) {
 	for _, s := range scenarios.ServeAll() {
 		s := s
 		t.Run(s.Name, func(t *testing.T) {
 			t.Parallel()
-			if s.MakeRun != nil {
-				// Supervised scenario: pin the whole event feed instead —
-				// six windows spanning the crash, the partial salvage and
-				// the recovery.
+			if pinsEvents(s) {
+				// Pin the whole event feed instead — six windows
+				// spanning the crash, the partial salvage and the
+				// recovery.
 				evs := s.Events(6)
 				if len(evs) != 6 {
 					t.Fatalf("got %d events, want 6", len(evs))
@@ -110,8 +120,8 @@ func TestServeWindowsDeterministic(t *testing.T) {
 		t.Run(s.Name, func(t *testing.T) {
 			t.Parallel()
 			var a, b []byte
-			if s.MakeRun != nil {
-				// Supervised scenarios must be deterministic through the
+			if pinsEvents(s) {
+				// A crashing scenario must be deterministic through the
 				// crash and restart, wall-clock backoff and all.
 				a = renderEvents(t, s.Events(4))
 				b = renderEvents(t, s.Events(4))
