@@ -346,7 +346,10 @@ func (a *App) finish() (*Report, error) {
 
 // stageReport reads every stage's profile into a Report that has only
 // its stages set: through Profiler.Retire if retire (ending a window),
-// else Profiler.View. Both calls inline, so no Snapshot is allocated.
+// else Profiler.View. Both calls inline, so no Snapshot is allocated. A
+// retired snapshot goes back to its profiler (Profiler.Recycle) as soon
+// as NewStageReport has dumped it: the dump copies every record and
+// shares only immutable strings, so the next window refills the trees.
 func (a *App) stageReport(retire bool) *Report {
 	srs := make([]StageReport, 0, len(a.stages))
 	for _, st := range a.stages {
@@ -355,6 +358,9 @@ func (a *App) stageReport(retire bool) *Report {
 			snap = st.prof.Retire()
 		}
 		srs = append(srs, NewStageReport(snap, st.endpoints...))
+		if retire {
+			st.prof.Recycle(snap)
+		}
 	}
 	return NewReport(a.Name, srs...)
 }

@@ -74,6 +74,7 @@ func TestUsageErrors(t *testing.T) {
 		{"two output flags", []string{"-json", "-dot", "quickstart"}, "at most one output form"},
 		{"unknown name", []string{"nope"}, "unknown scenario"},
 		{"bad override key", []string{"quickstart:cores=4"}, "unknown override key"},
+		{"bad mode", []string{"apache:mode=bogus"}, `scenarios: unknown mode "bogus"`},
 		{"serving name", []string{"serve-web"}, "whodunit-serve"},
 	}
 	for _, tc := range cases {
@@ -85,6 +86,11 @@ func TestUsageErrors(t *testing.T) {
 			msg := stderr.String()
 			if !strings.Contains(msg, tc.errHas) || strings.Count(msg, "\n") != 1 {
 				t.Fatalf("stderr %q: want one line mentioning %q", msg, tc.errHas)
+			}
+			// The run spec's parser words its own errors: no inner
+			// package's prefix is stacked inside its message.
+			if strings.Contains(msg, "profiler:") {
+				t.Fatalf("stderr %q names the profiler package", msg)
 			}
 			if stdout.Len() != 0 {
 				t.Fatalf("stdout %q on a usage error", stdout.String())

@@ -94,6 +94,18 @@ func NewShared(label string, ft *FrameTable) *Tree {
 	return t
 }
 
+// Reset empties the tree to its root and labels it label, keeping its
+// node array: the nodes it adds next take the old nodes' places and
+// their child lists' storage, so a tree refilled to its old shape
+// allocates nothing. It is how a profiler reuses a retired window's
+// tree (Profiler.Recycle); nothing may still read the tree's old
+// content.
+func (t *Tree) Reset(label string) {
+	t.Label, t.total = label, 0
+	t.nodes = t.nodes[:1]
+	t.nodes[0] = node{kids: t.nodes[0].kids[:0]}
+}
+
 // Frames returns the tree's frame table.
 func (t *Tree) Frames() *FrameTable { return t.ft }
 
@@ -132,10 +144,17 @@ next:
 }
 
 // add appends a child of node i for frame id, which i lacks, and
-// inserts it among i's children at its name's place.
+// inserts it among i's children at its name's place. A node array kept
+// by Reset still holds the old nodes past its length: the child takes
+// the place, and the child list's storage, of the one there.
 func (t *Tree) add(i int32, id FrameID) int32 {
 	c := int32(len(t.nodes))
-	t.nodes = append(t.nodes, node{id: id, parent: i})
+	if int(c) < cap(t.nodes) {
+		t.nodes = t.nodes[:c+1]
+		t.nodes[c] = node{id: id, parent: i, kids: t.nodes[c].kids[:0]}
+	} else {
+		t.nodes = append(t.nodes, node{id: id, parent: i})
+	}
 	p := &t.nodes[i]
 	k, _ := slices.BinarySearchFunc(p.kids, t.ft.names[id], func(e int32, name string) int {
 		return strings.Compare(t.ft.names[t.nodes[e].id], name)

@@ -193,6 +193,13 @@ func (t *refTree) flatten() []FlatRecord {
 // order.
 func genPair(r *rand.Rand, ft *FrameTable) (*Tree, *refTree) {
 	tr, ref := NewShared("gen", ft), newRefTree("gen", ft)
+	fill(r, ft, tr, ref, 8, 256)
+	return tr, ref
+}
+
+// fill adds the same random paths to tr and ref: paths of 1 to depth
+// frames, then under one frame a fan-out of wide to wide+63 children.
+func fill(r *rand.Rand, ft *FrameTable, tr *Tree, ref *refTree, depth, wide int) {
 	names := r.Intn(40) + 2
 	frame := func() FrameID {
 		i := r.Intn(names)
@@ -210,17 +217,16 @@ func genPair(r *rand.Rand, ft *FrameTable) (*Tree, *refTree) {
 		}
 	}
 	for op, ops := 0, r.Intn(200); op < ops; op++ {
-		ids := make([]FrameID, r.Intn(8)+1)
+		ids := make([]FrameID, r.Intn(depth)+1)
 		for i := range ids {
 			ids[i] = frame()
 		}
 		add(ids)
 	}
-	wide := []FrameID{frame(), ft.ID("wide")}
-	for _, i := range r.Perm(256 + r.Intn(64)) {
-		add(append(wide[:len(wide):len(wide)], ft.ID(fmt.Sprintf("page_%d", i))))
+	under := []FrameID{frame(), ft.ID("wide")}
+	for _, i := range r.Perm(wide + r.Intn(64)) {
+		add(append(under[:len(under):len(under)], ft.ID(fmt.Sprintf("page_%d", i))))
 	}
-	return tr, ref
 }
 
 // sameTree reports the first difference between tr and ref: the
@@ -278,11 +284,15 @@ func sameOutput(tr *Tree, ref *refTree) error {
 // tree as built; Find on random paths, present and missing; Merge into a
 // tree over the same table and into one over a private table; and
 // CloneShared, including the order the clone's table interns frames in.
+// Last it resets the tree, grown deeper and wider than the next fill,
+// and refills it: the refilled tree must read as the oracle and as a
+// fresh tree given the same paths, node for node.
 //
 // Mutants this test fails (applied by hand, see CHANGES.md): a new child
 // appended instead of inserted at its name's place, an insertion
-// position off by one, a Flatten that caps no path, and an inclusive
-// pass that skips the parent sum.
+// position off by one, a Flatten that caps no path, an inclusive pass
+// that skips the parent sum, a Reset that keeps the root's children,
+// and an added node that keeps the old children of the place it takes.
 func TestQuickTreeMatchesMapOracle(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -345,7 +355,50 @@ func TestQuickTreeMatchesMapOracle(t *testing.T) {
 		if err := sameOutput(clone, rclone); err != nil {
 			t.Fatalf("seed %d: clone: %v", seed, err)
 		}
+
+		// Reset and refill, with paths of at most 4 frames and a
+		// fan-out under 64: every node the refill adds takes the place
+		// of an old node, and its child list's storage.
+		grown := len(tr.nodes)
+		tr.Reset("refill")
+		fresh, rfresh := NewShared("refill", ft), newRefTree("refill", ft)
+		fill(rand.New(rand.NewSource(seed)), ft, tr, rfresh, 4, 0)
+		fill(rand.New(rand.NewSource(seed)), ft, fresh, newRefTree("refill", ft), 4, 0)
+		if len(tr.nodes) >= grown {
+			t.Fatalf("seed %d: the refill has %d nodes, the tree it refills had %d", seed, len(tr.nodes), grown)
+		}
+		if err := sameTree(tr, rfresh); err != nil {
+			t.Fatalf("seed %d: after Reset: %v", seed, err)
+		}
+		if err := sameOutput(tr, rfresh); err != nil {
+			t.Fatalf("seed %d: after Reset: %v", seed, err)
+		}
+		if err := sameNodes(tr, fresh); err != nil {
+			t.Fatalf("seed %d: after Reset, against a fresh tree: %v", seed, err)
+		}
 	}
+}
+
+// sameNodes reports the first difference between the node arrays of
+// two trees over one frame table, and between their labels, totals and
+// Flatten records.
+func sameNodes(tr, want *Tree) error {
+	if tr.Label != want.Label || tr.Total() != want.Total() {
+		return fmt.Errorf("label %q total %d, want %q and %d", tr.Label, tr.Total(), want.Label, want.Total())
+	}
+	if len(tr.nodes) != len(want.nodes) {
+		return fmt.Errorf("%d nodes, want %d", len(tr.nodes), len(want.nodes))
+	}
+	for i := range tr.nodes {
+		a, b := &tr.nodes[i], &want.nodes[i]
+		if a.id != b.id || a.parent != b.parent || a.self != b.self || a.calls != b.calls || !slices.Equal(a.kids, b.kids) {
+			return fmt.Errorf("node %d is %+v, want %+v", i, *a, *b)
+		}
+	}
+	if got, w := tr.Flatten(), want.Flatten(); !reflect.DeepEqual(got, w) {
+		return fmt.Errorf("Flatten differs: %d records, want %d", len(got), len(w))
+	}
+	return nil
 }
 
 // TestCloneSharedDetached: a clone shares no backing array with its

@@ -174,6 +174,8 @@ type Profiler struct {
 	window int                    // Retire count: which window a ctxtEntry's slot belongs to
 	probes []*Probe               // every probe issued; Retire invalidates their caches
 	ccTab  []ccNode               // CallCtxt memo, indexed by the base context's synopsis
+	free   []*cct.Tree            // recycled windows' trees, for tree to reset and reuse
+	spare  []TreeEntry            // a recycled window's slot array, for Retire to reuse
 }
 
 // ctxtEntry is one context's stage-lifetime dictionary entry: its
@@ -233,7 +235,8 @@ func (p *Profiler) CallCtxtSlots() int { return len(p.ccTab) }
 // numeric identity plus a chain-equality confirmation — no strings are
 // built. A context's label, key and prefix strings are rendered once,
 // the first time the stage sees it, and live as long as the stage: every
-// later window's tree, Entries and stage dump reuse them.
+// later window's tree, Entries and stage dump reuse them. A window's new
+// tree is a recycled one, reset, while Recycle has given any back.
 func (p *Profiler) tree(tc TxnCtxt) *cct.Tree {
 	id := tc.ID()
 	bucket := p.ctxts[id]
@@ -255,7 +258,13 @@ func (p *Profiler) tree(tc TxnCtxt) *cct.Tree {
 		// same entry, but renders its own label.
 		label = tc.Label()
 	}
-	t := cct.NewShared(label, p.frames)
+	var t *cct.Tree
+	if n := len(p.free); n > 0 {
+		t, p.free = p.free[n-1], p.free[:n-1]
+		t.Reset(label)
+	} else {
+		t = cct.NewShared(label, p.frames)
+	}
 	e.window, e.slot = p.window, len(p.slots)
 	p.slots = append(p.slots, TreeEntry{Key: e.key, Prefix: e.prefix, Ctxt: tc, Tree: t})
 	return t
@@ -279,7 +288,9 @@ type TreeEntry struct {
 // It is capped at its length, and the profile only ever appends to it
 // (a sample into a new context) and never rewrites an entry, so later
 // samples do not change the list a caller holds. They do add to the
-// trees it names, in a View of a running profiler.
+// trees it names, in a View of a running profiler. Once the window's
+// retired snapshot is recycled (Profiler.Recycle), the list and its
+// trees belong to later windows and may not be read.
 func (d *profile) Entries() []TreeEntry { return d.slots[:len(d.slots):len(d.slots)] }
 
 // TotalSamples reports all samples taken across every context.
@@ -345,7 +356,8 @@ func (d *profile) Shares() []ContextShare {
 //     frame table, so they must be read from the goroutine driving the
 //     simulation (scheduler callbacks, stop predicates, post-run code).
 //     This is the window-retirement path of the continuous profiling
-//     service.
+//     service, which hands each retired snapshot back (Profiler.Recycle)
+//     once it has dumped it, so the next window refills its trees.
 //   - Profiler.Snapshot deep-copies every tree into a snapshot-private
 //     frame table: the result shares nothing mutable with the live
 //     profiler and can be read from any goroutine while the simulation
@@ -355,6 +367,8 @@ type Snapshot struct {
 	Stage string
 	Mode  Mode
 	profile
+	retiredBy *Profiler // the profiler that retired it, until it takes it back
+	recycled  bool
 }
 
 // View returns the profiler's current state as a Snapshot that shares
@@ -375,13 +389,18 @@ func (p *Profiler) View() *Snapshot {
 // retired windows is sample-for-sample the profile an unwindowed run
 // would have taken. The contexts' rendered names belong to the stage,
 // not the window: they carry over too, and later windows' trees reuse
-// them.
+// them. The new window's slot array is the one Recycle last took back,
+// if any.
 //
 // See Snapshot for the concurrency contract of the returned view.
 func (p *Profiler) Retire() *Snapshot {
 	s := p.View()
-	n := len(p.slots)
-	p.profile = profile{slots: make([]TreeEntry, 0, n)}
+	s.retiredBy = p
+	slots := p.spare[:0]
+	if p.spare == nil {
+		slots = make([]TreeEntry, 0, len(p.slots))
+	}
+	p.profile, p.spare = profile{slots: slots}, nil
 	p.window++
 	// Every probe's cached tree pointer now names a retired tree; the
 	// next sample must re-resolve against the fresh dictionary.
@@ -389,6 +408,36 @@ func (p *Profiler) Retire() *Snapshot {
 		pr.cur = nil
 	}
 	return s
+}
+
+// Recycle takes back a snapshot Retire returned, once its caller is done
+// with it: the snapshot's trees and slot array become the storage of
+// later windows (Profiler.tree resets a recycled tree before it makes a
+// new one, Retire reuses the slot array), so a served stage in steady
+// state refills the trees of the window before. After Recycle the
+// snapshot holds no entries, and nothing read from it may be read
+// again: not its Entries, nor the trees they name. A stage dump
+// (stitch.Dump) copies its records and shares only immutable strings,
+// so a dump taken before Recycle stays valid.
+//
+// The reuse rule is that a tree or slot array serves one window, from
+// its first sample to the dump of its retired snapshot, and returns to
+// the profiler only through Recycle; so Recycle panics on a snapshot
+// this profiler did not retire (a View, a Snapshot, another stage's)
+// and on one recycled before.
+func (p *Profiler) Recycle(s *Snapshot) {
+	switch {
+	case s.recycled:
+		panic("profiler: Recycle of a snapshot already recycled")
+	case s.retiredBy != p:
+		panic("profiler: Recycle of a snapshot that " + p.Stage + "'s Retire did not return")
+	}
+	for _, e := range s.slots {
+		p.free = append(p.free, e.Tree)
+	}
+	clear(s.slots)
+	p.spare = s.slots[:0]
+	s.slots, s.retiredBy, s.recycled = nil, nil, true
 }
 
 // Snapshot returns a detached deep copy of the profiler's current state:

@@ -29,6 +29,7 @@ import (
 	"whodunit/internal/apps/squidproxy"
 	"whodunit/internal/apps/tpcw"
 	"whodunit/internal/par"
+	"whodunit/internal/profiler"
 	"whodunit/internal/vclock"
 	"whodunit/internal/workload"
 )
@@ -542,7 +543,7 @@ func override(p *Params, spec, overrides string, traces bool) error {
 		case "mode":
 			m, err := whodunit.ParseMode(val)
 			if err != nil {
-				return fmt.Errorf("scenarios: %v in %q", err, spec)
+				return fmt.Errorf("scenarios: unknown mode %q (want %s) in %q", val, strings.Join(profiler.ModeNames, "|"), spec)
 			}
 			p.Mode = m
 		case "trace", "write-trace":

@@ -4,8 +4,9 @@ package stitch
 // shares with the stage it was taken from. A dump allocates its tree
 // list and two arrays for the whole stage, the records and their paths,
 // whatever its tree count; with one endpoint it shares the endpoint's
-// send log. The graph allocates its nodes, its edges and its two
-// indexes once each, however many trees share a prefix.
+// send log. The graph allocates its nodes and its edges once each,
+// however many trees share a prefix, and its two indexes too when they
+// outgrow the stack (above 64 trees).
 
 import (
 	"fmt"

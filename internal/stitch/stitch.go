@@ -10,6 +10,7 @@ import (
 	"cmp"
 	"encoding/json"
 	"fmt"
+	"hash/maphash"
 	"io"
 	"slices"
 	"sort"
@@ -157,87 +158,147 @@ func BuildPartial(dumps []StageDump, missing []string) *Graph {
 	if n == 0 {
 		return g // no sender and no receiver: no node, no edge, no sink
 	}
-	// Index nodes by (stage, context key), and receivers by prefix chain
-	// as one list per prefix through a shared link array: first[p] is the
-	// first node whose tree has prefix p and next[i] the node after node
-	// i with its prefix, each stored plus one (0 ends a list). The lists
-	// are linked from the last tree back, so each keeps dump/tree order.
-	type stageKey struct{ stage, key string }
-	byStageKey := make(map[stageKey]int, n)
 	g.Nodes = make([]Node, 0, n+min(len(g.Missing), 1)) // room for the "(missing)" sink
+	// Index the nodes twice, as arrays sorted by hash: byKey by the hash
+	// of (stage, context key), where a send finds its sender, and
+	// byPrefix by the hash of the prefix chain, where it finds its
+	// receivers. Equal hashes sort by node, and a match is confirmed on
+	// the strings, so receivers come in node order and a repeated
+	// (stage, key) names its last node. For up to 64 trees the indexes,
+	// and the trees they confirm against, stay on the stack.
+	var treeBuf [64]*TreeDump
+	var ixBuf [2 * len(treeBuf)]hashed
+	trees, ix := treeBuf[:0], ixBuf[:0]
+	if n > len(treeBuf) {
+		trees, ix = make([]*TreeDump, 0, n), make([]hashed, 0, 2*n)
+	}
 	for _, d := range dumps {
-		for _, td := range d.Trees {
-			byStageKey[stageKey{d.Stage, td.Key}] = len(g.Nodes)
+		h := maphash.String(hashSeed, d.Stage)
+		for j := range d.Trees {
+			td := &d.Trees[j]
+			ix = append(ix, hashed{keyHash(h, td.Key), int32(len(g.Nodes))})
+			trees = append(trees, td)
 			g.Nodes = append(g.Nodes, Node{Stage: d.Stage, Label: td.Label, Total: td.Total})
 		}
 	}
-	first := make(map[string]int32, n) // sized for n prefixes: one table however many share one
-	next := make([]int32, n)
-	for i, k := n, len(dumps)-1; k >= 0; k-- {
-		trees := dumps[k].Trees
-		for j := len(trees) - 1; j >= 0; j-- {
-			i--
-			next[i] = first[trees[j].Prefix]
-			first[trees[j].Prefix] = int32(i + 1)
-		}
+	for i, td := range trees {
+		ix = append(ix, hashed{maphash.String(hashSeed, td.Prefix), int32(i)})
 	}
-	// Request edges: sender context --chain--> receiver tree whose prefix
-	// equals the sent chain (in another stage), each with its response
-	// edge back. The first pass counts them and finds the senders with a
-	// send that matched nothing, so the edge list is allocated once.
-	edges := 0
-	severed := make(map[int]bool) // sender nodes with at least one lost send
+	byKey, byPrefix := ix[:n], ix[n:]
+	slices.SortFunc(byKey, hashed.compare)
+	slices.SortFunc(byPrefix, hashed.compare)
+	// link calls f(from, to) for each request edge of a send from stage,
+	// whose hash is h: from the sender context to each receiver tree, in
+	// another stage, whose prefix is the sent chain. It reports the
+	// sender and whether the send had one and matched a receiver.
+	link := func(stage string, h uint64, send ipc.SendRecord, f func(from, to int)) (from int, sent, matched bool) {
+		for _, e := range hashRun(byKey, keyHash(h, send.FromKey)) {
+			if g.Nodes[e.node].Stage == stage && trees[e.node].Key == send.FromKey {
+				from, sent = int(e.node), true
+			}
+		}
+		if !sent {
+			return 0, false, false
+		}
+		for _, e := range hashRun(byPrefix, maphash.String(hashSeed, send.Chain)) {
+			if to := int(e.node); trees[to].Prefix == send.Chain && g.Nodes[to].Stage != stage {
+				matched = true
+				f(from, to)
+			}
+		}
+		return from, true, matched
+	}
+	// Each request edge comes with its response edge back. The first
+	// pass counts them and marks the senders with a send that matched
+	// nothing (lost to a missing stage), so the edge list is allocated
+	// once.
+	edges, severed := 0, 0
+	var lost []bool
+	if len(g.Missing) > 0 {
+		lost = make([]bool, n)
+	}
 	for _, d := range dumps {
+		h := maphash.String(hashSeed, d.Stage)
 		for _, send := range d.Sends {
-			from, ok := byStageKey[stageKey{d.Stage, send.FromKey}]
-			if !ok {
-				continue
-			}
-			matched := false
-			for to := first[send.Chain]; to != 0; to = next[to-1] {
-				if g.Nodes[to-1].Stage != d.Stage {
-					matched = true
-					edges += 2
-				}
-			}
-			if !matched && len(g.Missing) > 0 {
-				severed[from] = true
+			from, sent, matched := link(d.Stage, h, send, func(int, int) { edges += 2 })
+			if sent && !matched && lost != nil && !lost[from] {
+				lost[from] = true
+				severed++
 			}
 		}
 	}
-	if edges+len(severed) == 0 {
+	if edges+severed == 0 {
 		return g
 	}
-	g.Edges = make([]Edge, 0, edges+len(severed))
+	g.Edges = make([]Edge, 0, edges+severed)
 	for _, d := range dumps {
+		h := maphash.String(hashSeed, d.Stage)
 		for _, send := range d.Sends {
-			from, ok := byStageKey[stageKey{d.Stage, send.FromKey}]
-			if !ok {
-				continue
-			}
-			for to := first[send.Chain]; to != 0; to = next[to-1] {
-				if g.Nodes[to-1].Stage != d.Stage {
-					g.Edges = append(g.Edges,
-						Edge{From: from, To: int(to - 1), Kind: "request"},
-						Edge{From: int(to - 1), To: from, Kind: "response"})
-				}
-			}
+			link(d.Stage, h, send, func(from, to int) {
+				g.Edges = append(g.Edges, Edge{From: from, To: to, Kind: "request"}, Edge{From: to, To: from, Kind: "response"})
+			})
 		}
 	}
-	if len(severed) > 0 {
+	if severed > 0 {
 		sink := len(g.Nodes)
 		g.Nodes = append(g.Nodes, Node{
 			Stage: "(missing)",
 			Label: "lost to: " + strings.Join(g.Missing, ", "),
 		})
-		for from := range severed {
-			g.Edges = append(g.Edges, Edge{From: from, To: sink, Kind: "severed"})
+		for from, l := range lost {
+			if l {
+				g.Edges = append(g.Edges, Edge{From: from, To: sink, Kind: "severed"})
+			}
 		}
 	}
 	slices.SortFunc(g.Edges, func(a, b Edge) int {
-		return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To), strings.Compare(a.Kind, b.Kind))
+		// cmp.Or would compare the kinds of every pair; only a tie needs it.
+		if c := cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To)); c != 0 {
+			return c
+		}
+		return strings.Compare(a.Kind, b.Kind)
 	})
 	return g
+}
+
+// hashSeed keys the hashes BuildPartial sorts its indexes by. A hash
+// only orders an index and every match is confirmed on the strings, so
+// no graph depends on the seed.
+var hashSeed = maphash.MakeSeed()
+
+// hashed is one node in an index of BuildPartial: the hash of what the
+// node is found by, and the node.
+type hashed struct {
+	h    uint64
+	node int32
+}
+
+func (a hashed) compare(b hashed) int {
+	return cmp.Or(cmp.Compare(a.h, b.h), cmp.Compare(a.node, b.node))
+}
+
+// keyHash is the hash a sender is found by: its stage's hash and its
+// context key.
+func keyHash(stage uint64, key string) uint64 {
+	return stage*31 + maphash.String(hashSeed, key)
+}
+
+// hashRun returns the entries of the sorted index ix whose hash is h, in
+// node order.
+func hashRun(ix []hashed, h uint64) []hashed {
+	lo, hi := 0, len(ix)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); ix[m].h < h {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	hi = lo
+	for hi < len(ix) && ix[hi].h == h {
+		hi++
+	}
+	return ix[lo:hi]
 }
 
 // Render writes a text form of the graph: nodes with totals and edges.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"whodunit"
+	"whodunit/internal/stitch"
 )
 
 // raceEnabled reports whether the test binary carries the race detector,
@@ -43,4 +44,28 @@ func TestDiffAllocatesOnlyItsResult(t *testing.T) {
 		t.Fatalf("Diff allocates %.1f times; its result holds %d arrays, the matching may add %d", got, result, matching)
 	}
 	t.Logf("Diff allocates %.1f times for a result of %d arrays", got, result)
+}
+
+// TestStitchAllocatesOnlyItsGraph: restitching a window in the serve
+// workload's shape allocates the graph it returns and nothing else: the
+// Graph, its Nodes and its Edges. The stitcher's indexes (a node's
+// sender key and prefix chain) are arrays on the stack, where each was
+// a map. The pair's windows have more trees than a map keeps on the
+// stack, so a map over them shows here.
+func TestStitchAllocatesOnlyItsGraph(t *testing.T) {
+	const graph = 3 // the Graph, its Nodes and its Edges
+	a, b := whodunit.ServeWindowPair()
+	for _, r := range []*whodunit.Report{a, b} {
+		dumps := make([]whodunit.StageDump, len(r.Stages))
+		for i := range r.Stages {
+			dumps[i] = r.Stages[i].Dump
+		}
+		g := stitch.Build(dumps)
+		if len(g.Nodes) <= 8 || len(g.Edges) == 0 {
+			t.Fatalf("graph of %d nodes and %d edges; want more than 8 and some", len(g.Nodes), len(g.Edges))
+		}
+		if got := testing.AllocsPerRun(100, func() { stitch.Build(dumps) }); got > graph {
+			t.Fatalf("restitching a window allocates %.1f times; its graph holds %d", got, graph)
+		}
+	}
 }

@@ -148,7 +148,9 @@ func ReportFromDumps(app string, dumps ...StageDump) *Report {
 }
 
 func (r *Report) restitch() {
-	dumps := make([]StageDump, 0, len(r.Stages))
+	// BuildPartial keeps no dump, so up to eight stages' dump headers
+	// are gathered on the stack.
+	dumps := make([]StageDump, 0, 8)
 	for _, sr := range r.Stages {
 		dumps = append(dumps, sr.Dump)
 	}

@@ -15,18 +15,21 @@ import (
 // two-stage serveApp. It is the difference between a 50-window and a
 // 10-window run, so start-up cost cancels out. The count repeats to the
 // allocation: the run is deterministic and nothing else allocates. A
-// window costs about 59 allocations now that a new CCT is one
-// allocation, a stage dump flattens all its trees into one record array
-// and one path array and shares the profile's entry list and the
-// endpoint's send log, and the stitched graph sizes its node and edge
-// lists and keeps no slice per prefix. Before that it cost about 73;
+// window costs about 47.5 allocations now that a profiler refills the
+// trees and the slot array of the window before (Profiler.Recycle) and
+// the stitcher indexes the window on the stack, where it cost about 59
+// with a new CCT (one allocation) per context and window, two maps per
+// stitch and a new slice of stage dumps per report. Before that a new
+// CCT took more than one allocation, a stage dump flattened each tree
+// into arrays of its own, the stitched graph kept a slice per prefix,
+// and a window cost about 73;
 // rebuilding both sides' CCTs for every context of the diff, as it once
 // did, costs about 94, a CCT for every graph node as well about 108,
 // and with a label index made at every retirement and string-joined
 // edge keys in the diff as well it cost about 123. Not parallel: it
 // reads the process's malloc count.
 func TestServeRetiredWindowAllocs(t *testing.T) {
-	const bound = 65
+	const bound = 50
 	mallocs := func(windows int) uint64 {
 		srv := whodunit.NewServer(serveApp(7), whodunit.ServeConfig{
 			Window: 100 * whodunit.Millisecond, Threshold: -1, MaxWindows: windows,
