@@ -149,14 +149,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 			rep := kv.V.Report
 			fmt.Fprintf(stdout, "window %d [%.3fs, %.3fs): %d samples",
 				rep.Window.Seq, rep.Window.Start.Seconds(), rep.Window.End.Seconds(), rep.TotalSamples())
-			if kv.V.Diff != nil {
-				// Diff against the previous FULL window — across a crash
-				// partial that is not simply seq-1.
-				prev := rep.Window.Seq - 1
-				if kv.V.Diff.WindowA != nil {
-					prev = kv.V.Diff.WindowA.Seq
-				}
-				fmt.Fprintf(stdout, ", max delta %d vs window %d", kv.V.MaxDelta, prev)
+			// Compared against the previous FULL window — across a crash
+			// partial that is not simply seq-1. Against does not build
+			// the diff.
+			if prev := kv.V.Against(); prev != nil {
+				fmt.Fprintf(stdout, ", max delta %d vs window %d", kv.V.MaxDelta, prev.Seq)
 			}
 			if kv.V.Degraded {
 				fmt.Fprintf(stdout, ", DEGRADED (restart %d)", kv.V.Restarts)

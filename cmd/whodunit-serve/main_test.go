@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"whodunit/internal/scenarios"
+	"whodunit/internal/testhook"
 )
 
 // TestUsageErrors: every flag value the tool cannot serve exits 2 with
@@ -81,9 +82,17 @@ func windowLines(out string) []string {
 // TestHeadlessBoundedRun: a headless free-running serve retires the
 // windows it was asked for, narrates each, and exits 0. The injected
 // mix shift of serve-shift alerts between windows 2 and 3; serve-crashy
-// dies in run 0, serves degraded and recovers, as README quotes; and a
-// spec's seed reaches the served app.
+// dies in run 0, serves degraded and recovers, as README quotes, and
+// the window after its crash partial names window 1 as its base; and a
+// spec's seed reaches the served app. The narration reads each window's
+// verdict and base only: no run builds an auto-diff.
 func TestHeadlessBoundedRun(t *testing.T) {
+	built := testhook.AutoDiffs.Load()
+	defer func() {
+		if n := testhook.AutoDiffs.Load() - built; n != 0 {
+			t.Errorf("the narrated runs built %d auto-diffs, want none", n)
+		}
+	}()
 	out := headless(t, "serve-web", 2)
 	if n := len(windowLines(out)); n != 2 {
 		t.Errorf("%d window lines, want 2:\n%s", n, out)
@@ -106,6 +115,17 @@ func TestHeadlessBoundedRun(t *testing.T) {
 			if !strings.Contains(out, want) {
 				t.Errorf("no %q in:\n%s", want, out)
 			}
+		}
+		want := []string{
+			"window 0 [0.000s, 2.000s): 914 samples",
+			"window 1 [2.000s, 4.000s): 754 samples, max delta 146 vs window 0",
+			"window 2 [4.000s, 5.000s): 305 samples",
+			"window 3 [0.000s, 2.000s): 914 samples, max delta 146 vs window 1, DEGRADED (restart 1)",
+			"window 4 [2.000s, 4.000s): 754 samples, max delta 146 vs window 3",
+			"window 5 [4.000s, 6.000s): 793 samples, max delta 60 vs window 4",
+		}
+		if got := windowLines(out); strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Errorf("window lines:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 		}
 	})
 	t.Run("seed", func(t *testing.T) {

@@ -21,11 +21,14 @@ import (
 // subtrees, crosstalk-matrix deltas, shared-memory-flow deltas, and
 // stitched-graph edge deltas. Every section is matched by a merge-walk
 // of the two sides' entries in key order (see mergeKeys), so a diff the
-// size of a served window's, which every retirement takes, allocates
-// nothing but itself. A diff renders as annotated text, JSON (lossless
-// round-trip via ReadDiff), and difffolded-style two-column folded
-// stacks (FoldedDiff) for differential flame graphs; MaxDelta powers
-// the CI threshold gate of cmd/whodunit-diff.
+// size of a served window's allocates nothing but itself. The same walk
+// with another sink decides a served window's alert (maxDelta): it
+// keeps only the largest delta, allocates nothing, and is what runs at
+// every retirement; the window's diff is built when it is first read.
+// A diff renders as annotated text, JSON (lossless round-trip via
+// ReadDiff), and difffolded-style two-column folded stacks (FoldedDiff)
+// for differential flame graphs; MaxDelta powers the CI threshold gate
+// of cmd/whodunit-diff.
 
 // Sides of a diff, used in OnlyIn fields for entries present in just one
 // report.
@@ -134,13 +137,49 @@ type ReportDiff struct {
 
 // Diff structurally compares two reports. See ReportDiff.
 func Diff(a, b *Report) *ReportDiff {
-	d := &ReportDiff{AppA: a.App, AppB: b.App, ElapsedA: a.Elapsed, ElapsedB: b.Elapsed,
+	s := deltaSink{keep: true}
+	d := s.walk(a, b)
+	return &d
+}
+
+// maxDelta returns Diff(a, b).MaxDelta() without building the diff: the
+// same walk, whose sink keeps only the largest delta.
+func maxDelta(a, b *Report) int64 {
+	var s deltaSink
+	s.walk(a, b)
+	return s.max
+}
+
+// A deltaSink receives every delta the diff walk computes, with its
+// magnitude. Diff's sink keeps the deltas, and the walk builds the
+// ReportDiff from them; the verdict's keeps none, so the walk appends
+// nothing. Both fold the magnitudes into max, the MaxDelta of the diff.
+type deltaSink struct {
+	keep bool
+	max  int64
+}
+
+// walk compares a (side A) with b (side B), reporting every delta to s.
+// The sections of the diff it returns are nil unless s keeps deltas.
+func (s *deltaSink) walk(a, b *Report) ReportDiff {
+	d := ReportDiff{AppA: a.App, AppB: b.App, ElapsedA: a.Elapsed, ElapsedB: b.Elapsed,
 		WindowA: a.Window, WindowB: b.Window}
-	d.Stages = diffStages(a.Stages, b.Stages)
-	d.Crosstalk = diffCrosstalk(a.Crosstalk, b.Crosstalk)
-	d.Flows = diffFlows(a.Flows, b.Flows)
-	d.Edges = diffEdges(a.Graph, b.Graph)
+	s.max = max(s.max, d.magnitude())
+	d.Stages = diffStages(a.Stages, b.Stages, s)
+	d.Crosstalk = diffCrosstalk(a.Crosstalk, b.Crosstalk, s)
+	d.Flows = diffFlows(a.Flows, b.Flows, s)
+	d.Edges = diffEdges(a.Graph, b.Graph, s)
 	return d
+}
+
+// put reports delta d, of magnitude m, to s and returns out with d
+// appended if s keeps deltas.
+func put[T any](s *deltaSink, out []T, d T, m int64) []T {
+	s.max = max(s.max, m)
+	if !s.keep {
+		return out
+	}
+	return append(out, d)
 }
 
 // Diff compares r (side A) against other (side B).
@@ -162,55 +201,72 @@ func (d *ReportDiff) Empty() bool {
 // `-threshold 0` any behavioral divergence gates. Virtual-time
 // magnitudes (elapsed, wait durations) are deliberately excluded: they
 // are nanosecond-scaled and would swamp a sample-unit threshold.
+// The magnitude of each entry counts its own fields only (a stage's
+// not its trees', a tree's not its nodes'), so MaxDelta is the largest
+// magnitude of any entry, and the diff walk's sink folds the same.
 func (d *ReportDiff) MaxDelta() int64 {
-	var max int64
-	up := func(a, b int64) {
-		delta := a - b
-		if delta < 0 {
-			delta = -delta
-		}
-		if delta > max {
-			max = delta
-		}
-	}
-	if d.ElapsedA != d.ElapsedB || d.AppA != d.AppB {
-		up(1, 0)
-	}
+	m := d.magnitude()
 	for _, sd := range d.Stages {
-		if sd.OnlyIn != "" {
-			up(1, 0)
-		}
-		up(sd.SamplesA, sd.SamplesB)
-		up(sd.CallsA, sd.CallsB)
-		up(sd.SwitchesA, sd.SwitchesB)
+		m = max(m, sd.magnitude())
 		for _, td := range sd.Trees {
-			if td.OnlyIn != "" {
-				up(1, 0)
-			}
-			up(td.TotalA, td.TotalB)
+			m = max(m, td.magnitude())
 			for _, nd := range td.Nodes {
-				up(nd.SelfA, nd.SelfB)
-				up(nd.CallsA, nd.CallsB)
-				if nd.Subtree {
-					up(1, 0)
-				}
+				m = max(m, nd.magnitude())
 			}
 		}
 	}
 	for _, cd := range d.Crosstalk {
-		up(cd.CountA, cd.CountB)
-		if cd.TotalA != cd.TotalB {
-			up(1, 0)
-		}
+		m = max(m, cd.magnitude())
 	}
 	for _, fd := range d.Flows {
-		up(fd.CountA, fd.CountB)
+		m = max(m, fd.magnitude())
 	}
 	for _, ed := range d.Edges {
-		up(ed.CountA, ed.CountB)
+		m = max(m, ed.magnitude())
 	}
-	return max
+	return m
 }
+
+// absDelta is |a - b|.
+func absDelta(a, b int64) int64 {
+	if d := a - b; d >= 0 {
+		return d
+	}
+	return b - a
+}
+
+// oneIf is 1 when b holds: the least delta a divergence counts.
+func oneIf(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+func (d *ReportDiff) magnitude() int64 {
+	return oneIf(d.ElapsedA != d.ElapsedB || d.AppA != d.AppB)
+}
+
+func (sd *StageDiff) magnitude() int64 {
+	return max(oneIf(sd.OnlyIn != ""), absDelta(sd.SamplesA, sd.SamplesB),
+		absDelta(sd.CallsA, sd.CallsB), absDelta(sd.SwitchesA, sd.SwitchesB))
+}
+
+func (td *TreeDiff) magnitude() int64 {
+	return max(oneIf(td.OnlyIn != ""), absDelta(td.TotalA, td.TotalB))
+}
+
+func (nd *NodeDelta) magnitude() int64 {
+	return max(absDelta(nd.SelfA, nd.SelfB), absDelta(nd.CallsA, nd.CallsB), oneIf(nd.Subtree))
+}
+
+func (cd *CrosstalkDelta) magnitude() int64 {
+	return max(absDelta(cd.CountA, cd.CountB), oneIf(cd.TotalA != cd.TotalB))
+}
+
+func (fd *FlowDelta) magnitude() int64 { return absDelta(fd.CountA, fd.CountB) }
+
+func (ed *EdgeDelta) magnitude() int64 { return absDelta(ed.CountA, ed.CountB) }
 
 // Exceeds reports whether the diff's MaxDelta is beyond threshold — the
 // CI gate of cmd/whodunit-diff.
@@ -283,16 +339,17 @@ func (d *ReportDiff) Mirrored() *ReportDiff {
 // Every section of a diff matches its two sides by one mechanism: each
 // side's entries are put in key order (their indices are sorted, ties
 // by index), the two ordered runs are merge-walked, and only the
-// deltas are kept. Deltas therefore come out in key order, which is
-// the same order for Diff(a, b) and Diff(b, a). A key repeated within
-// one side is one run: a stage, a tree or a crosstalk cell is its
-// run's last entry, as an index by key would keep, and an edge group
-// counts its run. The indices and each section's deltas are collected
-// in arrays on the stack, and a section keeps an exact-length copy, so
-// only a section larger than its array allocates more than the diff
-// itself. The flow diff walks its sides the same way over keys it
-// sorts itself (see diffFlows): a flow log runs to tens of thousands
-// of flows, nearly in order.
+// deltas are reported to the walk's sink (put). Deltas therefore come
+// out in key order, which is the same order for Diff(a, b) and
+// Diff(b, a). A key repeated within one side is one run: a stage, a
+// tree or a crosstalk cell is its run's last entry, as an index by key
+// would keep, and an edge group counts its run. The indices and each
+// section's deltas are collected in arrays on the stack, and a section
+// keeps an exact-length copy, so only a section larger than its array
+// allocates more than the diff itself; a sink that keeps no deltas
+// collects none, and the walk allocates nothing. The flow diff walks
+// its sides the same way over keys it sorts itself (see diffFlows): a
+// flow log runs to tens of thousands of flows, nearly in order.
 
 // mergeKeys merge-walks the entries of a and b in the order of their
 // keys, key(side, e) for side 0 (a) and 1 (b). For every key of either
@@ -359,43 +416,50 @@ func stageName(_ int, sr *StageReport) string { return sr.Stage }
 
 func treeKey(_ int, td *TreeDump) string { return td.Key }
 
-func diffStages(a, b []StageReport) []StageDiff {
+func diffStages(a, b []StageReport, s *deltaSink) []StageDiff {
 	var buf [8]StageDiff
 	out := buf[:0]
 	mergeKeys(a, b, stageName, strings.Compare, func(name string, sa, sb *StageReport, _ [2]int64) {
 		switch {
 		case sb == nil:
-			out = append(out, oneSidedStage(sa, SideA))
+			sd := oneSidedStage(sa, SideA, s)
+			out = put(s, out, sd, sd.magnitude())
 		case sa == nil:
-			out = append(out, oneSidedStage(sb, SideB))
+			sd := oneSidedStage(sb, SideB, s)
+			out = put(s, out, sd, sd.magnitude())
 		default:
 			sd := StageDiff{
 				Stage:    name,
 				SamplesA: sa.Samples, SamplesB: sb.Samples,
 				CallsA: sa.Calls, CallsB: sb.Calls,
 				SwitchesA: sa.CtxtSwitches, SwitchesB: sb.CtxtSwitches,
-				Trees: diffTrees(sa.Dump.Trees, sb.Dump.Trees),
+				Trees: diffTrees(sa.Dump.Trees, sb.Dump.Trees, s),
 			}
 			if len(sd.Trees) > 0 || sd.SamplesA != sd.SamplesB ||
 				sd.CallsA != sd.CallsB || sd.SwitchesA != sd.SwitchesB {
-				out = append(out, sd)
+				out = put(s, out, sd, sd.magnitude())
 			}
 		}
 	})
 	return exact(out)
 }
 
-func oneSidedStage(sr *StageReport, side string) StageDiff {
+// oneSidedStage is the delta of a stage only one side has; each of its
+// trees is a delta of its own.
+func oneSidedStage(sr *StageReport, side string, s *deltaSink) StageDiff {
 	sd := StageDiff{Stage: sr.Stage, OnlyIn: side}
-	sd.Trees = mapped(sr.Dump.Trees, func(td TreeDump) TreeDiff {
+	if s.keep && len(sr.Dump.Trees) > 0 {
+		sd.Trees = make([]TreeDiff, 0, len(sr.Dump.Trees))
+	}
+	for _, td := range sr.Dump.Trees {
 		t := TreeDiff{Key: td.Key, Label: td.Label, OnlyIn: side}
 		if side == SideA {
 			t.TotalA = td.Total
 		} else {
 			t.TotalB = td.Total
 		}
-		return t
-	})
+		sd.Trees = put(s, sd.Trees, t, t.magnitude())
+	}
 	if side == SideA {
 		sd.SamplesA, sd.CallsA, sd.SwitchesA = sr.Samples, sr.Calls, sr.CtxtSwitches
 	} else {
@@ -404,22 +468,24 @@ func oneSidedStage(sr *StageReport, side string) StageDiff {
 	return sd
 }
 
-func diffTrees(a, b []TreeDump) []TreeDiff {
+func diffTrees(a, b []TreeDump, s *deltaSink) []TreeDiff {
 	var buf [8]TreeDiff
 	out := buf[:0]
 	mergeKeys(a, b, treeKey, strings.Compare, func(key string, ta, tb *TreeDump, _ [2]int64) {
+		var td TreeDiff
 		switch {
 		case tb == nil:
-			out = append(out, TreeDiff{Key: key, Label: ta.Label, OnlyIn: SideA, TotalA: ta.Total})
+			td = TreeDiff{Key: key, Label: ta.Label, OnlyIn: SideA, TotalA: ta.Total}
 		case ta == nil:
-			out = append(out, TreeDiff{Key: key, Label: tb.Label, OnlyIn: SideB, TotalB: tb.Total})
+			td = TreeDiff{Key: key, Label: tb.Label, OnlyIn: SideB, TotalB: tb.Total}
 		default:
-			td := TreeDiff{Key: key, Label: treeLabel(ta, tb), TotalA: ta.Total, TotalB: tb.Total,
-				Nodes: diffRecords(cct.SortedRecords(ta.Records), cct.SortedRecords(tb.Records))}
-			if len(td.Nodes) > 0 || td.TotalA != td.TotalB {
-				out = append(out, td)
+			td = TreeDiff{Key: key, Label: treeLabel(ta, tb), TotalA: ta.Total, TotalB: tb.Total,
+				Nodes: diffRecords(cct.SortedRecords(ta.Records), cct.SortedRecords(tb.Records), s)}
+			if len(td.Nodes) == 0 && td.TotalA == td.TotalB {
+				return
 			}
 		}
+		out = put(s, out, td, td.magnitude())
 	})
 	return exact(out)
 }
@@ -443,28 +509,29 @@ func treeLabel(a, b *TreeDump) string {
 // as an inner node, is compared with the other record or with zero. A
 // node one tree lacks under a node both have tops a one-sided subtree:
 // one Subtree row, totalled over the run of records under it.
-func diffRecords(a, b []cct.FlatRecord) []NodeDelta {
+func diffRecords(a, b []cct.FlatRecord, s *deltaSink) []NodeDelta {
 	recs := [2][]cct.FlatRecord{a, b}
 	var next [2]int // each side's first unread record
 	var buf [8]NodeDelta
 	out := buf[:0]
 	for next[0] < len(a) || next[1] < len(b) {
-		s := 0 // the side whose next record comes first
+		side := 0 // the side whose next record comes first
 		switch c := headOrder(a[next[0]:], b[next[1]:]); {
 		case c == 0:
 			ra, rb := a[next[0]], b[next[1]]
 			if ra.Self != rb.Self || ra.Calls != rb.Calls {
-				out = append(out, NodeDelta{Path: slices.Clip(ra.Path),
-					SelfA: ra.Self, SelfB: rb.Self, CallsA: ra.Calls, CallsB: rb.Calls})
+				nd := NodeDelta{Path: slices.Clip(ra.Path),
+					SelfA: ra.Self, SelfB: rb.Self, CallsA: ra.Calls, CallsB: rb.Calls}
+				out = put(s, out, nd, nd.magnitude())
 			}
 			next[0]++
 			next[1]++
 			continue
 		case c > 0:
-			s = 1
+			side = 1
 		}
-		mine, other, o := recs[s], recs[1-s], next[1-s]
-		r := mine[next[s]]
+		mine, other, o := recs[side], recs[1-side], next[1-side]
+		r := mine[next[side]]
 		// The other tree has the prefixes r's path shares with its
 		// records, the longest with a neighbour of r's place among them.
 		depth := 0
@@ -477,20 +544,20 @@ func diffRecords(a, b []cct.FlatRecord) []NodeDelta {
 		var self, calls [2]int64
 		nd := NodeDelta{Path: slices.Clip(r.Path)}
 		if depth == len(r.Path) {
-			next[s]++
+			next[side]++
 			if r.Self == 0 && r.Calls == 0 {
 				continue
 			}
-			self[s], calls[s] = r.Self, r.Calls
+			self[side], calls[side] = r.Self, r.Calls
 		} else {
-			nd = NodeDelta{Path: r.Path[: depth+1 : depth+1], Subtree: true, OnlyIn: [2]string{SideA, SideB}[s]}
-			for ; next[s] < len(mine) && commonPrefix(mine[next[s]].Path, nd.Path) == depth+1; next[s]++ {
-				self[s] += mine[next[s]].Self
-				calls[s] += mine[next[s]].Calls
+			nd = NodeDelta{Path: r.Path[: depth+1 : depth+1], Subtree: true, OnlyIn: [2]string{SideA, SideB}[side]}
+			for ; next[side] < len(mine) && commonPrefix(mine[next[side]].Path, nd.Path) == depth+1; next[side]++ {
+				self[side] += mine[next[side]].Self
+				calls[side] += mine[next[side]].Calls
 			}
 		}
 		nd.SelfA, nd.SelfB, nd.CallsA, nd.CallsB = self[0], self[1], calls[0], calls[1]
-		out = append(out, nd)
+		out = put(s, out, nd, nd.magnitude())
 	}
 	return exact(out)
 }
@@ -522,7 +589,7 @@ func commonPrefix(p, q []string) int {
 // crosstalkCell is a crosstalk cell's key: its (waiter, holder) pair.
 type crosstalkCell struct{ waiter, holder string }
 
-func diffCrosstalk(a, b []CrosstalkPair) []CrosstalkDelta {
+func diffCrosstalk(a, b []CrosstalkPair, s *deltaSink) []CrosstalkDelta {
 	var buf [8]CrosstalkDelta
 	out := buf[:0]
 	cell := func(_ int, p *CrosstalkPair) crosstalkCell { return crosstalkCell{p.Waiter, p.Holder} }
@@ -539,7 +606,7 @@ func diffCrosstalk(a, b []CrosstalkPair) []CrosstalkDelta {
 		}
 		if d.CountA != d.CountB || d.TotalA != d.TotalB {
 			d.Waiter, d.Holder = k.waiter, k.holder
-			out = append(out, d)
+			out = put(s, out, d, d.magnitude())
 		}
 	})
 	return exact(out)
@@ -556,7 +623,7 @@ func diffCrosstalk(a, b []CrosstalkPair) []CrosstalkDelta {
 // a key there. A log that is not nearly ordered would make that
 // quadratic, so once the moves pass a budget of a few per key the sort
 // finishes with slices.SortFunc instead.
-func diffFlows(a, b []FlowEvent) []FlowDelta {
+func diffFlows(a, b []FlowEvent, s *deltaSink) []FlowDelta {
 	type flowKey struct{ lock, prod, cons int32 }
 	less := func(x, y flowKey) bool {
 		return x.lock < y.lock || x.lock == y.lock && (x.prod < y.prod || x.prod == y.prod && x.cons < y.cons)
@@ -606,10 +673,11 @@ func diffFlows(a, b []FlowEvent) []FlowDelta {
 			cb++
 		}
 		if ca != cb {
-			out = append(out, FlowDelta{
+			fd := FlowDelta{
 				Lock: int(k.lock), Producer: int(k.prod), Consumer: int(k.cons),
 				CountA: ca, CountB: cb,
-			})
+			}
+			out = put(s, out, fd, fd.magnitude())
 		}
 	}
 	return out
@@ -622,22 +690,22 @@ const flowSortMoves = 4
 // diffEdges counts each side's stitched-graph edges per group and
 // returns the groups whose counts differ. A group is keyed by its
 // endpoints' stages and labels and the edge kind.
-func diffEdges(a, b *TransactionGraph) []EdgeDelta {
+func diffEdges(a, b *TransactionGraph, s *deltaSink) []EdgeDelta {
 	var buf [16]EdgeDelta
 	out := buf[:0]
 	graphs := [2]*TransactionGraph{a, b}
 	var edges [2][]stitch.Edge
-	for s, g := range graphs {
+	for side, g := range graphs {
 		if g != nil {
-			edges[s] = g.Edges
+			edges[side] = g.Edges
 		}
 	}
 	type group struct {
 		from, to *stitch.Node
 		kind     string
 	}
-	key := func(s int, e *stitch.Edge) group {
-		return group{&graphs[s].Nodes[e.From], &graphs[s].Nodes[e.To], e.Kind}
+	key := func(side int, e *stitch.Edge) group {
+		return group{&graphs[side].Nodes[e.From], &graphs[side].Nodes[e.To], e.Kind}
 	}
 	compare := func(x, y group) int {
 		if c := compareNodes(x.from, y.from); c != 0 {
@@ -650,10 +718,11 @@ func diffEdges(a, b *TransactionGraph) []EdgeDelta {
 	}
 	mergeKeys(edges[0], edges[1], key, compare, func(k group, _, _ *stitch.Edge, n [2]int64) {
 		if n[0] != n[1] {
-			out = append(out, EdgeDelta{
+			ed := EdgeDelta{
 				FromStage: k.from.Stage, FromLabel: k.from.Label, ToStage: k.to.Stage, ToLabel: k.to.Label, Kind: k.kind,
 				CountA: n[0], CountB: n[1],
-			})
+			}
+			out = put(s, out, ed, ed.magnitude())
 		}
 	})
 	return exact(out)

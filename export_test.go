@@ -15,6 +15,16 @@ var (
 // whodunit_test.
 var ServeWindowPair = serveWindowPair
 
+// Verdict is maxDelta, the alert verdict a served window's retirement
+// takes, and RandReport, DiffPair and GraphReport are the generators of
+// the diff's quick tests, for the tests of package whodunit_test.
+var (
+	Verdict     = maxDelta
+	RandReport  = randReport
+	DiffPair    = diffPair
+	GraphReport = graphReport
+)
+
 // ReportJSONMemo returns the bytes /report serves for a retired window
 // in JSON, building them on the first call.
 func ReportJSONMemo(ev *WindowEvent) []byte {

@@ -8,7 +8,7 @@ import (
 )
 
 // harness runs body inside a one-thread sim with a probe and returns the
-// profiler afterwards.
+// profiler afterwards; a crash of the thread fails the test.
 func harness(t *testing.T, mode Mode, body func(pr *Probe)) *Profiler {
 	t.Helper()
 	s := vclock.New()
@@ -19,6 +19,10 @@ func harness(t *testing.T, mode Mode, body func(pr *Probe)) *Profiler {
 	})
 	s.Run()
 	s.Shutdown()
+	// A panic in body ends the run and is recorded, not raised.
+	if c := s.Crashed(); c != nil {
+		t.Fatalf("%v\n%s", c, c.Stack)
+	}
 	return p
 }
 

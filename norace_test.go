@@ -46,6 +46,19 @@ func TestDiffAllocatesOnlyItsResult(t *testing.T) {
 	t.Logf("Diff allocates %.1f times for a result of %d arrays", got, result)
 }
 
+// TestVerdictAllocatesNothing: the verdict a served window's
+// retirement takes walks the pair as Diff does but keeps no delta, so
+// on a pair in the serve workload's shape it allocates nothing.
+func TestVerdictAllocatesNothing(t *testing.T) {
+	a, b := whodunit.ServeWindowPair()
+	if whodunit.Verdict(a, b) == 0 {
+		t.Fatal("the window pair does not differ")
+	}
+	if got := testing.AllocsPerRun(100, func() { whodunit.Verdict(a, b) }); got != 0 {
+		t.Fatalf("the verdict allocates %.1f times, want 0", got)
+	}
+}
+
 // TestStitchAllocatesOnlyItsGraph: restitching a window in the serve
 // workload's shape allocates the graph it returns and nothing else: the
 // Graph, its Nodes and its Edges. The stitcher's indexes (a node's

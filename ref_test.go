@@ -514,9 +514,9 @@ func refDiffStages(a, b []StageReport) []StageDiff {
 		sa, sb := am[name], bm[name]
 		switch {
 		case sb == nil:
-			out = append(out, oneSidedStage(sa, SideA))
+			out = append(out, oneSidedStage(sa, SideA, &deltaSink{keep: true}))
 		case sa == nil:
-			out = append(out, oneSidedStage(sb, SideB))
+			out = append(out, oneSidedStage(sb, SideB, &deltaSink{keep: true}))
 		default:
 			sd := StageDiff{
 				Stage:    name,
@@ -991,7 +991,7 @@ func TestReadReportInt32Boundary(t *testing.T) {
 func TestQuickDiffFlowsMatchesRef(t *testing.T) {
 	same := func(what string, a, b []FlowEvent) {
 		t.Helper()
-		got, want := diffFlows(a, b), refDiffFlows(a, b)
+		got, want := diffFlows(a, b, &deltaSink{keep: true}), refDiffFlows(a, b)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: diffFlows = %v\noracle %v", what, got, want)
 		}
@@ -1166,7 +1166,7 @@ func TestQuickDiffEdgesMatchesRef(t *testing.T) {
 		if s, k := repeats(a); s+k > 0 {
 			repeated++
 		}
-		if got, want := diffEdges(nil, b.Graph), refDiffEdges(nil, b.Graph); !reflect.DeepEqual(got, want) {
+		if got, want := diffEdges(nil, b.Graph, &deltaSink{keep: true}), refDiffEdges(nil, b.Graph); !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d: diffEdges(nil, b) = %v\noracle %v", seed, got, want)
 		}
 	}
@@ -1184,7 +1184,7 @@ func TestQuickDiffEdgesMatchesRef(t *testing.T) {
 func TestQuickDiffCrosstalkMatchesRef(t *testing.T) {
 	joined := []CrosstalkPair{{Waiter: "a\x00b", Holder: "c", Count: 1}, {Waiter: "a", Holder: "b\x00c", Count: 2}}
 	want := []CrosstalkDelta{{Waiter: "a", Holder: "b\x00c", CountA: 2}, {Waiter: "a\x00b", Holder: "c", CountA: 1}}
-	if got := diffCrosstalk(joined, nil); !reflect.DeepEqual(got, want) {
+	if got := diffCrosstalk(joined, nil, &deltaSink{keep: true}); !reflect.DeepEqual(got, want) {
 		t.Fatalf("diffCrosstalk(%#v, nil) = %#v; want %#v", joined, got, want)
 	}
 	names := []string{"", "a", "b", "ab", "a\x00", "a\x00b", "b\x00c", "\x00"}
@@ -1202,10 +1202,10 @@ func TestQuickDiffCrosstalkMatchesRef(t *testing.T) {
 	for seed := int64(0); seed < 3000; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		a, b := matrix(rng), matrix(rng)
-		if got, want := diffCrosstalk(a, b), refDiffCrosstalk(a, b); !reflect.DeepEqual(got, want) {
+		if got, want := diffCrosstalk(a, b, &deltaSink{keep: true}), refDiffCrosstalk(a, b); !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d: diffCrosstalk(%#v, %#v) = %#v\noracle %#v", seed, a, b, got, want)
 		}
-		if got, want := diffCrosstalk(nil, b), refDiffCrosstalk(nil, b); !reflect.DeepEqual(got, want) {
+		if got, want := diffCrosstalk(nil, b, &deltaSink{keep: true}), refDiffCrosstalk(nil, b); !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d: diffCrosstalk(nil, %#v) = %#v\noracle %#v", seed, b, got, want)
 		}
 		seen := map[crosstalkKey]bool{}
@@ -1520,7 +1520,7 @@ func BenchmarkReadReport(b *testing.B) {
 	b.Run("apache/diff", func(b *testing.B) {
 		b.ReportAllocs()
 		for b.Loop() {
-			diffFlows(r.Flows, other)
+			diffFlows(r.Flows, other, &deltaSink{keep: true})
 		}
 		perFlow(b)
 	})

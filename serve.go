@@ -11,14 +11,15 @@ import (
 	"sync/atomic"
 	"time"
 
+	"whodunit/internal/testhook"
 	"whodunit/internal/vclock"
 	"whodunit/internal/window"
 )
 
 // Continuous profiling service: a Server runs a windowed App indefinitely
 // (or for a bounded number of windows), retains the most recent retired
-// per-window Reports in a ring, auto-diffs adjacent windows against an
-// alert threshold, and exposes the results over HTTP:
+// per-window Reports in a ring, checks adjacent windows against an alert
+// threshold, and exposes the results over HTTP:
 //
 //	GET /report   — a retained window (?window=N), the latest (default),
 //	                or the in-progress one (?window=live); ?format=text|json|folded
@@ -38,14 +39,18 @@ import (
 // sequence of retired-window Reports is bit-identical across runs; the
 // HTTP layer is the only nondeterministic edge.
 //
-// A retired window is immutable, so each of its encodings — /report in
-// every format, its auto-diff in every format, its /stream frame — is
-// built on the first read and shared by every later reader. A /diff of
-// a window against the one it was auto-diffed with at retirement serves
-// that diff; only other pairs are diffed per request. The encodings live
-// on the ring entry and go with it, so memory grows with Retain, not
-// with uptime. The live window, /windows and /healthz change as the run
-// goes and are built per request.
+// Retirement decides a window's alert from the largest delta between it
+// and the previous full window (maxDelta), a walk that allocates
+// nothing; the window's auto-diff, that pair's ReportDiff, is built on
+// its first read (WindowEvent.Diff). A retired window is immutable, so
+// the auto-diff and each encoding — /report in every format, the
+// auto-diff in every format, the /stream frame — is built once, on the
+// first read, and shared by every later reader. A /diff of a window
+// against its auto-diff base serves that diff; only other pairs are
+// diffed per request. The encodings live on the ring entry and go with
+// it, so memory grows with Retain, not with uptime. The live window,
+// /windows and /healthz change as the run goes and are built per
+// request.
 
 // ServeConfig configures a Server.
 type ServeConfig struct {
@@ -91,15 +96,16 @@ type ServeConfig struct {
 }
 
 // WindowEvent is one retired window as published on the ring and the
-// /stream feed: the window's Report, its diff against the previous full
-// window (nil for the first), and the alert verdict. The degraded-state
-// fields are set only on supervised servers that have restarted: they
-// are zero on every healthy window, so fault-free feeds are unchanged.
+// /stream feed: the window's Report, the largest delta against the
+// previous full window and the alert verdict it decided. The diff
+// against that window (Diff) is built on its first read, not at
+// retirement. The degraded-state fields are set only on supervised
+// servers that have restarted: they are zero on every healthy window,
+// so fault-free feeds are unchanged.
 type WindowEvent struct {
-	Report   *Report     `json:"report"`
-	Diff     *ReportDiff `json:"diff,omitempty"`
-	MaxDelta int64       `json:"max_delta"`
-	Alert    bool        `json:"alert"`
+	Report   *Report `json:"report"`
+	MaxDelta int64   `json:"max_delta"`
+	Alert    bool    `json:"alert"`
 	// Degraded marks windows retired while the server was recovering
 	// from a died run (between a restart and the next full window).
 	Degraded bool `json:"degraded,omitempty"`
@@ -109,7 +115,49 @@ type WindowEvent struct {
 	// Restarts is the cumulative restart count at retirement time.
 	Restarts int64 `json:"restarts,omitempty"`
 
-	enc *encodings // filled on first read; behind a pointer so the event copies
+	// prev is the previous full window's report, which MaxDelta
+	// compares against; nil for a partial window and the first full one.
+	prev *Report
+	enc  *encodings // filled on first read; behind a pointer so the event copies
+}
+
+// Diff returns the window's auto-diff, Diff of the previous full
+// window's report against this one's, or nil when MaxDelta compared
+// nothing. It is built on the first call and shared by every later one.
+func (ev *WindowEvent) Diff() *ReportDiff {
+	if ev.prev == nil {
+		return nil
+	}
+	m := ev.enc
+	m.diffOnce.Do(func() {
+		m.diff = Diff(ev.prev, ev.Report)
+		testhook.AutoDiffs.Add(1)
+	})
+	return m.diff
+}
+
+// Against returns the window the auto-diff compares against, the
+// previous full one, or nil; it does not build the diff.
+func (ev *WindowEvent) Against() *WindowMeta {
+	if ev.prev == nil {
+		return nil
+	}
+	return ev.prev.Window
+}
+
+// windowEventFields is WindowEvent without its methods, so that
+// MarshalJSON can encode its fields without calling itself.
+type windowEventFields WindowEvent
+
+// MarshalJSON encodes the event's fields with its auto-diff under
+// "diff", after "report" and before the rest, building the diff if no
+// reader has yet. The outer Report hides the embedded one.
+func (ev *WindowEvent) MarshalJSON() ([]byte, error) {
+	return json.Marshal(struct {
+		Report *Report     `json:"report"`
+		Diff   *ReportDiff `json:"diff,omitempty"`
+		*windowEventFields
+	}{ev.Report, ev.Diff(), (*windowEventFields)(ev)})
 }
 
 // An encoding is one rendering of a retired window that the HTTP API
@@ -132,12 +180,14 @@ var (
 	diffFormats   = map[string]encoding{"": diffJSON, "json": diffJSON, "text": diffText}
 )
 
-// encodings memoizes a retired window's renderings, each built once on
-// its first read.
+// encodings memoizes a retired window's auto-diff and renderings, each
+// built once on its first read.
 type encodings struct {
-	once [numEncodings]sync.Once
-	b    [numEncodings][]byte
-	err  [numEncodings]error
+	diffOnce sync.Once
+	diff     *ReportDiff
+	once     [numEncodings]sync.Once
+	b        [numEncodings][]byte
+	err      [numEncodings]error
 }
 
 // encoded returns the window's encoding e, building it on the first call.
@@ -145,10 +195,13 @@ func (ev *WindowEvent) encoded(e encoding) ([]byte, error) {
 	m := ev.enc
 	m.once[e].Do(func() {
 		var buf bytes.Buffer
-		if e == streamFrame {
+		switch e {
+		case streamFrame:
 			m.err[e] = ev.writeFrame(&buf)
-		} else {
-			m.err[e] = writeEncoding(&buf, e, ev.Report, ev.Diff)
+		case diffJSON, diffText:
+			m.err[e] = writeEncoding(&buf, e, nil, ev.Diff())
+		default:
+			m.err[e] = writeEncoding(&buf, e, ev.Report, nil)
 		}
 		m.b[e] = buf.Bytes()
 	})
@@ -537,9 +590,10 @@ func (s *Server) windowReport(app *App, retire bool) *Report {
 
 // retire ends app's window now (each profiler swaps its tree set out in
 // O(1), see profiler.Retire), wraps its Report into a WindowEvent,
-// auto-diffs it against the previous full window, publishes it on the
-// ring, and enforces MaxWindows and Pace. Runs in scheduler context at
-// window ticks, and once after the run stops for the final window.
+// decides its alert from the largest delta against the previous full
+// window, publishes it on the ring, and enforces MaxWindows and Pace.
+// Runs in scheduler context at window ticks, and once after the run
+// stops for the final window.
 func (s *Server) retire(app *App) {
 	end := app.sim.Now()
 	if end <= s.winStart {
@@ -564,13 +618,12 @@ func (s *Server) retire(app *App) {
 		}
 	}
 	if full && s.prevFull != nil {
-		// d.WindowA is prevFull's own WindowMeta: handleDiff recognizes
-		// the pair by it and serves this diff.
-		d := Diff(s.prevFull, rep)
-		ev.Diff = d
-		ev.MaxDelta = d.MaxDelta()
+		// The verdict walks the pair without building its diff; ev.Diff
+		// builds that from prev when it is first read.
+		ev.prev = s.prevFull
+		ev.MaxDelta = maxDelta(s.prevFull, rep)
 		if s.cfg.Threshold >= 0 {
-			ev.Alert = d.Exceeds(s.cfg.Threshold)
+			ev.Alert = ev.MaxDelta > s.cfg.Threshold
 			if ev.Alert {
 				s.alertsTotal.Add(1)
 			}
@@ -766,8 +819,8 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleDiff diffs two retained windows. When a is the window b was
-// auto-diffed against at retirement, that diff is the answer.
+// handleDiff diffs two retained windows. When a is b's auto-diff base,
+// b's auto-diff is the answer.
 func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	format := q.Get("format")
@@ -802,7 +855,7 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if b.Diff != nil && b.Diff.WindowA == a.Report.Window {
+	if b.prev == a.Report {
 		b.serve(w, e)
 		return
 	}

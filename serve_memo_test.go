@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -15,6 +16,7 @@ import (
 	"unsafe"
 
 	"whodunit"
+	"whodunit/internal/testhook"
 )
 
 // crashyServer runs a supervised server whose first run dies mid-window
@@ -129,7 +131,7 @@ func TestServeMemoMatchesFreshEncoding(t *testing.T) {
 	for _, a := range entries {
 		for _, b := range entries {
 			d := whodunit.Diff(a.V.Report, b.V.Report)
-			if b.V.Diff != nil && b.V.Diff.WindowA.Seq == a.Meta.Seq {
+			if base := b.V.Against(); base != nil && base.Seq == a.Meta.Seq {
 				autoDiffs++
 			}
 			for _, f := range []string{"json", "text"} {
@@ -226,6 +228,152 @@ func TestServeConcurrentFirstReadsEncodeOnce(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestServeDiffBuiltOnce: retirement builds no window's auto-diff; it
+// is built on its first read, from the report the verdict compared
+// against, and shared. In a Retain 2 run a /diff of the newest window
+// against its base serves its auto-diff, and the oldest window's diff
+// still equals Diff of its base and its report after the base's window
+// was evicted. In a run read while it retires, Diff(), /diff in
+// both formats and the /stream frame race to read each window first:
+// they all see one diff, built once. Not parallel: it reads the count
+// of auto-diffs built in the process.
+func TestServeDiffBuiltOnce(t *testing.T) {
+	t.Run("evicted base", func(t *testing.T) {
+		srv := whodunit.NewServer(serveApp(7), whodunit.ServeConfig{
+			Window: 100 * whodunit.Millisecond, Threshold: -1, Retain: 2, MaxWindows: 5,
+		})
+		feed, cancel := srv.Ring().Subscribe(8)
+		defer cancel()
+		built := testhook.AutoDiffs.Load()
+		srv.Run()
+		var reports []*whodunit.Report
+		for kv := range feed {
+			reports = append(reports, kv.V.Report)
+		}
+		if n := testhook.AutoDiffs.Load() - built; n != 0 {
+			t.Fatalf("retiring %d windows built %d auto-diffs, want none", len(reports), n)
+		}
+		// A /diff of the newest window against its base is its auto-diff.
+		oldest, newest := srv.Ring().Entries()[0], srv.Ring().Entries()[1]
+		url := fmt.Sprintf("/diff?a=%d&b=%d", oldest.Meta.Seq, newest.Meta.Seq)
+		code, body := get(t, srv.Handler(), url)
+		if n := testhook.AutoDiffs.Load() - built; n != 1 {
+			t.Fatalf("GET %s built %d auto-diffs, want 1", url, n)
+		}
+		if code != http.StatusOK || body != freshDiff(t, newest.V.Diff(), "json") {
+			t.Fatalf("GET %s: %d, or other bytes than the newest window's auto-diff", url, code)
+		}
+		base := oldest.V.Against()
+		if base == nil || base.Seq != oldest.Meta.Seq-1 {
+			t.Fatalf("window %d's auto-diff base is %+v, want window %d", oldest.Meta.Seq, base, oldest.Meta.Seq-1)
+		}
+		if _, ok := srv.Ring().Get(base.Seq); ok {
+			t.Fatalf("window %d is still retained", base.Seq)
+		}
+		want := whodunit.Diff(reports[base.Seq], oldest.V.Report)
+		got := oldest.V.Diff()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("window %d's auto-diff differs from Diff of its evicted base and its report", oldest.Meta.Seq)
+		}
+		if got != oldest.V.Diff() || oldest.V.MaxDelta != want.MaxDelta() {
+			t.Fatalf("a second read built another diff, or MaxDelta %d is not the diff's %d", oldest.V.MaxDelta, want.MaxDelta())
+		}
+		if n := testhook.AutoDiffs.Load() - built; n != 2 {
+			t.Fatalf("%d auto-diffs built, want 2", n)
+		}
+	})
+
+	t.Run("concurrent first reads", func(t *testing.T) {
+		srv := whodunit.NewServer(serveApp(7), whodunit.ServeConfig{
+			Window: 100 * whodunit.Millisecond, Threshold: 0, MaxWindows: 6,
+		})
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
+		resp, err := http.Get(ts.URL + "/stream")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stream []byte
+		streamDone := make(chan struct{})
+		go func() {
+			defer close(streamDone)
+			stream, _ = io.ReadAll(resp.Body)
+			resp.Body.Close()
+		}()
+		feed, cancel := srv.Ring().Subscribe(16)
+		defer cancel()
+		built := testhook.AutoDiffs.Load()
+		go srv.Run()
+
+		const readers = 4
+		type reads struct {
+			ev          *whodunit.WindowEvent
+			diffs       [readers]*whodunit.ReportDiff
+			json, text  [readers]string
+			jsonC, txtC [readers]int
+		}
+		var all []*reads
+		var wg sync.WaitGroup
+		fetch := func(url string, body *string, code *int) {
+			defer wg.Done()
+			resp, err := http.Get(url)
+			if err != nil {
+				*code = -1
+				return
+			}
+			defer resp.Body.Close()
+			b, _ := io.ReadAll(resp.Body)
+			*body, *code = string(b), resp.StatusCode
+		}
+		for kv := range feed {
+			base := kv.V.Against()
+			if base == nil {
+				continue
+			}
+			r := &reads{ev: kv.V}
+			all = append(all, r)
+			url := fmt.Sprintf("%s/diff?a=%d&b=%d", ts.URL, base.Seq, kv.Meta.Seq)
+			for i := range readers {
+				wg.Add(3)
+				go func() { defer wg.Done(); r.diffs[i] = kv.V.Diff() }()
+				go fetch(url+"&format=json", &r.json[i], &r.jsonC[i])
+				go fetch(url+"&format=text", &r.text[i], &r.txtC[i])
+			}
+		}
+		wg.Wait()
+		<-streamDone
+
+		if len(all) != 5 {
+			t.Fatalf("%d windows with an auto-diff base, want 5", len(all))
+		}
+		for _, r := range all {
+			d := r.ev.Diff()
+			seq := r.ev.Report.Window.Seq
+			for i := range readers {
+				if r.diffs[i] != d {
+					t.Fatalf("window %d: reader %d got a diff of its own", seq, i)
+				}
+				if r.jsonC[i] != http.StatusOK || r.json[i] != freshDiff(t, d, "json") {
+					t.Fatalf("window %d: /diff json reader %d got %d and other bytes", seq, i, r.jsonC[i])
+				}
+				if r.txtC[i] != http.StatusOK || r.text[i] != freshDiff(t, d, "text") {
+					t.Fatalf("window %d: /diff text reader %d got %d and other bytes", seq, i, r.txtC[i])
+				}
+			}
+		}
+		var want string
+		for _, kv := range srv.Ring().Entries() {
+			want += freshFrame(t, kv.V)
+		}
+		if want += "event: end\ndata: {}\n\n"; string(stream) != want {
+			t.Fatalf("/stream differs from fresh frames:\ngot:  %.300s\nwant: %.300s", stream, want)
+		}
+		if n := testhook.AutoDiffs.Load() - built; n != int64(len(all)) {
+			t.Fatalf("%d auto-diffs built for %d windows, want one each", n, len(all))
+		}
+	})
 }
 
 // TestServeRejectsBadFormatFirst checks that a bad format is answered

@@ -381,8 +381,8 @@ func TestServeStopDrainsFinalWindow(t *testing.T) {
 	if rep.Elapsed >= 100*whodunit.Millisecond || rep.Elapsed <= 0 {
 		t.Fatalf("final partial window elapsed %v, want in (0, 100ms)", rep.Elapsed)
 	}
-	if kv.V.Diff != nil {
-		t.Fatalf("partial window must not auto-diff, got %+v", kv.V.Diff)
+	if kv.V.Diff() != nil || kv.V.Against() != nil {
+		t.Fatalf("partial window must not auto-diff, got %+v against %+v", kv.V.Diff(), kv.V.Against())
 	}
 }
 
